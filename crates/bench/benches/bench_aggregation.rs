@@ -1,8 +1,11 @@
-//! TAB-1/TAB-2 kernel — server aggregation cost per algorithm and salient
-//! index selection, the per-round server-side work.
+//! TAB-1/TAB-2 kernel — server aggregation cost per algorithm, the cost of
+//! the exact sums per coordinate against inexact ones, and salient index
+//! selection: the per-round server-side work.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use spatl::fl::{Algorithm, CommModel, FlConfig, GlobalState, LocalOutcome, SpatlOptions};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use spatl::fl::{
+    Algorithm, CommModel, FlConfig, GlobalState, LocalOutcome, SpatlOptions, StreamState,
+};
 use spatl::prelude::*;
 use spatl::pruning::Criterion as PruneCriterion;
 
@@ -79,6 +82,93 @@ fn bench_aggregation(c: &mut Criterion) {
     group.finish();
 }
 
+/// One compensated addition into a `(sum, compensation)` cell.
+#[inline]
+fn kahan_add((sum, comp): &mut (f64, f64), x: f64) {
+    let y = x - *comp;
+    let t = *sum + y;
+    *comp = (t - *sum) - y;
+    *sum = t;
+}
+
+/// The cost of exactness: what one coordinate of one upload costs to add
+/// into the order-independent exact sums (reached through
+/// `StreamState::fold`, their only public door), next to the two sums a
+/// server that did not care about arrival order would keep — a running
+/// f32 and a Kahan-compensated f64. Dense: every coordinate, weight
+/// `n_samples` (FedAvg). Scatter: every other coordinate, weight 1, plus
+/// the per-index vote (SPATL without gradient control).
+fn bench_cost_of_exactness(c: &mut Criterion) {
+    let p = 100_000usize;
+    let global = GlobalState {
+        shared: vec![0.0; p],
+        control: Vec::new(),
+        momentum: Vec::new(),
+        buffers: Vec::new(),
+    };
+    let dense = fake_outcome(p, 0, false);
+    let sparse = fake_outcome(p, 0, true);
+    let sel = sparse.selected.as_ref().expect("sparse outcome");
+    let w = dense.n_samples as f32;
+
+    let mut group = c.benchmark_group("sum_dense_per_coord");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(p as u64));
+    let mut exact = StreamState::new(&FlConfig::new(Algorithm::FedAvg), &global, 1);
+    group.bench_function("exact", |b| b.iter(|| exact.fold(&dense)));
+    let mut naive = vec![0f32; p];
+    group.bench_function("naive_f32", |b| {
+        b.iter(|| {
+            for (s, &d) in naive.iter_mut().zip(&dense.delta) {
+                *s += d * w;
+            }
+            naive[0]
+        })
+    });
+    let mut kahan = vec![(0f64, 0f64); p];
+    group.bench_function("kahan_f64", |b| {
+        b.iter(|| {
+            for (cell, &d) in kahan.iter_mut().zip(&dense.delta) {
+                kahan_add(cell, (d * w) as f64);
+            }
+            kahan[0].0
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("sum_scatter_per_coord");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(sel.indices.len() as u64));
+    let votes_only = Algorithm::Spatl(SpatlOptions {
+        gradient_control: false,
+        ..SpatlOptions::default()
+    });
+    let mut exact = StreamState::new(&FlConfig::new(votes_only), &global, 1);
+    group.bench_function("exact", |b| b.iter(|| exact.fold(&sparse)));
+    let mut naive = vec![0f32; p];
+    let mut votes = vec![0u32; p];
+    group.bench_function("naive_f32", |b| {
+        b.iter(|| {
+            for (&i, &v) in sel.indices.iter().zip(&sel.values) {
+                naive[i as usize] += v;
+                votes[i as usize] += 1;
+            }
+            naive[0]
+        })
+    });
+    let mut kahan = vec![(0f64, 0f64); p];
+    group.bench_function("kahan_f64", |b| {
+        b.iter(|| {
+            for (&i, &v) in sel.indices.iter().zip(&sel.values) {
+                kahan_add(&mut kahan[i as usize], v as f64);
+                votes[i as usize] += 1;
+            }
+            kahan[0].0
+        })
+    });
+    group.finish();
+}
+
 fn bench_salient_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("salient_indices");
     group.sample_size(20);
@@ -91,5 +181,10 @@ fn bench_salient_selection(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_aggregation, bench_salient_selection);
+criterion_group!(
+    benches,
+    bench_aggregation,
+    bench_cost_of_exactness,
+    bench_salient_selection
+);
 criterion_main!(benches);

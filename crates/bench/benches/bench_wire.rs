@@ -1,10 +1,12 @@
 //! Wire-codec throughput — encode/decode MB/s for the three payload
 //! families a federated round can ship (dense f32, top-k sparse,
 //! f16-quantized) at the real encoder sizes of the paper's two CIFAR
-//! models. `Throughput::Bytes` makes criterion report MB/s directly.
+//! models, and the envelope CRC-32 underneath all of them.
+//! `Throughput::Bytes` makes criterion report MB/s directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use spatl::models::{ModelConfig, ModelKind};
+use spatl::wire::crc32::crc32;
 use spatl::wire::{
     decode_dense, decode_f16_dense, decode_topk, encode_dense, encode_f16_dense, encode_topk, open,
     seal, MsgType, SparseTopK,
@@ -119,5 +121,21 @@ fn bench_f16(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dense, bench_topk, bench_f16);
+/// The envelope checksum on its own, at the sizes it meets: a
+/// 2048-parameter upload (8 KiB), half of one, and a VGG-scale frame that
+/// no cache holds. Every frame is checksummed at seal and again at open.
+fn bench_crc(c: &mut Criterion) {
+    let mut group = c.benchmark_group("wire_crc32");
+    group.sample_size(20);
+    for (name, len) in [("4KiB", 4 << 10), ("8KiB", 8 << 10), ("4MiB", 4 << 20)] {
+        let frame = encode_dense(&synthetic_update(len / 4));
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::from_parameter(name), &frame, |b, f| {
+            b.iter(|| crc32(f));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_dense, bench_topk, bench_f16, bench_crc);
 criterion_main!(benches);

@@ -14,15 +14,24 @@
 //! addition is not associative — a naive running f32 (or f64) sum would
 //! make the global model depend on which socket drained first. The fold
 //! is therefore built on [`ExactSums`]: a per-coordinate *integer*
-//! carry-save accumulator over the fixed-point grid `2^-149` (the f32
-//! subnormal LSB). Each weighted term `±m·2^e · w` (mantissa `m < 2^24`,
-//! integer weight `w < 2^64`) is decomposed exactly into 32-bit chunks
-//! added into `i64` limbs; integer addition **is** associative and
-//! commutative, so any permutation or interleaving of `fold` calls
-//! yields bit-identical limbs, and the deterministic `finalize` ladder
-//! yields a bit-identical model. Per-upload f32 pre-terms (FedNova's
-//! `δ/τ`, SCAFFOLD's control fallback) depend only on that upload plus
-//! the round's broadcast snapshot, never on fold order.
+//! accumulator over the fixed-point grid `2^-149` (the f32 subnormal
+//! LSB). Each weighted term `±m·2^e · w` (mantissa `m < 2^24`, integer
+//! weight `w < 2^64`) is an exact integer on that grid; integer addition
+//! **is** associative and commutative, so any permutation or
+//! interleaving of `fold` calls yields the same integers, and the
+//! deterministic `finalize` ladder yields a bit-identical model.
+//! Per-upload f32 pre-terms (FedNova's `δ/τ`, SCAFFOLD's control
+//! fallback) depend only on that upload plus the round's broadcast
+//! snapshot, never on fold order.
+//!
+//! The integer can be 341 bits wide, but the terms real updates produce
+//! sit in a narrow band of exponents, so a coordinate is stored as one
+//! `i128` **fast lane** positioned over that band ([`LANE_LSB`],
+//! [`TERM_BITS`]) plus, for the rare term outside it, a lazily
+//! allocated 384-bit **wide row**; which of the two a term goes to is a
+//! function of its own exponent and weight. The value is the exact sum
+//! of both, so the split is invisible in the result (DESIGN.md §12 has
+//! the window-placement and overflow arguments).
 //!
 //! Cohort-level scalars (total samples, `τ_eff`, survivor counts) are
 //! accumulated as exact `u128` side-sums and applied once at finalize.
@@ -50,23 +59,47 @@
 use std::collections::BTreeSet;
 
 use spatl_privacy::{
-    pair_base, quantized_l2, MaskedUpload, PrivacyConfig, PrivacyMode, UnmaskShare,
+    pair_base, quantized_l2, MaskedUpload, MaskedVector, PrivacyConfig, PrivacyMode, UnmaskShare,
+    GRID_DIGITS,
 };
 
 use crate::{
     AggregatorKind, Algorithm, FaultKind, FaultRecord, FlConfig, GlobalState, LocalOutcome,
 };
 
-/// Limbs per coordinate: bit positions `0..352` on the `2^-149` grid
-/// cover every product `m·2^e · w` (top bit ≤ `7·32 + 119 = 343`) with
-/// carry headroom for `2^31` additions per limb.
-const NLIMBS: usize = 11;
-
 /// `2^-149` — the grid LSB — as an exactly-represented f64.
 const GRID: f64 = f64::from_bits(874u64 << 52);
 
 /// `2^32` as f64, the finalize ladder's radix.
 const RADIX: f64 = 4294967296.0;
+
+/// Grid bit of the fast lane's least significant bit: a lane holding the
+/// integer `L` stands for `L · 2^LANE_LSB` grid units, i.e. `L · 2^-69`.
+///
+/// Placement: a normal f32 `±m·2^e` (`2^23 ≤ m < 2^24`) has its mantissa
+/// LSB on grid bit `e + 149`, so the lane can hold every `|v| ≥ 2^-46`
+/// (`1.4e-14`; a delta of two f32 weights is a multiple of the smaller
+/// one's ulp, so only weights below `2^-22` yield smaller non-zero
+/// ones), and by [`TERM_BITS`] every `|v| < 2^(27 - bits(w))`: `2^26` at
+/// unit weight, `2^7` at a million samples. Anything else takes a wide
+/// row.
+const LANE_LSB: u32 = 80;
+
+/// Bits one fast-lane term may occupy above [`LANE_LSB`]. An `i128`
+/// holds `|L| < 2^127`; terms below `2^96` leave room for `2^31` of them
+/// per coordinate — the same addition budget the carry-save limbs had.
+const TERM_BITS: u32 = 96;
+
+/// `2^(32·⌊LANE_LSB/32⌋ - 149)`: what the lane's own base-`2^32` digits
+/// are worth, the low `⌊LANE_LSB/32⌋` digits of the full form being zero.
+const LANE_UNIT: f64 = f64::from_bits(((874 + 32 * (LANE_LSB / 32)) as u64) << 52);
+
+/// Bits by which the lane sits above a digit boundary.
+const LANE_SUB: u32 = LANE_LSB % 32;
+const _: () = assert!(LANE_SUB != 0, "lane_digits shifts by 32 - LANE_SUB");
+
+/// Coordinates per lazily allocated page of full-width rows.
+const PAGE: usize = 256;
 
 /// Per-coordinate non-finite markers, allocated only when a poisoned
 /// upload actually arrives (the honest-path fold never pays for them).
@@ -76,6 +109,72 @@ struct NonFinite {
     neg: Vec<u64>,
 }
 
+/// The finalize ladder: Horner evaluation in f64, most significant
+/// first, of `start·2^(32·n) + Σ digits[k]·2^(32k)`. Multiplying by the
+/// radix is exact and so is every step whose running value stays an
+/// integer within `±2^53`, which gives callers two liberties that leave
+/// the result's bits alone: trailing zero digits may be replaced by a
+/// power-of-two scale, and the ladder may `start` from any leading part
+/// of the number that fits `±2^53` instead of from its signed top word.
+fn ladder(start: f64, digits: &[u32]) -> f64 {
+    let mut val = start;
+    for &d in digits.iter().rev() {
+        val = val * RADIX + d as f64;
+    }
+    val
+}
+
+/// The base-`2^32` digits of `lane · 2^LANE_SUB` and their signed top
+/// word: the only digits of `lane · 2^LANE_LSB` that are neither zero
+/// (below) nor sign extension (above).
+fn lane_digits(lane: i128) -> ([u32; 5], i64) {
+    let digits = [
+        (lane as u32) << LANE_SUB,
+        (lane >> (32 - LANE_SUB)) as u32,
+        (lane >> (64 - LANE_SUB)) as u32,
+        (lane >> (96 - LANE_SUB)) as u32,
+        (lane >> (128 - LANE_SUB)) as u32,
+    ];
+    (digits, (lane >> 127) as i64)
+}
+
+/// A fast lane's sum as f64, with the bits the full 11-digit ladder
+/// gives: the digits below the lane are zero (hence [`LANE_UNIT`]), and
+/// the ladder starts from the longest leading part of the lane that
+/// fits `±2^53` — everything above its lowest digit when `|sum| < 1`,
+/// above its lowest two when `|sum| < 2^32`.
+fn lane_value(lane: i128) -> f64 {
+    let (digits, top) = lane_digits(lane);
+    // ⌊lane·2^LANE_SUB / 2^(32k)⌋ is `lane >> (32k - LANE_SUB)`.
+    let leading = |k: u32| (lane >> (32 * k - LANE_SUB)) as i64 as f64;
+    let magnitude_bits = 128 - (lane ^ (lane >> 127)).leading_zeros();
+    let val = if magnitude_bits <= 53 + 32 - LANE_SUB {
+        ladder(leading(1), &digits[..1])
+    } else if magnitude_bits <= 53 + 64 - LANE_SUB {
+        ladder(leading(2), &digits[..2])
+    } else {
+        ladder(top as f64, &digits)
+    };
+    val * LANE_UNIT
+}
+
+/// The fast-lane integer of `v · w`, or `None` when the term does not
+/// fit the window (`span` = widest admissible shift for this `w`) —
+/// which also catches zeros, subnormals and non-finite values, whose
+/// exponent fields land outside it from either side.
+#[inline(always)]
+fn lane_term(v: f32, w: u64, span: u32) -> Option<i128> {
+    let bits = v.to_bits();
+    // A normal v = ±m·2^(e-150) has its mantissa LSB on grid bit e - 1.
+    let shift = ((bits >> 23) & 0xff).wrapping_sub(LANE_LSB + 1);
+    if shift > span {
+        return None;
+    }
+    let mant = ((bits & 0x7f_ffff) | 0x80_0000) as u128;
+    let mag = ((mant * w as u128) << shift) as i128;
+    Some(if bits >> 31 == 1 { -mag } else { mag })
+}
+
 /// Exact weighted f32 sums over `p` coordinates in O(p) memory.
 ///
 /// `add(j, v, w)` accumulates `v·w` into coordinate `j` exactly (no
@@ -83,29 +182,94 @@ struct NonFinite {
 /// the nearest-enough f64 deterministically. See the module docs for the
 /// representation and the commutativity argument.
 pub(crate) struct ExactSums {
-    limbs: Vec<i64>,
+    /// One fast lane per coordinate (16 bytes).
+    lanes: Vec<i128>,
+    /// `wide[j / PAGE]`: full-width (384-bit) rows for the terms that
+    /// fall outside the lane window. Empty until the first such term,
+    /// then one slot per page, each allocated when first hit.
+    wide: Vec<Option<MaskedVector>>,
     nonfinite: Option<Box<NonFinite>>,
-    p: usize,
+    /// Terms that took the lane / a wide row (zeros are neither).
+    #[cfg(test)]
+    placed: (u64, u64),
 }
 
 impl ExactSums {
     /// Zeroed sums for `p` coordinates.
     pub(crate) fn new(p: usize) -> Self {
         ExactSums {
-            limbs: vec![0; p * NLIMBS],
+            lanes: vec![0; p],
+            wide: Vec::new(),
             nonfinite: None,
-            p,
+            #[cfg(test)]
+            placed: (0, 0),
         }
     }
 
+    /// Zeroed sums for `p` coordinates, in a finished round's lanes when
+    /// they have the right length: a memset over mapped pages instead of
+    /// a fresh mapping faulted in page by page during the first fold.
+    fn recycled(p: usize, old: Option<ExactSums>) -> Self {
+        match old {
+            Some(mut sums) if sums.lanes.len() == p => {
+                sums.lanes.fill(0);
+                ExactSums {
+                    lanes: sums.lanes,
+                    ..ExactSums::new(0)
+                }
+            }
+            _ => ExactSums::new(p),
+        }
+    }
+
+    /// Widest lane shift a term of weight `w` may have: `m·w < 2^(24 +
+    /// bits(w))`, so a shift up to `TERM_BITS - 24 - bits(w)` keeps the
+    /// term below `2^TERM_BITS`. At least 8 for any `w`.
+    fn span(w: u64) -> u32 {
+        TERM_BITS - 24 - (64 - w.leading_zeros())
+    }
+
     /// Accumulate `v · w` into coordinate `j`, exactly.
+    #[inline]
     pub(crate) fn add(&mut self, j: usize, v: f32, w: u64) {
-        debug_assert!(j < self.p);
-        if w == 0 || v == 0.0 {
+        if w == 0 {
             return;
         }
+        match lane_term(v, w, Self::span(w)) {
+            Some(term) => {
+                self.lanes[j] += term;
+                #[cfg(test)]
+                {
+                    self.placed.0 += 1;
+                }
+            }
+            None => self.add_wide(j, v, w),
+        }
+    }
+
+    /// Accumulate `values[j] · w` into coordinate `j` for every `j` both
+    /// `values` and the sums cover (zip-prefix): the dense fold's loop,
+    /// one window test per coordinate and nothing else on the way (the
+    /// weight's share of [`add`](Self::add) is loop-invariant).
+    pub(crate) fn add_dense(&mut self, values: impl IntoIterator<Item = f32>, w: u64) {
+        let n = self.lanes.len();
+        for (j, v) in values.into_iter().take(n).enumerate() {
+            self.add(j, v, w);
+        }
+    }
+
+    /// Everything the lane window turns away: inert zeros, non-finite
+    /// markers, and the finite terms too small or too large for the
+    /// lane, which land exactly in the coordinate's wide row.
+    #[cold]
+    fn add_wide(&mut self, j: usize, v: f32, w: u64) {
+        if v == 0.0 {
+            return;
+        }
+        let p = self.lanes.len();
+        assert!(j < p, "coordinate {j} out of range for {p} sums");
         if !v.is_finite() {
-            let words = self.p.div_ceil(64);
+            let words = p.div_ceil(64);
             let nf = self.nonfinite.get_or_insert_with(|| {
                 Box::new(NonFinite {
                     nan: vec![0; words],
@@ -123,34 +287,60 @@ impl ExactSums {
             }
             return;
         }
-        let bits = v.to_bits();
-        let negative = bits >> 31 == 1;
-        let e = ((bits >> 23) & 0xff) as i32;
-        let m = (bits & 0x7f_ffff) as u64;
-        // v = ±m′·2^e′ with m′ < 2^24 and e′ ∈ [-149, 104].
-        let (mant, exp) = if e == 0 {
-            (m, -149)
-        } else {
-            (m | 0x80_0000, e - 150)
-        };
-        let prod = (mant as u128) * (w as u128); // < 2^88
-        let bitpos = (exp + 149) as usize; // 0..=253 on the grid
-        let base = j * NLIMBS + bitpos / 32;
-        let mut rest = prod << (bitpos % 32); // < 2^119: ≤ 4 chunks
-        let mut k = 0;
-        while rest != 0 {
-            let chunk = (rest & 0xffff_ffff) as i64;
-            self.limbs[base + k] += if negative { -chunk } else { chunk };
-            rest >>= 32;
-            k += 1;
+        if self.wide.is_empty() {
+            self.wide.resize_with(p.div_ceil(PAGE), || None);
+        }
+        self.wide[j / PAGE]
+            .get_or_insert_with(|| MaskedVector::zeros(PAGE))
+            .accumulate(j % PAGE, v, w, false);
+        #[cfg(test)]
+        {
+            self.placed.1 += 1;
         }
     }
 
+    /// The wide row page covering coordinate `j`, if any term ever
+    /// needed one there.
+    fn page(&self, j: usize) -> Option<&MaskedVector> {
+        self.wide.get(j / PAGE).and_then(Option::as_ref)
+    }
+
+    /// Coordinate `j`'s exact sum — lane plus the row of `page` — in the
+    /// canonical form the ladder reads: 11 base-`2^32` digits and the
+    /// signed top word.
+    fn digits(&self, j: usize, page: &MaskedVector) -> ([u32; GRID_DIGITS], i64) {
+        let (lane, top) = lane_digits(self.lanes[j]);
+        // Sign-extend the lane's digits to full width around their slot.
+        let mut digits = [top as u32; GRID_DIGITS];
+        let low = (LANE_LSB / 32) as usize;
+        digits[..low].fill(0);
+        digits[low..low + lane.len()].copy_from_slice(&lane);
+        let (row, row_top) = page.digits(j % PAGE);
+        let mut carry = 0u64;
+        for (d, r) in digits.iter_mut().zip(row) {
+            let t = *d as u64 + r as u64 + carry;
+            *d = t as u32;
+            carry = t >> 32;
+        }
+        (digits, top + row_top + carry as i64)
+    }
+}
+
+/// A cohort's per-coordinate sums as the finalize rules read them:
+/// [`ExactSums`] for a clear fold, the unmasked grid lanes for a masked
+/// one. Both reduce to the same digits and the same [`ladder`], which is
+/// what makes a masked round finalize bit-identically to the clear fold
+/// of the same uploads.
+trait CohortSums {
     /// The accumulated sum of coordinate `j` as f64 (relative error
-    /// ≤ 2^-52 from the exact integer value; deterministic). Non-finite
-    /// terms override: `NaN` if any NaN (or both infinities) was added,
-    /// else the signed infinity.
-    pub(crate) fn value(&self, j: usize) -> f64 {
+    /// ≤ 2^-52 from the exact integer value; deterministic).
+    fn value(&self, j: usize) -> f64;
+}
+
+impl CohortSums for ExactSums {
+    /// Non-finite terms override: `NaN` if any NaN (or both infinities)
+    /// was added, else the signed infinity.
+    fn value(&self, j: usize) -> f64 {
         if let Some(nf) = &self.nonfinite {
             let (word, bit) = (j / 64, j % 64);
             let nan = nf.nan[word] >> bit & 1 == 1;
@@ -166,36 +356,155 @@ impl ExactSums {
                 return f64::NEG_INFINITY;
             }
         }
-        let limbs = &self.limbs[j * NLIMBS..(j + 1) * NLIMBS];
-        let mut digits = [0u32; NLIMBS];
-        let mut carry: i128 = 0;
-        for (k, &limb) in limbs.iter().enumerate() {
-            let t = limb as i128 + carry;
-            digits[k] = t as u32;
-            carry = t >> 32;
+        match self.page(j) {
+            None => lane_value(self.lanes[j]),
+            Some(page) => {
+                let (digits, top) = self.digits(j, page);
+                ladder(top as f64, &digits) * GRID
+            }
         }
-        let mut val = carry as f64;
-        for &d in digits.iter().rev() {
-            val = val * RADIX + d as f64;
+    }
+}
+
+impl CohortSums for MaskedVector {
+    fn value(&self, j: usize) -> f64 {
+        let (digits, top) = self.digits(j);
+        ladder(top as f64, &digits) * GRID
+    }
+}
+
+/// The lanes one finalize reads, however they were accumulated.
+struct Folded<'a, S> {
+    delta: &'a S,
+    /// Control deltas (SCAFFOLD, SPATL with gradient control) or
+    /// velocities (FedNova) — no algorithm has both.
+    secondary: Option<&'a S>,
+    /// SPATL per-index vote counts (empty for dense algorithms).
+    count: &'a [u32],
+    buffers: Option<&'a S>,
+}
+
+/// The run parameters and cohort-level side-sums the finalize rules
+/// need besides the per-coordinate lanes; a clear and a masked fold
+/// both read them off the uploads' clear headers.
+struct RoundTotals {
+    cfg: FlConfig,
+    n_clients_total: usize,
+    p: usize,
+    buf_len: usize,
+    valid: usize,
+    total_samples: u128,
+    tau_weighted: u128,
+    any_velocity: bool,
+}
+
+impl RoundTotals {
+    fn new(cfg: &FlConfig, global: &GlobalState, n_clients_total: usize) -> Self {
+        RoundTotals {
+            cfg: *cfg,
+            n_clients_total,
+            p: global.shared.len(),
+            buf_len: global.buffers.len(),
+            valid: 0,
+            total_samples: 0,
+            tau_weighted: 0,
+            any_velocity: false,
         }
-        val * GRID
     }
 
-    /// Load coordinate `j` from the canonical Euclidean digit form an
-    /// unmasked [`MaskedVector`] exposes: 11 base-`2^32` digits plus the
-    /// signed top word. [`ExactSums::value`] normalizes its limbs to
-    /// exactly this `(digits, carry)` pair before the f64 ladder, so a
-    /// masked round loaded this way finalizes **bit-identically** to the
-    /// clear fold of the same uploads.
-    pub(crate) fn load_digits(&mut self, j: usize, digits: &[u32; NLIMBS], top: i64) {
-        debug_assert!(j < self.p);
-        let limbs = &mut self.limbs[j * NLIMBS..(j + 1) * NLIMBS];
-        for (k, &d) in digits.iter().enumerate() {
-            limbs[k] = d as i64;
+    /// Count one upload's header in. Returns `false` for a diverged
+    /// upload, which the rules reject: nothing of it may be folded.
+    fn admit(&mut self, o: &LocalOutcome) -> bool {
+        if o.diverged {
+            return false;
         }
-        // The finalize ladder's carry out of the last limb is the top
-        // word: stash it above the digit so `t >> 32` recovers it.
-        limbs[NLIMBS - 1] += top << 32;
+        self.valid += 1;
+        match self.cfg.algorithm {
+            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
+                self.total_samples += o.n_samples as u128;
+            }
+            Algorithm::FedNova => {
+                self.total_samples += o.n_samples as u128;
+                self.tau_weighted += o.n_samples as u128 * o.tau as u128;
+            }
+            Algorithm::Scaffold | Algorithm::Spatl(_) => {}
+        }
+        true
+    }
+
+    /// Apply the accumulated round to `global`. Returns `true` if an
+    /// update was applied; `false` is a no-op round (nothing folded, all
+    /// folds diverged, or zero total sample weight) with `global`
+    /// untouched — never NaN from an empty cohort.
+    fn apply<S: CohortSums>(&self, sums: Folded<'_, S>, global: &mut GlobalState) -> bool {
+        if self.valid == 0 {
+            return false;
+        }
+        let p = self.p;
+        let slr = self.cfg.server_lr as f64;
+        let inv_n = 1.0 / self.n_clients_total as f64;
+        let shared = &mut global.shared[..p];
+        match self.cfg.algorithm {
+            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
+                if self.total_samples == 0 {
+                    // Every survivor has an empty shard: dividing by the
+                    // total would poison the model with NaN — skip.
+                    return false;
+                }
+                let inv_total = 1.0 / self.total_samples as f64;
+                for (j, x) in shared.iter_mut().enumerate() {
+                    *x += (slr * sums.delta.value(j) * inv_total) as f32;
+                }
+            }
+            Algorithm::FedNova => {
+                if self.total_samples == 0 {
+                    return false;
+                }
+                let total = self.total_samples as f64;
+                let tau_eff = self.tau_weighted as f64 / total;
+                for (j, x) in shared.iter_mut().enumerate() {
+                    *x += (slr * tau_eff * sums.delta.value(j) / total) as f32;
+                }
+                if let (true, Some(vel)) = (self.any_velocity, sums.secondary) {
+                    global.momentum = (0..p).map(|j| (vel.value(j) / total) as f32).collect();
+                }
+            }
+            Algorithm::Scaffold => {
+                let inv_s = 1.0 / self.valid as f64;
+                for (j, x) in shared.iter_mut().enumerate() {
+                    *x += (slr * sums.delta.value(j) * inv_s) as f32;
+                }
+                if let Some(cd) = sums.secondary {
+                    for (j, c) in global.control[..p].iter_mut().enumerate() {
+                        *c += (inv_n * cd.value(j)) as f32;
+                    }
+                }
+            }
+            Algorithm::Spatl(opts) => {
+                // Only voted coordinates move: an unvoted one has no
+                // delta term, and its control sum is exactly zero.
+                let cd = sums.secondary.filter(|_| opts.gradient_control);
+                for (j, &votes) in sums.count.iter().enumerate().take(p) {
+                    if votes == 0 {
+                        continue;
+                    }
+                    shared[j] += (slr * sums.delta.value(j) / votes as f64) as f32;
+                    if let Some(cd) = cd {
+                        global.control[j] += (inv_n * cd.value(j)) as f32;
+                    }
+                }
+            }
+        }
+        // Batch-norm buffers: mean across folded uploads (zip-prefix
+        // semantics — an upload shorter than the session shape only
+        // contributes its prefix, exactly as the batch rule's zip did).
+        if let (true, Some(buf)) = (self.buf_len > 0, sums.buffers) {
+            let inv = 1.0 / self.valid as f64;
+            global.buffers = (0..self.buf_len)
+                .map(|j| (buf.value(j) * inv) as f32)
+                .collect();
+        }
+        true
     }
 }
 
@@ -207,23 +516,16 @@ impl ExactSums {
 /// then [`finalize`](StreamState::finalize) once. Memory is O(model),
 /// independent of how many uploads are folded.
 pub struct StreamState {
-    cfg: FlConfig,
-    n_clients_total: usize,
-    p: usize,
+    totals: RoundTotals,
     /// Broadcast control variate — the fallback `Δcᵢ = −c − δᵢ/(τᵢ·η)`
     /// must read the control the *clients trained against*, which a
     /// streaming server must snapshot before the first fold.
     control_bcast: Vec<f32>,
-    buf_len: usize,
-    valid: usize,
-    total_samples: u128,
-    tau_weighted: u128,
     delta: ExactSums,
     /// SPATL per-index vote counts (empty for dense algorithms).
     count: Vec<u32>,
-    c_delta: Option<ExactSums>,
-    velocity: Option<ExactSums>,
-    any_velocity: bool,
+    /// Control deltas or FedNova velocities, when the algorithm has them.
+    secondary: Option<ExactSums>,
     buffers: Option<ExactSums>,
 }
 
@@ -231,60 +533,81 @@ impl StreamState {
     /// Fixed-size accumulator for one round, snapshotting what the fold
     /// needs from the broadcast `global`.
     pub fn new(cfg: &FlConfig, global: &GlobalState, n_clients_total: usize) -> Self {
-        let p = global.shared.len();
+        Self::recycling(cfg, global, n_clients_total, None)
+    }
+
+    /// [`StreamState::new`], taking over the allocations of a finished
+    /// round's state wherever their sizes still fit this round's shape.
+    fn recycling(
+        cfg: &FlConfig,
+        global: &GlobalState,
+        n_clients_total: usize,
+        spare: Option<StreamState>,
+    ) -> Self {
+        let totals = RoundTotals::new(cfg, global, n_clients_total);
+        let (p, buf_len) = (totals.p, totals.buf_len);
         let uses_control = cfg.algorithm.uses_control();
-        let buf_len = global.buffers.len();
+        let has_secondary = uses_control || matches!(cfg.algorithm, Algorithm::FedNova);
+        let votes = matches!(cfg.algorithm, Algorithm::Spatl(_));
+        let (mut control_bcast, delta, mut count, secondary, buffers) = match spare {
+            Some(old) => (
+                old.control_bcast,
+                Some(old.delta),
+                old.count,
+                old.secondary,
+                old.buffers,
+            ),
+            None => (Vec::new(), None, Vec::new(), None, None),
+        };
+        control_bcast.clear();
+        if uses_control {
+            control_bcast.extend_from_slice(&global.control);
+        }
+        count.clear();
+        count.resize(if votes { p } else { 0 }, 0);
         StreamState {
-            cfg: *cfg,
-            n_clients_total,
-            p,
-            control_bcast: if uses_control {
-                global.control.clone()
-            } else {
-                Vec::new()
-            },
-            buf_len,
-            valid: 0,
-            total_samples: 0,
-            tau_weighted: 0,
-            delta: ExactSums::new(p),
-            count: if matches!(cfg.algorithm, Algorithm::Spatl(_)) {
-                vec![0; p]
-            } else {
-                Vec::new()
-            },
-            c_delta: uses_control.then(|| ExactSums::new(p)),
-            velocity: matches!(cfg.algorithm, Algorithm::FedNova).then(|| ExactSums::new(p)),
-            any_velocity: false,
-            buffers: (buf_len > 0).then(|| ExactSums::new(buf_len)),
+            totals,
+            control_bcast,
+            delta: ExactSums::recycled(p, delta),
+            count,
+            secondary: has_secondary.then(|| ExactSums::recycled(p, secondary)),
+            buffers: (buf_len > 0).then(|| ExactSums::recycled(buf_len, buffers)),
         }
     }
 
     /// How many non-diverged uploads have been folded.
     pub fn folded(&self) -> usize {
-        self.valid
+        self.totals.valid
     }
 
     /// Absorb one upload. Diverged uploads are skipped (the batch rule
     /// rejects them); everything else updates only commutative state, so
     /// fold order never changes the finalized model.
+    ///
+    /// Dense tensors shorter than the session's shared vector are a
+    /// caller bug and panic; every upload that came through
+    /// [`decode_upload`](crate::decode_upload) was length- and
+    /// range-checked there.
     pub fn fold(&mut self, o: &LocalOutcome) {
-        if o.diverged {
+        if !self.totals.admit(o) {
             return;
         }
-        self.valid += 1;
-        let p = self.p;
-        let eta_eff = self.cfg.lr / (1.0 - self.cfg.momentum).max(1e-3);
-        match self.cfg.algorithm {
+        let cfg = &self.totals.cfg;
+        let p = self.totals.p;
+        let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
+        let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
+        // SCAFFOLD's option-II control step, derived server-side from
+        // the delta and the control the client trained against.
+        let control_step = |c: f32, d: f32| -c - d * scale;
+        match cfg.algorithm {
             Algorithm::FedAvg | Algorithm::FedProx { .. } => {
                 let w = o.n_samples as u64;
-                self.total_samples += w as u128;
                 match &o.compressed {
                     // Top-k sparse upload: scatter-add the k survivors.
                     // Bit-identical to folding the zero-filled dense
-                    // vector — `ExactSums::add` skips `v == 0.0`, so the
-                    // dropped coordinates contribute nothing either way
-                    // (asserted in tests/quantized_fold.rs).
+                    // vector — zero terms are inert in the exact sums,
+                    // so the dropped coordinates contribute nothing
+                    // either way (asserted in tests/quantized_fold.rs).
                     Some(crate::CompressedDelta::TopK {
                         indices, values, ..
                     }) => {
@@ -297,89 +620,70 @@ impl StreamState {
                     // exact, so this is bit-identical to densifying
                     // first, without the 4·p intermediate.
                     Some(crate::CompressedDelta::F16(bytes)) => {
-                        for (j, c) in bytes.chunks_exact(2).enumerate().take(p) {
-                            let v =
-                                spatl_wire::f16::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]));
-                            self.delta.add(j, v, w);
-                        }
+                        let halves = bytes.chunks_exact(2).map(|c| {
+                            spatl_wire::f16::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))
+                        });
+                        self.delta.add_dense(halves, w);
                     }
-                    None => {
-                        for j in 0..p {
-                            self.delta.add(j, o.delta[j], w);
-                        }
-                    }
+                    None => self.delta.add_dense(o.delta[..p].iter().copied(), w),
                 }
             }
             Algorithm::FedNova => {
                 let w = o.n_samples as u64;
-                self.total_samples += w as u128;
-                self.tau_weighted += o.n_samples as u128 * o.tau as u128;
                 let tau = o.tau.max(1) as f32;
-                for j in 0..p {
-                    self.delta.add(j, o.delta[j] / tau, w);
-                }
+                self.delta
+                    .add_dense(o.delta[..p].iter().map(|d| d / tau), w);
                 if let Some(v) = &o.velocity {
-                    self.any_velocity = true;
-                    let vel = self.velocity.as_mut().expect("FedNova allocates velocity");
-                    for (j, &vj) in v.iter().enumerate().take(p) {
-                        vel.add(j, vj, w);
-                    }
+                    self.totals.any_velocity = true;
+                    let vel = self.secondary.as_mut().expect("FedNova allocates velocity");
+                    vel.add_dense(v.iter().copied(), w);
                 }
             }
             Algorithm::Scaffold => {
-                let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
-                let cd = self.c_delta.as_mut().expect("SCAFFOLD allocates control");
-                for j in 0..p {
-                    self.delta.add(j, o.delta[j], 1);
-                    // Prefer the client's explicit Δcᵢ (what the wire
-                    // carries); fall back to the server-side derivation
-                    // for synthetic outcomes that skip the upload path.
-                    let term = match &o.control_delta {
-                        Some(cdv) => cdv[j],
-                        None => -self.control_bcast[j] - o.delta[j] * scale,
-                    };
-                    cd.add(j, term, 1);
+                let delta = &o.delta[..p];
+                self.delta.add_dense(delta.iter().copied(), 1);
+                let cd = self.secondary.as_mut().expect("SCAFFOLD allocates control");
+                // Prefer the client's explicit Δcᵢ (what the wire
+                // carries); fall back to the server-side derivation for
+                // synthetic outcomes that skip the upload path.
+                match &o.control_delta {
+                    Some(cdv) => cd.add_dense(cdv[..p].iter().copied(), 1),
+                    None => {
+                        let steps = self.control_bcast.iter().zip(delta);
+                        cd.add_dense(steps.map(|(&c, &d)| control_step(c, d)), 1);
+                    }
                 }
             }
             Algorithm::Spatl(opts) => {
-                let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
+                let mut cd = self.secondary.as_mut().filter(|_| opts.gradient_control);
                 match &o.selected {
                     Some(sel) => {
-                        for (k, &i) in sel.indices.iter().enumerate() {
+                        for (&i, &v) in sel.indices.iter().zip(&sel.values) {
                             let j = i as usize;
-                            self.delta.add(j, sel.values[k], 1);
+                            self.delta.add(j, v, 1);
                             self.count[j] += 1;
-                            if opts.gradient_control {
-                                let term = -self.control_bcast[j] - sel.values[k] * scale;
-                                self.c_delta
-                                    .as_mut()
-                                    .expect("gradient control allocates")
-                                    .add(j, term, 1);
+                            if let Some(cd) = &mut cd {
+                                cd.add(j, control_step(self.control_bcast[j], v), 1);
                             }
                         }
                     }
                     None => {
                         // Selection disabled: dense upload votes everywhere.
-                        for j in 0..p {
-                            self.delta.add(j, o.delta[j], 1);
-                            self.count[j] += 1;
-                            if opts.gradient_control {
-                                let term = -self.control_bcast[j] - o.delta[j] * scale;
-                                self.c_delta
-                                    .as_mut()
-                                    .expect("gradient control allocates")
-                                    .add(j, term, 1);
-                            }
+                        let delta = &o.delta[..p];
+                        self.delta.add_dense(delta.iter().copied(), 1);
+                        for votes in &mut self.count {
+                            *votes += 1;
+                        }
+                        if let Some(cd) = cd {
+                            let steps = self.control_bcast.iter().zip(delta);
+                            cd.add_dense(steps.map(|(&c, &d)| control_step(c, d)), 1);
                         }
                     }
                 }
             }
         }
-        if self.buf_len > 0 {
-            let buf = self.buffers.as_mut().expect("buffers allocated");
-            for (j, &b) in o.buffers.iter().enumerate().take(self.buf_len) {
-                buf.add(j, b, 1);
-            }
+        if let Some(buf) = &mut self.buffers {
+            buf.add_dense(o.buffers.iter().copied(), 1);
         }
     }
 
@@ -388,73 +692,19 @@ impl StreamState {
     /// folds diverged, or zero total sample weight) with `global`
     /// untouched — never NaN from an empty cohort.
     pub fn finalize(self, global: &mut GlobalState) -> bool {
-        if self.valid == 0 {
-            return false;
-        }
-        let p = self.p;
-        let slr = self.cfg.server_lr as f64;
-        match self.cfg.algorithm {
-            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                if self.total_samples == 0 {
-                    // Every survivor has an empty shard: dividing by the
-                    // total would poison the model with NaN — skip.
-                    return false;
-                }
-                let inv_total = 1.0 / self.total_samples as f64;
-                for j in 0..p {
-                    global.shared[j] += (slr * self.delta.value(j) * inv_total) as f32;
-                }
-            }
-            Algorithm::FedNova => {
-                if self.total_samples == 0 {
-                    return false;
-                }
-                let total = self.total_samples as f64;
-                let tau_eff = self.tau_weighted as f64 / total;
-                for j in 0..p {
-                    global.shared[j] += (slr * tau_eff * self.delta.value(j) / total) as f32;
-                }
-                if self.any_velocity {
-                    let vel = self.velocity.as_ref().expect("FedNova allocates velocity");
-                    global.momentum = (0..p).map(|j| (vel.value(j) / total) as f32).collect();
-                }
-            }
-            Algorithm::Scaffold => {
-                let inv_s = 1.0 / self.valid as f64;
-                let inv_n = 1.0 / self.n_clients_total as f64;
-                let cd = self.c_delta.as_ref().expect("SCAFFOLD allocates control");
-                for j in 0..p {
-                    global.shared[j] += (slr * self.delta.value(j) * inv_s) as f32;
-                    global.control[j] += (inv_n * cd.value(j)) as f32;
-                }
-            }
-            Algorithm::Spatl(opts) => {
-                for j in 0..p {
-                    if self.count[j] > 0 {
-                        global.shared[j] +=
-                            (slr * self.delta.value(j) / self.count[j] as f64) as f32;
-                    }
-                }
-                if opts.gradient_control {
-                    let inv_n = 1.0 / self.n_clients_total as f64;
-                    let cd = self.c_delta.as_ref().expect("gradient control allocates");
-                    for j in 0..p {
-                        global.control[j] += (inv_n * cd.value(j)) as f32;
-                    }
-                }
-            }
-        }
-        // Batch-norm buffers: mean across folded uploads (zip-prefix
-        // semantics — an upload shorter than the session shape only
-        // contributes its prefix, exactly as the batch rule's zip did).
-        if self.buf_len > 0 {
-            let inv = 1.0 / self.valid as f64;
-            let buf = self.buffers.as_ref().expect("buffers allocated");
-            global.buffers = (0..self.buf_len)
-                .map(|j| (buf.value(j) * inv) as f32)
-                .collect();
-        }
-        true
+        self.apply_to(global)
+    }
+
+    fn apply_to(&self, global: &mut GlobalState) -> bool {
+        self.totals.apply(
+            Folded {
+                delta: &self.delta,
+                secondary: self.secondary.as_ref(),
+                count: &self.count,
+                buffers: self.buffers.as_ref(),
+            },
+            global,
+        )
     }
 }
 
@@ -495,11 +745,11 @@ enum Mode {
 ///
 /// The server never sees a client's tensors: it folds 384-bit masked
 /// words, repairs dropouts with validated unmask shares, and only the
-/// *cohort sum* ever becomes f32 — loaded into the ordinary
-/// [`StreamState`] through [`ExactSums::load_digits`], so a full-
-/// participation masked round is bit-identical to the clear fold.
+/// *cohort sum* ever becomes f32 — read off the unmasked lanes by the
+/// same [`RoundTotals::apply`] and the same ladder as a clear fold's
+/// sums, so a full-participation masked round is bit-identical to it.
 struct MaskedRound {
-    state: StreamState,
+    totals: RoundTotals,
     privacy: PrivacyConfig,
     round: usize,
     /// The masking cohort (pure function both endpoints derive): who
@@ -516,7 +766,7 @@ impl MaskedRound {
     fn new(cfg: &FlConfig, global: &GlobalState, n_clients_total: usize, round: usize) -> Self {
         let privacy = cfg.privacy.expect("masked round requires a privacy config");
         MaskedRound {
-            state: StreamState::new(cfg, global, n_clients_total),
+            totals: RoundTotals::new(cfg, global, n_clients_total),
             privacy,
             round,
             cohort: crate::privacy::masking_cohort(cfg, round),
@@ -526,30 +776,17 @@ impl MaskedRound {
         }
     }
 
-    /// Wrapping-fold one masked upload and absorb its clear metadata
-    /// side-sums (mirroring what `StreamState::fold` reads from the
-    /// clear header: the diverged flag, sample count, τ).
+    /// Wrapping-fold one masked upload and count its clear header in
+    /// (the diverged flag, sample count, τ), as a clear fold would.
     fn fold(&mut self, o: &LocalOutcome) {
         let up = o
             .masked
             .as_deref()
             .expect("a masked round only folds masked uploads");
-        if !o.diverged {
-            self.state.valid += 1;
-            match self.state.cfg.algorithm {
-                Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                    self.state.total_samples += o.n_samples as u128;
-                }
-                Algorithm::FedNova => {
-                    self.state.total_samples += o.n_samples as u128;
-                    self.state.tau_weighted += o.n_samples as u128 * o.tau as u128;
-                    // The masked wire always carries the velocity lane,
-                    // exactly as the clear pair codec always does.
-                    self.state.any_velocity = true;
-                }
-                Algorithm::Scaffold | Algorithm::Spatl(_) => {}
-            }
-        }
+        // The masked wire always carries the velocity lane, exactly as
+        // the clear pair codec always does.
+        self.totals.any_velocity |=
+            self.totals.admit(o) && matches!(self.totals.cfg.algorithm, Algorithm::FedNova);
         self.arrived.push(o.client_id);
         match &mut self.agg {
             None => self.agg = Some(up.clone()),
@@ -590,9 +827,9 @@ impl MaskedRound {
         }
     }
 
-    /// Unmask the fold into the stream state and finalize. A round with
-    /// unremoved orphan masks is a no-op — folding garbage into the
-    /// model would be strictly worse than skipping the round.
+    /// Finalize from the unmasked fold. A round with unremoved orphan
+    /// masks is a no-op — folding garbage into the model would be
+    /// strictly worse than skipping the round.
     fn finish(mut self, global: &mut GlobalState, faults: &mut FaultRecord) -> bool {
         let missing = self.missing();
         for &d in &missing {
@@ -612,35 +849,19 @@ impl MaskedRound {
         let Some(agg) = self.agg.take() else {
             return false;
         };
-        let p = self.state.p;
-        for j in 0..p {
-            let (digits, top) = agg.delta.digits(j);
-            self.state.delta.load_digits(j, &digits, top);
-        }
-        if let Some(sec) = &agg.secondary {
-            let sums = match self.state.cfg.algorithm {
-                Algorithm::FedNova => self.state.velocity.as_mut(),
-                _ => self.state.c_delta.as_mut(),
-            };
-            let sums = sums.expect("secondary lane implies an allocated accumulator");
-            for j in 0..p {
-                let (digits, top) = sec.digits(j);
-                sums.load_digits(j, &digits, top);
-            }
-        }
-        if let Some(counts) = &agg.counts {
-            for (j, c) in self.state.count.iter_mut().enumerate() {
-                *c = counts.count(j);
-            }
-        }
-        if let Some(buf) = &agg.buffers {
-            let sums = self.state.buffers.as_mut().expect("buffer lane allocated");
-            for j in 0..self.state.buf_len.min(buf.n_coords()) {
-                let (digits, top) = buf.digits(j);
-                sums.load_digits(j, &digits, top);
-            }
-        }
-        self.state.finalize(global)
+        let count: Vec<u32> = match &agg.counts {
+            Some(counts) => (0..counts.n_coords()).map(|j| counts.count(j)).collect(),
+            None => Vec::new(),
+        };
+        self.totals.apply(
+            Folded {
+                delta: &agg.delta,
+                secondary: agg.secondary.as_ref(),
+                count: &count,
+                buffers: agg.buffers.as_ref(),
+            },
+            global,
+        )
     }
 }
 
@@ -670,12 +891,15 @@ impl RoundAccumulator {
     /// Decide the mode from the run configuration and snapshot what the
     /// stream fold needs from the broadcast global state. `round` is the
     /// absolute round index — the masked mode's pair masks and cohort
-    /// derivation are domain-separated by it.
+    /// derivation are domain-separated by it. `spare` is a previous
+    /// round's finished stream state, if the caller kept one: its
+    /// allocations are reused where they fit.
     pub(crate) fn new(
         cfg: &FlConfig,
         global: &GlobalState,
         n_clients_total: usize,
         round: usize,
+        spare: Option<Box<StreamState>>,
     ) -> Self {
         if let Some(privacy) = &cfg.privacy {
             let mode = match privacy.mode {
@@ -704,7 +928,12 @@ impl RoundAccumulator {
                 reason,
                 outcomes: Vec::new(),
             },
-            None => Mode::Stream(Box::new(StreamState::new(cfg, global, n_clients_total))),
+            None => Mode::Stream(Box::new(StreamState::recycling(
+                cfg,
+                global,
+                n_clients_total,
+                spare.map(|b| *b),
+            ))),
         };
         RoundAccumulator { mode, folded: 0 }
     }
@@ -806,24 +1035,26 @@ impl RoundAccumulator {
 
     /// Close the round against `global`: finalize the stream, or sort
     /// the spill by client id, screen it, and batch-fold. Returns
-    /// `(survivors, applied)` for the fault ledger.
+    /// `(survivors, applied)` for the fault ledger, and the finished
+    /// stream state for the next round's
+    /// [`new`](RoundAccumulator::new) to recycle.
     pub(crate) fn finish(
         self,
         cfg: &FlConfig,
         global: &mut GlobalState,
         n_clients_total: usize,
         faults: &mut FaultRecord,
-    ) -> (usize, bool) {
+    ) -> (usize, bool, Option<Box<StreamState>>) {
         match self.mode {
             Mode::Stream(state) => {
                 let survivors = self.folded;
-                let applied = state.finalize(global);
-                (survivors, applied)
+                let applied = state.apply_to(global);
+                (survivors, applied, Some(state))
             }
             Mode::Masked(mr) => {
                 let survivors = self.folded;
                 let applied = mr.finish(global, faults);
-                (survivors, applied)
+                (survivors, applied, None)
             }
             Mode::Spill { mut outcomes, .. } => {
                 // Deterministic slotting: whatever order the transport
@@ -864,7 +1095,7 @@ impl RoundAccumulator {
                 };
                 let survivors = outcomes.len();
                 let applied = global.aggregate(cfg, &outcomes, n_clients_total);
-                (survivors, applied)
+                (survivors, applied, None)
             }
         }
     }
@@ -873,6 +1104,339 @@ impl RoundAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The previous representation, kept as the differential oracle: 11
+    /// carry-save `i64` limbs per coordinate (88 bytes), every term
+    /// decomposed into 32-bit chunks, normalized at `value`.
+    struct LimbSums {
+        limbs: Vec<i64>,
+    }
+
+    impl LimbSums {
+        fn new(p: usize) -> Self {
+            LimbSums {
+                limbs: vec![0; p * GRID_DIGITS],
+            }
+        }
+
+        /// Finite terms only (the non-finite markers did not change).
+        fn add(&mut self, j: usize, v: f32, w: u64) {
+            if w == 0 || v == 0.0 {
+                return;
+            }
+            let bits = v.to_bits();
+            let negative = bits >> 31 == 1;
+            let e = ((bits >> 23) & 0xff) as i32;
+            let m = (bits & 0x7f_ffff) as u64;
+            let (mant, exp) = if e == 0 {
+                (m, -149)
+            } else {
+                (m | 0x80_0000, e - 150)
+            };
+            let prod = (mant as u128) * (w as u128);
+            let bitpos = (exp + 149) as usize;
+            let base = j * GRID_DIGITS + bitpos / 32;
+            let mut rest = prod << (bitpos % 32);
+            let mut k = 0;
+            while rest != 0 {
+                let chunk = (rest & 0xffff_ffff) as i64;
+                self.limbs[base + k] += if negative { -chunk } else { chunk };
+                rest >>= 32;
+                k += 1;
+            }
+        }
+
+        fn value(&self, j: usize) -> f64 {
+            let limbs = &self.limbs[j * GRID_DIGITS..(j + 1) * GRID_DIGITS];
+            let mut digits = [0u32; GRID_DIGITS];
+            let mut carry: i128 = 0;
+            for (k, &limb) in limbs.iter().enumerate() {
+                let t = limb as i128 + carry;
+                digits[k] = t as u32;
+                carry = t >> 32;
+            }
+            let mut val = carry as f64;
+            for &d in digits.iter().rev() {
+                val = val * RADIX + d as f64;
+            }
+            val * GRID
+        }
+    }
+
+    /// Deterministic splitmix64 stream (the vendored proptest stub has
+    /// no combinator strategies; cases draw a seed and derive from this).
+    struct Gen(u64);
+
+    impl Gen {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next_u64() % bound
+        }
+
+        fn shuffle<T>(&mut self, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, self.below(i as u64 + 1) as usize);
+            }
+        }
+
+        /// A finite f32 with the given biased exponent field (0 =
+        /// subnormal or zero, 254 = the binade of `f32::MAX`).
+        fn with_exponent(&mut self, e: u32) -> f32 {
+            let sign = (self.next_u64() & 1) as u32;
+            let mant = match self.below(4) {
+                0 => 0,
+                1 => 0x7f_ffff,
+                _ => self.next_u64() as u32 & 0x7f_ffff,
+            };
+            f32::from_bits(sign << 31 | e << 23 | mant)
+        }
+
+        /// Exponent fields that stress the representation: both ends of
+        /// f32, and a few either side of the lane window's two edges for
+        /// the weight in play.
+        fn edgy_exponent(&mut self, w: u64) -> u32 {
+            let low_edge = LANE_LSB + 1;
+            let high_edge = low_edge + ExactSums::span(w.max(1));
+            let around = |edge: u32, g: &mut Gen| (edge + g.below(5) as u32).saturating_sub(2);
+            match self.below(6) {
+                0 => self.below(3) as u32,
+                1 => 254 - self.below(3) as u32,
+                2 => around(low_edge, self),
+                3 => around(high_edge, self).min(254),
+                _ => low_edge + self.below(48) as u32,
+            }
+        }
+
+        fn weight(&mut self) -> u64 {
+            match self.below(6) {
+                0 => 1,
+                1 => u64::MAX,
+                2 => 1 << self.below(64),
+                3 => self.next_u64(),
+                _ => 1 + self.below(100_000),
+            }
+        }
+    }
+
+    fn assert_same_bits(compact: &ExactSums, oracle: &LimbSums, p: usize, what: &str) {
+        for j in 0..p {
+            assert_eq!(
+                compact.value(j).to_bits(),
+                oracle.value(j).to_bits(),
+                "{what}: coordinate {j}: compact {:e} vs oracle {:e}",
+                compact.value(j),
+                oracle.value(j)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// The compact sums and the 11-limb oracle agree bit for bit on
+        /// `value`, whatever the terms and whatever order either sees
+        /// them in — including columns that cancel to exactly zero and
+        /// coordinates that mix lane and wide-row terms.
+        #[test]
+        fn compact_sums_match_the_limb_oracle(seed in 0u64..u64::MAX) {
+            let mut g = Gen(seed);
+            let p = 1 + g.below(PAGE as u64 + 40) as usize;
+            let mut terms: Vec<(usize, f32, u64)> = Vec::new();
+            for _ in 0..g.below(400) {
+                let w = g.weight();
+                let e = g.edgy_exponent(w);
+                let term = (g.below(p as u64) as usize, g.with_exponent(e), w);
+                terms.push(term);
+                if g.below(3) == 0 {
+                    // Its exact negation: the pair cancels to zero.
+                    terms.push((term.0, -term.1, term.2));
+                }
+            }
+            let mut oracle = LimbSums::new(p);
+            for &(j, v, w) in &terms {
+                oracle.add(j, v, w);
+            }
+            let mut compact = ExactSums::new(p);
+            g.shuffle(&mut terms);
+            for &(j, v, w) in &terms {
+                compact.add(j, v, w);
+            }
+            assert_same_bits(&compact, &oracle, p, "scatter");
+
+            // The dense entry point, on the same terms regrouped by weight.
+            let mut dense = ExactSums::new(p);
+            let w = g.weight();
+            let column: Vec<f32> = (0..p)
+                .map(|_| {
+                    let e = g.edgy_exponent(w);
+                    g.with_exponent(e)
+                })
+                .collect();
+            let mut oracle = LimbSums::new(p);
+            for (j, &v) in column.iter().enumerate() {
+                oracle.add(j, v, w);
+            }
+            dense.add_dense(column.iter().copied(), w);
+            assert_same_bits(&dense, &oracle, p, "dense");
+        }
+    }
+
+    #[test]
+    fn a_million_term_column_matches_the_oracle() {
+        // 2^20 additions into one coordinate at the top of the lane
+        // window for this weight: the headroom argument, exercised.
+        let mut g = Gen(20);
+        let w = 48u64;
+        let top = LANE_LSB + 1 + ExactSums::span(w);
+        let mut compact = ExactSums::new(2);
+        let mut oracle = LimbSums::new(2);
+        for n in 0..1u32 << 20 {
+            // Mostly one sign, so the sum really grows.
+            let e = top - (n % 3);
+            let v = f32::from_bits((u32::from(n % 16 == 0)) << 31 | e << 23 | 0x7f_ffff);
+            compact.add(0, v, w);
+            oracle.add(0, v, w);
+            let small = g.with_exponent(LANE_LSB + 1 + (n % 40));
+            compact.add(1, small, 1);
+            oracle.add(1, small, 1);
+        }
+        assert_eq!(compact.placed, (1 << 21, 0), "every term took the lane");
+        assert_same_bits(&compact, &oracle, 2, "2^20 terms");
+    }
+
+    #[test]
+    fn trained_vgg11_deltas_take_the_fast_lane() {
+        // The sim_spatl_vgg11 shape — VGG-11 at width 0.25, four clients,
+        // one batch-16 epoch — with deltas that really came out of SGD:
+        // a dense sample-weighted FedAvg fold, and SPATL's sparse scatter
+        // with its derived control steps.
+        use crate::{Simulation, SpatlOptions};
+        use spatl_data::{synth_cifar10, SynthConfig};
+        use spatl_models::{ModelConfig, ModelKind};
+        use spatl_tensor::TensorRng;
+
+        for algorithm in [Algorithm::FedAvg, Algorithm::Spatl(SpatlOptions::default())] {
+            let mut cfg = FlConfig::new(algorithm);
+            cfg.n_clients = 4;
+            cfg.local_epochs = 1;
+            cfg.seed = 11;
+            let mut rng = TensorRng::seed_from(cfg.seed);
+            let shards = (0..cfg.n_clients as u64)
+                .map(|i| {
+                    synth_cifar10(&SynthConfig::cifar10_like(), 48, 100 + i).split(0.75, &mut rng)
+                })
+                .collect();
+            let mut model_cfg = ModelConfig::cifar(ModelKind::Vgg11);
+            model_cfg.width_mult = 0.25;
+            let mut sim = Simulation::new(cfg, model_cfg, shards);
+            let global = sim.global.clone();
+            let mut state = StreamState::new(&cfg, &global, cfg.n_clients);
+            for k in 0..cfg.n_clients {
+                let o = sim.clients[k].local_update(&cfg, &global, 0);
+                let decoded = sim
+                    .driver
+                    .decode_client_upload(&o, &o.frames)
+                    .expect("client upload decodes");
+                assert_eq!(decoded.selected.is_some(), algorithm != Algorithm::FedAvg);
+                state.fold(&decoded);
+            }
+            let lanes = [Some(&state.delta), state.secondary.as_ref()];
+            let (lane, wide) = lanes
+                .into_iter()
+                .flatten()
+                .fold((0, 0), |(l, w), s| (l + s.placed.0, w + s.placed.1));
+            assert!(
+                lane > 1_000_000 && lane as f64 >= 0.99 * (lane + wide) as f64,
+                "{}: {lane} lane terms, {wide} wide",
+                algorithm.name()
+            );
+        }
+    }
+
+    #[test]
+    fn every_lane_value_tier_has_the_full_ladders_bits() {
+        // `lane_value` starts its ladder from a converted prefix when
+        // the lane is small enough; sweep every magnitude across both
+        // tier boundaries, both signs, against the 11-digit ladder.
+        let mut g = Gen(0x71E2);
+        let mut sums = ExactSums::new(1);
+        let no_rows = MaskedVector::zeros(1);
+        for bits in 0..127u32 {
+            for _ in 0..50 {
+                let low = (g.next_u64() as u128) << 64 | g.next_u64() as u128;
+                let magnitude = (1u128 << bits | low & ((1u128 << bits) - 1)) as i128;
+                for lane in [magnitude, -magnitude, magnitude - 1, -magnitude - 1] {
+                    sums.lanes[0] = lane;
+                    let (digits, top) = sums.digits(0, &no_rows);
+                    let full = ladder(top as f64, &digits) * GRID;
+                    assert_eq!(lane_value(lane).to_bits(), full.to_bits(), "lane {lane:#x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn recycled_state_starts_from_zero() {
+        let cfg = FlConfig::new(Algorithm::Scaffold);
+        let global = GlobalState {
+            shared: vec![0.0; 4],
+            control: vec![0.5; 4],
+            momentum: Vec::new(),
+            buffers: vec![1.0; 2],
+        };
+        let mut first = StreamState::new(&cfg, &global, 2);
+        first.delta.add_dense([1.0, f32::NAN, 1e-30, 2.0], 1);
+        first.buffers.as_mut().unwrap().add(1, 3.0, 1);
+        let lanes = first.delta.lanes.as_ptr();
+        let again = StreamState::recycling(&cfg, &global, 2, Some(first));
+        assert_eq!(again.delta.lanes.as_ptr(), lanes, "same allocation");
+        for j in 0..4 {
+            assert_eq!(again.delta.value(j).to_bits(), 0f64.to_bits());
+        }
+        assert_eq!(again.buffers.as_ref().unwrap().value(1), 0.0);
+        // A different shape gets fresh lanes of the right length.
+        let wider = GlobalState {
+            shared: vec![0.0; 5],
+            control: vec![0.0; 5],
+            ..global
+        };
+        let other = StreamState::recycling(&cfg, &wider, 2, Some(again));
+        assert_eq!(other.delta.lanes.len(), 5);
+        assert_eq!(other.control_bcast, wider.control);
+    }
+
+    #[test]
+    fn lane_window_edges_are_where_the_docs_say() {
+        // Unit weight: |v| in [2^-46, 2^26) takes the lane.
+        let mut s = ExactSums::new(1);
+        for (v, lane) in [
+            (2f32.powi(-46), true),
+            (2f32.powi(-47), false),
+            (2f32.powi(25), true),
+            (2f32.powi(26), false),
+            (f32::MIN_POSITIVE / 2.0, false),
+            (f32::MAX, false),
+        ] {
+            let before = s.placed;
+            s.add(0, v, 1);
+            let took_lane = s.placed.0 == before.0 + 1;
+            assert_eq!(took_lane, lane, "{v:e}");
+            assert_eq!(s.placed.0 + s.placed.1, before.0 + before.1 + 1);
+        }
+        // A million samples: still every |v| < 2^7.
+        assert!(lane_term(100.0, 1 << 19, ExactSums::span(1 << 19)).is_some());
+        assert!(lane_term(200.0, 1 << 19, ExactSums::span(1 << 19)).is_none());
+        // The widest weight keeps a (narrow) window and stays exact.
+        assert_eq!(ExactSums::span(u64::MAX), 8);
+    }
 
     #[test]
     fn exact_sums_match_rational_arithmetic() {
@@ -941,8 +1505,11 @@ mod tests {
     fn zero_weight_and_zero_value_are_inert() {
         let mut s = ExactSums::new(1);
         s.add(0, 123.0, 0);
+        s.add(0, f32::NAN, 0);
         s.add(0, 0.0, 99);
         s.add(0, -0.0, 99);
+        s.add_dense([123.0, 5.0], 0);
         assert_eq!(s.value(0), 0.0);
+        assert_eq!(s.placed, (0, 0));
     }
 }

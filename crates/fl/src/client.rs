@@ -149,6 +149,21 @@ impl LocalOutcome {
             self.delta = c.to_dense();
         }
     }
+
+    /// Free every tensor and the sealed frames, keeping the scalar
+    /// bookkeeping (id, counts, flags, byte and ratio accounting) that
+    /// round records are built from.
+    pub(crate) fn release_payload(&mut self) {
+        self.delta = Vec::new();
+        self.selected = None;
+        self.compressed = None;
+        self.control_delta = None;
+        self.velocity = None;
+        self.buffers = Vec::new();
+        self.masked = None;
+        self.fixed = None;
+        self.frames = Vec::new();
+    }
 }
 
 /// One federated client: private data, private predictor, optional control

@@ -19,13 +19,15 @@
 //! fold (DESIGN.md §12) — so a concurrent networked collection and the
 //! simulator's ascending-id sweep produce bit-identical global models.
 
+use std::sync::Mutex;
+
 use serde::{Deserialize, Serialize};
 use spatl_tensor::TensorRng;
 use spatl_wire::{SelectionLayout, SimNet, WireError};
 
 use crate::{
     wire, Encoded, FaultRecord, FlConfig, GlobalState, LocalOutcome, RoundAccumulator, RoundBytes,
-    WireBytes,
+    StreamState, WireBytes,
 };
 
 /// Metrics recorded after each communication round.
@@ -124,6 +126,11 @@ pub struct RoundDriver {
     /// participants (edge aggregators) replay the sampling stream without
     /// recording rounds.
     sampled_rounds: usize,
+    /// The last finished stream accumulator, kept so the next round
+    /// folds into its already-mapped lanes (DESIGN.md §12). Behind a
+    /// mutex only because [`RoundDriver::begin_accumulation`] takes
+    /// `&self`; nothing contends for it.
+    spare_accumulator: Mutex<Option<Box<StreamState>>>,
 }
 
 impl RoundDriver {
@@ -189,6 +196,7 @@ impl RoundDriver {
             round_offset: 0,
             last_agg_mode: "noop",
             sampled_rounds: 0,
+            spare_accumulator: Mutex::new(None),
         }
     }
 
@@ -271,11 +279,18 @@ impl RoundDriver {
     /// deterministically slotting by client id otherwise. Close it with
     /// [`RoundDriver::finish_accumulation`].
     pub fn begin_accumulation(&self) -> RoundAccumulator {
+        // A poisoned slot only means no reuse this round.
+        let spare = self
+            .spare_accumulator
+            .lock()
+            .ok()
+            .and_then(|mut slot| slot.take());
         RoundAccumulator::new(
             &self.cfg,
             &self.global,
             self.cfg.n_clients,
             self.round_index(),
+            spare,
         )
     }
 
@@ -299,8 +314,11 @@ impl RoundDriver {
             acc.apply_unmask_shares(&shares);
         }
         self.last_agg_mode = acc.mode_name();
-        let (survivors, applied) =
+        let (survivors, applied, spare) =
             acc.finish(&self.cfg, &mut self.global, self.cfg.n_clients, faults);
+        if let Ok(slot) = self.spare_accumulator.get_mut() {
+            *slot = spare;
+        }
         faults.survivors = survivors;
         faults.no_op = !applied;
         applied

@@ -1,14 +1,15 @@
 //! The federated-learning simulator: in-process clients around the shared
 //! [`RoundDriver`] orchestration core.
 //!
-//! Aggregation flows through [`RoundDriver::screen_and_aggregate`] — the
-//! same [`RoundAccumulator`](crate::RoundAccumulator) front-end the
-//! concurrent networked coordinator streams into (DESIGN.md §12). The
-//! simulator feeds it in ascending client-id order because that is the
-//! order its collection loop produces, but nothing depends on it: the
-//! accumulator is order-independent, which is exactly why a TCP round
-//! whose uploads complete in scrambled order stays bit-identical to the
-//! simulated one.
+//! Aggregation flows through [`RoundDriver::begin_accumulation`] /
+//! [`RoundAccumulator::fold`](crate::RoundAccumulator::fold) /
+//! [`RoundDriver::finish_accumulation`] — the sequence the concurrent
+//! networked coordinator runs (DESIGN.md §12), one upload folded as soon
+//! as it decodes. The simulator feeds it in ascending client-id order
+//! because that is the order its collection loop produces, but nothing
+//! depends on it: the accumulator is order-independent, which is exactly
+//! why a TCP round whose uploads complete in scrambled order stays
+//! bit-identical to the simulated one.
 
 use crate::{
     client::write_shared, wire, Adversary, Algorithm, ClientState, FaultInjector, FaultKind,
@@ -331,7 +332,10 @@ impl Simulation {
             .unwrap_or(0);
         let deadline = injector.as_ref().and_then(|inj| inj.plan().deadline_s);
         let mut wire_total = WireBytes::default();
-        let mut survivors: Vec<crate::LocalOutcome> = Vec::new();
+        // The coordinator's own sequence: every upload folds the moment
+        // it decodes (any order gives the same bits) and its tensors are
+        // dropped, so the server side of the round holds O(model).
+        let mut acc = self.driver.begin_accumulation();
         let mut wall_clock_s = 0f64;
         let mut device_seconds = 0f64;
         for o in &mut outcomes {
@@ -416,15 +420,18 @@ impl Simulation {
                 if deadline.is_some_and(|dl| t > dl) {
                     faults.push(o.client_id, FaultKind::DeadlineMissed);
                 } else {
-                    survivors.push(d);
+                    acc.fold(d);
                 }
             }
+            // Transmission is over: of this outcome only the scalar
+            // accounting is read again (`finish_round`).
+            o.release_payload();
         }
 
         // Screening + partial-participation aggregation over whatever
         // survived (shared with the networked coordinator); a
         // survivor-less round leaves the global state untouched.
-        self.driver.screen_and_aggregate(survivors, &mut faults);
+        self.driver.finish_accumulation(acc, &mut faults);
 
         // Evaluate all clients against the *new* global model.
         let per_client_acc = self.evaluate_all();

@@ -359,8 +359,9 @@ pub fn encode_upload(
 }
 
 /// Decode a client's upload frames back into the tensors aggregation
-/// consumes. Bookkeeping (id, sample count, τ, ratios, byte accounting) is
-/// copied from `meta`; every tensor in the result comes from `frames`.
+/// consumes. Bookkeeping (id, sample count, τ, the diverged flag, ratios,
+/// byte accounting) is copied from `meta`'s scalar fields; every tensor
+/// in the result comes from `frames`, and nothing else of `meta` is read.
 ///
 /// `frames` is passed separately from `meta` (rather than read from
 /// `meta.frames`) because under fault injection the bytes that *arrive*
@@ -384,17 +385,27 @@ pub fn decode_upload(
         .ok_or_else(|| WireError::Malformed("upload carried no frames".into()))?;
     let (msg, payload) = open(main)?;
 
+    // Scalars only: `meta` may still own the client's clear tensors and
+    // sealed frames (the simulator's does), and none of them belong in
+    // the decoded result.
     let mut out = LocalOutcome {
+        client_id: meta.client_id,
+        n_samples: meta.n_samples,
+        tau: meta.tau,
         delta: Vec::new(),
         selected: None,
         compressed: None,
         control_delta: None,
         velocity: None,
         buffers: Vec::new(),
+        diverged: meta.diverged,
         masked: None,
         fixed: None,
+        bytes: meta.bytes,
+        wire: meta.wire,
         frames: Vec::new(),
-        ..meta.clone()
+        keep_ratio: meta.keep_ratio,
+        flops_ratio: meta.flops_ratio,
     };
     let check_len = |len: usize| {
         if len != expected_params {
@@ -517,6 +528,16 @@ pub fn decode_upload(
             })?;
             let update = decode_spatl_update(payload)?;
             let indices = layout.expand(&update.channels)?;
+            // `expand` emits ascending indices, so the last one bounds
+            // them all: the fold indexes its lanes with these unchecked
+            // against anything but the lane length.
+            if let Some(&last) = indices.last() {
+                if last as usize >= expected_params {
+                    return Err(WireError::Malformed(format!(
+                        "selection reaches index {last}, session has {expected_params} parameters"
+                    )));
+                }
+            }
             if indices.len() != update.values.len() {
                 return Err(WireError::Malformed(format!(
                     "selection expands to {} indices but {} values arrived",

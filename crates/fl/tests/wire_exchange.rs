@@ -241,6 +241,49 @@ fn spatl_upload_roundtrips_through_channel_ids() {
 }
 
 #[test]
+fn selection_reaching_past_the_model_is_malformed_and_the_rest_is_scalars_only() {
+    use spatl_wire::{IndexRange, SelectionLayout, WireError};
+    // A layout that disagrees with the session's parameter count: channel
+    // 1 owns indices 4..8 of what the server believes is a 6-parameter
+    // model. The fold indexes its lanes with whatever decode lets
+    // through, so decode must be where this stops.
+    let mut layout = SelectionLayout::new();
+    layout.push_channel(vec![IndexRange { start: 0, len: 4 }]);
+    layout.push_channel(vec![IndexRange { start: 4, len: 4 }]);
+    let cfg = FlConfig::new(Algorithm::Spatl(SpatlOptions::default()));
+    let upload = |channel_ids: Vec<u32>| {
+        let mut o = outcome(&cfg, Vec::new());
+        let indices = layout.expand(&channel_ids).expect("known channels");
+        o.selected = Some(SelectedUpdate {
+            values: vec![0.5; indices.len()],
+            indices,
+            channels: channel_ids.len(),
+            channel_ids,
+        });
+        o.frames = encode_upload(&cfg, &empty_global(), &o, 0).frames;
+        o
+    };
+    let o = upload(vec![0, 1]);
+    let err = decode_upload(&cfg, &o, &o.frames, Some(&layout), 6, 0).unwrap_err();
+    assert!(matches!(err, WireError::Malformed(_)), "{err}");
+    assert!(decode_upload(&cfg, &o, &o.frames, Some(&layout), 8, 0).is_ok());
+
+    // The in-range selection decodes, and nothing but scalars came from
+    // `meta`: its tensors and frames stay behind.
+    let mut o = upload(vec![0]);
+    o.delta = vec![9.0; 6];
+    o.buffers = vec![9.0; 3];
+    let rx = decode_upload(&cfg, &o, &o.frames, Some(&layout), 6, 0).expect("decode");
+    assert_eq!(rx.selected.expect("selected").indices, vec![0, 1, 2, 3]);
+    assert!(rx.delta.is_empty() && rx.buffers.is_empty() && rx.frames.is_empty());
+    assert_eq!(
+        (rx.client_id, rx.n_samples, rx.tau),
+        (o.client_id, o.n_samples, o.tau)
+    );
+    assert_eq!((rx.bytes, rx.wire), (o.bytes, o.wire));
+}
+
+#[test]
 fn corrupted_upload_is_rejected_not_panicking() {
     let cfg = FlConfig::new(Algorithm::FedAvg);
     let mut o = outcome(&cfg, vec![1.0; 32]);

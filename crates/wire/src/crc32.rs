@@ -1,16 +1,28 @@
-//! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
+//! CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-16.
 //!
 //! This is the same checksum gzip/zlib/PNG use, so frames can be verified
 //! with standard tooling. Pure std, no `unsafe`.
+//!
+//! Every frame the system moves is checksummed twice (seal, open), so the
+//! checksum runs at the model's size every round. The byte-at-a-time
+//! table walk is a serial dependency of one lookup per byte; slicing
+//! folds 16 input bytes per step through 16 independent lookups whose
+//! results XOR together, which the CPU overlaps. `TABLES[k][b]` is the
+//! CRC of byte `b` followed by `k` zero bytes, so the 16 lookups of a
+//! block each advance their byte to the block's end.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
 
-/// 256-entry lookup table, built at compile time.
-const TABLE: [u32; 256] = build_table();
+/// Bytes folded per step.
+const SLICES: usize = 16;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// 16 × 256 lookup tables (16 KiB of read-only data), built at compile
+/// time. `TABLES[0]` is the classic byte-wise table.
+const TABLES: [[u32; 256]; SLICES] = build_tables();
+
+const fn build_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,10 +35,27 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// One byte through the classic table: the tail of every update, and the
+/// whole of the test reference.
+#[inline]
+fn step(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ TABLES[0][((crc ^ byte as u32) & 0xFF) as usize]
 }
 
 /// CRC-32 of `data` in one call.
@@ -51,9 +80,25 @@ impl Hasher {
     /// Fold `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        for &byte in data {
-            let idx = ((crc ^ byte as u32) & 0xFF) as usize;
-            crc = (crc >> 8) ^ TABLE[idx];
+        let mut blocks = data.chunks_exact(SLICES);
+        for block in &mut blocks {
+            let block: &[u8; SLICES] = block.try_into().expect("exact chunk");
+            let word = |at: usize| {
+                u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
+            };
+            // Byte `i` of the block still has `15 - i` bytes to go.
+            let four = |at: usize, w: u32| {
+                TABLES[15 - at][(w & 0xFF) as usize]
+                    ^ TABLES[14 - at][((w >> 8) & 0xFF) as usize]
+                    ^ TABLES[13 - at][((w >> 16) & 0xFF) as usize]
+                    ^ TABLES[12 - at][(w >> 24) as usize]
+            };
+            // The three words that do not wait for `crc` go first.
+            let ahead = four(4, word(4)) ^ four(8, word(8)) ^ four(12, word(12));
+            crc = ahead ^ four(0, word(0) ^ crc);
+        }
+        for &byte in blocks.remainder() {
+            crc = step(crc, byte);
         }
         self.state = crc;
     }
@@ -84,6 +129,54 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The byte-at-a-time reference the sliced update must agree with.
+    fn bytewise(data: &[u8]) -> u32 {
+        data.iter().fold(0xFFFF_FFFF, |crc, &b| step(crc, b)) ^ 0xFFFF_FFFF
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64).
+    fn noise(len: usize, mut seed: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = seed;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_matches_bytewise_at_every_length_and_alignment() {
+        let buf = noise(4096 + 16, 0xC4C3);
+        for align in 0..16 {
+            for len in (0..64).chain((64..=4096).step_by(61)).chain([4095, 4096]) {
+                let data = &buf[align..align + len];
+                assert_eq!(crc32(data), bytewise(data), "align {align} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_split_points_do_not_change_the_checksum() {
+        let data = noise(1500, 7);
+        let whole = bytewise(&data);
+        let mut cuts = noise(4096, 99).into_iter().map(|b| b as usize % 97);
+        for first in 0..=48 {
+            let mut h = Hasher::new();
+            let (head, mut rest) = data.split_at(first);
+            h.update(head);
+            while !rest.is_empty() {
+                // Zero-length updates included: they must be inert.
+                let n = cuts.next().expect("enough cuts").min(rest.len());
+                h.update(&rest[..n]);
+                rest = &rest[n..];
+            }
+            assert_eq!(h.finalize(), whole, "first cut at {first}");
+        }
     }
 
     #[test]
