@@ -249,6 +249,26 @@ pub fn churn_departures(cfg: &crate::FlConfig, round: usize, cohort: &[usize]) -
     }
 }
 
+/// Filter `cohort` through [`churn_departures`], ledgering every
+/// departure as a [`Dropout`](crate::FaultKind::Dropout); returns the
+/// clients that stay for the round, in cohort order. The one filter the
+/// simulator, the flat root, every edge and the root's dead-edge ledger
+/// share.
+pub fn ledger_departures(
+    cfg: &crate::FlConfig,
+    round: usize,
+    cohort: &[usize],
+    faults: &mut crate::FaultRecord,
+) -> Vec<usize> {
+    let departures = churn_departures(cfg, round, cohort);
+    let (leaving, staying): (Vec<usize>, Vec<usize>) =
+        cohort.iter().partition(|c| departures.contains(c));
+    for c in leaving {
+        faults.push(c, crate::FaultKind::Dropout);
+    }
+    staying
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -52,7 +52,7 @@ pub mod wire;
 pub use accumulate::{RoundAccumulator, SpillReason, StreamState};
 pub use adversary::{Adversary, AdversaryPlan, AttackKind};
 pub use chaos::{ChaosInjector, ChaosPlan};
-pub use churn::{churn_departures, ChurnModel, ChurnPlan};
+pub use churn::{churn_departures, ledger_departures, ChurnModel, ChurnPlan};
 pub use client::{ClientState, CompressedDelta, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
 pub use compose::{

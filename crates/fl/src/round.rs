@@ -94,6 +94,30 @@ pub struct TransportStats {
     pub measured_wall_s: f64,
 }
 
+impl TransportStats {
+    /// Charge one participant (a client, or an edge's root link) to the
+    /// round: fold its measured `wire` bytes in and add its Eq. 13
+    /// transfer time over `net` to the device-time sum and the
+    /// slowest-participant wall-clock. `slowdown` multiplies the link
+    /// time and `dead_air_s` is added on top — the simulator's straggler
+    /// factor and retry backoff; real transports pass `1.0` and `0.0`.
+    /// Returns the participant's seconds.
+    pub fn charge(
+        &mut self,
+        net: &SimNet,
+        wire: &WireBytes,
+        slowdown: f64,
+        dead_air_s: f64,
+    ) -> f64 {
+        self.wire.accumulate(wire);
+        let link = net.client_time(wire.download_framed as usize, wire.upload_framed as usize);
+        let t = link * slowdown + dead_air_s;
+        self.transfer_device_s += t;
+        self.transfer_wall_s = self.transfer_wall_s.max(t);
+        t
+    }
+}
+
 /// Transport-independent round engine: configuration, server state,
 /// sampling stream, aggregation pipeline and history.
 ///

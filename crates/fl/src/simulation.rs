@@ -13,7 +13,7 @@
 
 use crate::{
     client::write_shared, wire, Adversary, Algorithm, ClientState, FaultInjector, FaultKind,
-    FaultRecord, FlConfig, GlobalState, RoundDriver, RoundRecord, TransportStats, WireBytes,
+    FaultRecord, FlConfig, GlobalState, RoundDriver, RoundRecord, TransportStats,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -229,17 +229,7 @@ impl Simulation {
         // the cohort through the same pure function and ledgers the
         // departure as a dropout, so the effective cohort is identical
         // in the simulator, the flat coordinator and every edge.
-        let departures = crate::churn_departures(&self.driver.cfg, round, &selected);
-        let selected: Vec<usize> = selected
-            .into_iter()
-            .filter(|i| {
-                let leaves = departures.contains(i);
-                if leaves {
-                    faults.push(*i, FaultKind::Dropout);
-                }
-                !leaves
-            })
-            .collect();
+        let selected = crate::ledger_departures(&self.driver.cfg, round, &selected, &mut faults);
 
         if selected.is_empty() {
             // Every sampled client dropped: a recorded no-op round. The
@@ -331,13 +321,11 @@ impl Simulation {
             .map(|inj| inj.plan().max_retries)
             .unwrap_or(0);
         let deadline = injector.as_ref().and_then(|inj| inj.plan().deadline_s);
-        let mut wire_total = WireBytes::default();
+        let mut stats = TransportStats::default();
         // The coordinator's own sequence: every upload folds the moment
         // it decodes (any order gives the same bits) and its tensors are
         // dropped, so the server side of the round holds O(model).
         let mut acc = self.driver.begin_accumulation();
-        let mut wall_clock_s = 0f64;
-        let mut device_seconds = 0f64;
         for o in &mut outcomes {
             o.wire.download_payload = down.payload;
             o.wire.download_framed = down.framed();
@@ -391,7 +379,6 @@ impl Simulation {
             // Retransmissions are real bytes on the wire (the payload
             // accounting stays logical — Eq. 13 charges one upload).
             o.wire.upload_framed *= u64::from(transmissions);
-            wire_total.accumulate(&o.wire);
 
             // Per-client transfer time: straggler slowdown multiplies the
             // link time; retry backoff adds dead air on top.
@@ -406,15 +393,7 @@ impl Simulation {
                 .as_ref()
                 .map(|inj| inj.backoff_s(transmissions - 1))
                 .unwrap_or(0.0);
-            let t = self.driver.net.client_time(
-                o.wire.download_framed as usize,
-                o.wire.upload_framed as usize,
-            ) * factor
-                + backoff;
-            device_seconds += t;
-            // The server stops listening at the deadline, so the round
-            // never waits longer than `deadline` for any one client.
-            wall_clock_s = wall_clock_s.max(deadline.map_or(t, |d| t.min(d)));
+            let t = stats.charge(&self.driver.net, &o.wire, factor, backoff);
 
             if let Some(d) = decoded {
                 if deadline.is_some_and(|dl| t > dl) {
@@ -432,20 +411,16 @@ impl Simulation {
         // survived (shared with the networked coordinator); a
         // survivor-less round leaves the global state untouched.
         self.driver.finish_accumulation(acc, &mut faults);
+        // The server stops listening at the deadline, so the round never
+        // waits longer than `deadline` for any one client.
+        if let Some(d) = deadline {
+            stats.transfer_wall_s = stats.transfer_wall_s.min(d);
+        }
 
         // Evaluate all clients against the *new* global model.
         let per_client_acc = self.evaluate_all();
-        self.driver.finish_round(
-            &outcomes,
-            TransportStats {
-                wire: wire_total,
-                transfer_wall_s: wall_clock_s,
-                transfer_device_s: device_seconds,
-                measured_wall_s: 0.0,
-            },
-            per_client_acc,
-            faults,
-        )
+        self.driver
+            .finish_round(&outcomes, stats, per_client_acc, faults)
     }
 
     /// Sync every client with the current global weights and compute its

@@ -207,7 +207,7 @@ fn swarm_role(scn: Scenario, addr: String) {
     // One pre-encoded upload serves every client: the frames carry no
     // client identity (the RoundDone header does), so the coordinator
     // still pays full per-upload CRC + decode + fold cost.
-    let template = LocalOutcome {
+    let mut template = LocalOutcome {
         client_id: 0,
         n_samples: 32,
         tau: 4,
@@ -233,7 +233,9 @@ fn swarm_role(scn: Scenario, addr: String) {
         buffers: Vec::new(),
     };
     let upload = encode_upload(&cfg, &empty_global, &template, 0);
-    let upload_framed = upload.framed();
+    template.wire.upload_payload = upload.payload;
+    template.wire.upload_framed = upload.framed();
+    template.frames = upload.frames;
 
     // Register every client. Chunked so the listener's accept backlog
     // (~128 pending connections) never overflows: connect + Hello for a
@@ -274,24 +276,10 @@ fn swarm_role(scn: Scenario, addr: String) {
         for (id, stream) in conns.iter_mut().enumerate() {
             let assign = read_assignment(stream, "train");
             assert_eq!(assign.mode, RoundMode::Train);
-            let done = RoundDone {
-                round: assign.round,
-                mode: RoundMode::Train,
-                client_id: id as u32,
-                n_samples: template.n_samples as u64,
-                tau: template.tau as u64,
-                diverged: false,
-                keep_ratio: 1.0,
-                flops_ratio: 1.0,
-                accuracy: 0.0,
-                bytes_download: template.bytes.download,
-                bytes_upload: template.bytes.upload,
-                upload_payload: upload.payload,
-                upload_framed,
-                n_frames: upload.frames.len() as u32,
-            };
+            let mut done = RoundDone::train(assign.round, &template);
+            done.client_id = id as u32;
             write_frame(stream, &seal(MsgType::RoundDone, &done.encode())).expect("send done");
-            for f in &upload.frames {
+            for f in &template.frames {
                 write_frame(stream, f).expect("send upload frame");
             }
         }
@@ -299,22 +287,7 @@ fn swarm_role(scn: Scenario, addr: String) {
         for (id, stream) in conns.iter_mut().enumerate() {
             let assign = read_assignment(stream, "eval");
             assert_eq!(assign.mode, RoundMode::Eval);
-            let done = RoundDone {
-                round: assign.round,
-                mode: RoundMode::Eval,
-                client_id: id as u32,
-                n_samples: 0,
-                tau: 0,
-                diverged: false,
-                keep_ratio: 0.0,
-                flops_ratio: 0.0,
-                accuracy: 0.5,
-                bytes_download: 0,
-                bytes_upload: 0,
-                upload_payload: 0,
-                upload_framed: 0,
-                n_frames: 0,
-            };
+            let done = RoundDone::eval(assign.round, id as u32, 0.5);
             write_frame(stream, &seal(MsgType::RoundDone, &done.encode())).expect("send eval");
         }
     }

@@ -123,6 +123,9 @@ fn main() -> Result<(), NetError> {
         "measured_wall_s": history.iter().map(|r| r.measured_wall_s).sum::<f64>(),
         "predicted_wall_s": history.iter().map(|r| r.transfer_wall_s).sum::<f64>(),
         "framed_bytes": history.iter().map(|r| r.wire.total_framed()).sum::<u64>(),
+        "sampled": history.iter().map(|r| r.faults.sampled).sum::<usize>(),
+        "survivors": history.iter().map(|r| r.faults.survivors).sum::<usize>(),
+        "duplicates": history.iter().map(|r| r.faults.duplicates).sum::<usize>(),
     });
     spatl_bench::write_json(args.get("out").unwrap_or("net_loopback"), &artefact);
     eprintln!(

@@ -1,50 +1,46 @@
 //! The server side of the networked runtime: a TCP listener around the
 //! shared [`RoundDriver`] round engine.
 //!
-//! Thread model (DESIGN.md §12): control-plane traffic — handshakes,
-//! broadcasts, evaluation passes, the tiered round's few edge links —
-//! is single-threaded and blocking with explicit deadlines, exactly as
-//! before. The flat round's *upload collection* is concurrent: after
-//! the broadcast every participant socket switches to non-blocking and
-//! one readiness sweep drives a per-connection frame-assembly state
-//! machine (`ConnGather`), handing each completed upload to a small
-//! decode worker pool the moment its last frame arrives. Decoded
-//! updates stream straight into the round's order-independent
+//! Thread model (DESIGN.md §10): the coordinator is single-threaded.
+//! Handshakes and broadcasts are blocking writes under the io deadline;
+//! every reply phase — a flat cohort's uploads, the edges' combined
+//! uploads, the failover lane, every evaluation pass — is one
+//! non-blocking `gather` over its peers under one phase deadline
+//! (`round_timeout` from the phase's broadcast), so a round never hangs
+//! on one peer. Client uploads are decoded on a small worker pool and
+//! stream straight into the round's order-independent
 //! [`RoundAccumulator`](spatl_fl::RoundAccumulator), so the coordinator
-//! never holds the cohort in memory — an admission window bounds
-//! buffered uploads at O(workers), independent of cohort size, with TCP
-//! receive-window backpressure parking the rest in kernel buffers.
+//! never holds the cohort in memory: the gather's admission window
+//! bounds buffered uploads at O(workers), independent of cohort size.
 //! Completion order is non-deterministic, but everything order-sensitive
 //! (fault ledger events, outcome bookkeeping, transfer-time folds) is
 //! re-sorted by client id before it is recorded, and the accumulator's
 //! fold is order-independent by construction — so records and global
-//! state stay bit-identical to the simulator's ascending-id sweep. A
-//! round still never hangs on one client: a single collection deadline
-//! (`round_timeout` from broadcast) ledgers whoever is missing.
+//! state stay bit-identical to the simulator's ascending-id sweep.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::ops::Range;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use spatl::{save_global, RoundLog};
+use spatl::{save_global, CheckpointError, RoundLog};
 use spatl_fl::{
-    aggregate_reduced, churn_departures, decode_upload, edge_partition, entry_outcome,
-    exact_composition, fold_exact, fold_fault_counters, ChaosInjector, FaultKind, FaultRecord,
-    LocalOutcome, RoundDriver, RoundRecord, TransportStats, WireBytes,
+    aggregate_reduced, decode_upload, edge_partition, entry_outcome, exact_composition, fold_exact,
+    fold_fault_counters, ledger_departures, ChaosInjector, Encoded, FaultKind, FaultRecord,
+    GlobalState, LocalOutcome, RoundDriver, RoundRecord, TransportStats, WireBytes,
 };
 use spatl_wire::{
     decode_edge_combined, decode_unmask_shares, encode_unmask_request, open, read_frame, seal,
-    write_frame, EdgeCombined, EdgeReduced, MsgType, StreamError, HEADER_LEN, MAX_FRAME_PAYLOAD,
+    write_frame, EdgeCombined, EdgeReduced, MsgType, HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 
-use crate::gather::{meta_outcome, CollectFailure, ConnGather, GatherPoll};
-use crate::proto::{
-    session_fingerprint, Hello, HelloRole, Join, RoundAssign, RoundDone, RoundMode,
+use crate::gather::{
+    gather, ledger, meta_outcome, shutdown_requested, sync_sink, window, CollectFailure, Phase,
+    Reply,
 };
+use crate::peers::PeerTable;
+use crate::proto::{session_fingerprint, HelloRole, RoundMode};
 use crate::NetError;
 
 /// Who the coordinator's listener terminates: clients directly (the flat
@@ -74,10 +70,12 @@ pub struct CoordinatorConfig {
     /// How long [`Coordinator::wait_for_clients`] waits for the full
     /// cohort to register before starting with whoever showed up.
     pub join_timeout: Duration,
-    /// Per-connection read deadline while collecting a round's upload (or
-    /// an evaluation report). Covers the client's local training, so it is
-    /// the networked analogue of the fault model's collection deadline: a
-    /// client that exceeds it is ledgered as
+    /// Deadline of each reply phase — a round's upload collection, the
+    /// failover lane, every evaluation pass — counted from the phase's
+    /// broadcast and shared by all its peers: k silent peers cost one
+    /// `round_timeout`, not k. It covers the clients' local training, so
+    /// it is the networked analogue of the fault model's collection
+    /// deadline: a peer that has not replied by then is ledgered as
     /// [`FaultKind::DeadlineMissed`] and excluded from the round.
     pub round_timeout: Duration,
     /// Per-connection write deadline (broadcasts) and handshake read
@@ -132,24 +130,17 @@ impl Default for CoordinatorConfig {
 }
 
 /// The networked federated server: the shared [`RoundDriver`] engine plus
-/// one registered TCP connection per client node.
+/// one registered TCP connection per downstream peer.
 pub struct Coordinator {
     /// The transport-independent round engine (identical to the one the
     /// simulator embeds). Public so callers can inspect the global state
     /// and history, and so resume flows can restore a checkpoint into it.
     pub driver: RoundDriver,
     opts: CoordinatorConfig,
-    listener: TcpListener,
-    conns: Vec<Option<TcpStream>>,
-    /// Client-id slice served by each connection: one singleton range per
-    /// client when flat, one [`edge_partition`] slice per edge when
-    /// tiered.
-    ranges: Vec<Range<usize>>,
-    /// Tiered-topology failover lane (DESIGN.md §14): clients of a dead
-    /// edge that re-registered directly at the root, indexed by global
-    /// client id. Always empty when flat (clients live in `conns`).
-    direct: Vec<Option<TcpStream>>,
-    fingerprint: u64,
+    /// Downstream connections: the clients when flat; when tiered the
+    /// edges plus — the failover lane of DESIGN.md §14 — clients of a
+    /// dead edge that re-registered directly at the root.
+    peers: PeerTable,
     shutdown_requested: bool,
     wal: Option<RoundLog>,
     resumed_mid_round: Option<usize>,
@@ -188,14 +179,20 @@ impl Coordinator {
                     .into(),
             ));
         }
-        let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
         let n = driver.cfg.n_clients;
         let fingerprint = session_fingerprint(&driver.cfg);
-        let ranges = match opts.topology {
-            Topology::Flat => (0..n).map(|c| c..c + 1).collect(),
+        let homes = match opts.topology {
+            Topology::Flat => Vec::new(),
             Topology::Tiered { edges } => edge_partition(n, edges),
         };
+        let peers = PeerTable::bind(
+            &opts.addr,
+            homes,
+            0..n,
+            fingerprint,
+            (opts.io_timeout, opts.round_timeout),
+            opts.max_frame,
+        )?;
 
         let mut wal = None;
         let mut resumed_mid_round = None;
@@ -234,17 +231,9 @@ impl Coordinator {
             }
         }
 
-        let direct = match opts.topology {
-            Topology::Flat => Vec::new(),
-            Topology::Tiered { .. } => (0..n).map(|_| None).collect(),
-        };
         Ok(Coordinator {
             driver,
-            listener,
-            conns: (0..ranges.len()).map(|_| None).collect(),
-            ranges,
-            direct,
-            fingerprint,
+            peers,
             shutdown_requested: false,
             wal,
             resumed_mid_round,
@@ -260,12 +249,22 @@ impl Coordinator {
 
     /// The address the listener actually bound (resolves port 0).
     pub fn local_addr(&self) -> Result<SocketAddr, NetError> {
-        Ok(self.listener.local_addr()?)
+        self.peers.local_addr()
     }
 
-    /// Number of currently registered client connections.
+    /// The peers a round is run over: clients when flat, edges when
+    /// tiered.
+    fn downstream(&self) -> HelloRole {
+        match self.opts.topology {
+            Topology::Flat => HelloRole::Client,
+            Topology::Tiered { .. } => HelloRole::Edge,
+        }
+    }
+
+    /// Number of currently registered downstream connections (clients
+    /// when flat, edges when tiered).
     pub fn connected(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
+        self.peers.live(self.downstream()).len()
     }
 
     /// Whether a client asked the session to stop ([`MsgType::Shutdown`]).
@@ -277,181 +276,27 @@ impl Coordinator {
     /// listener. Handshake failures (bad `Hello`, fingerprint mismatch)
     /// reject that socket and keep listening.
     pub fn accept_pending(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = self.handshake(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
+        self.peers.accept_pending(self.driver.round_index() as u32);
     }
 
-    /// Block until every client id has a registered connection or
-    /// `join_timeout` elapses; returns how many are registered. Missing
-    /// clients are not fatal — when sampled they are ledgered as dropouts.
+    /// Block until every client (every edge, when tiered) has a
+    /// registered connection or `join_timeout` elapses; returns how many
+    /// are registered. Missing clients are not fatal — when sampled they
+    /// are ledgered as dropouts.
     pub fn wait_for_clients(&mut self) -> usize {
-        let deadline = Instant::now() + self.opts.join_timeout;
-        loop {
-            self.accept_pending();
-            let connected = self.connected();
-            if connected == self.conns.len() || Instant::now() >= deadline {
-                return connected;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// Register one incoming socket: expect a sealed [`Hello`], verify
-    /// role, id and session fingerprint, reply with a [`Join`] verdict.
-    ///
-    /// Flat topology accepts client roles only. Tiered topology accepts
-    /// edges into `conns` — and, as the failover lane, clients whose home
-    /// edge connection is currently dead into `direct` (a client dialing
-    /// the root while its edge is alive is rejected and bounces back to
-    /// the edge).
-    fn handshake(&mut self, mut stream: TcpStream) -> Result<(), NetError> {
         let round = self.driver.round_index() as u32;
-        let hello = read_hello(&mut stream, self.opts.io_timeout, self.opts.max_frame)?;
-        let id = hello.client_id as usize;
-        let fingerprint_ok = hello.fingerprint == self.fingerprint;
-        let accepted = fingerprint_ok
-            && match (&self.opts.topology, hello.role) {
-                (Topology::Flat, HelloRole::Client) => id < self.conns.len(),
-                (Topology::Flat, HelloRole::Edge) => false,
-                (Topology::Tiered { .. }, HelloRole::Edge) => id < self.conns.len(),
-                (Topology::Tiered { .. }, HelloRole::Client) => {
-                    id < self.direct.len()
-                        && self
-                            .ranges
-                            .iter()
-                            .position(|r| r.contains(&id))
-                            .is_some_and(|home| self.conns[home].is_none())
-                }
-            };
-        let verdict = Join { accepted, round };
-        write_frame(&mut stream, &seal(MsgType::Join, &verdict.encode()))?;
-        if !accepted {
-            return Err(NetError::Rejected);
-        }
-        // Latest registration wins: a reconnecting node replaces its
-        // dead predecessor.
-        match hello.role {
-            HelloRole::Client if matches!(self.opts.topology, Topology::Tiered { .. }) => {
-                self.direct[id] = Some(stream);
-            }
-            _ => self.conns[id] = Some(stream),
-        }
-        Ok(())
-    }
-
-    /// Send one round assignment plus the broadcast frames to one client.
-    fn send_assignment(
-        &mut self,
-        id: usize,
-        round: u32,
-        mode: RoundMode,
-        frames: &[Vec<u8>],
-    ) -> Result<(), NetError> {
-        let stream = self.conns[id].as_mut().ok_or(NetError::Disconnected)?;
-        let assign = RoundAssign {
-            round,
-            mode,
-            n_frames: frames.len() as u32,
-        };
-        write_frame(stream, &seal(MsgType::RoundAssign, &assign.encode()))?;
-        for f in frames {
-            write_frame(stream, f)?;
-        }
-        Ok(())
-    }
-
-    /// Forward one assignment plus the download frames over a client's
-    /// direct failover connection; returns whether every write succeeded.
-    fn send_direct_assignment(
-        &mut self,
-        c: usize,
-        round: u32,
-        mode: RoundMode,
-        frames: &[Vec<u8>],
-    ) -> bool {
-        let Some(stream) = self.direct[c].as_mut() else {
-            return false;
-        };
-        let assign = RoundAssign {
-            round,
-            mode,
-            n_frames: frames.len() as u32,
-        };
-        if write_frame(stream, &seal(MsgType::RoundAssign, &assign.encode())).is_err() {
-            return false;
-        }
-        frames.iter().all(|f| write_frame(stream, f).is_ok())
-    }
-
-    /// Ledger a dead edge's sampled slice at the root. Clients holding a
-    /// direct failover connection move to the failover lane (exactly
-    /// composable aggregators only); churn departures and everyone else
-    /// are ledgered — the root degrades gracefully instead of stalling
-    /// the round on a dead partition.
-    fn ledger_dead_edge(
-        &mut self,
-        slice: &[usize],
-        round: usize,
-        kind: FaultKind,
-        exact: bool,
-        faults: &mut FaultRecord,
-        failover: &mut Vec<usize>,
-    ) {
-        faults.sampled += slice.len();
-        let departures = churn_departures(&self.driver.cfg, round, slice);
-        for &c in slice {
-            if departures.contains(&c) {
-                faults.push(c, FaultKind::Dropout);
-            } else if exact && self.direct.get(c).is_some_and(|d| d.is_some()) {
-                failover.push(c);
-            } else {
-                faults.push(c, kind.clone());
-            }
-        }
-    }
-
-    fn classify(e: &StreamError) -> CollectFailure {
-        match e {
-            StreamError::Io(io)
-                if matches!(
-                    io.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                CollectFailure::Timeout
-            }
-            _ => CollectFailure::Disconnect,
-        }
+        self.peers
+            .wait_for(self.downstream(), self.opts.join_timeout, round)
     }
 
     /// Durably record a round boundary; a failing log disables itself
     /// (loudly) rather than taking the session down.
-    fn wal_begin(&mut self, round: usize, sampled: &[usize]) {
-        let result = match self.wal.as_mut() {
-            Some(log) => log.begin(round, sampled, &self.driver.global),
-            None => return,
-        };
-        if let Err(e) = result {
-            eprintln!("round log append failed ({e}); durable resume disabled");
-            self.wal = None;
-        }
-    }
-
-    /// Durably record a round's post-aggregation state (see
-    /// [`Coordinator::wal_begin`] for the failure policy).
-    fn wal_commit(&mut self, round: usize) {
-        let result = match self.wal.as_mut() {
-            Some(log) => log.commit(round, &self.driver.global),
-            None => return,
-        };
-        if let Err(e) = result {
+    fn wal_append(
+        &mut self,
+        append: impl FnOnce(&mut RoundLog, &GlobalState) -> Result<(), CheckpointError>,
+    ) {
+        let Some(log) = self.wal.as_mut() else { return };
+        if let Err(e) = append(log, &self.driver.global) {
             eprintln!("round log append failed ({e}); durable resume disabled");
             self.wal = None;
         }
@@ -475,415 +320,151 @@ impl Coordinator {
         self.accept_pending();
         let round = self.driver.round_index();
         let sampled = self.driver.sample_round();
-        self.wal_begin(round, &sampled);
+        self.wal_append(|log, global| log.begin(round, &sampled, global));
         self.resumed_mid_round = None;
         let record = match self.opts.topology {
             Topology::Flat => self.flat_round(round, sampled),
             Topology::Tiered { .. } => self.tiered_round(round, sampled),
         };
-        self.wal_commit(round);
+        self.wal_append(|log, global| log.commit(round, global));
         record
     }
 
-    /// The flat round body: every connection is one client.
-    ///
-    /// Collection is concurrent (module docs, DESIGN.md §12): the
-    /// broadcast stays blocking and ascending, then every participant
-    /// socket goes non-blocking and a readiness sweep drives one
-    /// `ConnGather` per connection, feeding a decode worker pool that
-    /// folds each upload into the round's accumulator the moment it
-    /// finishes framing. The cohort is never resident: at most
+    /// Gather the uploads of one train phase over client peers — a flat
+    /// cohort, or a tiered round's failover lane. Each completed upload
+    /// is decoded on a worker pool and handed to `absorb` the moment it
+    /// finishes, so the cohort is never resident: at most
     /// `4·workers + 16` uploads are buffered outside the kernel at once.
-    /// Fault events and outcome bookkeeping are queued in completion
-    /// order and re-sorted by client id before anything is recorded.
+    /// Fault events are ledgered ascending by client id. Returns the
+    /// bookkeeping of every upload that framed, ascending by id, and the
+    /// ids `absorb` received.
+    fn collect_uploads(
+        &mut self,
+        phase: Phase,
+        down: &Encoded,
+        faults: &mut FaultRecord,
+        mut absorb: impl FnMut(LocalOutcome),
+    ) -> (Vec<LocalOutcome>, Vec<usize>) {
+        let chaos = self.driver.cfg.chaos.map(ChaosInjector::new);
+        let workers = self
+            .opts
+            .decode_workers
+            .unwrap_or_else(rayon::current_num_threads)
+            .max(1);
+        let phase = Phase {
+            window: window(workers),
+            chaos: chaos.as_ref(),
+            ..phase
+        };
+        let down_framed = down.framed();
+        let mut events: Vec<(usize, FaultKind)> = Vec::new();
+        let mut metas: Vec<LocalOutcome> = Vec::new();
+        let mut absorbed: Vec<usize> = Vec::new();
+        // Field-level borrow split: the gather mutates `peers` while the
+        // decode workers share the driver's read-only session data.
+        let cfg = self.driver.cfg;
+        let layout = self.driver.layout.as_ref();
+        let p = self.driver.global.shared.len();
+        let buf_len = self.driver.global.buffers.len();
+        let peers = &mut self.peers;
+
+        type DecodeJob = (LocalOutcome, Vec<Vec<u8>>);
+        let failures = std::thread::scope(|scope| {
+            // Bounded job queue: a full queue blocks the sweep, which is
+            // exactly the backpressure that keeps memory flat.
+            let (job_tx, job_rx) = mpsc::sync_channel::<DecodeJob>(workers);
+            let job_rx = Arc::new(Mutex::new(job_rx));
+            let (done_tx, done_rx) = mpsc::channel();
+            for _ in 0..workers {
+                let (job_rx, done_tx) = (Arc::clone(&job_rx), done_tx.clone());
+                scope.spawn(move || loop {
+                    // The lock guards `recv` alone, which cannot panic.
+                    let job = job_rx.lock().expect("decode queue lock poisoned").recv();
+                    let Ok((meta, frames)) = job else { break };
+                    let decoded = decode_upload(&cfg, &meta, &frames, layout, p, buf_len)
+                        .map_err(|e| e.to_string());
+                    if done_tx.send((meta, decoded)).is_err() {
+                        break;
+                    }
+                });
+            }
+            drop(done_tx);
+            // `job_tx` drops with this closure, ahead of the scope's join:
+            // the workers' `recv` then fails and they exit.
+            gather(peers, &phase, |reply: Option<Reply>| {
+                if let Some(Reply { id, done, frames }) = reply {
+                    let mut meta = meta_outcome(&done);
+                    meta.wire.download_payload = down.payload;
+                    meta.wire.download_framed = down_framed;
+                    if meta.diverged {
+                        events.push((id, FaultKind::LocalDivergence));
+                    }
+                    // The workers only exit once `job_tx` drops, after
+                    // the gather returns.
+                    job_tx
+                        .send((meta, frames))
+                        .expect("decode workers outlive the gather");
+                }
+                let mut settled = 0;
+                while let Ok((meta, decoded)) = done_rx.try_recv() {
+                    settled += 1;
+                    match decoded {
+                        Ok(update) => {
+                            absorbed.push(meta.client_id);
+                            absorb(update);
+                        }
+                        Err(error) => {
+                            events.push((meta.client_id, FaultKind::CorruptUpload { error }))
+                        }
+                    }
+                    metas.push(meta);
+                }
+                settled
+            })
+        });
+        self.shutdown_requested |= ledger(faults, events, failures);
+        metas.sort_by_key(|o| o.client_id);
+        (metas, absorbed)
+    }
+
+    /// The flat round body: every peer is one client, and its decoded
+    /// upload folds into the round's accumulator the moment it arrives.
     fn flat_round(&mut self, round: usize, sampled: Vec<usize>) -> RoundRecord {
         let mut faults = FaultRecord::for_sample(sampled.len());
-        let chaos = self.driver.cfg.chaos.map(ChaosInjector::new);
-        // Clients the churn model schedules to leave mid-round: they
-        // never see the broadcast, exactly like the simulator's filter.
-        let departures = churn_departures(&self.driver.cfg, round, &sampled);
+        // Clients the churn model schedules to leave mid-round never see
+        // the broadcast, exactly like the simulator's filter.
+        let staying = ledger_departures(&self.driver.cfg, round, &sampled, &mut faults);
 
-        // Broadcast to the sampled cohort, ascending client-id order
-        // (blocking writes under the io deadline).
         let down = self.driver.broadcast();
-        let phase_started = Instant::now();
-        let mut participants: Vec<usize> = Vec::new();
-        for &id in &sampled {
-            if departures.contains(&id) {
-                faults.push(id, FaultKind::Dropout);
-            } else if self.conns[id].is_some()
-                && self
-                    .send_assignment(id, round as u32, RoundMode::Train, &down.frames)
-                    .is_ok()
-            {
-                participants.push(id);
-            } else {
-                self.conns[id] = None;
-                faults.push(id, FaultKind::Dropout);
-            }
+        let started = Instant::now();
+        let (phase, unreached) = Phase::begin(
+            &mut self.peers,
+            HelloRole::Client,
+            &staying,
+            round as u32,
+            RoundMode::Train,
+            &down.frames,
+        );
+        for id in unreached {
+            faults.push(id, FaultKind::Dropout);
         }
-
-        if participants.is_empty() {
+        if phase.ids.is_empty() {
             faults.no_op = true;
             let per_client_acc = self.evaluate_round(round as u32);
             return self.driver.noop_round(per_client_acc, faults);
         }
 
-        // Collection phase: flip the cohort to non-blocking reads.
-        let mut live: Vec<usize> = Vec::new();
-        for &id in &participants {
-            let ok = self.conns[id]
-                .as_ref()
-                .is_some_and(|s| s.set_nonblocking(true).is_ok());
-            if ok {
-                live.push(id);
-            } else {
-                self.conns[id] = None;
-                faults.push(id, FaultKind::Dropout);
-            }
-        }
-
+        // Quorum commit target: once this many uploads have folded the
+        // round ends, whoever is missing ledgered as a dropout. At the
+        // default quorum of 1.0 the target is the full participant
+        // count, so behaviour (and bit-level determinism) is identical
+        // to waiting for everyone.
+        let quorum = (self.opts.quorum * phase.ids.len() as f64).ceil() as usize;
         let mut acc = self.driver.begin_accumulation();
-        // (client id, fault) pairs in completion order; stable-sorted by
-        // id below so the ledger is arrival-order-independent.
-        let mut events: Vec<(usize, FaultKind)> = Vec::new();
-        let mut metas: Vec<LocalOutcome> = Vec::new();
-        // Clients whose upload decoded and folded — the survivors a
-        // masked round's unmask protocol may query after collection.
-        let mut folded_ids: Vec<usize> = Vec::new();
-        let mut shutdown = false;
-
-        {
-            // Field-level borrow split: the sweep mutates `conns` while
-            // the decode workers share the driver's read-only session
-            // data (config, layout, parameter count).
-            let driver = &self.driver;
-            let conns = &mut self.conns;
-            let listener = &self.listener;
-            let fingerprint = self.fingerprint;
-            let cfg = driver.cfg;
-            let layout = driver.layout.as_ref();
-            let p = driver.global.shared.len();
-            let buf_len = driver.global.buffers.len();
-            let deadline = phase_started + self.opts.round_timeout;
-            let max_frame = self.opts.max_frame;
-            let io_timeout = self.opts.io_timeout;
-            // Quorum commit target: once this many uploads have folded
-            // the round ends, whoever is missing ledgered as a dropout.
-            // At the default quorum of 1.0 the target equals the full
-            // participant count, which is unreachable early — behaviour
-            // (and bit-level determinism) is then identical to waiting
-            // for everyone.
-            let quorum_target = (self.opts.quorum * participants.len() as f64).ceil() as usize;
-            let workers = self
-                .opts
-                .decode_workers
-                .unwrap_or_else(rayon::current_num_threads)
-                .max(1);
-            // Uploads buffered outside the kernel at once: admitted
-            // assemblies plus queued / in-flight decode jobs. This is the
-            // round's memory ceiling — O(workers), not O(cohort).
-            let window = 4 * workers + 16;
-
-            type DecodeJob = (usize, LocalOutcome, Vec<Vec<u8>>);
-            type DecodeDone = (usize, LocalOutcome, Result<LocalOutcome, String>);
-
-            std::thread::scope(|scope| {
-                // Bounded job queue: a full queue blocks the sweep, which
-                // is exactly the backpressure that keeps memory flat.
-                let (job_tx, job_rx) = mpsc::sync_channel::<DecodeJob>(workers);
-                let job_rx = Arc::new(Mutex::new(job_rx));
-                let (done_tx, done_rx) = mpsc::channel::<DecodeDone>();
-                for _ in 0..workers {
-                    let job_rx = Arc::clone(&job_rx);
-                    let done_tx = done_tx.clone();
-                    scope.spawn(move || loop {
-                        let job = job_rx.lock().expect("decode queue lock poisoned").recv();
-                        let Ok((id, meta, frames)) = job else { break };
-                        let decoded = decode_upload(&cfg, &meta, &frames, layout, p, buf_len)
-                            .map_err(|e| e.to_string());
-                        if done_tx.send((id, meta, decoded)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(done_tx);
-
-                let mut gathers: Vec<ConnGather> =
-                    live.iter().map(|_| ConnGather::new(max_frame)).collect();
-                // Connections still being gathered (parallel to `live`).
-                let mut open_conns: Vec<bool> = vec![true; live.len()];
-                // Upload copies still expected from each slot: one, plus
-                // one more when the chaos plan schedules a duplicated
-                // retransmit this round. The slot stays open until every
-                // scheduled copy arrived, so the duplicate ledger entries
-                // are deterministic rather than racing the round cut.
-                let mut copies: Vec<usize> = live
-                    .iter()
-                    .map(|&id| {
-                        1 + chaos
-                            .as_ref()
-                            .map_or(0, |c| usize::from(c.duplicates_upload(round, id)))
-                    })
-                    .collect();
-                // One full upload already handed to decode: any further
-                // completed copy is a retransmit and is discarded by the
-                // per-(round, client) idempotence guard.
-                let mut submitted: Vec<bool> = vec![false; live.len()];
-                // A fault event was recorded for this slot; it must not
-                // reopen on reconnect (the ledger is already written).
-                let mut faulted: Vec<bool> = vec![false; live.len()];
-                let mut gathering = live.len();
-                // Decode jobs whose results have not been drained yet.
-                let mut outstanding = 0usize;
-                // Admission slots held: assembling conns + outstanding.
-                let mut in_flight = 0usize;
-                // Uploads folded into the accumulator so far — the count
-                // the quorum commit is measured against.
-                let mut folded = 0usize;
-
-                while gathering > 0 || outstanding > 0 {
-                    let mut progressed = false;
-
-                    // Register mid-round reconnects (chaos resets, real
-                    // connection flaps). A reconnect only reopens a slot
-                    // with no ledger entry yet; the round assignment is
-                    // resent so the client retries its upload in-round.
-                    for id in accept_reconnects(
-                        listener,
-                        fingerprint,
-                        round as u32,
-                        io_timeout,
-                        max_frame,
-                        conns,
-                    ) {
-                        let Some(k) = live.iter().position(|&l| l == id) else {
-                            continue;
-                        };
-                        if faulted[k] {
-                            continue;
-                        }
-                        progressed = true;
-                        if open_conns[k] {
-                            // Replacing a half-gathered stream: return the
-                            // admission slot and restart assembly.
-                            if gathers[k].assembling() {
-                                in_flight -= 1;
-                            }
-                        } else {
-                            open_conns[k] = true;
-                            gathering += 1;
-                        }
-                        gathers[k] = ConnGather::new(max_frame);
-                        // The client re-runs its chaos schedule on retry,
-                        // so the expected copy count resets with it.
-                        copies[k] = 1 + chaos
-                            .as_ref()
-                            .map_or(0, |c| usize::from(c.duplicates_upload(round, id)));
-                        let resent = (|| -> Result<(), NetError> {
-                            let stream = conns[id].as_mut().expect("just registered");
-                            let assign = RoundAssign {
-                                round: round as u32,
-                                mode: RoundMode::Train,
-                                n_frames: down.frames.len() as u32,
-                            };
-                            write_frame(stream, &seal(MsgType::RoundAssign, &assign.encode()))?;
-                            for f in &down.frames {
-                                write_frame(stream, f)?;
-                            }
-                            stream.set_nonblocking(true)?;
-                            Ok(())
-                        })();
-                        if resent.is_err() {
-                            conns[id] = None;
-                        }
-                    }
-
-                    // Drain finished decodes first: each frees a slot and
-                    // feeds the accumulator.
-                    while let Ok((id, meta, decoded)) = done_rx.try_recv() {
-                        progressed = true;
-                        outstanding -= 1;
-                        in_flight -= 1;
-                        match decoded {
-                            Ok(d) => {
-                                acc.fold(d);
-                                folded += 1;
-                                folded_ids.push(id);
-                            }
-                            // TCP retransmits damaged segments itself, so
-                            // there is no retry protocol on this path: a
-                            // reply that fails the CRC/codec checks is
-                            // corrupt, full stop (`RetriesExhausted`
-                            // belongs to the simulator's retry loop).
-                            Err(error) => {
-                                events.push((id, FaultKind::CorruptUpload { error }));
-                            }
-                        }
-                        metas.push(meta);
-                    }
-
-                    // Quorum commit: enough of the cohort folded — cut the
-                    // stragglers and ledger the shortfall as dropouts. A
-                    // slot that already submitted stays open: it is only
-                    // draining a scheduled duplicate copy whose bytes are
-                    // in flight, and severing it would desync the client
-                    // for the evaluation pass (the copy's ledger entry
-                    // closes the slot moments later).
-                    if gathering > 0 && folded >= quorum_target {
-                        for (k, &id) in live.iter().enumerate() {
-                            if open_conns[k] && !submitted[k] {
-                                open_conns[k] = false;
-                                gathering -= 1;
-                                if gathers[k].assembling() {
-                                    in_flight -= 1;
-                                }
-                                events.push((id, FaultKind::Dropout));
-                                faulted[k] = true;
-                                conns[id] = None;
-                                progressed = true;
-                            }
-                        }
-                    }
-
-                    // Readiness sweep over the still-gathering cohort.
-                    for (k, &id) in live.iter().enumerate() {
-                        if !open_conns[k] {
-                            continue;
-                        }
-                        if gathers[k].parked() && in_flight < window {
-                            gathers[k].admit();
-                            in_flight += 1;
-                            progressed = true;
-                        }
-                        let Some(stream) = conns[id].as_mut() else {
-                            if chaos.is_some() {
-                                // Chaos runs expect resets: hold the slot
-                                // open for a mid-round reconnect (bounded
-                                // by the deadline and the quorum cut).
-                                continue;
-                            }
-                            open_conns[k] = false;
-                            gathering -= 1;
-                            faulted[k] = true;
-                            events.push((id, FaultKind::Dropout));
-                            continue;
-                        };
-                        match gathers[k].poll(stream, round as u32, id) {
-                            GatherPoll::Idle => {}
-                            GatherPoll::Progress => progressed = true,
-                            GatherPoll::Upload(mut meta, frames) => {
-                                progressed = true;
-                                if submitted[k] {
-                                    // A retransmitted copy of an upload
-                                    // already folded this round: discard
-                                    // it, ledger the retransmit, and stop
-                                    // gathering this slot — every further
-                                    // copy would also be a retransmit.
-                                    in_flight -= 1;
-                                    open_conns[k] = false;
-                                    gathering -= 1;
-                                    faulted[k] = true;
-                                    events.push((id, FaultKind::DuplicateUpload));
-                                    continue;
-                                }
-                                submitted[k] = true;
-                                copies[k] -= 1;
-                                if copies[k] == 0 {
-                                    open_conns[k] = false;
-                                    gathering -= 1;
-                                }
-                                meta.wire.download_payload = down.payload;
-                                meta.wire.download_framed = down.framed();
-                                if meta.diverged {
-                                    events.push((id, FaultKind::LocalDivergence));
-                                }
-                                // The admission slot transfers from the
-                                // assembly to the queued job; it frees
-                                // when the result drains above.
-                                outstanding += 1;
-                                job_tx
-                                    .send((id, *meta, frames))
-                                    .expect("decode workers outlive the sweep");
-                            }
-                            GatherPoll::Failed(failure) => {
-                                progressed = true;
-                                if gathers[k].assembling() {
-                                    in_flight -= 1;
-                                }
-                                if chaos.is_some() && matches!(failure, CollectFailure::Disconnect)
-                                {
-                                    // Scheduled reset (or a flap a chaos
-                                    // run tolerates): drop the stream but
-                                    // keep the slot open for the retry.
-                                    gathers[k] = ConnGather::new(max_frame);
-                                    conns[id] = None;
-                                    continue;
-                                }
-                                open_conns[k] = false;
-                                gathering -= 1;
-                                let kind = match failure {
-                                    CollectFailure::Timeout => FaultKind::DeadlineMissed,
-                                    CollectFailure::Disconnect => FaultKind::Dropout,
-                                    CollectFailure::Shutdown => {
-                                        shutdown = true;
-                                        FaultKind::Dropout
-                                    }
-                                    CollectFailure::Corrupt(error) => {
-                                        FaultKind::CorruptUpload { error }
-                                    }
-                                };
-                                events.push((id, kind));
-                                faulted[k] = true;
-                                conns[id] = None;
-                            }
-                        }
-                    }
-
-                    // One shared deadline for the whole collection phase:
-                    // whoever has not completed framing by now missed it.
-                    // Slots that already submitted (and are only waiting
-                    // on scheduled duplicate copies) close silently.
-                    if gathering > 0 && Instant::now() >= deadline {
-                        for (k, &id) in live.iter().enumerate() {
-                            if open_conns[k] {
-                                open_conns[k] = false;
-                                if gathers[k].assembling() {
-                                    in_flight -= 1;
-                                }
-                                if !submitted[k] {
-                                    events.push((id, FaultKind::DeadlineMissed));
-                                }
-                                faulted[k] = true;
-                                conns[id] = None;
-                            }
-                        }
-                        gathering = 0;
-                        progressed = true;
-                    }
-
-                    if !progressed && (gathering > 0 || outstanding > 0) {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                }
-
-                // Lets the workers' `recv` fail so the scope can join.
-                drop(job_tx);
+        let (metas, mut folded) =
+            self.collect_uploads(Phase { quorum, ..phase }, &down, &mut faults, |update| {
+                acc.fold(update)
             });
-        }
-
-        // Collection is over: back to blocking mode for the evaluation
-        // pass and the next round's broadcast.
-        for &id in &live {
-            if let Some(s) = self.conns[id].as_ref() {
-                if s.set_nonblocking(false).is_err() {
-                    self.conns[id] = None;
-                }
-            }
-        }
-        if shutdown {
-            self.shutdown_requested = true;
-        }
 
         // Masked dropout repair (DESIGN.md §15): cohort members derived
         // pairwise masks but never delivered — ask each folded survivor
@@ -891,87 +472,53 @@ impl Coordinator {
         // closes. A survivor that dies mid-query is skipped:
         // `finish_accumulation` fills any remaining gap from the session
         // seed, and shares are deduplicated, so the wire answers and the
-        // local fallback compose instead of conflicting.
+        // local fallback compose instead of conflicting. A different
+        // reply type from a handful of peers: a short blocking loop.
         let missing = acc.missing_maskers();
         if !missing.is_empty() {
-            folded_ids.sort_unstable();
+            folded.sort_unstable();
             let request = seal(
                 MsgType::UnmaskRequest,
                 &encode_unmask_request(round as u64, &missing),
             );
-            for &id in &folded_ids {
-                let Some(stream) = self.conns[id].as_mut() else {
+            for id in folded {
+                let Some(stream) = self.peers.stream(HelloRole::Client, id) else {
                     continue;
                 };
-                let sent = stream
-                    .set_read_timeout(Some(self.opts.io_timeout))
-                    .and_then(|()| write_frame(stream, &request))
-                    .is_ok();
-                if !sent {
-                    self.conns[id] = None;
-                    continue;
-                }
-                let shares = read_frame(stream, self.opts.max_frame)
+                let shares = write_frame(stream, &request)
                     .ok()
-                    .flatten()
+                    .and_then(|()| read_frame(stream, self.opts.max_frame).ok().flatten())
                     .and_then(|frame| match open(&frame) {
                         Ok((MsgType::UnmaskShare, payload)) => decode_unmask_shares(payload).ok(),
                         _ => None,
                     });
                 match shares {
                     Some((r, shares)) if r == round as u64 => acc.apply_unmask_shares(&shares),
-                    _ => self.conns[id] = None,
+                    _ => self.peers.drop_peer(HelloRole::Client, id),
                 }
             }
         }
 
-        let measured_s = phase_started.elapsed().as_secs_f64();
-
-        // Re-establish the deterministic ascending-id order the ledger
-        // and the f32 bookkeeping folds rely on. The sort is stable, so
-        // a client's own events keep their causal order (divergence
-        // before corrupt-decode).
-        events.sort_by_key(|(id, _)| *id);
-        for (id, kind) in events {
-            faults.push(id, kind);
-        }
-        metas.sort_by_key(|o| o.client_id);
-
-        let mut wire_total = WireBytes::default();
-        let mut wall_clock_s = 0f64;
-        let mut device_seconds = 0f64;
+        let mut stats = TransportStats {
+            measured_wall_s: started.elapsed().as_secs_f64(),
+            ..TransportStats::default()
+        };
         for o in &metas {
-            wire_total.accumulate(&o.wire);
-            let t = self.driver.net.client_time(
-                o.wire.download_framed as usize,
-                o.wire.upload_framed as usize,
-            );
-            device_seconds += t;
-            wall_clock_s = wall_clock_s.max(t);
+            stats.charge(&self.driver.net, &o.wire, 1.0, 0.0);
         }
-
         // Close the accumulator — the same screen/aggregate stage the
         // simulator runs, minus any cohort buffering for the streaming
         // configurations.
         self.driver.finish_accumulation(acc, &mut faults);
         let per_client_acc = self.evaluate_round(round as u32);
-        self.driver.finish_round(
-            &metas,
-            TransportStats {
-                wire: wire_total,
-                transfer_wall_s: wall_clock_s,
-                transfer_device_s: device_seconds,
-                measured_wall_s: measured_s,
-            },
-            per_client_acc,
-            faults,
-        )
+        self.driver
+            .finish_round(&metas, stats, per_client_acc, faults)
     }
 
-    /// The tiered round body: every connection is one edge aggregator
-    /// which screens its slice of the cohort locally and forwards one
-    /// combined upload (DESIGN.md §11). Composition at the root follows
-    /// the aggregator: exactly-composable kinds replay the flat fold over
+    /// The tiered round body: every peer is one edge aggregator which
+    /// screens its slice of the cohort locally and forwards one combined
+    /// upload (DESIGN.md §11). Composition at the root follows the
+    /// aggregator: exactly-composable kinds replay the flat fold over
     /// the survivors' forwarded frames ([`fold_exact`]); robust kinds
     /// compose the edges' pre-reduced summaries ([`aggregate_reduced`]).
     /// The record's `wire` figures measure the *root link* only — the
@@ -983,188 +530,141 @@ impl Coordinator {
         // slice's counters (sampled included) in the combined upload and
         // they are folded in below; dead edges are accounted here.
         let mut faults = FaultRecord::default();
-
-        let down = self.driver.broadcast();
-        let broadcast_started = Instant::now();
-        let mut participants: Vec<usize> = Vec::new();
         // Surviving clients of a dead edge that re-registered directly at
         // the root: they train this round over the root link instead.
         let mut failover: Vec<usize> = Vec::new();
-        let exact = exact_composition(&self.driver.cfg.aggregator);
-        for e in 0..self.conns.len() {
-            let slice: Vec<usize> = sampled
-                .iter()
-                .copied()
-                .filter(|c| self.ranges[e].contains(c))
-                .collect();
-            // Every live edge gets the assignment even when its slice is
-            // empty — it derives the cohort itself from the shared
-            // sampling stream and replies with an empty combined upload,
-            // keeping the round barrier uniform.
-            if self.conns[e].is_some()
-                && self
-                    .send_assignment(e, round as u32, RoundMode::Train, &down.frames)
-                    .is_ok()
-            {
-                participants.push(e);
-            } else {
-                self.conns[e] = None;
-                self.ledger_dead_edge(
-                    &slice,
-                    round,
-                    FaultKind::Dropout,
-                    exact,
-                    &mut faults,
-                    &mut failover,
-                );
-            }
-        }
-        let mut measured_s = broadcast_started.elapsed().as_secs_f64();
 
-        if participants.is_empty() {
-            faults.no_op = true;
-            let per_client_acc = self.evaluate_round(round as u32);
-            return self.driver.noop_round(per_client_acc, faults);
-        }
+        let down = self.driver.broadcast();
+        let started = Instant::now();
+        // Every live edge gets the assignment even when its slice is
+        // empty — it derives the cohort itself from the shared sampling
+        // stream and replies with an empty combined upload, keeping the
+        // round barrier uniform.
+        let edges: Vec<usize> = (0..self.peers.homes().len()).collect();
+        let (phase, unreached) = Phase::begin(
+            &mut self.peers,
+            HelloRole::Edge,
+            &edges,
+            round as u32,
+            RoundMode::Train,
+            &down.frames,
+        );
+        let mut combined: Vec<(usize, EdgeCombined, u64)> = Vec::new();
+        // Edges that cannot take part: unreachable now, failed while
+        // gathered, or answering with something that is not their
+        // combined upload.
+        let mut dead: Vec<(usize, CollectFailure)> = unreached
+            .into_iter()
+            .map(|e| (e, CollectFailure::Disconnect))
+            .collect();
+        let failures = gather(
+            &mut self.peers,
+            &phase,
+            sync_sink(|reply| match open_combined(&reply) {
+                Ok((upload, framed)) => combined.push((reply.id, upload, framed)),
+                Err(error) => dead.push((reply.id, CollectFailure::Corrupt(error))),
+            }),
+        );
+        self.shutdown_requested |= shutdown_requested(&failures);
+        dead.extend(failures);
+        // Completion order is arbitrary: restore ascending edge order
+        // before anything order-sensitive (the f64 time folds) runs.
+        combined.sort_by_key(|(e, ..)| *e);
+        dead.sort_by_key(|(e, _)| *e);
 
         let mut outcomes: Vec<LocalOutcome> = Vec::new();
         let mut survivors: Vec<LocalOutcome> = Vec::new();
         let mut reduced: Vec<EdgeReduced> = Vec::new();
-        let mut wire_total = WireBytes::default();
-        let mut wall_clock_s = 0f64;
-        let mut device_seconds = 0f64;
-        for &e in &participants {
-            match self.collect_combined(e, round as u32, RoundMode::Train) {
-                Ok((combined, upload_framed, read_s)) => {
-                    measured_s += read_s;
-                    fold_fault_counters(&mut faults, &combined.faults);
-                    // Root-link wire accounting: one broadcast down, one
-                    // combined frame up, per edge.
-                    let link = WireBytes {
-                        download_payload: down.payload,
-                        download_framed: down.framed(),
-                        upload_payload: upload_framed.saturating_sub(HEADER_LEN as u64),
-                        upload_framed,
-                    };
-                    wire_total.accumulate(&link);
-                    let t = self
-                        .driver
-                        .net
-                        .client_time(link.download_framed as usize, link.upload_framed as usize);
-                    device_seconds += t;
-                    wall_clock_s = wall_clock_s.max(t);
-                    for entry in &combined.entries {
-                        let meta = entry_outcome(entry);
-                        if !entry.frames.is_empty() {
-                            // Exact composition: the survivor's original
-                            // sealed frames, replayed through the same
-                            // decode path a flat coordinator uses.
-                            match self.driver.decode_client_upload(&meta, &entry.frames) {
-                                Ok(d) => survivors.push(d),
-                                // No retry protocol over TCP: corrupt is
-                                // corrupt (see the flat path).
-                                Err(err) => faults.push(
-                                    meta.client_id,
-                                    FaultKind::CorruptUpload {
-                                        error: err.to_string(),
-                                    },
-                                ),
-                            }
-                        }
-                        outcomes.push(meta);
-                    }
-                    if let Some(r) = combined.reduced {
-                        reduced.push(r);
-                    }
-                }
-                Err(failure) => {
-                    // The whole edge is gone: every sampled client behind
-                    // it misses the round — unless it holds a direct
-                    // failover connection at the root.
-                    let kind = match failure {
-                        CollectFailure::Timeout => FaultKind::DeadlineMissed,
-                        CollectFailure::Shutdown => {
-                            self.shutdown_requested = true;
-                            FaultKind::Dropout
-                        }
-                        _ => FaultKind::Dropout,
-                    };
-                    let slice: Vec<usize> = sampled
-                        .iter()
-                        .copied()
-                        .filter(|c| self.ranges[e].contains(c))
-                        .collect();
-                    self.conns[e] = None;
-                    self.ledger_dead_edge(&slice, round, kind, exact, &mut faults, &mut failover);
-                }
-            }
-        }
-
-        // Failover lane: a dead edge's surviving clients train over the
-        // root link this round, replayed through the same decode path a
-        // flat coordinator uses. Only exactly-composable aggregators take
-        // the lane — a robust kind has no edge to pre-reduce under, so
-        // its orphaned clients were ledgered as dropouts above
-        // (DESIGN.md §14).
-        failover.sort_unstable();
-        for &c in &failover {
-            if !self.send_direct_assignment(c, round as u32, RoundMode::Train, &down.frames) {
-                self.direct[c] = None;
-                faults.push(c, FaultKind::Dropout);
-            }
-        }
-        let max_frame = self.opts.max_frame;
-        let round_timeout = self.opts.round_timeout;
-        for &c in &failover {
-            let Some(stream) = self.direct[c].as_mut() else {
-                continue;
+        let mut stats = TransportStats::default();
+        for (_, upload, upload_framed) in combined {
+            fold_fault_counters(&mut faults, &upload.faults);
+            // Root-link wire accounting: one broadcast down, one
+            // combined frame up, per edge.
+            let link = WireBytes {
+                download_payload: down.payload,
+                download_framed: down.framed(),
+                upload_payload: upload_framed.saturating_sub(HEADER_LEN as u64),
+                upload_framed,
             };
-            let collect_started = Instant::now();
-            match collect_direct_upload(stream, round as u32, c, max_frame, round_timeout) {
-                Ok((mut meta, frames)) => {
-                    measured_s += collect_started.elapsed().as_secs_f64();
-                    meta.wire.download_payload = down.payload;
-                    meta.wire.download_framed = down.framed();
-                    wire_total.accumulate(&meta.wire);
-                    let t = self.driver.net.client_time(
-                        meta.wire.download_framed as usize,
-                        meta.wire.upload_framed as usize,
-                    );
-                    device_seconds += t;
-                    wall_clock_s = wall_clock_s.max(t);
-                    if meta.diverged {
-                        faults.push(c, FaultKind::LocalDivergence);
-                    }
-                    match self.driver.decode_client_upload(&meta, &frames) {
+            stats.charge(&self.driver.net, &link, 1.0, 0.0);
+            for entry in &upload.entries {
+                let meta = entry_outcome(entry);
+                if !entry.frames.is_empty() {
+                    // Exact composition: the survivor's original sealed
+                    // frames, replayed through the same decode path a
+                    // flat coordinator uses.
+                    match self.driver.decode_client_upload(&meta, &entry.frames) {
                         Ok(d) => survivors.push(d),
                         Err(err) => faults.push(
-                            c,
+                            meta.client_id,
                             FaultKind::CorruptUpload {
                                 error: err.to_string(),
                             },
                         ),
                     }
-                    outcomes.push(meta);
                 }
-                Err(failure) => {
-                    let kind = match failure {
-                        CollectFailure::Timeout => FaultKind::DeadlineMissed,
-                        CollectFailure::Shutdown => {
-                            self.shutdown_requested = true;
-                            FaultKind::Dropout
-                        }
-                        CollectFailure::Corrupt(error) => FaultKind::CorruptUpload { error },
-                        CollectFailure::Disconnect => FaultKind::Dropout,
-                    };
-                    faults.push(c, kind);
-                    self.direct[c] = None;
+                outcomes.push(meta);
+            }
+            reduced.extend(upload.reduced);
+        }
+        // A dead edge's sampled slice is ledgered here: every client
+        // behind it misses the round — churn departures as such, the rest
+        // with the edge's own failure — unless it holds a direct failover
+        // connection (exactly composable aggregators only). The root
+        // degrades gracefully instead of stalling on a dead partition.
+        let exact = exact_composition(&self.driver.cfg.aggregator);
+        for (e, failure) in dead {
+            self.peers.drop_peer(HelloRole::Edge, e);
+            let home = &self.peers.homes()[e];
+            let slice: Vec<usize> = sampled
+                .iter()
+                .copied()
+                .filter(|c| home.contains(c))
+                .collect();
+            faults.sampled += slice.len();
+            let kind = FaultKind::from(failure);
+            for c in ledger_departures(&self.driver.cfg, round, &slice, &mut faults) {
+                if exact && self.peers.stream(HelloRole::Client, c).is_some() {
+                    failover.push(c);
+                } else {
+                    faults.push(c, kind.clone());
                 }
             }
         }
+        if phase.ids.is_empty() {
+            faults.no_op = true;
+            let per_client_acc = self.evaluate_round(round as u32);
+            return self.driver.noop_round(per_client_acc, faults);
+        }
+
+        // Failover lane: a dead edge's surviving clients train over the
+        // root link this round, through the flat round's own collection.
+        // Only exactly-composable aggregators take the lane — a robust
+        // kind has no edge to pre-reduce under, so its orphaned clients
+        // were ledgered above (DESIGN.md §14).
+        failover.sort_unstable();
+        let (lane, unreached) = Phase::begin(
+            &mut self.peers,
+            HelloRole::Client,
+            &failover,
+            round as u32,
+            RoundMode::Train,
+            &down.frames,
+        );
+        for c in unreached {
+            faults.push(c, FaultKind::Dropout);
+        }
+        let (metas, _) =
+            self.collect_uploads(lane, &down, &mut faults, |update| survivors.push(update));
+        for o in &metas {
+            stats.charge(&self.driver.net, &o.wire, 1.0, 0.0);
+        }
+        outcomes.extend(metas);
+        stats.measured_wall_s = started.elapsed().as_secs_f64();
 
         // Compose: the edges already screened their cohorts, so the
         // policy must not run again at the root.
-        if exact_composition(&self.driver.cfg.aggregator) {
+        if exact {
             fold_exact(&mut self.driver, survivors, &mut faults);
         } else {
             let driver = &mut self.driver;
@@ -1181,85 +681,23 @@ impl Coordinator {
         // ascending-id order the bookkeeping folds rely on.
         outcomes.sort_by_key(|o| o.client_id);
         let per_client_acc = self.evaluate_round(round as u32);
-        self.driver.finish_round(
-            &outcomes,
-            TransportStats {
-                wire: wire_total,
-                transfer_wall_s: wall_clock_s,
-                transfer_device_s: device_seconds,
-                measured_wall_s: measured_s,
-            },
-            per_client_acc,
-            faults,
-        )
+        self.driver
+            .finish_round(&outcomes, stats, per_client_acc, faults)
     }
 
-    /// Read one edge's [`RoundDone`] header plus its single
-    /// [`EdgeCombined`] frame; returns the decoded combined upload, the
-    /// framed size of the upload (root-link accounting) and the transfer
-    /// seconds after the header arrived.
-    fn collect_combined(
+    /// One evaluation phase: every live `role` peer syncs the broadcast
+    /// and reports back; `sink` receives each reply.
+    fn eval_phase(
         &mut self,
-        e: usize,
+        role: HelloRole,
         round: u32,
-        mode: RoundMode,
-    ) -> Result<(EdgeCombined, u64, f64), CollectFailure> {
-        let max_frame = self.opts.max_frame;
-        let round_timeout = self.opts.round_timeout;
-        let stream = match self.conns[e].as_mut() {
-            Some(s) => s,
-            None => return Err(CollectFailure::Disconnect),
-        };
-        if stream.set_read_timeout(Some(round_timeout)).is_err() {
-            return Err(CollectFailure::Disconnect);
-        }
-        let header = match read_frame(stream, max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Err(CollectFailure::Disconnect),
-            Err(e) => return Err(Self::classify(&e)),
-        };
-        let (msg, payload) = match open(&header) {
-            Ok(x) => x,
-            Err(_) => return Err(CollectFailure::Disconnect),
-        };
-        match msg {
-            MsgType::Shutdown => return Err(CollectFailure::Shutdown),
-            MsgType::RoundDone => {}
-            _ => return Err(CollectFailure::Disconnect),
-        }
-        let done = match RoundDone::decode(payload) {
-            Ok(d) => d,
-            Err(e) => return Err(CollectFailure::Corrupt(e.to_string())),
-        };
-        if done.round != round || done.client_id as usize != e || done.mode != mode {
-            return Err(CollectFailure::Disconnect);
-        }
-        let started = Instant::now();
-        let frame = match read_frame(stream, max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Err(CollectFailure::Disconnect),
-            Err(e) => return Err(Self::classify(&e)),
-        };
-        let read_s = started.elapsed().as_secs_f64();
-        let combined = match open(&frame) {
-            Ok((MsgType::EdgeCombined, payload)) => match decode_edge_combined(payload) {
-                Ok(c) => c,
-                Err(e) => return Err(CollectFailure::Corrupt(e.to_string())),
-            },
-            Ok((other, _)) => {
-                return Err(CollectFailure::Corrupt(format!(
-                    "expected EdgeCombined, got {other:?}"
-                )))
-            }
-            Err(e) => return Err(CollectFailure::Corrupt(e.to_string())),
-        };
-        if combined.edge_id as usize != e || combined.round != round {
-            return Err(CollectFailure::Corrupt(format!(
-                "combined upload labelled edge {} round {}, expected edge {e} round {round}",
-                combined.edge_id, combined.round
-            )));
-        }
-        Ok((combined, frame.len() as u64, read_s))
+        frames: &[Vec<u8>],
+        sink: impl FnMut(Reply),
+    ) {
+        let live = self.peers.live(role);
+        let (phase, _) = Phase::begin(&mut self.peers, role, &live, round, RoundMode::Eval, frames);
+        let failures = gather(&mut self.peers, &phase, sync_sink(sink));
+        self.shutdown_requested |= shutdown_requested(&failures);
     }
 
     /// Evaluation pass: every live client syncs the (post-aggregation)
@@ -1268,131 +706,26 @@ impl Coordinator {
     /// without a live connection contribute 0.0. Excluded from wire
     /// accounting, like the simulator's evaluation. When tiered, each
     /// edge fans the pass out to its clients and the combined reply's
-    /// entries carry one accuracy per client.
+    /// entries carry one accuracy per client; direct failover clients
+    /// then take the pass on the root link.
     fn evaluate_round(&mut self, round: u32) -> Vec<f32> {
         let down = self.driver.broadcast();
-        let n_conns = self.conns.len();
-        let mut pending: Vec<usize> = Vec::new();
-        for id in 0..n_conns {
-            if self.conns[id].is_none() {
-                continue;
-            }
-            if self
-                .send_assignment(id, round, RoundMode::Eval, &down.frames)
-                .is_ok()
-            {
-                pending.push(id);
-            } else {
-                self.conns[id] = None;
-            }
-        }
         let mut acc = vec![0.0f32; self.driver.cfg.n_clients];
-        let tiered = matches!(self.opts.topology, Topology::Tiered { .. });
-        for id in pending {
-            if tiered {
-                match self.collect_combined(id, round, RoundMode::Eval) {
-                    Ok((combined, _, _)) => {
-                        for entry in &combined.entries {
-                            if let Some(slot) = acc.get_mut(entry.client_id as usize) {
-                                *slot = entry.accuracy;
-                            }
-                        }
-                    }
-                    Err(CollectFailure::Shutdown) => {
-                        self.shutdown_requested = true;
-                        self.conns[id] = None;
-                    }
-                    Err(_) => {
-                        self.conns[id] = None;
+        if self.downstream() == HelloRole::Edge {
+            self.eval_phase(HelloRole::Edge, round, &down.frames, |reply| {
+                let entries = open_combined(&reply).map_or(Vec::new(), |(c, _)| c.entries);
+                for entry in entries {
+                    if let Some(slot) = acc.get_mut(entry.client_id as usize) {
+                        *slot = entry.accuracy;
                     }
                 }
-            } else {
-                match self.collect_eval(id, round) {
-                    Ok(a) => acc[id] = a,
-                    Err(CollectFailure::Shutdown) => {
-                        self.shutdown_requested = true;
-                        self.conns[id] = None;
-                    }
-                    Err(_) => {
-                        self.conns[id] = None;
-                    }
-                }
-            }
+            });
         }
-        // Direct failover clients take the evaluation pass on the root
-        // link; a client with no live connection contributes 0.0, same
-        // as the edge path.
-        let round_timeout = self.opts.round_timeout;
-        let max_frame = self.opts.max_frame;
-        let direct_ids: Vec<usize> = (0..self.direct.len())
-            .filter(|&c| self.direct[c].is_some())
-            .collect();
-        for c in direct_ids {
-            if !self.send_direct_assignment(c, round, RoundMode::Eval, &down.frames) {
-                self.direct[c] = None;
-                continue;
-            }
-            let Some(stream) = self.direct[c].as_mut() else {
-                continue;
-            };
-            let res = if stream.set_read_timeout(Some(round_timeout)).is_ok() {
-                read_round_done(stream, max_frame)
-            } else {
-                Err(CollectFailure::Disconnect)
-            };
-            match res {
-                Ok(done)
-                    if done.round == round
-                        && done.client_id as usize == c
-                        && done.mode == RoundMode::Eval =>
-                {
-                    acc[c] = done.accuracy;
-                }
-                Err(CollectFailure::Shutdown) => {
-                    self.shutdown_requested = true;
-                    self.direct[c] = None;
-                }
-                _ => {
-                    self.direct[c] = None;
-                }
-            }
-        }
+        // The table only registers client ids below `n_clients`.
+        self.eval_phase(HelloRole::Client, round, &down.frames, |reply| {
+            acc[reply.id] = reply.done.accuracy
+        });
         acc
-    }
-
-    /// Read one client's evaluation report.
-    fn collect_eval(&mut self, id: usize, round: u32) -> Result<f32, CollectFailure> {
-        let max_frame = self.opts.max_frame;
-        let round_timeout = self.opts.round_timeout;
-        let stream = match self.conns[id].as_mut() {
-            Some(s) => s,
-            None => return Err(CollectFailure::Disconnect),
-        };
-        if stream.set_read_timeout(Some(round_timeout)).is_err() {
-            return Err(CollectFailure::Disconnect);
-        }
-        let frame = match read_frame(stream, max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Err(CollectFailure::Disconnect),
-            Err(e) => return Err(Self::classify(&e)),
-        };
-        let (msg, payload) = match open(&frame) {
-            Ok(x) => x,
-            Err(_) => return Err(CollectFailure::Disconnect),
-        };
-        match msg {
-            MsgType::Shutdown => return Err(CollectFailure::Shutdown),
-            MsgType::RoundDone => {}
-            _ => return Err(CollectFailure::Disconnect),
-        }
-        let done = match RoundDone::decode(payload) {
-            Ok(d) => d,
-            Err(_) => return Err(CollectFailure::Disconnect),
-        };
-        if done.round != round || done.client_id as usize != id || done.mode != RoundMode::Eval {
-            return Err(CollectFailure::Disconnect);
-        }
-        Ok(done.accuracy)
     }
 
     /// End the session: checkpoint the global state (when configured) and
@@ -1401,13 +734,7 @@ impl Coordinator {
         if let Some(path) = self.opts.checkpoint.clone() {
             save_global(&self.driver.global, &path)?;
         }
-        let bye = seal(MsgType::Shutdown, &[]);
-        for conn in self.conns.iter_mut().chain(self.direct.iter_mut()) {
-            if let Some(stream) = conn.as_mut() {
-                let _ = write_frame(stream, &bye);
-            }
-            *conn = None;
-        }
+        self.peers.shutdown_all();
         Ok(())
     }
 
@@ -1428,106 +755,28 @@ impl Coordinator {
     }
 }
 
-/// Perform the socket setup and read one sealed [`Hello`] off a freshly
-/// accepted connection (blocking, under the io deadline).
-fn read_hello(
-    stream: &mut TcpStream,
-    io_timeout: Duration,
-    max_frame: usize,
-) -> Result<Hello, NetError> {
-    stream.set_nonblocking(false)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(io_timeout))?;
-    stream.set_write_timeout(Some(io_timeout))?;
-    let frame = read_frame(stream, max_frame)?
-        .ok_or_else(|| NetError::Protocol("connection closed before Hello".into()))?;
-    let (msg, payload) = open(&frame)?;
-    if msg != MsgType::Hello {
-        return Err(NetError::Protocol(format!("expected Hello, got {msg:?}")));
-    }
-    Ok(Hello::decode(payload)?)
-}
-
-/// Accept every connection pending on the listener *mid-round* and
-/// register flat-topology client reconnects into `conns`. The flat
-/// collection sweep split-borrows the coordinator, so this is a free
-/// function rather than a method. Returns the client ids registered.
-fn accept_reconnects(
-    listener: &TcpListener,
-    fingerprint: u64,
-    round: u32,
-    io_timeout: Duration,
-    max_frame: usize,
-    conns: &mut [Option<TcpStream>],
-) -> Vec<usize> {
-    let mut joined = Vec::new();
-    loop {
-        let mut stream = match listener.accept() {
-            Ok((s, _)) => s,
-            Err(_) => break,
-        };
-        let Ok(hello) = read_hello(&mut stream, io_timeout, max_frame) else {
-            continue;
-        };
-        let id = hello.client_id as usize;
-        let accepted =
-            hello.role == HelloRole::Client && id < conns.len() && hello.fingerprint == fingerprint;
-        let verdict = Join { accepted, round };
-        if write_frame(&mut stream, &seal(MsgType::Join, &verdict.encode())).is_err() {
-            continue;
-        }
-        if accepted {
-            conns[id] = Some(stream);
-            joined.push(id);
-        }
-    }
-    joined
-}
-
-/// Blocking-collect one direct client's Train upload on the root link —
-/// the failover lane of a tiered round (the client's home edge is dead).
-/// Validation mirrors the flat gather's; returns the outcome bookkeeping
-/// and the client's sealed upload frames.
-fn collect_direct_upload(
-    stream: &mut TcpStream,
-    round: u32,
-    id: usize,
-    max_frame: usize,
-    timeout: Duration,
-) -> Result<(LocalOutcome, Vec<Vec<u8>>), CollectFailure> {
-    if stream.set_read_timeout(Some(timeout)).is_err() {
-        return Err(CollectFailure::Disconnect);
-    }
-    let done = read_round_done(stream, max_frame)?;
-    if done.round != round || done.client_id as usize != id || done.mode != RoundMode::Train {
-        return Err(CollectFailure::Disconnect);
-    }
-    let mut frames = Vec::with_capacity(done.n_frames as usize);
-    for _ in 0..done.n_frames {
-        match read_frame(stream, max_frame) {
-            Ok(Some(f)) => frames.push(f),
-            Ok(None) => return Err(CollectFailure::Disconnect),
-            Err(e) => return Err(Coordinator::classify(&e)),
-        }
-    }
-    Ok((meta_outcome(&done), frames))
-}
-
-/// Read and decode one blocking [`RoundDone`] header off a stream.
-fn read_round_done(stream: &mut TcpStream, max_frame: usize) -> Result<RoundDone, CollectFailure> {
-    let frame = match read_frame(stream, max_frame) {
-        Ok(Some(f)) => f,
-        Ok(None) => return Err(CollectFailure::Disconnect),
-        Err(e) => return Err(Coordinator::classify(&e)),
+/// Decode an edge's reply — its one [`EdgeCombined`] frame — and check
+/// the label against the phase; also returns the frame's size on the
+/// wire (root-link accounting).
+fn open_combined(reply: &Reply) -> Result<(EdgeCombined, u64), String> {
+    let [frame] = reply.frames.as_slice() else {
+        return Err(format!(
+            "expected one combined frame, got {}",
+            reply.frames.len()
+        ));
     };
-    let (msg, payload) = match open(&frame) {
-        Ok(x) => x,
-        Err(_) => return Err(CollectFailure::Disconnect),
+    let combined = match open(frame) {
+        Ok((MsgType::EdgeCombined, payload)) => {
+            decode_edge_combined(payload).map_err(|e| e.to_string())?
+        }
+        Ok((other, _)) => return Err(format!("expected EdgeCombined, got {other:?}")),
+        Err(e) => return Err(e.to_string()),
     };
-    match msg {
-        MsgType::Shutdown => return Err(CollectFailure::Shutdown),
-        MsgType::RoundDone => {}
-        _ => return Err(CollectFailure::Disconnect),
+    if combined.edge_id as usize != reply.id || combined.round != reply.done.round {
+        return Err(format!(
+            "combined upload labelled edge {} round {}, expected edge {} round {}",
+            combined.edge_id, combined.round, reply.id, reply.done.round
+        ));
     }
-    RoundDone::decode(payload).map_err(|e| CollectFailure::Corrupt(e.to_string()))
+    Ok((combined, frame.len() as u64))
 }

@@ -5,8 +5,9 @@
 //! An edge speaks the wire protocol both ways. **Downstream** it is a
 //! coordinator: it binds a listener, registers the clients whose ids fall
 //! in its [`edge_partition`] slice, broadcasts the root's download frames
-//! verbatim and collects uploads behind the usual per-connection
-//! deadlines. **Upstream** it is a node: it connects to the root with
+//! verbatim and gathers the replies exactly as the root does — the same
+//! peer table, the same concurrent gather under one phase deadline, with
+//! upload dedup and in-round reconnect. **Upstream** it is a node: it connects to the root with
 //! capped exponential backoff, registers with its *edge id* as the wire
 //! client id, and answers round assignments — not with its own training,
 //! but with the [`EdgeCombined`] frame that carries its cohort's round.
@@ -25,24 +26,24 @@
 //! root that replays a round after a write-ahead-log recovery gets the
 //! same cohort again from the edge's cache.
 
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
 use std::time::Duration;
 
 use spatl_fl::{
-    churn_departures, decode_download, edge_partition, exact_composition, fault_counters,
+    decode_download, edge_partition, exact_composition, fault_counters, ledger_departures,
     outcome_entry, reduce_cohort, screen_updates, ChaosInjector, FaultKind, FaultRecord,
-    LocalOutcome, RoundBytes, RoundDriver, WireBytes,
+    LocalOutcome, RoundDriver,
 };
 use spatl_wire::{
-    open, read_frame, seal, seal_edge_combined, write_frame, EdgeCombined, EdgeEntry, MsgType,
-    StreamError, TierFaultCounters, MAX_FRAME_PAYLOAD,
+    seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters,
+    MAX_FRAME_PAYLOAD,
 };
 
-use crate::proto::{
-    session_fingerprint, Hello, HelloRole, Join, RoundAssign, RoundDone, RoundMode,
-};
+use crate::gather::{gather, ledger, meta_outcome, sync_sink, Phase};
+use crate::node::{backoff, read_upstream, register, Upstream};
+use crate::peers::PeerTable;
+use crate::proto::{session_fingerprint, Hello, HelloRole, RoundDone, RoundMode};
 use crate::NetError;
 
 /// Tunables of an [`EdgeAggregator`].
@@ -64,8 +65,12 @@ pub struct EdgeConfig {
     /// edge registers upstream immediately at startup, so this is what
     /// keeps a root's first assignment from racing the clients' joins.
     pub join_timeout: Duration,
-    /// Per-client read deadline while collecting an upload (covers the
-    /// client's local training).
+    /// Deadline of each collection or evaluation phase over this edge's
+    /// clients, counted from the phase's broadcast and shared by the
+    /// whole slice (it covers the clients' local training): a client
+    /// that has not replied by then is ledgered as
+    /// [`FaultKind::DeadlineMissed`]. Keep it below the root's, so a
+    /// silent client costs the round that client and not the whole edge.
     pub round_timeout: Duration,
     /// Per-client write deadline and handshake read deadline.
     pub io_timeout: Duration,
@@ -130,26 +135,7 @@ enum SessionEnd {
     Killed,
 }
 
-/// Why collecting one client's reply failed (edge-side mirror of the
-/// coordinator's classification).
-enum CollectFailure {
-    /// No complete reply before the round deadline.
-    Timeout,
-    /// The connection is gone or stopped making protocol sense.
-    Disconnect,
-    /// The client sent a `Shutdown` frame instead of a reply.
-    Shutdown,
-    /// The reply arrived but its payload failed the decode path.
-    Corrupt(String),
-}
-
-/// One client upload the edge collected, before decoding.
-struct Collected {
-    meta: LocalOutcome,
-    frames: Vec<Vec<u8>>,
-}
-
-/// One edge aggregator: a client-facing listener plus the upstream
+/// One edge aggregator: a client-facing peer table plus the upstream
 /// connect/serve loop, around the shared [`RoundDriver`] (used here for
 /// its configuration, selection layout, parameter count and sampling
 /// stream — the edge holds no model of its own).
@@ -158,12 +144,12 @@ pub struct EdgeAggregator {
     opts: EdgeConfig,
     /// Global client ids this edge serves.
     range: Range<usize>,
-    listener: TcpListener,
-    /// Client connections, indexed by `global_id - range.start`.
-    conns: Vec<Option<TcpStream>>,
+    /// The slice's client connections.
+    peers: PeerTable,
     fingerprint: u64,
     /// Chaos schedule shared by every endpoint of the run (None outside
-    /// chaos experiments); the edge consults it for its own kill round.
+    /// chaos experiments): the edge's own kill round, and the duplicates
+    /// and resets its clients inject into their uploads.
     chaos: Option<ChaosInjector>,
     /// Cohort cache, indexed by absolute round: derived lazily from the
     /// sampling stream, so a replayed round reuses its original draw.
@@ -182,12 +168,6 @@ impl EdgeAggregator {
     /// must come from the same session factory (same flags/seed) as the
     /// root's — the upstream handshake fingerprint enforces this.
     pub fn bind(driver: RoundDriver, opts: EdgeConfig) -> Result<Self, NetError> {
-        assert!(
-            opts.edge_id < opts.n_edges,
-            "edge id {} out of range for {} edges",
-            opts.edge_id,
-            opts.n_edges
-        );
         if driver
             .cfg
             .privacy
@@ -202,19 +182,28 @@ impl EdgeAggregator {
                     .into(),
             ));
         }
-        let listener = TcpListener::bind(&opts.listen_addr)?;
-        listener.set_nonblocking(true)?;
-        let fingerprint = session_fingerprint(&driver.cfg);
         let range = edge_partition(driver.cfg.n_clients, opts.n_edges)
             .into_iter()
             .nth(opts.edge_id)
-            .expect("edge id checked against n_edges");
+            .ok_or_else(|| {
+                NetError::Protocol(format!(
+                    "edge id {} out of range for {} edges",
+                    opts.edge_id, opts.n_edges
+                ))
+            })?;
+        let fingerprint = session_fingerprint(&driver.cfg);
         Ok(EdgeAggregator {
-            conns: (0..range.len()).map(|_| None).collect(),
+            peers: PeerTable::bind(
+                &opts.listen_addr,
+                Vec::new(),
+                range.clone(),
+                fingerprint,
+                (opts.io_timeout, opts.round_timeout),
+                opts.max_frame,
+            )?,
             chaos: driver.cfg.chaos.map(ChaosInjector::new),
             driver,
             range,
-            listener,
             fingerprint,
             cohorts: Vec::new(),
             waited: false,
@@ -227,7 +216,7 @@ impl EdgeAggregator {
     /// The address the client-facing listener actually bound (resolves
     /// port 0).
     pub fn local_addr(&self) -> Result<SocketAddr, NetError> {
-        Ok(self.listener.local_addr()?)
+        self.peers.local_addr()
     }
 
     /// Global client ids this edge serves.
@@ -237,7 +226,7 @@ impl EdgeAggregator {
 
     /// Number of currently registered client connections.
     pub fn connected(&self) -> usize {
-        self.conns.iter().filter(|c| c.is_some()).count()
+        self.peers.live(HelloRole::Client).len()
     }
 
     /// Serve until the root shuts the session down: connect upstream
@@ -249,19 +238,15 @@ impl EdgeAggregator {
             match TcpStream::connect(&self.opts.root_addr) {
                 Ok(stream) => match self.session(stream) {
                     Ok(SessionEnd::Shutdown) => {
-                        self.shutdown_clients();
+                        self.peers.shutdown_all();
                         return Ok(self.report);
                     }
-                    Ok(SessionEnd::Killed) => {
-                        // Abrupt process death: no client goodbyes, no
-                        // reconnect. The sockets dropped inside
-                        // `session`; surviving clients fail over to the
-                        // root on their own.
-                        return Ok(self.report);
-                    }
-                    Ok(SessionEnd::Lost) => {
-                        failures = 0;
-                    }
+                    // Abrupt process death: no client goodbyes, no
+                    // reconnect. The sockets dropped inside `session`;
+                    // surviving clients fail over to the root on their
+                    // own.
+                    Ok(SessionEnd::Killed) => return Ok(self.report),
+                    Ok(SessionEnd::Lost) => failures = 0,
                     Err(NetError::Rejected) => return Err(NetError::Rejected),
                     Err(_) => failures += 1,
                 },
@@ -270,13 +255,8 @@ impl EdgeAggregator {
             if failures > self.opts.max_reconnects {
                 return Err(NetError::Disconnected);
             }
-            let exp = failures.max(1).saturating_sub(1).min(16);
-            std::thread::sleep(
-                self.opts
-                    .backoff_base
-                    .saturating_mul(1u32 << exp)
-                    .min(self.opts.backoff_cap),
-            );
+            let (base, cap) = (self.opts.backoff_base, self.opts.backoff_cap);
+            std::thread::sleep(backoff(base, cap, failures));
         }
     }
 
@@ -284,107 +264,52 @@ impl EdgeAggregator {
     /// `opts.edge_id`, then serve assignments until shutdown or
     /// disconnect.
     fn session(&mut self, mut stream: TcpStream) -> Result<SessionEnd, NetError> {
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(self.opts.io_timeout))?;
-        // Bounded handshake: a root that accepted the dial but never
-        // answers Join must not park the edge forever. Cleared once
-        // registered — mid-session gaps are legitimately unbounded.
-        stream.set_read_timeout(Some(self.opts.io_timeout))?;
+        let edge_id = self.opts.edge_id;
         let hello = Hello {
-            client_id: self.opts.edge_id as u32,
+            client_id: edge_id as u32,
             fingerprint: self.fingerprint,
             role: HelloRole::Edge,
         };
-        write_frame(&mut stream, &seal(MsgType::Hello, &hello.encode()))?;
-        let frame = read_frame(&mut stream, self.opts.max_frame)?
-            .ok_or_else(|| NetError::Protocol("root closed before Join".into()))?;
-        let (msg, payload) = open(&frame)?;
-        if msg != MsgType::Join {
-            return Err(NetError::Protocol(format!("expected Join, got {msg:?}")));
-        }
-        if !Join::decode(payload)?.accepted {
-            return Err(NetError::Rejected);
-        }
-        stream.set_read_timeout(None)?;
+        let max_frame = self.opts.max_frame;
+        register(&mut stream, hello, self.opts.io_timeout, max_frame)?;
         if self.registered {
             self.report.reconnects += 1;
         }
         self.registered = true;
 
         loop {
-            let frame = match read_frame(&mut stream, self.opts.max_frame) {
-                Ok(Some(f)) => f,
-                Ok(None) => return Ok(SessionEnd::Lost),
-                Err(e) => {
-                    if e.is_transport_corruption() {
-                        return Ok(SessionEnd::Lost);
-                    }
-                    return Err(e.into());
-                }
-            };
-            let (msg, payload) = open(&frame)?;
-            match msg {
-                MsgType::Shutdown => return Ok(SessionEnd::Shutdown),
-                MsgType::RoundAssign => {
-                    let assign = RoundAssign::decode(payload)?;
-                    if self
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|c| c.kills_edge(assign.round as usize, self.opts.edge_id))
-                    {
-                        // Scheduled edge kill: die exactly like a crashed
-                        // process would — every socket dropped mid-round,
-                        // nothing flushed, no goodbye downstream.
-                        drop(stream);
-                        for conn in self.conns.iter_mut() {
-                            *conn = None;
-                        }
-                        return Ok(SessionEnd::Killed);
-                    }
-                    let mut down = Vec::with_capacity(assign.n_frames as usize);
-                    for _ in 0..assign.n_frames {
-                        match read_frame(&mut stream, self.opts.max_frame) {
-                            Ok(Some(f)) => down.push(f),
-                            Ok(None) => return Ok(SessionEnd::Lost),
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    let combined = match assign.mode {
-                        RoundMode::Train => {
-                            self.report.rounds_forwarded += 1;
-                            self.train_round(assign.round, &down)
-                        }
-                        RoundMode::Eval => {
-                            self.report.rounds_evaluated += 1;
-                            self.eval_round(assign.round, &down)
-                        }
-                    };
-                    let frame = seal_edge_combined(&combined);
-                    let done = RoundDone {
-                        round: assign.round,
-                        mode: assign.mode,
-                        client_id: self.opts.edge_id as u32,
-                        n_samples: 0,
-                        tau: 0,
-                        diverged: false,
-                        keep_ratio: 0.0,
-                        flops_ratio: 0.0,
-                        accuracy: 0.0,
-                        bytes_download: 0,
-                        bytes_upload: 0,
-                        upload_payload: (frame.len() - spatl_wire::HEADER_LEN) as u64,
-                        upload_framed: frame.len() as u64,
-                        n_frames: 1,
-                    };
-                    write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode()))?;
-                    write_frame(&mut stream, &frame)?;
-                }
-                other => {
+            let (assign, down) = match read_upstream(&mut stream, max_frame)? {
+                Upstream::Shutdown => return Ok(SessionEnd::Shutdown),
+                Upstream::Lost => return Ok(SessionEnd::Lost),
+                Upstream::Assign(assign, down) => (assign, down),
+                Upstream::Other(other, _) => {
                     return Err(NetError::Protocol(format!(
                         "unexpected control message {other:?}"
                     )))
                 }
+            };
+            let kill = |c: &ChaosInjector| c.kills_edge(assign.round as usize, edge_id);
+            if self.chaos.as_ref().is_some_and(kill) {
+                // Scheduled edge kill: die exactly like a crashed process
+                // would — every socket dropped mid-round, nothing
+                // flushed, no goodbye downstream.
+                self.peers.drop_all();
+                return Ok(SessionEnd::Killed);
             }
+            let combined = match assign.mode {
+                RoundMode::Train => {
+                    self.report.rounds_forwarded += 1;
+                    self.train_round(assign.round, &down)
+                }
+                RoundMode::Eval => {
+                    self.report.rounds_evaluated += 1;
+                    self.eval_round(assign.round, &down)
+                }
+            };
+            let frame = seal_edge_combined(&combined);
+            let done = RoundDone::combined(assign.round, assign.mode, edge_id as u32, frame.len());
+            write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode()))?;
+            write_frame(&mut stream, &frame)?;
         }
     }
 
@@ -408,89 +333,79 @@ impl EdgeAggregator {
     /// frames verbatim, collect and decode the slice's uploads, screen
     /// locally, and build the combined upload for the root.
     fn train_round(&mut self, round: u32, down: &[Vec<u8>]) -> EdgeCombined {
+        let next_round = self.cohorts.len() as u32;
         // The edge registered upstream before its clients registered
         // here; block once, like the root's `wait_for_clients`, so the
         // session's first round does not race the clients' joins.
         if !self.waited {
-            let deadline = std::time::Instant::now() + self.opts.join_timeout;
-            loop {
-                self.accept_pending();
-                if self.connected() == self.conns.len() || std::time::Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            self.peers
+                .wait_for(HelloRole::Client, self.opts.join_timeout, next_round);
             self.waited = true;
         }
-        self.accept_pending();
+        self.peers.accept_pending(next_round);
         let slice = self.cohort_slice(round);
         let mut faults = FaultRecord::for_sample(slice.len());
         // Clients the churn model schedules to leave mid-round never see
         // the broadcast — same filter the simulator and flat root apply.
-        let departures = churn_departures(&self.driver.cfg, round as usize, &slice);
+        let staying = ledger_departures(&self.driver.cfg, round as usize, &slice, &mut faults);
 
-        let mut participants: Vec<usize> = Vec::new();
-        for &id in &slice {
-            if departures.contains(&id) {
-                faults.push(id, FaultKind::Dropout);
-            } else if self.conn(id).is_some()
-                && self.send_assignment(id, round, RoundMode::Train, down)
-            {
-                participants.push(id);
-            } else {
-                *self.conn_mut(id) = None;
-                faults.push(id, FaultKind::Dropout);
-            }
-        }
-
-        let mut entries: Vec<EdgeEntry> = Vec::new();
+        // Screening and edge-side reduction read the dense delta; the
+        // stream fold at the root does not. Densify compressed uploads
+        // only when a cohort statistic will need them.
+        let exact = exact_composition(&self.driver.cfg.aggregator);
+        let densify = self.driver.cfg.screen.is_some() || !exact;
+        let mut events: Vec<(usize, FaultKind)> = Vec::new();
         let mut decoded: Vec<LocalOutcome> = Vec::new();
-        let mut collected: Vec<Collected> = Vec::new();
-        for &id in &participants {
-            match self.collect_upload(id, round) {
-                Ok(c) => {
-                    if c.meta.diverged {
-                        faults.push(id, FaultKind::LocalDivergence);
-                    }
-                    match self.driver.decode_client_upload(&c.meta, &c.frames) {
-                        Ok(mut d) => {
-                            // Screening and edge-side reduction read the
-                            // dense delta; the stream fold at the root
-                            // does not. Densify compressed uploads only
-                            // when a cohort statistic will need them.
-                            if self.driver.cfg.screen.is_some()
-                                || !exact_composition(&self.driver.cfg.aggregator)
-                            {
-                                d.densify();
-                            }
-                            decoded.push(d)
+        let mut collected: Vec<(LocalOutcome, Vec<Vec<u8>>)> = Vec::new();
+        let (phase, unreached) = Phase::begin(
+            &mut self.peers,
+            HelloRole::Client,
+            &staying,
+            round,
+            RoundMode::Train,
+            down,
+        );
+        let phase = Phase {
+            chaos: self.chaos.as_ref(),
+            ..phase
+        };
+        let driver = &self.driver;
+        let failures = gather(
+            &mut self.peers,
+            &phase,
+            sync_sink(|reply| {
+                let meta = meta_outcome(&reply.done);
+                if meta.diverged {
+                    events.push((reply.id, FaultKind::LocalDivergence));
+                }
+                match driver.decode_client_upload(&meta, &reply.frames) {
+                    Ok(mut d) => {
+                        if densify {
+                            d.densify();
                         }
-                        // TCP has no retry protocol — a damaged upload is
-                        // simply corrupt, never "retries exhausted" (that
-                        // counter belongs to the simulator's retry loop).
-                        Err(e) => faults.push(
-                            id,
-                            FaultKind::CorruptUpload {
-                                error: e.to_string(),
-                            },
-                        ),
+                        decoded.push(d)
                     }
-                    collected.push(c);
+                    Err(e) => events.push((
+                        reply.id,
+                        FaultKind::CorruptUpload {
+                            error: e.to_string(),
+                        },
+                    )),
                 }
-                Err(CollectFailure::Timeout) => {
-                    faults.push(id, FaultKind::DeadlineMissed);
-                    *self.conn_mut(id) = None;
-                }
-                Err(CollectFailure::Shutdown) | Err(CollectFailure::Disconnect) => {
-                    faults.push(id, FaultKind::Dropout);
-                    *self.conn_mut(id) = None;
-                }
-                Err(CollectFailure::Corrupt(error)) => {
-                    faults.push(id, FaultKind::CorruptUpload { error });
-                    *self.conn_mut(id) = None;
-                }
-            }
+                // The frames are kept for verbatim forwarding.
+                collected.push((meta, reply.frames));
+            }),
+        );
+        for id in unreached {
+            faults.push(id, FaultKind::Dropout);
         }
+        // A client's `Shutdown` is a dropout here; only the root ends a
+        // session.
+        ledger(&mut faults, events, failures);
+        // Completion order is arbitrary: the screen's medians and the
+        // reduction fold over the slice ascending by client id.
+        decoded.sort_by_key(|o| o.client_id);
+        collected.sort_by_key(|(meta, _)| meta.client_id);
 
         // The session's screen policy runs here, over this edge's slice —
         // the root never re-screens, so each upload is judged exactly
@@ -504,25 +419,22 @@ impl EdgeAggregator {
 
         // Exact composition forwards the survivors' original frames
         // verbatim; reduced composition collapses them into one summary.
-        let exact = exact_composition(&self.driver.cfg.aggregator);
         let survivor_ids: Vec<usize> = survivors.iter().map(|o| o.client_id).collect();
-        for c in &mut collected {
-            let frames = if exact && survivor_ids.contains(&c.meta.client_id) {
-                std::mem::take(&mut c.frames)
-            } else {
-                Vec::new()
-            };
-            entries.push(outcome_entry(&c.meta, 0.0, frames));
-        }
+        let entries = collected
+            .into_iter()
+            .map(|(meta, frames)| {
+                let forward = exact && survivor_ids.contains(&meta.client_id);
+                outcome_entry(&meta, 0.0, if forward { frames } else { Vec::new() })
+            })
+            .collect();
         let reduced = if exact || survivors.is_empty() {
             None
         } else {
             // The broadcast global the cohort trained against supplies
             // the control variate and buffer shape for the reduction.
-            match decode_download(&self.driver.cfg, down, self.driver.global.shared.len()) {
-                Ok(broadcast) => reduce_cohort(&self.driver.cfg, &survivors, &broadcast),
-                Err(_) => None,
-            }
+            decode_download(&self.driver.cfg, down, self.driver.global.shared.len())
+                .ok()
+                .and_then(|broadcast| reduce_cohort(&self.driver.cfg, &survivors, &broadcast))
         };
         if !exact && reduced.is_none() {
             faults.survivors = 0;
@@ -541,41 +453,30 @@ impl EdgeAggregator {
     /// connected client in the slice and collect their accuracies into
     /// bookkeeping-only entries.
     fn eval_round(&mut self, round: u32, down: &[Vec<u8>]) -> EdgeCombined {
-        self.accept_pending();
-        let ids: Vec<usize> = self.range.clone().collect();
-        let mut pending: Vec<usize> = Vec::new();
-        for &id in &ids {
-            if self.conn(id).is_none() {
-                continue;
-            }
-            if self.send_assignment(id, round, RoundMode::Eval, down) {
-                pending.push(id);
-            } else {
-                *self.conn_mut(id) = None;
-            }
-        }
-        let mut entries: Vec<EdgeEntry> = Vec::new();
-        for id in pending {
-            match self.collect_eval(id, round) {
-                Ok(accuracy) => entries.push(EdgeEntry {
-                    client_id: id as u32,
-                    n_samples: 0,
-                    tau: 0,
-                    diverged: false,
-                    keep_ratio: 0.0,
-                    flops_ratio: 0.0,
+        self.peers.accept_pending(self.cohorts.len() as u32);
+        let live = self.peers.live(HelloRole::Client);
+        let (phase, _) = Phase::begin(
+            &mut self.peers,
+            HelloRole::Client,
+            &live,
+            round,
+            RoundMode::Eval,
+            down,
+        );
+        let mut entries = Vec::new();
+        gather(
+            &mut self.peers,
+            &phase,
+            sync_sink(|reply| {
+                let accuracy = reply.done.accuracy;
+                entries.push(outcome_entry(
+                    &meta_outcome(&reply.done),
                     accuracy,
-                    bytes_download: 0,
-                    bytes_upload: 0,
-                    upload_payload: 0,
-                    upload_framed: 0,
-                    frames: Vec::new(),
-                }),
-                Err(_) => {
-                    *self.conn_mut(id) = None;
-                }
-            }
-        }
+                    Vec::new(),
+                ))
+            }),
+        );
+        entries.sort_by_key(|entry| entry.client_id);
         EdgeCombined {
             edge_id: self.opts.edge_id as u32,
             round,
@@ -583,226 +484,5 @@ impl EdgeAggregator {
             entries,
             reduced: None,
         }
-    }
-
-    fn conn(&self, global_id: usize) -> &Option<TcpStream> {
-        &self.conns[global_id - self.range.start]
-    }
-
-    fn conn_mut(&mut self, global_id: usize) -> &mut Option<TcpStream> {
-        &mut self.conns[global_id - self.range.start]
-    }
-
-    /// Accept and register every client connection currently pending on
-    /// the listener (same handshake the root runs, restricted to this
-    /// edge's id slice).
-    fn accept_pending(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = self.handshake(stream);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-    }
-
-    fn handshake(&mut self, mut stream: TcpStream) -> Result<(), NetError> {
-        stream.set_nonblocking(false)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(self.opts.io_timeout))?;
-        stream.set_write_timeout(Some(self.opts.io_timeout))?;
-        let frame = read_frame(&mut stream, self.opts.max_frame)?
-            .ok_or_else(|| NetError::Protocol("connection closed before Hello".into()))?;
-        let (msg, payload) = open(&frame)?;
-        if msg != MsgType::Hello {
-            return Err(NetError::Protocol(format!("expected Hello, got {msg:?}")));
-        }
-        let hello = Hello::decode(payload)?;
-        let id = hello.client_id as usize;
-        let accepted = hello.role == HelloRole::Client
-            && self.range.contains(&id)
-            && hello.fingerprint == self.fingerprint;
-        let verdict = Join {
-            accepted,
-            round: self.cohorts.len() as u32,
-        };
-        write_frame(&mut stream, &seal(MsgType::Join, &verdict.encode()))?;
-        if accepted {
-            *self.conn_mut(id) = Some(stream);
-            Ok(())
-        } else {
-            Err(NetError::Rejected)
-        }
-    }
-
-    /// Forward one assignment plus the download frames to one client;
-    /// returns whether every write succeeded.
-    fn send_assignment(
-        &mut self,
-        id: usize,
-        round: u32,
-        mode: RoundMode,
-        frames: &[Vec<u8>],
-    ) -> bool {
-        let assign = RoundAssign {
-            round,
-            mode,
-            n_frames: frames.len() as u32,
-        };
-        let stream = match self.conn_mut(id).as_mut() {
-            Some(s) => s,
-            None => return false,
-        };
-        if write_frame(stream, &seal(MsgType::RoundAssign, &assign.encode())).is_err() {
-            return false;
-        }
-        for f in frames {
-            if write_frame(stream, f).is_err() {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn classify(e: &StreamError) -> CollectFailure {
-        match e {
-            StreamError::Io(io)
-                if matches!(
-                    io.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                CollectFailure::Timeout
-            }
-            _ => CollectFailure::Disconnect,
-        }
-    }
-
-    /// Block (up to the round deadline) for one client's [`RoundDone`]
-    /// header, then read its upload frames.
-    fn collect_upload(&mut self, id: usize, round: u32) -> Result<Collected, CollectFailure> {
-        let max_frame = self.opts.max_frame;
-        let round_timeout = self.opts.round_timeout;
-        let stream = match self.conn_mut(id).as_mut() {
-            Some(s) => s,
-            None => return Err(CollectFailure::Disconnect),
-        };
-        if stream.set_read_timeout(Some(round_timeout)).is_err() {
-            return Err(CollectFailure::Disconnect);
-        }
-        let header = match read_frame(stream, max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Err(CollectFailure::Disconnect),
-            Err(e) => return Err(Self::classify(&e)),
-        };
-        let (msg, payload) = match open(&header) {
-            Ok(x) => x,
-            Err(_) => return Err(CollectFailure::Disconnect),
-        };
-        match msg {
-            MsgType::Shutdown => return Err(CollectFailure::Shutdown),
-            MsgType::RoundDone => {}
-            _ => return Err(CollectFailure::Disconnect),
-        }
-        let done = match RoundDone::decode(payload) {
-            Ok(d) => d,
-            Err(e) => return Err(CollectFailure::Corrupt(e.to_string())),
-        };
-        if done.round != round || done.client_id as usize != id || done.mode != RoundMode::Train {
-            return Err(CollectFailure::Disconnect);
-        }
-        let mut frames = Vec::with_capacity(done.n_frames as usize);
-        for _ in 0..done.n_frames {
-            match read_frame(stream, max_frame) {
-                Ok(Some(f)) => frames.push(f),
-                Ok(None) => return Err(CollectFailure::Disconnect),
-                Err(e) => return Err(Self::classify(&e)),
-            }
-        }
-        Ok(Collected {
-            meta: meta_outcome(&done),
-            frames,
-        })
-    }
-
-    /// Read one client's evaluation report.
-    fn collect_eval(&mut self, id: usize, round: u32) -> Result<f32, CollectFailure> {
-        let max_frame = self.opts.max_frame;
-        let round_timeout = self.opts.round_timeout;
-        let stream = match self.conn_mut(id).as_mut() {
-            Some(s) => s,
-            None => return Err(CollectFailure::Disconnect),
-        };
-        if stream.set_read_timeout(Some(round_timeout)).is_err() {
-            return Err(CollectFailure::Disconnect);
-        }
-        let frame = match read_frame(stream, max_frame) {
-            Ok(Some(f)) => f,
-            Ok(None) => return Err(CollectFailure::Disconnect),
-            Err(e) => return Err(Self::classify(&e)),
-        };
-        let (msg, payload) = match open(&frame) {
-            Ok(x) => x,
-            Err(_) => return Err(CollectFailure::Disconnect),
-        };
-        match msg {
-            MsgType::Shutdown => return Err(CollectFailure::Shutdown),
-            MsgType::RoundDone => {}
-            _ => return Err(CollectFailure::Disconnect),
-        }
-        let done = match RoundDone::decode(payload) {
-            Ok(d) => d,
-            Err(_) => return Err(CollectFailure::Disconnect),
-        };
-        if done.round != round || done.client_id as usize != id || done.mode != RoundMode::Eval {
-            return Err(CollectFailure::Disconnect);
-        }
-        Ok(done.accuracy)
-    }
-
-    /// Forward [`MsgType::Shutdown`] to every connected client so the
-    /// subtree exits cleanly.
-    fn shutdown_clients(&mut self) {
-        let bye = seal(MsgType::Shutdown, &[]);
-        for conn in self.conns.iter_mut() {
-            if let Some(stream) = conn.as_mut() {
-                let _ = write_frame(stream, &bye);
-            }
-            *conn = None;
-        }
-    }
-}
-
-/// Rebuild the bookkeeping half of a [`LocalOutcome`] from a client's
-/// [`RoundDone`] header (tensor fields stay empty until decode).
-fn meta_outcome(done: &RoundDone) -> LocalOutcome {
-    LocalOutcome {
-        client_id: done.client_id as usize,
-        n_samples: done.n_samples as usize,
-        tau: done.tau as usize,
-        delta: Vec::new(),
-        selected: None,
-        compressed: None,
-        control_delta: None,
-        velocity: None,
-        buffers: Vec::new(),
-        diverged: done.diverged,
-        masked: None,
-        fixed: None,
-        bytes: RoundBytes {
-            download: done.bytes_download,
-            upload: done.bytes_upload,
-        },
-        wire: WireBytes {
-            download_payload: 0,
-            download_framed: 0,
-            upload_payload: done.upload_payload,
-            upload_framed: done.upload_framed,
-        },
-        frames: Vec::new(),
-        keep_ratio: done.keep_ratio,
-        flops_ratio: done.flops_ratio,
     }
 }

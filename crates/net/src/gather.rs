@@ -1,204 +1,104 @@
-//! Concurrent upload collection for the flat coordinator (DESIGN.md
-//! §12): one non-blocking state machine per connection, driven by the
-//! coordinator's readiness sweep.
+//! The one way `spatl-net` collects replies (DESIGN.md §10): a reply
+//! parser, a per-connection frame-assembly state machine, and the
+//! concurrent gather that sweeps a phase's peers under one deadline.
 //!
-//! Each sampled connection advances `Header → Parked → Frames` as bytes
-//! arrive: the [`RoundDone`] header is assembled first (it carries the
-//! frame count and the client's bookkeeping), then the upload's data
-//! frames. The *admission window* sits between the two: a connection
-//! whose header arrived holds its frames in the kernel socket buffer
-//! until the sweep grants it a slot, so at most `window` uploads are
-//! ever buffered in coordinator memory at once — TCP receive-window
-//! backpressure bounds the senders, and the round's memory stays
-//! O(window · upload), independent of cohort size.
-//!
-//! Failure classification mirrors the blocking collector's exactly, so
-//! the fault ledger is transport-shape-independent: a vanished or
-//! protocol-confused stream is a `Disconnect`, a `Shutdown` frame is a
-//! shutdown request, and a header that frames correctly but fails to
-//! decode is `Corrupt`.
+//! Every reply has the same shape on the wire — a [`RoundDone`] header
+//! announcing `n_frames`, then that many sealed frames: a client upload
+//! (`k` frames), an edge's combined reply (one `EdgeCombined` frame), an
+//! evaluation report (none). Each connection advances
+//! `Header → parked → frames` as bytes arrive. The *admission window*
+//! sits after the header: a connection whose header arrived leaves its
+//! frames in the kernel socket buffer until a slot is free, so at most
+//! `window` replies are buffered in memory at once — TCP receive-window
+//! backpressure bounds the senders, independent of cohort size.
 
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
-use spatl_fl::{LocalOutcome, RoundBytes, WireBytes};
+use spatl_fl::{ChaosInjector, FaultKind, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
 use spatl_wire::{open, FramePoll, FrameReader, MsgType};
 
-use crate::proto::{RoundDone, RoundMode};
+use crate::peers::PeerTable;
+use crate::proto::{HelloRole, RoundDone, RoundMode};
 
-/// Why collecting one client's upload failed.
+/// Why a peer's reply did not reach the sink.
+#[derive(Debug)]
 pub(crate) enum CollectFailure {
-    /// The connection produced no complete reply before the round
-    /// deadline; the client may still be training.
+    /// No complete reply before the phase deadline; the peer may still
+    /// be training.
     Timeout,
-    /// The connection is gone (EOF, reset, write failure, or a stream
-    /// that stopped making protocol sense).
+    /// The connection is gone (EOF, reset, write failure), the stream
+    /// stopped making protocol sense (wrong round, id or mode), or the
+    /// quorum committed the phase without this peer.
     Disconnect,
-    /// The client sent a `Shutdown` frame instead of an upload.
+    /// The peer sent a `Shutdown` frame instead of a reply.
     Shutdown,
-    /// The reply arrived intact at the framing layer but its payload was
-    /// rejected by the decode path (CRC or codec failure).
+    /// A `RoundDone` arrived intact at the framing layer but its payload
+    /// did not decode.
     Corrupt(String),
+    /// A complete reply arrived after this peer's reply for the phase was
+    /// already handed over; the copy was discarded.
+    Duplicate,
 }
 
-/// What one readiness-sweep poll of a connection produced.
-pub(crate) enum GatherPoll {
-    /// The socket would block and nothing new arrived.
-    Idle,
-    /// Bytes arrived (or the state advanced) but the reply is still
-    /// incomplete.
-    Progress,
-    /// The complete upload arrived: header bookkeeping plus every frame.
-    Upload(Box<LocalOutcome>, Vec<Vec<u8>>),
-    /// The connection failed; the sweep ledgers it and moves on.
-    Failed(CollectFailure),
-}
-
-enum GatherState {
-    /// Assembling the [`RoundDone`] header frame.
-    Header,
-    /// Header decoded, admission window full: the upload's frames wait
-    /// in the kernel socket buffer until [`ConnGather::admit`].
-    Parked {
-        meta: LocalOutcome,
-        remaining: usize,
-    },
-    /// Admitted: assembling `remaining` more upload frames.
-    Frames {
-        meta: LocalOutcome,
-        remaining: usize,
-        frames: Vec<Vec<u8>>,
-    },
-}
-
-/// One connection's upload collection state across readiness sweeps.
-pub(crate) struct ConnGather {
-    reader: FrameReader,
-    state: GatherState,
-}
-
-impl ConnGather {
-    /// A fresh collector enforcing `max_frame` on every assembled frame.
-    pub(crate) fn new(max_frame: usize) -> Self {
-        ConnGather {
-            reader: FrameReader::new(max_frame),
-            state: GatherState::Header,
+impl From<CollectFailure> for FaultKind {
+    fn from(failure: CollectFailure) -> Self {
+        match failure {
+            CollectFailure::Timeout => FaultKind::DeadlineMissed,
+            CollectFailure::Disconnect | CollectFailure::Shutdown => FaultKind::Dropout,
+            // TCP retransmits damaged segments itself, so there is no
+            // retry protocol here: corrupt is corrupt, full stop
+            // (`RetriesExhausted` belongs to the simulator's retry loop).
+            CollectFailure::Corrupt(error) => FaultKind::CorruptUpload { error },
+            CollectFailure::Duplicate => FaultKind::DuplicateUpload,
         }
     }
+}
 
-    /// Whether the header arrived and the connection is waiting for an
-    /// admission slot.
-    pub(crate) fn parked(&self) -> bool {
-        matches!(self.state, GatherState::Parked { .. })
+/// Whether any peer answered a phase with a `Shutdown` request.
+pub(crate) fn shutdown_requested(failures: &[(usize, CollectFailure)]) -> bool {
+    failures
+        .iter()
+        .any(|(_, f)| matches!(f, CollectFailure::Shutdown))
+}
+
+/// Ledger one phase: the sink's own `events` (completion order) and the
+/// gather's `failures`, merged ascending by peer id so the ledger is
+/// arrival-order-independent. The sort is stable: a client's own events
+/// keep their causal order. Returns whether a peer requested shutdown.
+pub(crate) fn ledger(
+    faults: &mut FaultRecord,
+    mut events: Vec<(usize, FaultKind)>,
+    failures: Vec<(usize, CollectFailure)>,
+) -> bool {
+    let shutdown = shutdown_requested(&failures);
+    events.extend(failures.into_iter().map(|(id, f)| (id, f.into())));
+    events.sort_by_key(|(id, _)| *id);
+    for (id, kind) in events {
+        faults.push(id, kind);
     }
+    shutdown
+}
 
-    /// Whether this connection holds an admission slot (it is assembling
-    /// upload frames in coordinator memory). Used by the sweep to return
-    /// the slot if the connection fails mid-assembly.
-    pub(crate) fn assembling(&self) -> bool {
-        matches!(self.state, GatherState::Frames { .. })
-    }
-
-    /// Grant a parked connection its admission slot: its upload frames
-    /// may now be read into memory.
-    pub(crate) fn admit(&mut self) {
-        if let GatherState::Parked { meta, remaining } =
-            std::mem::replace(&mut self.state, GatherState::Header)
-        {
-            self.state = GatherState::Frames {
-                meta,
-                remaining,
-                frames: Vec::with_capacity(remaining),
-            };
+/// Turn one frame into the reply header expected from peer `id` in
+/// `mode` of `round`.
+fn parse_reply(
+    frame: &[u8],
+    round: u32,
+    id: usize,
+    mode: RoundMode,
+) -> Result<RoundDone, CollectFailure> {
+    let done = match open(frame) {
+        Ok((MsgType::RoundDone, payload)) => {
+            RoundDone::decode(payload).map_err(|e| CollectFailure::Corrupt(e.to_string()))?
         }
+        Ok((MsgType::Shutdown, _)) => return Err(CollectFailure::Shutdown),
+        _ => return Err(CollectFailure::Disconnect),
+    };
+    if done.round != round || done.client_id as usize != id || done.mode != mode {
+        return Err(CollectFailure::Disconnect);
     }
-
-    /// Advance this connection with whatever `stream` can deliver
-    /// without blocking. Returns at the first would-block, completed
-    /// upload, or failure; call once per sweep.
-    pub(crate) fn poll(&mut self, stream: &mut TcpStream, round: u32, id: usize) -> GatherPoll {
-        let mut progressed = false;
-        loop {
-            match &mut self.state {
-                GatherState::Parked { .. } => {
-                    return if progressed {
-                        GatherPoll::Progress
-                    } else {
-                        GatherPoll::Idle
-                    };
-                }
-                GatherState::Header => match self.reader.poll(stream) {
-                    Ok(FramePoll::Pending) => {
-                        return if progressed {
-                            GatherPoll::Progress
-                        } else {
-                            GatherPoll::Idle
-                        };
-                    }
-                    Ok(FramePoll::Eof) | Err(_) => {
-                        return GatherPoll::Failed(CollectFailure::Disconnect)
-                    }
-                    Ok(FramePoll::Frame(frame)) => {
-                        progressed = true;
-                        let (msg, payload) = match open(&frame) {
-                            Ok(x) => x,
-                            Err(_) => return GatherPoll::Failed(CollectFailure::Disconnect),
-                        };
-                        match msg {
-                            MsgType::Shutdown => {
-                                return GatherPoll::Failed(CollectFailure::Shutdown)
-                            }
-                            MsgType::RoundDone => {}
-                            _ => return GatherPoll::Failed(CollectFailure::Disconnect),
-                        }
-                        let done = match RoundDone::decode(payload) {
-                            Ok(d) => d,
-                            Err(e) => {
-                                return GatherPoll::Failed(CollectFailure::Corrupt(e.to_string()))
-                            }
-                        };
-                        if done.round != round
-                            || done.client_id as usize != id
-                            || done.mode != RoundMode::Train
-                        {
-                            return GatherPoll::Failed(CollectFailure::Disconnect);
-                        }
-                        self.state = GatherState::Parked {
-                            remaining: done.n_frames as usize,
-                            meta: meta_outcome(&done),
-                        };
-                    }
-                },
-                GatherState::Frames {
-                    remaining, frames, ..
-                } => {
-                    if *remaining == 0 {
-                        let state = std::mem::replace(&mut self.state, GatherState::Header);
-                        let GatherState::Frames { meta, frames, .. } = state else {
-                            unreachable!("state was just matched as Frames");
-                        };
-                        return GatherPoll::Upload(Box::new(meta), frames);
-                    }
-                    match self.reader.poll(stream) {
-                        Ok(FramePoll::Pending) => {
-                            return if progressed {
-                                GatherPoll::Progress
-                            } else {
-                                GatherPoll::Idle
-                            };
-                        }
-                        Ok(FramePoll::Eof) | Err(_) => {
-                            return GatherPoll::Failed(CollectFailure::Disconnect)
-                        }
-                        Ok(FramePoll::Frame(f)) => {
-                            progressed = true;
-                            frames.push(f);
-                            *remaining -= 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
+    Ok(done)
 }
 
 /// Rebuild the bookkeeping half of a [`LocalOutcome`] from a client's
@@ -232,4 +132,394 @@ pub(crate) fn meta_outcome(done: &RoundDone) -> LocalOutcome {
         keep_ratio: done.keep_ratio,
         flops_ratio: done.flops_ratio,
     }
+}
+
+/// What one poll of a connection produced.
+enum GatherPoll {
+    /// The socket would block and nothing new arrived.
+    Idle,
+    /// Bytes arrived but the reply is still incomplete.
+    Progress,
+    /// The complete reply: header plus every announced frame.
+    Reply(RoundDone, Vec<Vec<u8>>),
+    /// The connection failed.
+    Failed(CollectFailure),
+}
+
+impl GatherPoll {
+    fn waiting(progressed: bool) -> Self {
+        if progressed {
+            GatherPoll::Progress
+        } else {
+            GatherPoll::Idle
+        }
+    }
+}
+
+/// One connection's reply assembly across sweeps.
+struct ConnGather {
+    reader: FrameReader,
+    /// The reply header, once it arrived.
+    head: Option<RoundDone>,
+    frames: Vec<Vec<u8>>,
+    /// Whether this connection holds an admission slot.
+    admitted: bool,
+}
+
+impl ConnGather {
+    fn new(max_frame: usize) -> Self {
+        ConnGather {
+            reader: FrameReader::new(max_frame),
+            head: None,
+            frames: Vec::new(),
+            admitted: false,
+        }
+    }
+
+    /// Advance with whatever `stream` can deliver without blocking, up
+    /// to the first would-block, completed reply or failure. Past its
+    /// header the connection takes one of the `window` admission slots
+    /// (counted in `in_flight`) or parks until one frees up.
+    fn poll(
+        &mut self,
+        stream: &mut TcpStream,
+        (round, id, mode): (u32, usize, RoundMode),
+        in_flight: &mut usize,
+        window: usize,
+    ) -> GatherPoll {
+        let mut progressed = false;
+        loop {
+            if let Some(done) = self.head {
+                if !self.admitted {
+                    if *in_flight >= window {
+                        return GatherPoll::waiting(progressed);
+                    }
+                    *in_flight += 1;
+                    self.admitted = true;
+                }
+                if self.frames.len() == done.n_frames as usize {
+                    self.head = None;
+                    self.admitted = false;
+                    return GatherPoll::Reply(done, std::mem::take(&mut self.frames));
+                }
+            }
+            match self.reader.poll(stream) {
+                Ok(FramePoll::Pending) => return GatherPoll::waiting(progressed),
+                Ok(FramePoll::Eof) | Err(_) => {
+                    return GatherPoll::Failed(CollectFailure::Disconnect)
+                }
+                Ok(FramePoll::Frame(frame)) if self.head.is_some() => self.frames.push(frame),
+                Ok(FramePoll::Frame(frame)) => match parse_reply(&frame, round, id, mode) {
+                    Ok(done) => self.head = Some(done),
+                    Err(failure) => return GatherPoll::Failed(failure),
+                },
+            }
+            progressed = true;
+        }
+    }
+}
+
+/// One completed reply, as handed to a gather's sink.
+pub(crate) struct Reply {
+    /// The peer that sent it.
+    pub(crate) id: usize,
+    /// The reply header.
+    pub(crate) done: RoundDone,
+    /// The `done.n_frames` sealed frames that followed it.
+    pub(crate) frames: Vec<Vec<u8>>,
+}
+
+/// What a gather collects: one reply phase of one round.
+pub(crate) struct Phase<'a> {
+    /// The peers whose replies are awaited, ascending.
+    pub(crate) ids: Vec<usize>,
+    /// Which kind of peer they are.
+    pub(crate) role: HelloRole,
+    /// The round being answered.
+    pub(crate) round: u32,
+    /// The mode being answered.
+    pub(crate) mode: RoundMode,
+    /// The assignment's broadcast frames, resent to a client peer that
+    /// reconnects mid-phase.
+    pub(crate) frames: &'a [Vec<u8>],
+    /// The one deadline of the phase: whoever has not completed framing
+    /// by then missed it.
+    pub(crate) deadline: Instant,
+    /// Settled replies that commit the phase early, cutting the rest
+    /// (the peer count waits for everyone).
+    pub(crate) quorum: usize,
+    /// Replies buffered outside the kernel at once: admitted assemblies
+    /// plus replies the sink has not settled — the phase's memory
+    /// ceiling.
+    pub(crate) window: usize,
+    /// The chaos schedule the peers inject into this phase's replies
+    /// (client train phases of a chaos session): duplicated copies are
+    /// awaited so their ledger entries are deterministic, and a reset
+    /// connection keeps its slot open for the in-phase retry.
+    pub(crate) chaos: Option<&'a ChaosInjector>,
+}
+
+impl<'a> Phase<'a> {
+    /// Start a phase: write the assignment (`frames` behind a
+    /// `RoundAssign`) to every peer of `ids`, ascending, before any
+    /// reply is awaited. The phase waits for every peer reached, under
+    /// the table's `round_timeout` from now; callers adjust `quorum`,
+    /// `window` and `chaos`. Also returns the peers *not* reached (now
+    /// dropped from the table).
+    pub(crate) fn begin(
+        peers: &mut PeerTable,
+        role: HelloRole,
+        ids: &[usize],
+        round: u32,
+        mode: RoundMode,
+        frames: &'a [Vec<u8>],
+    ) -> (Self, Vec<usize>) {
+        let deadline = Instant::now() + peers.round_timeout;
+        let (ids, unreached): (Vec<usize>, Vec<usize>) = ids
+            .iter()
+            .partition(|&&id| peers.send_assignment(role, id, round, mode, frames));
+        let phase = Phase {
+            quorum: ids.len(),
+            ids,
+            role,
+            round,
+            mode,
+            frames,
+            deadline,
+            window: window(0),
+            chaos: None,
+        };
+        (phase, unreached)
+    }
+}
+
+/// The admission window for a sink that keeps `workers` replies in
+/// flight (zero for a sink that settles each reply before returning).
+pub(crate) fn window(workers: usize) -> usize {
+    4 * workers + 16
+}
+
+/// Adapt a sink that settles each reply before it returns.
+pub(crate) fn sync_sink(mut sink: impl FnMut(Reply)) -> impl FnMut(Option<Reply>) -> usize {
+    move |reply| match reply {
+        Some(reply) => {
+            sink(reply);
+            1
+        }
+        None => 0,
+    }
+}
+
+/// One peer's collection state across sweeps.
+struct Slot {
+    id: usize,
+    conn: ConnGather,
+    /// Still being gathered.
+    open: bool,
+    /// Reply copies still expected: one, plus one more when the chaos
+    /// plan schedules a duplicated retransmit.
+    copies: usize,
+    /// A reply was handed to the sink; any further complete copy is a
+    /// retransmit, discarded by this per-(round, peer) idempotence guard.
+    submitted: bool,
+    /// A failure was recorded; the slot must not reopen on reconnect.
+    faulted: bool,
+}
+
+/// Collect the replies to one phase. A non-blocking sweep drives one
+/// state machine per connection and hands each completed reply to `sink`
+/// the moment its last frame arrives — completion order, so a sink must
+/// not depend on it. `sink(Some(reply))` takes a reply and `sink(None)` is called once
+/// per sweep; both return how many replies handed over so far have
+/// *settled* since the last call, which frees their admission slots and
+/// counts towards the quorum. The phase never hangs on one peer: the
+/// deadline, or the quorum, ledgers whoever is missing. Returns the
+/// failures, ascending by peer id.
+///
+/// Client peers that reconnect mid-phase are re-registered, sent the
+/// assignment again and gathered afresh unless a failure is already on
+/// record — a reply that then repeats one already handed over is a
+/// [`CollectFailure::Duplicate`]. Edge peers never reopen (an edge has
+/// no reply cache), and nothing is accepted while gathering them.
+pub(crate) fn gather(
+    peers: &mut PeerTable,
+    phase: &Phase,
+    mut sink: impl FnMut(Option<Reply>) -> usize,
+) -> Vec<(usize, CollectFailure)> {
+    let Phase {
+        role, round, mode, ..
+    } = *phase;
+    let ids = &phase.ids;
+    let max_frame = peers.max_frame;
+    let copies = |id| {
+        let dup = phase
+            .chaos
+            .is_some_and(|c| c.duplicates_upload(round as usize, id));
+        1 + usize::from(dup)
+    };
+    let mut failures: Vec<(usize, CollectFailure)> = Vec::new();
+    let mut slots: Vec<Slot> = ids
+        .iter()
+        .map(|&id| Slot {
+            id,
+            conn: ConnGather::new(max_frame),
+            open: true,
+            copies: copies(id),
+            submitted: false,
+            faulted: false,
+        })
+        .collect();
+    let mut gathering = slots.len();
+    // Admission slots held: assembling connections plus unsettled replies.
+    let mut in_flight = 0usize;
+    let mut settled = 0usize;
+
+    let nonblocking = |peers: &mut PeerTable, id: usize, on: bool| {
+        let ok = peers
+            .stream(role, id)
+            .is_some_and(|s| s.set_nonblocking(on).is_ok());
+        if !ok {
+            peers.drop_peer(role, id);
+        }
+    };
+    for &id in ids {
+        nonblocking(peers, id, true);
+    }
+
+    while gathering > 0 || in_flight > 0 {
+        let mut progressed = false;
+
+        if role == HelloRole::Client {
+            for (joined, id) in peers.accept_pending(round) {
+                let found = ids.binary_search(&id).ok().filter(|_| joined == role);
+                let Some(slot) = found.map(|k| &mut slots[k]).filter(|s| !s.faulted) else {
+                    continue;
+                };
+                progressed = true;
+                if slot.conn.admitted {
+                    in_flight -= 1;
+                }
+                if !slot.open {
+                    slot.open = true;
+                    gathering += 1;
+                }
+                // The peer re-runs its chaos schedule on the retry, so
+                // the expected copy count resets with the assembly.
+                slot.conn = ConnGather::new(max_frame);
+                slot.copies = copies(id);
+                if peers.send_assignment(role, id, round, mode, phase.frames) {
+                    nonblocking(peers, id, true);
+                }
+            }
+        }
+
+        let n = sink(None);
+        in_flight -= n;
+        settled += n;
+        progressed |= n > 0;
+
+        // Quorum commit: cut the stragglers. A slot that already
+        // submitted stays open — it is only draining a scheduled
+        // duplicate whose bytes are in flight, and severing it would
+        // desync the peer for the next phase.
+        let committed = gathering > 0 && settled >= phase.quorum;
+        let expired = gathering > 0 && Instant::now() >= phase.deadline;
+        if committed || expired {
+            for slot in slots.iter_mut().filter(|s| s.open) {
+                if slot.submitted && !expired {
+                    continue;
+                }
+                progressed = true;
+                slot.open = false;
+                gathering -= 1;
+                if slot.conn.admitted {
+                    in_flight -= 1;
+                }
+                slot.faulted = true;
+                peers.drop_peer(role, slot.id);
+                // A submitted slot the deadline closes was only waiting
+                // on its duplicate copy: nothing to ledger.
+                if !slot.submitted {
+                    let why = if expired {
+                        CollectFailure::Timeout
+                    } else {
+                        CollectFailure::Disconnect
+                    };
+                    failures.push((slot.id, why));
+                }
+            }
+        }
+
+        for slot in slots.iter_mut().filter(|s| s.open) {
+            let id = slot.id;
+            let polled = match peers.stream(role, id) {
+                Some(stream) => {
+                    slot.conn
+                        .poll(stream, (round, id, mode), &mut in_flight, phase.window)
+                }
+                // A chaos session expects resets: the slot waits for the
+                // reconnect, bounded by the deadline and the quorum cut.
+                None if phase.chaos.is_some() => continue,
+                None => GatherPoll::Failed(CollectFailure::Disconnect),
+            };
+            let failure = match polled {
+                GatherPoll::Idle => continue,
+                GatherPoll::Progress => {
+                    progressed = true;
+                    continue;
+                }
+                GatherPoll::Reply(..) if slot.submitted => {
+                    in_flight -= 1;
+                    CollectFailure::Duplicate
+                }
+                GatherPoll::Reply(done, frames) => {
+                    progressed = true;
+                    slot.submitted = true;
+                    slot.copies -= 1;
+                    if slot.copies == 0 {
+                        slot.open = false;
+                        gathering -= 1;
+                    }
+                    // The admission slot passes from the assembly to the
+                    // sink; it frees when the reply settles.
+                    let n = sink(Some(Reply { id, done, frames }));
+                    in_flight -= n;
+                    settled += n;
+                    continue;
+                }
+                GatherPoll::Failed(failure) => {
+                    if slot.conn.admitted {
+                        in_flight -= 1;
+                    }
+                    slot.conn = ConnGather::new(max_frame);
+                    failure
+                }
+            };
+            progressed = true;
+            if phase.chaos.is_some() && matches!(failure, CollectFailure::Disconnect) {
+                // A scheduled reset: drop the stream, keep the slot.
+                peers.drop_peer(role, id);
+                continue;
+            }
+            slot.open = false;
+            gathering -= 1;
+            slot.faulted = true;
+            // A duplicate leaves the stream in sync for the next phase.
+            if !matches!(failure, CollectFailure::Duplicate) {
+                peers.drop_peer(role, id);
+            }
+            failures.push((id, failure));
+        }
+
+        if !progressed {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    // Back to blocking mode for the next phase's writes.
+    for &id in ids {
+        nonblocking(peers, id, false);
+    }
+    failures.sort_by_key(|(id, _)| *id);
+    failures
 }

@@ -10,13 +10,26 @@
 //!
 //! Architecture (DESIGN.md §10 is the narrative version):
 //!
-//! * [`Coordinator`] — binds a listener, registers client nodes via the
-//!   control-plane handshake ([`proto::Hello`]/[`proto::Join`]), then
-//!   drives rounds: broadcast the sealed global state, collect uploads
-//!   behind a round barrier with per-connection deadlines, screen and
-//!   aggregate through the shared driver. A client that disconnects or
-//!   misses its deadline becomes a ledgered
-//!   [`FaultRecord`](spatl_fl::FaultRecord) entry, never a hang.
+//! * One networked round. The flat root, the tiered root, its failover
+//!   lane and the edge all put a round on sockets the same way: a peer
+//!   table (listener, registered connections, the handshake, the
+//!   assignment writer), a reply parser (frame → [`RoundDone`] or a
+//!   classified failure) and a concurrent gather that collects every
+//!   reply of a phase — uploads, an edge's combined frame, evaluation
+//!   reports — under one phase deadline, with upload dedup and in-round
+//!   reconnect. A peer that disconnects or misses the deadline becomes
+//!   a ledgered [`FaultRecord`](spatl_fl::FaultRecord) entry, never a
+//!   hang.
+//! * [`Coordinator`] — the root: registers nodes via the control-plane
+//!   handshake ([`proto::Hello`]/[`proto::Join`]), then drives rounds:
+//!   broadcast the sealed global state, gather, screen and aggregate
+//!   through the shared driver, evaluate, record.
+//! * [`EdgeAggregator`] — the middle tier of a 2-level tree (DESIGN.md
+//!   §11): terminates one [`edge_partition`](spatl_fl::edge_partition)
+//!   slice of the clients, screens and combines their uploads locally,
+//!   and forwards one weight-carrying
+//!   [`EdgeCombined`](spatl_wire::EdgeCombined) frame to the root per
+//!   round.
 //! * [`ClientNode`] — owns one [`ClientState`](spatl_fl::ClientState),
 //!   connects with capped exponential backoff (and reconnects after a
 //!   coordinator restart, preserving client-side state), trains on
@@ -24,13 +37,6 @@
 //! * [`proto`] — the control-plane payload codecs
 //!   (`Hello`/`Join`/`RoundAssign`/`RoundDone`; `Shutdown` is an empty
 //!   payload).
-//!
-//! * [`EdgeAggregator`] — the middle tier of a 2-level tree (DESIGN.md
-//!   §11): terminates one [`edge_partition`](spatl_fl::edge_partition)
-//!   slice of the clients, screens and combines their uploads locally,
-//!   and forwards one weight-carrying
-//!   [`EdgeCombined`](spatl_wire::EdgeCombined) frame to the root per
-//!   round.
 //!
 //! The binaries `spatl-server`, `spatl-client` and `spatl-edge` wrap the
 //! endpoints for multi-process runs; see the README quickstart.
@@ -47,6 +53,7 @@ pub mod coordinator;
 pub mod edge;
 mod gather;
 pub mod node;
+mod peers;
 pub mod proto;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, Topology};

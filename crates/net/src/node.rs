@@ -31,6 +31,85 @@ use crate::proto::{
 };
 use crate::NetError;
 
+/// Capped exponential reconnect delay after `failures` consecutive
+/// failed dials: `base` doubling per failure, at most `cap`.
+pub(crate) fn backoff(base: Duration, cap: Duration, failures: u32) -> Duration {
+    let exp = failures.saturating_sub(1).min(16);
+    base.saturating_mul(1u32 << exp).min(cap)
+}
+
+/// Register with the upstream endpoint on a fresh connection: send
+/// `hello`, await the [`Join`] verdict. The handshake is bounded by
+/// `io_timeout` — a listener that accepted the dial but never answers
+/// must not park the node forever. Once registered, writes keep the
+/// deadline and reads block freely: the gap until the next assignment is
+/// bounded by the cohort's slowest trainer, and a dead upstream surfaces
+/// as EOF, not a hang.
+pub(crate) fn register(
+    stream: &mut TcpStream,
+    hello: Hello,
+    io_timeout: Duration,
+    max_frame: usize,
+) -> Result<(), NetError> {
+    stream.set_nodelay(true)?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    write_frame(stream, &seal(MsgType::Hello, &hello.encode()))?;
+    let frame = read_frame(stream, max_frame)?
+        .ok_or_else(|| NetError::Protocol("connection closed before Join".into()))?;
+    let (msg, payload) = open(&frame)?;
+    if msg != MsgType::Join {
+        return Err(NetError::Protocol(format!("expected Join, got {msg:?}")));
+    }
+    if !Join::decode(payload)?.accepted {
+        return Err(NetError::Rejected);
+    }
+    stream.set_read_timeout(None)?;
+    Ok(())
+}
+
+/// What a registered endpoint read next from its upstream.
+pub(crate) enum Upstream {
+    /// [`MsgType::Shutdown`]: the session is over.
+    Shutdown,
+    /// The connection broke (EOF or a torn frame); reconnect.
+    Lost,
+    /// A round assignment and the broadcast frames that followed it.
+    Assign(RoundAssign, Vec<Vec<u8>>),
+    /// Any other control message, with its payload.
+    Other(MsgType, Vec<u8>),
+}
+
+/// Block for the upstream's next control message; an assignment is read
+/// whole, broadcast frames included.
+pub(crate) fn read_upstream(
+    stream: &mut TcpStream,
+    max_frame: usize,
+) -> Result<Upstream, NetError> {
+    let frame = match read_frame(stream, max_frame) {
+        Ok(Some(f)) => f,
+        Ok(None) => return Ok(Upstream::Lost),
+        Err(e) if e.is_transport_corruption() => return Ok(Upstream::Lost),
+        Err(e) => return Err(e.into()),
+    };
+    let (msg, payload) = open(&frame)?;
+    match msg {
+        MsgType::Shutdown => Ok(Upstream::Shutdown),
+        MsgType::RoundAssign => {
+            let assign = RoundAssign::decode(payload)?;
+            let mut frames = Vec::new();
+            for _ in 0..assign.n_frames {
+                match read_frame(stream, max_frame)? {
+                    Some(f) => frames.push(f),
+                    None => return Ok(Upstream::Lost),
+                }
+            }
+            Ok(Upstream::Assign(assign, frames))
+        }
+        other => Ok(Upstream::Other(other, payload.to_vec())),
+    }
+}
+
 /// Tunables of a [`ClientNode`].
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -102,7 +181,6 @@ pub struct NodeReport {
 /// client's state from what the simulator (and the pre-crash run) would
 /// hold.
 struct TrainReply {
-    round: u32,
     done: RoundDone,
     frames: Vec<Vec<u8>>,
 }
@@ -166,14 +244,6 @@ impl ClientNode {
         p
     }
 
-    fn backoff(&self, consecutive_failures: u32) -> Duration {
-        let exp = consecutive_failures.saturating_sub(1).min(16);
-        self.opts
-            .backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(self.opts.backoff_cap)
-    }
-
     /// Serve until the coordinator shuts the session down. Reconnects
     /// with capped exponential backoff on connection loss; gives up after
     /// `max_reconnects` consecutive failures. With a `fallback_addr`
@@ -224,7 +294,8 @@ impl ClientNode {
             // cost a dead edge's clients the rest of the round they are
             // failing over into. Backoff applies only after failed dials.
             if failures > 0 {
-                std::thread::sleep(self.backoff(failures));
+                let (base, cap) = (self.opts.backoff_base, self.opts.backoff_cap);
+                std::thread::sleep(backoff(base, cap, failures));
             }
         }
     }
@@ -232,47 +303,24 @@ impl ClientNode {
     /// One connection's lifetime: handshake, then serve assignments until
     /// shutdown or disconnect.
     fn session(&mut self, mut stream: TcpStream, fingerprint: u64) -> Result<SessionEnd, NetError> {
-        stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(self.opts.write_timeout))?;
-        stream.set_read_timeout(Some(self.opts.write_timeout))?;
         let hello = Hello {
             client_id: self.state.id as u32,
             fingerprint,
             role: HelloRole::Client,
         };
-        write_frame(&mut stream, &seal(MsgType::Hello, &hello.encode()))?;
-        let frame = read_frame(&mut stream, self.opts.max_frame)?
-            .ok_or_else(|| NetError::Protocol("connection closed before Join".into()))?;
-        let (msg, payload) = open(&frame)?;
-        if msg != MsgType::Join {
-            return Err(NetError::Protocol(format!("expected Join, got {msg:?}")));
-        }
-        if !Join::decode(payload)?.accepted {
-            return Err(NetError::Rejected);
-        }
-        // Registered: from here on the gap until the next assignment is
-        // bounded by the cohort's slowest trainer, so reads block freely.
-        stream.set_read_timeout(None)?;
+        let (io_timeout, max_frame) = (self.opts.write_timeout, self.opts.max_frame);
+        register(&mut stream, hello, io_timeout, max_frame)?;
         if self.registered {
             self.report.reconnects += 1;
         }
         self.registered = true;
 
         loop {
-            let frame = match read_frame(&mut stream, self.opts.max_frame) {
-                Ok(Some(f)) => f,
-                Ok(None) => return Ok(SessionEnd::Lost),
-                Err(e) => {
-                    if e.is_transport_corruption() {
-                        return Ok(SessionEnd::Lost);
-                    }
-                    return Err(e.into());
-                }
-            };
-            let (msg, payload) = open(&frame)?;
-            match msg {
-                MsgType::Shutdown => return Ok(SessionEnd::Shutdown),
-                MsgType::UnmaskRequest => {
+            let (assign, frames) = match read_upstream(&mut stream, max_frame)? {
+                Upstream::Shutdown => return Ok(SessionEnd::Shutdown),
+                Upstream::Lost => return Ok(SessionEnd::Lost),
+                Upstream::Assign(assign, frames) => (assign, frames),
+                Upstream::Other(MsgType::UnmaskRequest, payload) => {
                     // Masked dropout repair (DESIGN.md §15): the
                     // coordinator lost cohort members after they derived
                     // pairwise masks, and asks this survivor to reveal
@@ -287,158 +335,93 @@ impl ClientNode {
                             ))
                         }
                     };
-                    let (round, dropped) = decode_unmask_request(payload)?;
+                    let (round, dropped) = decode_unmask_request(&payload)?;
+                    let id = self.state.id;
                     let shares: Vec<_> = dropped
                         .iter()
-                        .filter(|&&d| d as usize != self.state.id)
-                        .map(|&d| {
-                            spatl_fl::unmask_share(
-                                &privacy,
-                                round as usize,
-                                self.state.id,
-                                d as usize,
-                            )
-                        })
+                        .filter(|&&d| d as usize != id)
+                        .map(|&d| spatl_fl::unmask_share(&privacy, round as usize, id, d as usize))
                         .collect();
                     write_frame(
                         &mut stream,
                         &seal(MsgType::UnmaskShare, &encode_unmask_shares(round, &shares)),
                     )?;
+                    continue;
                 }
-                MsgType::RoundAssign => {
-                    let assign = RoundAssign::decode(payload)?;
-                    let mut frames = Vec::with_capacity(assign.n_frames as usize);
-                    for _ in 0..assign.n_frames {
-                        match read_frame(&mut stream, self.opts.max_frame) {
-                            Ok(Some(f)) => frames.push(f),
-                            Ok(None) => return Ok(SessionEnd::Lost),
-                            Err(e) => return Err(e.into()),
-                        }
-                    }
-                    let global = decode_download(&self.cfg, &frames, self.expected_params())?;
-                    match assign.mode {
-                        RoundMode::Train => {
-                            // A round this node already trained (a
-                            // coordinator replaying from its write-ahead
-                            // log) is answered from the cached reply —
-                            // retraining would fork the client state.
-                            let replayed = matches!(
-                                &self.cache, Some(c) if c.round == assign.round
-                            );
-                            if !replayed {
-                                let outcome = self.state.local_update(
-                                    &self.cfg,
-                                    &global,
-                                    assign.round as usize,
-                                );
-                                let done = RoundDone {
-                                    round: assign.round,
-                                    mode: RoundMode::Train,
-                                    client_id: self.state.id as u32,
-                                    n_samples: outcome.n_samples as u64,
-                                    tau: outcome.tau as u64,
-                                    diverged: outcome.diverged,
-                                    keep_ratio: outcome.keep_ratio,
-                                    flops_ratio: outcome.flops_ratio,
-                                    accuracy: 0.0,
-                                    bytes_download: outcome.bytes.download,
-                                    bytes_upload: outcome.bytes.upload,
-                                    upload_payload: outcome.wire.upload_payload,
-                                    upload_framed: outcome.wire.upload_framed,
-                                    n_frames: outcome.frames.len() as u32,
-                                };
-                                // Cache before the first send attempt: if
-                                // the send itself dies mid-way, the
-                                // reconnected session replays the reply.
-                                self.cache = Some(TrainReply {
-                                    round: assign.round,
-                                    done,
-                                    frames: outcome.frames,
-                                });
-                            }
-                            let reply = self.cache.as_ref().expect("reply cached above");
-                            let round = assign.round as usize;
-                            let id = self.state.id;
-                            if let Some(chaos) = &self.chaos {
-                                // Transport chaos, sender-side. A stall
-                                // delays the reply; a scheduled reset
-                                // tears the first transmission attempt
-                                // mid-frame and drops the connection (the
-                                // reconnect retry goes through clean); a
-                                // duplicate sends the whole reply twice.
-                                if let Some(d) = chaos.stalls(round, id) {
-                                    std::thread::sleep(d);
-                                }
-                                if chaos.resets_upload(round, id)
-                                    && self.torn_round != Some(assign.round)
-                                {
-                                    self.torn_round = Some(assign.round);
-                                    write_frame(
-                                        &mut stream,
-                                        &seal(MsgType::RoundDone, &reply.done.encode()),
-                                    )?;
-                                    if let Some(f0) = reply.frames.first() {
-                                        // Sealed frames are self-delimiting,
-                                        // so a strict prefix of the frame's
-                                        // bytes is exactly a torn frame.
-                                        let cut = chaos.torn_cut(round, id, f0.len());
-                                        stream.write_all(&f0[..cut])?;
-                                        stream.flush()?;
-                                    }
-                                    // Die without goodbye: the server's
-                                    // FrameReader sees a torn frame, then
-                                    // EOF. The reconnect loop takes over.
-                                    drop(stream);
-                                    return Ok(SessionEnd::Lost);
-                                }
-                            }
-                            let copies = 1 + self
-                                .chaos
-                                .as_ref()
-                                .map_or(0, |c| usize::from(c.duplicates_upload(round, id)));
-                            for _ in 0..copies {
-                                write_frame(
-                                    &mut stream,
-                                    &seal(MsgType::RoundDone, &reply.done.encode()),
-                                )?;
-                                for f in &reply.frames {
-                                    write_frame(&mut stream, f)?;
-                                }
-                            }
-                            if replayed {
-                                self.report.replays += 1;
-                            } else {
-                                self.report.rounds_trained += 1;
-                            }
-                        }
-                        RoundMode::Eval => {
-                            let acc = self.state.sync_and_evaluate(&self.cfg, &global);
-                            let done = RoundDone {
-                                round: assign.round,
-                                mode: RoundMode::Eval,
-                                client_id: self.state.id as u32,
-                                n_samples: 0,
-                                tau: 0,
-                                diverged: false,
-                                keep_ratio: 0.0,
-                                flops_ratio: 0.0,
-                                accuracy: acc,
-                                bytes_download: 0,
-                                bytes_upload: 0,
-                                upload_payload: 0,
-                                upload_framed: 0,
-                                n_frames: 0,
-                            };
-                            write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode()))?;
-                            self.report.rounds_evaluated += 1;
-                        }
-                    }
-                }
-                other => {
+                Upstream::Other(other, _) => {
                     return Err(NetError::Protocol(format!(
                         "unexpected control message {other:?}"
                     )))
                 }
+            };
+            let global = decode_download(&self.cfg, &frames, self.expected_params())?;
+            if assign.mode == RoundMode::Eval {
+                let acc = self.state.sync_and_evaluate(&self.cfg, &global);
+                let done = RoundDone::eval(assign.round, self.state.id as u32, acc);
+                write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode()))?;
+                self.report.rounds_evaluated += 1;
+                continue;
+            }
+            // A round this node already trained (a coordinator replaying
+            // from its write-ahead log, or a retry after a reset) is
+            // answered from the cached reply — retraining would fork the
+            // client state.
+            let cached = self.cache.take().filter(|c| c.done.round == assign.round);
+            let replayed = cached.is_some();
+            let reply = cached.unwrap_or_else(|| {
+                let outcome = self
+                    .state
+                    .local_update(&self.cfg, &global, assign.round as usize);
+                TrainReply {
+                    done: RoundDone::train(assign.round, &outcome),
+                    frames: outcome.frames,
+                }
+            });
+            // Cache before the first send attempt: if the send itself
+            // dies mid-way, the reconnected session replays the reply.
+            let reply = self.cache.insert(reply);
+            let header = seal(MsgType::RoundDone, &reply.done.encode());
+            let (round, id) = (assign.round as usize, self.state.id);
+            if let Some(chaos) = &self.chaos {
+                // Transport chaos, sender-side. A stall delays the
+                // reply; a scheduled reset tears the first transmission
+                // attempt mid-frame and drops the connection (the
+                // reconnect retry goes through clean); a duplicate sends
+                // the whole reply twice.
+                if let Some(d) = chaos.stalls(round, id) {
+                    std::thread::sleep(d);
+                }
+                if chaos.resets_upload(round, id) && self.torn_round != Some(assign.round) {
+                    self.torn_round = Some(assign.round);
+                    write_frame(&mut stream, &header)?;
+                    if let Some(f0) = reply.frames.first() {
+                        // Sealed frames are self-delimiting, so a strict
+                        // prefix of the frame's bytes is exactly a torn
+                        // frame.
+                        let cut = chaos.torn_cut(round, id, f0.len());
+                        stream.write_all(&f0[..cut])?;
+                        stream.flush()?;
+                    }
+                    // Die without goodbye: the server's FrameReader sees
+                    // a torn frame, then EOF. The reconnect loop takes
+                    // over.
+                    return Ok(SessionEnd::Lost);
+                }
+            }
+            let copies = 1 + self
+                .chaos
+                .as_ref()
+                .map_or(0, |c| usize::from(c.duplicates_upload(round, id)));
+            for _ in 0..copies {
+                write_frame(&mut stream, &header)?;
+                for f in &reply.frames {
+                    write_frame(&mut stream, f)?;
+                }
+            }
+            if replayed {
+                self.report.replays += 1;
+            } else {
+                self.report.rounds_trained += 1;
             }
         }
     }

@@ -8,8 +8,8 @@
 //! (`Hello`/`Join`/`RoundAssign`/`RoundDone`/`Shutdown`); `Shutdown`
 //! carries an empty payload and has no codec here.
 
-use spatl_fl::FlConfig;
-use spatl_wire::WireError;
+use spatl_fl::{FlConfig, LocalOutcome};
+use spatl_wire::{WireError, HEADER_LEN};
 
 /// What kind of endpoint a [`Hello`] registers. The tiered root
 /// terminates both edge aggregators and — after an edge dies — that
@@ -246,6 +246,15 @@ impl Join {
 }
 
 impl RoundAssign {
+    /// Kick off `mode` of `round`, followed by `n_frames` broadcast frames.
+    pub fn new(round: u32, mode: RoundMode, n_frames: usize) -> Self {
+        RoundAssign {
+            round,
+            mode,
+            n_frames: n_frames as u32,
+        }
+    }
+
     /// Serialize into a payload body.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(9);
@@ -269,6 +278,64 @@ impl RoundAssign {
 }
 
 impl RoundDone {
+    /// A reply with every bookkeeping field zero and no frames following.
+    fn blank(round: u32, mode: RoundMode, client_id: u32) -> Self {
+        RoundDone {
+            round,
+            mode,
+            client_id,
+            n_samples: 0,
+            tau: 0,
+            diverged: false,
+            keep_ratio: 0.0,
+            flops_ratio: 0.0,
+            accuracy: 0.0,
+            bytes_download: 0,
+            bytes_upload: 0,
+            upload_payload: 0,
+            upload_framed: 0,
+            n_frames: 0,
+        }
+    }
+
+    /// A client's train reply: the bookkeeping half of `outcome`; its
+    /// sealed upload frames follow on the stream.
+    pub fn train(round: u32, outcome: &LocalOutcome) -> Self {
+        RoundDone {
+            n_samples: outcome.n_samples as u64,
+            tau: outcome.tau as u64,
+            diverged: outcome.diverged,
+            keep_ratio: outcome.keep_ratio,
+            flops_ratio: outcome.flops_ratio,
+            bytes_download: outcome.bytes.download,
+            bytes_upload: outcome.bytes.upload,
+            upload_payload: outcome.wire.upload_payload,
+            upload_framed: outcome.wire.upload_framed,
+            n_frames: outcome.frames.len() as u32,
+            ..Self::blank(round, RoundMode::Train, outcome.client_id as u32)
+        }
+    }
+
+    /// A client's evaluation report: `accuracy` and nothing else.
+    pub fn eval(round: u32, client_id: u32, accuracy: f32) -> Self {
+        RoundDone {
+            accuracy,
+            ..Self::blank(round, RoundMode::Eval, client_id)
+        }
+    }
+
+    /// An edge's reply in either mode: one sealed
+    /// [`EdgeCombined`](spatl_wire::EdgeCombined) frame of `frame_len`
+    /// bytes follows.
+    pub fn combined(round: u32, mode: RoundMode, edge_id: u32, frame_len: usize) -> Self {
+        RoundDone {
+            upload_payload: frame_len.saturating_sub(HEADER_LEN) as u64,
+            upload_framed: frame_len as u64,
+            n_frames: 1,
+            ..Self::blank(round, mode, edge_id)
+        }
+    }
+
     /// Serialize into a payload body.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(66);
@@ -443,11 +510,7 @@ mod tests {
     #[test]
     fn round_assign_round_trips() {
         for mode in [RoundMode::Train, RoundMode::Eval] {
-            let msg = RoundAssign {
-                round: 12,
-                mode,
-                n_frames: 2,
-            };
+            let msg = RoundAssign::new(12, mode, 2);
             assert_eq!(RoundAssign::decode(&msg.encode()).unwrap(), msg);
         }
     }
@@ -475,23 +538,7 @@ mod tests {
 
     #[test]
     fn truncated_and_oversized_bodies_rejected() {
-        let body = RoundDone {
-            round: 0,
-            mode: RoundMode::Eval,
-            client_id: 0,
-            n_samples: 0,
-            tau: 0,
-            diverged: false,
-            keep_ratio: 0.0,
-            flops_ratio: 0.0,
-            accuracy: 0.0,
-            bytes_download: 0,
-            bytes_upload: 0,
-            upload_payload: 0,
-            upload_framed: 0,
-            n_frames: 0,
-        }
-        .encode();
+        let body = RoundDone::eval(0, 0, 0.0).encode();
         assert!(matches!(
             RoundDone::decode(&body[..body.len() - 1]),
             Err(WireError::Truncated { .. })
