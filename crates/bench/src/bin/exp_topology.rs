@@ -89,7 +89,8 @@ fn run_composed(
 
         if exact {
             // Claim 1: the weighted-mean fold over the merged survivors
-            // (ascending client id, like fold_exact) is the flat fold.
+            // (the batch door the tiered root's accumulator closes
+            // through; the fold is order-independent) is the flat fold.
             outcomes.sort_by_key(|o| o.client_id);
             session
                 .driver

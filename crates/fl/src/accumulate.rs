@@ -1,12 +1,10 @@
 //! Streaming, order-independent round aggregation.
 //!
-//! The batch rules in [`GlobalState::aggregate`] used to fold a fully
-//! collected `Vec<LocalOutcome>` — O(cohort · model) server memory. This
-//! module re-expresses every [`AggregatorKind::WeightedMean`] rule as a
-//! **streaming accumulator**: [`StreamState::fold`] absorbs one upload at
-//! a time into fixed-size state and [`StreamState::finalize`] applies the
-//! round in one pass, so a 10 000-client round needs O(model) memory on
-//! the server (DESIGN.md §12).
+//! Every [`AggregatorKind::WeightedMean`] rule as a **streaming
+//! accumulator**: [`StreamState::fold`] absorbs one upload at a time into
+//! fixed-size state and [`StreamState::finalize`] applies the round in
+//! one pass, so a 10 000-client round needs O(model) server memory, not
+//! O(cohort · model) (DESIGN.md §12).
 //!
 //! # Order independence
 //!
@@ -40,18 +38,18 @@
 //! verdict (`NaN` dominates, opposing infinities collide to `NaN`) at
 //! finalize.
 //!
-//! # The one fold
+//! # Two reducers, one door
 //!
-//! [`GlobalState::aggregate`] routes its `WeightedMean` and (post-clip)
-//! `NormClippedMean` paths through [`StreamState`], so the simulator,
-//! the flat coordinator, and the tiered composition layer all share this
-//! fold — it is *the* fold, not a parallel second implementation. Rules
-//! that inherently need the whole cohort (`CoordinateMedian`,
-//! `CoordinateTrimmedMean`, median-RMS screening, NormClippedMean's
-//! median clip factor) spill: [`RoundAccumulator`] buffers those uploads
-//! and deterministically slots them by client id before the batch pass,
-//! trading the O(cohort · model) ceiling back in — explicitly, and only
-//! where the statistic demands it.
+//! A cohort is reduced by exactly two routines. The **exact-lane fold**
+//! is [`fold_terms`], generic over the lanes it writes ([`CohortSums`]):
+//! [`StreamState::fold`] runs it over [`ExactSums`], a masked client
+//! over the 384-bit grid lanes, and one [`RoundTotals::apply`] finalizes
+//! either. The **robust reduction** is the `reduce_cohort` /
+//! `aggregate_reduced` pair in [`compose`](crate::compose). Every round
+//! reaches them through [`RoundAccumulator`], which streams when it can
+//! and spills — buffers, slots by client id, hands the cohort to
+//! [`GlobalState::aggregate`] — only where the rule needs the cohort
+//! first, trading the O(cohort · model) ceiling back in explicitly.
 //!
 //! [`GlobalState::aggregate`]: crate::GlobalState::aggregate
 //! [`AggregatorKind::WeightedMean`]: crate::AggregatorKind::WeightedMean
@@ -59,12 +57,13 @@
 use std::collections::BTreeSet;
 
 use spatl_privacy::{
-    pair_base, quantized_l2, MaskedUpload, MaskedVector, PrivacyConfig, PrivacyMode, UnmaskShare,
-    GRID_DIGITS,
+    pair_base, quantized_l2, MaskedCounts, MaskedUpload, MaskedVector, PrivacyConfig, PrivacyMode,
+    UnmaskShare, GRID_DIGITS,
 };
 
 use crate::{
-    AggregatorKind, Algorithm, FaultKind, FaultRecord, FlConfig, GlobalState, LocalOutcome,
+    AggregatorKind, Algorithm, CompressedDelta, FaultKind, FaultRecord, FlConfig, GlobalState,
+    LocalOutcome, ScreenPolicy,
 };
 
 /// `2^-149` — the grid LSB — as an exactly-represented f64.
@@ -177,8 +176,8 @@ fn lane_term(v: f32, w: u64, span: u32) -> Option<i128> {
 
 /// Exact weighted f32 sums over `p` coordinates in O(p) memory.
 ///
-/// `add(j, v, w)` accumulates `v·w` into coordinate `j` exactly (no
-/// rounding, any order); `value(j)` converts the exact integer sum to
+/// Its [`CohortSums::add`] accumulates `v·w` into coordinate `j` exactly
+/// (no rounding, any order); `value(j)` converts the exact integer sum to
 /// the nearest-enough f64 deterministically. See the module docs for the
 /// representation and the commutativity argument.
 pub(crate) struct ExactSums {
@@ -227,35 +226,6 @@ impl ExactSums {
     /// term below `2^TERM_BITS`. At least 8 for any `w`.
     fn span(w: u64) -> u32 {
         TERM_BITS - 24 - (64 - w.leading_zeros())
-    }
-
-    /// Accumulate `v · w` into coordinate `j`, exactly.
-    #[inline]
-    pub(crate) fn add(&mut self, j: usize, v: f32, w: u64) {
-        if w == 0 {
-            return;
-        }
-        match lane_term(v, w, Self::span(w)) {
-            Some(term) => {
-                self.lanes[j] += term;
-                #[cfg(test)]
-                {
-                    self.placed.0 += 1;
-                }
-            }
-            None => self.add_wide(j, v, w),
-        }
-    }
-
-    /// Accumulate `values[j] · w` into coordinate `j` for every `j` both
-    /// `values` and the sums cover (zip-prefix): the dense fold's loop,
-    /// one window test per coordinate and nothing else on the way (the
-    /// weight's share of [`add`](Self::add) is loop-invariant).
-    pub(crate) fn add_dense(&mut self, values: impl IntoIterator<Item = f32>, w: u64) {
-        let n = self.lanes.len();
-        for (j, v) in values.into_iter().take(n).enumerate() {
-            self.add(j, v, w);
-        }
     }
 
     /// Everything the lane window turns away: inert zeros, non-finite
@@ -326,18 +296,67 @@ impl ExactSums {
     }
 }
 
-/// A cohort's per-coordinate sums as the finalize rules read them:
-/// [`ExactSums`] for a clear fold, the unmasked grid lanes for a masked
-/// one. Both reduce to the same digits and the same [`ladder`], which is
-/// what makes a masked round finalize bit-identically to the clear fold
-/// of the same uploads.
-trait CohortSums {
+/// A cohort's per-coordinate sums, written by [`fold_terms`] and read by
+/// [`RoundTotals::apply`]: [`ExactSums`] for a clear fold, the 384-bit
+/// grid lanes for a masked one. Both hold the same integers and reduce
+/// to the same digits and the same [`ladder`], so a masked round
+/// finalizes bit-identically to the clear fold of the same uploads.
+pub(crate) trait CohortSums {
+    /// SPATL's per-index vote counters in the matching representation.
+    type Votes;
+
+    /// Coordinates covered.
+    fn n_coords(&self) -> usize;
+
+    /// Accumulate `v · w` into coordinate `j`, exactly.
+    fn add(&mut self, j: usize, v: f32, w: u64);
+
+    /// [`add`](Self::add) `values[j] · w` for every `j` both `values`
+    /// and the sums cover (zip-prefix): the dense fold's loop, with the
+    /// weight's share of `add` loop-invariant.
+    fn add_dense(&mut self, values: impl IntoIterator<Item = f32>, w: u64) {
+        let n = self.n_coords();
+        for (j, v) in values.into_iter().take(n).enumerate() {
+            self.add(j, v, w);
+        }
+    }
+
+    /// Count one vote at coordinate `j`.
+    fn vote(votes: &mut Self::Votes, j: usize);
+
     /// The accumulated sum of coordinate `j` as f64 (relative error
     /// ≤ 2^-52 from the exact integer value; deterministic).
     fn value(&self, j: usize) -> f64;
 }
 
 impl CohortSums for ExactSums {
+    type Votes = Vec<u32>;
+
+    fn n_coords(&self) -> usize {
+        self.lanes.len()
+    }
+
+    #[inline]
+    fn add(&mut self, j: usize, v: f32, w: u64) {
+        if w == 0 {
+            return;
+        }
+        match lane_term(v, w, Self::span(w)) {
+            Some(term) => {
+                self.lanes[j] += term;
+                #[cfg(test)]
+                {
+                    self.placed.0 += 1;
+                }
+            }
+            None => self.add_wide(j, v, w),
+        }
+    }
+
+    fn vote(votes: &mut Vec<u32>, j: usize) {
+        votes[j] += 1;
+    }
+
     /// Non-finite terms override: `NaN` if any NaN (or both infinities)
     /// was added, else the signed infinity.
     fn value(&self, j: usize) -> f64 {
@@ -366,7 +385,23 @@ impl CohortSums for ExactSums {
     }
 }
 
+/// The grid lanes a client builds before masking. Non-finite values
+/// cannot be represented on the grid and contribute nothing.
 impl CohortSums for MaskedVector {
+    type Votes = MaskedCounts;
+
+    fn n_coords(&self) -> usize {
+        MaskedVector::n_coords(self)
+    }
+
+    fn add(&mut self, j: usize, v: f32, w: u64) {
+        self.accumulate(j, v, w, false);
+    }
+
+    fn vote(votes: &mut MaskedCounts, j: usize) {
+        votes.bump(j);
+    }
+
     fn value(&self, j: usize) -> f64 {
         let (digits, top) = self.digits(j);
         ladder(top as f64, &digits) * GRID
@@ -382,6 +417,131 @@ struct Folded<'a, S> {
     /// SPATL per-index vote counts (empty for dense algorithms).
     count: &'a [u32],
     buffers: Option<&'a S>,
+}
+
+/// The lanes one upload is written to: [`Folded`]'s write side.
+pub(crate) struct Lanes<'a, S: CohortSums> {
+    pub(crate) delta: &'a mut S,
+    pub(crate) secondary: Option<&'a mut S>,
+    pub(crate) votes: Option<&'a mut S::Votes>,
+    pub(crate) buffers: Option<&'a mut S>,
+}
+
+/// The exact-lane fold: every algorithm's published rule as "which
+/// entry, which coordinate of which lane, at which weight", written once
+/// for the clear fold and the masked-upload builder. `control` is the
+/// broadcast control variate the client trained against. A diverged
+/// upload contributes nothing; the rest only reaches commutative state.
+///
+/// A dense tensor shorter than the lanes or an out-of-range selected
+/// index is a caller bug and panics;
+/// [`decode_upload`](crate::decode_upload) checks both.
+pub(crate) fn fold_terms<S: CohortSums>(
+    cfg: &FlConfig,
+    control: &[f32],
+    o: &LocalOutcome,
+    lanes: Lanes<'_, S>,
+) {
+    if o.diverged {
+        return;
+    }
+    let Lanes {
+        delta,
+        secondary,
+        votes,
+        buffers,
+    } = lanes;
+    let p = delta.n_coords();
+    let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
+    let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
+    // SCAFFOLD's option-II control step, derived from the delta and the
+    // control the client trained against.
+    let control_step = |c: f32, d: f32| -c - d * scale;
+    match cfg.algorithm {
+        Algorithm::FedAvg | Algorithm::FedProx { .. } => {
+            let w = o.n_samples as u64;
+            match &o.compressed {
+                // Top-k sparse upload: scatter-add the k survivors.
+                // Bit-identical to folding the zero-filled dense
+                // vector — zero terms are inert in the exact sums,
+                // so the dropped coordinates contribute nothing
+                // either way (asserted in tests/quantized_fold.rs).
+                Some(CompressedDelta::TopK {
+                    indices, values, ..
+                }) => {
+                    for (&i, &v) in indices.iter().zip(values) {
+                        delta.add(i as usize, v, w);
+                    }
+                }
+                // f16 upload: decode coordinate-at-a-time straight
+                // off the 2·p-byte wire payload — f16 → f32 is
+                // exact, so this is bit-identical to densifying
+                // first, without the 4·p intermediate.
+                Some(CompressedDelta::F16(bytes)) => {
+                    let halves = bytes.chunks_exact(2).map(|c| {
+                        spatl_wire::f16::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))
+                    });
+                    delta.add_dense(halves, w);
+                }
+                None => delta.add_dense(o.delta[..p].iter().copied(), w),
+            }
+        }
+        Algorithm::FedNova => {
+            let w = o.n_samples as u64;
+            let tau = o.tau.max(1) as f32;
+            delta.add_dense(o.delta[..p].iter().map(|d| d / tau), w);
+            if let Some(v) = &o.velocity {
+                let vel = secondary.expect("FedNova allocates velocity");
+                vel.add_dense(v.iter().copied(), w);
+            }
+        }
+        Algorithm::Scaffold => {
+            let d = &o.delta[..p];
+            delta.add_dense(d.iter().copied(), 1);
+            let cd = secondary.expect("SCAFFOLD allocates control");
+            // Prefer the client's explicit Δcᵢ (what the wire
+            // carries); fall back to the server-side derivation for
+            // synthetic outcomes that skip the upload path.
+            match &o.control_delta {
+                Some(cdv) => cd.add_dense(cdv[..p].iter().copied(), 1),
+                None => {
+                    let steps = control.iter().zip(d);
+                    cd.add_dense(steps.map(|(&c, &d)| control_step(c, d)), 1);
+                }
+            }
+        }
+        Algorithm::Spatl(opts) => {
+            let votes = votes.expect("SPATL allocates votes");
+            let mut cd = secondary.filter(|_| opts.gradient_control);
+            match &o.selected {
+                Some(sel) => {
+                    for (&i, &v) in sel.indices.iter().zip(&sel.values) {
+                        let j = i as usize;
+                        delta.add(j, v, 1);
+                        S::vote(votes, j);
+                        if let Some(cd) = &mut cd {
+                            cd.add(j, control_step(control[j], v), 1);
+                        }
+                    }
+                }
+                None => {
+                    // Selection disabled: dense upload votes everywhere.
+                    let d = &o.delta[..p];
+                    delta.add_dense(d.iter().copied(), 1);
+                    for j in 0..p {
+                        S::vote(votes, j);
+                    }
+                    if let Some(cd) = cd {
+                        let steps = control.iter().zip(d);
+                        cd.add_dense(steps.map(|(&c, &d)| control_step(c, d)), 1);
+                    }
+                }
+            }
+        }
+    }
+    if let Some(buf) = buffers {
+        buf.add_dense(o.buffers.iter().copied(), 1);
+    }
 }
 
 /// The run parameters and cohort-level side-sums the finalize rules
@@ -412,11 +572,11 @@ impl RoundTotals {
         }
     }
 
-    /// Count one upload's header in. Returns `false` for a diverged
-    /// upload, which the rules reject: nothing of it may be folded.
-    fn admit(&mut self, o: &LocalOutcome) -> bool {
+    /// Count one upload's clear header in (a masked upload carries the
+    /// same one). Nothing of a diverged upload counts.
+    fn admit(&mut self, o: &LocalOutcome) {
         if o.diverged {
-            return false;
+            return;
         }
         self.valid += 1;
         match self.cfg.algorithm {
@@ -426,10 +586,12 @@ impl RoundTotals {
             Algorithm::FedNova => {
                 self.total_samples += o.n_samples as u128;
                 self.tau_weighted += o.n_samples as u128 * o.tau as u128;
+                // The masked wire always carries the velocity lane,
+                // exactly as the clear pair codec always does.
+                self.any_velocity |= o.velocity.is_some() || o.masked.is_some();
             }
             Algorithm::Scaffold | Algorithm::Spatl(_) => {}
         }
-        true
     }
 
     /// Apply the accumulated round to `global`. Returns `true` if an
@@ -546,9 +708,10 @@ impl StreamState {
     ) -> Self {
         let totals = RoundTotals::new(cfg, global, n_clients_total);
         let (p, buf_len) = (totals.p, totals.buf_len);
+        // The same lane shape a masked upload is built with.
         let uses_control = cfg.algorithm.uses_control();
-        let has_secondary = uses_control || matches!(cfg.algorithm, Algorithm::FedNova);
-        let votes = matches!(cfg.algorithm, Algorithm::Spatl(_));
+        let has_secondary = crate::privacy::has_secondary_lane(&cfg.algorithm);
+        let votes = crate::privacy::has_count_lane(&cfg.algorithm);
         let (mut control_bcast, delta, mut count, secondary, buffers) = match spare {
             Some(old) => (
                 old.control_bcast,
@@ -580,111 +743,19 @@ impl StreamState {
         self.totals.valid
     }
 
-    /// Absorb one upload. Diverged uploads are skipped (the batch rule
-    /// rejects them); everything else updates only commutative state, so
-    /// fold order never changes the finalized model.
-    ///
-    /// Dense tensors shorter than the session's shared vector are a
-    /// caller bug and panic; every upload that came through
-    /// [`decode_upload`](crate::decode_upload) was length- and
-    /// range-checked there.
+    /// Absorb one upload: header into the side-sums, terms into the
+    /// lanes. Diverged uploads are skipped (the rules reject them);
+    /// everything else updates only commutative state, so fold order
+    /// never changes the finalized model.
     pub fn fold(&mut self, o: &LocalOutcome) {
-        if !self.totals.admit(o) {
-            return;
-        }
-        let cfg = &self.totals.cfg;
-        let p = self.totals.p;
-        let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
-        let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
-        // SCAFFOLD's option-II control step, derived server-side from
-        // the delta and the control the client trained against.
-        let control_step = |c: f32, d: f32| -c - d * scale;
-        match cfg.algorithm {
-            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                let w = o.n_samples as u64;
-                match &o.compressed {
-                    // Top-k sparse upload: scatter-add the k survivors.
-                    // Bit-identical to folding the zero-filled dense
-                    // vector — zero terms are inert in the exact sums,
-                    // so the dropped coordinates contribute nothing
-                    // either way (asserted in tests/quantized_fold.rs).
-                    Some(crate::CompressedDelta::TopK {
-                        indices, values, ..
-                    }) => {
-                        for (&i, &v) in indices.iter().zip(values) {
-                            self.delta.add(i as usize, v, w);
-                        }
-                    }
-                    // f16 upload: decode coordinate-at-a-time straight
-                    // off the 2·p-byte wire payload — f16 → f32 is
-                    // exact, so this is bit-identical to densifying
-                    // first, without the 4·p intermediate.
-                    Some(crate::CompressedDelta::F16(bytes)) => {
-                        let halves = bytes.chunks_exact(2).map(|c| {
-                            spatl_wire::f16::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))
-                        });
-                        self.delta.add_dense(halves, w);
-                    }
-                    None => self.delta.add_dense(o.delta[..p].iter().copied(), w),
-                }
-            }
-            Algorithm::FedNova => {
-                let w = o.n_samples as u64;
-                let tau = o.tau.max(1) as f32;
-                self.delta
-                    .add_dense(o.delta[..p].iter().map(|d| d / tau), w);
-                if let Some(v) = &o.velocity {
-                    self.totals.any_velocity = true;
-                    let vel = self.secondary.as_mut().expect("FedNova allocates velocity");
-                    vel.add_dense(v.iter().copied(), w);
-                }
-            }
-            Algorithm::Scaffold => {
-                let delta = &o.delta[..p];
-                self.delta.add_dense(delta.iter().copied(), 1);
-                let cd = self.secondary.as_mut().expect("SCAFFOLD allocates control");
-                // Prefer the client's explicit Δcᵢ (what the wire
-                // carries); fall back to the server-side derivation for
-                // synthetic outcomes that skip the upload path.
-                match &o.control_delta {
-                    Some(cdv) => cd.add_dense(cdv[..p].iter().copied(), 1),
-                    None => {
-                        let steps = self.control_bcast.iter().zip(delta);
-                        cd.add_dense(steps.map(|(&c, &d)| control_step(c, d)), 1);
-                    }
-                }
-            }
-            Algorithm::Spatl(opts) => {
-                let mut cd = self.secondary.as_mut().filter(|_| opts.gradient_control);
-                match &o.selected {
-                    Some(sel) => {
-                        for (&i, &v) in sel.indices.iter().zip(&sel.values) {
-                            let j = i as usize;
-                            self.delta.add(j, v, 1);
-                            self.count[j] += 1;
-                            if let Some(cd) = &mut cd {
-                                cd.add(j, control_step(self.control_bcast[j], v), 1);
-                            }
-                        }
-                    }
-                    None => {
-                        // Selection disabled: dense upload votes everywhere.
-                        let delta = &o.delta[..p];
-                        self.delta.add_dense(delta.iter().copied(), 1);
-                        for votes in &mut self.count {
-                            *votes += 1;
-                        }
-                        if let Some(cd) = cd {
-                            let steps = self.control_bcast.iter().zip(delta);
-                            cd.add_dense(steps.map(|(&c, &d)| control_step(c, d)), 1);
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(buf) = &mut self.buffers {
-            buf.add_dense(o.buffers.iter().copied(), 1);
-        }
+        self.totals.admit(o);
+        let lanes = Lanes {
+            delta: &mut self.delta,
+            secondary: self.secondary.as_mut(),
+            votes: Some(&mut self.count),
+            buffers: self.buffers.as_mut(),
+        };
+        fold_terms(&self.totals.cfg, &self.control_bcast, o, lanes);
     }
 
     /// Apply the accumulated round to `global`. Returns `true` if an
@@ -735,6 +806,9 @@ enum Mode {
     /// then are deterministically slotted by client id and batch-folded.
     Spill {
         reason: SpillReason,
+        /// The policy the close will run: `None` when edges between
+        /// the clients and this fold already ran it.
+        screen: Option<ScreenPolicy>,
         outcomes: Vec<LocalOutcome>,
     },
 }
@@ -783,10 +857,7 @@ impl MaskedRound {
             .masked
             .as_deref()
             .expect("a masked round only folds masked uploads");
-        // The masked wire always carries the velocity lane, exactly as
-        // the clear pair codec always does.
-        self.totals.any_velocity |=
-            self.totals.admit(o) && matches!(self.totals.cfg.algorithm, Algorithm::FedNova);
+        self.totals.admit(o);
         self.arrived.push(o.client_id);
         match &mut self.agg {
             None => self.agg = Some(up.clone()),
@@ -868,17 +939,17 @@ impl MaskedRound {
 /// One round's aggregation front-end: feed uploads in **any order** as
 /// they arrive, close once.
 ///
-/// Built by [`RoundDriver::begin_accumulation`] and closed by
-/// [`RoundDriver::finish_accumulation`]; both the simulator's
-/// `screen_and_aggregate` and the networked coordinator's concurrent
-/// collect loop go through it, so there is exactly one fold. The mode is
-/// decided by the run configuration:
+/// Built by [`RoundDriver::begin_accumulation`] (at a root over edges,
+/// `begin_accumulation_over_edges`), closed by
+/// [`RoundDriver::finish_accumulation`]; simulator, flat coordinator and
+/// tiered root all go through it, so it is the only place a cohort is
+/// reduced. The mode is decided at open (masked sessions fold blind):
 ///
-/// * **Stream** — `WeightedMean` with no screen: O(model) memory.
-/// * **Spill** — robust aggregators or a configured screen: uploads are
-///   buffered (documented O(cohort · model) ceiling), sorted by client
-///   id at close (so arrival order still cannot change the result), and
-///   batch-folded.
+/// * **Stream** — `WeightedMean` with no screen to run: O(model) memory.
+/// * **Spill** — robust aggregators, a screen to run, or the fixed-point
+///   range bound: uploads are buffered (documented O(cohort · model)
+///   ceiling), sorted by client id at close (so arrival order still
+///   cannot change the result), and batch-folded.
 ///
 /// [`RoundDriver::begin_accumulation`]: crate::RoundDriver::begin_accumulation
 /// [`RoundDriver::finish_accumulation`]: crate::RoundDriver::finish_accumulation
@@ -893,47 +964,36 @@ impl RoundAccumulator {
     /// absolute round index — the masked mode's pair masks and cohort
     /// derivation are domain-separated by it. `spare` is a previous
     /// round's finished stream state, if the caller kept one: its
-    /// allocations are reused where they fit.
+    /// allocations are reused where they fit. `screen` is the policy
+    /// the close must run: the session's for a fold fed by clients,
+    /// `None` for one fed by edges that already ran it.
     pub(crate) fn new(
         cfg: &FlConfig,
         global: &GlobalState,
         n_clients_total: usize,
         round: usize,
         spare: Option<Box<StreamState>>,
+        screen: Option<ScreenPolicy>,
     ) -> Self {
-        if let Some(privacy) = &cfg.privacy {
-            let mode = match privacy.mode {
-                PrivacyMode::Masked => Mode::Masked(Box::new(MaskedRound::new(
-                    cfg,
-                    global,
-                    n_clients_total,
-                    round,
-                ))),
-                PrivacyMode::FixedPoint => Mode::Spill {
-                    reason: SpillReason::RangeBound,
-                    outcomes: Vec::new(),
-                },
-            };
-            return RoundAccumulator { mode, folded: 0 };
-        }
-        let spill = if cfg.screen.is_some() {
-            Some(SpillReason::Screening)
-        } else if !matches!(cfg.aggregator, AggregatorKind::WeightedMean) {
-            Some(SpillReason::RobustAggregator)
-        } else {
-            None
+        let spill = |reason| Mode::Spill {
+            reason,
+            screen,
+            outcomes: Vec::new(),
         };
-        let mode = match spill {
-            Some(reason) => Mode::Spill {
-                reason,
-                outcomes: Vec::new(),
-            },
-            None => Mode::Stream(Box::new(StreamState::recycling(
-                cfg,
-                global,
-                n_clients_total,
-                spare.map(|b| *b),
-            ))),
+        let robust = !matches!(cfg.aggregator, AggregatorKind::WeightedMean);
+        let mode = match cfg.privacy.map(|privacy| privacy.mode) {
+            Some(PrivacyMode::Masked) => {
+                let masked = MaskedRound::new(cfg, global, n_clients_total, round);
+                Mode::Masked(Box::new(masked))
+            }
+            Some(PrivacyMode::FixedPoint) => spill(SpillReason::RangeBound),
+            None if screen.is_some() => spill(SpillReason::Screening),
+            None if robust => spill(SpillReason::RobustAggregator),
+            None => {
+                let spare = spare.map(|b| *b);
+                let state = StreamState::recycling(cfg, global, n_clients_total, spare);
+                Mode::Stream(Box::new(state))
+            }
         };
         RoundAccumulator { mode, folded: 0 }
     }
@@ -1056,7 +1116,11 @@ impl RoundAccumulator {
                 let applied = mr.finish(global, faults);
                 (survivors, applied, None)
             }
-            Mode::Spill { mut outcomes, .. } => {
+            Mode::Spill {
+                mut outcomes,
+                screen,
+                ..
+            } => {
                 // Deterministic slotting: whatever order the transport
                 // delivered, the batch fold always sees ascending ids.
                 outcomes.sort_by_key(|o| o.client_id);
@@ -1089,7 +1153,7 @@ impl RoundAccumulator {
                         .collect(),
                     _ => outcomes,
                 };
-                let outcomes = match &cfg.screen {
+                let outcomes = match &screen {
                     Some(policy) => crate::screen_updates(policy, outcomes, faults),
                     None => outcomes,
                 };

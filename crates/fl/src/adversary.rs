@@ -182,8 +182,8 @@ impl Adversary {
         round: usize,
     ) {
         match self.plan.attack {
-            AttackKind::ScaleAttack => scale_outcome(outcome, self.plan.lambda),
-            AttackKind::SignFlip => scale_outcome(outcome, -1.0),
+            AttackKind::ScaleAttack => outcome.scale(self.plan.lambda),
+            AttackKind::SignFlip => outcome.scale(-1.0),
             AttackKind::NanInjection => {
                 let mut rng = TensorRng::seed_from(splitmix(
                     self.plan.seed
@@ -213,28 +213,6 @@ impl Adversary {
             }
         }
         reseal(cfg, global, outcome, round);
-    }
-}
-
-/// Multiply every aggregated vector of the outcome by `factor`.
-fn scale_outcome(outcome: &mut LocalOutcome, factor: f32) {
-    for x in &mut outcome.delta {
-        *x *= factor;
-    }
-    if let Some(sel) = &mut outcome.selected {
-        for x in &mut sel.values {
-            *x *= factor;
-        }
-    }
-    if let Some(cd) = &mut outcome.control_delta {
-        for x in cd {
-            *x *= factor;
-        }
-    }
-    if let Some(v) = &mut outcome.velocity {
-        for x in v {
-            *x *= factor;
-        }
     }
 }
 

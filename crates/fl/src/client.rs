@@ -150,6 +150,22 @@ impl LocalOutcome {
         }
     }
 
+    /// Multiply every aggregated vector — the delta, the salient values,
+    /// the control step, the momentum — by `factor`: the median-RMS clip
+    /// and the scaling attacks. Batch-norm statistics are running means,
+    /// not updates, and are left untouched.
+    pub fn scale(&mut self, factor: f32) {
+        let vectors = [
+            Some(&mut self.delta),
+            self.selected.as_mut().map(|sel| &mut sel.values),
+            self.control_delta.as_mut(),
+            self.velocity.as_mut(),
+        ];
+        for x in vectors.into_iter().flatten().flatten() {
+            *x *= factor;
+        }
+    }
+
     /// Free every tensor and the sealed frames, keeping the scalar
     /// bookkeeping (id, counts, flags, byte and ratio accounting) that
     /// round records are built from.

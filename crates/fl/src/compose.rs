@@ -10,20 +10,18 @@
 //!
 //! * **Exact** ([`AggregatorKind::WeightedMean`],
 //!   [`AggregatorKind::NormClippedMean`]): edges forward the survivors'
-//!   original sealed upload frames verbatim; the root decodes them,
-//!   merges all edges' survivors in ascending client-id order and runs
-//!   the ordinary flat fold ([`fold_exact`]). Since PR 7 that flat fold
-//!   is the streaming accumulator (DESIGN.md §12), whose integer
-//!   carry-save sums make the fold order-independent outright —
-//!   [`fold_exact`]'s ascending-id sort is kept for the ledger and the
-//!   f32 bookkeeping, and replaying the flat fold over the original
-//!   uploads remains bit-identical to the flat coordinator for every
-//!   algorithm, dropouts included
-//!   (survivor renormalisation happens once, at the root, over exactly
-//!   the survivor set a flat coordinator would have seen). The
-//!   median-RMS clip of `NormClippedMean` needs the *global* cohort's
-//!   median, which is a second reason these aggregators cannot be
-//!   pre-reduced at the edge.
+//!   original sealed upload frames verbatim; the root decodes them and
+//!   folds each into the same [`RoundAccumulator`](crate::RoundAccumulator)
+//!   a flat root opens (DESIGN.md §12) — opened "over edges", so its
+//!   close skips the screen the edges already ran and is otherwise the
+//!   flat close: same mode choice, same range bound, same ledger fields.
+//!   The fold is order-independent, so which edge delivered first cannot
+//!   matter, and the result is bit-identical to the flat coordinator for
+//!   every algorithm, dropouts included (survivor renormalisation happens
+//!   once, at the root, over exactly the survivor set a flat coordinator
+//!   would have seen). The median-RMS clip of `NormClippedMean` needs the
+//!   *global* cohort's median, which is a second reason these aggregators
+//!   cannot be pre-reduced at the edge.
 //!
 //! * **Reduced** ([`AggregatorKind::CoordinateMedian`],
 //!   [`AggregatorKind::CoordinateTrimmedMean`]): each edge pre-reduces
@@ -38,7 +36,8 @@
 //!   coordinate (for FedNova the envelope is widened by evaluating each
 //!   client's normalised direction under both the global τ_eff and its
 //!   edge's local τ_eff_e). The property tests in `tests/compose.rs`
-//!   assert exactly this bound.
+//!   assert exactly this bound. Flat robust aggregation is the same two
+//!   calls with the whole cohort as one edge ([`GlobalState::aggregate`]).
 //!
 //! Screening is delegated to the tier closest to the clients: edges run
 //! the configured [`ScreenPolicy`](crate::ScreenPolicy) over their local
@@ -55,7 +54,7 @@ use spatl_wire::{EdgeEntry, EdgeReduced, EdgeSelection, TierFaultCounters};
 use crate::screen::median_in_place;
 use crate::{
     AggregatorKind, Algorithm, FaultRecord, FlConfig, GlobalState, LocalOutcome, RoundBytes,
-    RoundDriver, WireBytes,
+    WireBytes,
 };
 
 /// Split `n_clients` into `n_edges` contiguous, near-equal slices — the
@@ -82,8 +81,8 @@ pub fn edge_partition(n_clients: usize, n_edges: usize) -> Vec<Range<usize>> {
 }
 
 /// Whether `aggregator` composes exactly across tiers (edges forward the
-/// survivors' original frames and the root replays the flat fold) or via
-/// a pre-reduced, bounded-ε summary.
+/// survivors' original frames and the root folds them as a flat root
+/// would) or via a pre-reduced, bounded-ε summary.
 pub fn exact_composition(aggregator: &AggregatorKind) -> bool {
     matches!(
         aggregator,
@@ -91,32 +90,9 @@ pub fn exact_composition(aggregator: &AggregatorKind) -> bool {
     )
 }
 
-/// Root-side exact composition: merge the edges' already-screened
-/// survivors in ascending client-id order and run the ordinary flat
-/// aggregation fold. The counterpart of
-/// [`RoundDriver::screen_and_aggregate`] for cohorts the edges screened
-/// — the root must *not* re-screen, so the policy runs exactly once per
-/// upload. Fills the ledger's `survivors`/`no_op` fields like the
-/// screening path does.
-pub fn fold_exact(
-    driver: &mut RoundDriver,
-    mut survivors: Vec<LocalOutcome>,
-    faults: &mut FaultRecord,
-) -> bool {
-    survivors.sort_by_key(|o| o.client_id);
-    faults.survivors = survivors.len();
-    let applied = driver
-        .global
-        .aggregate(&driver.cfg, &survivors, driver.cfg.n_clients);
-    faults.no_op = !applied;
-    applied
-}
-
 /// The robust per-coordinate statistic of `cfg.aggregator`, applied to a
-/// scratch sample (sorted in place). Mirrors the private statistic the
-/// server's robust aggregation uses; `tests/compose.rs` pins the two
-/// together by asserting single-edge reduction reproduces flat robust
-/// aggregation bit-for-bit.
+/// scratch sample (sorted in place): the median, or the trimmed mean
+/// (falling back to the median when trimming would consume the sample).
 fn robust_stat(aggregator: &AggregatorKind, xs: &mut [f32]) -> f32 {
     match aggregator {
         AggregatorKind::CoordinateMedian => median_in_place(xs),
@@ -137,12 +113,28 @@ fn robust_stat(aggregator: &AggregatorKind, xs: &mut [f32]) -> f32 {
     }
 }
 
-/// Edge-side pre-reduction for the robust aggregators: collapse the
-/// edge's surviving cohort into the per-coordinate robust statistic the
-/// root composes across edges. `broadcast` is the global state the
-/// clients trained against this round (the edge's decode of the round's
-/// download frames) — it supplies the control variate for the SCAFFOLD /
-/// SPATL server-side control-step derivation and the buffer shape.
+/// The robust reduction of one cohort — an edge's slice, or the whole
+/// flat cohort: each algorithm's rule re-expressed around the
+/// per-coordinate robust statistic `stat`, for [`aggregate_reduced`] to
+/// compose across summaries. Sample weights are deliberately ignored — a
+/// Byzantine client could lie about its shard size to buy weight — so
+/// the honest-round result differs (slightly) from the published rules:
+///
+/// * deltas: `stat({δᵢ})`; for FedNova over the *normalised* directions
+///   `τ_eff·δᵢ/τᵢ` (τ_eff keeps its data-weighted definition over the
+///   survivors), with `stat` over the uploaded momentum buffers.
+/// * SCAFFOLD control: `stat({Δcᵢ})`, applied as `(|S|/N)·stat` — the
+///   published `(1/N)·Σ` is `(|S|/N)·mean`, the mean swapped for `stat`.
+/// * SPATL (Eq. 12): per index, `stat` over the clients whose selection
+///   uploaded that index; gradient control as SCAFFOLD's, with the
+///   per-index participation count for `|S|`.
+/// * batch-norm buffers: `stat` per coordinate, over the uploads whose
+///   buffer vector matches the session shape.
+///
+/// `broadcast` is the global state the clients trained against (an
+/// edge's decode of the round's download frames): it supplies the
+/// control variate for the SCAFFOLD / SPATL control-step derivation and
+/// the buffer shape.
 ///
 /// Returns `None` when no survivor is aggregatable (everyone diverged,
 /// or zero total sample weight under FedNova) — the edge then reports

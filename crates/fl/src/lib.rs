@@ -57,7 +57,7 @@ pub use client::{ClientState, CompressedDelta, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
 pub use compose::{
     aggregate_reduced, edge_partition, entry_outcome, exact_composition, fault_counters,
-    fold_exact, fold_fault_counters, outcome_entry, reduce_cohort,
+    fold_fault_counters, outcome_entry, reduce_cohort,
 };
 pub use config::{AggregatorKind, Algorithm, FlConfig, NetProfile, SpatlOptions, UploadCodec};
 pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRecord};

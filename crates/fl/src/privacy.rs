@@ -12,16 +12,18 @@
 //!   must be derivable without a round trip: the sampling stream, the
 //!   fault plan's pre-round dropouts and the churn model are all pure
 //!   functions of seeds already shared in the session config.
-//! * [`build_masked_upload`] — re-expresses one [`LocalOutcome`] as the
-//!   exact grid-integer lanes the streaming fold consumes, then applies
-//!   the cohort's pairwise masks. Each algorithm's lanes mirror
-//!   `StreamState::fold` term for term, which is what makes the
-//!   full-participation masked round bit-identical to the clear one.
+//! * [`build_masked_upload`] — re-expresses one [`LocalOutcome`] as
+//!   exact grid-integer lanes, then applies the cohort's pairwise masks.
+//!   The lanes are written by the very term walk the server's clear fold
+//!   runs (`fold_terms`, generic over the lane type), which is what makes
+//!   the full-participation masked round bit-identical to the clear one.
 //! * [`unmask_share`] — the share a survivor reveals when a cohort
 //!   member that *did* derive masks never delivered its upload
 //!   (deadline, exhausted retries, a mid-collection crash).
 //! * [`fixed_quantized_upload`] — the bounded-L2 fixed-point lane with
 //!   per-client discrete noise.
+
+use std::borrow::Cow;
 
 use spatl_privacy::{
     discrete_laplace, pair_base, quantize, MaskedCounts, MaskedUpload, MaskedVector, PrivacyConfig,
@@ -29,7 +31,8 @@ use spatl_privacy::{
 };
 use spatl_tensor::TensorRng;
 
-use crate::{Algorithm, FaultInjector, FlConfig, GlobalState, LocalOutcome};
+use crate::accumulate::{fold_terms, Lanes};
+use crate::{Algorithm, FaultInjector, FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
 
 /// The cohort round `round` samples, re-derived from the session seeds
 /// alone — the same draw [`RoundDriver::sample_round`] produces, computed
@@ -88,20 +91,12 @@ pub(crate) fn has_count_lane(algorithm: &Algorithm) -> bool {
 }
 
 /// Re-express one local outcome as exact grid-integer lanes and mask it
-/// for the round's cohort. The lanes mirror `StreamState::fold` term for
-/// term — same weights, same per-term f32 expressions — so the cohort
-/// sum of these integers is bit-identical to the clear streaming fold:
-///
-/// * FedAvg / FedProx: `delta[j]` at weight `n_samples`.
-/// * FedNova: `delta[j] / max(τ, 1)` at weight `n_samples`; velocity on
-///   the secondary lane at the same weight.
-/// * SCAFFOLD: `delta[j]` at weight 1; the uploaded control delta on the
-///   secondary lane (zeros when the client had none — exactly what the
-///   clear pair codec would have carried).
-/// * SPATL: selected values at weight 1, one blind vote per touched
-///   coordinate, and — under gradient control — the server's control
-///   term `−c[j] − v·scale` computed against the *broadcast* control the
-///   client just decoded (bit-identical to the server's own copy).
+/// for the round's cohort. The lanes are written by `fold_terms`, the
+/// term walk the clear streaming fold runs — same weights, same per-term
+/// f32 expressions, SPATL's control term computed against the *broadcast*
+/// control the client just decoded (bit-identical to the server's own
+/// copy) — so the cohort sum of these integers is bit-identical to the
+/// clear fold by construction.
 ///
 /// A diverged client contributes all-zero lanes: the clear fold skips it
 /// entirely, but its pairwise masks were already promised to the cohort
@@ -126,86 +121,36 @@ pub fn build_masked_upload(
         counts: has_count_lane(&cfg.algorithm).then(|| MaskedCounts::zeros(p)),
         buffers: (buf_len > 0).then(|| MaskedVector::zeros(buf_len)),
     };
-    if !o.diverged {
-        let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
-        match cfg.algorithm {
-            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                let w = o.n_samples as u64;
-                for (j, &v) in o.delta.iter().enumerate().take(p) {
-                    up.delta.accumulate(j, v, w, false);
-                }
-            }
-            Algorithm::FedNova => {
-                let w = o.n_samples as u64;
-                let tau = o.tau.max(1) as f32;
-                for (j, &v) in o.delta.iter().enumerate().take(p) {
-                    up.delta.accumulate(j, v / tau, w, false);
-                }
-                if let Some(vel) = &o.velocity {
-                    let sec = up.secondary.as_mut().expect("FedNova has a velocity lane");
-                    for (j, &vj) in vel.iter().enumerate().take(p) {
-                        sec.accumulate(j, vj, w, false);
-                    }
-                }
-            }
-            Algorithm::Scaffold => {
-                for (j, &v) in o.delta.iter().enumerate().take(p) {
-                    up.delta.accumulate(j, v, 1, false);
-                }
-                if let Some(cd) = &o.control_delta {
-                    let sec = up.secondary.as_mut().expect("SCAFFOLD has a control lane");
-                    for (j, &t) in cd.iter().enumerate().take(p) {
-                        sec.accumulate(j, t, 1, false);
-                    }
-                }
-            }
-            Algorithm::Spatl(opts) => {
-                let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
-                let counts = up.counts.as_mut().expect("SPATL has a count lane");
-                match &o.selected {
-                    Some(sel) => {
-                        for (k, &i) in sel.indices.iter().enumerate() {
-                            let j = i as usize;
-                            if j >= p {
-                                continue;
-                            }
-                            up.delta.accumulate(j, sel.values[k], 1, false);
-                            counts.bump(j);
-                            if opts.gradient_control {
-                                let term = -global.control[j] - sel.values[k] * scale;
-                                up.secondary
-                                    .as_mut()
-                                    .expect("gradient control has a lane")
-                                    .accumulate(j, term, 1, false);
-                            }
-                        }
-                    }
-                    None => {
-                        for (j, &v) in o.delta.iter().enumerate().take(p) {
-                            up.delta.accumulate(j, v, 1, false);
-                            counts.bump(j);
-                            if opts.gradient_control {
-                                let term = -global.control[j] - v * scale;
-                                up.secondary
-                                    .as_mut()
-                                    .expect("gradient control has a lane")
-                                    .accumulate(j, term, 1, false);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if buf_len > 0 {
-            let buf = up.buffers.as_mut().expect("buffer lane allocated above");
-            for (j, &b) in o.buffers.iter().enumerate().take(buf_len) {
-                buf.accumulate(j, b, 1, false);
-            }
-        }
-    }
+    let lanes = Lanes {
+        delta: &mut up.delta,
+        secondary: up.secondary.as_mut(),
+        votes: up.counts.as_mut(),
+        buffers: up.buffers.as_mut(),
+    };
+    fold_terms(cfg, &global.control, &as_uploaded(cfg, p, o), lanes);
     let cohort = masking_cohort(cfg, round);
     up.mask_for_cohort(privacy.seed, round as u64, o.client_id, &cohort);
     up
+}
+
+/// `o` as its clear upload would reach the server's fold — the input the
+/// masked lanes must be built from, since the server never gets to
+/// normalise what it cannot see. SCAFFOLD's pair codec carries an absent
+/// control delta as zeros (never the server-side fallback derivation),
+/// and `decode_upload` would have refused a selection reaching past the
+/// session's parameters; such indices are dropped here.
+fn as_uploaded<'a>(cfg: &FlConfig, p: usize, o: &'a LocalOutcome) -> Cow<'a, LocalOutcome> {
+    let mut o = Cow::Borrowed(o);
+    if matches!(cfg.algorithm, Algorithm::Scaffold) && o.control_delta.is_none() {
+        o.to_mut().control_delta = Some(vec![0.0; p]);
+    }
+    let past_end = |sel: &SelectedUpdate| sel.indices.iter().any(|&i| i as usize >= p);
+    if o.selected.as_ref().is_some_and(past_end) {
+        let sel = o.to_mut().selected.as_mut().expect("checked above");
+        let kept = sel.indices.iter().zip(&sel.values);
+        (sel.indices, sel.values) = kept.filter(|(&i, _)| (i as usize) < p).unzip();
+    }
+    o
 }
 
 /// The unmask share `survivor` reveals for `dropped` in `round`: the

@@ -23,11 +23,11 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 use spatl_tensor::TensorRng;
-use spatl_wire::{SelectionLayout, SimNet, WireError};
+use spatl_wire::{EdgeReduced, SelectionLayout, SimNet, WireError};
 
 use crate::{
-    wire, Encoded, FaultRecord, FlConfig, GlobalState, LocalOutcome, RoundAccumulator, RoundBytes,
-    StreamState, WireBytes,
+    aggregate_reduced, wire, Encoded, FaultRecord, FlConfig, GlobalState, LocalOutcome,
+    RoundAccumulator, RoundBytes, ScreenPolicy, StreamState, WireBytes,
 };
 
 /// Metrics recorded after each communication round.
@@ -73,9 +73,10 @@ pub struct RoundRecord {
     pub faults: FaultRecord,
     /// Which aggregation front-end this round ran through
     /// (`"stream"`, `"masked"`, `"spill-screening"`, `"spill-robust"`,
-    /// `"spill-range"`, or `"noop"` for an empty round) — the
-    /// [`RoundAccumulator`] mode, surfaced so experiment summaries can
-    /// report how each round was actually folded.
+    /// `"spill-range"`, `"edge-reduced"` for a tiered robust round, or
+    /// `"noop"` for an empty round) — the [`RoundAccumulator`] mode,
+    /// surfaced so experiment summaries can report how each round was
+    /// actually folded.
     pub agg_mode: String,
 }
 
@@ -301,8 +302,20 @@ impl RoundDriver {
     /// — streaming them into fixed-size exact state when the
     /// configuration allows (`WeightedMean`, no screen), buffering and
     /// deterministically slotting by client id otherwise. Close it with
-    /// [`RoundDriver::finish_accumulation`].
+    /// [`RoundDriver::finish_accumulation`], which runs the session's
+    /// screen policy: this is the door for a fold fed by clients.
     pub fn begin_accumulation(&self) -> RoundAccumulator {
+        self.open_accumulator(self.cfg.screen)
+    }
+
+    /// [`begin_accumulation`](Self::begin_accumulation) for a root fed
+    /// by edges, which already ran the screen policy: the close does not
+    /// run it again, and is otherwise the flat fold's.
+    pub fn begin_accumulation_over_edges(&self) -> RoundAccumulator {
+        self.open_accumulator(None)
+    }
+
+    fn open_accumulator(&self, screen: Option<ScreenPolicy>) -> RoundAccumulator {
         // A poisoned slot only means no reuse this round.
         let spare = self
             .spare_accumulator
@@ -315,6 +328,7 @@ impl RoundDriver {
             self.cfg.n_clients,
             self.round_index(),
             spare,
+            screen,
         )
     }
 
@@ -349,13 +363,12 @@ impl RoundDriver {
     }
 
     /// Screening + aggregation stage (DESIGN.md §8/§9) for callers that
-    /// already hold the whole cohort (the in-process simulator, the
-    /// tiered composition layer): feeds every upload through the same
-    /// [`RoundAccumulator`] the concurrent coordinator streams into —
-    /// one fold, two transports. Arrival order no longer matters; the
-    /// accumulator is order-independent by construction. Returns whether
-    /// anything was applied; the ledger's `survivors`/`no_op` fields are
-    /// filled either way.
+    /// already hold the whole cohort (the in-process simulator): feeds
+    /// every upload through the same [`RoundAccumulator`] the concurrent
+    /// coordinator streams into — one fold, two transports. Arrival
+    /// order does not matter; the accumulator is order-independent by
+    /// construction. Returns whether anything was applied; the ledger's
+    /// `survivors`/`no_op` fields are filled either way.
     pub fn screen_and_aggregate(
         &mut self,
         survivors: Vec<LocalOutcome>,
@@ -366,6 +379,19 @@ impl RoundDriver {
             acc.fold(o);
         }
         self.finish_accumulation(acc, faults)
+    }
+
+    /// A tiered robust round's close (DESIGN.md §11): no upload reaches
+    /// the root, so instead of an accumulator it applies
+    /// [`aggregate_reduced`] across the edges' summaries. Fills the
+    /// ledger's `survivors`/`no_op` and records `agg_mode`
+    /// `"edge-reduced"`.
+    pub fn compose_reduced(&mut self, reduced: &[EdgeReduced], faults: &mut FaultRecord) -> bool {
+        self.last_agg_mode = "edge-reduced";
+        let applied = aggregate_reduced(&mut self.global, &self.cfg, reduced, self.cfg.n_clients);
+        faults.survivors = reduced.iter().map(|r| r.survivors as usize).sum();
+        faults.no_op = !applied;
+        applied
     }
 
     /// Close the round: fold the participants' byte accounting, attach

@@ -1,18 +1,16 @@
-//! Server-side global state and aggregation rules.
+//! Server-side global state and the batch door to aggregation.
 //!
-//! Every algorithm's published rule lives behind
-//! [`AggregatorKind::WeightedMean`] (the default), implemented by the
-//! streaming [`StreamState`](crate::StreamState) fold — one upload at a
-//! time over fixed-size exact accumulators, so the same code path serves
-//! the batch callers here and the concurrent networked coordinator
-//! (DESIGN.md §12). The robust variants
-//! ([`AggregatorKind::NormClippedMean`],
-//! [`AggregatorKind::CoordinateMedian`],
-//! [`AggregatorKind::CoordinateTrimmedMean`]) re-express each rule around
-//! a per-coordinate robust statistic so a Byzantine minority cannot
-//! control the aggregate; DESIGN.md §9 discusses the trade-offs.
+//! [`GlobalState::aggregate`] reduces a cohort the caller already holds
+//! (the [`RoundAccumulator`](crate::RoundAccumulator)'s spill close, and
+//! tests) and owns no rule of its own: [`AggregatorKind::WeightedMean`]
+//! is the streaming [`StreamState`] fold, [`AggregatorKind::NormClippedMean`]
+//! clips each upload to the cohort's median RMS and runs that same fold,
+//! and the coordinate median / trimmed mean are the robust reduction of
+//! [`compose`](crate::compose) with the whole cohort as its single edge.
+//! DESIGN.md §9 discusses the trade-offs.
 
 use crate::accumulate::StreamState;
+use crate::compose::{aggregate_reduced, reduce_cohort};
 use crate::screen::{all_finite, median_in_place, update_rms};
 use crate::{AggregatorKind, Algorithm, FlConfig, LocalOutcome};
 use serde::{Deserialize, Serialize};
@@ -80,223 +78,31 @@ impl GlobalState {
         outcomes: &[LocalOutcome],
         n_clients_total: usize,
     ) -> bool {
-        let valid: Vec<&LocalOutcome> = outcomes.iter().filter(|o| !o.diverged).collect();
-        if valid.is_empty() {
-            return false;
-        }
         match cfg.aggregator {
-            AggregatorKind::WeightedMean => {
-                let mut acc = StreamState::new(cfg, self, n_clients_total);
-                for o in &valid {
-                    acc.fold(o);
-                }
-                acc.finalize(self)
-            }
+            AggregatorKind::WeightedMean => self.stream_fold(cfg, outcomes, n_clients_total),
+            // Uploads the clip drops (non-finite ones) leave a smaller
+            // cohort, possibly an empty one: a no-op round.
             AggregatorKind::NormClippedMean => {
-                let clipped = clip_to_median_rms(&valid);
-                if clipped.is_empty() {
-                    // Every upload carried non-finite values: nothing
-                    // aggregatable survived the clip — a no-op round.
-                    return false;
-                }
-                let mut acc = StreamState::new(cfg, self, n_clients_total);
-                for o in &clipped {
-                    acc.fold(o);
-                }
-                acc.finalize(self)
+                self.stream_fold(cfg, &clip_to_median_rms(outcomes), n_clients_total)
             }
-            AggregatorKind::CoordinateMedian => {
-                self.aggregate_coordinatewise(cfg, &valid, n_clients_total, RobustStat::Median)
+            // Flat robust aggregation is single-edge composition: the
+            // cohort's per-coordinate statistic, composed across one
+            // summary (the statistic of one value is that value).
+            AggregatorKind::CoordinateMedian | AggregatorKind::CoordinateTrimmedMean { .. } => {
+                match reduce_cohort(cfg, outcomes, self) {
+                    Some(reduced) => aggregate_reduced(self, cfg, &[reduced], n_clients_total),
+                    None => false,
+                }
             }
-            AggregatorKind::CoordinateTrimmedMean { trim_ratio } => self.aggregate_coordinatewise(
-                cfg,
-                &valid,
-                n_clients_total,
-                RobustStat::TrimmedMean(trim_ratio),
-            ),
         }
     }
 
-    /// Robust per-coordinate aggregation
-    /// ([`AggregatorKind::CoordinateMedian`] /
-    /// [`AggregatorKind::CoordinateTrimmedMean`]): each algorithm's rule is
-    /// re-expressed around `stat` applied coordinate-wise over the cohort.
-    /// Sample weights are deliberately ignored — a Byzantine client could
-    /// lie about its shard size to buy weight — so the honest-round result
-    /// differs (slightly) from the published weighted rules:
-    ///
-    /// * FedAvg/FedProx: `x ← x + η_g · stat({δᵢ})`.
-    /// * FedNova: the per-client *normalised* directions `τ_eff·δᵢ/τᵢ` are
-    ///   combined by `stat` (τ_eff keeps its data-weighted definition over
-    ///   the survivors); the momentum broadcast is `stat` over the uploaded
-    ///   buffers.
-    /// * SCAFFOLD: `x ← x + η_g · stat({δᵢ})`;
-    ///   `c ← c + (|S|/N) · stat({Δcᵢ})` — the published `(1/N)·Σ` equals
-    ///   `(|S|/N)·mean`, with the mean swapped for the robust statistic.
-    /// * SPATL (Eq. 12): per index, `stat` runs over the subset of clients
-    ///   whose salient selection uploaded that index — the channel-granular
-    ///   equivalent of the dense rules; gradient control mirrors SCAFFOLD
-    ///   with the per-index participation count in place of `|S|`.
-    /// * Batch-norm buffers are combined per coordinate by `stat`.
-    fn aggregate_coordinatewise(
-        &mut self,
-        cfg: &FlConfig,
-        valid: &[&LocalOutcome],
-        n_clients_total: usize,
-        stat: RobustStat,
-    ) -> bool {
-        let p = self.shared.len();
-        let inv_n = 1.0 / n_clients_total as f32;
-        let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
-        let mut sample: Vec<f32> = Vec::with_capacity(valid.len());
-
-        match cfg.algorithm {
-            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                for j in 0..p {
-                    sample.clear();
-                    sample.extend(valid.iter().map(|o| o.delta[j]));
-                    self.shared[j] += cfg.server_lr * stat.apply(&mut sample);
-                }
-            }
-            Algorithm::FedNova => {
-                let total: f32 = valid.iter().map(|o| o.n_samples as f32).sum();
-                if total <= 0.0 {
-                    return false;
-                }
-                let tau_eff: f32 = valid
-                    .iter()
-                    .map(|o| (o.n_samples as f32 / total) * o.tau as f32)
-                    .sum();
-                for j in 0..p {
-                    sample.clear();
-                    sample.extend(
-                        valid
-                            .iter()
-                            .map(|o| tau_eff * o.delta[j] / o.tau.max(1) as f32),
-                    );
-                    self.shared[j] += cfg.server_lr * stat.apply(&mut sample);
-                }
-                if valid.iter().any(|o| o.velocity.is_some()) {
-                    let mut momentum = vec![0.0f32; p];
-                    #[allow(clippy::needless_range_loop)] // j indexes every upload
-                    for j in 0..p {
-                        sample.clear();
-                        sample.extend(
-                            valid.iter().filter_map(|o| {
-                                o.velocity.as_ref().and_then(|v| v.get(j)).copied()
-                            }),
-                        );
-                        if !sample.is_empty() {
-                            momentum[j] = stat.apply(&mut sample);
-                        }
-                    }
-                    self.momentum = momentum;
-                }
-            }
-            Algorithm::Scaffold => {
-                let s_over_n = valid.len() as f32 * inv_n;
-                let mut cd_sample: Vec<f32> = Vec::with_capacity(valid.len());
-                for j in 0..p {
-                    sample.clear();
-                    cd_sample.clear();
-                    for o in valid {
-                        sample.push(o.delta[j]);
-                        let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
-                        cd_sample.push(match &o.control_delta {
-                            Some(cd) => cd[j],
-                            None => -self.control[j] - o.delta[j] * scale,
-                        });
-                    }
-                    self.shared[j] += cfg.server_lr * stat.apply(&mut sample);
-                    self.control[j] += s_over_n * stat.apply(&mut cd_sample);
-                }
-            }
-            Algorithm::Spatl(opts) => {
-                // Gather per index the (value, control scale) contributions
-                // of the clients whose selection uploaded that index; the
-                // robust statistic then runs over exactly that subset.
-                let mut votes: Vec<Vec<(f32, f32)>> = vec![Vec::new(); p];
-                for o in valid {
-                    let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
-                    match &o.selected {
-                        Some(sel) => {
-                            for (k, &i) in sel.indices.iter().enumerate() {
-                                votes[i as usize].push((sel.values[k], scale));
-                            }
-                        }
-                        None => {
-                            for (j, v) in votes.iter_mut().enumerate() {
-                                v.push((o.delta[j], scale));
-                            }
-                        }
-                    }
-                }
-                let mut cd_sample: Vec<f32> = Vec::with_capacity(valid.len());
-                for (j, v) in votes.iter().enumerate() {
-                    if v.is_empty() {
-                        continue;
-                    }
-                    sample.clear();
-                    sample.extend(v.iter().map(|&(val, _)| val));
-                    self.shared[j] += cfg.server_lr * stat.apply(&mut sample);
-                    if opts.gradient_control {
-                        cd_sample.clear();
-                        cd_sample.extend(v.iter().map(|&(val, sc)| -self.control[j] - val * sc));
-                        self.control[j] += v.len() as f32 * inv_n * stat.apply(&mut cd_sample);
-                    }
-                }
-            }
+    fn stream_fold(&mut self, cfg: &FlConfig, outcomes: &[LocalOutcome], n: usize) -> bool {
+        let mut acc = StreamState::new(cfg, self, n);
+        for o in outcomes {
+            acc.fold(o);
         }
-
-        // Batch-norm buffers: the robust statistic per coordinate, over the
-        // uploads whose buffer vector matches the session shape.
-        if !self.buffers.is_empty() {
-            let senders: Vec<&&LocalOutcome> = valid
-                .iter()
-                .filter(|o| o.buffers.len() == self.buffers.len())
-                .collect();
-            if !senders.is_empty() {
-                let mut acc = vec![0.0f32; self.buffers.len()];
-                #[allow(clippy::needless_range_loop)] // j indexes every upload
-                for j in 0..self.buffers.len() {
-                    sample.clear();
-                    sample.extend(senders.iter().map(|o| o.buffers[j]));
-                    acc[j] = stat.apply(&mut sample);
-                }
-                self.buffers = acc;
-            }
-        }
-        true
-    }
-}
-
-/// Which robust location statistic [`GlobalState::aggregate`] applies per
-/// coordinate.
-#[derive(Debug, Clone, Copy)]
-enum RobustStat {
-    /// The coordinate-wise median.
-    Median,
-    /// The coordinate-wise trimmed mean (fraction trimmed from each tail);
-    /// falls back to the median when trimming would consume the sample.
-    TrimmedMean(f32),
-}
-
-impl RobustStat {
-    /// Apply the statistic to a scratch sample (sorted in place).
-    fn apply(&self, xs: &mut [f32]) -> f32 {
-        match *self {
-            RobustStat::Median => median_in_place(xs),
-            RobustStat::TrimmedMean(ratio) => {
-                let n = xs.len();
-                let k = (ratio * n as f32).floor() as usize;
-                if n <= 2 * k {
-                    return median_in_place(xs);
-                }
-                xs.sort_unstable_by(f32::total_cmp);
-                let kept = &xs[k..n - k];
-                kept.iter().sum::<f32>() / kept.len() as f32
-            }
-        }
+        acc.finalize(self)
     }
 }
 
@@ -313,65 +119,38 @@ impl RobustStat {
 /// does for dropouts; a cohort with no finite upload comes back empty and
 /// the caller turns the round into a no-op — the global state is never
 /// touched by a non-finite value.
-fn clip_to_median_rms(valid: &[&LocalOutcome]) -> Vec<LocalOutcome> {
-    let finite: Vec<&LocalOutcome> = valid.iter().copied().filter(|o| all_finite(o)).collect();
+fn clip_to_median_rms(outcomes: &[LocalOutcome]) -> Vec<LocalOutcome> {
+    let finite: Vec<&LocalOutcome> = outcomes
+        .iter()
+        .filter(|o| !o.diverged && all_finite(o))
+        .collect();
     let norms: Vec<f32> = finite.iter().map(|o| update_rms(o)).collect();
     // An RMS can still overflow to ∞ on finite-but-huge values; such
     // uploads are unboundedly out of scale and get clipped to zero (safe:
     // their entries are finite), and they never vote on the median.
     let mut usable: Vec<f32> = norms.iter().copied().filter(|n| n.is_finite()).collect();
-    if usable.is_empty() {
-        return finite
-            .iter()
-            .map(|o| {
-                let mut c = (*o).clone();
-                scale_update(&mut c, 0.0);
-                c
-            })
-            .collect();
-    }
-    let median = median_in_place(&mut usable);
+    let median = (!usable.is_empty()).then(|| median_in_place(&mut usable));
     finite
         .iter()
         .zip(&norms)
         .map(|(o, &rms)| {
             let mut c = (*o).clone();
-            let factor = if !rms.is_finite() {
-                0.0
-            } else if rms > median && rms > 0.0 {
-                median / rms
-            } else {
-                1.0
+            let factor = match median {
+                Some(median) if rms.is_finite() => {
+                    if rms > median && rms > 0.0 {
+                        median / rms
+                    } else {
+                        1.0
+                    }
+                }
+                _ => 0.0,
             };
             if factor != 1.0 {
-                scale_update(&mut c, factor);
+                c.scale(factor);
             }
             c
         })
         .collect()
-}
-
-/// Scale every aggregated vector of an outcome (batch-norm statistics are
-/// running means, not updates — they are left untouched).
-fn scale_update(o: &mut LocalOutcome, factor: f32) {
-    for x in &mut o.delta {
-        *x *= factor;
-    }
-    if let Some(sel) = &mut o.selected {
-        for x in &mut sel.values {
-            *x *= factor;
-        }
-    }
-    if let Some(cd) = &mut o.control_delta {
-        for x in cd {
-            *x *= factor;
-        }
-    }
-    if let Some(v) = &mut o.velocity {
-        for x in v {
-            *x *= factor;
-        }
-    }
 }
 
 #[cfg(test)]

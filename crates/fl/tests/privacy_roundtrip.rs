@@ -426,3 +426,59 @@ fn masked_upload_pricing_matches_the_comm_model() {
     assert_eq!(priced.download, clear.download, "downloads stay clear");
     assert!(priced.upload > CommModel::dense(p).upload, "blinding costs");
 }
+
+#[test]
+fn masked_lanes_are_built_from_the_outcome_as_the_wire_carries_it() {
+    // The masked builder and the server's clear fold walk one term
+    // table; what differs is the input. The server folds what
+    // `decode_upload` produced, so the builder must normalise its raw
+    // outcome the way the clear codec and decoder would have. A
+    // one-client session has no pairs, so the lanes come back unmasked.
+    let (p, buf) = (13, 3);
+    let session = |alg| {
+        let mut cfg = FlConfig::new(alg);
+        cfg.n_clients = 1;
+        cfg.privacy = Some(PrivacyConfig::masked(3));
+        cfg
+    };
+
+    // SCAFFOLD without a control step: the pair codec carries zeros, so
+    // the control lane is zeros — never the server-side fallback
+    // derivation the clear fold keeps for synthetic outcomes.
+    let cfg = session(Algorithm::Scaffold);
+    let global = global_for(&cfg, p, buf);
+    let explicit = LocalOutcome {
+        control_delta: Some(vec![0.0; p]),
+        ..outcome_for(&cfg, 0, p, buf)
+    };
+    let absent = LocalOutcome {
+        control_delta: None,
+        ..explicit.clone()
+    };
+    let up = spatl_fl::build_masked_upload(&cfg, &global, &absent, 0);
+    assert_eq!(
+        up,
+        spatl_fl::build_masked_upload(&cfg, &global, &explicit, 0)
+    );
+    assert_eq!(up.secondary, Some(spatl_privacy::MaskedVector::zeros(p)));
+    assert_ne!(up.delta, spatl_privacy::MaskedVector::zeros(p));
+
+    // SPATL with a selection reaching past the session's parameters:
+    // `decode_upload` would have refused it; the builder drops the
+    // entry — no delta term, no vote, no control term — and keeps the
+    // rest.
+    let cfg = session(Algorithm::Spatl(SpatlOptions::default()));
+    let global = global_for(&cfg, p, buf);
+    let clean = outcome_for(&cfg, 0, p, buf);
+    let mut stray = clean.clone();
+    let sel = stray.selected.as_mut().unwrap();
+    sel.indices.insert(1, p as u32 + 5);
+    sel.values.insert(1, 9.0);
+    let up = spatl_fl::build_masked_upload(&cfg, &global, &stray, 0);
+    assert_eq!(up, spatl_fl::build_masked_upload(&cfg, &global, &clean, 0));
+    let counts = up.counts.as_ref().unwrap();
+    let voted: Vec<u32> = (0..p as u32)
+        .filter(|&j| counts.count(j as usize) == 1)
+        .collect();
+    assert_eq!(voted, clean.selected.unwrap().indices);
+}

@@ -26,9 +26,9 @@ use std::time::{Duration, Instant};
 
 use spatl::{save_global, CheckpointError, RoundLog};
 use spatl_fl::{
-    aggregate_reduced, decode_upload, edge_partition, entry_outcome, exact_composition, fold_exact,
-    fold_fault_counters, ledger_departures, ChaosInjector, Encoded, FaultKind, FaultRecord,
-    GlobalState, LocalOutcome, RoundDriver, RoundRecord, TransportStats, WireBytes,
+    decode_upload, edge_partition, entry_outcome, exact_composition, fold_fault_counters,
+    ledger_departures, ChaosInjector, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome,
+    RoundDriver, RoundRecord, TransportStats, WireBytes,
 };
 use spatl_wire::{
     decode_edge_combined, decode_unmask_shares, encode_unmask_request, open, read_frame, seal,
@@ -518,9 +518,11 @@ impl Coordinator {
     /// The tiered round body: every peer is one edge aggregator which
     /// screens its slice of the cohort locally and forwards one combined
     /// upload (DESIGN.md §11). Composition at the root follows the
-    /// aggregator: exactly-composable kinds replay the flat fold over
-    /// the survivors' forwarded frames ([`fold_exact`]); robust kinds
-    /// compose the edges' pre-reduced summaries ([`aggregate_reduced`]).
+    /// aggregator: exactly-composable kinds fold the survivors'
+    /// forwarded frames into the accumulator a flat round uses, opened
+    /// over edges so the close does not screen again; robust kinds
+    /// compose the edges' pre-reduced summaries
+    /// ([`RoundDriver::compose_reduced`]).
     /// The record's `wire` figures measure the *root link* only — the
     /// client↔edge traffic is accounted on the edges (the per-client
     /// analytic bytes still travel in the combined upload's entries, so
@@ -572,8 +574,9 @@ impl Coordinator {
         combined.sort_by_key(|(e, ..)| *e);
         dead.sort_by_key(|(e, _)| *e);
 
+        let exact = exact_composition(&self.driver.cfg.aggregator);
+        let mut acc = self.driver.begin_accumulation_over_edges();
         let mut outcomes: Vec<LocalOutcome> = Vec::new();
-        let mut survivors: Vec<LocalOutcome> = Vec::new();
         let mut reduced: Vec<EdgeReduced> = Vec::new();
         let mut stats = TransportStats::default();
         for (_, upload, upload_framed) in combined {
@@ -591,10 +594,10 @@ impl Coordinator {
                 let meta = entry_outcome(entry);
                 if !entry.frames.is_empty() {
                     // Exact composition: the survivor's original sealed
-                    // frames, replayed through the same decode path a
-                    // flat coordinator uses.
+                    // frames, through the decode path and into the fold
+                    // a flat coordinator uses.
                     match self.driver.decode_client_upload(&meta, &entry.frames) {
-                        Ok(d) => survivors.push(d),
+                        Ok(d) => acc.fold(d),
                         Err(err) => faults.push(
                             meta.client_id,
                             FaultKind::CorruptUpload {
@@ -612,7 +615,6 @@ impl Coordinator {
         // with the edge's own failure — unless it holds a direct failover
         // connection (exactly composable aggregators only). The root
         // degrades gracefully instead of stalling on a dead partition.
-        let exact = exact_composition(&self.driver.cfg.aggregator);
         for (e, failure) in dead {
             self.peers.drop_peer(HelloRole::Edge, e);
             let home = &self.peers.homes()[e];
@@ -654,28 +656,19 @@ impl Coordinator {
         for c in unreached {
             faults.push(c, FaultKind::Dropout);
         }
-        let (metas, _) =
-            self.collect_uploads(lane, &down, &mut faults, |update| survivors.push(update));
+        let (metas, _) = self.collect_uploads(lane, &down, &mut faults, |update| acc.fold(update));
         for o in &metas {
             stats.charge(&self.driver.net, &o.wire, 1.0, 0.0);
         }
         outcomes.extend(metas);
         stats.measured_wall_s = started.elapsed().as_secs_f64();
 
-        // Compose: the edges already screened their cohorts, so the
-        // policy must not run again at the root.
+        // Close: the flat round's close (minus the screen the edges
+        // already ran), or the composition of the edges' summaries.
         if exact {
-            fold_exact(&mut self.driver, survivors, &mut faults);
+            self.driver.finish_accumulation(acc, &mut faults);
         } else {
-            let driver = &mut self.driver;
-            faults.survivors = reduced.iter().map(|r| r.survivors as usize).sum();
-            let applied = aggregate_reduced(
-                &mut driver.global,
-                &driver.cfg,
-                &reduced,
-                driver.cfg.n_clients,
-            );
-            faults.no_op = !applied;
+            self.driver.compose_reduced(&reduced, &mut faults);
         }
         // Failover outcomes appended after the edges' — restore the
         // ascending-id order the bookkeeping folds rely on.

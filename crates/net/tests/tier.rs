@@ -393,3 +393,204 @@ fn root_killed_mid_round_resumes_from_wal_bit_identically() {
     }
     let _ = std::fs::remove_file(&wal);
 }
+
+// ---------------------------------------------------------------------
+// The tiered root closes through the flat round's accumulator.
+// ---------------------------------------------------------------------
+
+/// Every round's `agg_mode`, in order.
+fn agg_modes(coordinator: &Coordinator) -> Vec<&str> {
+    let history = &coordinator.driver.history;
+    history.iter().map(|r| r.agg_mode.as_str()).collect()
+}
+
+/// A tiered round is recorded the way it was folded: a weighted-mean root
+/// streams — also when a screen policy is configured, because the edges
+/// ran it and the root must not run it again — and the robust arm, which
+/// composes the edges' summaries instead of folding uploads, says so.
+#[test]
+fn tiered_rounds_record_how_they_were_folded() {
+    let rounds = 2;
+    let plain = run_tiered(|| builder(Algorithm::FedAvg, rounds).build());
+    assert_eq!(agg_modes(&plain.coordinator), ["stream"; 2]);
+
+    let screened = run_tiered(|| {
+        builder(Algorithm::FedAvg, rounds)
+            .screen(ScreenPolicy::default())
+            .build()
+    });
+    assert_eq!(agg_modes(&screened.coordinator), ["stream"; 2]);
+
+    let robust = run_tiered(|| {
+        builder(Algorithm::FedAvg, rounds)
+            .aggregator(AggregatorKind::CoordinateTrimmedMean { trim_ratio: 0.25 })
+            .build()
+    });
+    assert_eq!(agg_modes(&robust.coordinator), ["edge-reduced"; 2]);
+}
+
+/// A client node that follows the protocol to the letter but tampers with
+/// every upload the way the session's [`AdversaryPlan`] says (the stock
+/// [`ClientNode`] is always honest): trains, rewrites its outcome,
+/// re-seals CRC-valid frames, replies.
+fn byzantine_node(cfg: FlConfig, mut state: ClientState, addr: String, params: usize) {
+    use spatl_net::{session_fingerprint, Hello, HelloRole, RoundAssign, RoundDone, RoundMode};
+    use spatl_wire::{open, read_frame, seal, write_frame, MsgType, MAX_FRAME_PAYLOAD};
+
+    let adversary = spatl_fl::Adversary::new(cfg.adversary.expect("an adversary plan"));
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let next_frame = |stream: &mut std::net::TcpStream| {
+        read_frame(stream, MAX_FRAME_PAYLOAD)
+            .expect("read frame")
+            .expect("peer closed mid-session")
+    };
+    let hello = Hello {
+        client_id: state.id as u32,
+        fingerprint: session_fingerprint(&cfg),
+        role: HelloRole::Client,
+    };
+    write_frame(&mut stream, &seal(MsgType::Hello, &hello.encode())).expect("send hello");
+    let join = next_frame(&mut stream);
+    assert_eq!(open(&join).expect("open join").0, MsgType::Join);
+    loop {
+        let frame = next_frame(&mut stream);
+        let assign = match open(&frame).expect("open control frame") {
+            (MsgType::Shutdown, _) => return,
+            (MsgType::RoundAssign, payload) => RoundAssign::decode(payload).expect("assign"),
+            (other, _) => panic!("unexpected control message {other:?}"),
+        };
+        let down: Vec<Vec<u8>> = (0..assign.n_frames)
+            .map(|_| next_frame(&mut stream))
+            .collect();
+        let global = spatl_fl::decode_download(&cfg, &down, params).expect("decode broadcast");
+        let (done, frames) = match assign.mode {
+            RoundMode::Eval => {
+                let acc = state.sync_and_evaluate(&cfg, &global);
+                let done = RoundDone::eval(assign.round, state.id as u32, acc);
+                (done, Vec::new())
+            }
+            RoundMode::Train => {
+                let round = assign.round as usize;
+                let mut outcome = state.local_update(&cfg, &global, round);
+                adversary.tamper(&cfg, &global, &mut outcome, round);
+                (RoundDone::train(assign.round, &outcome), outcome.frames)
+            }
+        };
+        write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode())).expect("send done");
+        for f in &frames {
+            write_frame(&mut stream, f).expect("send upload frame");
+        }
+    }
+}
+
+/// Run `build`'s session over `topology` with the adversary plan's
+/// Byzantine clients played by [`byzantine_node`] and everyone else by a
+/// stock [`ClientNode`]; returns the finished coordinator.
+fn run_with_byzantine_nodes(build: impl Fn() -> Simulation, topology: Topology) -> Coordinator {
+    let session = build();
+    let cfg = session.driver.cfg;
+    let params = session.driver.global.shared.len();
+    let plan = cfg.adversary.expect("an adversary plan");
+    let byzantine = spatl_fl::Adversary::new(plan).byzantine_mask(cfg.n_clients);
+    let opts = CoordinatorConfig {
+        topology: topology.clone(),
+        ..root_config()
+    };
+    let mut coordinator = Coordinator::bind(session.driver, opts).expect("bind root");
+    let root_addr = coordinator.local_addr().expect("root addr").to_string();
+
+    // Where each client connects: its edge when tiered, the root when flat.
+    let mut edge_handles = Vec::new();
+    let homes: Vec<(std::ops::Range<usize>, String)> = match topology {
+        Topology::Flat => vec![(0..cfg.n_clients, root_addr)],
+        Topology::Tiered { edges } => edge_partition(cfg.n_clients, edges)
+            .into_iter()
+            .enumerate()
+            .map(|(e, range)| {
+                let opts = EdgeConfig::new(e, edges, root_addr.clone(), "127.0.0.1:0");
+                let edge = EdgeAggregator::bind(build().driver, opts).expect("bind edge");
+                let addr = edge.local_addr().expect("edge addr").to_string();
+                edge_handles.push(thread::spawn(move || edge.run()));
+                (range, addr)
+            })
+            .collect(),
+    };
+    let node_handles: Vec<JoinHandle<()>> = session
+        .clients
+        .into_iter()
+        .map(|c| {
+            let home = homes.iter().find(|(range, _)| range.contains(&c.id));
+            let addr = home.expect("every client has a home").1.clone();
+            if byzantine[c.id] {
+                thread::spawn(move || byzantine_node(cfg, c, addr, params))
+            } else {
+                thread::spawn(move || {
+                    let node = ClientNode::new(cfg, c, NodeConfig::new(addr));
+                    node.run().expect("node exits cleanly");
+                })
+            }
+        })
+        .collect();
+
+    assert!(coordinator.run().expect("session runs"), "no shutdown");
+    for h in edge_handles {
+        h.join().expect("edge thread").expect("edge exits cleanly");
+    }
+    for h in node_handles {
+        h.join().expect("node thread");
+    }
+    coordinator
+}
+
+/// Fixed-point privacy behind edges still enforces the session's L2 ball:
+/// the edges do not check it (they forward frames), so the root's close
+/// must — exactly as the flat root's does. One λ = 100 attacker among
+/// four clients is quarantined for `RangeBound` every round under both
+/// topologies, and the two sessions end on the same bits.
+#[test]
+fn tiered_fixed_point_session_enforces_the_range_bound() {
+    let plan = AdversaryPlan {
+        fraction: 0.25,
+        attack: AttackKind::ScaleAttack,
+        lambda: 100.0,
+        seed: 5,
+    };
+    let make = || {
+        builder(Algorithm::FedAvg, 2)
+            .privacy(PrivacyConfig::fixed(11, 100.0))
+            .adversary(plan)
+            .build()
+    };
+    let attacker = spatl_fl::Adversary::new(plan)
+        .byzantine_mask(4)
+        .iter()
+        .position(|&b| b)
+        .expect("one attacker");
+
+    let flat = run_with_byzantine_nodes(make, Topology::Flat);
+    let tiered = run_with_byzantine_nodes(make, Topology::Tiered { edges: EDGES });
+    for (topology, run) in [("flat", &flat), ("tiered", &tiered)] {
+        assert_eq!(run.driver.history.len(), 2, "{topology}");
+        for record in &run.driver.history {
+            let quarantined: Vec<usize> = record
+                .faults
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e.kind,
+                        FaultKind::Quarantined {
+                            reason: spatl_fl::ScreenReason::RangeBound { .. }
+                        }
+                    )
+                })
+                .map(|e| e.client_id)
+                .collect();
+            assert_eq!(quarantined, [attacker], "{topology} round {}", record.round);
+            assert_eq!(record.faults.sampled, 4, "{topology}");
+            assert_eq!(record.faults.survivors, 3, "{topology}");
+            assert_eq!(record.agg_mode, "spill-range", "{topology}");
+        }
+    }
+    assert_global_bit_identical(&flat.driver.global, &tiered.driver.global);
+}
