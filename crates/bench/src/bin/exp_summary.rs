@@ -401,37 +401,6 @@ fn main() {
         );
     }
 
-    // Repo-root snapshot (bench_net_snapshot), not a results/ artefact:
-    // the coordinator-scaling numbers DESIGN.md §12 is calibrated on.
-    if let Some(v) = std::fs::read_to_string("BENCH_net.json")
-        .ok()
-        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
-    {
-        println!("## Coordinator scaling (bench_net_snapshot, loopback)");
-        let mut t = Table::new(&[
-            "clients",
-            "uploads/s",
-            "collection s",
-            "peak RSS MB",
-            "cohort·model MB",
-        ]);
-        for s in v["series"].as_array().into_iter().flatten() {
-            t.row(vec![
-                s["clients"].to_string(),
-                format!("{:.0}", f(&s["uploads_per_s"])),
-                format!("{:.3}", f(&s["collection_wall_s"])),
-                format!("{:.1}", f(&s["coordinator_peak_rss_bytes"]) / 1e6),
-                format!("{:.1}", f(&s["cohort_model_bytes"]) / 1e6),
-            ]);
-        }
-        t.print();
-        println!(
-            "(peak RSS is the coordinator process's VmHWM — the streaming \
-             accumulator keeps it near the model size while cohort·model is \
-             what buffering the round would have cost)\n"
-        );
-    }
-
     if let Some(v) = load("fig_ablations") {
         println!("## Ablations (best accuracy, variant vs variant)");
         let mut t = Table::new(&["ablation", "variant", "best acc"]);

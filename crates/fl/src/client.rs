@@ -137,6 +137,44 @@ pub struct LocalOutcome {
 }
 
 impl LocalOutcome {
+    /// The bookkeeping half of an outcome — the scalars a `RoundDone`
+    /// header or a forwarded edge entry carries — with every tensor field
+    /// and the sealed frames empty, for [`decode_upload`] to fill from
+    /// the frames that actually arrived.
+    ///
+    /// [`decode_upload`]: crate::wire::decode_upload
+    #[allow(clippy::too_many_arguments)]
+    pub fn meta(
+        client_id: usize,
+        n_samples: usize,
+        tau: usize,
+        diverged: bool,
+        keep_ratio: f32,
+        flops_ratio: f32,
+        bytes: RoundBytes,
+        wire: crate::WireBytes,
+    ) -> Self {
+        LocalOutcome {
+            client_id,
+            n_samples,
+            tau,
+            delta: Vec::new(),
+            selected: None,
+            compressed: None,
+            control_delta: None,
+            velocity: None,
+            buffers: Vec::new(),
+            diverged,
+            masked: None,
+            fixed: None,
+            bytes,
+            wire,
+            frames: Vec::new(),
+            keep_ratio,
+            flops_ratio,
+        }
+    }
+
     /// Expand a compressed upload into the dense `delta`, in place.
     ///
     /// The streaming fold never needs this; spill-mode aggregation,

@@ -481,33 +481,23 @@ pub fn outcome_entry(meta: &LocalOutcome, accuracy: f32, frames: Vec<Vec<u8>>) -
 /// entry — the tier analogue of reading a client's `RoundDone` header;
 /// tensor fields stay empty until the entry's frames are decoded.
 pub fn entry_outcome(entry: &EdgeEntry) -> LocalOutcome {
-    LocalOutcome {
-        client_id: entry.client_id as usize,
-        n_samples: entry.n_samples as usize,
-        tau: entry.tau as usize,
-        delta: Vec::new(),
-        selected: None,
-        compressed: None,
-        control_delta: None,
-        velocity: None,
-        buffers: Vec::new(),
-        diverged: entry.diverged,
-        masked: None,
-        fixed: None,
-        bytes: RoundBytes {
+    LocalOutcome::meta(
+        entry.client_id as usize,
+        entry.n_samples as usize,
+        entry.tau as usize,
+        entry.diverged,
+        entry.keep_ratio,
+        entry.flops_ratio,
+        RoundBytes {
             download: entry.bytes_download,
             upload: entry.bytes_upload,
         },
-        wire: WireBytes {
-            download_payload: 0,
-            download_framed: 0,
+        WireBytes {
             upload_payload: entry.upload_payload,
             upload_framed: entry.upload_framed,
+            ..WireBytes::default()
         },
-        frames: Vec::new(),
-        keep_ratio: entry.keep_ratio,
-        flops_ratio: entry.flops_ratio,
-    }
+    )
 }
 
 #[cfg(test)]

@@ -442,25 +442,7 @@ impl RoundDriver {
     /// client dropped out): nothing moved on the wire, the global model
     /// is untouched, and the fault ledger says why the round was empty.
     pub fn noop_round(&mut self, per_client_acc: Vec<f32>, faults: FaultRecord) -> RoundRecord {
-        let round = self.round_index();
-        let mean_acc = per_client_acc.iter().sum::<f32>() / per_client_acc.len().max(1) as f32;
-        let record = RoundRecord {
-            round,
-            mean_acc,
-            per_client_acc,
-            bytes: RoundBytes::default(),
-            wire: WireBytes::default(),
-            transfer_wall_s: 0.0,
-            transfer_device_s: 0.0,
-            measured_wall_s: 0.0,
-            cumulative_bytes: self.cumulative_bytes,
-            diverged_clients: 0,
-            mean_keep_ratio: 0.0,
-            mean_flops_ratio: 0.0,
-            faults,
-            agg_mode: "noop".to_string(),
-        };
-        self.history.push(record.clone());
-        record
+        self.last_agg_mode = "noop";
+        self.finish_round(&[], TransportStats::default(), per_client_acc, faults)
     }
 }

@@ -233,16 +233,24 @@ pub fn decode_download(
             state.shared.len()
         )));
     }
-    if let Some(aux) = frames.get(1) {
-        let (msg, payload) = open(aux)?;
-        if msg != MsgType::BnStats {
-            return Err(WireError::Malformed(format!(
-                "unexpected auxiliary message {msg:?}"
-            )));
-        }
-        state.buffers = decode_dense(payload)?;
-    }
+    state.buffers = decode_bn_stats(frames)?;
     Ok(state)
+}
+
+/// Open the auxiliary [`MsgType::BnStats`] frame riding at `frames[1]`,
+/// if the transmission carries one: the batch-norm running statistics,
+/// empty when it does not.
+fn decode_bn_stats(frames: &[Vec<u8>]) -> Result<Vec<f32>, WireError> {
+    let Some(aux) = frames.get(1) else {
+        return Ok(Vec::new());
+    };
+    let (msg, payload) = open(aux)?;
+    if msg != MsgType::BnStats {
+        return Err(WireError::Malformed(format!(
+            "unexpected auxiliary message {msg:?}"
+        )));
+    }
+    decode_dense(payload)
 }
 
 /// Serialize one client's upload into sealed frames. Called by the client
@@ -388,25 +396,16 @@ pub fn decode_upload(
     // Scalars only: `meta` may still own the client's clear tensors and
     // sealed frames (the simulator's does), and none of them belong in
     // the decoded result.
-    let mut out = LocalOutcome {
-        client_id: meta.client_id,
-        n_samples: meta.n_samples,
-        tau: meta.tau,
-        delta: Vec::new(),
-        selected: None,
-        compressed: None,
-        control_delta: None,
-        velocity: None,
-        buffers: Vec::new(),
-        diverged: meta.diverged,
-        masked: None,
-        fixed: None,
-        bytes: meta.bytes,
-        wire: meta.wire,
-        frames: Vec::new(),
-        keep_ratio: meta.keep_ratio,
-        flops_ratio: meta.flops_ratio,
-    };
+    let mut out = LocalOutcome::meta(
+        meta.client_id,
+        meta.n_samples,
+        meta.tau,
+        meta.diverged,
+        meta.keep_ratio,
+        meta.flops_ratio,
+        meta.bytes,
+        meta.wire,
+    );
     let check_len = |len: usize| {
         if len != expected_params {
             Err(WireError::Malformed(format!(
@@ -460,15 +459,7 @@ pub fn decode_upload(
                     .map(|&v| dequantize(v, privacy.frac_bits))
                     .collect();
                 out.fixed = Some(q);
-                if let Some(aux) = frames.get(1) {
-                    let (msg, payload) = open(aux)?;
-                    if msg != MsgType::BnStats {
-                        return Err(WireError::Malformed(format!(
-                            "unexpected auxiliary message {msg:?}"
-                        )));
-                    }
-                    out.buffers = decode_dense(payload)?;
-                }
+                out.buffers = decode_bn_stats(frames)?;
                 return Ok(out);
             }
             (mode, got) => {
@@ -559,14 +550,6 @@ pub fn decode_upload(
             )));
         }
     }
-    if let Some(aux) = frames.get(1) {
-        let (msg, payload) = open(aux)?;
-        if msg != MsgType::BnStats {
-            return Err(WireError::Malformed(format!(
-                "unexpected auxiliary message {msg:?}"
-            )));
-        }
-        out.buffers = decode_dense(payload)?;
-    }
+    out.buffers = decode_bn_stats(frames)?;
     Ok(out)
 }

@@ -105,33 +105,23 @@ fn parse_reply(
 /// [`RoundDone`] header; every tensor field stays empty until
 /// `RoundDriver::decode_client_upload` fills it from the frames.
 pub(crate) fn meta_outcome(done: &RoundDone) -> LocalOutcome {
-    LocalOutcome {
-        client_id: done.client_id as usize,
-        n_samples: done.n_samples as usize,
-        tau: done.tau as usize,
-        delta: Vec::new(),
-        selected: None,
-        compressed: None,
-        control_delta: None,
-        velocity: None,
-        buffers: Vec::new(),
-        diverged: done.diverged,
-        masked: None,
-        fixed: None,
-        bytes: RoundBytes {
+    LocalOutcome::meta(
+        done.client_id as usize,
+        done.n_samples as usize,
+        done.tau as usize,
+        done.diverged,
+        done.keep_ratio,
+        done.flops_ratio,
+        RoundBytes {
             download: done.bytes_download,
             upload: done.bytes_upload,
         },
-        wire: WireBytes {
-            download_payload: 0,
-            download_framed: 0,
+        WireBytes {
             upload_payload: done.upload_payload,
             upload_framed: done.upload_framed,
+            ..WireBytes::default()
         },
-        frames: Vec::new(),
-        keep_ratio: done.keep_ratio,
-        flops_ratio: done.flops_ratio,
-    }
+    )
 }
 
 /// What one poll of a connection produced.

@@ -1,14 +1,17 @@
 //! Control-plane payload codecs: the session-management messages that
 //! surround the data-plane model/update frames.
 //!
-//! Layouts follow the `spatl-wire` house style — explicit little-endian
-//! fields, no self-describing serialisation, decoders that return
-//! [`WireError`] instead of panicking. Each payload rides inside a sealed
+//! Layouts are written over `spatl_wire::bytes` — the one place the
+//! protocol's byte rules live — so decoders return [`WireError`] instead
+//! of panicking. Each payload rides inside a sealed
 //! envelope with the matching control-plane [`spatl_wire::MsgType`]
 //! (`Hello`/`Join`/`RoundAssign`/`RoundDone`/`Shutdown`); `Shutdown`
 //! carries an empty payload and has no codec here.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use spatl_fl::{FlConfig, LocalOutcome};
+use spatl_wire::bytes::{put_f32s, put_u32, put_u64, put_u64s, Reader};
 use spatl_wire::{WireError, HEADER_LEN};
 
 /// What kind of endpoint a [`Hello`] registers. The tiered root
@@ -142,62 +145,12 @@ pub struct RoundDone {
     pub n_frames: u32,
 }
 
-/// Little-endian field reader shared by the decoders.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
-            return Err(WireError::Truncated {
-                needed: self.pos + n,
-                available: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::LengthMismatch {
-                advertised: self.pos,
-                actual: self.buf.len(),
-            });
-        }
-        Ok(())
-    }
-}
-
 impl Hello {
     /// Serialize into a payload body.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(13);
-        b.extend_from_slice(&self.client_id.to_le_bytes());
-        b.extend_from_slice(&self.fingerprint.to_le_bytes());
+        put_u32(&mut b, self.client_id);
+        put_u64(&mut b, self.fingerprint);
         b.push(self.role.tag());
         b
     }
@@ -210,7 +163,7 @@ impl Hello {
             fingerprint: r.u64()?,
             role: HelloRole::from_tag(r.u8()?)?,
         };
-        r.done()?;
+        r.finish()?;
         Ok(out)
     }
 }
@@ -220,27 +173,18 @@ impl Join {
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(5);
         b.push(u8::from(self.accepted));
-        b.extend_from_slice(&self.round.to_le_bytes());
+        put_u32(&mut b, self.round);
         b
     }
 
     /// Parse a payload body.
     pub fn decode(body: &[u8]) -> Result<Self, WireError> {
         let mut r = Reader::new(body);
-        let accepted = match r.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(WireError::Malformed(format!(
-                    "join verdict must be 0 or 1, got {other}"
-                )))
-            }
-        };
         let out = Join {
-            accepted,
+            accepted: r.flag("join verdict")?,
             round: r.u32()?,
         };
-        r.done()?;
+        r.finish()?;
         Ok(out)
     }
 }
@@ -258,9 +202,9 @@ impl RoundAssign {
     /// Serialize into a payload body.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(9);
-        b.extend_from_slice(&self.round.to_le_bytes());
+        put_u32(&mut b, self.round);
         b.push(self.mode.tag());
-        b.extend_from_slice(&self.n_frames.to_le_bytes());
+        put_u32(&mut b, self.n_frames);
         b
     }
 
@@ -272,7 +216,7 @@ impl RoundAssign {
             mode: RoundMode::from_tag(r.u8()?)?,
             n_frames: r.u32()?,
         };
-        r.done()?;
+        r.finish()?;
         Ok(out)
     }
 }
@@ -338,21 +282,23 @@ impl RoundDone {
 
     /// Serialize into a payload body.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(66);
-        b.extend_from_slice(&self.round.to_le_bytes());
+        let mut b = Vec::with_capacity(74);
+        put_u32(&mut b, self.round);
         b.push(self.mode.tag());
-        b.extend_from_slice(&self.client_id.to_le_bytes());
-        b.extend_from_slice(&self.n_samples.to_le_bytes());
-        b.extend_from_slice(&self.tau.to_le_bytes());
+        put_u32(&mut b, self.client_id);
+        put_u64s(&mut b, &[self.n_samples, self.tau]);
         b.push(u8::from(self.diverged));
-        b.extend_from_slice(&self.keep_ratio.to_le_bytes());
-        b.extend_from_slice(&self.flops_ratio.to_le_bytes());
-        b.extend_from_slice(&self.accuracy.to_le_bytes());
-        b.extend_from_slice(&self.bytes_download.to_le_bytes());
-        b.extend_from_slice(&self.bytes_upload.to_le_bytes());
-        b.extend_from_slice(&self.upload_payload.to_le_bytes());
-        b.extend_from_slice(&self.upload_framed.to_le_bytes());
-        b.extend_from_slice(&self.n_frames.to_le_bytes());
+        put_f32s(&mut b, &[self.keep_ratio, self.flops_ratio, self.accuracy]);
+        put_u64s(
+            &mut b,
+            &[
+                self.bytes_download,
+                self.bytes_upload,
+                self.upload_payload,
+                self.upload_framed,
+            ],
+        );
+        put_u32(&mut b, self.n_frames);
         b
     }
 
@@ -365,7 +311,7 @@ impl RoundDone {
             client_id: r.u32()?,
             n_samples: r.u64()?,
             tau: r.u64()?,
-            diverged: r.u8()? != 0,
+            diverged: r.flag("diverged")?,
             keep_ratio: r.f32()?,
             flops_ratio: r.f32()?,
             accuracy: r.f32()?,
@@ -375,7 +321,7 @@ impl RoundDone {
             upload_framed: r.u64()?,
             n_frames: r.u32()?,
         };
-        r.done()?;
+        r.finish()?;
         Ok(out)
     }
 }
@@ -547,7 +493,7 @@ mod tests {
         long.push(0);
         assert!(matches!(
             RoundDone::decode(&long),
-            Err(WireError::LengthMismatch { .. })
+            Err(WireError::Malformed(_))
         ));
     }
 

@@ -320,8 +320,9 @@ pub fn force_scalar(on: bool) {
 
 /// Name of the micro-kernel the next matmul will dispatch to:
 /// `"fma6x16"` when AVX2+FMA is detected and not overridden,
-/// `"scalar4x8"` otherwise. Recorded in BENCH_substrate.json so numbers
-/// are attributable to a code path.
+/// `"scalar4x8"` otherwise. Recorded in every `roundbench` run's
+/// provenance line so the `tensor.*` metrics are attributable to a code
+/// path.
 pub fn active_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if use_fma() {

@@ -1,5 +1,6 @@
 //! Payload codecs: the byte layouts inside the envelope, one per message
-//! family. All integers and floats are little-endian.
+//! family. The byte rules (little-endian fields, counted or
+//! length-implied vectors, exact consumption) live in [`crate::bytes`].
 //!
 //! Layout conventions, chosen so tensor payloads tie exactly to the
 //! analytic communication model (`CommModel` in `spatl-fl`):
@@ -28,91 +29,9 @@
 //! Decoders validate structure (divisibility, counts, index ordering and
 //! range) and return [`WireError::Malformed`] rather than panicking.
 
+use crate::bytes::{put_counted_u32s, put_f32s, put_u16, put_u32, Reader};
 use crate::error::WireError;
 use crate::f16::{f16_bits_to_f32, f32_to_f16_bits};
-
-// ---------------------------------------------------------------------------
-// Primitive readers/writers
-// ---------------------------------------------------------------------------
-
-/// Cursor over a payload with truncation-checked reads.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated {
-                needed: self.pos + n,
-                available: self.buf.len(),
-            });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("sliced 4 bytes")))
-    }
-
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, WireError> {
-        let bytes = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| WireError::Malformed("count overflows".into()))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunked 4 bytes")))
-            .collect())
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, WireError> {
-        let bytes = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| WireError::Malformed("count overflows".into()))?,
-        )?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("chunked 4 bytes")))
-            .collect())
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Malformed(format!(
-                "{} unconsumed trailing bytes",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn push_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    out.reserve(xs.len() * 4);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn push_u32s(out: &mut Vec<u8>, xs: &[u32]) {
-    out.reserve(xs.len() * 4);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Dense
@@ -121,22 +40,14 @@ fn push_u32s(out: &mut Vec<u8>, xs: &[u32]) {
 /// Encode a dense f32 vector: raw `4n` bytes.
 pub fn encode_dense(values: &[f32]) -> Vec<u8> {
     let mut out = Vec::new();
-    push_f32s(&mut out, values);
+    put_f32s(&mut out, values);
     out
 }
 
 /// Decode a dense f32 vector.
 pub fn decode_dense(payload: &[u8]) -> Result<Vec<f32>, WireError> {
-    if !payload.len().is_multiple_of(4) {
-        return Err(WireError::Malformed(format!(
-            "dense payload length {} not a multiple of 4",
-            payload.len()
-        )));
-    }
     let mut r = Reader::new(payload);
-    let out = r.f32s(payload.len() / 4)?;
-    r.finish()?;
-    Ok(out)
+    r.f32s(r.implied(4, "dense payload")?)
 }
 
 // ---------------------------------------------------------------------------
@@ -161,25 +72,19 @@ pub fn encode_pair(primary: &[f32], secondary: &[f32]) -> Vec<u8> {
         "pair codec requires equal lengths"
     );
     let mut out = Vec::new();
-    push_f32s(&mut out, primary);
-    push_f32s(&mut out, secondary);
+    put_f32s(&mut out, primary);
+    put_f32s(&mut out, secondary);
     out
 }
 
 /// Decode a pair payload; halves the payload to recover both vectors.
 pub fn decode_pair(payload: &[u8]) -> Result<Pair, WireError> {
-    if !payload.len().is_multiple_of(8) {
-        return Err(WireError::Malformed(format!(
-            "pair payload length {} not a multiple of 8",
-            payload.len()
-        )));
-    }
-    let n = payload.len() / 8;
     let mut r = Reader::new(payload);
-    let primary = r.f32s(n)?;
-    let secondary = r.f32s(n)?;
-    r.finish()?;
-    Ok(Pair { primary, secondary })
+    let n = r.implied(8, "pair payload")?;
+    Ok(Pair {
+        primary: r.f32s(n)?,
+        secondary: r.f32s(n)?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -200,14 +105,14 @@ pub struct SpatlEncoder {
 /// Encode the SPATL download: `4e` bytes, or `8e` with gradient control.
 pub fn encode_spatl_encoder(encoder: &[f32], control: Option<&[f32]>) -> Vec<u8> {
     let mut out = Vec::new();
-    push_f32s(&mut out, encoder);
+    put_f32s(&mut out, encoder);
     if let Some(c) = control {
         assert_eq!(
             c.len(),
             encoder.len(),
             "gradient-control vector must match encoder length"
         );
-        push_f32s(&mut out, c);
+        put_f32s(&mut out, c);
     }
     out
 }
@@ -215,19 +120,12 @@ pub fn encode_spatl_encoder(encoder: &[f32], control: Option<&[f32]>) -> Vec<u8>
 /// Decode the SPATL download. `with_control` is session configuration
 /// (both ends know whether gradient control is enabled), not a wire flag.
 pub fn decode_spatl_encoder(payload: &[u8], with_control: bool) -> Result<SpatlEncoder, WireError> {
-    let divisor = if with_control { 8 } else { 4 };
-    if !payload.len().is_multiple_of(divisor) {
-        return Err(WireError::Malformed(format!(
-            "spatl encoder payload length {} not a multiple of {divisor}",
-            payload.len()
-        )));
-    }
-    let n = payload.len() / divisor;
     let mut r = Reader::new(payload);
-    let encoder = r.f32s(n)?;
-    let control = if with_control { Some(r.f32s(n)?) } else { None };
-    r.finish()?;
-    Ok(SpatlEncoder { encoder, control })
+    let n = r.implied(if with_control { 8 } else { 4 }, "spatl encoder payload")?;
+    Ok(SpatlEncoder {
+        encoder: r.f32s(n)?,
+        control: with_control.then(|| r.f32s(n)).transpose()?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -254,30 +152,21 @@ pub fn encode_spatl_update(channels: &[u32], values: &[f32]) -> Vec<u8> {
         "channel ids must be strictly increasing"
     );
     let mut out = Vec::new();
-    out.extend_from_slice(&(channels.len() as u32).to_le_bytes());
-    push_u32s(&mut out, channels);
-    push_f32s(&mut out, values);
+    put_counted_u32s(&mut out, channels);
+    put_f32s(&mut out, values);
     out
 }
 
 /// Decode the SPATL upload.
 pub fn decode_spatl_update(payload: &[u8]) -> Result<SpatlUpdate, WireError> {
     let mut r = Reader::new(payload);
-    let n_channels = r.u32()? as usize;
-    let channels = r.u32s(n_channels)?;
+    let channels = r.counted_u32s()?;
     if !channels.windows(2).all(|w| w[0] < w[1]) {
         return Err(WireError::Malformed(
             "channel ids not strictly increasing".into(),
         ));
     }
-    let rest = r.remaining();
-    if !rest.is_multiple_of(4) {
-        return Err(WireError::Malformed(format!(
-            "spatl value bytes {rest} not a multiple of 4"
-        )));
-    }
-    let values = r.f32s(rest / 4)?;
-    r.finish()?;
+    let values = r.f32s(r.implied(4, "spatl value bytes")?)?;
     Ok(SpatlUpdate { channels, values })
 }
 
@@ -339,10 +228,9 @@ pub fn encode_topk(sparse: &SparseTopK) -> Vec<u8> {
         "sparse index/value counts must match"
     );
     let mut out = Vec::new();
-    out.extend_from_slice(&sparse.dense_len.to_le_bytes());
-    out.extend_from_slice(&(sparse.indices.len() as u32).to_le_bytes());
-    push_u32s(&mut out, &sparse.indices);
-    push_f32s(&mut out, &sparse.values);
+    put_u32(&mut out, sparse.dense_len);
+    put_counted_u32s(&mut out, &sparse.indices);
+    put_f32s(&mut out, &sparse.values);
     out
 }
 
@@ -350,7 +238,7 @@ pub fn encode_topk(sparse: &SparseTopK) -> Vec<u8> {
 pub fn decode_topk(payload: &[u8]) -> Result<SparseTopK, WireError> {
     let mut r = Reader::new(payload);
     let dense_len = r.u32()?;
-    let k = r.u32()? as usize;
+    let k = r.count(8)?;
     let indices = r.u32s(k)?;
     if !indices.windows(2).all(|w| w[0] < w[1]) {
         return Err(WireError::Malformed(
@@ -381,23 +269,16 @@ pub fn decode_topk(payload: &[u8]) -> Result<SparseTopK, WireError> {
 pub fn encode_f16_dense(values: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 2);
     for &x in values {
-        out.extend_from_slice(&f32_to_f16_bits(x).to_le_bytes());
+        put_u16(&mut out, f32_to_f16_bits(x));
     }
     out
 }
 
 /// Decode a half-precision payload back to f32.
 pub fn decode_f16_dense(payload: &[u8]) -> Result<Vec<f32>, WireError> {
-    if !payload.len().is_multiple_of(2) {
-        return Err(WireError::Malformed(format!(
-            "f16 payload length {} not a multiple of 2",
-            payload.len()
-        )));
-    }
-    Ok(payload
-        .chunks_exact(2)
-        .map(|c| f16_bits_to_f32(u16::from_le_bytes(c.try_into().expect("chunked 2 bytes"))))
-        .collect())
+    let mut r = Reader::new(payload);
+    let words = r.u16s(r.implied(2, "f16 payload")?)?;
+    Ok(words.into_iter().map(f16_bits_to_f32).collect())
 }
 
 #[cfg(test)]

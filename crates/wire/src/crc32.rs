@@ -80,9 +80,8 @@ impl Hasher {
     /// Fold `data` into the checksum.
     pub fn update(&mut self, data: &[u8]) {
         let mut crc = self.state;
-        let mut blocks = data.chunks_exact(SLICES);
-        for block in &mut blocks {
-            let block: &[u8; SLICES] = block.try_into().expect("exact chunk");
+        let (blocks, tail) = data.as_chunks::<SLICES>();
+        for block in blocks {
             let word = |at: usize| {
                 u32::from_le_bytes([block[at], block[at + 1], block[at + 2], block[at + 3]])
             };
@@ -97,7 +96,7 @@ impl Hasher {
             let ahead = four(4, word(4)) ^ four(8, word(8)) ^ four(12, word(12));
             crc = ahead ^ four(0, word(0) ^ crc);
         }
-        for &byte in blocks.remainder() {
+        for &byte in tail {
             crc = step(crc, byte);
         }
         self.state = crc;

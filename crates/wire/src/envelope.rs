@@ -23,6 +23,7 @@
 //! 0x02 ↔ `ScaffoldModel` 0x03), which would decode as the wrong message
 //! kind instead of failing.
 
+use crate::bytes::{put_count, put_u32, Reader};
 use crate::crc32::Hasher;
 use crate::error::WireError;
 
@@ -138,20 +139,81 @@ impl MsgType {
     }
 }
 
+/// Header bytes the CRC covers (everything before the CRC field itself).
+const CRC_COVERED: usize = 12;
+
+fn frame_crc(header: &[u8], payload: &[u8]) -> u32 {
+    let mut h = Hasher::new();
+    h.update(&header[..CRC_COVERED]);
+    h.update(payload);
+    h.finalize()
+}
+
 /// Wrap `payload` in a framed envelope.
 pub fn seal(msg: MsgType, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
     frame.extend_from_slice(&MAGIC);
-    frame.push(WIRE_VERSION);
-    frame.push(msg.tag());
-    frame.extend_from_slice(&[0u8; 2]);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut h = Hasher::new();
-    h.update(&frame[..12]);
-    h.update(payload);
-    frame.extend_from_slice(&h.finalize().to_le_bytes());
+    frame.extend_from_slice(&[WIRE_VERSION, msg.tag(), 0, 0]);
+    put_count(&mut frame, payload.len());
+    let crc = frame_crc(&frame, payload);
+    put_u32(&mut frame, crc);
     frame.extend_from_slice(payload);
     frame
+}
+
+/// A frame's fixed header, parsed and validated.
+#[derive(Debug)]
+pub(crate) struct Header {
+    pub(crate) msg: MsgType,
+    /// Payload bytes the header advertises, already checked against the
+    /// caller's cap.
+    pub(crate) payload_len: usize,
+    pub(crate) crc: u32,
+}
+
+/// The one header parser, for frames in memory ([`open`]) and frames
+/// being assembled from a stream (`FrameReader`). Checks, in the order
+/// every receiver reports them: room for a header, magic, version, tag,
+/// then the advertised payload length against `cap` — what a buffer
+/// holds, or what a stream reader may allocate. `over_cap` names that
+/// last failure in the caller's error type.
+pub(crate) fn parse_header<E: From<WireError>>(
+    bytes: &[u8],
+    cap: usize,
+    over_cap: impl FnOnce(usize) -> E,
+) -> Result<Header, E> {
+    if bytes.len() < HEADER_LEN {
+        return Err(WireError::Truncated {
+            needed: HEADER_LEN,
+            available: bytes.len(),
+        }
+        .into());
+    }
+    let mut r = Reader::new(bytes);
+    let magic: [u8; 4] = r.array()?;
+    if magic != MAGIC {
+        return Err(WireError::BadMagic(magic).into());
+    }
+    let version = r.u8()?;
+    if version != WIRE_VERSION {
+        return Err(WireError::Version {
+            found: version,
+            supported: WIRE_VERSION,
+        }
+        .into());
+    }
+    let msg = MsgType::from_tag(r.u8()?)?;
+    r.take(2)?; // reserved
+    let payload_len = r.u32()? as usize;
+    if payload_len > cap {
+        return Err(over_cap(payload_len));
+    }
+    let crc = r.u32()?;
+    Ok(Header {
+        msg,
+        payload_len,
+        crc,
+    })
 }
 
 /// Validate a framed envelope and return `(msg type, payload bytes)`.
@@ -161,48 +223,26 @@ pub fn seal(msg: MsgType, payload: &[u8]) -> Vec<u8> {
 /// error reports the *first* failed check, so version mismatches are
 /// reported as such even when the rest of the frame is garbage.
 pub fn open(frame: &[u8]) -> Result<(MsgType, &[u8]), WireError> {
-    if frame.len() < HEADER_LEN {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN,
-            available: frame.len(),
+    let actual = frame.len().saturating_sub(HEADER_LEN);
+    let header = parse_header(frame, actual, |advertised| WireError::Truncated {
+        needed: HEADER_LEN + advertised,
+        available: frame.len(),
+    })?;
+    if header.payload_len < actual {
+        return Err(WireError::LengthMismatch {
+            advertised: header.payload_len,
+            actual,
         });
-    }
-    let magic: [u8; 4] = frame[0..4].try_into().expect("sliced 4 bytes");
-    if magic != MAGIC {
-        return Err(WireError::BadMagic(magic));
-    }
-    let version = frame[4];
-    if version != WIRE_VERSION {
-        return Err(WireError::Version {
-            found: version,
-            supported: WIRE_VERSION,
-        });
-    }
-    let msg = MsgType::from_tag(frame[5])?;
-    let advertised = u32::from_le_bytes(frame[8..12].try_into().expect("sliced 4 bytes")) as usize;
-    let actual = frame.len() - HEADER_LEN;
-    if advertised > actual {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN + advertised,
-            available: frame.len(),
-        });
-    }
-    if advertised < actual {
-        return Err(WireError::LengthMismatch { advertised, actual });
     }
     let payload = &frame[HEADER_LEN..];
-    let expected = u32::from_le_bytes(frame[12..16].try_into().expect("sliced 4 bytes"));
-    let mut h = Hasher::new();
-    h.update(&frame[..12]);
-    h.update(payload);
-    let computed = h.finalize();
-    if expected != computed {
+    let computed = frame_crc(frame, payload);
+    if header.crc != computed {
         return Err(WireError::Crc {
-            expected,
+            expected: header.crc,
             actual: computed,
         });
     }
-    Ok((msg, payload))
+    Ok((header.msg, payload))
 }
 
 /// Flip one bit of a frame in place — the canonical fault-injection

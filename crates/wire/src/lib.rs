@@ -8,6 +8,8 @@
 //!
 //! Module map:
 //!
+//! * [`bytes`] — the byte rules, once: the checked [`bytes::Reader`]
+//!   cursor and the `put_*` writers every codec below is written over.
 //! * [`envelope`] — frame header, [`seal`]/[`open`], [`MsgType`] tags.
 //! * [`codec`] — payload layouts: dense f32, paired vectors (SCAFFOLD /
 //!   FedNova), SPATL encoder download and channel-indexed upload, top-k
@@ -29,7 +31,9 @@
 //! [`WireError`] instead of panicking on any malformed input.
 
 #![deny(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod bytes;
 pub mod codec;
 pub mod crc32;
 pub mod envelope;

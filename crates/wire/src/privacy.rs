@@ -2,9 +2,9 @@
 //! the unmask-share control frames (DESIGN.md §15).
 //!
 //! * **masked upload** ([`MsgType::MaskedUpload`](crate::MsgType)): a
-//!   9-or-13-byte header (`u32` coordinate count, `u32` buffer length
-//!   when the buffer lane rides along, `u8` lane flags) followed by the
-//!   raw little-endian `u64` words of every lane —
+//!   5-or-9-byte header (`u32` coordinate count, `u8` lane flags, `u32`
+//!   buffer length when the buffer lane rides along) followed by the raw
+//!   `u64` words of every lane —
 //!   [`GRID_WORDS`] words per coordinate for the grid lanes, one word per
 //!   coordinate for the count lane. The words are uniformly masked, so
 //!   no compression is possible (or attempted): payload bytes are
@@ -20,6 +20,7 @@
 //! Decoders validate structure and return
 //! [`WireError::Malformed`] / truncation errors, never panic.
 
+use crate::bytes::{put_count, put_counted_u32s, put_i32s, put_u32, put_u64, put_u64s, Reader};
 use crate::error::WireError;
 use spatl_privacy::{MaskedCounts, MaskedUpload, MaskedVector, UnmaskShare, GRID_WORDS};
 
@@ -32,42 +33,8 @@ const FLAG_BUFFERS: u8 = 1 << 2;
 /// `u32` for its own length.
 pub const MASKED_METADATA: usize = 5;
 
-fn push_u64s(out: &mut Vec<u8>, xs: &[u64]) {
-    out.reserve(xs.len() * 8);
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn read_u32(buf: &[u8], pos: &mut usize) -> Result<u32, WireError> {
-    if buf.len() < *pos + 4 {
-        return Err(WireError::Truncated {
-            needed: *pos + 4,
-            available: buf.len(),
-        });
-    }
-    let v = u32::from_le_bytes(buf[*pos..*pos + 4].try_into().expect("sliced 4 bytes"));
-    *pos += 4;
-    Ok(v)
-}
-
-fn read_u64s(buf: &[u8], pos: &mut usize, n: usize) -> Result<Vec<u64>, WireError> {
-    let bytes = n
-        .checked_mul(8)
-        .ok_or_else(|| WireError::Malformed("word count overflows".into()))?;
-    if buf.len() < *pos + bytes {
-        return Err(WireError::Truncated {
-            needed: *pos + bytes,
-            available: buf.len(),
-        });
-    }
-    let out = buf[*pos..*pos + bytes]
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunked 8 bytes")))
-        .collect();
-    *pos += bytes;
-    Ok(out)
-}
+/// Wire bytes of one coordinate of a grid lane.
+const GRID_BYTES: usize = GRID_WORDS * 8;
 
 /// Encode a masked upload. Payload bytes: `5 (+4 with buffers)` of
 /// header, then `48n` per grid lane and `8n` for the count lane.
@@ -84,73 +51,54 @@ pub fn encode_masked_upload(up: &MaskedUpload) -> Vec<u8> {
         flags |= FLAG_BUFFERS;
     }
     let mut out = Vec::new();
-    out.extend_from_slice(&(n as u32).to_le_bytes());
+    put_count(&mut out, n);
     out.push(flags);
     if let Some(buf) = &up.buffers {
-        out.extend_from_slice(&(buf.n_coords() as u32).to_le_bytes());
+        put_count(&mut out, buf.n_coords());
     }
-    push_u64s(&mut out, up.delta.words());
+    put_u64s(&mut out, up.delta.words());
     if let Some(sec) = &up.secondary {
         assert_eq!(sec.n_coords(), n, "secondary lane must match delta width");
-        push_u64s(&mut out, sec.words());
+        put_u64s(&mut out, sec.words());
     }
     if let Some(counts) = &up.counts {
         assert_eq!(counts.n_coords(), n, "count lane must match delta width");
-        push_u64s(&mut out, counts.words());
+        put_u64s(&mut out, counts.words());
     }
     if let Some(buf) = &up.buffers {
-        push_u64s(&mut out, buf.words());
+        put_u64s(&mut out, buf.words());
     }
     out
 }
 
 /// Decode a masked upload, validating lane widths and total length.
 pub fn decode_masked_upload(payload: &[u8]) -> Result<MaskedUpload, WireError> {
-    let mut pos = 0usize;
-    let n = read_u32(payload, &mut pos)? as usize;
-    if payload.len() <= pos {
-        return Err(WireError::Truncated {
-            needed: pos + 1,
-            available: payload.len(),
-        });
-    }
-    let flags = payload[pos];
-    pos += 1;
+    let mut r = Reader::new(payload);
+    let n = r.count(GRID_BYTES)?;
+    let flags = r.u8()?;
     if flags & !(FLAG_SECONDARY | FLAG_COUNTS | FLAG_BUFFERS) != 0 {
         return Err(WireError::Malformed(format!(
             "unknown masked-upload lane flags {flags:#04x}"
         )));
     }
     let buf_len = if flags & FLAG_BUFFERS != 0 {
-        Some(read_u32(payload, &mut pos)? as usize)
+        Some(r.count(GRID_BYTES)?)
     } else {
         None
     };
-    let grid = |words: Vec<u64>| {
-        MaskedVector::from_words(words)
+    let grid = |r: &mut Reader, coords: usize| {
+        MaskedVector::from_words(r.u64s(coords * GRID_WORDS)?)
             .ok_or_else(|| WireError::Malformed("grid lane word count not a multiple of 6".into()))
     };
-    let delta = grid(read_u64s(payload, &mut pos, n * GRID_WORDS)?)?;
-    let secondary = if flags & FLAG_SECONDARY != 0 {
-        Some(grid(read_u64s(payload, &mut pos, n * GRID_WORDS)?)?)
-    } else {
-        None
-    };
-    let counts = if flags & FLAG_COUNTS != 0 {
-        Some(MaskedCounts::from_words(read_u64s(payload, &mut pos, n)?))
-    } else {
-        None
-    };
-    let buffers = match buf_len {
-        Some(b) => Some(grid(read_u64s(payload, &mut pos, b * GRID_WORDS)?)?),
-        None => None,
-    };
-    if pos != payload.len() {
-        return Err(WireError::Malformed(format!(
-            "{} unconsumed trailing bytes in masked upload",
-            payload.len() - pos
-        )));
-    }
+    let delta = grid(&mut r, n)?;
+    let secondary = (flags & FLAG_SECONDARY != 0)
+        .then(|| grid(&mut r, n))
+        .transpose()?;
+    let counts = (flags & FLAG_COUNTS != 0)
+        .then(|| r.u64s(n).map(MaskedCounts::from_words))
+        .transpose()?;
+    let buffers = buf_len.map(|b| grid(&mut r, b)).transpose()?;
+    r.finish()?;
     Ok(MaskedUpload {
         delta,
         secondary,
@@ -162,107 +110,62 @@ pub fn decode_masked_upload(payload: &[u8]) -> Result<MaskedUpload, WireError> {
 /// Encode a fixed-point upload: raw `4n` bytes of little-endian `i32`,
 /// byte-parallel to the clear dense layout.
 pub fn encode_fixed_dense(values: &[i32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    for &x in values {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
+    let mut out = Vec::new();
+    put_i32s(&mut out, values);
     out
 }
 
 /// Decode a fixed-point upload.
 pub fn decode_fixed_dense(payload: &[u8]) -> Result<Vec<i32>, WireError> {
-    if !payload.len().is_multiple_of(4) {
-        return Err(WireError::Malformed(format!(
-            "fixed payload length {} not a multiple of 4",
-            payload.len()
-        )));
-    }
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| i32::from_le_bytes(c.try_into().expect("chunked 4 bytes")))
-        .collect())
+    let mut r = Reader::new(payload);
+    r.i32s(r.implied(4, "fixed payload")?)
 }
 
 /// Encode an unmask request: the round index and the cohort members that
 /// never reported.
 pub fn encode_unmask_request(round: u64, dropped: &[u32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + dropped.len() * 4);
-    out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(&(dropped.len() as u32).to_le_bytes());
-    for &d in dropped {
-        out.extend_from_slice(&d.to_le_bytes());
-    }
+    put_u64(&mut out, round);
+    put_counted_u32s(&mut out, dropped);
     out
 }
 
 /// Decode an unmask request into `(round, dropped ids)`.
 pub fn decode_unmask_request(payload: &[u8]) -> Result<(u64, Vec<u32>), WireError> {
-    if payload.len() < 12 {
-        return Err(WireError::Truncated {
-            needed: 12,
-            available: payload.len(),
-        });
-    }
-    let round = u64::from_le_bytes(payload[0..8].try_into().expect("sliced 8 bytes"));
-    let mut pos = 8usize;
-    let count = read_u32(payload, &mut pos)? as usize;
-    let mut dropped = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        dropped.push(read_u32(payload, &mut pos)?);
-    }
-    if pos != payload.len() {
-        return Err(WireError::Malformed(format!(
-            "{} unconsumed trailing bytes in unmask request",
-            payload.len() - pos
-        )));
-    }
-    Ok((round, dropped))
+    let mut r = Reader::new(payload);
+    let out = (r.u64()?, r.counted_u32s()?);
+    r.finish()?;
+    Ok(out)
 }
+
+/// Wire bytes of one [`UnmaskShare`].
+const SHARE_BYTES: usize = 4 + 4 + 8;
 
 /// Encode a survivor's unmask shares for one round.
 pub fn encode_unmask_shares(round: u64, shares: &[UnmaskShare]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + shares.len() * 16);
-    out.extend_from_slice(&round.to_le_bytes());
-    out.extend_from_slice(&(shares.len() as u32).to_le_bytes());
+    let mut out = Vec::with_capacity(12 + shares.len() * SHARE_BYTES);
+    put_u64(&mut out, round);
+    put_count(&mut out, shares.len());
     for s in shares {
-        out.extend_from_slice(&s.dropped.to_le_bytes());
-        out.extend_from_slice(&s.survivor.to_le_bytes());
-        out.extend_from_slice(&s.pair_base.to_le_bytes());
+        put_u32(&mut out, s.dropped);
+        put_u32(&mut out, s.survivor);
+        put_u64(&mut out, s.pair_base);
     }
     out
 }
 
 /// Decode a survivor's unmask shares into `(round, shares)`.
 pub fn decode_unmask_shares(payload: &[u8]) -> Result<(u64, Vec<UnmaskShare>), WireError> {
-    if payload.len() < 12 {
-        return Err(WireError::Truncated {
-            needed: 12,
-            available: payload.len(),
-        });
-    }
-    let round = u64::from_le_bytes(payload[0..8].try_into().expect("sliced 8 bytes"));
-    let mut pos = 8usize;
-    let count = read_u32(payload, &mut pos)? as usize;
-    let expect = 12 + count * 16;
-    if payload.len() != expect {
-        return Err(WireError::Malformed(format!(
-            "unmask share payload is {} bytes, {count} shares need {expect}",
-            payload.len()
-        )));
-    }
-    let mut shares = Vec::with_capacity(count);
-    for _ in 0..count {
-        let dropped = read_u32(payload, &mut pos)?;
-        let survivor = read_u32(payload, &mut pos)?;
-        let pair_base =
-            u64::from_le_bytes(payload[pos..pos + 8].try_into().expect("sliced 8 bytes"));
-        pos += 8;
-        shares.push(UnmaskShare {
-            dropped,
-            survivor,
-            pair_base,
-        });
-    }
+    let mut r = Reader::new(payload);
+    let round = r.u64()?;
+    let shares = r.counted(SHARE_BYTES, |r| {
+        Ok(UnmaskShare {
+            dropped: r.u32()?,
+            survivor: r.u32()?,
+            pair_base: r.u64()?,
+        })
+    })?;
+    r.finish()?;
     Ok((round, shares))
 }
 

@@ -19,7 +19,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::envelope::{MsgType, HEADER_LEN, MAGIC, WIRE_VERSION};
+use crate::envelope::{parse_header, HEADER_LEN};
 use crate::error::WireError;
 
 /// Default cap on a single frame's payload, in bytes.
@@ -110,83 +110,24 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Fill `buf` from `r`, retrying on interrupts and short reads.
-///
-/// Returns the number of bytes read: `buf.len()` on success, less if the
-/// stream hit EOF first (notably `0` when EOF landed exactly on the
-/// frame boundary).
-fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
 /// Read exactly one complete frame from `r`, or `None` on a clean EOF at
-/// a frame boundary.
+/// a frame boundary: one blocking drive of a [`FrameReader`], so frames
+/// are assembled (and their headers validated, see
+/// [`FrameReader::poll`]) by one loop.
 ///
 /// The returned buffer is the *entire* frame (header + payload), ready
-/// for [`open`](crate::envelope::open). Validation performed here, in
-/// order, before the payload is allocated or read:
-///
-/// 1. magic — fail fast on a stream that is not speaking this protocol;
-/// 2. version;
-/// 3. message-type tag;
-/// 4. advertised payload length against `max_payload` — the bounded-
-///    allocation guarantee.
-///
-/// EOF in the middle of a frame maps to [`WireError::Truncated`]; a read
-/// timeout or reset surfaces as [`StreamError::Io`] with the underlying
-/// [`io::ErrorKind`] (`WouldBlock`/`TimedOut` for socket deadlines).
+/// for [`open`](crate::envelope::open). EOF in the middle of a frame maps
+/// to [`WireError::Truncated`]; a read timeout or reset surfaces as
+/// [`StreamError::Io`] with the underlying [`io::ErrorKind`]
+/// (`WouldBlock`/`TimedOut` for socket deadlines).
 pub fn read_frame<R: Read>(r: &mut R, max_payload: usize) -> Result<Option<Vec<u8>>, StreamError> {
-    let mut header = [0u8; HEADER_LEN];
-    let got = read_full(r, &mut header)?;
-    if got == 0 {
-        return Ok(None);
+    match FrameReader::new(max_payload).poll(r)? {
+        FramePoll::Frame(frame) => Ok(Some(frame)),
+        FramePoll::Eof => Ok(None),
+        // A blocking source only says `WouldBlock` when its read
+        // deadline expired; the partial frame is lost with the reader.
+        FramePoll::Pending => Err(StreamError::Io(io::ErrorKind::WouldBlock.into())),
     }
-    if got < HEADER_LEN {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN,
-            available: got,
-        }
-        .into());
-    }
-    if header[0..4] != MAGIC {
-        let magic: [u8; 4] = header[0..4].try_into().expect("sliced 4 bytes");
-        return Err(WireError::BadMagic(magic).into());
-    }
-    if header[4] != WIRE_VERSION {
-        return Err(WireError::Version {
-            found: header[4],
-            supported: WIRE_VERSION,
-        }
-        .into());
-    }
-    MsgType::from_tag(header[5])?;
-    let advertised = u32::from_le_bytes(header[8..12].try_into().expect("sliced 4 bytes")) as usize;
-    if advertised > max_payload {
-        return Err(StreamError::Oversized {
-            advertised,
-            max: max_payload,
-        });
-    }
-    let mut frame = vec![0u8; HEADER_LEN + advertised];
-    frame[..HEADER_LEN].copy_from_slice(&header);
-    let got = read_full(r, &mut frame[HEADER_LEN..])?;
-    if got < advertised {
-        return Err(WireError::Truncated {
-            needed: HEADER_LEN + advertised,
-            available: HEADER_LEN + got,
-        }
-        .into());
-    }
-    Ok(Some(frame))
 }
 
 /// Outcome of one [`FrameReader::poll`] call.
@@ -203,7 +144,8 @@ pub enum FramePoll {
     Eof,
 }
 
-/// Incremental, non-blocking counterpart of [`read_frame`].
+/// Incremental frame assembly — the one loop behind [`read_frame`] and
+/// every non-blocking connection.
 ///
 /// [`read_frame`] parks the calling thread until a whole frame arrives —
 /// fine for one connection, fatal for a coordinator multiplexing
@@ -213,17 +155,20 @@ pub enum FramePoll {
 /// across calls, and yields [`FramePoll::Frame`] the moment one
 /// completes. One reader per connection; a readiness loop sweeps them.
 ///
-/// Validation is identical to [`read_frame`] — magic, version, tag, then
-/// the advertised length against the cap, all checked the moment the
-/// header completes and *before* the payload buffer is grown, preserving
-/// the bounded-allocation guarantee. EOF mid-frame maps to
+/// Validation, the moment the header completes and *before* the payload
+/// buffer is grown: magic (fail fast on a stream that is not speaking
+/// this protocol), version, tag, then the advertised length against the
+/// cap — the bounded-allocation guarantee. EOF mid-frame maps to
 /// [`WireError::Truncated`]; EOF on a boundary is [`FramePoll::Eof`].
 #[derive(Debug)]
 pub struct FrameReader {
     max_payload: usize,
+    /// Sized to what is being assembled: the header until it has been
+    /// parsed, then the whole frame.
     buf: Vec<u8>,
-    /// Total frame length once the header has been parsed and validated.
-    total: Option<usize>,
+    /// Bytes of `buf` received so far.
+    filled: usize,
+    header_parsed: bool,
 }
 
 impl FrameReader {
@@ -232,18 +177,19 @@ impl FrameReader {
         FrameReader {
             max_payload,
             buf: Vec::new(),
-            total: None,
+            filled: 0,
+            header_parsed: false,
         }
     }
 
     /// Whether a partial frame is buffered (EOF now would be truncation).
     pub fn mid_frame(&self) -> bool {
-        !self.buf.is_empty()
+        self.filled > 0
     }
 
     /// Bytes buffered towards the current frame.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.filled
     }
 
     /// Advance frame assembly with whatever `r` can deliver.
@@ -255,67 +201,44 @@ impl FrameReader {
     /// byte stream is not possible).
     pub fn poll<R: Read>(&mut self, r: &mut R) -> Result<FramePoll, StreamError> {
         loop {
-            let target = self.total.unwrap_or(HEADER_LEN);
-            if self.buf.len() < target {
-                let old = self.buf.len();
-                self.buf.resize(target, 0);
-                let read = r.read(&mut self.buf[old..target]);
-                match read {
-                    Ok(0) => {
-                        self.buf.truncate(old);
-                        if old == 0 && self.total.is_none() {
-                            return Ok(FramePoll::Eof);
-                        }
-                        return Err(WireError::Truncated {
-                            needed: target,
-                            available: old,
-                        }
-                        .into());
-                    }
-                    Ok(n) => {
-                        self.buf.truncate(old + n);
-                        continue;
-                    }
-                    Err(e) => {
-                        self.buf.truncate(old);
-                        match e.kind() {
-                            io::ErrorKind::Interrupted => continue,
-                            io::ErrorKind::WouldBlock => return Ok(FramePoll::Pending),
-                            _ => return Err(e.into()),
-                        }
-                    }
-                }
+            if self.buf.len() < HEADER_LEN {
+                self.buf.resize(HEADER_LEN, 0);
             }
-            if self.total.is_none() {
-                // Header complete: validate before growing the buffer.
-                if self.buf[0..4] != MAGIC {
-                    let magic: [u8; 4] = self.buf[0..4].try_into().expect("sliced 4 bytes");
-                    return Err(WireError::BadMagic(magic).into());
-                }
-                if self.buf[4] != WIRE_VERSION {
-                    return Err(WireError::Version {
-                        found: self.buf[4],
-                        supported: WIRE_VERSION,
+            if self.filled < self.buf.len() {
+                match r.read(&mut self.buf[self.filled..]) {
+                    Ok(0) if self.filled == 0 => return Ok(FramePoll::Eof),
+                    Ok(0) => {
+                        return Err(WireError::Truncated {
+                            needed: self.buf.len(),
+                            available: self.filled,
+                        }
+                        .into())
                     }
-                    .into());
+                    Ok(n) => self.filled += n,
+                    Err(e) => match e.kind() {
+                        io::ErrorKind::Interrupted => {}
+                        io::ErrorKind::WouldBlock => return Ok(FramePoll::Pending),
+                        _ => return Err(e.into()),
+                    },
                 }
-                MsgType::from_tag(self.buf[5])?;
-                let advertised =
-                    u32::from_le_bytes(self.buf[8..12].try_into().expect("sliced 4 bytes"))
-                        as usize;
-                if advertised > self.max_payload {
-                    return Err(StreamError::Oversized {
+                continue;
+            }
+            if !self.header_parsed {
+                // Header complete: validate before growing the buffer.
+                let header = parse_header(&self.buf, self.max_payload, |advertised| {
+                    StreamError::Oversized {
                         advertised,
                         max: self.max_payload,
-                    });
-                }
-                self.total = Some(HEADER_LEN + advertised);
+                    }
+                })?;
+                self.buf.resize(HEADER_LEN + header.payload_len, 0);
+                self.header_parsed = true;
                 continue;
             }
             // A whole frame is buffered: hand it over and reset.
-            let frame = std::mem::take(&mut self.buf);
-            self.total = None;
-            return Ok(FramePoll::Frame(frame));
+            self.filled = 0;
+            self.header_parsed = false;
+            return Ok(FramePoll::Frame(std::mem::take(&mut self.buf)));
         }
     }
 }
@@ -323,7 +246,7 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::{open, seal};
+    use crate::envelope::{open, seal, MsgType};
 
     #[test]
     fn write_then_read_round_trips() {

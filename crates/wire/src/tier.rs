@@ -26,7 +26,8 @@
 //!    (stat-of-stats), which is bounded-ε close to the flat result but
 //!    not bit-identical — see `spatl_fl::compose` for the guarantee.
 //!
-//! Layout (all little-endian) — the [`MsgType::EdgeCombined`] payload:
+//! Layout of the [`MsgType::EdgeCombined`] payload (byte rules in
+//! [`crate::bytes`]; every `n_*` and vector is a counted `u32`):
 //!
 //! ```text
 //! edge_id u32 · round u32 · fault counters 11×u32
@@ -39,6 +40,10 @@
 //! has_reduced u8 · reduced? (see EdgeReduced)
 //! ```
 
+use crate::bytes::{
+    put_count, put_counted_f32s, put_counted_u32s, put_f32, put_f32s, put_u32, put_u32s, put_u64,
+    put_u64s, Reader,
+};
 use crate::envelope::MsgType;
 use crate::error::WireError;
 
@@ -171,299 +176,162 @@ pub struct EdgeCombined {
     pub reduced: Option<EdgeReduced>,
 }
 
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-fn put_u32s(out: &mut Vec<u8>, xs: &[u32]) {
-    out.extend_from_slice(&(xs.len() as u32).to_le_bytes());
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
-}
-
-/// Little-endian cursor shared by the tier decoders.
-struct Cur<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cur { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.buf.len() - self.pos < n {
-            return Err(WireError::Truncated {
-                needed: self.pos + n,
-                available: self.buf.len(),
-            });
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    /// A length-prefixed count, sanity-bounded by what the remaining
-    /// buffer could possibly hold (`stride` bytes per element) so a
-    /// corrupt length cannot trigger a huge allocation.
-    fn count(&mut self, stride: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let room = self.buf.len() - self.pos;
-        if n.saturating_mul(stride.max(1)) > room {
-            return Err(WireError::Truncated {
-                needed: self.pos + n * stride.max(1),
-                available: self.buf.len(),
-            });
-        }
-        Ok(n)
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.f32()).collect()
-    }
-
-    fn u32s(&mut self) -> Result<Vec<u32>, WireError> {
-        let n = self.count(4)?;
-        (0..n).map(|_| self.u32()).collect()
-    }
-
-    fn done(&self) -> Result<(), WireError> {
-        if self.pos != self.buf.len() {
-            return Err(WireError::LengthMismatch {
-                advertised: self.pos,
-                actual: self.buf.len(),
-            });
-        }
-        Ok(())
-    }
-}
-
-const FAULT_FIELDS: usize = 11;
-
 /// Serialize an [`EdgeCombined`] into [`MsgType::EdgeCombined`] payload
 /// bytes (the caller seals it).
 pub fn encode_edge_combined(msg: &EdgeCombined) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&msg.edge_id.to_le_bytes());
-    out.extend_from_slice(&msg.round.to_le_bytes());
+    put_u32(&mut out, msg.edge_id);
+    put_u32(&mut out, msg.round);
     let f = &msg.faults;
-    for c in [
-        f.sampled,
-        f.dropouts,
-        f.stragglers,
-        f.deadline_dropped,
-        f.corrupted_uploads,
-        f.retries,
-        f.retry_exhausted,
-        f.local_divergence,
-        f.byzantine,
-        f.quarantined,
-        f.duplicates,
-    ] {
-        out.extend_from_slice(&c.to_le_bytes());
-    }
-    out.extend_from_slice(&(msg.entries.len() as u32).to_le_bytes());
+    put_u32s(
+        &mut out,
+        &[
+            f.sampled,
+            f.dropouts,
+            f.stragglers,
+            f.deadline_dropped,
+            f.corrupted_uploads,
+            f.retries,
+            f.retry_exhausted,
+            f.local_divergence,
+            f.byzantine,
+            f.quarantined,
+            f.duplicates,
+        ],
+    );
+    put_count(&mut out, msg.entries.len());
     for e in &msg.entries {
-        out.extend_from_slice(&e.client_id.to_le_bytes());
-        out.extend_from_slice(&e.n_samples.to_le_bytes());
-        out.extend_from_slice(&e.tau.to_le_bytes());
-        out.push(e.diverged as u8);
-        out.extend_from_slice(&e.keep_ratio.to_le_bytes());
-        out.extend_from_slice(&e.flops_ratio.to_le_bytes());
-        out.extend_from_slice(&e.accuracy.to_le_bytes());
-        out.extend_from_slice(&e.bytes_download.to_le_bytes());
-        out.extend_from_slice(&e.bytes_upload.to_le_bytes());
-        out.extend_from_slice(&e.upload_payload.to_le_bytes());
-        out.extend_from_slice(&e.upload_framed.to_le_bytes());
-        out.extend_from_slice(&(e.frames.len() as u32).to_le_bytes());
+        put_u32(&mut out, e.client_id);
+        put_u64(&mut out, e.n_samples);
+        put_u64(&mut out, e.tau);
+        out.push(u8::from(e.diverged));
+        put_f32s(&mut out, &[e.keep_ratio, e.flops_ratio, e.accuracy]);
+        put_u64s(
+            &mut out,
+            &[
+                e.bytes_download,
+                e.bytes_upload,
+                e.upload_payload,
+                e.upload_framed,
+            ],
+        );
+        put_count(&mut out, e.frames.len());
         for frame in &e.frames {
-            out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            put_count(&mut out, frame.len());
             out.extend_from_slice(frame);
         }
     }
-    match &msg.reduced {
-        None => out.push(0),
-        Some(r) => {
-            out.push(1);
-            out.extend_from_slice(&r.survivors.to_le_bytes());
-            out.extend_from_slice(&r.n_samples.to_le_bytes());
-            out.extend_from_slice(&r.tau_eff.to_le_bytes());
-            put_f32s(&mut out, &r.delta);
-            put_f32s(&mut out, &r.control_delta);
-            put_f32s(&mut out, &r.velocity);
-            put_f32s(&mut out, &r.buffers);
-            match &r.selection {
-                None => out.push(0),
-                Some(sel) => {
-                    out.push(1);
-                    put_u32s(&mut out, &sel.indices);
-                    put_f32s(&mut out, &sel.values);
-                    put_u32s(&mut out, &sel.counts);
-                    put_f32s(&mut out, &sel.control_values);
-                }
-            }
+    out.push(u8::from(msg.reduced.is_some()));
+    if let Some(r) = &msg.reduced {
+        put_u32(&mut out, r.survivors);
+        put_u64(&mut out, r.n_samples);
+        put_f32(&mut out, r.tau_eff);
+        for lane in [&r.delta, &r.control_delta, &r.velocity, &r.buffers] {
+            put_counted_f32s(&mut out, lane);
+        }
+        out.push(u8::from(r.selection.is_some()));
+        if let Some(sel) = &r.selection {
+            put_counted_u32s(&mut out, &sel.indices);
+            put_counted_f32s(&mut out, &sel.values);
+            put_counted_u32s(&mut out, &sel.counts);
+            put_counted_f32s(&mut out, &sel.control_values);
         }
     }
     out
 }
 
+/// Wire bytes of an entry with no frames: the stride that bounds
+/// `n_entries` by the payload.
+const MIN_ENTRY_BYTES: usize = 4 + 8 + 8 + 1 + 3 * 4 + 4 * 8 + 4;
+/// Wire bytes of a frame with no bytes (its length prefix): the stride
+/// that bounds `n_frames`.
+const MIN_FRAME_BYTES: usize = 4;
+
+fn decode_entry(c: &mut Reader) -> Result<EdgeEntry, WireError> {
+    Ok(EdgeEntry {
+        client_id: c.u32()?,
+        n_samples: c.u64()?,
+        tau: c.u64()?,
+        diverged: c.flag("diverged")?,
+        keep_ratio: c.f32()?,
+        flops_ratio: c.f32()?,
+        accuracy: c.f32()?,
+        bytes_download: c.u64()?,
+        bytes_upload: c.u64()?,
+        upload_payload: c.u64()?,
+        upload_framed: c.u64()?,
+        frames: c.counted(MIN_FRAME_BYTES, |c| {
+            let len = c.count(1)?;
+            Ok(c.take(len)?.to_vec())
+        })?,
+    })
+}
+
+fn decode_selection(c: &mut Reader) -> Result<EdgeSelection, WireError> {
+    let sel = EdgeSelection {
+        indices: c.counted_u32s()?,
+        values: c.counted_f32s()?,
+        counts: c.counted_u32s()?,
+        control_values: c.counted_f32s()?,
+    };
+    let n = sel.indices.len();
+    if sel.values.len() != n || sel.counts.len() != n {
+        return Err(WireError::Malformed(format!(
+            "selection arrays disagree: {n} indices, {} values, {} counts",
+            sel.values.len(),
+            sel.counts.len()
+        )));
+    }
+    if !sel.control_values.is_empty() && sel.control_values.len() != n {
+        return Err(WireError::Malformed(format!(
+            "selection carries {} control values for {n} indices",
+            sel.control_values.len()
+        )));
+    }
+    Ok(sel)
+}
+
 /// Decode a [`MsgType::EdgeCombined`] payload.
 pub fn decode_edge_combined(payload: &[u8]) -> Result<EdgeCombined, WireError> {
-    let mut c = Cur::new(payload);
-    let edge_id = c.u32()?;
-    let round = c.u32()?;
-    let mut counters = [0u32; FAULT_FIELDS];
-    for x in counters.iter_mut() {
-        *x = c.u32()?;
-    }
-    let faults = TierFaultCounters {
-        sampled: counters[0],
-        dropouts: counters[1],
-        stragglers: counters[2],
-        deadline_dropped: counters[3],
-        corrupted_uploads: counters[4],
-        retries: counters[5],
-        retry_exhausted: counters[6],
-        local_divergence: counters[7],
-        byzantine: counters[8],
-        quarantined: counters[9],
-        duplicates: counters[10],
-    };
-    let n_entries = c.count(1)?;
-    let mut entries = Vec::with_capacity(n_entries);
-    for _ in 0..n_entries {
-        let client_id = c.u32()?;
-        let n_samples = c.u64()?;
-        let tau = c.u64()?;
-        let diverged = match c.u8()? {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(WireError::Malformed(format!(
-                    "diverged flag must be 0/1, got {other}"
-                )))
-            }
-        };
-        let keep_ratio = c.f32()?;
-        let flops_ratio = c.f32()?;
-        let accuracy = c.f32()?;
-        let bytes_download = c.u64()?;
-        let bytes_upload = c.u64()?;
-        let upload_payload = c.u64()?;
-        let upload_framed = c.u64()?;
-        let n_frames = c.count(1)?;
-        let mut frames = Vec::with_capacity(n_frames);
-        for _ in 0..n_frames {
-            let len = c.count(1)?;
-            frames.push(c.take(len)?.to_vec());
-        }
-        entries.push(EdgeEntry {
-            client_id,
-            n_samples,
-            tau,
-            diverged,
-            keep_ratio,
-            flops_ratio,
-            accuracy,
-            bytes_download,
-            bytes_upload,
-            upload_payload,
-            upload_framed,
-            frames,
-        });
-    }
-    let reduced = match c.u8()? {
-        0 => None,
-        1 => {
-            let survivors = c.u32()?;
-            let n_samples = c.u64()?;
-            let tau_eff = c.f32()?;
-            let delta = c.f32s()?;
-            let control_delta = c.f32s()?;
-            let velocity = c.f32s()?;
-            let buffers = c.f32s()?;
-            let selection = match c.u8()? {
-                0 => None,
-                1 => {
-                    let indices = c.u32s()?;
-                    let values = c.f32s()?;
-                    let counts = c.u32s()?;
-                    let control_values = c.f32s()?;
-                    if values.len() != indices.len() || counts.len() != indices.len() {
-                        return Err(WireError::Malformed(format!(
-                            "selection arrays disagree: {} indices, {} values, {} counts",
-                            indices.len(),
-                            values.len(),
-                            counts.len()
-                        )));
-                    }
-                    if !control_values.is_empty() && control_values.len() != indices.len() {
-                        return Err(WireError::Malformed(format!(
-                            "selection carries {} control values for {} indices",
-                            control_values.len(),
-                            indices.len()
-                        )));
-                    }
-                    Some(EdgeSelection {
-                        indices,
-                        values,
-                        counts,
-                        control_values,
-                    })
-                }
-                other => {
-                    return Err(WireError::Malformed(format!(
-                        "selection flag must be 0/1, got {other}"
-                    )))
-                }
-            };
+    let mut c = Reader::new(payload);
+    let msg = EdgeCombined {
+        edge_id: c.u32()?,
+        round: c.u32()?,
+        faults: TierFaultCounters {
+            sampled: c.u32()?,
+            dropouts: c.u32()?,
+            stragglers: c.u32()?,
+            deadline_dropped: c.u32()?,
+            corrupted_uploads: c.u32()?,
+            retries: c.u32()?,
+            retry_exhausted: c.u32()?,
+            local_divergence: c.u32()?,
+            byzantine: c.u32()?,
+            quarantined: c.u32()?,
+            duplicates: c.u32()?,
+        },
+        entries: c.counted(MIN_ENTRY_BYTES, decode_entry)?,
+        reduced: if c.flag("reduced")? {
             Some(EdgeReduced {
-                survivors,
-                n_samples,
-                tau_eff,
-                delta,
-                control_delta,
-                velocity,
-                buffers,
-                selection,
+                survivors: c.u32()?,
+                n_samples: c.u64()?,
+                tau_eff: c.f32()?,
+                delta: c.counted_f32s()?,
+                control_delta: c.counted_f32s()?,
+                velocity: c.counted_f32s()?,
+                buffers: c.counted_f32s()?,
+                selection: if c.flag("selection")? {
+                    Some(decode_selection(&mut c)?)
+                } else {
+                    None
+                },
             })
-        }
-        other => {
-            return Err(WireError::Malformed(format!(
-                "reduced flag must be 0/1, got {other}"
-            )))
-        }
+        } else {
+            None
+        },
     };
-    c.done()?;
-    Ok(EdgeCombined {
-        edge_id,
-        round,
-        faults,
-        entries,
-        reduced,
-    })
+    c.finish()?;
+    Ok(msg)
 }
 
 /// Seal an [`EdgeCombined`] into a framed [`MsgType::EdgeCombined`]
@@ -573,7 +441,7 @@ mod tests {
         bytes.push(0);
         assert!(matches!(
             decode_edge_combined(&bytes),
-            Err(WireError::LengthMismatch { .. })
+            Err(WireError::Malformed(_))
         ));
     }
 

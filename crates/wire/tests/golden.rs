@@ -1,0 +1,324 @@
+//! Golden byte fixtures for every payload codec and frame.
+//!
+//! Round-trip tests cannot see a layout change made on both sides of a
+//! codec at once; these can. `golden.hex` holds, per case, the bytes the
+//! encoders produced at the commit *before* the byte layer was unified
+//! (PR 16's parent). Today's encoders must reproduce them exactly and
+//! today's decoders must read them back to the value they came from.
+//!
+//! A deliberate format change regenerates the file at the commit whose
+//! layout is the reference:
+//! `cargo test -p spatl-wire --test golden -- --ignored --nocapture regenerate`.
+
+mod common;
+
+use std::fmt::Debug;
+
+use spatl_privacy::{MaskedCounts, MaskedUpload, MaskedVector, UnmaskShare};
+use spatl_wire::{
+    decode_dense, decode_edge_combined, decode_f16_dense, decode_fixed_dense, decode_masked_upload,
+    decode_pair, decode_spatl_encoder, decode_spatl_update, decode_topk, decode_unmask_request,
+    decode_unmask_shares, encode_dense, encode_edge_combined, encode_f16_dense, encode_fixed_dense,
+    encode_masked_upload, encode_pair, encode_spatl_encoder, encode_spatl_update, encode_topk,
+    encode_unmask_request, encode_unmask_shares, open, seal, EdgeCombined, EdgeEntry, EdgeReduced,
+    EdgeSelection, MsgType, Pair, SparseTopK, SpatlEncoder, SpatlUpdate, TierFaultCounters,
+    WireError,
+};
+
+/// One case: what today's encoder emits for a fixed value, and whether
+/// the parent's fixture of the same name decodes back to that value.
+struct Case {
+    name: &'static str,
+    encoded: Vec<u8>,
+    fixture_decodes_back: bool,
+}
+
+/// The case list under construction, next to the fixtures it is checked
+/// against.
+struct Golden {
+    fixtures: Vec<(&'static str, Vec<u8>)>,
+    cases: Vec<Case>,
+}
+
+impl Golden {
+    fn case<T: PartialEq + Debug>(
+        &mut self,
+        name: &'static str,
+        value: T,
+        encode: impl Fn(&T) -> Vec<u8>,
+        decode: impl Fn(&[u8]) -> Result<T, WireError>,
+    ) {
+        let fixture = self.fixtures.iter().find(|(n, _)| *n == name);
+        self.cases.push(Case {
+            name,
+            encoded: encode(&value),
+            fixture_decodes_back: fixture.is_some_and(|(_, b)| decode(b).as_ref() == Ok(&value)),
+        });
+    }
+}
+
+fn masked(n: usize, secondary: bool, counts: bool, buffers: usize) -> MaskedUpload {
+    let mut up = MaskedUpload {
+        delta: MaskedVector::zeros(n),
+        secondary: secondary.then(|| MaskedVector::zeros(n)),
+        counts: counts.then(|| MaskedCounts::zeros(n)),
+        buffers: (buffers > 0).then(|| MaskedVector::zeros(buffers)),
+    };
+    for j in 0..n {
+        up.delta
+            .accumulate(j, (j as f32 + 1.0) * 0.37, 3, j % 2 == 1);
+        if let Some(sec) = &mut up.secondary {
+            sec.accumulate(j, -0.5 * j as f32, 2, false);
+        }
+        if let Some(c) = &mut up.counts {
+            c.bump(j);
+            if j % 2 == 0 {
+                c.bump(j);
+            }
+        }
+    }
+    if let Some(b) = &mut up.buffers {
+        for j in 0..buffers {
+            b.accumulate(j, 1.5 + j as f32, 1, false);
+        }
+    }
+    up
+}
+
+fn entry(client_id: u32, frames: Vec<Vec<u8>>) -> EdgeEntry {
+    EdgeEntry {
+        client_id,
+        n_samples: 18 + u64::from(client_id),
+        tau: 3,
+        diverged: client_id % 2 == 1,
+        keep_ratio: 0.5,
+        flops_ratio: 0.75,
+        accuracy: 0.25,
+        bytes_download: 0x0102_0304_0506,
+        bytes_upload: 50,
+        upload_payload: 48,
+        upload_framed: 64,
+        frames,
+    }
+}
+
+fn edge(entries: Vec<EdgeEntry>, reduced: Option<EdgeReduced>) -> EdgeCombined {
+    EdgeCombined {
+        edge_id: 1,
+        round: 7,
+        faults: TierFaultCounters {
+            sampled: 1,
+            dropouts: 2,
+            stragglers: 3,
+            deadline_dropped: 4,
+            corrupted_uploads: 5,
+            retries: 6,
+            retry_exhausted: 7,
+            local_divergence: 8,
+            byzantine: 9,
+            quarantined: 10,
+            duplicates: 11,
+        },
+        entries,
+        reduced,
+    }
+}
+
+fn reduced(selection: Option<EdgeSelection>) -> EdgeReduced {
+    EdgeReduced {
+        survivors: 2,
+        n_samples: 36,
+        tau_eff: 3.5,
+        delta: vec![0.25, -1.0],
+        control_delta: vec![0.125],
+        velocity: Vec::new(),
+        buffers: vec![1.0, 2.0, 3.0],
+        selection,
+    }
+}
+
+fn cases() -> Golden {
+    let xs = vec![1.0f32, -2.5, 0.0, f32::MIN_POSITIVE, 1e30];
+    let ys = vec![-1.0f32, 0.5, 3.25, -0.0, 7.0];
+    let dense_frame = seal(MsgType::DenseUpdate, &encode_dense(&xs));
+    let mut g = Golden {
+        fixtures: common::fixtures(),
+        cases: Vec::new(),
+    };
+    g.case("dense", xs.clone(), |v| encode_dense(v), decode_dense);
+    g.case("dense_empty", Vec::new(), |v| encode_dense(v), decode_dense);
+    g.case(
+        "pair",
+        Pair {
+            primary: xs.clone(),
+            secondary: ys.clone(),
+        },
+        |p| encode_pair(&p.primary, &p.secondary),
+        decode_pair,
+    );
+    g.case(
+        "spatl_encoder",
+        SpatlEncoder {
+            encoder: xs.clone(),
+            control: None,
+        },
+        |e| encode_spatl_encoder(&e.encoder, e.control.as_deref()),
+        |b| decode_spatl_encoder(b, false),
+    );
+    g.case(
+        "spatl_encoder_control",
+        SpatlEncoder {
+            encoder: xs.clone(),
+            control: Some(ys.clone()),
+        },
+        |e| encode_spatl_encoder(&e.encoder, e.control.as_deref()),
+        |b| decode_spatl_encoder(b, true),
+    );
+    g.case(
+        "spatl_update",
+        SpatlUpdate {
+            channels: vec![0, 3, 17, 70_000],
+            values: ys.clone(),
+        },
+        |u| encode_spatl_update(&u.channels, &u.values),
+        decode_spatl_update,
+    );
+    g.case(
+        "topk",
+        SparseTopK {
+            dense_len: 1000,
+            indices: vec![1, 30, 999],
+            values: vec![-5.0, 2.0, 4.0],
+        },
+        encode_topk,
+        decode_topk,
+    );
+    // Values exactly representable at half precision, so the decoded
+    // fixture compares equal rather than within tolerance.
+    g.case(
+        "f16",
+        vec![0.5f32, -1.25, 1024.0, 0.0, -65504.0],
+        |v| encode_f16_dense(v),
+        decode_f16_dense,
+    );
+    g.case(
+        "masked_delta_only",
+        masked(2, false, false, 0),
+        encode_masked_upload,
+        decode_masked_upload,
+    );
+    g.case(
+        "masked_all_lanes",
+        masked(3, true, true, 2),
+        encode_masked_upload,
+        decode_masked_upload,
+    );
+    g.case(
+        "fixed",
+        vec![0i32, -1, i32::MAX, i32::MIN, 12345],
+        |q| encode_fixed_dense(q),
+        decode_fixed_dense,
+    );
+    g.case(
+        "unmask_request",
+        (7u64, vec![2u32, 9, 400]),
+        |(round, dropped)| encode_unmask_request(*round, dropped),
+        decode_unmask_request,
+    );
+    g.case(
+        "unmask_shares",
+        (
+            7u64,
+            vec![
+                UnmaskShare {
+                    dropped: 2,
+                    survivor: 4,
+                    pair_base: 0xDEAD_BEEF_CAFE_F00D,
+                },
+                UnmaskShare {
+                    dropped: 9,
+                    survivor: 4,
+                    pair_base: 42,
+                },
+            ],
+        ),
+        |(round, shares)| encode_unmask_shares(*round, shares),
+        decode_unmask_shares,
+    );
+    g.case(
+        "edge_bare",
+        edge(Vec::new(), None),
+        encode_edge_combined,
+        decode_edge_combined,
+    );
+    g.case(
+        "edge_frames",
+        edge(
+            vec![
+                entry(2, vec![dense_frame.clone(), Vec::new()]),
+                entry(3, Vec::new()),
+            ],
+            None,
+        ),
+        encode_edge_combined,
+        decode_edge_combined,
+    );
+    g.case(
+        "edge_reduced",
+        edge(vec![entry(5, Vec::new())], Some(reduced(None))),
+        encode_edge_combined,
+        decode_edge_combined,
+    );
+    g.case(
+        "edge_selection",
+        edge(
+            vec![entry(5, Vec::new())],
+            Some(reduced(Some(EdgeSelection {
+                indices: vec![0, 5, 9],
+                values: vec![0.5, -0.5, 2.0],
+                counts: vec![2, 1, 2],
+                control_values: vec![0.0, 1.0, -1.0],
+            }))),
+        ),
+        encode_edge_combined,
+        decode_edge_combined,
+    );
+    g.case(
+        "sealed",
+        (MsgType::DenseUpdate, encode_dense(&xs)),
+        |(msg, payload)| seal(*msg, payload),
+        |b| open(b).map(|(msg, payload)| (msg, payload.to_vec())),
+    );
+    g
+}
+
+#[test]
+fn encoders_reproduce_and_decoders_read_the_parent_fixtures() {
+    let g = cases();
+    assert_eq!(
+        g.fixtures.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+        g.cases.iter().map(|c| c.name).collect::<Vec<_>>(),
+        "golden.hex and cases() must list the same fixtures in the same order"
+    );
+    for (c, (_, fixture)) in g.cases.iter().zip(&g.fixtures) {
+        assert_eq!(
+            common::hex(&c.encoded),
+            common::hex(fixture),
+            "{}: encoder output moved",
+            c.name
+        );
+        assert!(
+            c.fixture_decodes_back,
+            "{}: the fixture no longer decodes to its value",
+            c.name
+        );
+    }
+}
+
+#[test]
+#[ignore = "prints golden.hex; run only at the commit whose layout is the reference"]
+fn regenerate() {
+    for c in cases().cases {
+        println!("{} {}", c.name, common::hex(&c.encoded));
+    }
+}

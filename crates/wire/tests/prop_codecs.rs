@@ -1,6 +1,9 @@
 //! Property-based round-trip tests for every payload codec, plus envelope
 //! corruption properties: a flipped byte fails the CRC, a bumped version
-//! byte yields `WireError::Version`, and no malformed input ever panics.
+//! byte yields `WireError::Version`, and no malformed input — arbitrary
+//! bytes, or a valid payload with one mutation — ever panics.
+
+mod common;
 
 use proptest::prelude::*;
 use spatl_privacy::{dequantize, quantize, quantized_l2, MaskedCounts, MaskedUpload, MaskedVector};
@@ -134,6 +137,34 @@ proptest! {
         let _ = decode_masked_upload(&bytes);
         let _ = decode_unmask_request(&bytes);
         let _ = decode_unmask_shares(&bytes);
+    }
+
+    #[test]
+    fn mutated_valid_payloads_never_panic_and_trailing_bytes_are_malformed(
+        which in 0usize..18,
+        kind in 0u8..4,
+        at in 0usize..4096,
+        value in prop_oneof![Just(u32::MAX), Just(0u32), 0u32..u32::MAX, 0u32..64],
+    ) {
+        let fixtures = common::fixtures();
+        let (name, valid) = &fixtures[which % fixtures.len()];
+        let input = common::mutate(valid, kind, at, value);
+        // Whatever one mutation did, no decoder panics on it — its own
+        // or any other a confused peer might route it to.
+        for (other, _) in &fixtures {
+            let _ = common::decode_as(other, &input);
+        }
+        // Bytes appended to a payload whose layout says where it ends
+        // are a structure error from the sender, not transport damage:
+        // the envelope's CRC already vouched for them.
+        let ends_itself = name.starts_with("edge")
+            || name.starts_with("masked")
+            || name.starts_with("unmask")
+            || *name == "topk";
+        if kind % 4 == 3 && ends_itself {
+            let err = common::decode_as(name, &input).unwrap_err();
+            prop_assert!(!err.is_transport_corruption(), "{}: {:?}", name, err);
+        }
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Property tests for the streaming frame reader: short reads, arbitrary
-//! fragmentation, back-to-back frames on one stream, and hostile length
-//! headers staying inside the allocation bound.
+//! fragmentation, back-to-back frames on one stream, hostile length
+//! headers staying inside the allocation bound, and mutated-valid streams
+//! reading the same through the blocking and the polled front.
+
+mod common;
 
 use std::io::{self, Read};
 
 use proptest::prelude::*;
 use spatl_wire::{
-    encode_dense, open, read_frame, seal, write_frame, MsgType, StreamError, WireError, HEADER_LEN,
-    MAX_FRAME_PAYLOAD,
+    encode_dense, open, read_frame, seal, write_frame, FramePoll, FrameReader, MsgType,
+    StreamError, WireError, HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 
 /// A reader that delivers its buffer in chunks whose sizes cycle through
@@ -132,6 +135,55 @@ proptest! {
                 prop_assert_eq!(f.len(), HEADER_LEN);
             }
             other => prop_assert!(false, "unexpected {:?}", other),
+        }
+    }
+
+    #[test]
+    fn mutated_streams_read_the_same_blocking_and_polled(
+        kind in 0u8..4,
+        at in 0usize..4096,
+        value in prop_oneof![Just(u32::MAX), Just(0u32), 0u32..u32::MAX, 0u32..64],
+        chunks in prop::collection::vec(1usize..7, 1..5),
+    ) {
+        // A valid three-frame stream built from the golden payloads,
+        // then one mutation anywhere in it.
+        let mut valid = Vec::new();
+        for (name, payload) in common::fixtures() {
+            match name {
+                "dense" => valid.extend(seal(MsgType::DenseUpdate, &payload)),
+                "edge_frames" => valid.extend(seal(MsgType::EdgeCombined, &payload)),
+                "unmask_shares" => valid.extend(seal(MsgType::UnmaskShare, &payload)),
+                _ => {}
+            }
+        }
+        let stream = common::mutate(&valid, kind, at, value);
+        let cap = 1 << 16;
+
+        let mut blocking = Vec::new();
+        let mut r = DripReader::new(stream.clone(), chunks.clone());
+        let blocking_end = loop {
+            match read_frame(&mut r, cap) {
+                Ok(Some(f)) => blocking.push(f),
+                Ok(None) => break None,
+                Err(e) => break Some(format!("{e:?}")),
+            }
+        };
+        let mut polled = Vec::new();
+        let mut r = DripReader::new(stream, chunks);
+        let mut reader = FrameReader::new(cap);
+        let polled_end = loop {
+            match reader.poll(&mut r) {
+                Ok(FramePoll::Frame(f)) => polled.push(f),
+                Ok(FramePoll::Eof) => break None,
+                Ok(FramePoll::Pending) => prop_assert!(false, "a blocking source never pends"),
+                Err(e) => break Some(format!("{e:?}")),
+            }
+        };
+        prop_assert_eq!(&blocking, &polled);
+        prop_assert_eq!(blocking_end, polled_end);
+        // Whatever got framed either opens or is rejected, never panics.
+        for f in &blocking {
+            let _ = open(f);
         }
     }
 
