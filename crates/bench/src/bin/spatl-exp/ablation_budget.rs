@@ -6,22 +6,28 @@
 //! budgets cut communication and inference cost; the question is how much
 //! accuracy they cost at harness scale.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{mb, pct, write_json, Scale, Table};
+use spatl_bench::{col, extend, run_record, Fmt, Scale, Section};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(4, 8);
     let budgets = [0.9f32, 0.7, 0.5, 0.35];
 
-    let mut table = Table::new(&[
-        "budget",
-        "best acc",
-        "final acc",
-        "upload/round/client",
-        "deployed FLOPs",
-    ]);
-    let mut artefact = Vec::new();
+    let mut section = Section::new(
+        format!("SPATL vs FLOPs budget (ResNet-20, {rounds} rounds)"),
+        vec![
+            col("budget", "budget", Fmt::Pct),
+            col("best acc", "best_acc", Fmt::Pct),
+            col("final acc", "final_acc", Fmt::Pct),
+            col(
+                "upload/round/client",
+                "upload_per_round_per_client",
+                Fmt::Mb,
+            ),
+            col("deployed FLOPs", "mean_flops_ratio", Fmt::Pct),
+        ],
+    );
     for &budget in &budgets {
         let opts = SpatlOptions {
             target_flops_ratio: budget,
@@ -43,22 +49,14 @@ fn main() {
             .last()
             .map(|h| h.mean_flops_ratio)
             .unwrap_or(1.0);
-        table.row(vec![
-            pct(budget),
-            pct(result.best_acc()),
-            pct(result.final_acc()),
-            mb(upload),
-            pct(mean_flops),
-        ]);
-        artefact.push(serde_json::json!({
-            "budget": budget,
-            "best_acc": result.best_acc(),
-            "final_acc": result.final_acc(),
-            "upload_per_round_per_client": upload,
-            "mean_flops_ratio": mean_flops,
-        }));
-        eprintln!("  budget {budget}: acc {}", pct(result.best_acc()));
+        section.push(extend(
+            json!({
+                "budget": budget,
+                "upload_per_round_per_client": upload,
+                "mean_flops_ratio": mean_flops,
+            }),
+            run_record(&result),
+        ));
     }
-    table.print();
-    write_json("fig_ablation_budget", &serde_json::json!(artefact));
+    vec![section]
 }

@@ -5,8 +5,9 @@
 //! * transfer vs. no transfer (ResNet-20, 10 clients),
 //! * gradient control vs. none (VGG-11, 10 clients).
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{pct, write_json, Scale, Table};
+use spatl_bench::{col, extend, run_record, Fmt, Scale, Section};
 
 #[allow(clippy::too_many_arguments)]
 fn curve(
@@ -31,16 +32,24 @@ fn curve(
         .run()
 }
 
-fn series(r: &RunResult) -> Vec<f32> {
-    r.history.iter().map(|h| h.mean_acc).collect()
-}
-
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(5, 10);
     let spc = scale.pick(60, 80);
-    let mut artefact = Vec::new();
-    let mut table = Table::new(&["ablation", "setting", "variant", "best acc", "final acc"]);
+    let mut section = Section::new(
+        format!("SPATL component ablations, {rounds} rounds"),
+        vec![
+            col("ablation", "ablation", Fmt::Text),
+            col("setting", "setting", Fmt::Text),
+            col("variant", "variant", Fmt::Text),
+            col("best acc", "best_acc", Fmt::Pct),
+            col("final acc", "final_acc", Fmt::Pct),
+            col("accuracy per round", "curve", Fmt::Series),
+        ],
+    );
+    let mut push = |ablation: &str, setting: String, variant: &str, r: &RunResult| {
+        let keys = json!({ "ablation": ablation, "setting": setting, "variant": variant });
+        section.push(extend(keys, run_record(r)));
+    };
 
     // --- Fig. 4: salient selection on/off, several client counts ---
     for clients in scale.pick(vec![4], vec![6, 12]) {
@@ -59,25 +68,7 @@ fn main() {
                 2.5,
                 91,
             );
-            println!(
-                "selection/{label}/{clients}c: {}",
-                series(&r)
-                    .iter()
-                    .map(|a| format!("{a:.3}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            table.row(vec![
-                "selection".into(),
-                format!("{clients} clients"),
-                label.into(),
-                pct(r.best_acc()),
-                pct(r.final_acc()),
-            ]);
-            artefact.push(serde_json::json!({
-                "ablation": "selection", "clients": clients, "variant": label,
-                "curve": series(&r),
-            }));
+            push("selection", format!("{clients} clients"), label, &r);
         }
     }
 
@@ -101,24 +92,7 @@ fn main() {
             3.0,
             92,
         );
-        println!(
-            "transfer/{label}: {}",
-            series(&r)
-                .iter()
-                .map(|a| format!("{a:.3}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        table.row(vec![
-            "transfer".into(),
-            format!("{clients} clients"),
-            label.into(),
-            pct(r.best_acc()),
-            pct(r.final_acc()),
-        ]);
-        artefact.push(serde_json::json!({
-            "ablation": "transfer", "variant": label, "curve": series(&r),
-        }));
+        push("transfer", format!("{clients} clients"), label, &r);
     }
 
     // --- Fig. 5(b): gradient control on/off (VGG-11) ---
@@ -142,27 +116,8 @@ fn main() {
             3.0,
             93,
         );
-        println!(
-            "gradient-control/{label}: {}",
-            series(&r)
-                .iter()
-                .map(|a| format!("{a:.3}"))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        table.row(vec![
-            "gradient control".into(),
-            format!("{} / {clients} clients", model.name()),
-            label.into(),
-            pct(r.best_acc()),
-            pct(r.final_acc()),
-        ]);
-        artefact.push(serde_json::json!({
-            "ablation": "gradient_control", "variant": label, "curve": series(&r),
-        }));
+        let setting = format!("{} / {clients} clients", model.name());
+        push("gradient control", setting, label, &r);
     }
-
-    println!();
-    table.print();
-    write_json("fig_ablations", &serde_json::json!(artefact));
+    vec![section]
 }

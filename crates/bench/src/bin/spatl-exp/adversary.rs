@@ -9,11 +9,11 @@
 //! every row (including each quarantine decision on the ledger) reproduces
 //! exactly.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{pct, write_json, Scale, Table};
+use spatl_bench::{col, extend, run_record, Fmt, Scale, Section};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(4, 8);
     let clients = scale.pick(5, 10);
     let fractions = [0.0, 0.1, 0.3];
@@ -28,20 +28,22 @@ fn main() {
         (Algorithm::Spatl(SpatlOptions::default()), "SPATL"),
     ];
 
-    println!(
-        "accuracy vs Byzantine fraction (scale attack, λ=100), \
-         {clients} clients, {rounds} rounds\n"
+    let mut section = Section::new(
+        format!(
+            "accuracy vs Byzantine fraction (scale attack, λ=100), \
+             {clients} clients, {rounds} rounds"
+        ),
+        vec![
+            col("Method", "algorithm", Fmt::Text),
+            col("Aggregator", "aggregator", Fmt::Text),
+            col("Byzantine", "byzantine_fraction", Fmt::Pct),
+            col("Best acc", "best_acc", Fmt::Pct),
+            col("Final acc", "final_acc", Fmt::Pct),
+            col("Gap to attack-free", "gap_to_attack_free", Fmt::Pp),
+            col("Tampered", "tampered_uploads", Fmt::Text),
+            col("Quarantined", "quarantined", Fmt::Text),
+        ],
     );
-    let mut table = Table::new(&[
-        "Method",
-        "Aggregator",
-        "Byzantine",
-        "Best acc",
-        "Final acc",
-        "Tampered",
-        "Quarantined",
-    ]);
-    let mut artefact = Vec::new();
     for (alg, name) in &algs {
         let mut clean_final = 0.0f32;
         for &frac in &fractions {
@@ -71,41 +73,23 @@ fn main() {
                     clean_final = result.final_acc();
                 }
                 let tampered: usize = result.history.iter().map(|r| r.faults.byzantine).sum();
-                let quarantined: usize = result.history.iter().map(|r| r.faults.quarantined).sum();
-                table.row(vec![
-                    name.to_string(),
-                    kind.name().to_string(),
-                    format!("{:.0}%", frac * 100.0),
-                    pct(result.best_acc()),
-                    pct(result.final_acc()),
-                    tampered.to_string(),
-                    quarantined.to_string(),
-                ]);
-                artefact.push(serde_json::json!({
-                    "algorithm": name,
-                    "aggregator": kind.name(),
-                    "screened": defended,
-                    "byzantine_fraction": frac,
-                    "attack": "scale",
-                    "lambda": 100.0,
-                    "rounds": rounds,
-                    "clients": clients,
-                    "best_acc": result.best_acc(),
-                    "final_acc": result.final_acc(),
-                    "gap_to_attack_free": clean_final - result.final_acc(),
-                    "tampered_uploads": tampered,
-                    "quarantined": quarantined,
-                }));
-                eprintln!(
-                    "  {name} {} byz={frac:.1}: best={:.3} final={:.3} \
-                     tampered={tampered} quarantined={quarantined}",
-                    kind.name(),
-                    result.best_acc(),
-                    result.final_acc()
-                );
+                section.push(extend(
+                    json!({
+                        "algorithm": name,
+                        "aggregator": kind.name(),
+                        "screened": defended,
+                        "byzantine_fraction": frac,
+                        "attack": "scale",
+                        "lambda": 100.0,
+                        "rounds": rounds,
+                        "clients": clients,
+                        "gap_to_attack_free": clean_final - result.final_acc(),
+                        "tampered_uploads": tampered,
+                    }),
+                    run_record(&result),
+                ));
             }
         }
     }
-    table.print();
-    write_json("adversary_sweep", &serde_json::json!(artefact));
+    vec![section]
 }

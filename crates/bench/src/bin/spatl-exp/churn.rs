@@ -18,8 +18,9 @@
 
 use std::time::Instant;
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{write_json, Scale, Table};
+use spatl_bench::{col, extend, run_record, Fmt, Scale, Section};
 
 fn run_with(churn: Option<ChurnPlan>, clients: usize, rounds: usize, samples: usize) -> RunResult {
     let mut b = ExperimentBuilder::new(Algorithm::FedAvg)
@@ -37,23 +38,23 @@ fn run_with(churn: Option<ChurnPlan>, clients: usize, rounds: usize, samples: us
     b.run()
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let clients = scale.pick(6, 10);
     let rounds = scale.pick(4, 8);
     let samples = scale.pick(18, 40);
     let population = scale.pick(100_000usize, 250_000usize);
 
-    let mut artefact = Vec::new();
-    let mut table = Table::new(&[
-        "profile",
-        "sampled",
-        "survivors",
-        "dropouts",
-        "no-op rounds",
-        "final acc",
-    ]);
-    println!("churn-realistic cohorts ({clients} clients, {rounds} rounds, sample ratio 0.5)\n");
+    let mut cohorts = Section::new(
+        format!("churn-realistic cohorts ({clients} clients, {rounds} rounds, sample ratio 0.5)"),
+        vec![
+            col("profile", "profile", Fmt::Text),
+            col("sampled", "sampled", Fmt::Text),
+            col("survivors", "survived", Fmt::Text),
+            col("dropouts", "dropped", Fmt::Text),
+            col("no-op rounds", "no_op_rounds", Fmt::Text),
+            col("final acc", "final_acc", Fmt::Pct),
+        ],
+    );
 
     let profiles: [(&str, Option<ChurnPlan>); 3] = [
         ("always-on", None),
@@ -79,27 +80,7 @@ fn main() {
             );
         }
         let sampled: usize = result.history.iter().map(|r| r.faults.sampled).sum();
-        let survivors: usize = result.history.iter().map(|r| r.faults.survivors).sum();
-        let dropouts: usize = result.history.iter().map(|r| r.faults.dropouts).sum();
-        let no_op = result.history.iter().filter(|r| r.faults.no_op).count();
-        let final_acc = result.history.last().map(|r| r.mean_acc).unwrap_or(0.0);
-        table.row(vec![
-            name.to_string(),
-            sampled.to_string(),
-            survivors.to_string(),
-            dropouts.to_string(),
-            no_op.to_string(),
-            format!("{:.1}%", final_acc * 100.0),
-        ]);
-        artefact.push(serde_json::json!({
-            "profile": name,
-            "sampled": sampled,
-            "survivors": survivors,
-            "dropouts": dropouts,
-            "no_op_rounds": no_op,
-            "final_acc": final_acc,
-        }));
-        eprintln!("  {name}: sampled {sampled}, survivors {survivors}, dropouts {dropouts}");
+        cohorts.push(extend(json!({ "profile": name }), run_record(&result)));
         sampled_by_profile.push((name, sampled));
     }
     // Claim 1: lower duty means fewer sampled participants overall.
@@ -129,19 +110,22 @@ fn main() {
         drawn_total += cohort.len();
     }
     let elapsed = started.elapsed().as_secs_f64();
-    println!(
-        "population sweep: {sweep_rounds} cohorts of ≤{k} out of {population} virtual clients \
-         in {elapsed:.3}s ({drawn_total} drawn, O(cohort) memory)\n"
+    let mut sweep = Section::new(
+        "population sweep: cohorts out of a virtual population, O(cohort) memory",
+        vec![
+            col("population", "population", Fmt::Text),
+            col("cohort cap", "cohort_cap", Fmt::Text),
+            col("cohorts", "rounds", Fmt::Text),
+            col("drawn", "drawn_total", Fmt::Text),
+            col("seconds", "elapsed_s", Fmt::Fixed3),
+        ],
     );
-    artefact.push(serde_json::json!({
-        "profile": "population-sweep",
+    sweep.push(json!({
         "population": population,
         "cohort_cap": k,
         "rounds": sweep_rounds,
         "drawn_total": drawn_total,
         "elapsed_s": elapsed,
     }));
-
-    table.print();
-    write_json("churn", &serde_json::json!(artefact));
+    vec![cohorts, sweep]
 }

@@ -7,11 +7,11 @@
 //!
 //! Scale with `SPATL_EXP_SCALE=quick|full`.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{cli, pct, write_json, Scale, Table};
+use spatl_bench::{cli, col, extend, run_record, Fmt, Scale, Section};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(6, 12);
     let spc = scale.pick(60, 90);
 
@@ -26,14 +26,22 @@ fn main() {
         ],
     };
 
-    let mut artefact = Vec::new();
+    let mut sections = Vec::new();
     for (model, dataset, clients, ratio) in settings {
-        println!(
-            "\n=== {} on {:?}, {clients} clients, sample ratio {ratio} ===",
-            model.name(),
-            dataset
+        let mut section = Section::new(
+            format!(
+                "{} on {:?}, {clients} clients, sample ratio {ratio}",
+                model.name(),
+                dataset
+            ),
+            vec![
+                col("algorithm", "algorithm", Fmt::Text),
+                col("best acc", "best_acc", Fmt::Pct),
+                col("final acc", "final_acc", Fmt::Pct),
+                col("rounds", "rounds", Fmt::Text),
+                col("accuracy per round", "curve", Fmt::Series),
+            ],
         );
-        let mut summary = Table::new(&["algorithm", "best acc", "final acc", "rounds"]);
         for (alg, name) in cli::algorithms() {
             let result = ExperimentBuilder::new(alg)
                 .model(model)
@@ -45,32 +53,19 @@ fn main() {
                 .local_epochs(2)
                 .seed(2022)
                 .run();
-            let curve: Vec<f32> = result.history.iter().map(|r| r.mean_acc).collect();
-            println!(
-                "{name:<10} {}",
-                curve
-                    .iter()
-                    .map(|a| format!("{:.3}", a))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-            summary.row(vec![
-                name.to_string(),
-                pct(result.best_acc()),
-                pct(result.final_acc()),
-                format!("{rounds}"),
-            ]);
-            artefact.push(serde_json::json!({
-                "model": model.name(),
-                "dataset": format!("{dataset:?}"),
-                "clients": clients,
-                "sample_ratio": ratio,
-                "algorithm": name,
-                "curve": curve,
-            }));
+            section.push(extend(
+                json!({
+                    "model": model.name(),
+                    "dataset": format!("{dataset:?}"),
+                    "clients": clients,
+                    "sample_ratio": ratio,
+                    "algorithm": name,
+                    "rounds": rounds,
+                }),
+                run_record(&result),
+            ));
         }
-        println!();
-        summary.print();
+        sections.push(section);
     }
-    write_json("fig_learning_curves", &serde_json::json!(artefact));
+    sections
 }

@@ -5,11 +5,11 @@
 //! claim: SPATL's heterogeneous predictors give *uniformly good* per-client
 //! accuracy, while uniform-model baselines show high variance.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{pct, write_json, Scale, Table};
+use spatl_bench::{col, Fmt, Scale, Section};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(5, 10);
     let clients = scale.pick(6, 10);
 
@@ -20,9 +20,18 @@ fn main() {
         (Algorithm::FedNova, "FedNova"),
     ];
 
-    let mut table = Table::new(&["algorithm", "mean", "min", "max", "spread", "std"]);
-    let mut artefact = Vec::new();
-    println!("per-client accuracy, ResNet-20, {clients} clients, {rounds} rounds\n");
+    let mut section = Section::new(
+        format!("per-client accuracy, ResNet-20, {clients} clients, {rounds} rounds"),
+        vec![
+            col("algorithm", "algorithm", Fmt::Text),
+            col("mean", "mean", Fmt::Pct),
+            col("min", "min", Fmt::Pct),
+            col("max", "max", Fmt::Pct),
+            col("spread", "spread", Fmt::Pct),
+            col("std", "std", Fmt::Pct),
+            col("per client", "per_client_acc", Fmt::Series),
+        ],
+    );
     for (alg, name) in algs {
         let mut sim = ExperimentBuilder::new(alg)
             .model(ModelKind::ResNet20)
@@ -41,27 +50,15 @@ fn main() {
         let min = accs.iter().copied().fold(1.0f32, f32::min);
         let max = accs.iter().copied().fold(0.0f32, f32::max);
         let std = (accs.iter().map(|a| (a - mean).powi(2)).sum::<f32>() / accs.len() as f32).sqrt();
-        println!(
-            "{name:<10} {}",
-            accs.iter()
-                .map(|a| format!("{:.2}", a))
-                .collect::<Vec<_>>()
-                .join(" ")
-        );
-        table.row(vec![
-            name.to_string(),
-            pct(mean),
-            pct(min),
-            pct(max),
-            pct(max - min),
-            pct(std),
-        ]);
-        artefact.push(serde_json::json!({
+        section.push(json!({
             "algorithm": name,
+            "mean": mean,
+            "min": min,
+            "max": max,
+            "spread": max - min,
+            "std": std,
             "per_client_acc": accs,
         }));
     }
-    println!();
-    table.print();
-    write_json("fig_local_acc", &serde_json::json!(artefact));
+    vec![section]
 }

@@ -15,8 +15,9 @@
 //!    still composes: out-of-ball uploads are quarantined per client
 //!    before the sum is revealed.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{pct, write_json, Scale, Table};
+use spatl_bench::{col, extend, run_record, Fmt, Scale, Section};
 
 /// Sum one fault counter over a run's history.
 fn total(result: &RunResult, f: impl Fn(&FaultRecord) -> usize) -> usize {
@@ -28,8 +29,7 @@ fn upload_bytes(result: &RunResult) -> u64 {
     result.history.iter().map(|r| r.bytes.upload).sum()
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(3, 8);
     let clients = scale.pick(5, 10);
     let samples = scale.pick(40, 80);
@@ -46,76 +46,60 @@ fn main() {
             .seed(1)
     };
 
-    println!("server-blind aggregation, {clients} clients, {rounds} rounds\n");
-    let mut table = Table::new(&[
-        "Method",
-        "Uploads",
-        "Final acc",
-        "Bit-exact",
-        "Upload MiB",
-        "Bypassed",
-        "Quarantined",
-    ]);
-    let mut artefact = Vec::new();
-    let mut push = |table: &mut Table,
-                    name: &str,
-                    mode: &str,
-                    result: &RunResult,
-                    clear: Option<&RunResult>| {
+    let mut section = Section::new(
+        format!("server-blind aggregation, {clients} clients, {rounds} rounds"),
+        vec![
+            col("Method", "algorithm", Fmt::Text),
+            col("Uploads", "uploads", Fmt::Text),
+            col("Agg mode", "agg_mode", Fmt::Text),
+            col("Final acc", "final_acc", Fmt::Pct),
+            col("Bit-exact", "bit_exact_vs_clear", Fmt::YesNo),
+            col("Upload MiB", "upload_bytes", Fmt::Mib),
+            col("Bypassed", "screen_bypassed", Fmt::Text),
+            col("Quarantined", "quarantined", Fmt::Text),
+        ],
+    );
+    let mut push = |name: &str, mode: &str, result: &RunResult, clear: Option<&RunResult>| {
         let exact = clear.map(|c| c.final_acc().to_bits() == result.final_acc().to_bits());
         let bypassed = total(result, |f| f.screen_bypassed);
-        let quarantined = total(result, |f| f.quarantined);
-        let mib = upload_bytes(result) as f64 / (1024.0 * 1024.0);
-        table.row(vec![
-            name.to_string(),
-            mode.to_string(),
-            pct(result.final_acc()),
-            exact
-                .map(|e| if e { "yes" } else { "NO" }.to_string())
-                .unwrap_or_else(|| "-".to_string()),
-            format!("{mib:.2}"),
-            bypassed.to_string(),
-            quarantined.to_string(),
-        ]);
-        artefact.push(serde_json::json!({
-            "algorithm": name,
-            "uploads": mode,
-            "rounds": rounds,
-            "clients": clients,
-            "final_acc": result.final_acc(),
-            "best_acc": result.best_acc(),
-            "bit_exact_vs_clear": exact,
-            "upload_bytes": upload_bytes(result),
-            "agg_modes": result.history.iter().map(|r| r.agg_mode.clone()).collect::<Vec<_>>(),
-            "mask_recovered": total(result, |f| f.mask_recovered),
-            "screen_bypassed": bypassed,
-            "quarantined": quarantined,
-            "byzantine": total(result, |f| f.byzantine),
-        }));
-        eprintln!(
-            "  {name} {mode}: final={:.3} exact={exact:?} upload={mib:.2}MiB \
-             bypassed={bypassed} quarantined={quarantined}",
-            result.final_acc()
-        );
+        // Every round of a run aggregates in one mode; the run is flagged
+        // by a `+`-joined list if the records ever disagree.
+        let mut modes: Vec<&str> = result.history.iter().map(|r| r.agg_mode.as_str()).collect();
+        modes.dedup();
+        section.push(extend(
+            json!({
+                "algorithm": name,
+                "uploads": mode,
+                "rounds": rounds,
+                "clients": clients,
+                "bit_exact_vs_clear": exact,
+                "upload_bytes": upload_bytes(result),
+                "agg_mode": modes.join("+"),
+                "mask_recovered": total(result, |f| f.mask_recovered),
+                "screen_bypassed": bypassed,
+                "byzantine": total(result, |f| f.byzantine),
+            }),
+            run_record(result),
+        ));
     };
 
     // Legs 1 + 2: exactness and cost, attack-free.
     for (alg, name) in &algs {
         let clear = builder(*alg).run();
         let masked = builder(*alg).privacy(PrivacyConfig::masked(0xC0FFEE)).run();
-        push(&mut table, name, "clear", &clear, None);
-        push(&mut table, name, "masked", &masked, Some(&clear));
+        push(name, "clear", &clear, None);
+        push(name, "masked", &masked, Some(&clear));
         if masked.final_acc().to_bits() != clear.final_acc().to_bits() {
             eprintln!("  WARNING: {name} masked run drifted from the clear fold");
         }
         // Fixed-point composes with plain weighted means only.
         if matches!(alg, Algorithm::FedAvg) {
             let fixed = builder(*alg).privacy(PrivacyConfig::fixed(9, 50.0)).run();
-            push(&mut table, name, "fixed", &fixed, Some(&clear));
+            push(name, "fixed", &fixed, Some(&clear));
             let noisy = builder(*alg)
                 .privacy(PrivacyConfig::fixed(9, 50.0).with_noise(0.05))
                 .run();
-            push(&mut table, name, "fixed+dp", &noisy, Some(&clear));
+            push(name, "fixed+dp", &noisy, Some(&clear));
         }
     }
 
@@ -128,24 +112,17 @@ fn main() {
         .adversary(attack)
         .screen(ScreenPolicy::default())
         .run();
-    push(&mut table, "FedAvg+attack", "clear", &screened, None);
+    push("FedAvg+attack", "clear", &screened, None);
     let masked_attacked = builder(Algorithm::FedAvg)
         .adversary(attack)
         .privacy(PrivacyConfig::masked(0xC0FFEE))
         .run();
-    push(
-        &mut table,
-        "FedAvg+attack",
-        "masked",
-        &masked_attacked,
-        None,
-    );
+    push("FedAvg+attack", "masked", &masked_attacked, None);
     let fixed_attacked = builder(Algorithm::FedAvg)
         .adversary(attack)
         .privacy(PrivacyConfig::fixed(9, 50.0))
         .run();
-    push(&mut table, "FedAvg+attack", "fixed", &fixed_attacked, None);
+    push("FedAvg+attack", "fixed", &fixed_attacked, None);
 
-    table.print();
-    write_json("privacy_sweep", &serde_json::json!(artefact));
+    vec![section]
 }

@@ -5,24 +5,26 @@
 //! count: reports wall-clock per round, bytes per round and accuracy,
 //! demonstrating that cost scales with *sampled* clients, not population.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{mb, pct, write_json, Scale, Table};
+use spatl_bench::{col, extend, run_record, Fmt, Scale, Section};
 use std::time::Instant;
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(2, 5);
     let populations: Vec<usize> = scale.pick(vec![4, 8, 16], vec![10, 30, 50, 100]);
     let sampled = scale.pick(4, 10);
 
-    let mut table = Table::new(&[
-        "clients",
-        "sampled/round",
-        "sec/round",
-        "bytes/round",
-        "mean acc",
-    ]);
-    let mut artefact = Vec::new();
+    let mut section = Section::new(
+        format!("SPATL on ResNet-20 as the population grows, {rounds} rounds"),
+        vec![
+            col("clients", "clients", Fmt::Text),
+            col("sampled/round", "sampled_per_round", Fmt::Text),
+            col("sec/round", "sec_per_round", Fmt::Fixed3),
+            col("bytes/round", "bytes_per_round", Fmt::Mb),
+            col("mean acc", "mean_acc", Fmt::Pct),
+        ],
+    );
     for &n in &populations {
         let ratio = sampled as f32 / n as f32;
         let mut sim = ExperimentBuilder::new(Algorithm::Spatl(SpatlOptions::default()))
@@ -38,22 +40,16 @@ fn main() {
         let result = sim.run();
         let secs = t0.elapsed().as_secs_f64() / rounds as f64;
         let last = result.history.last().expect("rounds ran");
-        table.row(vec![
-            n.to_string(),
-            sim.cfg.clients_per_round().to_string(),
-            format!("{secs:.2}"),
-            mb(last.bytes.total()),
-            pct(last.mean_acc),
-        ]);
-        artefact.push(serde_json::json!({
-            "clients": n,
-            "sampled": sim.cfg.clients_per_round(),
-            "sec_per_round": secs,
-            "bytes_per_round": last.bytes.total(),
-            "mean_acc": last.mean_acc,
-        }));
-        eprintln!("  {n} clients: {secs:.2}s/round");
+        section.push(extend(
+            json!({
+                "clients": n,
+                "sampled_per_round": sim.cfg.clients_per_round(),
+                "sec_per_round": secs,
+                "bytes_per_round": last.bytes.total(),
+                "mean_acc": last.mean_acc,
+            }),
+            run_record(&result),
+        ));
     }
-    table.print();
-    write_json("scaling", &serde_json::json!(artefact));
+    vec![section]
 }

@@ -4,11 +4,11 @@
 //! algorithm's trained network to a *held-out* split by fitting a fresh
 //! predictor head, and compare transfer accuracy.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{cli, pct, write_json, Scale, Table};
+use spatl_bench::{cli, col, extend, run_record, Fmt, Scale, Section};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let rounds = scale.pick(5, 10);
     let clients = scale.pick(5, 8);
 
@@ -27,8 +27,14 @@ fn main() {
 
     let algs = cli::algorithms();
 
-    let mut table = Table::new(&["method", "FL mean acc", "transfer acc"]);
-    let mut artefact = Vec::new();
+    let mut section = Section::new(
+        "transfer of the federated encoder to a held-out split",
+        vec![
+            col("method", "algorithm", Fmt::Text),
+            col("FL mean acc", "final_acc", Fmt::Pct),
+            col("transfer acc", "transfer_acc", Fmt::Pct),
+        ],
+    );
     for (alg, name) in algs {
         let mut sim = ExperimentBuilder::new(alg)
             .model(ModelKind::ResNet20)
@@ -56,13 +62,10 @@ fn main() {
             0.05,
             13,
         );
-        table.row(vec![name.to_string(), pct(result.final_acc()), pct(acc)]);
-        artefact.push(serde_json::json!({
-            "algorithm": name,
-            "fl_final_acc": result.final_acc(),
-            "transfer_acc": acc,
-        }));
-        eprintln!("  {name}: transfer acc {}", pct(acc));
+        section.push(extend(
+            json!({ "algorithm": name, "transfer_acc": acc }),
+            run_record(&result),
+        ));
     }
 
     // Control: a never-trained encoder.
@@ -79,16 +82,6 @@ fn main() {
         0.05,
         13,
     );
-    table.row(vec![
-        "random encoder".to_string(),
-        "-".to_string(),
-        pct(rand_acc),
-    ]);
-    artefact.push(serde_json::json!({
-        "algorithm": "random encoder",
-        "transfer_acc": rand_acc,
-    }));
-
-    table.print();
-    write_json("table3_transfer", &serde_json::json!(artefact));
+    section.push(json!({ "algorithm": "random encoder", "transfer_acc": rand_acc }));
+    vec![section]
 }

@@ -4,10 +4,13 @@
 //! Trains a ResNet-56-style model, then prunes it to a common FLOPs budget
 //! with each method and reports accuracy drop and FLOPs reduction.
 
+use serde_json::json;
 use spatl::prelude::*;
-use spatl_bench::{pct, write_json, Scale, Table};
+use spatl_bench::{col, Fmt, Scale, Section};
 
-fn train(model: &mut SplitModel, data: &Dataset, epochs: usize, seed: u64) {
+/// Momentum-SGD epochs over `data` (also the agent experiment's model
+/// training).
+pub fn train(model: &mut SplitModel, data: &Dataset, epochs: usize, seed: u64) {
     let mut opt = Sgd::with_momentum(0.05, 0.9, 1e-4);
     let mut loss = CrossEntropyLoss::new();
     let mut rng = TensorRng::seed_from(seed);
@@ -29,8 +32,7 @@ fn eval(model: &mut SplitModel, val: &Dataset) -> f32 {
     model.evaluate(&b.images, &b.labels)
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let budget = 0.6f32;
     let synth = SynthConfig {
         noise_std: 1.0,
@@ -39,38 +41,33 @@ fn main() {
     let train_set = synth_cifar10(&synth, scale.pick(200, 400), 1);
     let val_set = synth_cifar10(&synth, scale.pick(80, 200), 2);
 
-    println!("training ResNet-56 (scaled) baseline…");
+    eprintln!("training ResNet-56 (scaled) baseline…");
     let mut model = ModelConfig::cifar(ModelKind::ResNet56).with_seed(4).build();
     train(&mut model, &train_set, scale.pick(3, 6), 5);
     let dense_acc = eval(&mut model.clone(), &val_set);
-    println!(
-        "dense accuracy {} | FLOPs budget {:.0}%\n",
-        pct(dense_acc),
-        budget * 100.0
-    );
 
-    let mut table = Table::new(&["method", "acc", "Δacc", "FLOPs kept", "FLOPs ↓"]);
-    let mut artefact = vec![serde_json::json!({
-        "method": "dense",
-        "acc": dense_acc,
-        "flops_ratio": 1.0,
-    })];
-    let mut report = |name: &str, m: &mut SplitModel, table: &mut Table| {
+    let mut section = Section::new(
+        format!("pruning ResNet-56 to a {:.0}% FLOPs budget", budget * 100.0),
+        vec![
+            col("method", "method", Fmt::Text),
+            col("acc", "acc", Fmt::Pct),
+            col("Δacc", "delta_acc", Fmt::Pp),
+            col("FLOPs kept", "flops_ratio", Fmt::Pct),
+            col("FLOPs ↓", "flops_reduction", Fmt::Pct),
+        ],
+    );
+    let mut report = |name: &str, m: &mut SplitModel| {
         let acc = eval(m, &val_set);
         let ratio = m.flops() as f32 / m.flops_dense() as f32;
-        table.row(vec![
-            name.to_string(),
-            pct(acc),
-            format!("{:+.1}pp", (acc - dense_acc) * 100.0),
-            pct(ratio),
-            pct(1.0 - ratio),
-        ]);
-        artefact.push(serde_json::json!({
+        section.push(json!({
             "method": name,
             "acc": acc,
+            "delta_acc": acc - dense_acc,
             "flops_ratio": ratio,
+            "flops_reduction": 1.0 - ratio,
         }));
     };
+    report("dense", &mut model.clone());
 
     // Standard pruning protocol: every method gets the same brief recovery
     // fine-tune after masking (masked channels stay dead — conv and BN
@@ -88,7 +85,7 @@ fn main() {
         let applied = spatl::agent::project_to_budget(&m, &action, budget, Criterion::L2);
         apply_sparsities(&mut m, &applied, Criterion::L2);
         train(&mut m, &train_set, recovery_epochs, 60);
-        report("RL agent (ours)", &mut m, &mut table);
+        report("RL agent (ours)", &mut m);
     }
 
     // SFP: soft filter pruning schedule + brief recovery training.
@@ -101,7 +98,7 @@ fn main() {
         }
         sfp.harden(&mut m);
         train(&mut m, &train_set, recovery_epochs, 61);
-        report("SFP", &mut m, &mut table);
+        report("SFP", &mut m);
     }
 
     // FPGM at a uniform budget-projected sparsity.
@@ -115,7 +112,7 @@ fn main() {
         );
         apply_sparsities(&mut m, &uni, Criterion::Fpgm);
         train(&mut m, &train_set, recovery_epochs, 62);
-        report("FPGM", &mut m, &mut table);
+        report("FPGM", &mut m);
     }
 
     // DSA-style allocation.
@@ -124,7 +121,7 @@ fn main() {
         let alloc = dsa_allocate(&m, budget, &val_set, Criterion::L2, scale.pick(6, 16));
         apply_sparsities(&mut m, &alloc, Criterion::L2);
         train(&mut m, &train_set, recovery_epochs, 63);
-        report("DSA", &mut m, &mut table);
+        report("DSA", &mut m);
     }
 
     // Uniform L1 and random controls.
@@ -138,7 +135,7 @@ fn main() {
         );
         apply_sparsities(&mut m, &uni, Criterion::L1);
         train(&mut m, &train_set, recovery_epochs, 64);
-        report("uniform L1", &mut m, &mut table);
+        report("uniform L1", &mut m);
     }
     {
         let mut m = model.clone();
@@ -150,9 +147,8 @@ fn main() {
         );
         apply_sparsities(&mut m, &uni, Criterion::Random(42));
         train(&mut m, &train_set, recovery_epochs, 65);
-        report("random", &mut m, &mut table);
+        report("random", &mut m);
     }
 
-    table.print();
-    write_json("table4_pruning", &serde_json::json!(artefact));
+    vec![section]
 }

@@ -5,7 +5,9 @@
 //! sparsity (fraction of salient parameters) and deployed accuracy —
 //! the paper's inference-acceleration table.
 
+use serde_json::json;
 use spatl::prelude::*;
+use spatl_bench::{col, Fmt, Scale, Section};
 
 /// Post-pruning recovery: brief local fine-tune of the masked model — the
 /// standard deployment step after structured pruning (masked channels stay
@@ -27,16 +29,14 @@ fn finetune_masked(c: &mut spatl::fl::ClientState, epochs: usize) {
         }
     }
 }
-use spatl_bench::{pct, write_json, Scale, Table};
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let models: Vec<ModelKind> = match scale {
         Scale::Quick => vec![ModelKind::ResNet20],
         Scale::Full => vec![ModelKind::ResNet20, ModelKind::ResNet32],
     };
 
-    let mut artefact = Vec::new();
+    let mut sections = Vec::new();
     for model in models {
         // Wider models than the FL-efficiency experiments: inference
         // acceleration is about pruning *over-parameterised* networks, so
@@ -52,15 +52,17 @@ fn main() {
             .build();
         sim.run();
 
-        println!("\n=== {} ===", model.name());
-        let mut table = Table::new(&[
-            "client",
-            "FLOPs kept",
-            "FLOPs ↓",
-            "salient params",
-            "dense acc",
-            "deployed acc",
-        ]);
+        let mut section = Section::new(
+            format!("{} — deployed clients", model.name()),
+            vec![
+                col("client", "client", Fmt::Text),
+                col("FLOPs kept", "flops_ratio", Fmt::Pct),
+                col("FLOPs ↓", "flops_reduction", Fmt::Pct),
+                col("salient params", "salient_param_fraction", Fmt::Pct),
+                col("dense acc", "dense_acc", Fmt::Pct),
+                col("deployed acc", "deployed_acc", Fmt::Pct),
+            ],
+        );
         let mut ratios = Vec::new();
         for c in sim.clients.iter_mut() {
             // Deployment: re-select salient channels for the final global
@@ -72,32 +74,25 @@ fn main() {
             let salient = spatl::pruning::salient_param_indices(&c.model).len() as f32
                 / c.model.encoder.num_params() as f32;
             let deployed_acc = c.evaluate_deployed();
-            table.row(vec![
-                c.id.to_string(),
-                pct(ratio),
-                pct(1.0 - ratio),
-                pct(salient),
-                pct(dense_acc),
-                pct(deployed_acc),
-            ]);
             ratios.push(ratio);
-            artefact.push(serde_json::json!({
+            section.push(json!({
                 "model": model.name(),
                 "client": c.id,
                 "flops_ratio": ratio,
+                "flops_reduction": 1.0 - ratio,
                 "salient_param_fraction": salient,
                 "dense_acc": dense_acc,
                 "deployed_acc": deployed_acc,
             }));
         }
-        table.print();
         let mean = ratios.iter().sum::<f32>() / ratios.len() as f32;
-        let best = ratios.iter().copied().fold(1.0f32, f32::min);
-        println!(
-            "mean FLOPs reduction {} | best client {}",
-            pct(1.0 - mean),
-            pct(1.0 - best)
-        );
+        section.push(json!({
+            "model": model.name(),
+            "client": "mean",
+            "flops_ratio": mean,
+            "flops_reduction": 1.0 - mean,
+        }));
+        sections.push(section);
     }
-    write_json("table_inference", &serde_json::json!(artefact));
+    sections
 }

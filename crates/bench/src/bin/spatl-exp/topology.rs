@@ -19,12 +19,13 @@
 //! 3. **Fault-ledger composition** — per-edge fault counters folded at
 //!    the root equal the flat round's ledger, counter for counter.
 
+use serde_json::json;
 use spatl::fl::{
     aggregate_reduced, edge_partition, exact_composition, fault_counters, fold_fault_counters,
     reduce_cohort, GlobalState, LocalOutcome,
 };
 use spatl::prelude::*;
-use spatl_bench::{cli, write_json, Scale, Table};
+use spatl_bench::{cli, col, Fmt, Scale, Section};
 
 const EDGES: usize = 2;
 
@@ -138,19 +139,26 @@ fn rounds_to(accs: &[f32], target: f32) -> Option<usize> {
     accs.iter().position(|a| *a >= target).map(|i| i + 1)
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: Scale) -> Vec<Section> {
     let clients = scale.pick(4, 8);
     let rounds = scale.pick(3, 6);
     let samples = scale.pick(18, 48);
     let target = scale.pick(0.25, 0.40);
 
-    let mut artefact = Vec::new();
-    let mut table = Table::new(&["algorithm", "flat r→tgt", "2-tier r→tgt", "composition"]);
-    println!(
-        "flat vs 2-tier aggregation ({clients} clients, {EDGES} edges, {rounds} rounds, \
-         target {:.0}%)\n",
-        target * 100.0
+    let mut section = Section::new(
+        format!(
+            "flat vs 2-tier aggregation ({clients} clients, {EDGES} edges, {rounds} rounds, \
+             target {:.0}%)",
+            target * 100.0
+        ),
+        vec![
+            col("algorithm", "algorithm", Fmt::Text),
+            col("aggregator", "aggregator", Fmt::Text),
+            col("flat r→tgt", "rounds_to_target_flat", Fmt::Text),
+            col("2-tier r→tgt", "rounds_to_target_tiered", Fmt::Text),
+            col("bit-identical", "bit_identical", Fmt::YesNo),
+            col("max |Δ|", "epsilon_max", Fmt::Sci),
+        ],
     );
 
     // Claims 1 + 3 for every algorithm under the default weighted mean,
@@ -183,17 +191,7 @@ fn main() {
         assert_eq!(flat_drops, tier_drops, "{name}: ledgers must compose");
         let flat_r = rounds_to(&flat_accs, target);
         let tier_r = rounds_to(&tier_accs, target);
-        table.row(vec![
-            name.to_string(),
-            flat_r
-                .map(|r| r.to_string())
-                .unwrap_or(format!(">{rounds}")),
-            tier_r
-                .map(|r| r.to_string())
-                .unwrap_or(format!(">{rounds}")),
-            "exact (bit-identical)".to_string(),
-        ]);
-        artefact.push(serde_json::json!({
+        section.push(json!({
             "algorithm": name,
             "aggregator": "weighted-mean",
             "rounds_to_target_flat": flat_r,
@@ -201,7 +199,6 @@ fn main() {
             "bit_identical": identical,
             "dropouts_composed": tier_drops,
         }));
-        eprintln!("  {name}: flat {flat_r:?} vs 2-tier {tier_r:?}, bit-identical");
     }
 
     // Claim 2: robust aggregators compose within the documented envelope.
@@ -220,20 +217,12 @@ fn main() {
         let (tier_global, _, _) = run_composed(tier, rounds, EDGES, None);
         let eps = max_gap(&flat_global.shared, &tier_global.shared);
         assert!(eps.is_finite(), "{agg_name}: composed state must be finite");
-        table.row(vec![
-            format!("FedAvg + {agg_name}"),
-            "-".to_string(),
-            "-".to_string(),
-            format!("bounded-ε (max |Δ| = {eps:.2e})"),
-        ]);
-        artefact.push(serde_json::json!({
+        section.push(json!({
             "algorithm": "FedAvg",
             "aggregator": agg_name,
             "epsilon_max": eps,
         }));
-        eprintln!("  FedAvg + {agg_name}: max |composed - flat| = {eps:.3e}");
     }
 
-    table.print();
-    write_json("topology", &serde_json::json!(artefact));
+    vec![section]
 }

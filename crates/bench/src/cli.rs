@@ -1,14 +1,13 @@
-//! Shared command-line handling for the experiment (`exp_*`) and
-//! networked-runtime (`spatl-server`/`spatl-client`) binaries.
-//!
-//! Two things live here: a tiny `--flag value` parser (no external
-//! dependency, long flags only, `--flag=value` accepted), and the
-//! canonical algorithm roster the binaries used to re-declare ad hoc —
-//! one list per ordering convention, plus a name parser for selecting a
-//! single algorithm from the command line.
+//! Command-line surface the experiment runner and the networked-runtime
+//! binaries (`spatl-server` / `spatl-client` / `spatl-edge`) share: the
+//! canonical algorithm rosters — one list per ordering convention — and
+//! the networked session's flag groups over the workspace's one flag
+//! parser, [`spatl::cli`] (its [`Args`] is re-exported here).
 
 use std::time::Duration;
 
+use spatl::cli::parse_algorithm;
+pub use spatl::cli::Args;
 use spatl::prelude::{
     Algorithm, ChaosPlan, ChurnPlan, ExperimentBuilder, PrivacyConfig, Simulation, SpatlOptions,
 };
@@ -35,118 +34,6 @@ pub fn algorithms_baseline_first() -> Vec<(Algorithm, &'static str)> {
         (Algorithm::Scaffold, "SCAFFOLD"),
         (Algorithm::Spatl(SpatlOptions::default()), "SPATL"),
     ]
-}
-
-/// Parse an algorithm name as given on a command line (case-insensitive:
-/// `fedavg`, `fedprox`, `scaffold`, `fednova`, `spatl`), with each
-/// algorithm's canonical reproduction parameters.
-pub fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "fedavg" => Ok(Algorithm::FedAvg),
-        "fedprox" => Ok(Algorithm::FedProx { mu: 0.01 }),
-        "scaffold" => Ok(Algorithm::Scaffold),
-        "fednova" => Ok(Algorithm::FedNova),
-        "spatl" => Ok(Algorithm::Spatl(SpatlOptions::default())),
-        other => Err(format!(
-            "unknown algorithm '{other}' (expected fedavg|fedprox|scaffold|fednova|spatl)"
-        )),
-    }
-}
-
-/// Parsed command line: a sequence of `--flag value` (or `--flag=value`)
-/// pairs. Unknown flags are rejected up front so a typo cannot silently
-/// fall back to a default.
-#[derive(Debug, Clone)]
-pub struct Args {
-    flags: Vec<(String, String)>,
-}
-
-impl Args {
-    /// Parse the process's arguments, allowing only `accepted` flag names
-    /// (without the `--` prefix). Exits with a usage message listing the
-    /// accepted flags on any malformed or unknown argument.
-    pub fn parse(accepted: &[&str]) -> Args {
-        match Self::from_iter(std::env::args().skip(1), accepted) {
-            Ok(args) => args,
-            Err(msg) => {
-                let mut usage = String::new();
-                for f in accepted {
-                    usage.push_str(&format!(" [--{f} <value>]"));
-                }
-                eprintln!("error: {msg}\nusage: {}{usage}", bin_name());
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Parse an explicit argument list (testable core of [`Args::parse`]).
-    pub fn from_iter<I, S>(args: I, accepted: &[&str]) -> Result<Args, String>
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let mut flags = Vec::new();
-        let mut iter = args.into_iter().map(Into::into);
-        while let Some(arg) = iter.next() {
-            let name = arg
-                .strip_prefix("--")
-                .ok_or_else(|| format!("expected a --flag, got '{arg}'"))?;
-            let (name, value) = match name.split_once('=') {
-                Some((n, v)) => (n.to_string(), v.to_string()),
-                None => {
-                    let v = iter
-                        .next()
-                        .ok_or_else(|| format!("flag --{name} is missing its value"))?;
-                    (name.to_string(), v)
-                }
-            };
-            if !accepted.contains(&name.as_str()) {
-                return Err(format!("unknown flag --{name}"));
-            }
-            flags.push((name, value));
-        }
-        Ok(Args { flags })
-    }
-
-    /// The raw value of a flag, if given (last occurrence wins).
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// Parse a flag's value, falling back to `default` when absent. Exits
-    /// with an error message when the value is present but malformed.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        match self.get(name) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("error: flag --{name} has malformed value '{v}'");
-                std::process::exit(2);
-            }),
-        }
-    }
-
-    /// A flag that must be present.
-    pub fn require(&self, name: &str) -> &str {
-        self.get(name).unwrap_or_else(|| {
-            eprintln!("error: flag --{name} is required");
-            std::process::exit(2);
-        })
-    }
-}
-
-fn bin_name() -> String {
-    std::env::args()
-        .next()
-        .and_then(|p| {
-            std::path::Path::new(&p)
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-        })
-        .unwrap_or_else(|| "binary".to_string())
 }
 
 /// The flag set shared by `spatl-server` and `spatl-client`:
@@ -385,9 +272,8 @@ impl RuntimeOpts {
     }
 }
 
-/// The topology flag set shared by `spatl-server`, `spatl-edge` and
-/// `exp_topology`: how many edge aggregators the session runs (`--edges`,
-/// 0 = flat), which edge a `spatl-edge` process is (`--edge-id`), where
+/// The topology flag set shared by `spatl-server` and `spatl-edge`:
+/// how many edge aggregators the session runs (`--edges`, 0 = flat), which edge a `spatl-edge` process is (`--edge-id`), where
 /// the root listens (`--root-addr`) and where the durable round log lives
 /// (`--wal`). Plain data — the binaries translate it into their runtime's
 /// own configuration types.
@@ -428,42 +314,16 @@ impl TierOpts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_flag_pairs_and_equals_form() {
-        let args =
-            Args::from_iter(["--addr", "0.0.0.0:9", "--rounds=5"], &["addr", "rounds"]).unwrap();
-        assert_eq!(args.get("addr"), Some("0.0.0.0:9"));
-        assert_eq!(args.get_or("rounds", 0usize), 5);
-        assert_eq!(args.get_or("missing", 7usize), 7);
-    }
-
-    #[test]
-    fn rejects_unknown_flags_and_missing_values() {
-        assert!(Args::from_iter(["--bogus", "1"], &["addr"]).is_err());
-        assert!(Args::from_iter(["--addr"], &["addr"]).is_err());
-        assert!(Args::from_iter(["addr", "1"], &["addr"]).is_err());
-    }
-
-    #[test]
-    fn algorithm_names_parse() {
-        for (_, name) in algorithms() {
-            assert!(
-                parse_algorithm(&name.to_ascii_lowercase()).is_ok(),
-                "{name}"
-            );
-        }
-        assert!(parse_algorithm("blockchain").is_err());
-    }
+    use spatl::cli::parse_args;
 
     #[test]
     fn tier_flags_parse_and_default_to_flat() {
-        let flat = TierOpts::from_args(&Args::from_iter::<[&str; 0], &str>([], &[]).unwrap());
+        let flat = TierOpts::from_args(&parse_args::<[&str; 0], &str>([], &[]).unwrap());
         assert_eq!(flat.edges, 0);
         assert!(flat.wal.is_none());
 
         let accepted: Vec<&str> = TierOpts::FLAGS.to_vec();
-        let args = Args::from_iter(
+        let args = parse_args(
             ["--edges", "2", "--edge-id=1", "--wal", "log.jsonl"],
             &accepted,
         )
@@ -483,14 +343,14 @@ mod tests {
 
         // No chaos/churn flags → no plans, so the fingerprint matches a
         // plain session.
-        let none = Args::from_iter::<[&str; 0], &str>([], &accepted).unwrap();
+        let none = parse_args::<[&str; 0], &str>([], &accepted).unwrap();
         let opts = NetOpts::from_args(&none);
         assert!(opts.chaos.is_none() && opts.churn.is_none());
         let runtime = RuntimeOpts::from_args(&none);
         assert_eq!(runtime.round_timeout, Duration::from_secs(300));
         assert_eq!(runtime.quorum, 1.0);
 
-        let args = Args::from_iter(
+        let args = parse_args(
             [
                 "--chaos-reset",
                 "0.5",
@@ -527,15 +387,15 @@ mod tests {
         let accepted: Vec<&str> = NetOpts::FLAGS.to_vec();
 
         // No --privacy flag → clear uploads, historical fingerprint.
-        let none = Args::from_iter::<[&str; 0], &str>([], &accepted).unwrap();
+        let none = parse_args::<[&str; 0], &str>([], &accepted).unwrap();
         assert!(NetOpts::from_args(&none).privacy.is_none());
 
         let masked =
-            Args::from_iter(["--privacy", "masked", "--privacy-seed", "42"], &accepted).unwrap();
+            parse_args(["--privacy", "masked", "--privacy-seed", "42"], &accepted).unwrap();
         let p = NetOpts::from_args(&masked).privacy.expect("masked mode");
         assert_eq!(p, PrivacyConfig::masked(42));
 
-        let fixed = Args::from_iter(
+        let fixed = parse_args(
             [
                 "--privacy=fixed",
                 "--privacy-l2-bound",
@@ -564,5 +424,8 @@ mod tests {
         b.sort_unstable();
         assert_eq!(a, b);
         assert_eq!(a.len(), 5);
+        for name in a {
+            assert!(parse_algorithm(name).is_ok(), "{name}");
+        }
     }
 }

@@ -39,9 +39,7 @@ fn main() -> Result<(), NetError> {
     let resume_rounds: usize = args.get_or("resume-rounds", 0);
     let checkpoint = args.get("checkpoint").map(std::path::PathBuf::from);
     if resume_rounds > 0 {
-        let path = checkpoint
-            .as_deref()
-            .expect("--resume-rounds requires --checkpoint");
+        let path = std::path::Path::new(args.require("checkpoint"));
         driver.global = load_global(path)?;
         driver.advance_sampling(resume_rounds);
         eprintln!(

@@ -4,78 +4,43 @@
 //! spatl-cli run       --algorithm spatl --model resnet20 --clients 10 --rounds 20
 //! spatl-cli pretrain  --model resnet56 --rounds 30 --out agent.json
 //! spatl-cli prune     --model resnet56 --budget 0.6 [--agent agent.json]
-//! spatl-cli transfer  --encoder run.json --samples 300
+//! spatl-cli transfer  --model-file pruned.json --samples 300
 //! ```
 //!
-//! Arguments are `--key value` pairs; unknown keys are rejected. Every
-//! command prints a human-readable summary and (with `--out`) writes a
-//! JSON artefact.
+//! Arguments are `--key value` pairs checked against the sub-command's
+//! flag set; unknown keys are rejected. Every command prints a
+//! human-readable summary and (with `--out`) writes a JSON artefact.
 
+use spatl::cli::{parse_algorithm, parse_args, parse_model, Args};
 use spatl::prelude::*;
-use std::collections::HashMap;
 use std::process::ExitCode;
 
-fn parse_args(args: &[String]) -> Result<HashMap<String, String>, String> {
-    let mut map = HashMap::new();
-    let mut it = args.iter();
-    while let Some(key) = it.next() {
-        let Some(name) = key.strip_prefix("--") else {
-            return Err(format!("expected --key, got '{key}'"));
-        };
-        let Some(value) = it.next() else {
-            return Err(format!("missing value for --{name}"));
-        };
-        map.insert(name.to_string(), value.clone());
-    }
-    Ok(map)
-}
+const RUN_FLAGS: [&str; 10] = [
+    "algorithm",
+    "model",
+    "clients",
+    "rounds",
+    "samples-per-client",
+    "local-epochs",
+    "beta",
+    "sample-ratio",
+    "seed",
+    "out",
+];
+const PRETRAIN_FLAGS: [&str; 5] = ["model", "rounds", "budget", "seed", "out"];
+const PRUNE_FLAGS: [&str; 5] = ["model", "budget", "seed", "agent", "out"];
+const TRANSFER_FLAGS: [&str; 4] = ["model-file", "samples", "epochs", "seed"];
 
-fn get<T: std::str::FromStr>(
-    map: &HashMap<String, String>,
-    key: &str,
-    default: T,
-) -> Result<T, String> {
-    match map.get(key) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("invalid value for --{key}: '{v}'")),
-    }
-}
-
-fn parse_model(name: &str) -> Result<ModelKind, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "resnet20" => ModelKind::ResNet20,
-        "resnet32" => ModelKind::ResNet32,
-        "resnet56" => ModelKind::ResNet56,
-        "resnet18" => ModelKind::ResNet18,
-        "vgg11" => ModelKind::Vgg11,
-        "cnn2" => ModelKind::Cnn2,
-        other => return Err(format!("unknown model '{other}'")),
-    })
-}
-
-fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
-    Ok(match name.to_ascii_lowercase().as_str() {
-        "spatl" => Algorithm::Spatl(SpatlOptions::default()),
-        "fedavg" => Algorithm::FedAvg,
-        "fedprox" => Algorithm::FedProx { mu: 0.01 },
-        "scaffold" => Algorithm::Scaffold,
-        "fednova" => Algorithm::FedNova,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    })
-}
-
-fn cmd_run(map: HashMap<String, String>) -> Result<(), String> {
-    let algorithm = parse_algorithm(&get(&map, "algorithm", "spatl".to_string())?)?;
-    let model = parse_model(&get(&map, "model", "resnet20".to_string())?)?;
-    let clients: usize = get(&map, "clients", 10)?;
-    let rounds: usize = get(&map, "rounds", 10)?;
-    let samples: usize = get(&map, "samples-per-client", 80)?;
-    let epochs: usize = get(&map, "local-epochs", 2)?;
-    let beta: f64 = get(&map, "beta", 0.5)?;
-    let ratio: f32 = get(&map, "sample-ratio", 1.0)?;
-    let seed: u64 = get(&map, "seed", 0)?;
+fn cmd_run(args: &Args) -> Result<(), String> {
+    let algorithm = parse_algorithm(args.get("algorithm").unwrap_or("spatl"))?;
+    let model = parse_model(args.get("model").unwrap_or("resnet20"))?;
+    let clients: usize = args.get_or("clients", 10);
+    let rounds: usize = args.get_or("rounds", 10);
+    let samples: usize = args.get_or("samples-per-client", 80);
+    let epochs: usize = args.get_or("local-epochs", 2);
+    let beta: f64 = args.get_or("beta", 0.5);
+    let ratio: f32 = args.get_or("sample-ratio", 1.0);
+    let seed: u64 = args.get_or("seed", 0);
 
     println!(
         "running {} / {} — {clients} clients × {rounds} rounds (β={beta}, ratio={ratio})",
@@ -109,18 +74,18 @@ fn cmd_run(map: HashMap<String, String>) -> Result<(), String> {
         result.final_acc() * 100.0,
         result.total_bytes() as f64 / 1e6
     );
-    if let Some(out) = map.get("out") {
+    if let Some(out) = args.get("out") {
         spatl::save_result(&result, out).map_err(|e| e.to_string())?;
         println!("results written to {out}");
     }
     Ok(())
 }
 
-fn cmd_pretrain(map: HashMap<String, String>) -> Result<(), String> {
-    let model_kind = parse_model(&get(&map, "model", "resnet56".to_string())?)?;
-    let rounds: usize = get(&map, "rounds", 20)?;
-    let budget: f32 = get(&map, "budget", 0.7)?;
-    let seed: u64 = get(&map, "seed", 0)?;
+fn cmd_pretrain(args: &Args) -> Result<(), String> {
+    let model_kind = parse_model(args.get("model").unwrap_or("resnet56"))?;
+    let rounds: usize = args.get_or("rounds", 20);
+    let budget: f32 = args.get_or("budget", 0.7);
+    let seed: u64 = args.get_or("seed", 0);
 
     let synth = SynthConfig {
         noise_std: 1.0,
@@ -139,20 +104,20 @@ fn cmd_pretrain(map: HashMap<String, String>) -> Result<(), String> {
     for (i, r) in log.rewards.iter().enumerate() {
         println!("update {:>3}: mean reward {r:.3}", i + 1);
     }
-    if let Some(out) = map.get("out") {
+    if let Some(out) = args.get("out") {
         spatl::save_agent(&agent, out).map_err(|e| e.to_string())?;
         println!("agent ({} KB) written to {out}", agent.param_bytes() / 1024);
     }
     Ok(())
 }
 
-fn cmd_prune(map: HashMap<String, String>) -> Result<(), String> {
-    let model_kind = parse_model(&get(&map, "model", "resnet56".to_string())?)?;
-    let budget: f32 = get(&map, "budget", 0.6)?;
-    let seed: u64 = get(&map, "seed", 0)?;
+fn cmd_prune(args: &Args) -> Result<(), String> {
+    let model_kind = parse_model(args.get("model").unwrap_or("resnet56"))?;
+    let budget: f32 = args.get_or("budget", 0.6);
+    let seed: u64 = args.get_or("seed", 0);
 
     let mut model = ModelConfig::cifar(model_kind).with_seed(seed).build();
-    let action = match map.get("agent") {
+    let action = match args.get("agent") {
         Some(path) => {
             let agent = spatl::load_agent(path).map_err(|e| e.to_string())?;
             agent.evaluate(&extract(&model)).mu
@@ -172,17 +137,17 @@ fn cmd_prune(map: HashMap<String, String>) -> Result<(), String> {
     for (p, s) in model.prune_points.iter().zip(&applied) {
         println!("  {:<24} sparsity {:.2}", p.name, s);
     }
-    if let Some(out) = map.get("out") {
+    if let Some(out) = args.get("out") {
         spatl::save_model(&model, out).map_err(|e| e.to_string())?;
         println!("pruned model written to {out}");
     }
     Ok(())
 }
 
-fn cmd_transfer(map: HashMap<String, String>) -> Result<(), String> {
-    let samples: usize = get(&map, "samples", 200)?;
-    let epochs: usize = get(&map, "epochs", 6)?;
-    let seed: u64 = get(&map, "seed", 0)?;
+fn cmd_transfer(args: &Args) -> Result<(), String> {
+    let samples: usize = args.get_or("samples", 200);
+    let epochs: usize = args.get_or("epochs", 6);
+    let seed: u64 = args.get_or("seed", 0);
 
     let synth = SynthConfig {
         noise_std: 1.2,
@@ -191,7 +156,7 @@ fn cmd_transfer(map: HashMap<String, String>) -> Result<(), String> {
     let train = synth_cifar10(&synth, samples, seed ^ 0xAB);
     let val = synth_cifar10(&synth, samples / 2, seed ^ 0xCD);
 
-    let mut model = match map.get("model-file") {
+    let mut model = match args.get("model-file") {
         Some(path) => spatl::load_model(path).map_err(|e| e.to_string())?,
         None => ModelConfig::cifar(ModelKind::ResNet20)
             .with_seed(seed)
@@ -218,23 +183,29 @@ const USAGE: &str = "usage: spatl-cli <run|pretrain|prune|transfer> [--key value
   run       --algorithm spatl|fedavg|fedprox|scaffold|fednova --model resnet20|resnet32|resnet56|resnet18|vgg11|cnn2
             --clients N --rounds N --samples-per-client N --local-epochs N --beta F --sample-ratio F --seed N [--out FILE]
   pretrain  --model resnet56 --rounds N --budget F --seed N [--out FILE]
-  prune     --model resnet56 --budget F [--agent FILE] [--out FILE]
+  prune     --model resnet56 --budget F --seed N [--agent FILE] [--out FILE]
   transfer  [--model-file FILE] --samples N --epochs N --seed N";
 
+/// A sub-command over its parsed flags.
+type Command = fn(&Args) -> Result<(), String>;
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
+    let mut argv = std::env::args().skip(1);
+    let Some(cmd) = argv.next() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = parse_args(rest).and_then(|map| match cmd.as_str() {
-        "run" => cmd_run(map),
-        "pretrain" => cmd_pretrain(map),
-        "prune" => cmd_prune(map),
-        "transfer" => cmd_transfer(map),
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
-    });
-    match result {
+    let (flags, run): (&[&str], Command) = match cmd.as_str() {
+        "run" => (&RUN_FLAGS, cmd_run),
+        "pretrain" => (&PRETRAIN_FLAGS, cmd_pretrain),
+        "prune" => (&PRUNE_FLAGS, cmd_prune),
+        "transfer" => (&TRANSFER_FLAGS, cmd_transfer),
+        other => {
+            eprintln!("error: unknown command '{other}'\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match parse_args(argv, flags).and_then(|args| run(&args)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");

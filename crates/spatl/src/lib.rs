@@ -35,6 +35,7 @@
 //! | `spatl-fl` | FedAvg / FedProx / SCAFFOLD / FedNova / SPATL simulator |
 
 mod checkpoint;
+pub mod cli;
 mod experiment;
 mod roundlog;
 

@@ -32,6 +32,18 @@ fn bad_flag_value_is_rejected() {
 }
 
 #[test]
+fn unknown_flag_is_rejected() {
+    // `--round` (for `--rounds`) must not silently run the default.
+    let out = cli()
+        .args(["run", "--round", "5"])
+        .output()
+        .expect("spawn cli");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --round"), "stderr: {err}");
+}
+
+#[test]
 fn tiny_run_completes_and_writes_results() {
     let dir = std::env::temp_dir().join("spatl-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
