@@ -84,18 +84,21 @@ impl PruningEnv {
 
 /// Scale sparsities up (towards `s=0.95`) until the masked model meets the
 /// FLOPs budget. If the raw action already satisfies it, it is returned
-/// unchanged. Uses bisection on a blend factor, at most 8 model profiles.
+/// unchanged. Uses bisection on a blend factor, at most 9 model profiles.
 pub fn project_to_budget(
     model: &SplitModel,
     sparsities: &[f32],
     target_flops_ratio: f32,
     criterion: Criterion,
 ) -> Vec<f32> {
-    let dense = model.flops_dense() as f32;
-    let ratio_of = |s: &[f32]| -> f32 {
-        let mut m = model.clone();
-        apply_sparsities(&mut m, s, criterion);
-        m.flops() as f32 / dense
+    // One scratch copy, re-masked per probe: `apply_sparsities` overwrites
+    // every prune point's mask, so no probe sees an earlier one's masks.
+    let mut scratch = model.clone();
+    scratch.clear_masks();
+    let dense = scratch.flops() as f32;
+    let mut ratio_of = |s: &[f32]| -> f32 {
+        apply_sparsities(&mut scratch, s, criterion);
+        scratch.flops() as f32 / dense
     };
     if ratio_of(sparsities) <= target_flops_ratio {
         return sparsities.to_vec();
@@ -155,6 +158,63 @@ mod tests {
         let k = e.model.prune_points.len();
         e.commit(&vec![0.5; k]);
         assert!(e.model.flops() < e.model.flops_dense());
+    }
+
+    /// The projection before the scratch copy: a fresh clone per probe.
+    fn project_by_cloning(
+        model: &SplitModel,
+        sparsities: &[f32],
+        target: f32,
+        criterion: Criterion,
+    ) -> Vec<f32> {
+        let dense = model.flops_dense() as f32;
+        let ratio_of = |s: &[f32]| -> f32 {
+            let mut m = model.clone();
+            apply_sparsities(&mut m, s, criterion);
+            m.flops() as f32 / dense
+        };
+        if ratio_of(sparsities) <= target {
+            return sparsities.to_vec();
+        }
+        let blend = |t: f32| -> Vec<f32> {
+            sparsities
+                .iter()
+                .map(|&s| (1.0 - t) * s + t * 0.95)
+                .collect()
+        };
+        let (mut lo, mut hi) = (0.0f32, 1.0f32);
+        for _ in 0..8 {
+            let mid = 0.5 * (lo + hi);
+            if ratio_of(&blend(mid)) <= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        blend(hi)
+    }
+
+    #[test]
+    fn scratch_projection_matches_per_probe_clones() {
+        for kind in [ModelKind::ResNet20, ModelKind::Vgg11] {
+            let mut model = ModelConfig::cifar(kind).build();
+            let k = model.prune_points.len();
+            // Start from a masked model, as a SPATL client's is.
+            apply_sparsities(&mut model, &vec![0.3; k], Criterion::L2);
+            let ramp: Vec<f32> = (0..k).map(|i| i as f32 / k as f32).collect();
+            let zigzag: Vec<f32> = (0..k).map(|i| [0.1, 0.8, 0.0][i % 3]).collect();
+            for action in [vec![0.0; k], vec![0.5; k], vec![0.9; k], ramp, zigzag] {
+                for target in [0.3, 0.6, 0.9] {
+                    for criterion in [Criterion::L1, Criterion::L2, Criterion::Fpgm] {
+                        assert_eq!(
+                            project_to_budget(&model, &action, target, criterion),
+                            project_by_cloning(&model, &action, target, criterion),
+                            "{kind:?} {action:?} target {target} {criterion:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

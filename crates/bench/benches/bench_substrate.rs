@@ -1,9 +1,10 @@
-//! Substrate micro-benchmarks: matmul, im2col, conv and full-model
+//! Substrate micro-benchmarks: matmul, one conv layer and full-model
 //! forward/backward — the kernels every experiment's wall-clock reduces to.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use spatl::nn::Conv2d;
 use spatl::prelude::*;
-use spatl::tensor::{im2col, matmul, Conv2dGeometry};
+use spatl::tensor::{matmul, Workspace};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -19,20 +20,30 @@ fn bench_matmul(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_im2col(c: &mut Criterion) {
-    let mut rng = TensorRng::seed_from(2);
-    let x = rng.normal_tensor([8, 16, 16, 16], 0.0, 1.0);
-    let g = Conv2dGeometry {
-        in_channels: 16,
-        in_h: 16,
-        in_w: 16,
-        kernel: 3,
-        stride: 1,
-        padding: 1,
-    };
-    let mut group = c.benchmark_group("im2col");
+/// One conv layer's forward + backward at the two shapes the channel-major
+/// lowering pulls in opposite directions: ResNet-20 stage 1 (few channels,
+/// long spatial axis) and the VGG-11 tail (many channels, 1×1 image, where
+/// eight of nine taps fall outside the image).
+fn bench_conv(c: &mut Criterion) {
+    let mut group = c.benchmark_group("conv_fwd_bwd");
     group.sample_size(10);
-    group.bench_function("8x16x16x16_k3", |b| b.iter(|| im2col(&x, &g)));
+    for (name, channels, hw) in [
+        ("resnet20_stage1_4x16x16", 4, 16),
+        ("vgg11_tail_128x1x1", 128, 1),
+    ] {
+        let mut rng = TensorRng::seed_from(2);
+        let mut conv = Conv2d::new(channels, channels, 3, 1, 1, &mut rng);
+        let x = rng.normal_tensor([16, channels, hw, hw], 0.0, 1.0);
+        let mut ws = Workspace::new();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let y = conv.forward_ws(&x, true, &mut ws);
+                let gx = conv.backward_ws(&y, &mut ws);
+                ws.recycle(y);
+                ws.recycle(gx);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -57,7 +68,7 @@ fn bench_model_forward_backward(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
-    bench_im2col,
+    bench_conv,
     bench_model_forward_backward
 );
 criterion_main!(benches);

@@ -316,7 +316,7 @@ mod tests {
 #[cfg(test)]
 mod bn_mask_tests {
     use super::*;
-    use spatl_tensor::TensorRng;
+    use spatl_tensor::{TensorRng, Workspace};
 
     #[test]
     fn masked_channels_are_dead_after_batchnorm_in_eval() {
@@ -343,13 +343,14 @@ mod bn_mask_tests {
         };
         let probe = rng.normal_tensor([2, 3, 16, 16], 1.0, 1.0);
         // Run stem (nodes before the block) in eval mode.
+        let mut ws = Workspace::new();
         let mut cur = probe;
         for n in m.encoder.nodes[..node_i].iter_mut() {
-            cur = n.forward(&cur, false);
+            cur = n.forward_ws(&cur, false, &mut ws);
         }
         if let Node::Residual(b) = &mut m.encoder.nodes[node_i] {
-            let t = b.conv1.forward(&cur, false);
-            let t = b.bn1.forward(&t, false);
+            let t = b.conv1.forward_ws(&cur, false, &mut ws);
+            let t = b.bn1.forward_ws(&t, false, &mut ws);
             let spatial = t.dims()[2] * t.dims()[3];
             for img in 0..t.dims()[0] {
                 for dead in 0..2 {

@@ -16,14 +16,8 @@ impl Relu {
         Relu { mask: None }
     }
 
-    /// Forward pass; caches the activation mask when `train` is set.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
-    /// Forward pass drawing the output from `ws`; the boolean mask buffer is
-    /// reused across steps in place.
+    /// Forward pass drawing the output from `ws`; caches the activation mask
+    /// when `train` is set, reusing its buffer across steps in place.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let mut out = ws.take_tensor(input.dims().to_vec());
         if train {
@@ -48,13 +42,8 @@ impl Relu {
         out
     }
 
-    /// Backward pass: gradient flows only through positive activations.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing the gradient buffer from `ws`.
+    /// Backward pass drawing the gradient buffer from `ws`: gradient flows
+    /// only through positive activations.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mask = self.mask.as_ref().expect("relu backward without forward");
         let mut g = ws.take_tensor(grad_out.dims().to_vec());
@@ -78,7 +67,7 @@ mod tests {
     fn forward_clamps_negatives() {
         let mut r = Relu::new();
         let x = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
-        let y = r.forward(&x, false);
+        let y = r.forward_ws(&x, false, &mut Workspace::new());
         assert_eq!(y.data(), &[0.0, 0.0, 2.0]);
     }
 
@@ -86,8 +75,9 @@ mod tests {
     fn backward_masks_gradient() {
         let mut r = Relu::new();
         let x = Tensor::from_slice(&[-1.0, 0.5, 3.0, -0.1]);
-        r.forward(&x, true);
-        let g = r.backward(&Tensor::from_slice(&[10., 10., 10., 10.]));
+        let mut ws = Workspace::new();
+        r.forward_ws(&x, true, &mut ws);
+        let g = r.backward_ws(&Tensor::from_slice(&[10., 10., 10., 10.]), &mut ws);
         assert_eq!(g.data(), &[0., 10., 10., 0.]);
     }
 
@@ -95,8 +85,9 @@ mod tests {
     fn zero_input_passes_no_gradient() {
         let mut r = Relu::new();
         let x = Tensor::from_slice(&[0.0]);
-        r.forward(&x, true);
-        let g = r.backward(&Tensor::from_slice(&[5.0]));
+        let mut ws = Workspace::new();
+        r.forward_ws(&x, true, &mut ws);
+        let g = r.backward_ws(&Tensor::from_slice(&[5.0]), &mut ws);
         assert_eq!(g.data(), &[0.0]);
     }
 }

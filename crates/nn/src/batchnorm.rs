@@ -70,14 +70,7 @@ impl BatchNorm2d {
         self.channel_mask = vec![1.0; self.channels];
     }
 
-    /// Forward pass over `[n, c, h, w]`.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
-    /// Forward pass drawing all temporaries from `ws`. Identical arithmetic
-    /// to [`BatchNorm2d::forward`] (which delegates here).
+    /// Forward pass over `[n, c, h, w]` drawing all temporaries from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims_slice = input.dims();
         assert_eq!(dims_slice.len(), 4, "batchnorm input must be NCHW");
@@ -177,14 +170,8 @@ impl BatchNorm2d {
         out
     }
 
-    /// Backward pass using the standard batch-norm gradient:
-    /// `dx = (γ·istd/N) · (N·dy − Σdy − x̂·Σ(dy·x̂))`.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing all temporaries from `ws`.
+    /// Backward pass drawing all temporaries from `ws`, using the standard
+    /// batch-norm gradient `dx = (γ·istd/N) · (N·dy − Σdy − x̂·Σ(dy·x̂))`.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
@@ -268,7 +255,7 @@ mod tests {
         let mut rng = TensorRng::seed_from(1);
         let mut bn = BatchNorm2d::new(3);
         let x = rng.normal_tensor([4, 3, 5, 5], 2.0, 3.0);
-        let y = bn.forward(&x, true);
+        let y = bn.forward_ws(&x, true, &mut Workspace::new());
         // Per-channel mean ≈ 0, var ≈ 1 (gamma=1, beta=0).
         let spatial = 25;
         for ch in 0..3 {
@@ -288,13 +275,15 @@ mod tests {
     fn eval_uses_running_statistics() {
         let mut rng = TensorRng::seed_from(2);
         let mut bn = BatchNorm2d::new(2);
+        let mut ws = Workspace::new();
         // Run training forwards so running stats converge towards (2, 9).
         for _ in 0..200 {
             let x = rng.normal_tensor([8, 2, 4, 4], 2.0, 3.0);
-            bn.forward(&x, true);
+            let y = bn.forward_ws(&x, true, &mut ws);
+            ws.recycle(y);
         }
         let x = rng.normal_tensor([8, 2, 4, 4], 2.0, 3.0);
-        let y = bn.forward(&x, false);
+        let y = bn.forward_ws(&x, false, &mut ws);
         let mean = y.mean();
         assert!(mean.abs() < 0.2, "eval mean {mean}");
     }
@@ -309,14 +298,14 @@ mod tests {
 
         // Weighted-sum loss to get non-uniform upstream gradient.
         let wts = rng.normal_tensor([2, 2, 3, 3], 0.0, 1.0);
-        let y = bn.forward(&x, true);
-        let _ = y;
-        let gx = bn.backward(&wts);
+        let mut ws = Workspace::new();
+        bn.forward_ws(&x, true, &mut ws);
+        let gx = bn.backward_ws(&wts, &mut ws);
 
         let eps = 1e-3;
-        let loss = |bn: &BatchNorm2d, x: &Tensor| -> f32 {
+        let mut loss = |bn: &BatchNorm2d, x: &Tensor| -> f32 {
             let mut b = bn.clone();
-            b.forward(x, true).dot(&wts).unwrap()
+            b.forward_ws(x, true, &mut ws).dot(&wts).unwrap()
         };
         for xi in (0..x.numel()).step_by(7) {
             let mut xp = x.clone();

@@ -1,4 +1,5 @@
-//! 2-D convolution via `im2col` + matmul, with structured channel masking.
+//! 2-D convolution via channel-major `im2col` + matmul, with structured
+//! channel masking.
 
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
@@ -10,7 +11,9 @@ use spatl_tensor::{
 /// A 2-D convolution layer over NCHW inputs.
 ///
 /// The weight is stored pre-flattened as `[out_channels, in_channels·k·k]`
-/// so forward/backward are single matmuls against the `im2col` patch matrix.
+/// so forward/backward are single matmuls against the channel-major
+/// `im2col` patch matrix `[in_channels·k·k, n·oh·ow]`: the long spatial
+/// axis is every GEMM's wide side and the channel counts its short one.
 ///
 /// `channel_mask` implements the structured pruning used by SPATL's salient
 /// parameter selection: masked output channels produce zeros in the forward
@@ -97,51 +100,41 @@ impl Conv2d {
         }
     }
 
-    /// Forward pass over `[n, c, h, w]`.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
-    /// Forward pass drawing all temporaries from `ws`. Identical arithmetic
-    /// to [`Conv2d::forward`] (which delegates here), but steady-state
-    /// allocation-free once the workspace is warm.
+    /// Forward pass over `[n, c, h, w]`, drawing all temporaries from `ws`
+    /// (steady-state allocation-free once the workspace is warm).
+    ///
+    /// The patch matrix is channel-major (`[c·k·k, n·oh·ow]`), so the
+    /// product `W · cols` is `[out_c, n·oh·ow]`: one contiguous `oh·ow` run
+    /// per (channel, image), which the bias+mask epilogue copies into NCHW.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let dims = input.dims();
         assert_eq!(dims.len(), 4, "conv input must be NCHW");
         let (n, _c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let g = self.geometry(h, w);
-        let (oh, ow) = (g.out_h(), g.out_w());
+        let spatial = g.cols();
+        let co = self.out_channels;
 
         // The previous step's cached patch matrix feeds this step's buffers.
         if let Some(old) = self.cache.take() {
             ws.recycle(old.cols);
         }
-        let mut cols = ws.take_tensor([n * g.cols(), g.patch_len()]);
+        let mut cols = ws.take_tensor([g.patch_len(), n * spatial]);
         im2col_into(input, &g, &mut cols);
-        // rows: [n·oh·ow, patch] · [patch, out_c] -> [n·oh·ow, out_c]
-        let mut rows = ws.take_tensor([n * g.cols(), self.out_channels]);
-        matmul_nt_into(&cols, &self.weight.value, &mut rows);
-        let mut out = ws.take_tensor([n, self.out_channels, oh, ow]);
-        let spatial = oh * ow;
-        {
-            let src = rows.data();
-            let dst = out.data_mut();
-            let b = self.bias.value.data();
-            // Every output element is written (masked channels as explicit
-            // zeros), so the recycled buffer needs no pre-clearing.
-            for img in 0..n {
-                for pos in 0..spatial {
-                    let row = (img * spatial + pos) * self.out_channels;
-                    for oc in 0..self.out_channels {
-                        let m = self.channel_mask[oc];
-                        dst[(img * self.out_channels + oc) * spatial + pos] =
-                            (src[row + oc] + b[oc]) * m;
-                    }
-                }
+        let mut y = ws.take_tensor([co, n * spatial]);
+        matmul_into(&self.weight.value, &cols, &mut y);
+        // Every output element is written (masked channels as explicit
+        // zeros), so the recycled buffer needs no pre-clearing.
+        let mut out = ws.take_tensor([n, co, g.out_h(), g.out_w()]);
+        let b = self.bias.value.data();
+        for (plane, dst) in out.data_mut().chunks_exact_mut(spatial).enumerate() {
+            let (img, oc) = (plane / co, plane % co);
+            let (bias, m) = (b[oc], self.channel_mask[oc]);
+            let src = &y.data()[(oc * n + img) * spatial..(oc * n + img + 1) * spatial];
+            for (d, &v) in dst.iter_mut().zip(src) {
+                *d = (v + bias) * m;
             }
         }
-        ws.recycle(rows);
+        ws.recycle(y);
         if train {
             self.cache = Some(ConvCache {
                 cols,
@@ -154,60 +147,51 @@ impl Conv2d {
         out
     }
 
-    /// Backward pass: accumulate weight/bias gradients and return the
-    /// gradient with respect to the input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing all temporaries from `ws`; see
-    /// [`Conv2d::forward_ws`].
+    /// Backward pass drawing all temporaries from `ws`: accumulate weight
+    /// and bias gradients and return the gradient with respect to the
+    /// input.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self.cache.as_ref().expect("conv backward without forward");
         let g = cache.geometry;
         let n = cache.batch;
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let spatial = oh * ow;
+        let spatial = g.cols();
+        let co = self.out_channels;
 
-        // NCHW grad -> row-major [n·oh·ow, out_c] applying the channel mask
-        // (masked channels contribute no gradient; every element written).
-        let mut grad_rows = ws.take_tensor([n * spatial, self.out_channels]);
+        // NCHW grad -> channel-major [out_c, n·oh·ow] applying the channel
+        // mask (masked channels contribute no gradient; every element
+        // written).
+        let mut gy = ws.take_tensor([co, n * spatial]);
         {
-            let src = grad_out.data();
-            let dst = grad_rows.data_mut();
-            for img in 0..n {
-                for oc in 0..self.out_channels {
-                    let m = self.channel_mask[oc];
-                    for pos in 0..spatial {
-                        dst[(img * spatial + pos) * self.out_channels + oc] =
-                            src[(img * self.out_channels + oc) * spatial + pos] * m;
-                    }
+            let dst = gy.data_mut();
+            for (plane, src) in grad_out.data().chunks_exact(spatial).enumerate() {
+                let (img, oc) = (plane / co, plane % co);
+                let m = self.channel_mask[oc];
+                let run = &mut dst[(oc * n + img) * spatial..(oc * n + img + 1) * spatial];
+                for (d, &v) in run.iter_mut().zip(src) {
+                    *d = v * m;
                 }
             }
         }
 
-        // grad_w = grad_rowsᵀ · cols  -> [out_c, patch]
-        let mut gw = ws.take_tensor([self.out_channels, g.patch_len()]);
-        matmul_tn_into(&grad_rows, &cache.cols, &mut gw);
+        // grad_w = gy · colsᵀ -> [out_c, patch]
+        let mut gw = ws.take_tensor([co, g.patch_len()]);
+        matmul_nt_into(&gy, &cache.cols, &mut gw);
         self.weight.grad.add_assign(&gw).expect("weight grad shape");
         ws.recycle(gw);
 
-        // grad_b = column sums of grad_rows.
-        {
-            let gb = self.bias.grad.data_mut();
-            let src = grad_rows.data();
-            for r in 0..n * spatial {
-                for oc in 0..self.out_channels {
-                    gb[oc] += src[r * self.out_channels + oc];
-                }
+        // grad_b = row sums of gy, each in ascending position order; the
+        // channels advance together so their add chains overlap.
+        let gb = self.bias.grad.data_mut();
+        for pos in 0..n * spatial {
+            for (oc, g) in gb.iter_mut().enumerate() {
+                *g += gy.data()[oc * n * spatial + pos];
             }
         }
 
-        // grad_cols = grad_rows · w -> [n·oh·ow, patch]; grad_x = col2im.
-        let mut grad_cols = ws.take_tensor([n * spatial, g.patch_len()]);
-        matmul_into(&grad_rows, &self.weight.value, &mut grad_cols);
-        ws.recycle(grad_rows);
+        // grad_cols = Wᵀ · gy -> [patch, n·oh·ow]; grad_x = col2im.
+        let mut grad_cols = ws.take_tensor([g.patch_len(), n * spatial]);
+        matmul_tn_into(&self.weight.value, &gy, &mut grad_cols);
+        ws.recycle(gy);
         let mut gx = ws.take_tensor([n, g.in_channels, g.in_h, g.in_w]);
         col2im_into(&grad_cols, &g, &mut gx);
         ws.recycle(grad_cols);
@@ -230,7 +214,8 @@ mod tests {
         let mut rng = TensorRng::seed_from(1);
         let mut conv = Conv2d::new(3, 8, 3, 1, 1, &mut rng);
         let x = rng.normal_tensor([2, 3, 8, 8], 0.0, 1.0);
-        let y = conv.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = conv.forward_ws(&x, true, &mut ws);
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
 
         // Mask half the channels and confirm they are exactly zero.
@@ -239,7 +224,7 @@ mod tests {
             *m = 0.0;
         }
         conv.set_mask(mask);
-        let y = conv.forward(&x, false);
+        let y = conv.forward_ws(&x, false, &mut ws);
         let spatial = 64;
         for img in 0..2 {
             for oc in 0..4 {
@@ -262,18 +247,19 @@ mod tests {
 
         // Loss = sum(y); analytic gradient vs central differences for a few
         // weight entries and input entries.
-        let y = conv.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = conv.forward_ws(&x, true, &mut ws);
         let grad_out = Tensor::ones(y.dims().to_vec());
-        let gx = conv.backward(&grad_out);
+        let gx = conv.backward_ws(&grad_out, &mut ws);
 
         let eps = 1e-3;
         for &wi in &[0usize, 5, 17, 30] {
             let mut cp = conv.clone();
             cp.weight.value.data_mut()[wi] += eps;
-            let up = cp.forward(&x, false).sum();
+            let up = cp.forward_ws(&x, false, &mut ws).sum();
             let mut cm = conv.clone();
             cm.weight.value.data_mut()[wi] -= eps;
-            let down = cm.forward(&x, false).sum();
+            let down = cm.forward_ws(&x, false, &mut ws).sum();
             let fd = (up - down) / (2.0 * eps);
             let an = conv.weight.grad.data()[wi];
             assert!(
@@ -284,10 +270,10 @@ mod tests {
         for &xi in &[0usize, 7, 24, 49] {
             let mut xp = x.clone();
             xp.data_mut()[xi] += eps;
-            let up = conv.clone().forward(&xp, false).sum();
+            let up = conv.clone().forward_ws(&xp, false, &mut ws).sum();
             let mut xm = x.clone();
             xm.data_mut()[xi] -= eps;
-            let down = conv.clone().forward(&xm, false).sum();
+            let down = conv.clone().forward_ws(&xm, false, &mut ws).sum();
             let fd = (up - down) / (2.0 * eps);
             let an = gx.data()[xi];
             assert!(
@@ -302,8 +288,9 @@ mod tests {
         let mut rng = TensorRng::seed_from(3);
         let mut conv = Conv2d::new(1, 2, 1, 1, 0, &mut rng);
         let x = rng.normal_tensor([3, 1, 4, 4], 0.0, 1.0);
-        let y = conv.forward(&x, true);
-        conv.backward(&Tensor::ones(y.dims().to_vec()));
+        let mut ws = Workspace::new();
+        let y = conv.forward_ws(&x, true, &mut ws);
+        conv.backward_ws(&Tensor::ones(y.dims().to_vec()), &mut ws);
         // dL/db = number of output positions per channel = 3·16.
         for &g in conv.bias.grad.data() {
             assert!((g - 48.0).abs() < 1e-4);

@@ -30,12 +30,6 @@ impl Dropout {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
     /// Forward pass drawing the output and mask buffers from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         if let Some(old) = self.mask.take() {
@@ -62,12 +56,6 @@ impl Dropout {
         }
         self.mask = Some(mask);
         out
-    }
-
-    /// Backward pass.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     /// Backward pass drawing the gradient buffer from `ws`.
@@ -98,14 +86,15 @@ mod tests {
     fn eval_is_identity() {
         let mut d = Dropout::new(0.5, 1);
         let x = Tensor::from_slice(&[1., 2., 3.]);
-        assert_eq!(d.forward(&x, false).data(), x.data());
+        let y = d.forward_ws(&x, false, &mut Workspace::new());
+        assert_eq!(y.data(), x.data());
     }
 
     #[test]
     fn train_preserves_expectation() {
         let mut d = Dropout::new(0.3, 2);
         let x = Tensor::ones([10_000]);
-        let y = d.forward(&x, true);
+        let y = d.forward_ws(&x, true, &mut Workspace::new());
         let mean = y.mean();
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
@@ -114,8 +103,9 @@ mod tests {
     fn backward_uses_same_mask() {
         let mut d = Dropout::new(0.5, 3);
         let x = Tensor::ones([64]);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Tensor::ones([64]));
+        let mut ws = Workspace::new();
+        let y = d.forward_ws(&x, true, &mut ws);
+        let g = d.backward_ws(&Tensor::ones([64]), &mut ws);
         // Gradient is zero exactly where the output was zero.
         for (yo, go) in y.data().iter().zip(g.data()) {
             assert_eq!(*yo == 0.0, *go == 0.0);

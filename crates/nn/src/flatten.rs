@@ -16,12 +16,6 @@ impl Flatten {
         Flatten { in_dims: None }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
     /// Forward pass drawing the output from `ws`; the cached dims vector is
     /// reused in place across steps.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
@@ -40,13 +34,8 @@ impl Flatten {
         out
     }
 
-    /// Backward pass: reshape gradient back to the input dims.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing the gradient buffer from `ws`.
+    /// Backward pass drawing the gradient buffer from `ws`: reshape the
+    /// gradient back to the input dims.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let dims = self
             .in_dims
@@ -71,9 +60,10 @@ mod tests {
     fn round_trips_shape() {
         let mut f = Flatten::new();
         let x = Tensor::zeros([2, 3, 4, 5]);
-        let y = f.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = f.forward_ws(&x, true, &mut ws);
         assert_eq!(y.dims(), &[2, 60]);
-        let g = f.backward(&Tensor::ones([2, 60]));
+        let g = f.backward_ws(&Tensor::ones([2, 60]), &mut ws);
         assert_eq!(g.dims(), &[2, 3, 4, 5]);
     }
 }

@@ -31,14 +31,7 @@ impl Linear {
         }
     }
 
-    /// Forward pass over `[batch, in]`.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
-    /// Forward pass drawing all temporaries from `ws`. Identical arithmetic
-    /// to [`Linear::forward`] (which delegates here).
+    /// Forward pass over `[batch, in]` drawing all temporaries from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         assert_eq!(input.dims().len(), 2, "linear input must be [batch, in]");
         assert_eq!(
@@ -67,13 +60,8 @@ impl Linear {
         out
     }
 
-    /// Backward pass: accumulate gradients, return input gradient.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing all temporaries from `ws`.
+    /// Backward pass drawing all temporaries from `ws`: accumulate
+    /// gradients, return the input gradient.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self
             .cache
@@ -116,7 +104,7 @@ mod tests {
         lin.weight.value = Tensor::from_vec([3, 2], vec![1., 0., 0., 1., 1., 1.]).unwrap();
         lin.bias.value = Tensor::from_slice(&[0.5, -0.5, 0.0]);
         let x = Tensor::from_vec([1, 2], vec![2.0, 3.0]).unwrap();
-        let y = lin.forward(&x, false);
+        let y = lin.forward_ws(&x, false, &mut Workspace::new());
         assert_eq!(y.data(), &[2.5, 2.5, 5.0]);
     }
 
@@ -125,17 +113,18 @@ mod tests {
         let mut rng = TensorRng::seed_from(2);
         let mut lin = Linear::new(4, 3, &mut rng);
         let x = rng.normal_tensor([2, 4], 0.0, 1.0);
-        let y = lin.forward(&x, true);
-        let gx = lin.backward(&Tensor::ones(y.dims().to_vec()));
+        let mut ws = Workspace::new();
+        let y = lin.forward_ws(&x, true, &mut ws);
+        let gx = lin.backward_ws(&Tensor::ones(y.dims().to_vec()), &mut ws);
 
         let eps = 1e-3;
         for wi in 0..lin.weight.value.numel() {
             let mut lp = lin.clone();
             lp.weight.value.data_mut()[wi] += eps;
-            let up = lp.forward(&x, false).sum();
+            let up = lp.forward_ws(&x, false, &mut ws).sum();
             let mut lm = lin.clone();
             lm.weight.value.data_mut()[wi] -= eps;
-            let down = lm.forward(&x, false).sum();
+            let down = lm.forward_ws(&x, false, &mut ws).sum();
             let fd = (up - down) / (2.0 * eps);
             let an = lin.weight.grad.data()[wi];
             assert!(
@@ -146,10 +135,10 @@ mod tests {
         for xi in 0..x.numel() {
             let mut xp = x.clone();
             xp.data_mut()[xi] += eps;
-            let up = lin.clone().forward(&xp, false).sum();
+            let up = lin.clone().forward_ws(&xp, false, &mut ws).sum();
             let mut xm = x.clone();
             xm.data_mut()[xi] -= eps;
-            let down = lin.clone().forward(&xm, false).sum();
+            let down = lin.clone().forward_ws(&xm, false, &mut ws).sum();
             let fd = (up - down) / (2.0 * eps);
             let an = gx.data()[xi];
             assert!(
@@ -164,12 +153,13 @@ mod tests {
         let mut rng = TensorRng::seed_from(3);
         let mut lin = Linear::new(2, 2, &mut rng);
         let x = rng.normal_tensor([1, 2], 0.0, 1.0);
-        let y = lin.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = lin.forward_ws(&x, true, &mut ws);
         let g = Tensor::ones(y.dims().to_vec());
-        lin.backward(&g);
+        lin.backward_ws(&g, &mut ws);
         let snap = lin.weight.grad.clone();
-        lin.forward(&x, true);
-        lin.backward(&g);
+        lin.forward_ws(&x, true, &mut ws);
+        lin.backward_ws(&g, &mut ws);
         let doubled = snap.scaled(2.0);
         for (a, b) in lin.weight.grad.data().iter().zip(doubled.data()) {
             assert!((a - b).abs() < 1e-5);

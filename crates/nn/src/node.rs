@@ -38,12 +38,6 @@ pub enum Node {
 }
 
 impl Node {
-    /// Forward pass through this layer.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
     /// Forward pass drawing all temporaries from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         match self {
@@ -58,12 +52,6 @@ impl Node {
             Node::Dropout(l) => l.forward_ws(input, train, ws),
             Node::Residual(l) => l.forward_ws(input, train, ws),
         }
-    }
-
-    /// Backward pass through this layer.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     /// Backward pass drawing all temporaries from `ws`.

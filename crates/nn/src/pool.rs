@@ -37,12 +37,6 @@ impl MaxPool2d {
         )
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
     /// Forward pass drawing temporaries from `ws`; the argmax index buffer
     /// is recycled from the previous step's cache.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
@@ -68,15 +62,17 @@ impl MaxPool2d {
                 let out_base = (img * c + ch) * oh * ow;
                 for oy in 0..oh {
                     for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        // Seeded with the window's first element: the first
+                        // maximum wins, and a NaN beats every number (the
+                        // first NaN wins), as in PyTorch.
+                        let first = in_base + oy * self.stride * w + ox * self.stride;
+                        let (mut best, mut best_idx) = (src[first], first);
                         for ky in 0..self.kernel {
                             for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                let idx = in_base + iy * w + ix;
-                                if src[idx] > best {
-                                    best = src[idx];
+                                let idx = first + ky * w + kx;
+                                let v = src[idx];
+                                if v > best || (v.is_nan() && !best.is_nan()) {
+                                    best = v;
                                     best_idx = idx;
                                 }
                             }
@@ -96,13 +92,8 @@ impl MaxPool2d {
         out
     }
 
-    /// Backward pass: route gradients to the argmax positions.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing temporaries from `ws`.
+    /// Backward pass drawing temporaries from `ws`: route each window's
+    /// gradient to its argmax position.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self
             .cache
@@ -143,12 +134,6 @@ impl AvgPool2d {
         }
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
     /// Forward pass drawing temporaries from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let d = input.dims();
@@ -182,13 +167,8 @@ impl AvgPool2d {
         out
     }
 
-    /// Backward pass: spread gradient uniformly over each window.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
-    }
-
-    /// Backward pass drawing temporaries from `ws`.
+    /// Backward pass drawing temporaries from `ws`: spread gradient
+    /// uniformly over each window.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let dims = self.in_dims.expect("avgpool backward without forward");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -239,13 +219,7 @@ impl GlobalAvgPool {
         GlobalAvgPool { in_dims: None }
     }
 
-    /// Forward pass producing `[n, c]`.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
-    /// Forward pass drawing temporaries from `ws`.
+    /// Forward pass producing `[n, c]`, drawing temporaries from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let d = input.dims();
         let dims = [d[0], d[1], d[2], d[3]];
@@ -263,12 +237,6 @@ impl GlobalAvgPool {
         }
         self.in_dims = if train { Some(dims) } else { None };
         out
-    }
-
-    /// Backward pass.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     /// Backward pass drawing temporaries from `ws`. Every element of the
@@ -304,6 +272,36 @@ mod tests {
     use super::*;
 
     #[test]
+    fn maxpool_nan_wins_and_grad_stays_in_its_window() {
+        // Image 0: a plain window, and one where a NaN precedes a larger
+        // number. Image 1: an all-NaN window and an all-−∞ window.
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let x = Tensor::from_vec(
+            [2, 1, 2, 4],
+            vec![
+                1., 1., 2., nan, //
+                1., 1., 5., nan, //
+                nan, nan, ninf, ninf, //
+                nan, nan, ninf, ninf,
+            ],
+        )
+        .unwrap();
+        let mut p = MaxPool2d::new(2, 2);
+        let mut ws = Workspace::new();
+        let y = p.forward_ws(&x, true, &mut ws);
+        assert_eq!(y.data()[0], 1.0);
+        assert!(y.data()[1].is_nan() && y.data()[2].is_nan());
+        assert_eq!(y.data()[3], ninf);
+        // Each gradient lands on its window's first maximum (its first NaN),
+        // never outside the window.
+        let gy = Tensor::from_vec([2, 1, 1, 2], vec![1., 2., 3., 4.]).unwrap();
+        let g = p.backward_ws(&gy, &mut ws);
+        let mut want = [0.0f32; 16];
+        (want[0], want[3], want[8], want[10]) = (1., 2., 3., 4.);
+        assert_eq!(g.data(), &want);
+    }
+
+    #[test]
     fn maxpool_picks_window_max_and_routes_grad() {
         let mut p = MaxPool2d::new(2, 2);
         let x = Tensor::from_vec(
@@ -316,10 +314,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let y = p.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = p.forward_ws(&x, true, &mut ws);
         assert_eq!(y.dims(), &[1, 1, 2, 2]);
         assert_eq!(y.data(), &[3., 5., 7., 9.]);
-        let g = p.backward(&Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]).unwrap());
+        let gy = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
+        let g = p.backward_ws(&gy, &mut ws);
         // Gradient lands exactly on the argmax positions.
         assert_eq!(g.at(&[0, 0, 1, 0]), 1.0);
         assert_eq!(g.at(&[0, 0, 0, 2]), 2.0);
@@ -332,9 +332,10 @@ mod tests {
     fn avgpool_averages_and_spreads_grad() {
         let mut p = AvgPool2d::new(2, 2);
         let x = Tensor::from_vec([1, 1, 2, 2], vec![1., 2., 3., 4.]).unwrap();
-        let y = p.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = p.forward_ws(&x, true, &mut ws);
         assert_eq!(y.data(), &[2.5]);
-        let g = p.backward(&Tensor::from_vec([1, 1, 1, 1], vec![4.0]).unwrap());
+        let g = p.backward_ws(&Tensor::from_vec([1, 1, 1, 1], vec![4.0]).unwrap(), &mut ws);
         assert_eq!(g.data(), &[1., 1., 1., 1.]);
     }
 
@@ -342,10 +343,11 @@ mod tests {
     fn gap_reduces_to_channel_means() {
         let mut p = GlobalAvgPool::new();
         let x = Tensor::from_vec([1, 2, 2, 2], vec![1., 1., 1., 1., 2., 4., 6., 8.]).unwrap();
-        let y = p.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = p.forward_ws(&x, true, &mut ws);
         assert_eq!(y.dims(), &[1, 2]);
         assert_eq!(y.data(), &[1.0, 5.0]);
-        let g = p.backward(&Tensor::from_vec([1, 2], vec![4.0, 8.0]).unwrap());
+        let g = p.backward_ws(&Tensor::from_vec([1, 2], vec![4.0, 8.0]).unwrap(), &mut ws);
         assert_eq!(&g.data()[..4], &[1., 1., 1., 1.]);
         assert_eq!(&g.data()[4..], &[2., 2., 2., 2.]);
     }

@@ -50,12 +50,6 @@ impl BasicBlock {
         self.down_conv.is_some()
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut ws = Workspace::new();
-        self.forward_ws(input, train, &mut ws)
-    }
-
     /// Forward pass drawing all temporaries from `ws`: intermediate
     /// activations are recycled as soon as the next layer has consumed them,
     /// and the identity shortcut adds `input` directly instead of cloning it.
@@ -82,12 +76,6 @@ impl BasicBlock {
         let out = self.relu_out.forward_ws(&m, train, ws);
         ws.recycle(m);
         out
-    }
-
-    /// Backward pass.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut ws = Workspace::new();
-        self.backward_ws(grad_out, &mut ws)
     }
 
     /// Backward pass drawing all temporaries from `ws`.
@@ -148,9 +136,10 @@ mod tests {
         let mut blk = BasicBlock::new(4, 4, 1, &mut rng);
         assert!(!blk.has_projection());
         let x = rng.normal_tensor([2, 4, 8, 8], 0.0, 1.0);
-        let y = blk.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = blk.forward_ws(&x, true, &mut ws);
         assert_eq!(y.dims(), x.dims());
-        let g = blk.backward(&Tensor::ones(y.dims().to_vec()));
+        let g = blk.backward_ws(&Tensor::ones(y.dims().to_vec()), &mut ws);
         assert_eq!(g.dims(), x.dims());
     }
 
@@ -160,9 +149,10 @@ mod tests {
         let mut blk = BasicBlock::new(4, 8, 2, &mut rng);
         assert!(blk.has_projection());
         let x = rng.normal_tensor([1, 4, 8, 8], 0.0, 1.0);
-        let y = blk.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = blk.forward_ws(&x, true, &mut ws);
         assert_eq!(y.dims(), &[1, 8, 4, 4]);
-        let g = blk.backward(&Tensor::ones(y.dims().to_vec()));
+        let g = blk.backward_ws(&Tensor::ones(y.dims().to_vec()), &mut ws);
         assert_eq!(g.dims(), x.dims());
     }
 
@@ -174,9 +164,10 @@ mod tests {
         let mut rng = TensorRng::seed_from(3);
         let mut blk = BasicBlock::new(2, 2, 1, &mut rng);
         let x = rng.normal_tensor([1, 2, 4, 4], 0.0, 1.0);
-        let y = blk.forward(&x, true);
+        let mut ws = Workspace::new();
+        let y = blk.forward_ws(&x, true, &mut ws);
         let gy = rng.normal_tensor(y.dims().to_vec(), 0.0, 1.0);
-        let gx = blk.backward(&gy);
+        let gx = blk.backward_ws(&gy, &mut ws);
         assert!(gx.norm() > 0.0);
     }
 }

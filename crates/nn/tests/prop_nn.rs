@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use spatl_nn::{Adam, Conv2d, Linear, Network, Node, Optimizer, Relu, Sgd};
-use spatl_tensor::{Tensor, TensorRng};
+use spatl_tensor::{Tensor, TensorRng, Workspace};
 
 fn small_mlp(inputs: usize, hidden: usize, outputs: usize, seed: u64) -> Network {
     let mut rng = TensorRng::seed_from(seed);
@@ -91,8 +91,9 @@ proptest! {
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         conv.bias.value.fill(0.0);
         let x = rng.normal_tensor([1, 2, 5, 5], 0.0, 1.0);
-        let y1 = conv.forward(&x, false).scaled(alpha);
-        let y2 = conv.forward(&x.scaled(alpha), false);
+        let mut ws = Workspace::new();
+        let y1 = conv.forward_ws(&x, false, &mut ws).scaled(alpha);
+        let y2 = conv.forward_ws(&x.scaled(alpha), false, &mut ws);
         for (a, b) in y1.data().iter().zip(y2.data()) {
             prop_assert!((a - b).abs() < 1e-3 * (1.0 + a.abs()), "{} vs {}", a, b);
         }

@@ -6,7 +6,7 @@ use spatl_nn::{
     AvgPool2d, BasicBlock, BatchNorm2d, Conv2d, Dropout, Flatten, GlobalAvgPool, Linear, MaxPool2d,
     Network, Node, Relu,
 };
-use spatl_tensor::{Tensor, TensorRng};
+use spatl_tensor::{Tensor, TensorRng, Workspace};
 
 /// A small but representative network touching every layer kind that draws
 /// from the workspace: conv, batch-norm, relu, max/avg/global pooling, a
@@ -36,8 +36,8 @@ fn input_batch(seed: u64) -> (Tensor, Tensor) {
 
 /// The persistent-workspace path (`Network::forward`/`backward`, scratch
 /// pooled across iterations) must produce bit-identical activations and
-/// gradients to the allocating path (per-node `forward`/`backward`, which
-/// build a throwaway workspace each call).
+/// gradients to the allocating path (per-node `forward_ws`/`backward_ws`,
+/// each call on a throwaway workspace).
 #[test]
 fn pooled_path_is_bit_identical_to_allocating_path() {
     let mut pooled = build_net(42);
@@ -48,16 +48,16 @@ fn pooled_path_is_bit_identical_to_allocating_path() {
         let y_pooled = pooled.forward(&x, true);
         let gx_pooled = pooled.backward(&gy);
 
-        // Allocating reference: chain the same nodes by hand; each call to
-        // `Node::forward`/`backward` creates its own temporary workspace.
+        // Allocating reference: chain the same nodes by hand, each call on
+        // its own temporary workspace.
         let mut cur = x.clone();
         for node in fresh.nodes.iter_mut() {
-            cur = node.forward(&cur, true);
+            cur = node.forward_ws(&cur, true, &mut Workspace::new());
         }
         let y_fresh = cur;
         let mut grad = gy.clone();
         for node in fresh.nodes.iter_mut().rev() {
-            grad = node.backward(&grad);
+            grad = node.backward_ws(&grad, &mut Workspace::new());
         }
         let gx_fresh = grad;
 

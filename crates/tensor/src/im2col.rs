@@ -1,18 +1,37 @@
-//! `im2col`/`col2im` lowering for 2-D convolution.
+//! Channel-major `im2col`/`col2im` lowering for 2-D convolution.
 //!
 //! Convolution in `spatl-nn` is implemented as `im2col` followed by a matrix
-//! multiplication — the classic lowering used by CPU deep-learning runtimes.
-//! `col2im` is the adjoint scatter used in the backward pass.
+//! multiplication; `col2im` is the adjoint scatter used in the backward
+//! pass. The patch matrix is **channel-major**, `[c·k·k, n·out_h·out_w]`:
+//! row `(ch, ky, kx)` is one kernel tap and holds the input value that tap
+//! reads at every output position of every image. A tap shifts whole image
+//! rows, so each patch row is built from contiguous copies of input rows
+//! (every `stride`-th element when strided) between zero borders. The output
+//! positions a tap reads inside the image are one range per axis, computed
+//! once per tap ([`tap_range`]), so the copy loops carry no bounds branch,
+//! and a tap that never touches the image is one `fill`.
 //!
-//! Both directions are parallel: `im2col` over output rows (each patch row of
-//! the column matrix is an independent gather) and `col2im` over images (each
-//! image's gradient is a disjoint scatter target, so `par_chunks_mut` is
-//! race-free). The `_into` variants reuse caller-provided buffers and write
+//! Both directions are parallel and race-free: `im2col` over taps (each
+//! owns its patch row), `col2im` over images (each scatters into its own
+//! `c·h·w` chunk of the gradient). The `_into` variants write
 //! **every** element of their output — padding positions are stored as
 //! explicit zeros — so recycled workspace buffers need no pre-zeroing.
+//!
+//! `col2im` visits the taps in **descending** `(ky, kx)` order. For a fixed
+//! input pixel that is ascending `(oy, ox)` order of the output positions
+//! reading it, so every pixel sums its terms in row-major output order
+//! whatever the layout (DESIGN.md §7).
 
 use crate::Tensor;
 use rayon::prelude::*;
+use std::ops::Range;
+
+/// Shortest stride-1 run copied with `copy_from_slice` (resp. added with a
+/// vectorisable loop). The one- and two-float runs of the 1×1 and 2×2 tail
+/// planes go element by element: there the `memcpy` call or vector set-up
+/// costs more than the floats it moves, while from three floats up the
+/// bulk copy wins (measured per layer in `crates/tensor/README.md`).
+const LONG_RUN: usize = 3;
 
 /// Geometry of a 2-D convolution: input/output spatial extents and the
 /// kernel/stride/padding that relate them.
@@ -54,17 +73,45 @@ impl Conv2dGeometry {
     }
 }
 
-/// Unfold a batch of images `[n, c, h, w]` into a patch matrix
-/// `[n * out_h * out_w, c * k * k]`, so that convolution with a weight matrix
-/// `[out_c, c * k * k]` becomes a single matmul.
+/// Along one axis, the output positions `o` at which kernel index `kk`
+/// reads inside the input, `0 ≤ o·stride + kk − padding < len`, as a range
+/// of `o` (empty when the tap never touches the image), together with the
+/// input index the first of them reads.
+fn tap_range(
+    kk: usize,
+    stride: usize,
+    padding: usize,
+    len: usize,
+    out: usize,
+) -> (Range<usize>, usize) {
+    let lo = padding.saturating_sub(kk).div_ceil(stride);
+    let hi = if kk >= len + padding {
+        0
+    } else {
+        ((len + padding - 1 - kk) / stride + 1).min(out)
+    };
+    let range = lo.min(hi)..hi;
+    let first = (range.start * stride + kk).saturating_sub(padding);
+    debug_assert!(
+        range.is_empty()
+            || (range.start * stride + kk >= padding
+                && (range.end - 1) * stride + kk < len + padding),
+        "tap {kk} (stride {stride}, padding {padding}) reads outside 0..{len} over {range:?}"
+    );
+    (range, first)
+}
+
+/// Unfold a batch of images `[n, c, h, w]` into the channel-major patch
+/// matrix `[c * k * k, n * out_h * out_w]`, so that convolution with a
+/// weight matrix `[out_c, c * k * k]` is the single matmul `W · cols`.
 pub fn im2col(input: &Tensor, g: &Conv2dGeometry) -> Tensor {
     let n = input.dims()[0];
-    let mut out = Tensor::zeros([n * g.cols(), g.patch_len()]);
+    let mut out = Tensor::zeros([g.patch_len(), n * g.cols()]);
     im2col_into(input, g, &mut out);
     out
 }
 
-/// [`im2col`] into a preallocated `[n * out_h * out_w, c * k * k]` tensor.
+/// [`im2col`] into a preallocated `[c * k * k, n * out_h * out_w]` tensor.
 /// Every element is written (padding as explicit `0.0`), so the previous
 /// contents of `out` are irrelevant.
 pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
@@ -76,49 +123,51 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
     assert_eq!(w, g.in_w, "width mismatch");
 
     let (oh, ow, k, s, p) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.padding);
-    let patch = g.patch_len();
+    let spatial = oh * ow;
     assert_eq!(
         out.dims(),
-        &[n * oh * ow, patch],
+        &[g.patch_len(), n * spatial],
         "im2col output shape mismatch"
     );
+    if n == 0 {
+        return;
+    }
     let src = input.data();
 
-    // One patch row per output position: rows are disjoint, so this is an
+    // One patch row per tap: rows are disjoint, so this is an
     // embarrassingly parallel gather.
     out.data_mut()
-        .par_chunks_mut(patch)
+        .par_chunks_mut(n * spatial)
         .enumerate()
-        .for_each(|(row, dst)| {
-            let ox = row % ow;
-            let oy = (row / ow) % oh;
-            let img = row / (oh * ow);
-            let img_base = img * c * h * w;
-            for ch in 0..c {
-                let ch_base = img_base + ch * h * w;
-                for ky in 0..k {
-                    let iy = (oy * s + ky) as isize - p as isize;
-                    let dst_row = &mut dst[(ch * k + ky) * k..(ch * k + ky) * k + k];
-                    if iy < 0 || iy as usize >= h {
-                        dst_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &src[ch_base + iy as usize * w..ch_base + (iy as usize + 1) * w];
-                    for (kx, d) in dst_row.iter_mut().enumerate() {
-                        let ix = (ox * s + kx) as isize - p as isize;
-                        *d = if ix < 0 || ix as usize >= w {
-                            0.0
-                        } else {
-                            src_row[ix as usize]
-                        };
+        .for_each(|(tap, dst)| {
+            let (ch, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+            let (ys, iy0) = tap_range(ky, s, p, h, oh);
+            let (xs, ix0) = tap_range(kx, s, p, w, ow);
+            // Zero the row once, then copy the in-image runs over it: one
+            // `fill` per tap, not one per border.
+            dst.fill(0.0);
+            if ys.is_empty() || xs.is_empty() {
+                return;
+            }
+            for (img, plane) in dst.chunks_exact_mut(spatial).enumerate() {
+                let chan = &src[(img * c + ch) * h * w..(img * c + ch + 1) * h * w];
+                for (oy, iy) in ys.clone().zip((iy0..).step_by(s)) {
+                    let row = &mut plane[oy * ow + xs.start..oy * ow + xs.end];
+                    let line = &chan[iy * w + ix0..(iy + 1) * w];
+                    if s == 1 && row.len() >= LONG_RUN {
+                        row.copy_from_slice(&line[..row.len()]);
+                    } else {
+                        for (d, &v) in row.iter_mut().zip(line.iter().step_by(s)) {
+                            *d = v;
+                        }
                     }
                 }
             }
         });
 }
 
-/// Adjoint of [`im2col`]: scatter-add a patch-matrix gradient
-/// `[n * out_h * out_w, c * k * k]` back into an image gradient
+/// Adjoint of [`im2col`]: scatter-add a channel-major patch-matrix gradient
+/// `[c * k * k, n * out_h * out_w]` back into an image gradient
 /// `[n, c, h, w]`.
 pub fn col2im(cols: &Tensor, g: &Conv2dGeometry, n: usize) -> Tensor {
     let mut out = Tensor::zeros([n, g.in_channels, g.in_h, g.in_w]);
@@ -132,39 +181,45 @@ pub fn col2im(cols: &Tensor, g: &Conv2dGeometry, n: usize) -> Tensor {
 pub fn col2im_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
     let (oh, ow, k, s, p) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.padding);
     let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
-    let patch = g.patch_len();
     let dims = out.dims();
     assert_eq!(dims.len(), 4, "col2im output must be [n,c,h,w]");
     let n = dims[0];
     assert_eq!(&dims[1..], &[c, h, w], "col2im output geometry mismatch");
-    assert_eq!(cols.dims(), &[n * oh * ow, patch], "col2im shape mismatch");
+    let spatial = oh * ow;
+    let r = n * spatial;
+    assert_eq!(cols.dims(), &[g.patch_len(), r], "col2im shape mismatch");
     let src = cols.data();
 
-    // Images scatter into disjoint `c*h*w` chunks of the output, so the
+    // Images scatter into disjoint `c·h·w` chunks of the output, so the
     // accumulation is race-free under per-image parallelism.
     out.data_mut()
         .par_chunks_mut(c * h * w)
         .enumerate()
         .for_each(|(img, dst)| {
             dst.fill(0.0);
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((img * oh + oy) * ow + ox) * patch;
-                    for ch in 0..c {
-                        let ch_base = ch * h * w;
-                        for ky in 0..k {
-                            let iy = (oy * s + ky) as isize - p as isize;
-                            if iy < 0 || iy as usize >= h {
-                                continue;
-                            }
-                            let iy = iy as usize;
-                            let src_off = row + (ch * k + ky) * k;
-                            for kx in 0..k {
-                                let ix = (ox * s + kx) as isize - p as isize;
-                                if ix < 0 || ix as usize >= w {
-                                    continue;
+            // Descending taps = ascending output positions per pixel.
+            for ky in (0..k).rev() {
+                let (ys, iy0) = tap_range(ky, s, p, h, oh);
+                for kx in (0..k).rev() {
+                    let (xs, ix0) = tap_range(kx, s, p, w, ow);
+                    if ys.is_empty() || xs.is_empty() {
+                        continue;
+                    }
+                    let tap = (ky * k + kx) * r + img * spatial;
+                    let chans = src.chunks_exact(k * k * r);
+                    for (plane, taps) in dst.chunks_exact_mut(h * w).zip(chans) {
+                        let tap = &taps[tap..tap + spatial];
+                        for (oy, iy) in ys.clone().zip((iy0..).step_by(s)) {
+                            let row = &tap[oy * ow + xs.start..oy * ow + xs.end];
+                            let line = &mut plane[iy * w + ix0..(iy + 1) * w];
+                            if s == 1 && row.len() >= LONG_RUN {
+                                for (d, &v) in line.iter_mut().zip(row) {
+                                    *d += v;
                                 }
-                                dst[ch_base + iy * w + ix as usize] += src[src_off + kx];
+                            } else {
+                                for (d, &v) in line.iter_mut().step_by(s).zip(row) {
+                                    *d += v;
+                                }
                             }
                         }
                     }
@@ -199,13 +254,38 @@ mod tests {
     }
 
     #[test]
-    fn identity_kernel_1x1_is_permuted_copy() {
+    fn tap_range_brackets_the_image() {
+        // k = 3, p = 1, stride 1 over 4 pixels: the left tap misses o = 0,
+        // the right tap misses o = 3.
+        assert_eq!(tap_range(0, 1, 1, 4, 4), (1..4, 0));
+        assert_eq!(tap_range(1, 1, 1, 4, 4), (0..4, 0));
+        assert_eq!(tap_range(2, 1, 1, 4, 4), (0..3, 1));
+        // Stride 2 over 4 pixels, 2 outputs: o·2 + kk − 1 ∈ 0..4.
+        assert_eq!(tap_range(0, 2, 1, 4, 2), (1..2, 1));
+        assert_eq!(tap_range(2, 2, 1, 4, 2), (0..2, 1));
+        // A 1-pixel image: only the centre tap touches it.
+        assert!(tap_range(0, 1, 1, 1, 1).0.is_empty());
+        assert_eq!(tap_range(1, 1, 1, 1, 1), (0..1, 0));
+        assert!(tap_range(2, 1, 1, 1, 1).0.is_empty());
+    }
+
+    #[test]
+    fn identity_kernel_1x1_is_a_copy() {
         let g = geom(2, 2, 2, 1, 1, 0);
         let x = Tensor::from_vec([1, 2, 2, 2], (0..8).map(|v| v as f32).collect()).unwrap();
         let cols = im2col(&x, &g);
-        // Rows iterate over spatial positions, columns over channels.
-        assert_eq!(cols.dims(), &[4, 2]);
-        assert_eq!(cols.data(), &[0., 4., 1., 5., 2., 6., 3., 7.]);
+        // Rows iterate over channels, columns over spatial positions.
+        assert_eq!(cols.dims(), &[2, 4]);
+        assert_eq!(cols.data(), x.data());
+    }
+
+    #[test]
+    fn batch_lays_images_side_by_side() {
+        let g = geom(1, 1, 2, 1, 1, 0);
+        let x = Tensor::from_vec([2, 1, 1, 2], vec![1., 2., 3., 4.]).unwrap();
+        let cols = im2col(&x, &g);
+        assert_eq!(cols.dims(), &[1, 4]);
+        assert_eq!(cols.data(), &[1., 2., 3., 4.]);
     }
 
     #[test]
@@ -213,9 +293,9 @@ mod tests {
         let g = geom(1, 1, 1, 3, 1, 1);
         let x = Tensor::from_vec([1, 1, 1, 1], vec![5.0]).unwrap();
         let cols = im2col(&x, &g);
-        assert_eq!(cols.dims(), &[1, 9]);
+        assert_eq!(cols.dims(), &[9, 1]);
         let mut expect = [0.0; 9];
-        expect[4] = 5.0; // centre of the 3x3 patch
+        expect[4] = 5.0; // centre tap of the 3x3 kernel
         assert_eq!(cols.data(), &expect[..]);
     }
 
@@ -223,20 +303,22 @@ mod tests {
     fn into_variants_overwrite_dirty_buffers() {
         // Recycled workspace buffers arrive dirty; both directions must
         // fully overwrite their output.
-        let g = geom(2, 5, 4, 3, 1, 1);
-        let nimg = 2;
-        let x = Tensor::from_vec(
-            [nimg, 2, 5, 4],
-            (0..nimg * 2 * 5 * 4).map(|v| v as f32 * 0.1).collect(),
-        )
-        .unwrap();
-        let mut cols = Tensor::full([nimg * g.cols(), g.patch_len()], f32::NAN);
-        im2col_into(&x, &g, &mut cols);
-        assert_eq!(cols, im2col(&x, &g));
+        for s in [1, 2] {
+            let g = geom(2, 5, 4, 3, s, 1);
+            let nimg = 2;
+            let x = Tensor::from_vec(
+                [nimg, 2, 5, 4],
+                (0..nimg * 2 * 5 * 4).map(|v| v as f32 * 0.1).collect(),
+            )
+            .unwrap();
+            let mut cols = Tensor::full([g.patch_len(), nimg * g.cols()], f32::NAN);
+            im2col_into(&x, &g, &mut cols);
+            assert_eq!(cols, im2col(&x, &g));
 
-        let mut back = Tensor::full([nimg, 2, 5, 4], f32::NAN);
-        col2im_into(&cols, &g, &mut back);
-        assert_eq!(back, col2im(&cols, &g, nimg));
+            let mut back = Tensor::full([nimg, 2, 5, 4], f32::NAN);
+            col2im_into(&cols, &g, &mut back);
+            assert_eq!(back, col2im(&cols, &g, nimg));
+        }
     }
 
     #[test]
@@ -271,9 +353,9 @@ mod tests {
         let x = Tensor::from_vec([1, 1, 4, 4], (0..16).map(|v| v as f32).collect()).unwrap();
         let cols = im2col(&x, &g);
         assert_eq!(cols.dims(), &[4, 4]);
-        // First patch is the top-left 2x2 block.
-        assert_eq!(&cols.data()[0..4], &[0., 1., 4., 5.]);
-        // Last patch is the bottom-right 2x2 block.
-        assert_eq!(&cols.data()[12..16], &[10., 11., 14., 15.]);
+        // Tap (0, 0) reads the top-left pixel of every 2x2 block.
+        assert_eq!(&cols.data()[0..4], &[0., 2., 8., 10.]);
+        // Tap (1, 1) reads the bottom-right pixel of every block.
+        assert_eq!(&cols.data()[12..16], &[5., 7., 13., 15.]);
     }
 }

@@ -25,10 +25,12 @@
 //! driver is generic over the kernel's tile shape, so packing, edge
 //! handling, and parallel partitioning are written once.
 //!
-//! Work is parallelised over `MC`-row blocks of C via `par_chunks_mut`
-//! (the persistent worker pool in the vendored `rayon`); each worker owns
-//! stack-allocated pack buffers, so a matmul performs no heap allocation
-//! beyond its output (and none at all through the `_into` variants).
+//! Work is parallelised over blocks of C — at most `NC` columns by groups
+//! of `MC`-row blocks — on the persistent worker pool in the vendored
+//! `rayon`; each worker packs into a stack A buffer and a thread-local B
+//! strip, so on one thread a matmul performs no heap allocation beyond
+//! its output (and none at all through the `_into` variants); a parallel
+//! call adds its list of task ids to the pool's own bookkeeping.
 //! Tile/block constants and retuning notes live in DESIGN.md §7 and §13.
 
 use crate::kernel::{MicroKernel, Scalar4x8, MAX_MR, MAX_NR};
@@ -45,10 +47,13 @@ pub const NR: usize = 8;
 /// k-block: one A panel plus one B panel stay L1-resident for either
 /// kernel (worst case 6·128·4 B + 128·16·4 B = 11 KiB of 32 KiB L1d).
 pub const KC: usize = 128;
-/// Row block: the unit of parallel partitioning and of A packing
+/// Row block: the unit of A packing and of row partitioning
 /// (≤ `(MC+MAX_MR)·KC` floats = 36 KiB packed, L2-resident next to
 /// streamed B panels).
 pub const MC: usize = 64;
+/// Column block: the widest packed-B strip (`KC·NC` floats = 512 KiB per
+/// thread) and the coarsest unit of column partitioning.
+pub const NC: usize = 1024;
 
 /// How the left operand is stored relative to the product `C = A·B`.
 #[derive(Clone, Copy)]
@@ -178,37 +183,67 @@ fn gemm(
         c.fill(0.0);
         return;
     }
+    // Small products stay on the calling thread, where dispatch would cost
+    // more than the work.
+    let threads = if m * n >= rayon::PAR_CHUNK_ELEMENTS {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::use_fma() {
-        gemm_with::<crate::kernel::Fma6x16>(a, akind, b, bkind, m, n, k, c);
+        gemm_with::<crate::kernel::Fma6x16>(a, akind, b, bkind, m, n, k, c, threads);
         return;
     }
-    gemm_with::<Scalar4x8>(a, akind, b, bkind, m, n, k, c);
+    gemm_with::<Scalar4x8>(a, akind, b, bkind, m, n, k, c, threads);
 }
 
 thread_local! {
-    /// Reusable packed-B strip: one k-block of B packed once per k-block
-    /// and shared (read-only) by every parallel row-block worker, instead
-    /// of each worker re-packing the same panels. Thread-local and grown
-    /// once, so steady-state matmuls perform no heap allocation. Taken
-    /// out of the cell for the duration of a call (and restored after),
-    /// so a re-entrant matmul on the same thread — possible when the
-    /// pool's help-first wait runs another call's job — simply allocates
-    /// its own buffer instead of aliasing this one.
+    /// Reusable packed-B strip: one task's column block of B, packed once
+    /// per k-block and read by every row block of the task. At most
+    /// `KC × NC` floats, grown once per thread, so steady-state matmuls
+    /// perform no heap allocation. Taken out of the cell for the duration
+    /// of a task (and restored after), so a re-entrant matmul on the same
+    /// thread — possible when the pool's help-first wait runs another
+    /// call's job — simply allocates its own buffer instead of aliasing
+    /// this one.
     static BSTRIP: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// C's base pointer, shared by the tasks of one [`gemm_with`] call.
+#[derive(Clone, Copy)]
+struct CPtr(*mut f32);
+
+// SAFETY: the tasks of one call write disjoint row × column blocks of C
+// (they partition it), and the `&mut [f32]` the pointer was taken from
+// stays borrowed until the parallel call has joined every task.
+unsafe impl Send for CPtr {}
+unsafe impl Sync for CPtr {}
+
+impl CPtr {
+    /// Address of element `(i, j)` of the row-major, `ldc`-wide C.
+    fn at(self, i: usize, j: usize, ldc: usize) -> *mut f32 {
+        self.0.wrapping_add(i * ldc + j)
+    }
 }
 
 /// The kernel-generic blocked loop.
 ///
-/// Per k-block, the whole `kc × n` B strip is packed once into a shared
-/// thread-local buffer; C is then partitioned into `MC`-row blocks
-/// processed in parallel, each worker packing its own A rows and running
-/// the register-tiled micro-kernel over the shared strip. Interior tiles
-/// take the kernel's direct-to-C vector store path
+/// C is cut into tasks, enough to give each of `threads` workers one: a
+/// column block of whole `NR` panels (at most `NC` columns) times a group
+/// of `MC`-row blocks. Per k-block a task packs its B columns once into
+/// the thread-local strip, then each of its row blocks packs its A rows
+/// and runs the register-tiled micro-kernel over the strip. On one thread
+/// a task owns every row block of its columns, so each B element is
+/// packed once; with more threads, shapes with fewer row blocks than
+/// threads (conv forward and weight-gradient GEMMs have `m` = output
+/// channels) split their columns finer, and tall ones also split their
+/// rows. Interior tiles take the kernel's direct-to-C vector store path
 /// ([`MicroKernel::tile_into`]); edge tiles (zero-padded in the packed
 /// panels) use the accumulator-buffer path with a scalar partial write.
 /// The first k-block *stores* (so `c` need not be zeroed beforehand);
-/// later k-blocks accumulate.
+/// later k-blocks accumulate. How C is cut never changes a result: each
+/// element is one task's in-order k-block chain.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with<K: MicroKernel>(
     a: &[f32],
@@ -219,6 +254,7 @@ fn gemm_with<K: MicroKernel>(
     n: usize,
     k: usize,
     c: &mut [f32],
+    threads: usize,
 ) {
     let astride = match akind {
         AKind::RowMajor => k,
@@ -228,89 +264,95 @@ fn gemm_with<K: MicroKernel>(
         BKind::RowMajor => n,
         BKind::Transposed => k,
     };
-    let bpanels = n.div_ceil(K::NR);
+    let (bpanels, row_blocks) = (n.div_ceil(K::NR), m.div_ceil(MC));
+    let col_tasks = n
+        .div_ceil(NC)
+        .max(threads.div_ceil(row_blocks))
+        .min(bpanels);
+    let panels_per_task = bpanels.div_ceil(col_tasks);
+    let col_tasks = bpanels.div_ceil(panels_per_task);
+    let row_tasks = row_blocks.min(threads.div_ceil(col_tasks));
+    let blocks_per_task = row_blocks.div_ceil(row_tasks);
+    let row_tasks = row_blocks.div_ceil(blocks_per_task);
+    let c = CPtr(c.as_mut_ptr());
 
-    let mut strip = BSTRIP.take();
-    strip.resize(bpanels * KC * K::NR, 0.0);
-    {
+    let task = |t: usize| {
+        let (rt, ct) = (t / col_tasks, t % col_tasks);
+        let panels = ct * panels_per_task..((ct + 1) * panels_per_task).min(bpanels);
+        let blocks = rt * blocks_per_task..((rt + 1) * blocks_per_task).min(row_blocks);
+        // The strip only ever grows: shrinking and regrowing it would
+        // zero-fill the regrown part on every call.
+        let mut strip = BSTRIP.take();
+        let need = panels.len() * KC.min(k) * K::NR;
+        if strip.len() < need {
+            strip.resize(need, 0.0);
+        }
+        // Stack-allocated A pack buffer sized for the widest kernel,
+        // allowing one partially-out-of-range panel (`MC` need not divide
+        // `K::MR`).
+        let mut apack = [0.0f32; (MC + MAX_MR) * KC];
         let mut pc = 0;
         while pc < k {
             let kc = KC.min(k - pc);
-            for bp in 0..bpanels {
+            let strip = &mut strip[..panels.len() * kc * K::NR];
+            for (slot, bp) in strip.chunks_exact_mut(kc * K::NR).zip(panels.clone()) {
                 let j0 = bp * K::NR;
-                let nr = K::NR.min(n - j0);
-                pack_b(
-                    &mut strip[bp * kc * K::NR..(bp + 1) * kc * K::NR],
-                    b,
-                    bkind,
-                    bstride,
-                    j0,
-                    nr,
-                    pc,
-                    kc,
-                    K::NR,
-                );
+                pack_b::<K>(slot, b, bkind, bstride, j0, K::NR.min(n - j0), pc, kc);
             }
-            // Only the first `kc`-sized prefix of each panel slot is live
-            // this k-block; slice it so `chunks_exact` yields exactly
-            // `bpanels` panels.
-            let strip: &[f32] = &strip[..bpanels * kc * K::NR];
-
-            c.par_chunks_mut(MC * n)
-                .enumerate()
-                .for_each(|(blk, c_rows)| {
-                    let row0 = blk * MC;
-                    let rows = c_rows.len() / n;
-                    // Stack-allocated A pack buffer sized for the widest
-                    // kernel, allowing one partially-out-of-range panel
-                    // (`MC` need not divide `K::MR`). No heap, no TLS.
-                    let mut apack = [0.0f32; (MC + MAX_MR) * KC];
-                    let panels = rows.div_ceil(K::MR);
-                    pack_a(&mut apack, a, akind, astride, row0, rows, pc, kc, K::MR);
-
-                    for (bp, bpanel) in strip.chunks_exact(kc * K::NR).enumerate() {
-                        let j0 = bp * K::NR;
-                        let nr = K::NR.min(n - j0);
-                        for p in 0..panels {
-                            let ap = &apack[p * kc * K::MR..(p + 1) * kc * K::MR];
-                            let ir = p * K::MR;
-                            let mr = K::MR.min(rows - ir);
-                            if mr == K::MR && nr == K::NR {
-                                let ctile = c_rows[ir * n + j0..].as_mut_ptr();
-                                // SAFETY: `gemm` selected this kernel after
-                                // its ISA check (`use_fma`; the scalar
-                                // kernel needs none); panel slices satisfy
-                                // the `kc·MR`/`kc·NR` length contract; the
-                                // full `MR×NR` tile at `ctile` (row stride
-                                // `n`) lies inside this worker's exclusive
-                                // `c_rows` chunk.
-                                unsafe { K::tile_into(kc, ap, bpanel, ctile, n, pc > 0) };
-                            } else {
-                                let mut acc = [[0.0f32; MAX_NR]; MAX_MR];
-                                // SAFETY: as above, minus the C-tile
-                                // clause (edge tiles are written through
-                                // the bounds-checked scalar path below).
-                                unsafe { K::tile(kc, ap, bpanel, &mut acc) };
-                                write_tile(c_rows, n, ir, j0, mr, nr, &acc, pc > 0);
-                            }
+            for blk in blocks.clone() {
+                let row0 = blk * MC;
+                let rows = MC.min(m - row0);
+                pack_a::<K>(&mut apack, a, akind, astride, row0, rows, pc, kc);
+                for (bpanel, bp) in strip.chunks_exact(kc * K::NR).zip(panels.clone()) {
+                    let j0 = bp * K::NR;
+                    let nr = K::NR.min(n - j0);
+                    for p in 0..rows.div_ceil(K::MR) {
+                        let ap = &apack[p * kc * K::MR..(p + 1) * kc * K::MR];
+                        let i0 = row0 + p * K::MR;
+                        let mr = K::MR.min(row0 + rows - i0);
+                        let ctile = c.at(i0, j0, n);
+                        if mr == K::MR && nr == K::NR {
+                            // SAFETY: `gemm` selected this kernel after its
+                            // ISA check (`use_fma`; the scalar kernel needs
+                            // none); panel slices satisfy the `kc·MR`/`kc·NR`
+                            // length contract; the full `MR×NR` tile at
+                            // `ctile` (row stride `n`) lies inside C and in
+                            // this task's block, which no other task writes.
+                            unsafe { K::tile_into(kc, ap, bpanel, ctile, n, pc > 0) };
+                        } else {
+                            let mut acc = [[0.0f32; MAX_NR]; MAX_MR];
+                            // SAFETY: as above, minus the C-tile clause.
+                            unsafe { K::tile(kc, ap, bpanel, &mut acc) };
+                            // SAFETY: the valid `mr × nr` corner of the tile
+                            // lies inside C and in this task's block.
+                            unsafe { write_tile(ctile, n, mr, nr, &acc, pc > 0) };
                         }
                     }
-                });
+                }
+            }
             pc += KC;
         }
+        BSTRIP.set(strip);
+    };
+    let tasks = row_tasks * col_tasks;
+    if threads > 1 {
+        let ids: Vec<usize> = (0..tasks).collect();
+        ids.par_iter().for_each(|&t| task(t));
+    } else {
+        (0..tasks).for_each(task);
     }
-    BSTRIP.set(strip);
 }
 
-/// Pack A rows `[row0, row0+rows)` × k `[pc, pc+kc)` into `tile_mr`-high
+/// Pack A rows `[row0, row0+rows)` × k `[pc, pc+kc)` into `K::MR`-high
 /// panels (the active kernel's tile height).
 ///
-/// Panel `p` holds rows `row0 + p·tile_mr ..`, laid out k-major
-/// (`tile_mr` contiguous values per k step, zero-padded past the last
-/// real row) so the micro-kernel reads one short contiguous run per k
-/// step.
+/// Panel `p` holds rows `row0 + p·MR ..`, laid out k-major (`MR`
+/// contiguous values per k step, zero-padded past the last real row) so
+/// the micro-kernel reads one short contiguous run per k step. Generic
+/// over the kernel so a full panel's runs have a compile-time length and
+/// copy inline instead of through `memcpy`.
 #[allow(clippy::too_many_arguments)]
-fn pack_a(
+fn pack_a<K: MicroKernel>(
     apack: &mut [f32],
     a: &[f32],
     kind: AKind,
@@ -319,21 +361,20 @@ fn pack_a(
     rows: usize,
     pc: usize,
     kc: usize,
-    tile_mr: usize,
 ) {
-    let panels = rows.div_ceil(tile_mr);
+    let panels = rows.div_ceil(K::MR);
     debug_assert!(
-        apack.len() >= panels * kc * tile_mr,
+        apack.len() >= panels * kc * K::MR,
         "A pack buffer too small: {} < {}",
         apack.len(),
-        panels * kc * tile_mr
+        panels * kc * K::MR
     );
     for p in 0..panels {
-        let r0 = row0 + p * tile_mr;
-        let mr = tile_mr.min(row0 + rows - r0);
-        let dst = &mut apack[p * kc * tile_mr..(p + 1) * kc * tile_mr];
+        let r0 = row0 + p * K::MR;
+        let mr = K::MR.min(row0 + rows - r0);
+        let dst = &mut apack[p * kc * K::MR..(p + 1) * kc * K::MR];
         debug_assert!(mr >= 1, "empty A panel: rows={rows} p={p}");
-        if mr < tile_mr {
+        if mr < K::MR {
             dst.fill(0.0); // zero-pad the edge panel once, then overwrite
         }
         match kind {
@@ -341,14 +382,19 @@ fn pack_a(
                 for r in 0..mr {
                     let src = &a[(r0 + r) * stride + pc..(r0 + r) * stride + pc + kc];
                     for (kk, &v) in src.iter().enumerate() {
-                        dst[kk * tile_mr + r] = v;
+                        dst[kk * K::MR + r] = v;
                     }
                 }
             }
             AKind::Transposed => {
                 for kk in 0..kc {
-                    let src = &a[(pc + kk) * stride + r0..(pc + kk) * stride + r0 + mr];
-                    dst[kk * tile_mr..kk * tile_mr + mr].copy_from_slice(src);
+                    let src = &a[(pc + kk) * stride + r0..];
+                    let run = &mut dst[kk * K::MR..(kk + 1) * K::MR];
+                    if mr == K::MR {
+                        run.copy_from_slice(&src[..K::MR]);
+                    } else {
+                        run[..mr].copy_from_slice(&src[..mr]);
+                    }
                 }
             }
         }
@@ -356,10 +402,11 @@ fn pack_a(
 }
 
 /// Pack the B strip columns `[j0, j0+nr)` × k `[pc, pc+kc)` into one
-/// `tile_nr`-wide panel, k-major (`tile_nr` contiguous values per k
-/// step), zero-padded past the last real column.
+/// `K::NR`-wide panel, k-major (`NR` contiguous values per k step),
+/// zero-padded past the last real column. Generic over the kernel for the
+/// same reason as [`pack_a`].
 #[allow(clippy::too_many_arguments)]
-fn pack_b(
+fn pack_b<K: MicroKernel>(
     bpack: &mut [f32],
     b: &[f32],
     kind: BKind,
@@ -368,45 +415,50 @@ fn pack_b(
     nr: usize,
     pc: usize,
     kc: usize,
-    tile_nr: usize,
 ) {
     debug_assert!(
-        bpack.len() >= kc * tile_nr && (1..=tile_nr).contains(&nr),
+        bpack.len() >= kc * K::NR && (1..=K::NR).contains(&nr),
         "B pack: len={} kc={kc} nr={nr}",
         bpack.len()
     );
     match kind {
         BKind::RowMajor => {
             for kk in 0..kc {
-                let src = &b[(pc + kk) * stride + j0..(pc + kk) * stride + j0 + nr];
-                let dst = &mut bpack[kk * tile_nr..(kk + 1) * tile_nr];
-                dst[..nr].copy_from_slice(src);
-                dst[nr..].fill(0.0);
+                let src = &b[(pc + kk) * stride + j0..];
+                let dst = &mut bpack[kk * K::NR..(kk + 1) * K::NR];
+                if nr == K::NR {
+                    dst.copy_from_slice(&src[..K::NR]);
+                } else {
+                    dst[..nr].copy_from_slice(&src[..nr]);
+                    dst[nr..].fill(0.0);
+                }
             }
         }
         BKind::Transposed => {
-            if nr < tile_nr {
-                bpack[..kc * tile_nr].fill(0.0);
+            if nr < K::NR {
+                bpack[..kc * K::NR].fill(0.0);
             }
             for j in 0..nr {
                 let src = &b[(j0 + j) * stride + pc..(j0 + j) * stride + pc + kc];
                 for (kk, &v) in src.iter().enumerate() {
-                    bpack[kk * tile_nr + j] = v;
+                    bpack[kk * K::NR + j] = v;
                 }
             }
         }
     }
 }
 
-/// Write the valid `mr × nr` part of an accumulator tile to C rows
-/// (`ir` is the row offset inside the worker's row block).
-#[allow(clippy::too_many_arguments)]
+/// Write the valid `mr × nr` part of an accumulator tile to C at `c`
+/// (row stride `ldc`).
+///
+/// # Safety
+///
+/// `c[r·ldc + j]` must be in-bounds and writable for all `r < mr`,
+/// `j < nr`, with no other thread concurrently accessing those elements.
 #[inline]
-fn write_tile(
-    c_rows: &mut [f32],
+unsafe fn write_tile(
+    c: *mut f32,
     ldc: usize,
-    ir: usize,
-    j0: usize,
     mr: usize,
     nr: usize,
     acc: &[[f32; MAX_NR]; MAX_MR],
@@ -417,7 +469,8 @@ fn write_tile(
         "edge tile {mr}x{nr}"
     );
     for (r, acc_row) in acc.iter().enumerate().take(mr) {
-        let dst = &mut c_rows[(ir + r) * ldc + j0..(ir + r) * ldc + j0 + nr];
+        // SAFETY: forwarded caller contract, row `r < mr`.
+        let dst = unsafe { std::slice::from_raw_parts_mut(c.add(r * ldc), nr) };
         if accumulate {
             for (d, &v) in dst.iter_mut().zip(acc_row) {
                 *d += v;
@@ -565,8 +618,9 @@ mod tests {
         let _ = matmul(&a, &b);
     }
 
-    /// Run one shape through a specific kernel, bypassing dispatch.
-    fn gemm_k<K: MicroKernel>(a: &Tensor, b: &Tensor) -> Tensor {
+    /// Run one shape through a specific kernel, bypassing dispatch, cut
+    /// for `threads` workers.
+    fn gemm_k<K: MicroKernel>(a: &Tensor, b: &Tensor, threads: usize) -> Tensor {
         let (m, k) = (a.dims()[0], a.dims()[1]);
         let n = b.dims()[1];
         let mut c = Tensor::zeros([m, n]);
@@ -579,6 +633,7 @@ mod tests {
             n,
             k,
             c.data_mut(),
+            threads,
         );
         c
     }
@@ -602,10 +657,41 @@ mod tests {
             let a = rand_t([m, k], (m * k + 13) as u64);
             let b = rand_t([k, n], (k * n + 29) as u64);
             let want = naive(&a, &b);
-            assert_close(&gemm_k::<Scalar4x8>(&a, &b), &want);
+            assert_close(&gemm_k::<Scalar4x8>(&a, &b, 1), &want);
             #[cfg(target_arch = "x86_64")]
             if crate::kernel::fma_available() {
-                assert_close(&gemm_k::<crate::kernel::Fma6x16>(&a, &b), &want);
+                assert_close(&gemm_k::<crate::kernel::Fma6x16>(&a, &b, 1), &want);
+            }
+        }
+    }
+
+    #[test]
+    fn cutting_c_for_more_threads_changes_no_bit() {
+        // Column blocks past `NC`, row blocks past `MC`, k past `KC`, and
+        // thread counts that split columns only, rows too, or leave one
+        // task per block: every cut must reproduce the one-thread bits.
+        fn same_bits(x: &Tensor, y: &Tensor) -> bool {
+            x.data()
+                .iter()
+                .zip(y.data())
+                .all(|(p, q)| p.to_bits() == q.to_bits())
+        }
+        for &(m, k, n) in &[(4, 36, 4100), (130, 140, 1040), (1152, 16, 40), (3, 5, 7)] {
+            let a = rand_t([m, k], (m + k) as u64);
+            let b = rand_t([k, n], (k + n) as u64);
+            let one = gemm_k::<Scalar4x8>(&a, &b, 1);
+            assert_close(&one, &naive(&a, &b));
+            for threads in [2, 3, 5, 8, 64] {
+                let cut = gemm_k::<Scalar4x8>(&a, &b, threads);
+                assert!(same_bits(&one, &cut), "{m}x{k}x{n}, {threads} threads");
+            }
+            #[cfg(target_arch = "x86_64")]
+            if crate::kernel::fma_available() {
+                let one = gemm_k::<crate::kernel::Fma6x16>(&a, &b, 1);
+                for threads in [2, 3, 8] {
+                    let cut = gemm_k::<crate::kernel::Fma6x16>(&a, &b, threads);
+                    assert!(same_bits(&one, &cut), "{m}x{k}x{n}, {threads} threads");
+                }
             }
         }
     }

@@ -178,10 +178,19 @@ proptest! {
     }
 
     #[test]
-    fn im2col_col2im_adjoint(c in 1usize..3, h in 3usize..7, w in 3usize..7, k in 1usize..4, seed in 0u64..100) {
-        let k = k.min(h).min(w);
-        let g = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride: 1, padding: 1 };
-        let mut x = Tensor::zeros([1, c, h, w]);
+    fn im2col_col2im_adjoint(
+        n in 1usize..3,
+        c in 1usize..3,
+        h in 1usize..7,
+        w in 1usize..7,
+        k in 1usize..4,
+        s in 1usize..3,
+        p in 0usize..2,
+        seed in 0u64..100,
+    ) {
+        let k = k.min(h + 2 * p).min(w + 2 * p);
+        let g = Conv2dGeometry { in_channels: c, in_h: h, in_w: w, kernel: k, stride: s, padding: p };
+        let mut x = Tensor::zeros([n, c, h, w]);
         let mut st = seed.wrapping_add(5);
         let mut next = move || {
             st = st.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -189,10 +198,12 @@ proptest! {
         };
         for v in x.data_mut() { *v = next(); }
         let cols = im2col(&x, &g);
+        // Channel-major: one row per tap, one column per output position.
+        prop_assert_eq!(cols.dims(), &[c * k * k, n * g.out_h() * g.out_w()]);
         let mut y = Tensor::zeros(cols.dims().to_vec());
         for v in y.data_mut() { *v = next(); }
         let lhs = cols.dot(&y).unwrap();
-        let rhs = x.dot(&col2im(&y, &g, 1)).unwrap();
+        let rhs = x.dot(&col2im(&y, &g, n)).unwrap();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{} vs {}", lhs, rhs);
     }
 
