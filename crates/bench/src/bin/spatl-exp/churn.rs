@@ -13,7 +13,7 @@
 //! 3. **O(cohort) sampling** — drawing a cohort out of a large virtual
 //!    population costs memory and time proportional to the cohort, not
 //!    the population: a 100k-client population is sampled directly
-//!    through [`ChurnModel::sample_cohort`] without materialising any
+//!    through [`ChurnPlan::sample_cohort`] without materialising any
 //!    per-client state.
 
 use std::time::Instant;
@@ -97,7 +97,7 @@ pub fn run(scale: Scale) -> Vec<Section> {
     );
 
     // Claim 3: cohorts out of a large virtual population, O(cohort).
-    let model = ChurnModel::new(ChurnPlan::cross_device());
+    let model = ChurnPlan::cross_device();
     let k = 256usize;
     let sweep_rounds = 32usize;
     let started = Instant::now();

@@ -9,7 +9,8 @@ use std::time::Duration;
 use spatl::cli::parse_algorithm;
 pub use spatl::cli::Args;
 use spatl::prelude::{
-    Algorithm, ChaosPlan, ChurnPlan, ExperimentBuilder, PrivacyConfig, Simulation, SpatlOptions,
+    Algorithm, ChaosPlan, ChurnPlan, ConfigError, ExperimentBuilder, PrivacyConfig, Simulation,
+    SpatlOptions, Topology,
 };
 
 /// The paper's five algorithms, SPATL first (the ordering the
@@ -104,35 +105,32 @@ impl NetOpts {
     ];
 
     /// Read the shared runtime flags out of parsed [`Args`], defaulting
-    /// to a 4-client × 3-round FedAvg loopback session.
-    pub fn from_args(args: &Args) -> NetOpts {
-        let algorithm = match parse_algorithm(args.get("algorithm").unwrap_or("fedavg")) {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                std::process::exit(2);
-            }
-        };
-        NetOpts {
+    /// to a 4-client × 3-round FedAvg loopback session. `Err` is the
+    /// usage error to print: an unknown name, a malformed value, or a
+    /// sub-flag given without the mode flag it modifies.
+    pub fn from_args(args: &Args) -> Result<NetOpts, String> {
+        check_sub_flags(args)?;
+        Ok(NetOpts {
             addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
             clients: args.get_or("clients", 4),
             rounds: args.get_or("rounds", 3),
             seed: args.get_or("seed", 7),
-            algorithm,
+            algorithm: parse_algorithm(args.get("algorithm").unwrap_or("fedavg"))?,
             samples: args.get_or("samples", 24),
             local_epochs: args.get_or("local-epochs", 1),
             batch: args.get_or("batch", 8),
-            chaos: parse_chaos(args),
-            churn: parse_churn(args),
-            privacy: parse_privacy(args),
-        }
+            chaos: parse_chaos(args)?,
+            churn: parse_churn(args)?,
+            privacy: parse_privacy(args)?,
+        })
     }
 
-    /// Deterministic session factory both networked endpoints share: the
+    /// Deterministic session factory every networked endpoint shares: the
     /// same flags produce the same model initialisation, the same data
-    /// shards and the same control-plane fingerprint, on the server and
-    /// on every client process.
-    pub fn build_session(&self) -> Simulation {
+    /// shards and the same control-plane fingerprint, on the server, every
+    /// edge and every client process. The session is checked for
+    /// `topology` before any data is synthesised.
+    pub fn build_session(&self, topology: Topology) -> Result<Simulation, ConfigError> {
         let mut b = ExperimentBuilder::new(self.algorithm)
             .clients(self.clients)
             .rounds(self.rounds)
@@ -149,93 +147,118 @@ impl NetOpts {
         if let Some(privacy) = self.privacy {
             b = b.privacy(privacy);
         }
-        b.build()
+        b.check(topology)?;
+        Ok(b.build())
     }
+}
+
+/// The flags that switch transport chaos on; the other `--chaos-*` flags
+/// only tune a plan one of these creates.
+const CHAOS_MODES: [&str; 4] = [
+    "chaos-reset",
+    "chaos-stall",
+    "chaos-duplicate",
+    "chaos-kill-edge",
+];
+
+/// `Err` naming the first sub-flag given without a mode flag it modifies
+/// (`--chaos-seed` without a chaos mode, `--chaos-stall-ms` without
+/// `--chaos-stall`, `--churn-*` without `--churn`, `--privacy-*` without
+/// `--privacy`), which would otherwise be dropped without a word.
+fn check_sub_flags(args: &Args) -> Result<(), String> {
+    for flag in NetOpts::FLAGS {
+        let modes: &[&str] = match flag {
+            "chaos-seed" => &CHAOS_MODES,
+            "chaos-stall-ms" => &["chaos-stall"],
+            _ if flag.starts_with("churn-") => &["churn"],
+            _ if flag.starts_with("privacy-") => &["privacy"],
+            _ => continue,
+        };
+        if args.get(flag).is_some() && modes.iter().all(|m| args.get(m).is_none()) {
+            let modes: Vec<String> = modes.iter().map(|m| format!("--{m}")).collect();
+            let modes = modes.join(" or ");
+            return Err(format!("flag --{flag} has no effect without {modes}"));
+        }
+    }
+    Ok(())
 }
 
 /// Build the chaos plan out of the `--chaos-*` flags; `None` when no
 /// chaos flag was given at all (the common, chaos-free case).
 /// `--chaos-kill-edge` takes `round:edge` (e.g. `1:0` kills edge 0 from
 /// round 1 onward).
-fn parse_chaos(args: &Args) -> Option<ChaosPlan> {
-    let given = [
-        "chaos-reset",
-        "chaos-stall",
-        "chaos-duplicate",
-        "chaos-kill-edge",
-    ]
-    .iter()
-    .any(|f| args.get(f).is_some());
-    if !given {
-        return None;
+fn parse_chaos(args: &Args) -> Result<Option<ChaosPlan>, String> {
+    if CHAOS_MODES.iter().all(|f| args.get(f).is_none()) {
+        return Ok(None);
     }
     let defaults = ChaosPlan::default();
-    let kill_edge = args.get("chaos-kill-edge").map(|v| {
-        let parts: Option<(u32, u32)> = v
-            .split_once(':')
-            .and_then(|(r, e)| Some((r.parse().ok()?, e.parse().ok()?)));
-        parts.unwrap_or_else(|| {
-            eprintln!("error: flag --chaos-kill-edge wants 'round:edge', got '{v}'");
-            std::process::exit(2);
-        })
-    });
-    Some(ChaosPlan {
+    let kill_edge = match args.get("chaos-kill-edge") {
+        None => None,
+        Some(v) => Some(
+            v.split_once(':')
+                .and_then(|(r, e)| Some((r.parse().ok()?, e.parse().ok()?)))
+                .ok_or_else(|| format!("flag --chaos-kill-edge wants 'round:edge', got '{v}'"))?,
+        ),
+    };
+    Ok(Some(ChaosPlan {
         reset: args.get_or("chaos-reset", defaults.reset),
         stall: args.get_or("chaos-stall", defaults.stall),
         stall_ms: args.get_or("chaos-stall-ms", defaults.stall_ms),
         duplicate: args.get_or("chaos-duplicate", defaults.duplicate),
         kill_edge,
         seed: args.get_or("chaos-seed", defaults.seed),
-    })
+    }))
 }
 
 /// Build the churn plan out of the `--churn*` flags; `None` when
 /// `--churn` is absent. `--churn` names the base profile
 /// (`cross-silo`, `cross-device` or `custom`) and the remaining flags
 /// override its individual fields.
-fn parse_churn(args: &Args) -> Option<ChurnPlan> {
-    let base = match args.get("churn")? {
-        "cross-silo" => ChurnPlan::cross_silo(),
-        "cross-device" => ChurnPlan::cross_device(),
-        "custom" => ChurnPlan::default(),
-        other => {
-            eprintln!(
-                "error: flag --churn has unknown profile '{other}' \
+fn parse_churn(args: &Args) -> Result<Option<ChurnPlan>, String> {
+    let base = match args.get("churn") {
+        None => return Ok(None),
+        Some("cross-silo") => ChurnPlan::cross_silo(),
+        Some("cross-device") => ChurnPlan::cross_device(),
+        Some("custom") => ChurnPlan::default(),
+        Some(other) => {
+            return Err(format!(
+                "flag --churn has unknown profile '{other}' \
                  (expected cross-silo|cross-device|custom)"
-            );
-            std::process::exit(2);
+            ))
         }
     };
-    Some(ChurnPlan {
+    Ok(Some(ChurnPlan {
         period: args.get_or("churn-period", base.period),
         duty: args.get_or("churn-duty", base.duty),
         arrival_span: args.get_or("churn-arrival-span", base.arrival_span),
         flake: args.get_or("churn-flake", base.flake),
         abrupt: args.get_or("churn-abrupt", base.abrupt),
         seed: args.get_or("churn-seed", base.seed),
-    })
+    }))
 }
 
 /// Build the privacy config out of the `--privacy*` flags; `None` when
 /// `--privacy` is absent (clear uploads — the historical fingerprint).
 /// `--privacy` names the protocol (`masked` or `fixed`) and the
 /// remaining flags override its individual fields.
-fn parse_privacy(args: &Args) -> Option<PrivacyConfig> {
-    let base = match args.get("privacy")? {
-        "masked" => PrivacyConfig::masked(0),
-        "fixed" => PrivacyConfig::fixed(0, 1.0),
-        other => {
-            eprintln!("error: flag --privacy has unknown mode '{other}' (expected masked|fixed)");
-            std::process::exit(2);
+fn parse_privacy(args: &Args) -> Result<Option<PrivacyConfig>, String> {
+    let base = match args.get("privacy") {
+        None => return Ok(None),
+        Some("masked") => PrivacyConfig::masked(0),
+        Some("fixed") => PrivacyConfig::fixed(0, 1.0),
+        Some(other) => {
+            return Err(format!(
+                "flag --privacy has unknown mode '{other}' (expected masked|fixed)"
+            ))
         }
     };
-    Some(PrivacyConfig {
+    Ok(Some(PrivacyConfig {
         mode: base.mode,
         seed: args.get_or("privacy-seed", base.seed),
         frac_bits: args.get_or("privacy-frac-bits", base.frac_bits),
         l2_bound: args.get_or("privacy-l2-bound", base.l2_bound),
         noise: args.get_or("privacy-noise", base.noise),
-    })
+    }))
 }
 
 /// The runtime-deadline flag set shared by `spatl-server` and
@@ -309,6 +332,14 @@ impl TierOpts {
             wal: args.get("wal").map(str::to_string),
         }
     }
+
+    /// The topology a root runs: flat when `--edges` is 0.
+    pub fn topology(&self) -> Topology {
+        match self.edges {
+            0 => Topology::Flat,
+            edges => Topology::Tiered { edges },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -344,7 +375,7 @@ mod tests {
         // No chaos/churn flags → no plans, so the fingerprint matches a
         // plain session.
         let none = parse_args::<[&str; 0], &str>([], &accepted).unwrap();
-        let opts = NetOpts::from_args(&none);
+        let opts = NetOpts::from_args(&none).unwrap();
         assert!(opts.chaos.is_none() && opts.churn.is_none());
         let runtime = RuntimeOpts::from_args(&none);
         assert_eq!(runtime.round_timeout, Duration::from_secs(300));
@@ -368,7 +399,7 @@ mod tests {
             &accepted,
         )
         .unwrap();
-        let opts = NetOpts::from_args(&args);
+        let opts = NetOpts::from_args(&args).unwrap();
         let chaos = opts.chaos.expect("chaos flags given");
         assert_eq!(chaos.reset, 0.5);
         assert_eq!(chaos.kill_edge, Some((2, 1)));
@@ -388,11 +419,14 @@ mod tests {
 
         // No --privacy flag → clear uploads, historical fingerprint.
         let none = parse_args::<[&str; 0], &str>([], &accepted).unwrap();
-        assert!(NetOpts::from_args(&none).privacy.is_none());
+        assert!(NetOpts::from_args(&none).unwrap().privacy.is_none());
 
         let masked =
             parse_args(["--privacy", "masked", "--privacy-seed", "42"], &accepted).unwrap();
-        let p = NetOpts::from_args(&masked).privacy.expect("masked mode");
+        let p = NetOpts::from_args(&masked)
+            .unwrap()
+            .privacy
+            .expect("masked mode");
         assert_eq!(p, PrivacyConfig::masked(42));
 
         let fixed = parse_args(
@@ -408,9 +442,29 @@ mod tests {
             &accepted,
         )
         .unwrap();
-        let p = NetOpts::from_args(&fixed).privacy.expect("fixed mode");
+        let p = NetOpts::from_args(&fixed)
+            .unwrap()
+            .privacy
+            .expect("fixed mode");
         assert_eq!(p.mode, PrivacyMode::FixedPoint);
         assert_eq!((p.frac_bits, p.l2_bound, p.noise), (12, 2.5, 0.01));
+    }
+
+    #[test]
+    fn sub_flags_without_their_mode_are_usage_errors() {
+        let accepted: Vec<&str> = NetOpts::FLAGS.to_vec();
+        for (argv, missing) in [
+            (["--chaos-seed", "3"], "--chaos-reset"),
+            (["--chaos-stall-ms", "5"], "--chaos-stall"),
+            (["--churn-duty", "0.1"], "--churn"),
+            (["--privacy-noise", "0.5"], "--privacy"),
+        ] {
+            let err = NetOpts::from_args(&parse_args(argv, &accepted).unwrap()).unwrap_err();
+            assert!(err.contains(argv[0]) && err.contains(missing), "{err}");
+        }
+        let with_mode = parse_args(["--chaos-stall", "0.5", "--chaos-stall-ms", "5"], &accepted);
+        let chaos = NetOpts::from_args(&with_mode.unwrap()).unwrap().chaos;
+        assert_eq!(chaos.map(|c| c.stall_ms), Some(5));
     }
 
     #[test]

@@ -710,8 +710,8 @@ impl StreamState {
         let (p, buf_len) = (totals.p, totals.buf_len);
         // The same lane shape a masked upload is built with.
         let uses_control = cfg.algorithm.uses_control();
-        let has_secondary = crate::privacy::has_secondary_lane(&cfg.algorithm);
-        let votes = crate::privacy::has_count_lane(&cfg.algorithm);
+        let has_secondary = cfg.algorithm.uses_secondary_lane();
+        let votes = cfg.algorithm.uses_count_lane();
         let (mut control_bcast, delta, mut count, secondary, buffers) = match spare {
             Some(old) => (
                 old.control_bcast,
@@ -1006,7 +1006,7 @@ impl RoundAccumulator {
         }
     }
 
-    /// The accumulator's mode as the stable string `exp_summary` and the
+    /// The accumulator's mode as the stable string `spatl-exp summary` and the
     /// round record surface: `stream`, `masked`, `spill-screening`,
     /// `spill-robust` or `spill-range`.
     pub fn mode_name(&self) -> &'static str {

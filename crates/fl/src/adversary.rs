@@ -18,7 +18,7 @@
 //!   from descent without changing the update's norm (invisible to
 //!   norm-based screening; only robust aggregation resists it).
 //!
-//! Like the [`FaultInjector`](crate::FaultInjector), every decision is a
+//! Like the [`FaultPlan`](crate::FaultPlan), every decision is a
 //! pure function of the plan seed: which clients are Byzantine is drawn
 //! once from `(seed, n_clients)`, and the entries a NaN attack damages are
 //! drawn from `(seed, round, client)` — so an adversarial run replays
@@ -105,19 +105,6 @@ impl AdversaryPlan {
             ..Default::default()
         }
     }
-
-    /// Panics if the fraction is not a probability or λ is unusable;
-    /// called once when a simulation is built.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.fraction),
-            "adversary fraction must be in [0, 1]"
-        );
-        assert!(
-            self.lambda.is_finite() && self.lambda != 0.0,
-            "scale attack lambda must be finite and non-zero"
-        );
-    }
 }
 
 const SALT_MEMBERSHIP: u64 = 0xB12;
@@ -132,7 +119,7 @@ const NAN_ENTRIES: usize = 8;
 /// their outcomes before the frames are sealed.
 ///
 /// Stateless apart from the plan, like
-/// [`FaultInjector`](crate::FaultInjector): membership derives from
+/// [`FaultPlan`](crate::FaultPlan): membership derives from
 /// `(seed, n_clients)` and per-round damage from `(seed, round, client)`,
 /// so decisions are independent of evaluation order and replay exactly.
 #[derive(Debug, Clone, Copy)]
@@ -141,9 +128,9 @@ pub struct Adversary {
 }
 
 impl Adversary {
-    /// Build an adversary for a validated plan.
+    /// An adversary executing `plan` (ranges are
+    /// [`FlConfig::check`](crate::FlConfig::check)'s).
     pub fn new(plan: AdversaryPlan) -> Self {
-        plan.validate();
         Adversary { plan }
     }
 
@@ -354,15 +341,5 @@ mod tests {
             a.delta.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             c.delta.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "adversary fraction must be in [0, 1]")]
-    fn validate_rejects_bad_fraction() {
-        AdversaryPlan {
-            fraction: 1.5,
-            ..Default::default()
-        }
-        .validate();
     }
 }

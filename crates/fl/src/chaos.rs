@@ -80,55 +80,20 @@ impl Default for ChaosPlan {
     }
 }
 
+/// Every transport-chaos decision of a run, drawn from per-decision RNG
+/// streams the same way [`FaultPlan`](crate::FaultPlan) draws payload
+/// faults: stateless apart from the plan, so decisions are independent
+/// of evaluation order and a given `(plan, round, actor)` always
+/// misbehaves the same way.
 impl ChaosPlan {
-    /// Panics if any probability is outside `[0, 1]`; called once when a
-    /// driver is built.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.reset),
-            "reset must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.stall),
-            "stall must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.duplicate),
-            "duplicate must be a probability"
-        );
-    }
-
     /// Whether any chaos can actually fire under this plan.
     pub fn is_active(&self) -> bool {
         self.reset > 0.0 || self.stall > 0.0 || self.duplicate > 0.0 || self.kill_edge.is_some()
     }
-}
-
-/// Draws every transport-chaos decision of a run from per-decision RNG
-/// streams, the same way [`FaultInjector`](crate::FaultInjector) draws
-/// payload faults: stateless apart from the plan, so decisions are
-/// independent of evaluation order and a given `(plan, round, actor)`
-/// always misbehaves the same way.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosInjector {
-    plan: ChaosPlan,
-}
-
-impl ChaosInjector {
-    /// Build an injector for a validated plan.
-    pub fn new(plan: ChaosPlan) -> Self {
-        plan.validate();
-        ChaosInjector { plan }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
-    }
 
     fn rng(&self, round: usize, actor: usize, salt: u64) -> TensorRng {
         let s = splitmix(
-            self.plan.seed ^ splitmix((round as u64) ^ splitmix((actor as u64) ^ splitmix(salt))),
+            self.seed ^ splitmix((round as u64) ^ splitmix((actor as u64) ^ splitmix(salt))),
         );
         TensorRng::seed_from(s)
     }
@@ -138,7 +103,7 @@ impl ChaosInjector {
     /// torn: the retry after reconnecting goes through clean, so chaos
     /// delays rounds without deadlocking them.
     pub fn resets_upload(&self, round: usize, client: usize) -> bool {
-        self.plan.reset > 0.0 && self.rng(round, client, SALT_RESET).flip(self.plan.reset)
+        self.reset > 0.0 && self.rng(round, client, SALT_RESET).flip(self.reset)
     }
 
     /// Where to cut a torn transmission: a byte offset in `[1, len)`, so
@@ -150,8 +115,8 @@ impl ChaosInjector {
 
     /// How long `client` stalls before uploading in `round`, if at all.
     pub fn stalls(&self, round: usize, client: usize) -> Option<std::time::Duration> {
-        if self.plan.stall > 0.0 && self.rng(round, client, SALT_STALL).flip(self.plan.stall) {
-            Some(std::time::Duration::from_millis(self.plan.stall_ms))
+        if self.stall > 0.0 && self.rng(round, client, SALT_STALL).flip(self.stall) {
+            Some(std::time::Duration::from_millis(self.stall_ms))
         } else {
             None
         }
@@ -159,13 +124,13 @@ impl ChaosInjector {
 
     /// Does `client` transmit its complete upload reply twice in `round`?
     pub fn duplicates_upload(&self, round: usize, client: usize) -> bool {
-        self.plan.duplicate > 0.0 && self.rng(round, client, SALT_DUP).flip(self.plan.duplicate)
+        self.duplicate > 0.0 && self.rng(round, client, SALT_DUP).flip(self.duplicate)
     }
 
     /// Does edge `edge` die when assigned `round`? A killed edge stays
     /// dead for the rest of the run.
     pub fn kills_edge(&self, round: usize, edge: usize) -> bool {
-        match self.plan.kill_edge {
+        match self.kill_edge {
             Some((r, e)) => (round as u32) >= r && edge as u32 == e,
             None => false,
         }
@@ -189,8 +154,8 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic() {
-        let a = ChaosInjector::new(plan());
-        let b = ChaosInjector::new(plan());
+        let a = plan();
+        let b = plan();
         for round in 0..5 {
             for client in 0..8 {
                 assert_eq!(
@@ -212,7 +177,7 @@ mod tests {
 
     #[test]
     fn rates_match_probabilities() {
-        let inj = ChaosInjector::new(plan());
+        let inj = plan();
         let n = 4000;
         let resets = (0..n).filter(|&c| inj.resets_upload(0, c)).count();
         let dups = (0..n).filter(|&c| inj.duplicates_upload(0, c)).count();
@@ -222,7 +187,7 @@ mod tests {
 
     #[test]
     fn torn_cut_is_a_strict_nonempty_prefix() {
-        let inj = ChaosInjector::new(plan());
+        let inj = plan();
         for len in [2usize, 3, 10, 4096] {
             for c in 0..32 {
                 let cut = inj.torn_cut(0, c, len);
@@ -233,7 +198,7 @@ mod tests {
 
     #[test]
     fn default_plan_is_inert() {
-        let inj = ChaosInjector::new(ChaosPlan::default());
+        let inj = ChaosPlan::default();
         assert!(!ChaosPlan::default().is_active());
         for c in 0..32 {
             assert!(!inj.resets_upload(0, c));
@@ -245,20 +210,10 @@ mod tests {
 
     #[test]
     fn scheduled_kill_fires_from_its_round_on() {
-        let inj = ChaosInjector::new(plan());
+        let inj = plan();
         assert!(!inj.kills_edge(1, 1), "before the scheduled round");
         assert!(inj.kills_edge(2, 1), "at the scheduled round");
         assert!(inj.kills_edge(3, 1), "a killed edge stays dead");
         assert!(!inj.kills_edge(2, 0), "other edges live");
-    }
-
-    #[test]
-    #[should_panic(expected = "reset must be a probability")]
-    fn validate_rejects_bad_probability() {
-        ChaosPlan {
-            reset: 1.5,
-            ..Default::default()
-        }
-        .validate();
     }
 }

@@ -108,51 +108,17 @@ impl ChurnPlan {
             ..Default::default()
         }
     }
-
-    /// Panics if a field is out of range; called once when a driver is
-    /// built.
-    pub fn validate(&self) {
-        assert!(self.period >= 1, "period must be at least one round");
-        assert!(
-            self.duty > 0.0 && self.duty <= 1.0,
-            "duty must be in (0, 1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.flake),
-            "flake must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.abrupt),
-            "abrupt must be a probability"
-        );
-    }
 }
 
-/// Answers availability and cohort queries for a [`ChurnPlan`], the way
-/// [`FaultInjector`](crate::FaultInjector) answers payload-fault queries:
+/// Availability and cohort queries, answered the way
+/// [`FaultPlan`](crate::FaultPlan) answers payload-fault queries:
 /// stateless apart from the plan, every answer a pure function of the
 /// seed, so any participant can evaluate any client at any round in O(1)
 /// without materialising the population.
-#[derive(Debug, Clone, Copy)]
-pub struct ChurnModel {
-    plan: ChurnPlan,
-}
-
-impl ChurnModel {
-    /// Build a model for a validated plan.
-    pub fn new(plan: ChurnPlan) -> Self {
-        plan.validate();
-        ChurnModel { plan }
-    }
-
-    /// The plan this model evaluates.
-    pub fn plan(&self) -> &ChurnPlan {
-        &self.plan
-    }
-
+impl ChurnPlan {
     fn rng(&self, round: usize, client: usize, salt: u64) -> TensorRng {
         let s = splitmix(
-            self.plan.seed ^ splitmix((round as u64) ^ splitmix((client as u64) ^ splitmix(salt))),
+            self.seed ^ splitmix((round as u64) ^ splitmix((client as u64) ^ splitmix(salt))),
         );
         TensorRng::seed_from(s)
     }
@@ -160,12 +126,12 @@ impl ChurnModel {
     /// The round `client` first becomes part of the population.
     pub fn arrival(&self, client: usize) -> usize {
         self.rng(0, client, SALT_ARRIVE)
-            .below(self.plan.arrival_span as usize + 1)
+            .below(self.arrival_span as usize + 1)
     }
 
     /// Rounds of each cycle this client is up (≥ 1).
     fn window(&self) -> usize {
-        ((self.plan.duty * self.plan.period as f64).ceil() as usize).max(1)
+        ((self.duty * self.period as f64).ceil() as usize).max(1)
     }
 
     /// Whether the periodic schedule (arrival + duty window, flakes
@@ -174,7 +140,7 @@ impl ChurnModel {
         if round < self.arrival(client) {
             return false;
         }
-        let period = self.plan.period as usize;
+        let period = self.period as usize;
         let phase = self.rng(0, client, SALT_PHASE).below(period);
         (round + phase) % period < self.window()
     }
@@ -182,16 +148,16 @@ impl ChurnModel {
     /// Is `client` available (samplable) in `round`?
     pub fn available(&self, round: usize, client: usize) -> bool {
         self.scheduled_up(round, client)
-            && !(self.plan.flake > 0.0 && self.rng(round, client, SALT_FLAKE).flip(self.plan.flake))
+            && !(self.flake > 0.0 && self.rng(round, client, SALT_FLAKE).flip(self.flake))
     }
 
     /// Does `client`, sampled in `round`, abandon the round in progress?
     /// Fires only when its availability window ends at this round.
     pub fn departs_mid_round(&self, round: usize, client: usize) -> bool {
-        self.plan.abrupt > 0.0
+        self.abrupt > 0.0
             && self.scheduled_up(round, client)
             && !self.scheduled_up(round + 1, client)
-            && self.rng(round, client, SALT_EXIT).flip(self.plan.abrupt)
+            && self.rng(round, client, SALT_EXIT).flip(self.abrupt)
     }
 
     /// Draw round `round`'s cohort: up to `k` distinct available clients
@@ -220,7 +186,7 @@ impl ChurnModel {
     }
 
     /// Fraction of `population` available in `round` (exact scan; used
-    /// by tests and the `exp_churn` report, not by the hot path).
+    /// by tests and `spatl-exp churn`, not by the hot path).
     pub fn availability_rate(&self, round: usize, population: usize) -> f64 {
         let up = (0..population)
             .filter(|&c| self.available(round, c))
@@ -237,14 +203,11 @@ impl ChurnModel {
 /// transports see the identical effective cohort.
 pub fn churn_departures(cfg: &crate::FlConfig, round: usize, cohort: &[usize]) -> Vec<usize> {
     match cfg.churn {
-        Some(plan) => {
-            let model = ChurnModel::new(plan);
-            cohort
-                .iter()
-                .copied()
-                .filter(|&c| model.departs_mid_round(round, c))
-                .collect()
-        }
+        Some(plan) => cohort
+            .iter()
+            .copied()
+            .filter(|&c| plan.departs_mid_round(round, c))
+            .collect(),
         None => Vec::new(),
     }
 }
@@ -286,8 +249,8 @@ mod tests {
 
     #[test]
     fn queries_are_deterministic() {
-        let a = ChurnModel::new(plan());
-        let b = ChurnModel::new(plan());
+        let a = plan();
+        let b = plan();
         for round in 0..20 {
             for client in 0..64 {
                 assert_eq!(a.available(round, client), b.available(round, client));
@@ -305,7 +268,7 @@ mod tests {
 
     #[test]
     fn cohorts_are_sorted_distinct_and_available() {
-        let m = ChurnModel::new(plan());
+        let m = plan();
         for round in 0..10 {
             let cohort = m.sample_cohort(round, 16, 10_000);
             assert!(cohort.len() <= 16);
@@ -321,10 +284,10 @@ mod tests {
     #[test]
     fn large_population_sampling_is_cohort_sized() {
         // 1M virtual clients: only the cohort is ever materialised.
-        let m = ChurnModel::new(ChurnPlan {
+        let m = ChurnPlan {
             arrival_span: 0,
             ..plan()
-        });
+        };
         let cohort = m.sample_cohort(3, 32, 1_000_000);
         assert_eq!(cohort.len(), 32, "a 1M population always fills a 32-cohort");
         assert!(cohort.iter().all(|&c| c < 1_000_000));
@@ -334,14 +297,14 @@ mod tests {
     fn availability_tracks_the_duty_cycle() {
         // No arrivals / flakes: the population-wide availability each
         // round must be close to `duty` (phases are uniform).
-        let m = ChurnModel::new(ChurnPlan {
+        let m = ChurnPlan {
             period: 10,
             duty: 0.5,
             arrival_span: 0,
             flake: 0.0,
             abrupt: 0.0,
             seed: 3,
-        });
+        };
         for round in 0..10 {
             let rate = m.availability_rate(round, 4000);
             assert!((rate - 0.5).abs() < 0.05, "round {round}: rate {rate}");
@@ -350,14 +313,14 @@ mod tests {
 
     #[test]
     fn arrivals_ramp_the_population_up() {
-        let m = ChurnModel::new(ChurnPlan {
+        let m = ChurnPlan {
             period: 4,
             duty: 1.0,
             arrival_span: 10,
             flake: 0.0,
             abrupt: 0.0,
             seed: 5,
-        });
+        };
         let early = m.availability_rate(0, 4000);
         let late = m.availability_rate(10, 4000);
         assert!(early < 0.2, "round 0 sees ~1/11 of the population: {early}");
@@ -366,7 +329,7 @@ mod tests {
 
     #[test]
     fn departures_only_at_window_boundaries() {
-        let m = ChurnModel::new(plan());
+        let m = plan();
         for round in 0..20 {
             for client in 0..200 {
                 if m.departs_mid_round(round, client) {
@@ -381,8 +344,8 @@ mod tests {
 
     #[test]
     fn profiles_differ_as_advertised() {
-        let silo = ChurnModel::new(ChurnPlan::cross_silo());
-        let device = ChurnModel::new(ChurnPlan::cross_device());
+        let silo = ChurnPlan::cross_silo();
+        let device = ChurnPlan::cross_device();
         let silo_rate = silo.availability_rate(5, 2000);
         let device_rate = device.availability_rate(5, 2000);
         assert!(
@@ -393,15 +356,5 @@ mod tests {
             device_rate < silo_rate,
             "cross-device churns harder: {device_rate} vs {silo_rate}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "duty must be in (0, 1]")]
-    fn validate_rejects_zero_duty() {
-        ChurnPlan {
-            duty: 0.0,
-            ..Default::default()
-        }
-        .validate();
     }
 }

@@ -489,8 +489,8 @@ impl ClientState {
                 bytes,
                 global.shared.len(),
                 global.buffers.len(),
-                crate::privacy::has_secondary_lane(&cfg.algorithm),
-                crate::privacy::has_count_lane(&cfg.algorithm),
+                cfg.algorithm.uses_secondary_lane(),
+                cfg.algorithm.uses_count_lane(),
             ),
             _ => bytes,
         };

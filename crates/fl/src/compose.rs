@@ -57,11 +57,35 @@ use crate::{
     WireBytes,
 };
 
+/// Who a root terminates: clients directly (the flat star) or edge
+/// aggregators speaking the combined-upload frame (DESIGN.md §11).
+/// [`FlConfig::check`](crate::FlConfig::check) judges a session against
+/// the topology it will run on.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub enum Topology {
+    /// Every connection is one client node.
+    #[default]
+    Flat,
+    /// Every connection is one `spatl-edge` aggregator; clients connect
+    /// to the edges. Client ids are split over the edges in contiguous
+    /// near-equal slices ([`edge_partition`]), and each connection's
+    /// `Hello.client_id` is its *edge* id.
+    Tiered {
+        /// Number of edge aggregators.
+        edges: usize,
+    },
+}
+
 /// Split `n_clients` into `n_edges` contiguous, near-equal slices — the
 /// canonical client→edge assignment every tier participant (root, edge
 /// binaries, experiment roster) derives independently from the shared
 /// session flags. The first `n_clients % n_edges` slices are one client
 /// larger.
+///
+/// # Panics
+/// Unless `1 <= n_edges <= n_clients`, which
+/// [`FlConfig::check`](crate::FlConfig::check) guarantees for a checked
+/// tiered session.
 pub fn edge_partition(n_clients: usize, n_edges: usize) -> Vec<Range<usize>> {
     assert!(n_edges > 0, "a tiered topology needs at least one edge");
     assert!(

@@ -1,7 +1,12 @@
 //! Federated-learning run configuration.
 
+use std::fmt;
+
 use serde::{Deserialize, Serialize};
+use spatl_privacy::PrivacyMode;
 use spatl_wire::{LinkSpec, SimNet};
+
+use crate::Topology;
 
 /// Network profile of the simulated deployment, mapped to a
 /// [`SimNet`] transport model. Kept as a small serializable enum so run
@@ -129,6 +134,25 @@ impl Algorithm {
         matches!(self, Algorithm::Scaffold)
             || matches!(self, Algorithm::Spatl(o) if o.gradient_control)
     }
+
+    /// Whether an upload is one plain delta lane (FedAvg / FedProx) —
+    /// the only upload the compressing codecs and fixed-point sums encode.
+    pub fn uses_plain_delta(&self) -> bool {
+        matches!(self, Algorithm::FedAvg | Algorithm::FedProx { .. })
+    }
+
+    /// Whether an exact upload carries the secondary lane (SCAFFOLD /
+    /// SPATL control deltas, FedNova velocity).
+    pub fn uses_secondary_lane(&self) -> bool {
+        matches!(self, Algorithm::Scaffold | Algorithm::FedNova)
+            || matches!(self, Algorithm::Spatl(o) if o.gradient_control)
+    }
+
+    /// Whether an exact upload carries the per-coordinate vote-count lane
+    /// (SPATL's channel-indexed sparse uploads).
+    pub fn uses_count_lane(&self) -> bool {
+        matches!(self, Algorithm::Spatl(_))
+    }
 }
 
 /// How a FedAvg / FedProx client compresses its uploaded delta.
@@ -143,7 +167,7 @@ impl Algorithm {
 /// SPATL has its own channel-indexed sparse upload; SCAFFOLD and
 /// FedNova carry algorithm state pairs that this codec does not cover.
 /// Configuring a non-[`Dense`](UploadCodec::Dense) codec with those
-/// algorithms is rejected at driver construction.
+/// algorithms is a [`ConfigError::CodecNeedsPlainDelta`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub enum UploadCodec {
     /// Dense f32, 4 bytes per parameter (default; bit-exact).
@@ -183,26 +207,6 @@ impl UploadCodec {
                 (((n as f32) * keep_ratio).ceil() as usize).clamp(1, n.max(1))
             }
             _ => n,
-        }
-    }
-
-    /// Panics if the codec is misconfigured or combined with an
-    /// algorithm whose upload it cannot encode; called once when a
-    /// driver is built.
-    pub fn validate(&self, algorithm: &Algorithm) {
-        if let UploadCodec::TopK { keep_ratio } = self {
-            assert!(
-                *keep_ratio > 0.0 && *keep_ratio <= 1.0,
-                "keep_ratio must be in (0, 1]"
-            );
-        }
-        if !matches!(self, UploadCodec::Dense) {
-            assert!(
-                matches!(algorithm, Algorithm::FedAvg | Algorithm::FedProx { .. }),
-                "upload codec {} is only defined for FedAvg/FedProx uploads, not {}",
-                self.name(),
-                algorithm.name()
-            );
         }
     }
 }
@@ -250,17 +254,6 @@ impl AggregatorKind {
             AggregatorKind::NormClippedMean => "norm-clipped",
             AggregatorKind::CoordinateMedian => "coord-median",
             AggregatorKind::CoordinateTrimmedMean { .. } => "trimmed-mean",
-        }
-    }
-
-    /// Panics if a parameter is outside its documented range; called once
-    /// when a simulation is built.
-    pub fn validate(&self) {
-        if let AggregatorKind::CoordinateTrimmedMean { trim_ratio } = self {
-            assert!(
-                (0.0..0.5).contains(trim_ratio),
-                "trim_ratio must be in [0, 0.5)"
-            );
         }
     }
 }
@@ -368,7 +361,207 @@ impl FlConfig {
     pub fn clients_per_round(&self) -> usize {
         ((self.n_clients as f32 * self.sample_ratio).round() as usize).clamp(1, self.n_clients)
     }
+
+    /// Whether this session can run on `topology`: `Ok`, or the first
+    /// rule it breaks (DESIGN.md, "What a session may be"). The one place
+    /// a configuration is judged: the binaries call it after parsing
+    /// their flags and before they synthesise data or bind a socket, and
+    /// [`RoundDriver::new`](crate::RoundDriver::new) and the networked
+    /// `bind`s call it again. Every range is written so that `NaN` fails.
+    pub fn check(&self, topology: Topology) -> Result<(), ConfigError> {
+        if self.n_clients == 0 {
+            return Err(ConfigError::NoClients);
+        }
+        // Every numeric bound is one row: (field, value, in range, range).
+        const PROBABILITY: &str = "a probability in [0, 1]";
+        let p = |field, v: f64| (field, v, (0.0..=1.0).contains(&v), PROBABILITY);
+        let frac = |field, v: f64| (field, v, v > 0.0 && v <= 1.0, "in (0, 1]");
+        let count = |field, n: usize| (field, n as f64, n >= 1, "at least 1");
+        let mut bounds = vec![
+            frac("sample_ratio", self.sample_ratio.into()),
+            count("batch_size", self.batch_size),
+        ];
+        if let Algorithm::Spatl(o) = self.algorithm {
+            bounds.push(frac("target_flops_ratio", o.target_flops_ratio.into()));
+        }
+        if let Some(f) = &self.faults {
+            let (slowdown, backoff) = (f.straggler_slowdown, f.retry_backoff_s);
+            let deadline = f.deadline_s.unwrap_or(f64::INFINITY);
+            bounds.extend([
+                p("dropout", f.dropout),
+                p("straggler_ratio", f.straggler_ratio),
+                p("corruption", f.corruption),
+                ("straggler_slowdown", slowdown, slowdown >= 1.0, "≥ 1"),
+                ("retry_backoff_s", backoff, backoff >= 0.0, "non-negative"),
+                ("deadline_s", deadline, deadline > 0.0, "positive"),
+            ]);
+        }
+        if let Some(a) = &self.adversary {
+            let usable = a.lambda.is_finite() && a.lambda != 0.0;
+            let lambda = ("lambda", a.lambda.into(), usable, "finite and non-zero");
+            bounds.extend([p("adversary fraction", a.fraction), lambda]);
+        }
+        if let Some(s) = &self.screen {
+            let tol = s.norm_tolerance;
+            let ok = tol > 1.0 && tol.is_finite();
+            bounds.push(("norm_tolerance", tol.into(), ok, "a finite value > 1"));
+        }
+        if let AggregatorKind::CoordinateTrimmedMean { trim_ratio: r } = self.aggregator {
+            let ok = (0.0..0.5).contains(&r);
+            bounds.push(("trim_ratio", r.into(), ok, "in [0, 0.5)"));
+        }
+        if let UploadCodec::TopK { keep_ratio } = self.upload_codec {
+            bounds.push(frac("keep_ratio", keep_ratio.into()));
+        }
+        if let Some(c) = &self.chaos {
+            bounds.extend([p("reset", c.reset), p("stall", c.stall)]);
+            bounds.push(p("duplicate", c.duplicate));
+        }
+        if let Some(c) = &self.churn {
+            bounds.extend([count("period", c.period as usize), frac("duty", c.duty)]);
+            bounds.extend([p("flake", c.flake), p("abrupt", c.abrupt)]);
+        }
+        if let Some(privacy) = &self.privacy {
+            let (bits, bound) = (privacy.frac_bits, privacy.l2_bound);
+            let ok = (1..=30).contains(&bits);
+            bounds.push(("privacy frac_bits", bits.into(), ok, "in 1..=30"));
+            if privacy.mode == PrivacyMode::FixedPoint {
+                bounds.push(("l2_bound", bound.into(), bound > 0.0, "positive"));
+            }
+        }
+        if let Topology::Tiered { edges } = topology {
+            bounds.push(count("edges", edges));
+        }
+        if let Some(&(field, value, _, expected)) = bounds.iter().find(|b| !b.2) {
+            return Err(ConfigError::OutOfRange {
+                field,
+                value,
+                expected,
+            });
+        }
+
+        if let Topology::Tiered { edges } = topology {
+            if edges > self.n_clients {
+                let clients = self.n_clients;
+                return Err(ConfigError::MoreEdgesThanClients { edges, clients });
+            }
+        }
+        let plain = self.algorithm.uses_plain_delta();
+        if self.upload_codec != UploadCodec::Dense && !plain {
+            return Err(ConfigError::CodecNeedsPlainDelta {
+                codec: self.upload_codec.name(),
+                algorithm: self.algorithm.name(),
+            });
+        }
+        let Some(privacy) = &self.privacy else {
+            return Ok(());
+        };
+        if self.upload_codec != UploadCodec::Dense {
+            return Err(ConfigError::PrivacyNeedsDenseCodec);
+        }
+        if self.screen.is_some() {
+            return Err(ConfigError::PrivacyForbidsScreen);
+        }
+        match privacy.mode {
+            PrivacyMode::Masked if self.aggregator != AggregatorKind::WeightedMean => {
+                Err(ConfigError::MaskedNeedsWeightedMean)
+            }
+            PrivacyMode::Masked if topology != Topology::Flat => {
+                Err(ConfigError::MaskedThroughEdges)
+            }
+            PrivacyMode::FixedPoint if !plain => Err(ConfigError::FixedPointNeedsPlainDelta),
+            _ => Ok(()),
+        }
+    }
 }
+
+/// Why a session cannot run — what [`FlConfig::check`] answers. Its
+/// `Display` is the one line a binary prints before it exits 2.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ConfigError {
+    /// A numeric field lies outside its documented range.
+    OutOfRange {
+        /// The field, as the message names it.
+        field: &'static str,
+        /// The value given (integers widened).
+        value: f64,
+        /// The range it must lie in, in words.
+        expected: &'static str,
+    },
+    /// A compressing upload codec with an algorithm whose upload is not
+    /// one plain delta lane ([`Algorithm::uses_plain_delta`]).
+    CodecNeedsPlainDelta {
+        /// [`UploadCodec::name`] of the configured codec.
+        codec: &'static str,
+        /// [`Algorithm::name`] of the configured algorithm.
+        algorithm: &'static str,
+    },
+    /// Fixed-point sums with an algorithm whose upload is not one plain
+    /// delta lane.
+    FixedPointNeedsPlainDelta,
+    /// A privacy mode with a compressing upload codec.
+    PrivacyNeedsDenseCodec,
+    /// A privacy mode with a screen policy.
+    PrivacyForbidsScreen,
+    /// Pairwise masking with a robust aggregator.
+    MaskedNeedsWeightedMean,
+    /// Pairwise masking behind edge aggregators.
+    MaskedThroughEdges,
+    /// A tiered topology with more edges than clients.
+    MoreEdgesThanClients {
+        /// Configured edge count.
+        edges: usize,
+        /// Configured client count.
+        clients: usize,
+    },
+    /// A session without clients.
+    NoClients,
+}
+
+impl fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ConfigError::OutOfRange {
+                field,
+                value,
+                expected,
+            } => return write!(f, "{field} must be {expected}, got {value}"),
+            ConfigError::CodecNeedsPlainDelta { codec, algorithm } => {
+                return write!(
+                    f,
+                    "upload codec {codec} is only defined for FedAvg/FedProx uploads, \
+                     not {algorithm}"
+                )
+            }
+            ConfigError::MoreEdgesThanClients { edges, clients } => {
+                return write!(f, "cannot spread {clients} clients over {edges} edges")
+            }
+            ConfigError::FixedPointNeedsPlainDelta => {
+                "fixed-point DP sums carry a single dense delta lane; use FedAvg or FedProx"
+            }
+            ConfigError::PrivacyNeedsDenseCodec => {
+                "privacy modes require the dense upload codec: a sparse or quantized clear \
+                 codec would leak (or lose) exactly what the lanes are meant to hide"
+            }
+            ConfigError::PrivacyForbidsScreen => {
+                "screening inspects clear per-client tensors, which privacy modes withhold \
+                 from the server; disable the screen policy (masked sessions trade screening \
+                 away — DESIGN.md §15)"
+            }
+            ConfigError::MaskedNeedsWeightedMean => {
+                "pairwise masking only cancels inside a plain weighted sum; robust \
+                 aggregators need clear per-client values"
+            }
+            ConfigError::MaskedThroughEdges => {
+                "pairwise masking cannot compose through edge aggregation; use the flat \
+                 topology for masked sessions"
+            }
+            ConfigError::NoClients => "need at least one client",
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -396,16 +589,471 @@ mod tests {
         assert_eq!(UploadCodec::TopK { keep_ratio: 1.0 }.kept(7), 7);
     }
 
-    #[test]
-    #[should_panic(expected = "only defined for FedAvg/FedProx")]
-    fn upload_codec_rejects_scaffold() {
-        UploadCodec::F16.validate(&Algorithm::Scaffold);
+    /// The rule a rejection names: the field of an out-of-range value,
+    /// the variant otherwise.
+    fn rule(e: ConfigError) -> String {
+        match e {
+            ConfigError::OutOfRange { field, .. } => field.to_string(),
+            other => format!("{other:?}")
+                .split([' ', '{'])
+                .next()
+                .unwrap_or_default()
+                .to_string(),
+        }
     }
 
+    /// One row per [`ConfigError`] variant, then `NaN` in every
+    /// probability and ratio field, then the values the per-type checks
+    /// this function replaced were tested with: each edit of a runnable
+    /// session breaks exactly the rule its row names.
     #[test]
-    #[should_panic(expected = "keep_ratio must be in (0, 1]")]
-    fn upload_codec_rejects_bad_ratio() {
-        UploadCodec::TopK { keep_ratio: 0.0 }.validate(&Algorithm::FedAvg);
+    fn check_names_the_broken_rule() {
+        use crate::{AdversaryPlan, ChaosPlan, ChurnPlan, FaultPlan, ScreenPolicy};
+        use spatl_privacy::PrivacyConfig;
+        const FLAT: Topology = Topology::Flat;
+        const TWO_EDGES: Topology = Topology::Tiered { edges: 2 };
+        let nan = f64::NAN;
+        let masked = Some(PrivacyConfig::masked(1));
+        let fixed = Some(PrivacyConfig::fixed(1, 1.0));
+        let faults = |edit: fn(&mut FaultPlan)| {
+            let mut plan = FaultPlan::default();
+            edit(&mut plan);
+            Some(plan)
+        };
+        let chaos = |edit: fn(&mut ChaosPlan)| {
+            let mut plan = ChaosPlan::default();
+            edit(&mut plan);
+            Some(plan)
+        };
+        let churn = |edit: fn(&mut ChurnPlan)| {
+            let mut plan = ChurnPlan::default();
+            edit(&mut plan);
+            Some(plan)
+        };
+        let adversary = |fraction: f64, lambda: f32| {
+            Some(AdversaryPlan {
+                fraction,
+                lambda,
+                ..AdversaryPlan::default()
+            })
+        };
+        let screen = |norm_tolerance: f32| {
+            Some(ScreenPolicy {
+                norm_tolerance,
+                ..ScreenPolicy::default()
+            })
+        };
+        let spatl = |target_flops_ratio: f32| {
+            Algorithm::Spatl(SpatlOptions {
+                target_flops_ratio,
+                ..SpatlOptions::default()
+            })
+        };
+        let base = FlConfig::new(Algorithm::FedAvg);
+        let rows: Vec<(&str, Topology, FlConfig)> = vec![
+            (
+                "NoClients",
+                FLAT,
+                FlConfig {
+                    n_clients: 0,
+                    ..base
+                },
+            ),
+            (
+                "MoreEdgesThanClients",
+                TWO_EDGES,
+                FlConfig {
+                    n_clients: 1,
+                    ..base
+                },
+            ),
+            (
+                "CodecNeedsPlainDelta",
+                FLAT,
+                FlConfig {
+                    algorithm: Algorithm::Scaffold,
+                    upload_codec: UploadCodec::F16,
+                    ..base
+                },
+            ),
+            (
+                "FixedPointNeedsPlainDelta",
+                FLAT,
+                FlConfig {
+                    algorithm: Algorithm::FedNova,
+                    privacy: fixed,
+                    ..base
+                },
+            ),
+            (
+                "PrivacyNeedsDenseCodec",
+                FLAT,
+                FlConfig {
+                    privacy: masked,
+                    upload_codec: UploadCodec::TopK { keep_ratio: 0.5 },
+                    ..base
+                },
+            ),
+            (
+                "PrivacyForbidsScreen",
+                FLAT,
+                FlConfig {
+                    privacy: fixed,
+                    screen: screen(4.0),
+                    ..base
+                },
+            ),
+            (
+                "MaskedNeedsWeightedMean",
+                FLAT,
+                FlConfig {
+                    privacy: masked,
+                    aggregator: AggregatorKind::CoordinateMedian,
+                    ..base
+                },
+            ),
+            (
+                "MaskedThroughEdges",
+                TWO_EDGES,
+                FlConfig {
+                    privacy: masked,
+                    ..base
+                },
+            ),
+            ("edges", Topology::Tiered { edges: 0 }, base),
+            (
+                "batch_size",
+                FLAT,
+                FlConfig {
+                    batch_size: 0,
+                    ..base
+                },
+            ),
+            (
+                "sample_ratio",
+                FLAT,
+                FlConfig {
+                    sample_ratio: f32::NAN,
+                    ..base
+                },
+            ),
+            (
+                "target_flops_ratio",
+                FLAT,
+                FlConfig {
+                    algorithm: spatl(f32::NAN),
+                    ..base
+                },
+            ),
+            (
+                "dropout",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.dropout = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "straggler_ratio",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.straggler_ratio = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "corruption",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.corruption = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "straggler_slowdown",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.straggler_slowdown = 0.5),
+                    ..base
+                },
+            ),
+            (
+                "retry_backoff_s",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.retry_backoff_s = -1.0),
+                    ..base
+                },
+            ),
+            (
+                "deadline_s",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.deadline_s = Some(0.0)),
+                    ..base
+                },
+            ),
+            (
+                "adversary fraction",
+                FLAT,
+                FlConfig {
+                    adversary: adversary(nan, 1.0),
+                    ..base
+                },
+            ),
+            (
+                "lambda",
+                FLAT,
+                FlConfig {
+                    adversary: adversary(0.1, f32::INFINITY),
+                    ..base
+                },
+            ),
+            (
+                "norm_tolerance",
+                FLAT,
+                FlConfig {
+                    screen: screen(f32::NAN),
+                    ..base
+                },
+            ),
+            (
+                "trim_ratio",
+                FLAT,
+                FlConfig {
+                    aggregator: AggregatorKind::CoordinateTrimmedMean {
+                        trim_ratio: f32::NAN,
+                    },
+                    ..base
+                },
+            ),
+            (
+                "keep_ratio",
+                FLAT,
+                FlConfig {
+                    upload_codec: UploadCodec::TopK {
+                        keep_ratio: f32::NAN,
+                    },
+                    ..base
+                },
+            ),
+            (
+                "reset",
+                FLAT,
+                FlConfig {
+                    chaos: chaos(|c| c.reset = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "stall",
+                FLAT,
+                FlConfig {
+                    chaos: chaos(|c| c.stall = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "duplicate",
+                FLAT,
+                FlConfig {
+                    chaos: chaos(|c| c.duplicate = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "period",
+                FLAT,
+                FlConfig {
+                    churn: churn(|c| c.period = 0),
+                    ..base
+                },
+            ),
+            (
+                "duty",
+                FLAT,
+                FlConfig {
+                    churn: churn(|c| c.duty = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "flake",
+                FLAT,
+                FlConfig {
+                    churn: churn(|c| c.flake = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "abrupt",
+                FLAT,
+                FlConfig {
+                    churn: churn(|c| c.abrupt = f64::NAN),
+                    ..base
+                },
+            ),
+            (
+                "privacy frac_bits",
+                FLAT,
+                FlConfig {
+                    privacy: Some(PrivacyConfig {
+                        frac_bits: 0,
+                        ..PrivacyConfig::masked(1)
+                    }),
+                    ..base
+                },
+            ),
+            (
+                "l2_bound",
+                FLAT,
+                FlConfig {
+                    privacy: Some(PrivacyConfig::fixed(1, 0.0)),
+                    ..base
+                },
+            ),
+            (
+                "dropout",
+                FLAT,
+                FlConfig {
+                    faults: faults(|f| f.dropout = 1.5),
+                    ..base
+                },
+            ),
+            (
+                "adversary fraction",
+                FLAT,
+                FlConfig {
+                    adversary: adversary(1.5, 1.0),
+                    ..base
+                },
+            ),
+            (
+                "norm_tolerance",
+                FLAT,
+                FlConfig {
+                    screen: screen(1.0),
+                    ..base
+                },
+            ),
+            (
+                "reset",
+                FLAT,
+                FlConfig {
+                    chaos: chaos(|c| c.reset = 1.5),
+                    ..base
+                },
+            ),
+            (
+                "duty",
+                FLAT,
+                FlConfig {
+                    churn: churn(|c| c.duty = 0.0),
+                    ..base
+                },
+            ),
+            (
+                "keep_ratio",
+                FLAT,
+                FlConfig {
+                    upload_codec: UploadCodec::TopK { keep_ratio: 0.0 },
+                    ..base
+                },
+            ),
+        ];
+        assert_eq!(base.check(FLAT), Ok(()));
+        for (want, topology, cfg) in rows {
+            let err = cfg.check(topology).expect_err(want);
+            assert_eq!(rule(err), want, "{err}");
+            let line = err.to_string();
+            assert!(!line.is_empty() && !line.contains('\n'), "{want}: {line:?}");
+        }
+        let codec = FlConfig {
+            algorithm: Algorithm::Scaffold,
+            upload_codec: UploadCodec::F16,
+            ..base
+        };
+        assert_eq!(
+            codec.check(FLAT).map_err(|e| e.to_string()),
+            Err("upload codec f16 is only defined for FedAvg/FedProx uploads, not SCAFFOLD".into())
+        );
+    }
+
+    /// The cross-product the session flags span — algorithm (5) ×
+    /// privacy {none, masked, fixed} × codec {dense, top-k, f16} ×
+    /// aggregator (4) × screen {none, some} × topology {flat, 2 edges},
+    /// 720 sessions: every one is `Ok` or a `ConfigError`, every `Ok`
+    /// builds a driver (and, tiered, its edge slices), and exactly 165
+    /// are `Ok` — 144 clear (FedAvg/FedProx with any codec, the other
+    /// three dense only; any aggregator, screen and topology), 5 masked
+    /// (dense, `WeightedMean`, unscreened, flat) and 16 fixed-point
+    /// (FedAvg/FedProx, dense, unscreened).
+    #[test]
+    fn every_accepted_session_builds_a_driver() {
+        use crate::{compose::edge_partition, GlobalState, RoundDriver, ScreenPolicy};
+        use spatl_privacy::PrivacyConfig;
+        let algorithms = [
+            Algorithm::FedAvg,
+            Algorithm::FedProx { mu: 0.01 },
+            Algorithm::Scaffold,
+            Algorithm::FedNova,
+            Algorithm::Spatl(SpatlOptions::default()),
+        ];
+        let privacy = [
+            None,
+            Some(PrivacyConfig::masked(1)),
+            Some(PrivacyConfig::fixed(1, 1.0)),
+        ];
+        let codecs = [
+            UploadCodec::Dense,
+            UploadCodec::TopK { keep_ratio: 0.1 },
+            UploadCodec::F16,
+        ];
+        let aggregators = [
+            AggregatorKind::WeightedMean,
+            AggregatorKind::NormClippedMean,
+            AggregatorKind::CoordinateMedian,
+            AggregatorKind::CoordinateTrimmedMean { trim_ratio: 0.2 },
+        ];
+        let screens = [None, Some(ScreenPolicy::default())];
+        let topologies = [Topology::Flat, Topology::Tiered { edges: 2 }];
+        let (mut walked, mut accepted) = (0, 0);
+        for algorithm in algorithms {
+            for privacy in privacy {
+                for upload_codec in codecs {
+                    for aggregator in aggregators {
+                        for screen in screens {
+                            for topology in &topologies {
+                                let cfg = FlConfig {
+                                    n_clients: 4,
+                                    privacy,
+                                    upload_codec,
+                                    aggregator,
+                                    screen,
+                                    ..FlConfig::new(algorithm)
+                                };
+                                walked += 1;
+                                if cfg.check(topology.clone()).is_err() {
+                                    continue;
+                                }
+                                accepted += 1;
+                                let global = GlobalState {
+                                    shared: vec![0.0; 8],
+                                    control: Vec::new(),
+                                    momentum: Vec::new(),
+                                    buffers: Vec::new(),
+                                };
+                                RoundDriver::new(cfg, global, None);
+                                if let Topology::Tiered { edges } = *topology {
+                                    assert_eq!(edge_partition(cfg.n_clients, edges).len(), edges);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!((walked, accepted), (720, 165));
     }
 
     #[test]

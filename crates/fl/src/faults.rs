@@ -85,31 +85,6 @@ impl FaultPlan {
             ..Default::default()
         }
     }
-
-    /// Panics if any probability is outside `[0, 1]` or a factor is
-    /// non-positive; called once when a simulation is built.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.dropout),
-            "dropout must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.straggler_ratio),
-            "straggler_ratio must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.corruption),
-            "corruption must be a probability"
-        );
-        assert!(
-            self.straggler_slowdown >= 1.0,
-            "straggler_slowdown must be ≥ 1"
-        );
-        assert!(self.retry_backoff_s >= 0.0, "backoff must be non-negative");
-        if let Some(d) = self.deadline_s {
-            assert!(d > 0.0, "deadline must be positive");
-        }
-    }
 }
 
 /// What kind of fault an event records.
@@ -167,7 +142,7 @@ pub enum FaultKind {
     },
     /// Ground truth: a Byzantine upload reached aggregation *unscreened*
     /// because pairwise masking blinds the server to individual updates
-    /// — the documented trade the `exp_privacy` experiment measures.
+    /// — the documented trade `spatl-exp privacy` measures.
     ScreenBypassed,
 }
 
@@ -275,53 +250,34 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Draws every fault decision of a run from per-decision RNG streams.
+/// Every fault decision of a run, drawn from per-decision RNG streams.
 ///
 /// Stateless apart from the plan: each decision derives a fresh generator
-/// from `(plan.seed, round, client, salt)`, so decisions are independent
-/// of evaluation order (in particular of rayon's scheduling) and a given
+/// from `(seed, round, client, salt)`, so decisions are independent of
+/// evaluation order (in particular of rayon's scheduling) and a given
 /// `(plan, round, client)` always faults the same way.
-#[derive(Debug, Clone, Copy)]
-pub struct FaultInjector {
-    plan: FaultPlan,
-}
-
-impl FaultInjector {
-    /// Build an injector for a validated plan.
-    pub fn new(plan: FaultPlan) -> Self {
-        plan.validate();
-        FaultInjector { plan }
-    }
-
-    /// The plan this injector executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
+impl FaultPlan {
     fn rng(&self, round: usize, client: usize, salt: u64) -> TensorRng {
         let s = splitmix(
-            self.plan.seed ^ splitmix((round as u64) ^ splitmix((client as u64) ^ splitmix(salt))),
+            self.seed ^ splitmix((round as u64) ^ splitmix((client as u64) ^ splitmix(salt))),
         );
         TensorRng::seed_from(s)
     }
 
     /// Does `client` drop out of `round` before training?
     pub fn drops_out(&self, round: usize, client: usize) -> bool {
-        self.plan.dropout > 0.0
-            && self
-                .rng(round, client, SALT_DROPOUT)
-                .flip(self.plan.dropout)
+        self.dropout > 0.0 && self.rng(round, client, SALT_DROPOUT).flip(self.dropout)
     }
 
     /// Transfer-time multiplier for `client` in `round`: the plan's
     /// slowdown when the straggler coin lands, `1.0` otherwise.
     pub fn straggler_factor(&self, round: usize, client: usize) -> f64 {
-        if self.plan.straggler_ratio > 0.0
+        if self.straggler_ratio > 0.0
             && self
                 .rng(round, client, SALT_STRAGGLER)
-                .flip(self.plan.straggler_ratio)
+                .flip(self.straggler_ratio)
         {
-            self.plan.straggler_slowdown
+            self.straggler_slowdown
         } else {
             1.0
         }
@@ -331,10 +287,10 @@ impl FaultInjector {
     /// `round` arrive corrupted? Each attempt flips its own coin, so a
     /// retransmission can be damaged again.
     pub fn corrupts_attempt(&self, round: usize, client: usize, attempt: u32) -> bool {
-        self.plan.corruption > 0.0
+        self.corruption > 0.0
             && self
                 .rng(round, client, SALT_CORRUPT ^ ((attempt as u64) << 8))
-                .flip(self.plan.corruption)
+                .flip(self.corruption)
     }
 
     /// Damage one transmission: flip a single deterministic-random bit in
@@ -361,7 +317,7 @@ impl FaultInjector {
         if retries == 0 {
             return 0.0;
         }
-        self.plan.retry_backoff_s * ((1u64 << retries) - 1) as f64
+        self.retry_backoff_s * ((1u64 << retries) - 1) as f64
     }
 }
 
@@ -384,8 +340,8 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic() {
-        let a = FaultInjector::new(plan());
-        let b = FaultInjector::new(plan());
+        let a = plan();
+        let b = plan();
         for round in 0..5 {
             for client in 0..8 {
                 assert_eq!(a.drops_out(round, client), b.drops_out(round, client));
@@ -405,17 +361,17 @@ mod tests {
 
     #[test]
     fn decisions_vary_across_rounds_clients_and_seeds() {
-        let inj = FaultInjector::new(plan());
+        let inj = plan();
         let drops: Vec<bool> = (0..64).map(|c| inj.drops_out(0, c)).collect();
         assert!(drops.iter().any(|&d| d) && drops.iter().any(|&d| !d));
-        let other = FaultInjector::new(FaultPlan { seed: 43, ..plan() });
+        let other = FaultPlan { seed: 43, ..plan() };
         let drops2: Vec<bool> = (0..64).map(|c| other.drops_out(0, c)).collect();
         assert_ne!(drops, drops2);
     }
 
     #[test]
     fn dropout_rate_matches_probability() {
-        let inj = FaultInjector::new(FaultPlan::dropout_only(0.3));
+        let inj = FaultPlan::dropout_only(0.3);
         let n = 4000;
         let dropped = (0..n).filter(|&c| inj.drops_out(0, c)).count();
         let rate = dropped as f64 / n as f64;
@@ -424,7 +380,7 @@ mod tests {
 
     #[test]
     fn zero_probabilities_never_fault() {
-        let inj = FaultInjector::new(FaultPlan::default());
+        let inj = FaultPlan::default();
         for c in 0..32 {
             assert!(!inj.drops_out(0, c));
             assert_eq!(inj.straggler_factor(0, c), 1.0);
@@ -435,7 +391,7 @@ mod tests {
     #[test]
     fn corrupt_frames_breaks_exactly_one_bit() {
         use spatl_wire::{open, seal, MsgType};
-        let inj = FaultInjector::new(plan());
+        let inj = plan();
         let frames = vec![seal(MsgType::DenseUpdate, &[1, 2, 3, 4, 5, 6, 7, 8])];
         let mut damaged = frames.clone();
         inj.corrupt_frames(&mut damaged, 0, 0, 1);
@@ -451,7 +407,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_per_retry() {
-        let inj = FaultInjector::new(plan());
+        let inj = plan();
         assert_eq!(inj.backoff_s(0), 0.0);
         assert!((inj.backoff_s(1) - 0.25).abs() < 1e-12);
         assert!((inj.backoff_s(2) - 0.75).abs() < 1e-12); // 0.25 + 0.5
@@ -495,15 +451,5 @@ mod tests {
         assert_eq!(rec.byzantine, 1);
         assert_eq!(rec.quarantined, 1);
         assert_eq!(rec.total(), 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout must be a probability")]
-    fn validate_rejects_bad_probability() {
-        FaultPlan {
-            dropout: 1.5,
-            ..Default::default()
-        }
-        .validate();
     }
 }

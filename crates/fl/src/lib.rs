@@ -51,16 +51,18 @@ pub mod wire;
 
 pub use accumulate::{RoundAccumulator, SpillReason, StreamState};
 pub use adversary::{Adversary, AdversaryPlan, AttackKind};
-pub use chaos::{ChaosInjector, ChaosPlan};
-pub use churn::{churn_departures, ledger_departures, ChurnModel, ChurnPlan};
+pub use chaos::ChaosPlan;
+pub use churn::{churn_departures, ledger_departures, ChurnPlan};
 pub use client::{ClientState, CompressedDelta, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
 pub use compose::{
     aggregate_reduced, edge_partition, entry_outcome, exact_composition, fault_counters,
-    fold_fault_counters, outcome_entry, reduce_cohort,
+    fold_fault_counters, outcome_entry, reduce_cohort, Topology,
 };
-pub use config::{AggregatorKind, Algorithm, FlConfig, NetProfile, SpatlOptions, UploadCodec};
-pub use faults::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultRecord};
+pub use config::{
+    AggregatorKind, Algorithm, ConfigError, FlConfig, NetProfile, SpatlOptions, UploadCodec,
+};
+pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use privacy::{
     build_masked_upload, fixed_quantized_upload, masking_cohort, sampled_cohort, unmask_share,
 };

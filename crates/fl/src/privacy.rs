@@ -32,7 +32,7 @@ use spatl_privacy::{
 use spatl_tensor::TensorRng;
 
 use crate::accumulate::{fold_terms, Lanes};
-use crate::{Algorithm, FaultInjector, FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
+use crate::{Algorithm, FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
 
 /// The cohort round `round` samples, re-derived from the session seeds
 /// alone — the same draw [`RoundDriver::sample_round`] produces, computed
@@ -43,11 +43,7 @@ use crate::{Algorithm, FaultInjector, FlConfig, GlobalState, LocalOutcome, Selec
 /// [`RoundDriver::sample_round`]: crate::RoundDriver::sample_round
 pub fn sampled_cohort(cfg: &FlConfig, round: usize) -> Vec<usize> {
     if let Some(plan) = cfg.churn {
-        return crate::ChurnModel::new(plan).sample_cohort(
-            round,
-            cfg.clients_per_round(),
-            cfg.n_clients,
-        );
+        return plan.sample_cohort(round, cfg.clients_per_round(), cfg.n_clients);
     }
     // The driver draws one cohort per round from a single stream; replay
     // it up to `round`. Quadratic over a run, but rounds are short and
@@ -70,24 +66,11 @@ pub fn sampled_cohort(cfg: &FlConfig, round: usize) -> Vec<usize> {
 pub fn masking_cohort(cfg: &FlConfig, round: usize) -> Vec<usize> {
     let mut cohort = sampled_cohort(cfg, round);
     if let Some(plan) = cfg.faults {
-        let inj = FaultInjector::new(plan);
-        cohort.retain(|&c| !inj.drops_out(round, c));
+        cohort.retain(|&c| !plan.drops_out(round, c));
     }
     let departures = crate::churn_departures(cfg, round, &cohort);
     cohort.retain(|c| !departures.contains(c));
     cohort
-}
-
-/// Whether the configured algorithm carries the secondary exact lane
-/// (SCAFFOLD / SPATL control deltas, FedNova velocity).
-pub(crate) fn has_secondary_lane(algorithm: &Algorithm) -> bool {
-    matches!(algorithm, Algorithm::Scaffold | Algorithm::FedNova)
-        || matches!(algorithm, Algorithm::Spatl(o) if o.gradient_control)
-}
-
-/// Whether the configured algorithm carries the blind vote-count lane.
-pub(crate) fn has_count_lane(algorithm: &Algorithm) -> bool {
-    matches!(algorithm, Algorithm::Spatl(_))
 }
 
 /// Re-express one local outcome as exact grid-integer lanes and mask it
@@ -117,8 +100,14 @@ pub fn build_masked_upload(
     let buf_len = global.buffers.len();
     let mut up = MaskedUpload {
         delta: MaskedVector::zeros(p),
-        secondary: has_secondary_lane(&cfg.algorithm).then(|| MaskedVector::zeros(p)),
-        counts: has_count_lane(&cfg.algorithm).then(|| MaskedCounts::zeros(p)),
+        secondary: cfg
+            .algorithm
+            .uses_secondary_lane()
+            .then(|| MaskedVector::zeros(p)),
+        counts: cfg
+            .algorithm
+            .uses_count_lane()
+            .then(|| MaskedCounts::zeros(p)),
         buffers: (buf_len > 0).then(|| MaskedVector::zeros(buf_len)),
     };
     let lanes = Lanes {
@@ -215,7 +204,7 @@ mod tests {
         let mut cfg = FlConfig::new(Algorithm::FedAvg);
         cfg.n_clients = 32;
         cfg.faults = Some(crate::FaultPlan::dropout_only(0.4));
-        let inj = FaultInjector::new(cfg.faults.unwrap());
+        let inj = cfg.faults.unwrap();
         for round in 0..4 {
             let masked = masking_cohort(&cfg, round);
             assert!(masked.iter().all(|&c| !inj.drops_out(round, c)));

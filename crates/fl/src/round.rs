@@ -27,7 +27,7 @@ use spatl_wire::{EdgeReduced, SelectionLayout, SimNet, WireError};
 
 use crate::{
     aggregate_reduced, wire, Encoded, FaultRecord, FlConfig, GlobalState, LocalOutcome,
-    RoundAccumulator, RoundBytes, ScreenPolicy, StreamState, WireBytes,
+    RoundAccumulator, RoundBytes, ScreenPolicy, StreamState, Topology, WireBytes,
 };
 
 /// Metrics recorded after each communication round.
@@ -159,56 +159,15 @@ pub struct RoundDriver {
 }
 
 impl RoundDriver {
-    /// Build a driver around an initial server state. Validates every
-    /// configured plan/policy up front so misconfiguration fails at
-    /// construction, not mid-round.
+    /// Build a driver around an initial server state.
+    ///
+    /// # Panics
+    /// When [`FlConfig::check`] rejects `cfg` on the flat topology. That
+    /// is library misuse, not a user error: every binary checks its
+    /// flags before it builds anything.
     pub fn new(cfg: FlConfig, global: GlobalState, layout: Option<SelectionLayout>) -> Self {
-        if let Some(plan) = &cfg.faults {
-            plan.validate();
-        }
-        if let Some(plan) = &cfg.adversary {
-            plan.validate();
-        }
-        if let Some(policy) = &cfg.screen {
-            policy.validate();
-        }
-        cfg.aggregator.validate();
-        cfg.upload_codec.validate(&cfg.algorithm);
-        if let Some(plan) = &cfg.chaos {
-            plan.validate();
-        }
-        if let Some(plan) = &cfg.churn {
-            plan.validate();
-        }
-        if let Some(privacy) = &cfg.privacy {
-            privacy.validate();
-            assert!(
-                matches!(cfg.upload_codec, crate::UploadCodec::Dense),
-                "privacy modes require the dense upload codec: a sparse or \
-                 quantized clear codec would leak (or lose) exactly what the \
-                 lanes are meant to hide"
-            );
-            assert!(
-                cfg.screen.is_none(),
-                "screening inspects clear per-client tensors, which privacy \
-                 modes withhold from the server; disable the screen policy \
-                 (masked sessions trade screening away — DESIGN.md §15)"
-            );
-            match privacy.mode {
-                spatl_privacy::PrivacyMode::Masked => assert!(
-                    matches!(cfg.aggregator, crate::AggregatorKind::WeightedMean),
-                    "pairwise masking only cancels inside a plain weighted \
-                     sum; robust aggregators need clear per-client values"
-                ),
-                spatl_privacy::PrivacyMode::FixedPoint => assert!(
-                    matches!(
-                        cfg.algorithm,
-                        crate::Algorithm::FedAvg | crate::Algorithm::FedProx { .. }
-                    ),
-                    "fixed-point DP sums carry a single dense delta lane; \
-                     use FedAvg or FedProx"
-                ),
-            }
+        if let Err(e) = cfg.check(Topology::Flat) {
+            panic!("RoundDriver::new on an unchecked configuration: {e}");
         }
         RoundDriver {
             rng: TensorRng::seed_from(cfg.seed ^ 0x51A1),
@@ -250,11 +209,9 @@ impl RoundDriver {
         let round = self.sampled_rounds;
         self.sampled_rounds += 1;
         match self.cfg.churn {
-            Some(plan) => crate::ChurnModel::new(plan).sample_cohort(
-                round,
-                self.cfg.clients_per_round(),
-                self.cfg.n_clients,
-            ),
+            Some(plan) => {
+                plan.sample_cohort(round, self.cfg.clients_per_round(), self.cfg.n_clients)
+            }
             None => self
                 .rng
                 .choose_k(self.cfg.n_clients, self.cfg.clients_per_round()),

@@ -74,17 +74,6 @@ impl Default for ScreenPolicy {
     }
 }
 
-impl ScreenPolicy {
-    /// Panics if the tolerance cannot separate inliers from outliers;
-    /// called once when a simulation is built.
-    pub fn validate(&self) {
-        assert!(
-            self.norm_tolerance > 1.0 && self.norm_tolerance.is_finite(),
-            "norm_tolerance must be a finite value > 1"
-        );
-    }
-}
-
 /// Why the screen rejected an upload; carried by
 /// [`FaultKind::Quarantined`](crate::FaultKind::Quarantined).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -459,15 +448,5 @@ mod tests {
         let kept = screen_updates(&policy, cohort, &mut rec);
         assert_eq!(kept.len(), 3);
         assert_eq!(rec.total(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "norm_tolerance must be a finite value > 1")]
-    fn validate_rejects_unit_tolerance() {
-        ScreenPolicy {
-            norm_tolerance: 1.0,
-            min_cohort: 3,
-        }
-        .validate();
     }
 }

@@ -12,8 +12,8 @@
 //! bit-identical to the simulated one.
 
 use crate::{
-    client::write_shared, wire, Adversary, Algorithm, ClientState, FaultInjector, FaultKind,
-    FaultRecord, FlConfig, GlobalState, RoundDriver, RoundRecord, TransportStats,
+    client::write_shared, wire, Adversary, Algorithm, ClientState, FaultKind, FaultRecord,
+    FlConfig, GlobalState, RoundDriver, RoundRecord, TransportStats,
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -208,7 +208,7 @@ impl Simulation {
     pub fn run_round(&mut self) -> RoundRecord {
         let round = self.driver.round_index();
         let sampled = self.driver.sample_round();
-        let injector = self.driver.cfg.faults.map(FaultInjector::new);
+        let fault_plan = self.driver.cfg.faults;
         let mut faults = FaultRecord::for_sample(sampled.len());
 
         // Fault stage 1: dropout. A dropped client never trains, never
@@ -216,7 +216,9 @@ impl Simulation {
         let selected: Vec<usize> = sampled
             .into_iter()
             .filter(|&i| {
-                let drops = injector.as_ref().is_some_and(|inj| inj.drops_out(round, i));
+                let drops = fault_plan
+                    .as_ref()
+                    .is_some_and(|inj| inj.drops_out(round, i));
                 if drops {
                     faults.push(i, FaultKind::Dropout);
                 }
@@ -316,11 +318,8 @@ impl Simulation {
         // backoff up to `max_retries`); fault stage 3 slows stragglers and
         // enforces the server's collection deadline. Wire accounting
         // charges every retransmission.
-        let max_retries = injector
-            .as_ref()
-            .map(|inj| inj.plan().max_retries)
-            .unwrap_or(0);
-        let deadline = injector.as_ref().and_then(|inj| inj.plan().deadline_s);
+        let max_retries = fault_plan.as_ref().map(|inj| inj.max_retries).unwrap_or(0);
+        let deadline = fault_plan.as_ref().and_then(|inj| inj.deadline_s);
         let mut stats = TransportStats::default();
         // The coordinator's own sequence: every upload folds the moment
         // it decodes (any order gives the same bits) and its tensors are
@@ -341,7 +340,7 @@ impl Simulation {
             // actually sent (so at most `1 + max_retries`).
             let mut transmissions = 1u32;
             let decoded = loop {
-                let corrupt = injector
+                let corrupt = fault_plan
                     .as_ref()
                     .filter(|inj| inj.corrupts_attempt(round, o.client_id, transmissions));
                 let result = match corrupt {
@@ -382,14 +381,14 @@ impl Simulation {
 
             // Per-client transfer time: straggler slowdown multiplies the
             // link time; retry backoff adds dead air on top.
-            let factor = injector
+            let factor = fault_plan
                 .as_ref()
                 .map(|inj| inj.straggler_factor(round, o.client_id))
                 .unwrap_or(1.0);
             if factor > 1.0 {
                 faults.push(o.client_id, FaultKind::Straggler);
             }
-            let backoff = injector
+            let backoff = fault_plan
                 .as_ref()
                 .map(|inj| inj.backoff_s(transmissions - 1))
                 .unwrap_or(0.0);

@@ -423,14 +423,14 @@ pub fn decode_upload(
             (PrivacyMode::Masked, MsgType::MaskedUpload) => {
                 let up = decode_masked_upload(payload)?;
                 check_len(up.delta.n_coords())?;
-                let want_secondary = crate::privacy::has_secondary_lane(&cfg.algorithm);
+                let want_secondary = cfg.algorithm.uses_secondary_lane();
                 if up.secondary.is_some() != want_secondary {
                     return Err(WireError::Malformed(format!(
                         "masked upload secondary lane present={}, session expects {want_secondary}",
                         up.secondary.is_some()
                     )));
                 }
-                let want_counts = crate::privacy::has_count_lane(&cfg.algorithm);
+                let want_counts = cfg.algorithm.uses_count_lane();
                 if up.counts.is_some() != want_counts {
                     return Err(WireError::Malformed(format!(
                         "masked upload count lane present={}, session expects {want_counts}",

@@ -17,22 +17,24 @@
 //! root (rejected and bounced back while the edge is alive).
 
 use spatl_bench::cli::{Args, NetOpts};
-use spatl_net::{ClientNode, NetError, NodeConfig};
+use spatl_net::{ClientNode, NetError, NodeConfig, Topology};
 
 fn main() -> Result<(), NetError> {
     let mut flags: Vec<&str> = NetOpts::FLAGS.to_vec();
     flags.extend(["id", "fallback-addr", "fallback-after"]);
     let args = Args::parse(&flags);
-    let opts = NetOpts::from_args(&args);
+    let opts = NetOpts::from_args(&args).unwrap_or_else(|msg| usage_error(msg));
     let id: usize = args.get_or("id", 0);
-
-    let session = opts.build_session();
-    assert!(
-        id < session.clients.len(),
-        "--id {id} out of range for --clients {}",
-        session.clients.len()
-    );
-    let state = session.clients.into_iter().nth(id).expect("shard exists");
+    if id >= opts.clients {
+        usage_error(format!(
+            "--id {id} out of range for --clients {}",
+            opts.clients
+        ));
+    }
+    let mut session = opts
+        .build_session(Topology::Flat)
+        .unwrap_or_else(|e| usage_error(e));
+    let state = session.clients.swap_remove(id);
     let cfg = session.driver.cfg;
 
     eprintln!(
@@ -53,4 +55,10 @@ fn main() -> Result<(), NetError> {
         report.rounds_trained, report.rounds_evaluated, report.reconnects
     );
     Ok(())
+}
+
+/// Print a configuration error and exit 2 — before anything is built.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }

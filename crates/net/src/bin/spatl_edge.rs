@@ -19,22 +19,23 @@
 //! [`edge_partition`]: spatl_fl::edge_partition
 
 use spatl_bench::cli::{Args, NetOpts, RuntimeOpts, TierOpts};
-use spatl_net::{EdgeAggregator, EdgeConfig, NetError};
+use spatl_net::{EdgeAggregator, EdgeConfig, NetError, Topology};
 
 fn main() -> Result<(), NetError> {
     let mut flags: Vec<&str> = NetOpts::FLAGS.to_vec();
     flags.extend(RuntimeOpts::FLAGS);
     flags.extend(TierOpts::FLAGS);
     let args = Args::parse(&flags);
-    let opts = NetOpts::from_args(&args);
     let runtime = RuntimeOpts::from_args(&args);
     let tier = TierOpts::from_args(&args);
-    assert!(
-        tier.edges > 0,
-        "--edges must be at least 1 for an edge aggregator"
-    );
-
-    let session = opts.build_session();
+    let opts = NetOpts::from_args(&args).unwrap_or_else(|msg| usage_error(msg));
+    if tier.edges > 0 && tier.edge_id >= tier.edges {
+        let (id, edges) = (tier.edge_id, tier.edges);
+        usage_error(format!("--edge-id {id} out of range for --edges {edges}"));
+    }
+    let session = opts
+        .build_session(Topology::Tiered { edges: tier.edges })
+        .unwrap_or_else(|e| usage_error(e));
     let mut edge_opts = EdgeConfig::new(tier.edge_id, tier.edges, tier.root_addr, opts.addr);
     edge_opts.join_timeout = runtime.join_timeout;
     edge_opts.round_timeout = runtime.round_timeout;
@@ -56,4 +57,10 @@ fn main() -> Result<(), NetError> {
         tier.edge_id, report.rounds_forwarded, report.rounds_evaluated, report.reconnects
     );
     Ok(())
+}
+
+/// Print a configuration error and exit 2 — before anything is built.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }

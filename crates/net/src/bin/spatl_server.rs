@@ -14,11 +14,13 @@
 //! Both endpoints must be started with the same session flags
 //! (`--clients`, `--rounds`, `--seed`, `--algorithm`, `--samples`,
 //! `--local-epochs`, `--batch`): the control-plane fingerprint rejects a
-//! client whose configuration differs.
+//! client whose configuration differs. A session that cannot run
+//! (`FlConfig::check`) is one `error:` line and exit status 2, before
+//! any data is synthesised or any socket bound.
 
 use spatl::load_global;
 use spatl_bench::cli::{Args, NetOpts, RuntimeOpts, TierOpts};
-use spatl_net::{Coordinator, CoordinatorConfig, NetError, Topology};
+use spatl_net::{Coordinator, CoordinatorConfig, NetError};
 
 fn main() -> Result<(), NetError> {
     let mut flags: Vec<&str> = NetOpts::FLAGS.to_vec();
@@ -26,11 +28,12 @@ fn main() -> Result<(), NetError> {
     flags.extend(["checkpoint", "resume-rounds", "out", "decode-workers"]);
     flags.extend(TierOpts::FLAGS);
     let args = Args::parse(&flags);
-    let opts = NetOpts::from_args(&args);
     let runtime = RuntimeOpts::from_args(&args);
     let tier = TierOpts::from_args(&args);
-
-    let session = opts.build_session();
+    let opts = NetOpts::from_args(&args).unwrap_or_else(|msg| usage_error(msg));
+    let session = opts
+        .build_session(tier.topology())
+        .unwrap_or_else(|e| usage_error(e));
     let mut driver = session.driver;
 
     // Resume: restore the checkpointed global state and burn the sampling
@@ -48,11 +51,6 @@ fn main() -> Result<(), NetError> {
         );
     }
 
-    let topology = if tier.edges > 0 {
-        Topology::Tiered { edges: tier.edges }
-    } else {
-        Topology::Flat
-    };
     let coordinator_opts = CoordinatorConfig {
         addr: opts.addr.clone(),
         join_timeout: runtime.join_timeout,
@@ -60,7 +58,7 @@ fn main() -> Result<(), NetError> {
         io_timeout: runtime.io_timeout,
         quorum: runtime.quorum,
         checkpoint,
-        topology,
+        topology: tier.topology(),
         wal: tier.wal.as_ref().map(std::path::PathBuf::from),
         decode_workers: args.get("decode-workers").map(|_| {
             let n: usize = args.get_or("decode-workers", 0);
@@ -132,4 +130,10 @@ fn main() -> Result<(), NetError> {
         history.len()
     );
     Ok(())
+}
+
+/// Print a configuration error and exit 2 — before anything is built.
+fn usage_error(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
 }

@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 use spatl::{save_global, CheckpointError, RoundLog};
 use spatl_fl::{
     decode_upload, edge_partition, entry_outcome, exact_composition, fold_fault_counters,
-    ledger_departures, ChaosInjector, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome,
-    RoundDriver, RoundRecord, TransportStats, WireBytes,
+    ledger_departures, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome, RoundDriver,
+    RoundRecord, Topology, TransportStats, WireBytes,
 };
 use spatl_wire::{
     decode_edge_combined, decode_unmask_shares, encode_unmask_request, open, read_frame, seal,
@@ -42,24 +42,6 @@ use crate::gather::{
 use crate::peers::PeerTable;
 use crate::proto::{session_fingerprint, HelloRole, RoundMode};
 use crate::NetError;
-
-/// Who the coordinator's listener terminates: clients directly (the flat
-/// star of PR 5) or edge aggregators speaking the combined-upload frame
-/// (DESIGN.md §11).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum Topology {
-    /// Every connection is one client node.
-    #[default]
-    Flat,
-    /// Every connection is one `spatl-edge` aggregator; clients connect
-    /// to the edges. Client ids are split over the edges in contiguous
-    /// near-equal slices ([`edge_partition`]), and each connection's
-    /// `Hello.client_id` is its *edge* id.
-    Tiered {
-        /// Number of edge aggregators.
-        edges: usize,
-    },
-}
 
 /// Tunables of a [`Coordinator`].
 #[derive(Debug, Clone)]
@@ -162,23 +144,7 @@ impl Coordinator {
                 opts.quorum
             )));
         }
-        if matches!(opts.topology, Topology::Tiered { .. })
-            && driver
-                .cfg
-                .privacy
-                .is_some_and(|p| p.mode == spatl_fl::PrivacyMode::Masked)
-        {
-            // An edge's combined upload is a *reduction* of its slice,
-            // but pairwise masks only cancel across the whole cohort —
-            // per-slice partial sums stay masked garbage, and forwarding
-            // raw frames instead would hand the edge clear tensors the
-            // mode exists to withhold. Masked sessions are flat.
-            return Err(NetError::Protocol(
-                "pairwise masking cannot compose through edge aggregation; \
-                 use the flat topology for masked sessions"
-                    .into(),
-            ));
-        }
+        driver.cfg.check(opts.topology.clone())?;
         let n = driver.cfg.n_clients;
         let fingerprint = session_fingerprint(&driver.cfg);
         let homes = match opts.topology {
@@ -345,7 +311,7 @@ impl Coordinator {
         faults: &mut FaultRecord,
         mut absorb: impl FnMut(LocalOutcome),
     ) -> (Vec<LocalOutcome>, Vec<usize>) {
-        let chaos = self.driver.cfg.chaos.map(ChaosInjector::new);
+        let chaos = self.driver.cfg.chaos;
         let workers = self
             .opts
             .decode_workers

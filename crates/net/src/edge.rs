@@ -32,8 +32,8 @@ use std::time::Duration;
 
 use spatl_fl::{
     decode_download, edge_partition, exact_composition, fault_counters, ledger_departures,
-    outcome_entry, reduce_cohort, screen_updates, ChaosInjector, FaultKind, FaultRecord,
-    LocalOutcome, RoundDriver,
+    outcome_entry, reduce_cohort, screen_updates, ChaosPlan, FaultKind, FaultRecord, LocalOutcome,
+    RoundDriver, Topology,
 };
 use spatl_wire::{
     seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters,
@@ -147,10 +147,6 @@ pub struct EdgeAggregator {
     /// The slice's client connections.
     peers: PeerTable,
     fingerprint: u64,
-    /// Chaos schedule shared by every endpoint of the run (None outside
-    /// chaos experiments): the edge's own kill round, and the duplicates
-    /// and resets its clients inject into their uploads.
-    chaos: Option<ChaosInjector>,
     /// Cohort cache, indexed by absolute round: derived lazily from the
     /// sampling stream, so a replayed round reuses its original draw.
     cohorts: Vec<Vec<usize>>,
@@ -168,20 +164,9 @@ impl EdgeAggregator {
     /// must come from the same session factory (same flags/seed) as the
     /// root's — the upstream handshake fingerprint enforces this.
     pub fn bind(driver: RoundDriver, opts: EdgeConfig) -> Result<Self, NetError> {
-        if driver
-            .cfg
-            .privacy
-            .is_some_and(|p| p.mode == spatl_fl::PrivacyMode::Masked)
-        {
-            // Mirror of the root's check: pairwise masks only cancel
-            // across the whole cohort, so an edge's per-slice reduction
-            // cannot exist in a masked session (DESIGN.md §15).
-            return Err(NetError::Protocol(
-                "pairwise masking cannot compose through edge aggregation; \
-                 masked sessions run flat"
-                    .into(),
-            ));
-        }
+        driver.cfg.check(Topology::Tiered {
+            edges: opts.n_edges,
+        })?;
         let range = edge_partition(driver.cfg.n_clients, opts.n_edges)
             .into_iter()
             .nth(opts.edge_id)
@@ -201,7 +186,6 @@ impl EdgeAggregator {
                 (opts.io_timeout, opts.round_timeout),
                 opts.max_frame,
             )?,
-            chaos: driver.cfg.chaos.map(ChaosInjector::new),
             driver,
             range,
             fingerprint,
@@ -288,8 +272,8 @@ impl EdgeAggregator {
                     )))
                 }
             };
-            let kill = |c: &ChaosInjector| c.kills_edge(assign.round as usize, edge_id);
-            if self.chaos.as_ref().is_some_and(kill) {
+            let kill = |c: &ChaosPlan| c.kills_edge(assign.round as usize, edge_id);
+            if self.driver.cfg.chaos.as_ref().is_some_and(kill) {
                 // Scheduled edge kill: die exactly like a crashed process
                 // would — every socket dropped mid-round, nothing
                 // flushed, no goodbye downstream.
@@ -366,7 +350,7 @@ impl EdgeAggregator {
             down,
         );
         let phase = Phase {
-            chaos: self.chaos.as_ref(),
+            chaos: self.driver.cfg.chaos.as_ref(),
             ..phase
         };
         let driver = &self.driver;

@@ -15,7 +15,7 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use spatl_fl::{ChaosInjector, FaultKind, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
+use spatl_fl::{ChaosPlan, FaultKind, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
 use spatl_wire::{open, FramePoll, FrameReader, MsgType};
 
 use crate::peers::PeerTable;
@@ -246,7 +246,7 @@ pub(crate) struct Phase<'a> {
     /// (client train phases of a chaos session): duplicated copies are
     /// awaited so their ledger entries are deterministic, and a reset
     /// connection keeps its slot open for the in-phase retry.
-    pub(crate) chaos: Option<&'a ChaosInjector>,
+    pub(crate) chaos: Option<&'a ChaosPlan>,
 }
 
 impl<'a> Phase<'a> {

@@ -47,6 +47,7 @@ use std::fmt;
 use std::io;
 
 use spatl::CheckpointError;
+use spatl_fl::ConfigError;
 use spatl_wire::{StreamError, WireError};
 
 pub mod coordinator;
@@ -56,10 +57,11 @@ pub mod node;
 mod peers;
 pub mod proto;
 
-pub use coordinator::{Coordinator, CoordinatorConfig, Topology};
+pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use edge::{EdgeAggregator, EdgeConfig, EdgeReport};
 pub use node::{ClientNode, NodeConfig, NodeReport};
 pub use proto::{session_fingerprint, Hello, HelloRole, Join, RoundAssign, RoundDone, RoundMode};
+pub use spatl_fl::Topology;
 
 /// Everything that can go wrong at a networked endpoint.
 #[derive(Debug)]
@@ -72,6 +74,10 @@ pub enum NetError {
     Wire(WireError),
     /// Checkpoint persistence failed during shutdown or resume.
     Checkpoint(CheckpointError),
+    /// The session cannot run on the endpoint's topology
+    /// ([`FlConfig::check`](spatl_fl::FlConfig::check)); refused before
+    /// any socket is bound.
+    Config(ConfigError),
     /// The peer violated the control-plane protocol (unexpected message
     /// type, mismatched round or client id).
     Protocol(String),
@@ -91,6 +97,7 @@ impl fmt::Display for NetError {
             NetError::Stream(e) => write!(f, "frame transport error: {e}"),
             NetError::Wire(e) => write!(f, "wire decode error: {e}"),
             NetError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
+            NetError::Config(e) => write!(f, "{e}"),
             NetError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
             NetError::Rejected => write!(
                 f,
@@ -119,6 +126,12 @@ impl From<StreamError> for NetError {
 impl From<WireError> for NetError {
     fn from(e: WireError) -> Self {
         NetError::Wire(e)
+    }
+}
+
+impl From<ConfigError> for NetError {
+    fn from(e: ConfigError) -> Self {
+        NetError::Config(e)
     }
 }
 

@@ -20,7 +20,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use spatl_fl::{decode_download, ChaosInjector, ClientState, FlConfig};
+use spatl_fl::{decode_download, ClientState, FlConfig};
 use spatl_wire::{
     decode_unmask_request, encode_unmask_shares, open, read_frame, seal, write_frame, MsgType,
     MAX_FRAME_PAYLOAD,
@@ -204,11 +204,6 @@ pub struct ClientNode {
     /// Whether a session was ever established (so the next successful
     /// registration counts as a reconnect).
     registered: bool,
-    /// Transport chaos this node injects into its own uploads, when the
-    /// session configures a [`spatl_fl::ChaosPlan`]. Chaos is applied
-    /// sender-side so the coordinator observes real torn frames and real
-    /// duplicate transmissions, not simulated ledger entries.
-    chaos: Option<ChaosInjector>,
     /// The round whose upload this node already tore once — a chaos
     /// reset fires on the first transmission attempt only, so the
     /// post-reconnect retry always goes through clean (chaos delays
@@ -222,7 +217,6 @@ impl ClientNode {
     /// fingerprint enforces this.
     pub fn new(cfg: FlConfig, state: ClientState, opts: NodeConfig) -> Self {
         ClientNode {
-            chaos: cfg.chaos.map(ChaosInjector::new),
             cfg,
             state,
             opts,
@@ -382,8 +376,10 @@ impl ClientNode {
             let reply = self.cache.insert(reply);
             let header = seal(MsgType::RoundDone, &reply.done.encode());
             let (round, id) = (assign.round as usize, self.state.id);
-            if let Some(chaos) = &self.chaos {
-                // Transport chaos, sender-side. A stall delays the
+            if let Some(chaos) = self.cfg.chaos {
+                // Transport chaos, sender-side — so the coordinator
+                // observes real torn frames and real duplicate
+                // transmissions, not simulated ledger entries. A stall delays the
                 // reply; a scheduled reset tears the first transmission
                 // attempt mid-frame and drops the connection (the
                 // reconnect retry goes through clean); a duplicate sends
@@ -409,8 +405,8 @@ impl ClientNode {
                 }
             }
             let copies = 1 + self
+                .cfg
                 .chaos
-                .as_ref()
                 .map_or(0, |c| usize::from(c.duplicates_upload(round, id)));
             for _ in 0..copies {
                 write_frame(&mut stream, &header)?;

@@ -288,9 +288,7 @@ fn tiered_masked_session_is_rejected_at_bind() {
         ..coordinator_config()
     };
     match Coordinator::bind(session.driver, opts) {
-        Err(NetError::Protocol(msg)) => {
-            assert!(msg.contains("masking"), "got: {msg}");
-        }
+        Err(NetError::Config(spatl_fl::ConfigError::MaskedThroughEdges)) => {}
         other => panic!("expected a protocol rejection, got {:?}", other.map(|_| ())),
     }
 }

@@ -97,22 +97,6 @@ impl PrivacyConfig {
         self
     }
 
-    /// Panic on configurations no mode can honour (mirrors the `validate`
-    /// style of the other config enums).
-    pub fn validate(&self) {
-        assert!(
-            (1..=30).contains(&self.frac_bits),
-            "privacy frac_bits must be in 1..=30, got {}",
-            self.frac_bits
-        );
-        if self.mode == PrivacyMode::FixedPoint {
-            assert!(
-                self.l2_bound > 0.0,
-                "fixed-point privacy requires a positive l2_bound"
-            );
-        }
-    }
-
     /// The per-(round, client) noise stream for fixed-point encoding.
     pub fn noise_rng(&self, round: u64, client: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(mix(self.seed ^ mix(round ^ mix(client ^ 0xD05E))))
@@ -124,19 +108,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn config_constructors_and_validation() {
+    fn config_constructors() {
         let m = PrivacyConfig::masked(9);
-        m.validate();
         assert_eq!(m.mode, PrivacyMode::Masked);
         let f = PrivacyConfig::fixed(9, 5.0).with_noise(3.0);
-        f.validate();
         assert_eq!((f.l2_bound, f.noise), (5.0, 3.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "positive l2_bound")]
-    fn fixed_requires_a_bound() {
-        PrivacyConfig::fixed(1, 0.0).validate();
     }
 
     #[test]

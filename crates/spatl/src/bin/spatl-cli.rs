@@ -42,12 +42,7 @@ fn cmd_run(args: &Args) -> Result<(), String> {
     let ratio: f32 = args.get_or("sample-ratio", 1.0);
     let seed: u64 = args.get_or("seed", 0);
 
-    println!(
-        "running {} / {} — {clients} clients × {rounds} rounds (β={beta}, ratio={ratio})",
-        algorithm.name(),
-        model.name()
-    );
-    let mut sim = ExperimentBuilder::new(algorithm)
+    let experiment = ExperimentBuilder::new(algorithm)
         .model(model)
         .clients(clients)
         .sample_ratio(ratio)
@@ -55,8 +50,19 @@ fn cmd_run(args: &Args) -> Result<(), String> {
         .rounds(rounds)
         .local_epochs(epochs)
         .beta(beta)
-        .seed(seed)
-        .build();
+        .seed(seed);
+    if let Err(e) = experiment.check(Topology::Flat) {
+        // A session that cannot run is a usage error, like a malformed
+        // flag value: exit 2 before anything is synthesised.
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    println!(
+        "running {} / {} — {clients} clients × {rounds} rounds (β={beta}, ratio={ratio})",
+        algorithm.name(),
+        model.name()
+    );
+    let mut sim = experiment.build();
     for _ in 0..rounds {
         let r = sim.run_round();
         println!(

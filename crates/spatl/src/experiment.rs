@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 use spatl_data::{dirichlet_partition, synth_cifar10, synth_femnist, Dataset, SynthConfig};
 use spatl_fl::{
-    AdversaryPlan, AggregatorKind, Algorithm, ChaosPlan, ChurnPlan, FaultPlan, FlConfig,
-    PrivacyConfig, RunResult, ScreenPolicy, Simulation,
+    AdversaryPlan, AggregatorKind, Algorithm, ChaosPlan, ChurnPlan, ConfigError, FaultPlan,
+    FlConfig, PrivacyConfig, RunResult, ScreenPolicy, Simulation, Topology,
 };
 use spatl_models::{ModelConfig, ModelKind};
 use spatl_tensor::TensorRng;
@@ -21,57 +21,30 @@ pub enum DatasetKind {
 }
 
 /// Builder wiring data synthesis, Non-IID partitioning, model construction
-/// and the federated simulator into one call.
+/// and the federated simulator into one call. The run's [`FlConfig`] is
+/// held whole; the other fields shape the data and the model.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentBuilder {
-    algorithm: Algorithm,
+    fl: FlConfig,
     model: ModelKind,
     dataset: DatasetKind,
-    n_clients: usize,
-    sample_ratio: f32,
-    rounds: usize,
-    local_epochs: usize,
-    batch_size: usize,
-    lr: f32,
     beta: f64,
     samples_per_client: usize,
     noise_std: Option<f32>,
     width_mult: f32,
-    seed: u64,
-    faults: Option<FaultPlan>,
-    adversary: Option<AdversaryPlan>,
-    screen: Option<ScreenPolicy>,
-    aggregator: AggregatorKind,
-    chaos: Option<ChaosPlan>,
-    churn: Option<ChurnPlan>,
-    privacy: Option<PrivacyConfig>,
 }
 
 impl ExperimentBuilder {
     /// Start building an experiment for the given algorithm.
     pub fn new(algorithm: Algorithm) -> Self {
         ExperimentBuilder {
-            algorithm,
+            fl: FlConfig::new(algorithm),
             model: ModelKind::ResNet20,
             dataset: DatasetKind::CifarLike,
-            n_clients: 10,
-            sample_ratio: 1.0,
-            rounds: 10,
-            local_epochs: 2,
-            batch_size: 16,
-            lr: 0.05,
             beta: 0.5,
             samples_per_client: 80,
             noise_std: None,
             width_mult: 0.25,
-            seed: 0,
-            faults: None,
-            adversary: None,
-            screen: None,
-            aggregator: AggregatorKind::WeightedMean,
-            chaos: None,
-            churn: None,
-            privacy: None,
         }
     }
 
@@ -89,37 +62,37 @@ impl ExperimentBuilder {
 
     /// Number of clients (default 10).
     pub fn clients(mut self, n: usize) -> Self {
-        self.n_clients = n;
+        self.fl.n_clients = n;
         self
     }
 
     /// Fraction of clients sampled per round (default 1.0).
     pub fn sample_ratio(mut self, r: f32) -> Self {
-        self.sample_ratio = r;
+        self.fl.sample_ratio = r;
         self
     }
 
     /// Communication rounds (default 10).
     pub fn rounds(mut self, r: usize) -> Self {
-        self.rounds = r;
+        self.fl.rounds = r;
         self
     }
 
     /// Local epochs per round (default 2; paper uses 10).
     pub fn local_epochs(mut self, e: usize) -> Self {
-        self.local_epochs = e;
+        self.fl.local_epochs = e;
         self
     }
 
     /// Local batch size (default 16).
     pub fn batch_size(mut self, b: usize) -> Self {
-        self.batch_size = b;
+        self.fl.batch_size = b;
         self
     }
 
     /// Local learning rate (default 0.05).
     pub fn lr(mut self, lr: f32) -> Self {
-        self.lr = lr;
+        self.fl.lr = lr;
         self
     }
 
@@ -153,35 +126,35 @@ impl ExperimentBuilder {
 
     /// Master seed (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.fl.seed = seed;
         self
     }
 
     /// Inject faults into every round of the run (default: none). See
     /// [`FaultPlan`] and DESIGN.md §8 for the failure model.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(plan);
+        self.fl.faults = Some(plan);
         self
     }
 
     /// Make a fraction of the clients Byzantine (default: all honest). See
     /// [`AdversaryPlan`] and DESIGN.md §9 for the threat model.
     pub fn adversary(mut self, plan: AdversaryPlan) -> Self {
-        self.adversary = Some(plan);
+        self.fl.adversary = Some(plan);
         self
     }
 
     /// Screen decoded uploads server-side before aggregation (default:
     /// trust every decoded upload). See [`ScreenPolicy`].
     pub fn screen(mut self, policy: ScreenPolicy) -> Self {
-        self.screen = Some(policy);
+        self.fl.screen = Some(policy);
         self
     }
 
     /// Aggregation rule the server applies (default
     /// [`AggregatorKind::WeightedMean`], each algorithm's published rule).
     pub fn aggregator(mut self, kind: AggregatorKind) -> Self {
-        self.aggregator = kind;
+        self.fl.aggregator = kind;
         self
     }
 
@@ -189,7 +162,7 @@ impl ExperimentBuilder {
     /// Part of the session fingerprint — every endpoint of a run must be
     /// built with the same plan. See [`ChaosPlan`] and DESIGN.md §14.
     pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.chaos = Some(plan);
+        self.fl.chaos = Some(plan);
         self
     }
 
@@ -197,7 +170,7 @@ impl ExperimentBuilder {
     /// the availability model has online each round (default: everyone
     /// always available). See [`ChurnPlan`] and DESIGN.md §14.
     pub fn churn(mut self, plan: ChurnPlan) -> Self {
-        self.churn = Some(plan);
+        self.fl.churn = Some(plan);
         self
     }
 
@@ -206,41 +179,42 @@ impl ExperimentBuilder {
     /// session fingerprint — every endpoint of a networked run must be
     /// built with the same config. See [`PrivacyConfig`] and DESIGN.md §15.
     pub fn privacy(mut self, privacy: PrivacyConfig) -> Self {
-        self.privacy = Some(privacy);
+        self.fl.privacy = Some(privacy);
         self
+    }
+
+    /// Whether the experiment can run on `topology` ([`FlConfig::check`],
+    /// plus the partition's positive Dirichlet β) — decided before
+    /// [`build`](Self::build) synthesises anything.
+    pub fn check(&self, topology: Topology) -> Result<(), ConfigError> {
+        self.fl.check(topology)?;
+        if self.beta > 0.0 {
+            Ok(())
+        } else {
+            Err(ConfigError::OutOfRange {
+                field: "beta",
+                value: self.beta,
+                expected: "positive",
+            })
+        }
     }
 
     /// Materialise the simulation without running it.
     pub fn build(self) -> Simulation {
-        let mut fl = FlConfig::new(self.algorithm);
-        fl.n_clients = self.n_clients;
-        fl.sample_ratio = self.sample_ratio;
-        fl.rounds = self.rounds;
-        fl.local_epochs = self.local_epochs;
-        fl.batch_size = self.batch_size;
-        fl.lr = self.lr;
-        fl.seed = self.seed;
-        fl.faults = self.faults;
-        fl.adversary = self.adversary;
-        fl.screen = self.screen;
-        fl.aggregator = self.aggregator;
-        fl.chaos = self.chaos;
-        fl.churn = self.churn;
-        fl.privacy = self.privacy;
-
+        let fl = self.fl;
         let (model_cfg, shards) = match self.dataset {
             DatasetKind::CifarLike => {
                 let synth = SynthConfig {
                     noise_std: self.noise_std.unwrap_or(2.5),
                     ..SynthConfig::cifar10_like()
                 };
-                let total = self.n_clients * self.samples_per_client;
-                let data = synth_cifar10(&synth, total, self.seed);
-                let mut rng = TensorRng::seed_from(self.seed ^ 0xDA7A);
+                let total = fl.n_clients * self.samples_per_client;
+                let data = synth_cifar10(&synth, total, fl.seed);
+                let mut rng = TensorRng::seed_from(fl.seed ^ 0xDA7A);
                 let parts = dirichlet_partition(
                     &data.labels,
                     synth.num_classes,
-                    self.n_clients,
+                    fl.n_clients,
                     self.beta,
                     &mut rng,
                 );
@@ -257,9 +231,8 @@ impl ExperimentBuilder {
                     noise_std: self.noise_std.unwrap_or(0.8),
                     ..SynthConfig::femnist_like()
                 };
-                let writers =
-                    synth_femnist(&synth, self.n_clients, self.samples_per_client, self.seed);
-                let mut rng = TensorRng::seed_from(self.seed ^ 0xFE);
+                let writers = synth_femnist(&synth, fl.n_clients, self.samples_per_client, fl.seed);
+                let mut rng = TensorRng::seed_from(fl.seed ^ 0xFE);
                 let shards: Vec<(Dataset, Dataset)> = writers
                     .into_iter()
                     .map(|d| d.split(0.75, &mut rng))
@@ -331,6 +304,28 @@ mod tests {
             .privacy(PrivacyConfig::masked(7))
             .build();
         assert_eq!(sim.cfg.privacy, Some(PrivacyConfig::masked(7)));
+    }
+
+    #[test]
+    fn builder_checks_before_building() {
+        let b = ExperimentBuilder::new(Algorithm::FedAvg).clients(2);
+        assert_eq!(b.check(Topology::Tiered { edges: 2 }), Ok(()));
+        assert_eq!(
+            b.clients(1).check(Topology::Tiered { edges: 2 }),
+            Err(ConfigError::MoreEdgesThanClients {
+                edges: 2,
+                clients: 1
+            })
+        );
+        let masked = b.privacy(PrivacyConfig::masked(7));
+        assert_eq!(
+            masked.check(Topology::Tiered { edges: 2 }),
+            Err(ConfigError::MaskedThroughEdges)
+        );
+        assert!(matches!(
+            b.beta(0.0).check(Topology::Flat),
+            Err(ConfigError::OutOfRange { field: "beta", .. })
+        ));
     }
 
     #[test]

@@ -44,6 +44,27 @@ fn unknown_flag_is_rejected() {
 }
 
 #[test]
+fn session_that_cannot_run_is_a_usage_error() {
+    for (args, says) in [
+        (["run", "--clients", "0"], "need at least one client"),
+        (["run", "--beta", "0"], "beta must be positive"),
+    ] {
+        let started = std::time::Instant::now();
+        let out = cli().args(args).output().expect("spawn cli");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+        assert_eq!(errors.len(), 1, "{args:?}: {err}");
+        assert!(errors[0].contains(says), "{args:?}: {err}");
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(1),
+            "{args:?} must fail before synthesising anything"
+        );
+    }
+}
+
+#[test]
 fn tiny_run_completes_and_writes_results() {
     let dir = std::env::temp_dir().join("spatl-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
