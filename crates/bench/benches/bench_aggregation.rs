@@ -1,13 +1,16 @@
 //! TAB-1/TAB-2 kernel — server aggregation cost per algorithm, the cost of
 //! the exact sums per coordinate against inexact ones, and salient index
-//! selection: the per-round server-side work.
+//! selection: the per-round server-side work. Plus the pairwise-mask
+//! keystream a masked client pays per upload.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rand::RngCore;
 use spatl::fl::{
     Algorithm, CommModel, FlConfig, GlobalState, LocalOutcome, SpatlOptions, StreamState,
 };
 use spatl::prelude::*;
 use spatl::pruning::Criterion as PruneCriterion;
+use spatl_privacy::{lane_rng, MaskLane, MaskedVector};
 
 fn fake_outcome(p: usize, id: usize, sparse: bool) -> LocalOutcome {
     let delta = vec![0.01; p];
@@ -169,6 +172,49 @@ fn bench_cost_of_exactness(c: &mut Criterion) {
     group.finish();
 }
 
+/// The masked upload's client-side cost, under `fl.upload_encode_ms`:
+/// one pair's lane keystream drawn in bulk by `fill_u64s` (the AVX2
+/// eight-block kernel where the CPU has it) next to the one-word
+/// `next_u64` loop that `SPATL_FORCE_SCALAR=1` pins it to (both in MB/s),
+/// and one pair's mask applied to a grid lane (ns/coordinate is
+/// 1000 / Melem/s).
+fn bench_mask(c: &mut Criterion) {
+    const WORDS: usize = 1 << 15;
+    let mut group = c.benchmark_group("mask_keystream");
+    group.sample_size(20);
+    group.throughput(Throughput::Bytes(8 * WORDS as u64));
+    let mut buf = vec![0u64; WORDS];
+    group.bench_function("fill_u64s", |b| {
+        b.iter(|| {
+            lane_rng(7, MaskLane::Delta).fill_u64s(&mut buf);
+            buf[WORDS - 1]
+        })
+    });
+    group.bench_function("next_u64", |b| {
+        b.iter(|| {
+            let mut rng = lane_rng(7, MaskLane::Delta);
+            for w in buf.iter_mut() {
+                *w = rng.next_u64();
+            }
+            buf[WORDS - 1]
+        })
+    });
+    group.finish();
+
+    let n = 1 << 14;
+    let mut group = c.benchmark_group("mask_apply");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(n as u64));
+    let mut lane = MaskedVector::zeros(n);
+    group.bench_function("pair_grid_lane", |b| {
+        b.iter(|| {
+            lane.apply_mask(&mut lane_rng(7, MaskLane::Delta), true);
+            lane.words()[0]
+        })
+    });
+    group.finish();
+}
+
 fn bench_salient_selection(c: &mut Criterion) {
     let mut group = c.benchmark_group("salient_indices");
     group.sample_size(20);
@@ -185,6 +231,7 @@ criterion_group!(
     benches,
     bench_aggregation,
     bench_cost_of_exactness,
+    bench_mask,
     bench_salient_selection
 );
 criterion_main!(benches);

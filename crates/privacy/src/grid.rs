@@ -19,8 +19,14 @@
 //! so the wrapped words are interpretable as a signed integer with no
 //! ambiguity.
 
+use rand_chacha::ChaCha8Rng;
+
 /// 64-bit words per coordinate: 384 bits of two's-complement headroom.
 pub const GRID_WORDS: usize = 6;
+
+/// Mask words drawn per bulk fill: 64 grid coordinates, 3 KiB of stack
+/// scratch that stays in L1 while it is added into the lane.
+const MASK_CHUNK_WORDS: usize = 64 * GRID_WORDS;
 
 /// Base-`2^32` digits per coordinate the fold's finalize ladder reads
 /// (the low `11·32 = 352` bits; the remaining 32 bits are the signed
@@ -121,21 +127,23 @@ impl MaskedVector {
     }
 
     /// Apply one pairwise mask stream over every coordinate: draw
-    /// [`GRID_WORDS`] uniform words per coordinate from `next` and
+    /// [`GRID_WORDS`] uniform words per coordinate from `rng` and
     /// wrapping-add them (`add = true`, the lower pair id) or subtract
     /// them (`add = false`, the higher id). Two parties drawing from the
     /// same stream with opposite signs cancel exactly mod `2^384`.
-    pub fn apply_mask(&mut self, mut next: impl FnMut() -> u64, add: bool) {
-        for j in 0..self.n {
-            let mut part = [0u64; GRID_WORDS];
-            for w in part.iter_mut() {
-                *w = next();
+    pub fn apply_mask(&mut self, rng: &mut ChaCha8Rng, add: bool) {
+        let mut scratch = [0u64; MASK_CHUNK_WORDS];
+        for lane in self.words.chunks_mut(MASK_CHUNK_WORDS) {
+            let mask = &mut scratch[..lane.len()];
+            rng.fill_u64s(mask);
+            let coords = lane.as_chunks_mut::<GRID_WORDS>().0;
+            for (w, m) in coords.iter_mut().zip(mask.as_chunks().0) {
+                if add {
+                    add_words(w, m);
+                } else {
+                    sub_words(w, m);
+                }
             }
-            if !add {
-                negate_words(&mut part);
-            }
-            let base = j * GRID_WORDS;
-            add_words(&mut self.words[base..base + GRID_WORDS], &part);
         }
     }
 
@@ -204,14 +212,18 @@ impl MaskedCounts {
 
     /// Apply one pairwise mask stream: one uniform word per coordinate,
     /// added or subtracted mod `2^64`.
-    pub fn apply_mask(&mut self, mut next: impl FnMut() -> u64, add: bool) {
-        for w in self.words.iter_mut() {
-            let m = next();
-            *w = if add {
-                w.wrapping_add(m)
-            } else {
-                w.wrapping_sub(m)
-            };
+    pub fn apply_mask(&mut self, rng: &mut ChaCha8Rng, add: bool) {
+        let mut scratch = [0u64; MASK_CHUNK_WORDS];
+        for lane in self.words.chunks_mut(MASK_CHUNK_WORDS) {
+            let mask = &mut scratch[..lane.len()];
+            rng.fill_u64s(mask);
+            for (w, &m) in lane.iter_mut().zip(mask.iter()) {
+                *w = if add {
+                    w.wrapping_add(m)
+                } else {
+                    w.wrapping_sub(m)
+                };
+            }
         }
     }
 
@@ -230,6 +242,17 @@ fn add_words(words: &mut [u64], part: &[u64; GRID_WORDS]) {
         let (s2, c2) = s1.overflowing_add(carry);
         *w = s2;
         carry = u64::from(c1) + u64::from(c2);
+    }
+}
+
+/// `words -= part` with borrow propagation, mod `2^(64·len)`.
+fn sub_words(words: &mut [u64], part: &[u64; GRID_WORDS]) {
+    let mut borrow = 0u64;
+    for (w, &p) in words.iter_mut().zip(part.iter()) {
+        let (d1, b1) = w.overflowing_sub(p);
+        let (d2, b2) = d1.overflowing_sub(borrow);
+        *w = d2;
+        borrow = u64::from(b1) + u64::from(b2);
     }
 }
 
@@ -319,7 +342,7 @@ mod tests {
 
     #[test]
     fn masks_cancel_exactly_in_any_fold_order() {
-        use rand::{RngCore, SeedableRng};
+        use rand::SeedableRng;
         let n = 17;
         let mut a = MaskedVector::zeros(n);
         let mut b = MaskedVector::zeros(n);
@@ -331,10 +354,8 @@ mod tests {
         clear.add_assign(&a);
         clear.add_assign(&b);
 
-        let mut ra = rand_chacha::ChaCha8Rng::seed_from_u64(0xFEED);
-        let mut rb = rand_chacha::ChaCha8Rng::seed_from_u64(0xFEED);
-        a.apply_mask(|| ra.next_u64(), true);
-        b.apply_mask(|| rb.next_u64(), false);
+        a.apply_mask(&mut ChaCha8Rng::seed_from_u64(0xFEED), true);
+        b.apply_mask(&mut ChaCha8Rng::seed_from_u64(0xFEED), false);
 
         let mut fold = MaskedVector::zeros(n);
         fold.add_assign(&b); // reversed arrival order
@@ -344,16 +365,14 @@ mod tests {
 
     #[test]
     fn count_masks_cancel() {
-        use rand::{RngCore, SeedableRng};
+        use rand::SeedableRng;
         let mut a = MaskedCounts::zeros(4);
         let mut b = MaskedCounts::zeros(4);
         a.bump(0);
         a.bump(2);
         b.bump(2);
-        let mut ra = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        let mut rb = rand_chacha::ChaCha8Rng::seed_from_u64(1);
-        a.apply_mask(|| ra.next_u64(), false);
-        b.apply_mask(|| rb.next_u64(), true);
+        a.apply_mask(&mut ChaCha8Rng::seed_from_u64(1), false);
+        b.apply_mask(&mut ChaCha8Rng::seed_from_u64(1), true);
         let mut fold = MaskedCounts::zeros(4);
         fold.add_assign(&a);
         fold.add_assign(&b);

@@ -33,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 pub use fixed::{dequantize, discrete_laplace, quantize, quantized_l2};
 pub use grid::{MaskedCounts, MaskedVector, GRID_DIGITS, GRID_WORDS};
-pub use mask::{lane_stream, mix, pair_base, MaskLane, MaskedUpload, UnmaskShare};
+pub use mask::{lane_rng, lane_stream, mix, pair_base, MaskLane, MaskedUpload, UnmaskShare};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -15,7 +15,7 @@
 //! survivor reveals the pair base it shared with the dropped client
 //! ([`UnmaskShare`]) — and subtracts the orphaned masks before finalize.
 
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::grid::{MaskedCounts, MaskedVector};
@@ -62,12 +62,27 @@ impl MaskLane {
     }
 }
 
-/// The keystream one pair applies to one lane: a ChaCha8 generator
-/// domain-separated from the pair base by the lane tag.
+/// The generator one pair masks one lane with: ChaCha8 domain-separated
+/// from the pair base by the lane tag.
+pub fn lane_rng(base: u64, lane: MaskLane) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(mix(base ^ lane.tag().wrapping_mul(0xA24B_AED4_963E_E407)))
+}
+
+/// The keystream of [`lane_rng`] one word at a time, drawn through a
+/// 64-word buffer that [`ChaCha8Rng::fill_u64s`] refills — the same bulk
+/// path [`MaskedVector::apply_mask`] runs.
 pub fn lane_stream(base: u64, lane: MaskLane) -> impl FnMut() -> u64 {
-    let mut rng =
-        ChaCha8Rng::seed_from_u64(mix(base ^ lane.tag().wrapping_mul(0xA24B_AED4_963E_E407)));
-    move || rng.next_u64()
+    let mut rng = lane_rng(base, lane);
+    let mut buf = [0u64; 64];
+    let mut at = buf.len();
+    move || {
+        if at == buf.len() {
+            rng.fill_u64s(&mut buf);
+            at = 0;
+        }
+        at += 1;
+        buf[at - 1]
+    }
 }
 
 /// One client's server-blind upload: every lane the clear upload would
@@ -93,15 +108,15 @@ impl MaskedUpload {
     /// pair's masks across every lane this upload carries.
     pub fn mask_for_pair(&mut self, base: u64, add: bool) {
         self.delta
-            .apply_mask(lane_stream(base, MaskLane::Delta), add);
+            .apply_mask(&mut lane_rng(base, MaskLane::Delta), add);
         if let Some(sec) = &mut self.secondary {
-            sec.apply_mask(lane_stream(base, MaskLane::Secondary), add);
+            sec.apply_mask(&mut lane_rng(base, MaskLane::Secondary), add);
         }
         if let Some(counts) = &mut self.counts {
-            counts.apply_mask(lane_stream(base, MaskLane::Count), add);
+            counts.apply_mask(&mut lane_rng(base, MaskLane::Count), add);
         }
         if let Some(buf) = &mut self.buffers {
-            buf.apply_mask(lane_stream(base, MaskLane::Buffers), add);
+            buf.apply_mask(&mut lane_rng(base, MaskLane::Buffers), add);
         }
     }
 
@@ -173,6 +188,57 @@ mod tests {
         let xs: Vec<u64> = (0..8).map(|_| a()).collect();
         let ys: Vec<u64> = (0..8).map(|_| b()).collect();
         assert_ne!(xs, ys);
+    }
+
+    #[test]
+    fn lane_stream_is_the_lane_rng_stream() {
+        use rand::RngCore;
+        let mut buffered = lane_stream(42, MaskLane::Count);
+        let mut rng = lane_rng(42, MaskLane::Count);
+        for i in 0..200 {
+            assert_eq!(buffered(), rng.next_u64(), "word {i}");
+        }
+    }
+
+    /// The masked words each member of a four-client cohort puts on the
+    /// wire, one digest per member over all four lanes. Pinned constants:
+    /// a keystream that drifts by one word stops cancelling against a
+    /// peer running an older build.
+    #[test]
+    fn cohort_mask_words_are_pinned() {
+        let cohort = [2usize, 5, 9, 13];
+        let n = 1_000;
+        let digests: Vec<u64> = cohort
+            .iter()
+            .map(|&me| {
+                let mut up = MaskedUpload {
+                    delta: MaskedVector::zeros(n),
+                    secondary: Some(MaskedVector::zeros(n)),
+                    counts: Some(MaskedCounts::zeros(n)),
+                    buffers: Some(MaskedVector::zeros(n)),
+                };
+                up.mask_for_cohort(99, 4, me, &cohort);
+                let lanes = [
+                    up.delta.words(),
+                    up.secondary.as_ref().unwrap().words(),
+                    up.counts.as_ref().unwrap().words(),
+                    up.buffers.as_ref().unwrap().words(),
+                ];
+                lanes
+                    .iter()
+                    .flat_map(|l| l.iter())
+                    .fold(0, |h, &w| mix(h ^ w))
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                3_091_981_010_753_656_079,
+                2_455_697_893_187_778_113,
+                7_038_767_183_552_248_779,
+                7_920_611_327_403_765_040,
+            ]
+        );
     }
 
     #[test]
