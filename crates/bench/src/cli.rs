@@ -10,31 +10,26 @@ use spatl::cli::parse_algorithm;
 pub use spatl::cli::Args;
 use spatl::prelude::{
     Algorithm, ChaosPlan, ChurnPlan, ConfigError, ExperimentBuilder, PrivacyConfig, Simulation,
-    SpatlOptions, Topology,
+    Topology,
 };
 
 /// The paper's five algorithms, SPATL first (the ordering the
 /// figure-style experiments print).
 pub fn algorithms() -> Vec<(Algorithm, &'static str)> {
-    vec![
-        (Algorithm::Spatl(SpatlOptions::default()), "SPATL"),
-        (Algorithm::FedAvg, "FedAvg"),
-        (Algorithm::FedProx { mu: 0.01 }, "FedProx"),
-        (Algorithm::Scaffold, "SCAFFOLD"),
-        (Algorithm::FedNova, "FedNova"),
-    ]
+    in_order([4, 0, 1, 2, 3])
 }
 
 /// The same five algorithms, baselines first (the ordering the
 /// table-style experiments print, SPATL as the closing row).
 pub fn algorithms_baseline_first() -> Vec<(Algorithm, &'static str)> {
-    vec![
-        (Algorithm::FedAvg, "FedAvg"),
-        (Algorithm::FedNova, "FedNova"),
-        (Algorithm::FedProx { mu: 0.01 }, "FedProx"),
-        (Algorithm::Scaffold, "SCAFFOLD"),
-        (Algorithm::Spatl(SpatlOptions::default()), "SPATL"),
-    ]
+    in_order([0, 3, 1, 2, 4])
+}
+
+/// [`Algorithm::roster`] (FedAvg, FedProx, SCAFFOLD, FedNova, SPATL) in
+/// `order`, each labelled with its name.
+fn in_order(order: [usize; 5]) -> Vec<(Algorithm, &'static str)> {
+    let roster = Algorithm::roster();
+    order.map(|i| (roster[i], roster[i].name())).to_vec()
 }
 
 /// The flag set shared by `spatl-server` and `spatl-client`:

@@ -63,7 +63,7 @@ use spatl_privacy::{
 
 use crate::{
     AggregatorKind, Algorithm, CompressedDelta, FaultKind, FaultRecord, FlConfig, GlobalState,
-    LocalOutcome, ScreenPolicy,
+    LocalOutcome, ScreenPolicy, Weight,
 };
 
 /// `2^-149` — the grid LSB — as an exactly-represented f64.
@@ -579,19 +579,13 @@ impl RoundTotals {
             return;
         }
         self.valid += 1;
-        match self.cfg.algorithm {
-            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                self.total_samples += o.n_samples as u128;
-            }
-            Algorithm::FedNova => {
-                self.total_samples += o.n_samples as u128;
-                self.tau_weighted += o.n_samples as u128 * o.tau as u128;
-                // The masked wire always carries the velocity lane,
-                // exactly as the clear pair codec always does.
-                self.any_velocity |= o.velocity.is_some() || o.masked.is_some();
-            }
-            Algorithm::Scaffold | Algorithm::Spatl(_) => {}
+        if self.cfg.algorithm.spec().weight == Weight::Samples {
+            self.total_samples += o.n_samples as u128;
+            self.tau_weighted += o.n_samples as u128 * o.tau as u128;
         }
+        // Read by FedNova's rule only. The masked wire always carries the
+        // velocity lane, exactly as the clear pair codec always does.
+        self.any_velocity |= o.velocity.is_some() || o.masked.is_some();
     }
 
     /// Apply the accumulated round to `global`. Returns `true` if an
@@ -709,9 +703,8 @@ impl StreamState {
         let totals = RoundTotals::new(cfg, global, n_clients_total);
         let (p, buf_len) = (totals.p, totals.buf_len);
         // The same lane shape a masked upload is built with.
+        let spec = cfg.algorithm.spec();
         let uses_control = cfg.algorithm.uses_control();
-        let has_secondary = cfg.algorithm.uses_secondary_lane();
-        let votes = cfg.algorithm.uses_count_lane();
         let (mut control_bcast, delta, mut count, secondary, buffers) = match spare {
             Some(old) => (
                 old.control_bcast,
@@ -727,13 +720,15 @@ impl StreamState {
             control_bcast.extend_from_slice(&global.control);
         }
         count.clear();
-        count.resize(if votes { p } else { 0 }, 0);
+        count.resize(if spec.count_lane { p } else { 0 }, 0);
         StreamState {
             totals,
             control_bcast,
             delta: ExactSums::recycled(p, delta),
             count,
-            secondary: has_secondary.then(|| ExactSums::recycled(p, secondary)),
+            secondary: spec
+                .secondary_lane
+                .then(|| ExactSums::recycled(p, secondary)),
             buffers: (buf_len > 0).then(|| ExactSums::recycled(buf_len, buffers)),
         }
     }

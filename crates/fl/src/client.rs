@@ -1,6 +1,6 @@
 //! Client-side state and local update rules.
 
-use crate::{Algorithm, CommModel, FlConfig, GlobalState, RoundBytes};
+use crate::{Algorithm, CommModel, FlConfig, GlobalState, RoundBytes, UploadLane};
 use spatl_agent::{finetune_agent, ActorCritic, PruningEnv};
 use spatl_data::Dataset;
 use spatl_models::SplitModel;
@@ -188,6 +188,22 @@ impl LocalOutcome {
         }
     }
 
+    /// The vector a two-lane dense upload carries next to `delta`.
+    pub(crate) fn lane(&self, lane: UploadLane) -> Option<&[f32]> {
+        match lane {
+            UploadLane::ControlDelta => self.control_delta.as_deref(),
+            UploadLane::Velocity => self.velocity.as_deref(),
+        }
+    }
+
+    /// [`LocalOutcome::lane`], writable.
+    pub(crate) fn lane_mut(&mut self, lane: UploadLane) -> &mut Option<Vec<f32>> {
+        match lane {
+            UploadLane::ControlDelta => &mut self.control_delta,
+            UploadLane::Velocity => &mut self.velocity,
+        }
+    }
+
     /// Multiply every aggregated vector — the delta, the salient values,
     /// the control step, the momentum — by `factor`: the median-RMS clip
     /// and the scaling attacks. Batch-norm statistics are running means,
@@ -290,7 +306,8 @@ impl ClientState {
         global: &GlobalState,
         round: usize,
     ) -> LocalOutcome {
-        let include_pred = !cfg.algorithm.uses_transfer();
+        let spec = cfg.algorithm.spec();
+        let include_pred = !spec.private_predictor;
         let uses_control = cfg.algorithm.uses_control();
 
         // 1. Download: sync shared weights (and BN buffers) from server.
@@ -416,7 +433,7 @@ impl ClientState {
         }
 
         // FedNova uploads the local momentum buffer next to the delta.
-        let velocity = matches!(cfg.algorithm, Algorithm::FedNova).then(|| {
+        let velocity = (spec.upload_lane == Some(UploadLane::Velocity)).then(|| {
             let mut v = opt_enc.velocity_flat(enc_len);
             if include_pred {
                 v.extend(opt_pred.velocity_flat(delta.len() - enc_len));
@@ -424,11 +441,18 @@ impl ClientState {
             v
         });
 
-        // 5. SPATL: salient selection.
+        // 5. Eq. 13: 4 bytes per shared parameter per lane, unless SPATL's
+        //    salient selection or a FedAvg / FedProx codec shrinks the
+        //    upload.
+        let p = global.shared.len();
+        let lanes = |second: bool| 4 * p as u64 * (1 + u64::from(second));
+        let mut bytes = RoundBytes {
+            download: lanes(spec.download_lane.is_some()),
+            upload: lanes(spec.upload_lane.is_some()),
+        };
         let mut selected = None;
         let mut keep_ratio = 1.0f32;
         let mut flops_ratio = 1.0f32;
-        let bytes;
         match cfg.algorithm {
             Algorithm::Spatl(opts) if opts.selection && !diverged => {
                 let (idx, channel_ids) = self.run_selection(cfg, &opts, round);
@@ -441,12 +465,8 @@ impl ClientState {
                 }
                 keep_ratio = indices.len() as f32 / delta.len() as f32;
                 let values: Vec<f32> = indices.iter().map(|&i| delta[i as usize]).collect();
-                bytes = CommModel::spatl(
-                    global.shared.len(),
-                    indices.len(),
-                    channel_ids.len(),
-                    opts.gradient_control,
-                );
+                // Selected values plus one u32 per surviving channel.
+                bytes.upload = 4 * (indices.len() + channel_ids.len()) as u64;
                 selected = Some(SelectedUpdate {
                     indices,
                     values,
@@ -454,30 +474,16 @@ impl ClientState {
                     channel_ids,
                 });
             }
-            Algorithm::Spatl(opts) => {
-                // Selection disabled (ablation): dense upload, but still
-                // encoder-only + control accounting.
-                bytes = CommModel::spatl(
-                    global.shared.len(),
-                    global.shared.len(),
-                    0,
-                    opts.gradient_control,
-                );
-            }
-            Algorithm::Scaffold => bytes = CommModel::scaffold(global.shared.len()),
-            Algorithm::FedNova => bytes = CommModel::fednova(global.shared.len()),
-            Algorithm::FedAvg | Algorithm::FedProx { .. } => {
-                let p = global.shared.len();
-                bytes = match cfg.upload_codec {
-                    crate::UploadCodec::Dense => CommModel::dense(p),
-                    crate::UploadCodec::TopK { .. } => {
-                        let k = cfg.upload_codec.kept(p);
-                        keep_ratio = k as f32 / p.max(1) as f32;
-                        CommModel::dense_topk(p, k)
-                    }
-                    crate::UploadCodec::F16 => CommModel::dense_f16(p),
-                };
-            }
+            _ if spec.plain_delta => match cfg.upload_codec {
+                crate::UploadCodec::Dense => {}
+                crate::UploadCodec::TopK { .. } => {
+                    let k = cfg.upload_codec.kept(p);
+                    keep_ratio = k as f32 / p.max(1) as f32;
+                    bytes.upload = CommModel::dense_topk(p, k).upload;
+                }
+                crate::UploadCodec::F16 => bytes.upload = CommModel::dense_f16(p).upload,
+            },
+            _ => {}
         }
 
         // Masked privacy re-prices the upload: every lane widens to
@@ -487,10 +493,10 @@ impl ClientState {
         let bytes = match cfg.privacy.map(|p| p.mode) {
             Some(spatl_privacy::PrivacyMode::Masked) => CommModel::masked(
                 bytes,
-                global.shared.len(),
+                p,
                 global.buffers.len(),
-                cfg.algorithm.uses_secondary_lane(),
-                cfg.algorithm.uses_count_lane(),
+                spec.secondary_lane,
+                spec.count_lane,
             ),
             _ => bytes,
         };

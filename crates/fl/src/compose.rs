@@ -54,7 +54,7 @@ use spatl_wire::{EdgeEntry, EdgeReduced, EdgeSelection, TierFaultCounters};
 use crate::screen::median_in_place;
 use crate::{
     AggregatorKind, Algorithm, FaultRecord, FlConfig, GlobalState, LocalOutcome, RoundBytes,
-    WireBytes,
+    UploadLane, WireBytes,
 };
 
 /// Who a root terminates: clients directly (the flat star) or edge
@@ -336,88 +336,85 @@ pub fn aggregate_reduced(
     let inv_n = 1.0 / n_clients_total as f32;
     let mut sample: Vec<f32> = Vec::with_capacity(edges.len());
 
-    match cfg.algorithm {
-        Algorithm::FedAvg
-        | Algorithm::FedProx { .. }
-        | Algorithm::FedNova
-        | Algorithm::Scaffold => {
-            let active: Vec<&EdgeReduced> = edges
+    // Dense summaries carry one delta per edge plus the upload's second
+    // lane; a count lane means per-index selections instead.
+    let spec = cfg.algorithm.spec();
+    if !spec.count_lane {
+        let active: Vec<&EdgeReduced> = edges
+            .iter()
+            .filter(|e| e.survivors > 0 && e.delta.len() == p)
+            .collect();
+        if active.is_empty() {
+            return false;
+        }
+        for j in 0..p {
+            sample.clear();
+            sample.extend(active.iter().map(|e| e.delta[j]));
+            global.shared[j] += cfg.server_lr * robust_stat(&cfg.aggregator, &mut sample);
+        }
+        if spec.upload_lane == Some(UploadLane::ControlDelta) {
+            let total_survivors: u32 = active.iter().map(|e| e.survivors).sum();
+            let s_over_n = total_survivors as f32 * inv_n;
+            let carriers: Vec<&&EdgeReduced> = active
                 .iter()
-                .filter(|e| e.survivors > 0 && e.delta.len() == p)
+                .filter(|e| e.control_delta.len() == p)
                 .collect();
-            if active.is_empty() {
-                return false;
-            }
-            for j in 0..p {
-                sample.clear();
-                sample.extend(active.iter().map(|e| e.delta[j]));
-                global.shared[j] += cfg.server_lr * robust_stat(&cfg.aggregator, &mut sample);
-            }
-            if matches!(cfg.algorithm, Algorithm::Scaffold) {
-                let total_survivors: u32 = active.iter().map(|e| e.survivors).sum();
-                let s_over_n = total_survivors as f32 * inv_n;
-                let carriers: Vec<&&EdgeReduced> = active
-                    .iter()
-                    .filter(|e| e.control_delta.len() == p)
-                    .collect();
-                if !carriers.is_empty() {
-                    for j in 0..p {
-                        sample.clear();
-                        sample.extend(carriers.iter().map(|e| e.control_delta[j]));
-                        global.control[j] += s_over_n * robust_stat(&cfg.aggregator, &mut sample);
-                    }
-                }
-            }
-            if matches!(cfg.algorithm, Algorithm::FedNova) {
-                let carriers: Vec<&&EdgeReduced> =
-                    active.iter().filter(|e| e.velocity.len() == p).collect();
-                if !carriers.is_empty() {
-                    let mut momentum = vec![0.0f32; p];
-                    #[allow(clippy::needless_range_loop)] // j indexes every summary
-                    for j in 0..p {
-                        sample.clear();
-                        sample.extend(carriers.iter().map(|e| e.velocity[j]));
-                        momentum[j] = robust_stat(&cfg.aggregator, &mut sample);
-                    }
-                    global.momentum = momentum;
+            if !carriers.is_empty() {
+                for j in 0..p {
+                    sample.clear();
+                    sample.extend(carriers.iter().map(|e| e.control_delta[j]));
+                    global.control[j] += s_over_n * robust_stat(&cfg.aggregator, &mut sample);
                 }
             }
         }
-        Algorithm::Spatl(opts) => {
-            // Merge the edges' per-index summaries: for each index any
-            // edge selected, the statistic runs over the edge values and
-            // the participation count is the sum of the edge counts.
-            let mut votes: Vec<Vec<f32>> = vec![Vec::new(); p];
-            let mut cd_votes: Vec<Vec<f32>> = vec![Vec::new(); p];
-            let mut counts = vec![0u64; p];
-            let mut any = false;
-            for e in edges.iter().filter(|e| e.survivors > 0) {
-                let Some(sel) = &e.selection else { continue };
-                for (k, &i) in sel.indices.iter().enumerate() {
-                    let j = i as usize;
-                    if j >= p {
-                        continue;
-                    }
-                    any = true;
-                    votes[j].push(sel.values[k]);
-                    counts[j] += sel.counts[k] as u64;
-                    if let Some(&cv) = sel.control_values.get(k) {
-                        cd_votes[j].push(cv);
-                    }
+        if spec.upload_lane == Some(UploadLane::Velocity) {
+            let carriers: Vec<&&EdgeReduced> =
+                active.iter().filter(|e| e.velocity.len() == p).collect();
+            if !carriers.is_empty() {
+                let mut momentum = vec![0.0f32; p];
+                #[allow(clippy::needless_range_loop)] // j indexes every summary
+                for j in 0..p {
+                    sample.clear();
+                    sample.extend(carriers.iter().map(|e| e.velocity[j]));
+                    momentum[j] = robust_stat(&cfg.aggregator, &mut sample);
                 }
+                global.momentum = momentum;
             }
-            if !any {
-                return false;
-            }
-            for j in 0..p {
-                if votes[j].is_empty() {
+        }
+    } else {
+        // Merge the edges' per-index summaries: for each index any
+        // edge selected, the statistic runs over the edge values and
+        // the participation count is the sum of the edge counts.
+        let mut votes: Vec<Vec<f32>> = vec![Vec::new(); p];
+        let mut cd_votes: Vec<Vec<f32>> = vec![Vec::new(); p];
+        let mut counts = vec![0u64; p];
+        let mut any = false;
+        for e in edges.iter().filter(|e| e.survivors > 0) {
+            let Some(sel) = &e.selection else { continue };
+            for (k, &i) in sel.indices.iter().enumerate() {
+                let j = i as usize;
+                if j >= p {
                     continue;
                 }
-                global.shared[j] += cfg.server_lr * robust_stat(&cfg.aggregator, &mut votes[j]);
-                if opts.gradient_control && !cd_votes[j].is_empty() {
-                    global.control[j] +=
-                        counts[j] as f32 * inv_n * robust_stat(&cfg.aggregator, &mut cd_votes[j]);
+                any = true;
+                votes[j].push(sel.values[k]);
+                counts[j] += sel.counts[k] as u64;
+                if let Some(&cv) = sel.control_values.get(k) {
+                    cd_votes[j].push(cv);
                 }
+            }
+        }
+        if !any {
+            return false;
+        }
+        for j in 0..p {
+            if votes[j].is_empty() {
+                continue;
+            }
+            global.shared[j] += cfg.server_lr * robust_stat(&cfg.aggregator, &mut votes[j]);
+            if spec.secondary_lane && !cd_votes[j].is_empty() {
+                global.control[j] +=
+                    counts[j] as f32 * inv_n * robust_stat(&cfg.aggregator, &mut cd_votes[j]);
             }
         }
     }

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use spatl_privacy::PrivacyMode;
-use spatl_wire::{LinkSpec, SimNet};
+use spatl_wire::{LinkSpec, MsgType, SimNet};
 
 use crate::Topology;
 
@@ -113,46 +113,156 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// This algorithm's row: what it downloads, uploads, folds and
+    /// weighs (DESIGN.md §3, "What an algorithm is").
+    pub(crate) fn spec(&self) -> AlgoSpec {
+        use DownloadLane::{Control, Momentum};
+        use UploadLane::{ControlDelta, Velocity};
+        match *self {
+            Algorithm::FedAvg => AlgoSpec {
+                name: "FedAvg",
+                download: MsgType::DenseModel,
+                download_lane: None,
+                upload: MsgType::DenseUpdate,
+                upload_lane: None,
+                secondary_lane: false,
+                count_lane: false,
+                weight: Weight::Samples,
+                plain_delta: true,
+                private_predictor: false,
+            },
+            // FedProx differs from FedAvg in its local objective only.
+            Algorithm::FedProx { .. } => AlgoSpec {
+                name: "FedProx",
+                ..Algorithm::FedAvg.spec()
+            },
+            Algorithm::Scaffold => AlgoSpec {
+                name: "SCAFFOLD",
+                download: MsgType::ScaffoldModel,
+                download_lane: Some(Control),
+                upload: MsgType::ScaffoldUpdate,
+                upload_lane: Some(ControlDelta),
+                secondary_lane: true,
+                count_lane: false,
+                weight: Weight::One,
+                plain_delta: false,
+                private_predictor: false,
+            },
+            Algorithm::FedNova => AlgoSpec {
+                name: "FedNova",
+                download: MsgType::FedNovaModel,
+                download_lane: Some(Momentum),
+                upload: MsgType::FedNovaUpdate,
+                upload_lane: Some(Velocity),
+                secondary_lane: true,
+                count_lane: false,
+                weight: Weight::Samples,
+                plain_delta: false,
+                private_predictor: false,
+            },
+            // The server re-derives SPATL's control steps from the
+            // uploaded delta, so its dense upload has no second lane
+            // while its fold has one.
+            Algorithm::Spatl(o) => AlgoSpec {
+                name: "SPATL",
+                download: MsgType::SpatlEncoder,
+                download_lane: o.gradient_control.then_some(Control),
+                upload: MsgType::DenseUpdate,
+                upload_lane: None,
+                secondary_lane: o.gradient_control,
+                count_lane: true,
+                weight: Weight::One,
+                plain_delta: false,
+                private_predictor: o.transfer,
+            },
+        }
+    }
+
     /// Display name matching the paper's tables.
     pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::FedAvg => "FedAvg",
-            Algorithm::FedProx { .. } => "FedProx",
-            Algorithm::Scaffold => "SCAFFOLD",
-            Algorithm::FedNova => "FedNova",
-            Algorithm::Spatl(_) => "SPATL",
-        }
+        self.spec().name
     }
 
     /// Whether clients keep private predictors (encoder-only sharing).
     pub fn uses_transfer(&self) -> bool {
-        matches!(self, Algorithm::Spatl(o) if o.transfer)
+        self.spec().private_predictor
     }
 
     /// Whether the algorithm maintains control variates.
     pub fn uses_control(&self) -> bool {
-        matches!(self, Algorithm::Scaffold)
-            || matches!(self, Algorithm::Spatl(o) if o.gradient_control)
+        self.spec().download_lane == Some(DownloadLane::Control)
     }
 
-    /// Whether an upload is one plain delta lane (FedAvg / FedProx) —
-    /// the only upload the compressing codecs and fixed-point sums encode.
-    pub fn uses_plain_delta(&self) -> bool {
-        matches!(self, Algorithm::FedAvg | Algorithm::FedProx { .. })
+    /// The five algorithms at the parameters the reproduction runs
+    /// them with, in the order `--algorithm` lists them.
+    pub fn roster() -> [Algorithm; 5] {
+        [
+            Algorithm::FedAvg,
+            Algorithm::FedProx { mu: 0.01 },
+            Algorithm::Scaffold,
+            Algorithm::FedNova,
+            Algorithm::Spatl(SpatlOptions::default()),
+        ]
     }
+}
 
-    /// Whether an exact upload carries the secondary lane (SCAFFOLD /
-    /// SPATL control deltas, FedNova velocity).
-    pub fn uses_secondary_lane(&self) -> bool {
-        matches!(self, Algorithm::Scaffold | Algorithm::FedNova)
-            || matches!(self, Algorithm::Spatl(o) if o.gradient_control)
-    }
+/// What one algorithm sends, folds and weighs — every fact about an
+/// algorithm that the wire, the client, the fold and the composition
+/// read, decided once in [`Algorithm::spec`]. The update rules
+/// themselves stay per-algorithm code.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct AlgoSpec {
+    /// Display name matching the paper's tables.
+    pub(crate) name: &'static str,
+    /// Tag of the server's broadcast.
+    pub(crate) download: MsgType,
+    /// The vector the broadcast pairs with the shared weights, if any.
+    pub(crate) download_lane: Option<DownloadLane>,
+    /// Tag of a dense upload (no selection, no compressing codec).
+    pub(crate) upload: MsgType,
+    /// The vector a dense upload pairs with the delta, if any.
+    pub(crate) upload_lane: Option<UploadLane>,
+    /// Whether the fold carries a secondary lane (control deltas or
+    /// velocities) — and so does a masked upload.
+    pub(crate) secondary_lane: bool,
+    /// Whether the fold carries per-coordinate vote counts: SPATL's
+    /// channel-indexed sparse uploads.
+    pub(crate) count_lane: bool,
+    /// What one upload weighs in the fold.
+    pub(crate) weight: Weight,
+    /// Whether an upload is one plain delta lane — the only upload the
+    /// compressing codecs and fixed-point sums encode.
+    pub(crate) plain_delta: bool,
+    /// Whether clients keep private predictors (encoder-only sharing).
+    pub(crate) private_predictor: bool,
+}
 
-    /// Whether an exact upload carries the per-coordinate vote-count lane
-    /// (SPATL's channel-indexed sparse uploads).
-    pub fn uses_count_lane(&self) -> bool {
-        matches!(self, Algorithm::Spatl(_))
-    }
+/// The second vector of a two-lane broadcast.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum DownloadLane {
+    /// The server control variate `c` (SCAFFOLD, SPATL with gradient
+    /// control).
+    Control,
+    /// FedNova's aggregated momentum.
+    Momentum,
+}
+
+/// The second vector of a two-lane dense upload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum UploadLane {
+    /// SCAFFOLD's control-variate step `Δcᵢ`.
+    ControlDelta,
+    /// FedNova's local momentum buffer.
+    Velocity,
+}
+
+/// What one upload weighs in the fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Weight {
+    /// Its local sample count (FedAvg, FedProx, FedNova).
+    Samples,
+    /// One, whatever its shard (SCAFFOLD, SPATL).
+    One,
 }
 
 /// How a FedAvg / FedProx client compresses its uploaded delta.
@@ -446,7 +556,7 @@ impl FlConfig {
                 return Err(ConfigError::MoreEdgesThanClients { edges, clients });
             }
         }
-        let plain = self.algorithm.uses_plain_delta();
+        let plain = self.algorithm.spec().plain_delta;
         if self.upload_codec != UploadCodec::Dense && !plain {
             return Err(ConfigError::CodecNeedsPlainDelta {
                 codec: self.upload_codec.name(),
@@ -489,7 +599,7 @@ pub enum ConfigError {
         expected: &'static str,
     },
     /// A compressing upload codec with an algorithm whose upload is not
-    /// one plain delta lane ([`Algorithm::uses_plain_delta`]).
+    /// one plain delta lane (`AlgoSpec::plain_delta`).
     CodecNeedsPlainDelta {
         /// [`UploadCodec::name`] of the configured codec.
         codec: &'static str,

@@ -62,6 +62,7 @@ pub use compose::{
 pub use config::{
     AggregatorKind, Algorithm, ConfigError, FlConfig, NetProfile, SpatlOptions, UploadCodec,
 };
+pub(crate) use config::{DownloadLane, UploadLane, Weight};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use privacy::{
     build_masked_upload, fixed_quantized_upload, masking_cohort, sampled_cohort, unmask_share,

@@ -32,7 +32,7 @@ use spatl_privacy::{
 use spatl_tensor::TensorRng;
 
 use crate::accumulate::{fold_terms, Lanes};
-use crate::{Algorithm, FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
+use crate::{FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
 
 /// The cohort round `round` samples, re-derived from the session seeds
 /// alone — the same draw [`RoundDriver::sample_round`] produces, computed
@@ -98,16 +98,11 @@ pub fn build_masked_upload(
         .expect("masked upload requires a privacy config");
     let p = global.shared.len();
     let buf_len = global.buffers.len();
+    let spec = cfg.algorithm.spec();
     let mut up = MaskedUpload {
         delta: MaskedVector::zeros(p),
-        secondary: cfg
-            .algorithm
-            .uses_secondary_lane()
-            .then(|| MaskedVector::zeros(p)),
-        counts: cfg
-            .algorithm
-            .uses_count_lane()
-            .then(|| MaskedCounts::zeros(p)),
+        secondary: spec.secondary_lane.then(|| MaskedVector::zeros(p)),
+        counts: spec.count_lane.then(|| MaskedCounts::zeros(p)),
         buffers: (buf_len > 0).then(|| MaskedVector::zeros(buf_len)),
     };
     let lanes = Lanes {
@@ -124,14 +119,16 @@ pub fn build_masked_upload(
 
 /// `o` as its clear upload would reach the server's fold — the input the
 /// masked lanes must be built from, since the server never gets to
-/// normalise what it cannot see. SCAFFOLD's pair codec carries an absent
-/// control delta as zeros (never the server-side fallback derivation),
-/// and `decode_upload` would have refused a selection reaching past the
+/// normalise what it cannot see. The pair codec carries an absent second
+/// lane as zeros (never SCAFFOLD's server-side fallback derivation), and
+/// `decode_upload` would have refused a selection reaching past the
 /// session's parameters; such indices are dropped here.
 fn as_uploaded<'a>(cfg: &FlConfig, p: usize, o: &'a LocalOutcome) -> Cow<'a, LocalOutcome> {
     let mut o = Cow::Borrowed(o);
-    if matches!(cfg.algorithm, Algorithm::Scaffold) && o.control_delta.is_none() {
-        o.to_mut().control_delta = Some(vec![0.0; p]);
+    if let Some(lane) = cfg.algorithm.spec().upload_lane {
+        if o.lane(lane).is_none() {
+            *o.to_mut().lane_mut(lane) = Some(vec![0.0; p]);
+        }
     }
     let past_end = |sel: &SelectedUpdate| sel.indices.iter().any(|&i| i as usize >= p);
     if o.selected.as_ref().is_some_and(past_end) {
@@ -186,6 +183,7 @@ pub fn fixed_quantized_upload(cfg: &FlConfig, o: &LocalOutcome, round: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Algorithm;
 
     #[test]
     fn sampled_cohort_matches_driver_stream() {

@@ -12,7 +12,7 @@
 use crate::accumulate::StreamState;
 use crate::compose::{aggregate_reduced, reduce_cohort};
 use crate::screen::{all_finite, median_in_place, update_rms};
-use crate::{AggregatorKind, Algorithm, FlConfig, LocalOutcome};
+use crate::{AggregatorKind, Algorithm, DownloadLane, FlConfig, LocalOutcome};
 use serde::{Deserialize, Serialize};
 use spatl_models::SplitModel;
 
@@ -35,25 +35,34 @@ pub struct GlobalState {
 impl GlobalState {
     /// Initialise the global state from a freshly built model.
     pub fn from_model(model: &SplitModel, algorithm: &Algorithm) -> Self {
-        let include_pred = !algorithm.uses_transfer();
-        let shared = crate::client::read_shared(model, include_pred);
-        let control = if algorithm.uses_control() {
-            vec![0.0; shared.len()]
-        } else {
-            Vec::new()
-        };
-        let momentum = if matches!(algorithm, Algorithm::FedNova) {
-            vec![0.0; shared.len()]
-        } else {
-            Vec::new()
-        };
+        let spec = algorithm.spec();
+        let shared = crate::client::read_shared(model, !spec.private_predictor);
         let mut m = model.clone();
-        let buffers = m.encoder.buffers_flat();
-        GlobalState {
+        let mut global = GlobalState {
+            control: Vec::new(),
+            momentum: Vec::new(),
+            buffers: m.encoder.buffers_flat(),
             shared,
-            control,
-            momentum,
-            buffers,
+        };
+        if let Some(lane) = spec.download_lane {
+            *global.lane_mut(lane) = vec![0.0; global.shared.len()];
+        }
+        global
+    }
+
+    /// The vector a two-lane broadcast carries next to `shared`.
+    pub(crate) fn lane(&self, lane: DownloadLane) -> &[f32] {
+        match lane {
+            DownloadLane::Control => &self.control,
+            DownloadLane::Momentum => &self.momentum,
+        }
+    }
+
+    /// [`GlobalState::lane`], writable.
+    pub(crate) fn lane_mut(&mut self, lane: DownloadLane) -> &mut Vec<f32> {
+        match lane {
+            DownloadLane::Control => &mut self.control,
+            DownloadLane::Momentum => &mut self.momentum,
         }
     }
 

@@ -126,12 +126,8 @@ impl Simulation {
         // SPATL: pre-train one agent on the pruning task and distribute a
         // copy to every client (paper: pre-trained on ResNet-56, shipped to
         // clients, then fine-tuned locally).
-        let agent = match cfg.algorithm {
-            Algorithm::Spatl(opts) if opts.selection => {
-                Some(Self::pretrained_agent(&model, &shards, cfg.seed))
-            }
-            _ => None,
-        };
+        let selects = matches!(cfg.algorithm, Algorithm::Spatl(o) if o.selection);
+        let agent = selects.then(|| Self::pretrained_agent(&model, &shards, cfg.seed));
 
         let clients: Vec<ClientState> = shards
             .into_iter()
@@ -143,13 +139,8 @@ impl Simulation {
             })
             .collect();
 
-        let layout = match cfg.algorithm {
-            Algorithm::Spatl(opts) if opts.selection => Some(wire::build_selection_layout(
-                &model,
-                !cfg.algorithm.uses_transfer(),
-            )),
-            _ => None,
-        };
+        let layout =
+            selects.then(|| wire::build_selection_layout(&model, !cfg.algorithm.uses_transfer()));
 
         Simulation {
             driver: RoundDriver::new(cfg, global, layout),

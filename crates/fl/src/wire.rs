@@ -24,15 +24,14 @@ use spatl_models::SplitModel;
 use spatl_privacy::{dequantize, PrivacyMode};
 use spatl_pruning::prune_point_param_names;
 use spatl_wire::{
-    decode_dense, decode_fixed_dense, decode_masked_upload, decode_pair, decode_spatl_encoder,
-    decode_spatl_update, decode_topk, encode_dense, encode_f16_dense, encode_fixed_dense,
-    encode_masked_upload, encode_pair, encode_spatl_encoder, encode_spatl_update, encode_topk,
-    open, seal, IndexRange, MsgType, SelectionLayout, SparseTopK, WireError, MASKED_METADATA,
-    SPATL_UPDATE_METADATA,
+    decode_dense, decode_fixed_dense, decode_masked_upload, decode_pair, decode_spatl_update,
+    decode_topk, encode_dense, encode_f16_dense, encode_fixed_dense, encode_masked_upload,
+    encode_pair, encode_spatl_update, encode_topk, open, seal, IndexRange, MsgType,
+    SelectionLayout, SparseTopK, WireError, MASKED_METADATA, SPATL_UPDATE_METADATA,
 };
 
 use crate::client::{CompressedDelta, LocalOutcome, SelectedUpdate};
-use crate::config::{Algorithm, FlConfig, UploadCodec};
+use crate::config::{FlConfig, UploadCodec};
 use crate::server::GlobalState;
 
 /// Measured wire traffic for one client and round, split into the tensor
@@ -147,39 +146,24 @@ pub fn build_selection_layout(model: &SplitModel, include_predictor: bool) -> Se
     layout
 }
 
-/// Serialize the server's per-round broadcast into sealed frames.
+/// Serialize the server's per-round broadcast into sealed frames: the
+/// shared weights alone (dense) or with the algorithm's download lane
+/// (pair), under its row's tag.
 pub fn encode_download(cfg: &FlConfig, global: &GlobalState) -> Encoded {
-    let (msg, body, payload) = match cfg.algorithm {
-        Algorithm::FedAvg | Algorithm::FedProx { .. } => (
-            MsgType::DenseModel,
-            encode_dense(&global.shared),
-            4 * global.shared.len() as u64,
-        ),
-        Algorithm::Scaffold => (
-            MsgType::ScaffoldModel,
-            encode_pair(&global.shared, &global.control),
-            8 * global.shared.len() as u64,
-        ),
-        Algorithm::FedNova => (
-            MsgType::FedNovaModel,
-            encode_pair(&global.shared, &global.momentum),
-            8 * global.shared.len() as u64,
-        ),
-        Algorithm::Spatl(opts) => {
-            let control = opts.gradient_control.then_some(global.control.as_slice());
-            let mult = if opts.gradient_control { 8 } else { 4 };
-            (
-                MsgType::SpatlEncoder,
-                encode_spatl_encoder(&global.shared, control),
-                mult * global.shared.len() as u64,
-            )
-        }
+    let spec = cfg.algorithm.spec();
+    let body = match spec.download_lane {
+        None => encode_dense(&global.shared),
+        Some(lane) => encode_pair(&global.shared, global.lane(lane)),
     };
-    let mut frames = vec![seal(msg, &body)];
+    let lanes = 1 + u64::from(spec.download_lane.is_some());
+    let mut frames = vec![seal(spec.download, &body)];
     if !global.buffers.is_empty() {
         frames.push(seal(MsgType::BnStats, &encode_dense(&global.buffers)));
     }
-    Encoded { frames, payload }
+    Encoded {
+        frames,
+        payload: 4 * lanes * global.shared.len() as u64,
+    }
 }
 
 /// Reconstruct the broadcast state a client trains against from the
@@ -195,36 +179,25 @@ pub fn decode_download(
         .first()
         .ok_or_else(|| WireError::Malformed("download carried no frames".into()))?;
     let (msg, payload) = open(main)?;
+    let spec = cfg.algorithm.spec();
+    if msg != spec.download {
+        return Err(WireError::Malformed(format!(
+            "unexpected download message {msg:?} for {}",
+            spec.name
+        )));
+    }
     let mut state = GlobalState {
         shared: Vec::new(),
         control: Vec::new(),
         momentum: Vec::new(),
         buffers: Vec::new(),
     };
-    match (cfg.algorithm, msg) {
-        (Algorithm::FedAvg | Algorithm::FedProx { .. }, MsgType::DenseModel) => {
-            state.shared = decode_dense(payload)?;
-        }
-        (Algorithm::Scaffold, MsgType::ScaffoldModel) => {
+    match spec.download_lane {
+        None => state.shared = decode_dense(payload)?,
+        Some(lane) => {
             let pair = decode_pair(payload)?;
             state.shared = pair.primary;
-            state.control = pair.secondary;
-        }
-        (Algorithm::FedNova, MsgType::FedNovaModel) => {
-            let pair = decode_pair(payload)?;
-            state.shared = pair.primary;
-            state.momentum = pair.secondary;
-        }
-        (Algorithm::Spatl(opts), MsgType::SpatlEncoder) => {
-            let enc = decode_spatl_encoder(payload, opts.gradient_control)?;
-            state.shared = enc.encoder;
-            state.control = enc.control.unwrap_or_default();
-        }
-        (_, got) => {
-            return Err(WireError::Malformed(format!(
-                "unexpected download message {got:?} for {}",
-                cfg.algorithm.name()
-            )));
+            *state.lane_mut(lane) = pair.secondary;
         }
     }
     if state.shared.len() != expected_params {
@@ -293,71 +266,51 @@ pub fn encode_upload(
             }
         }
     }
-    let (msg, body, payload) = match (&cfg.algorithm, &outcome.selected) {
-        (Algorithm::Spatl(_), Some(sel)) => {
+    let spec = cfg.algorithm.spec();
+    let n = outcome.delta.len();
+    let codec = if spec.plain_delta {
+        cfg.upload_codec
+    } else {
+        UploadCodec::Dense
+    };
+    let (msg, body, payload) = match (&outcome.selected, codec) {
+        (Some(sel), _) if spec.count_lane => {
             let body = encode_spatl_update(&sel.channel_ids, &sel.values);
             let payload = (body.len() - SPATL_UPDATE_METADATA) as u64;
             (MsgType::SpatlUpdate, body, payload)
         }
-        (Algorithm::FedAvg | Algorithm::FedProx { .. }, _) => match cfg.upload_codec {
-            UploadCodec::Dense => (
-                MsgType::DenseUpdate,
-                encode_dense(&outcome.delta),
-                4 * outcome.delta.len() as u64,
-            ),
-            UploadCodec::TopK { .. } => {
-                let k = cfg.upload_codec.kept(outcome.delta.len());
-                let sparse = SparseTopK::from_dense(&outcome.delta, k);
-                // 8 bytes per kept coordinate (value + flat index); the
-                // dense-length/k header is codec metadata, off the
-                // Eq. 13 books like SPATL's update metadata.
-                (MsgType::SparseTopK, encode_topk(&sparse), 8 * k as u64)
-            }
-            UploadCodec::F16 => (
-                MsgType::QuantizedF16,
-                encode_f16_dense(&outcome.delta),
-                2 * outcome.delta.len() as u64,
-            ),
-        },
-        // SPATL with selection disabled (or a diverged round) falls back to
-        // a dense encoder delta, like FedAvg.
-        (Algorithm::Spatl(_), None) => (
-            MsgType::DenseUpdate,
-            encode_dense(&outcome.delta),
-            4 * outcome.delta.len() as u64,
+        (_, UploadCodec::TopK { .. }) => {
+            let k = cfg.upload_codec.kept(n);
+            let sparse = SparseTopK::from_dense(&outcome.delta, k);
+            // 8 bytes per kept coordinate (value + flat index); the
+            // dense-length/k header is codec metadata, off the
+            // Eq. 13 books like SPATL's update metadata.
+            (MsgType::SparseTopK, encode_topk(&sparse), 8 * k as u64)
+        }
+        (_, UploadCodec::F16) => (
+            MsgType::QuantizedF16,
+            encode_f16_dense(&outcome.delta),
+            2 * n as u64,
         ),
-        (Algorithm::Scaffold, _) => {
-            let zeros;
-            let cd = match &outcome.control_delta {
-                Some(cd) => cd.as_slice(),
-                None => {
-                    // No control step happened (τ = 0): an explicit zero
-                    // update keeps the frame shape algorithm-uniform.
-                    zeros = vec![0.0; outcome.delta.len()];
-                    &zeros
-                }
-            };
-            (
-                MsgType::ScaffoldUpdate,
-                encode_pair(&outcome.delta, cd),
-                8 * outcome.delta.len() as u64,
-            )
-        }
-        (Algorithm::FedNova, _) => {
-            let zeros;
-            let vel = match &outcome.velocity {
-                Some(v) => v.as_slice(),
-                None => {
-                    zeros = vec![0.0; outcome.delta.len()];
-                    &zeros
-                }
-            };
-            (
-                MsgType::FedNovaUpdate,
-                encode_pair(&outcome.delta, vel),
-                8 * outcome.delta.len() as u64,
-            )
-        }
+        // The row's dense upload — SPATL's too when it has no selection
+        // (disabled, or a diverged round).
+        (_, UploadCodec::Dense) => match spec.upload_lane {
+            None => (spec.upload, encode_dense(&outcome.delta), 4 * n as u64),
+            Some(lane) => {
+                // No second lane was produced (τ = 0): an explicit zero
+                // lane keeps the frame shape algorithm-uniform.
+                let zeros;
+                let second = match outcome.lane(lane) {
+                    Some(second) => second,
+                    None => {
+                        zeros = vec![0.0; n];
+                        &zeros
+                    }
+                };
+                let body = encode_pair(&outcome.delta, second);
+                (spec.upload, body, 8 * n as u64)
+            }
+        },
     };
     let mut frames = vec![seal(msg, &body)];
     if !outcome.buffers.is_empty() {
@@ -392,6 +345,7 @@ pub fn decode_upload(
         .first()
         .ok_or_else(|| WireError::Malformed("upload carried no frames".into()))?;
     let (msg, payload) = open(main)?;
+    let spec = cfg.algorithm.spec();
 
     // Scalars only: `meta` may still own the client's clear tensors and
     // sealed frames (the simulator's does), and none of them belong in
@@ -423,14 +377,14 @@ pub fn decode_upload(
             (PrivacyMode::Masked, MsgType::MaskedUpload) => {
                 let up = decode_masked_upload(payload)?;
                 check_len(up.delta.n_coords())?;
-                let want_secondary = cfg.algorithm.uses_secondary_lane();
+                let want_secondary = spec.secondary_lane;
                 if up.secondary.is_some() != want_secondary {
                     return Err(WireError::Malformed(format!(
                         "masked upload secondary lane present={}, session expects {want_secondary}",
                         up.secondary.is_some()
                     )));
                 }
-                let want_counts = cfg.algorithm.uses_count_lane();
+                let want_counts = spec.count_lane;
                 if up.counts.is_some() != want_counts {
                     return Err(WireError::Malformed(format!(
                         "masked upload count lane present={}, session expects {want_counts}",
@@ -469,15 +423,20 @@ pub fn decode_upload(
             }
         }
     }
-    match (&cfg.algorithm, msg) {
-        (
-            Algorithm::FedAvg | Algorithm::FedProx { .. } | Algorithm::Spatl(_),
-            MsgType::DenseUpdate,
-        ) => {
-            out.delta = decode_dense(payload)?;
-            check_len(out.delta.len())?;
-        }
-        (Algorithm::FedAvg | Algorithm::FedProx { .. }, MsgType::SparseTopK) => {
+    match msg {
+        _ if msg == spec.upload => match spec.upload_lane {
+            None => {
+                out.delta = decode_dense(payload)?;
+                check_len(out.delta.len())?;
+            }
+            Some(lane) => {
+                let pair = decode_pair(payload)?;
+                check_len(pair.primary.len())?;
+                out.delta = pair.primary;
+                *out.lane_mut(lane) = Some(pair.secondary);
+            }
+        },
+        MsgType::SparseTopK if spec.plain_delta => {
             let sparse = decode_topk(payload)?;
             check_len(sparse.dense_len as usize)?;
             // Not densified: the streaming fold scatter-adds the k
@@ -489,7 +448,7 @@ pub fn decode_upload(
                 values: sparse.values,
             });
         }
-        (Algorithm::FedAvg | Algorithm::FedProx { .. }, MsgType::QuantizedF16) => {
+        MsgType::QuantizedF16 if spec.plain_delta => {
             if !payload.len().is_multiple_of(2) {
                 return Err(WireError::Malformed(format!(
                     "f16 payload length {} not a multiple of 2",
@@ -501,19 +460,7 @@ pub fn decode_upload(
             // the fold decodes coordinate-at-a-time, exactly.
             out.compressed = Some(CompressedDelta::F16(payload.to_vec()));
         }
-        (Algorithm::Scaffold, MsgType::ScaffoldUpdate) => {
-            let pair = decode_pair(payload)?;
-            check_len(pair.primary.len())?;
-            out.delta = pair.primary;
-            out.control_delta = Some(pair.secondary);
-        }
-        (Algorithm::FedNova, MsgType::FedNovaUpdate) => {
-            let pair = decode_pair(payload)?;
-            check_len(pair.primary.len())?;
-            out.delta = pair.primary;
-            out.velocity = Some(pair.secondary);
-        }
-        (Algorithm::Spatl(_), MsgType::SpatlUpdate) => {
+        MsgType::SpatlUpdate if spec.count_lane => {
             let layout = layout.ok_or_else(|| {
                 WireError::Malformed("SPATL upload received without a selection layout".into())
             })?;
@@ -543,13 +490,233 @@ pub fn decode_upload(
                 channel_ids: update.channels,
             });
         }
-        (_, got) => {
+        got => {
             return Err(WireError::Malformed(format!(
                 "unexpected upload message {got:?} for {}",
-                cfg.algorithm.name()
+                spec.name
             )));
         }
     }
     out.buffers = decode_bn_stats(frames)?;
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Algorithm, CommModel, PrivacyConfig, SpatlOptions};
+    use proptest::prelude::*;
+
+    const P: usize = 8;
+
+    /// Every session shape the wire tells apart: each algorithm clear,
+    /// SPATL's selection × gradient control, every algorithm masked, and
+    /// the plain-delta algorithms under fixed-point sums.
+    fn sessions() -> Vec<FlConfig> {
+        let mut algs = vec![
+            Algorithm::FedAvg,
+            Algorithm::FedProx { mu: 0.01 },
+            Algorithm::Scaffold,
+            Algorithm::FedNova,
+        ];
+        for selection in [true, false] {
+            for gradient_control in [true, false] {
+                algs.push(Algorithm::Spatl(SpatlOptions {
+                    selection,
+                    gradient_control,
+                    ..SpatlOptions::default()
+                }));
+            }
+        }
+        let mut out: Vec<FlConfig> = algs.iter().map(|&a| FlConfig::new(a)).collect();
+        for &a in &algs {
+            let mut cfg = FlConfig::new(a);
+            cfg.privacy = Some(PrivacyConfig::masked(3));
+            out.push(cfg);
+        }
+        for a in [Algorithm::FedAvg, Algorithm::FedProx { mu: 0.01 }] {
+            let mut cfg = FlConfig::new(a);
+            cfg.privacy = Some(PrivacyConfig::fixed(3, 10.0));
+            out.push(cfg);
+        }
+        out
+    }
+
+    /// The one model tag each algorithm's download travels under.
+    fn own_download(alg: Algorithm) -> MsgType {
+        match alg {
+            Algorithm::FedAvg | Algorithm::FedProx { .. } => MsgType::DenseModel,
+            Algorithm::Scaffold => MsgType::ScaffoldModel,
+            Algorithm::FedNova => MsgType::FedNovaModel,
+            Algorithm::Spatl(_) => MsgType::SpatlEncoder,
+        }
+    }
+
+    /// Every upload tag a session decodes; anything else is `Malformed`.
+    fn accepted_uploads(cfg: &FlConfig) -> Vec<MsgType> {
+        match (cfg.privacy.map(|p| p.mode), cfg.algorithm) {
+            (Some(PrivacyMode::Masked), _) => vec![MsgType::MaskedUpload],
+            (Some(PrivacyMode::FixedPoint), _) => vec![MsgType::FixedUpload],
+            (None, Algorithm::FedAvg | Algorithm::FedProx { .. }) => vec![
+                MsgType::DenseUpdate,
+                MsgType::SparseTopK,
+                MsgType::QuantizedF16,
+            ],
+            (None, Algorithm::Spatl(_)) => vec![MsgType::DenseUpdate, MsgType::SpatlUpdate],
+            (None, Algorithm::Scaffold) => vec![MsgType::ScaffoldUpdate],
+            (None, Algorithm::FedNova) => vec![MsgType::FedNovaUpdate],
+        }
+    }
+
+    fn global(cfg: &FlConfig) -> GlobalState {
+        let lane = |on: bool| if on { vec![0.25; P] } else { Vec::new() };
+        GlobalState {
+            shared: vec![0.5; P],
+            control: lane(cfg.algorithm.uses_control()),
+            momentum: lane(matches!(cfg.algorithm, Algorithm::FedNova)),
+            buffers: Vec::new(),
+        }
+    }
+
+    /// A payload `cfg` would decode were `msg` its own tag, so only the
+    /// tag can make it fail.
+    fn body(cfg: &FlConfig, msg: MsgType) -> Vec<u8> {
+        let v = [0.5f32; P];
+        let pair = encode_pair(&v, &v);
+        match msg {
+            MsgType::ScaffoldModel
+            | MsgType::ScaffoldUpdate
+            | MsgType::FedNovaModel
+            | MsgType::FedNovaUpdate => pair,
+            MsgType::SpatlEncoder if cfg.algorithm.uses_control() => pair,
+            MsgType::SpatlUpdate => encode_spatl_update(&[0], &v[..P / 2]),
+            MsgType::SparseTopK => encode_topk(&SparseTopK::from_dense(&v, 2)),
+            MsgType::QuantizedF16 => encode_f16_dense(&v),
+            MsgType::MaskedUpload | MsgType::FixedUpload if cfg.privacy.is_some() => {
+                let mut o = LocalOutcome::meta(
+                    0,
+                    10,
+                    4,
+                    false,
+                    1.0,
+                    1.0,
+                    CommModel::dense(0),
+                    WireBytes::default(),
+                );
+                o.delta = v.to_vec();
+                let enc = encode_upload(cfg, &global(cfg), &o, 0);
+                open(&enc.frames[0]).unwrap().1.to_vec()
+            }
+            _ => encode_dense(&v),
+        }
+    }
+
+    #[test]
+    fn each_session_accepts_exactly_its_own_messages() {
+        let mut layout = SelectionLayout::new();
+        for c in 0..2 {
+            layout.push_channel(vec![IndexRange {
+                start: 4 * c,
+                len: 4,
+            }]);
+        }
+        let meta = LocalOutcome::meta(
+            0,
+            10,
+            4,
+            false,
+            1.0,
+            1.0,
+            CommModel::dense(0),
+            WireBytes::default(),
+        );
+        for cfg in sessions() {
+            let name = format!("{} {:?}", cfg.algorithm.name(), cfg.privacy.map(|p| p.mode));
+            let uploads = accepted_uploads(&cfg);
+            for msg in (1..=0x15).map(|t| MsgType::from_tag(t).unwrap()) {
+                let frames = [seal(msg, &body(&cfg, msg))];
+                let down = decode_download(&cfg, &frames, P);
+                match down {
+                    Ok(_) => {
+                        assert_eq!(msg, own_download(cfg.algorithm), "{name}: download {msg:?}")
+                    }
+                    Err(WireError::Malformed(_)) => {
+                        assert_ne!(msg, own_download(cfg.algorithm), "{name}: download {msg:?}")
+                    }
+                    Err(e) => panic!("{name}: download {msg:?}: {e}"),
+                }
+                let up = decode_upload(&cfg, &meta, &frames, Some(&layout), P, 0);
+                match up {
+                    Ok(_) => assert!(uploads.contains(&msg), "{name}: upload {msg:?} accepted"),
+                    Err(WireError::Malformed(_)) => {
+                        assert!(!uploads.contains(&msg), "{name}: upload {msg:?} refused")
+                    }
+                    Err(e) => panic!("{name}: upload {msg:?}: {e}"),
+                }
+            }
+        }
+    }
+
+    fn spatl(gradient_control: bool) -> FlConfig {
+        FlConfig::new(Algorithm::Spatl(SpatlOptions {
+            gradient_control,
+            ..SpatlOptions::default()
+        }))
+    }
+
+    #[test]
+    fn spatl_download_is_a_dense_or_pair_payload() {
+        let enc: Vec<f32> = (0..7).map(|i| 0.5 + i as f32).collect();
+        let ctl: Vec<f32> = (0..7).map(|i| -0.25 * i as f32).collect();
+        for gradient_control in [false, true] {
+            let global = GlobalState {
+                shared: enc.clone(),
+                control: if gradient_control {
+                    ctl.clone()
+                } else {
+                    Vec::new()
+                },
+                momentum: Vec::new(),
+                buffers: Vec::new(),
+            };
+            let out = encode_download(&spatl(gradient_control), &global);
+            let (msg, payload) = open(&out.frames[0]).unwrap();
+            assert_eq!(msg, MsgType::SpatlEncoder);
+            if gradient_control {
+                assert_eq!(payload, encode_pair(&enc, &ctl));
+                assert_eq!(payload.len(), 8 * enc.len());
+            } else {
+                assert_eq!(payload, encode_dense(&enc));
+                assert_eq!(payload.len(), 4 * enc.len());
+            }
+            assert_eq!(out.payload, payload.len() as u64);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn spatl_download_roundtrip(
+            enc in prop::collection::vec(-1.0e3f32..1.0e3, 0..65),
+            with_control in 0u8..2,
+        ) {
+            let with_control = with_control == 1;
+            let cfg = spatl(with_control);
+            let global = GlobalState {
+                shared: enc.clone(),
+                control: if with_control {
+                    enc.iter().map(|x| x + 1.0).collect()
+                } else {
+                    Vec::new()
+                },
+                momentum: Vec::new(),
+                buffers: Vec::new(),
+            };
+            let out = encode_download(&cfg, &global);
+            let back = decode_download(&cfg, &out.frames, enc.len()).unwrap();
+            prop_assert_eq!(back.shared, global.shared);
+            prop_assert_eq!(back.control, global.control);
+        }
+    }
 }

@@ -4,23 +4,23 @@
 //! parsers for the values every binary spells the same way — the
 //! federated algorithm and the model architecture.
 
-use spatl_fl::{Algorithm, SpatlOptions};
+use spatl_fl::Algorithm;
 use spatl_models::ModelKind;
 
 /// Parse an algorithm name as given on a command line (case-insensitive:
 /// `fedavg`, `fedprox`, `scaffold`, `fednova`, `spatl`), with each
-/// algorithm's canonical reproduction parameters.
+/// algorithm's canonical reproduction parameters ([`Algorithm::roster`]).
 pub fn parse_algorithm(name: &str) -> Result<Algorithm, String> {
-    match name.to_ascii_lowercase().as_str() {
-        "fedavg" => Ok(Algorithm::FedAvg),
-        "fedprox" => Ok(Algorithm::FedProx { mu: 0.01 }),
-        "scaffold" => Ok(Algorithm::Scaffold),
-        "fednova" => Ok(Algorithm::FedNova),
-        "spatl" => Ok(Algorithm::Spatl(SpatlOptions::default())),
-        other => Err(format!(
-            "unknown algorithm '{other}' (expected fedavg|fedprox|scaffold|fednova|spatl)"
-        )),
-    }
+    let roster = Algorithm::roster();
+    let found = roster
+        .into_iter()
+        .find(|a| a.name().eq_ignore_ascii_case(name));
+    found.ok_or_else(|| {
+        format!(
+            "unknown algorithm '{}' (expected fedavg|fedprox|scaffold|fednova|spatl)",
+            name.to_ascii_lowercase()
+        )
+    })
 }
 
 /// Parse a model name as given on a command line (case-insensitive).

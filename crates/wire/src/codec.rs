@@ -12,10 +12,10 @@
 //!   `FedNovaUpdate`): two equal-length `f32` vectors concatenated
 //!   (weights‖control, delta‖control-delta, weights‖momentum,
 //!   delta‖velocity). Payload bytes = `8n`, exactly analytic.
-//! * **SPATL encoder download**: encoder parameters, optionally followed
-//!   by an equal-length gradient-control vector. Whether control rides
-//!   along is session configuration known to both ends, so no flag byte
-//!   is spent: payload is `4e` or `8e`, exactly analytic.
+//!
+//!   SPATL's `SpatlEncoder` download is dense (encoder weights) or pair
+//!   (encoder‖gradient control), as the session's gradient-control
+//!   switch — known to both ends — says: `4e` or `8e`, no flag byte.
 //! * **SPATL update upload**: `u32` channel count, then the selected
 //!   channel ids (`u32` each), then the salient values (`f32` each, count
 //!   derived from the remaining bytes). Payload bytes =
@@ -84,47 +84,6 @@ pub fn decode_pair(payload: &[u8]) -> Result<Pair, WireError> {
     Ok(Pair {
         primary: r.f32s(n)?,
         secondary: r.f32s(n)?,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// SPATL encoder download
-// ---------------------------------------------------------------------------
-
-/// Encoder parameters with optional gradient-control vector (SPATL
-/// download).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpatlEncoder {
-    /// Flattened encoder parameters.
-    pub encoder: Vec<f32>,
-    /// Gradient-control vector, same length as `encoder`, when the session
-    /// runs with gradient control enabled.
-    pub control: Option<Vec<f32>>,
-}
-
-/// Encode the SPATL download: `4e` bytes, or `8e` with gradient control.
-pub fn encode_spatl_encoder(encoder: &[f32], control: Option<&[f32]>) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_f32s(&mut out, encoder);
-    if let Some(c) = control {
-        assert_eq!(
-            c.len(),
-            encoder.len(),
-            "gradient-control vector must match encoder length"
-        );
-        put_f32s(&mut out, c);
-    }
-    out
-}
-
-/// Decode the SPATL download. `with_control` is session configuration
-/// (both ends know whether gradient control is enabled), not a wire flag.
-pub fn decode_spatl_encoder(payload: &[u8], with_control: bool) -> Result<SpatlEncoder, WireError> {
-    let mut r = Reader::new(payload);
-    let n = r.implied(if with_control { 8 } else { 4 }, "spatl encoder payload")?;
-    Ok(SpatlEncoder {
-        encoder: r.f32s(n)?,
-        control: with_control.then(|| r.f32s(n)).transpose()?,
     })
 }
 
@@ -305,24 +264,6 @@ mod tests {
         assert_eq!(pair.primary, a);
         assert_eq!(pair.secondary, b);
         assert!(decode_pair(&[0u8; 12]).is_err());
-    }
-
-    #[test]
-    fn spatl_encoder_with_and_without_control() {
-        let enc = vec![0.5f32; 7];
-        let ctl = vec![-0.25f32; 7];
-
-        let plain = encode_spatl_encoder(&enc, None);
-        assert_eq!(plain.len(), 4 * enc.len());
-        let d = decode_spatl_encoder(&plain, false).unwrap();
-        assert_eq!(d.encoder, enc);
-        assert!(d.control.is_none());
-
-        let with = encode_spatl_encoder(&enc, Some(&ctl));
-        assert_eq!(with.len(), 8 * enc.len());
-        let d = decode_spatl_encoder(&with, true).unwrap();
-        assert_eq!(d.encoder, enc);
-        assert_eq!(d.control.as_deref(), Some(&ctl[..]));
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   cursor and the `put_*` writers every codec below is written over.
 //! * [`envelope`] — frame header, [`seal`]/[`open`], [`MsgType`] tags.
 //! * [`codec`] — payload layouts: dense f32, paired vectors (SCAFFOLD /
-//!   FedNova), SPATL encoder download and channel-indexed upload, top-k
-//!   sparse, f16 quantized.
+//!   FedNova, and SPATL's download), SPATL's channel-indexed upload,
+//!   top-k sparse, f16 quantized.
 //! * [`layout`] — [`SelectionLayout`], the channel-id ↔ flat-index map
 //!   shared by both ends of a SPATL session.
 //! * [`stream`] — [`read_frame`]/[`write_frame`] over byte streams, with
@@ -46,10 +46,9 @@ pub mod stream;
 pub mod tier;
 
 pub use codec::{
-    decode_dense, decode_f16_dense, decode_pair, decode_spatl_encoder, decode_spatl_update,
-    decode_topk, encode_dense, encode_f16_dense, encode_pair, encode_spatl_encoder,
-    encode_spatl_update, encode_topk, Pair, SparseTopK, SpatlEncoder, SpatlUpdate, SPARSE_METADATA,
-    SPATL_UPDATE_METADATA,
+    decode_dense, decode_f16_dense, decode_pair, decode_spatl_update, decode_topk, encode_dense,
+    encode_f16_dense, encode_pair, encode_spatl_update, encode_topk, Pair, SparseTopK, SpatlUpdate,
+    SPARSE_METADATA, SPATL_UPDATE_METADATA,
 };
 pub use envelope::{flip_bit, open, seal, MsgType, HEADER_LEN, MAGIC, WIRE_VERSION};
 pub use error::WireError;

@@ -5,8 +5,8 @@
 
 use spatl_wire::{
     decode_dense, decode_edge_combined, decode_f16_dense, decode_fixed_dense, decode_masked_upload,
-    decode_pair, decode_spatl_encoder, decode_spatl_update, decode_topk, decode_unmask_request,
-    decode_unmask_shares, open, WireError,
+    decode_pair, decode_spatl_update, decode_topk, decode_unmask_request, decode_unmask_shares,
+    open, WireError,
 };
 
 /// `(name, bytes)` per line of `golden.hex`, in file order.
@@ -33,10 +33,9 @@ pub fn unhex(s: &str) -> Vec<u8> {
 /// Run `bytes` through the decoder the fixture `name` was made by.
 pub fn decode_as(name: &str, bytes: &[u8]) -> Result<(), WireError> {
     match name {
-        "dense" | "dense_empty" => decode_dense(bytes).map(drop),
-        "pair" => decode_pair(bytes).map(drop),
-        "spatl_encoder" => decode_spatl_encoder(bytes, false).map(drop),
-        "spatl_encoder_control" => decode_spatl_encoder(bytes, true).map(drop),
+        // SPATL's download is a dense or pair payload under its own tag.
+        "dense" | "dense_empty" | "spatl_encoder" => decode_dense(bytes).map(drop),
+        "pair" | "spatl_encoder_control" => decode_pair(bytes).map(drop),
         "spatl_update" => decode_spatl_update(bytes).map(drop),
         "topk" => decode_topk(bytes).map(drop),
         "f16" => decode_f16_dense(bytes).map(drop),

@@ -17,12 +17,11 @@ use std::fmt::Debug;
 use spatl_privacy::{MaskedCounts, MaskedUpload, MaskedVector, UnmaskShare};
 use spatl_wire::{
     decode_dense, decode_edge_combined, decode_f16_dense, decode_fixed_dense, decode_masked_upload,
-    decode_pair, decode_spatl_encoder, decode_spatl_update, decode_topk, decode_unmask_request,
-    decode_unmask_shares, encode_dense, encode_edge_combined, encode_f16_dense, encode_fixed_dense,
-    encode_masked_upload, encode_pair, encode_spatl_encoder, encode_spatl_update, encode_topk,
-    encode_unmask_request, encode_unmask_shares, open, seal, EdgeCombined, EdgeEntry, EdgeReduced,
-    EdgeSelection, MsgType, Pair, SparseTopK, SpatlEncoder, SpatlUpdate, TierFaultCounters,
-    WireError,
+    decode_pair, decode_spatl_update, decode_topk, decode_unmask_request, decode_unmask_shares,
+    encode_dense, encode_edge_combined, encode_f16_dense, encode_fixed_dense, encode_masked_upload,
+    encode_pair, encode_spatl_update, encode_topk, encode_unmask_request, encode_unmask_shares,
+    open, seal, EdgeCombined, EdgeEntry, EdgeReduced, EdgeSelection, MsgType, Pair, SparseTopK,
+    SpatlUpdate, TierFaultCounters, WireError,
 };
 
 /// One case: what today's encoder emits for a fixed value, and whether
@@ -156,23 +155,21 @@ fn cases() -> Golden {
         |p| encode_pair(&p.primary, &p.secondary),
         decode_pair,
     );
+    // SPATL's download: a dense or pair payload under its own tag.
     g.case(
         "spatl_encoder",
-        SpatlEncoder {
-            encoder: xs.clone(),
-            control: None,
-        },
-        |e| encode_spatl_encoder(&e.encoder, e.control.as_deref()),
-        |b| decode_spatl_encoder(b, false),
+        xs.clone(),
+        |v| encode_dense(v),
+        decode_dense,
     );
     g.case(
         "spatl_encoder_control",
-        SpatlEncoder {
-            encoder: xs.clone(),
-            control: Some(ys.clone()),
+        Pair {
+            primary: xs.clone(),
+            secondary: ys.clone(),
         },
-        |e| encode_spatl_encoder(&e.encoder, e.control.as_deref()),
-        |b| decode_spatl_encoder(b, true),
+        |p| encode_pair(&p.primary, &p.secondary),
+        decode_pair,
     );
     g.case(
         "spatl_update",

@@ -9,10 +9,9 @@ use proptest::prelude::*;
 use spatl_privacy::{dequantize, quantize, quantized_l2, MaskedCounts, MaskedUpload, MaskedVector};
 use spatl_wire::{
     decode_dense, decode_f16_dense, decode_fixed_dense, decode_masked_upload, decode_pair,
-    decode_spatl_encoder, decode_spatl_update, decode_topk, decode_unmask_request,
-    decode_unmask_shares, encode_dense, encode_f16_dense, encode_fixed_dense, encode_masked_upload,
-    encode_pair, encode_spatl_encoder, encode_spatl_update, encode_topk, f16, open, seal, MsgType,
-    SparseTopK, WireError, HEADER_LEN,
+    decode_spatl_update, decode_topk, decode_unmask_request, decode_unmask_shares, encode_dense,
+    encode_f16_dense, encode_fixed_dense, encode_masked_upload, encode_pair, encode_spatl_update,
+    encode_topk, f16, open, seal, MsgType, SparseTopK, WireError, HEADER_LEN,
 };
 
 fn tensor() -> impl Strategy<Value = Vec<f32>> {
@@ -43,19 +42,6 @@ proptest! {
         let pair = decode_pair(payload).unwrap();
         prop_assert_eq!(pair.primary, a);
         prop_assert_eq!(pair.secondary, b);
-    }
-
-    #[test]
-    fn spatl_encoder_roundtrip(enc in tensor(), with_control in 0u8..2) {
-        let with_control = with_control == 1;
-        let control: Vec<f32> = enc.iter().map(|x| x + 1.0).collect();
-        let body = encode_spatl_encoder(&enc, with_control.then_some(control.as_slice()));
-        let out = decode_spatl_encoder(&body, with_control).unwrap();
-        prop_assert_eq!(out.encoder, enc);
-        prop_assert_eq!(out.control.is_some(), with_control);
-        if let Some(c) = out.control {
-            prop_assert_eq!(c, control);
-        }
     }
 
     #[test]
@@ -128,8 +114,6 @@ proptest! {
         let _ = open(&bytes);
         let _ = decode_dense(&bytes);
         let _ = decode_pair(&bytes);
-        let _ = decode_spatl_encoder(&bytes, true);
-        let _ = decode_spatl_encoder(&bytes, false);
         let _ = decode_spatl_update(&bytes);
         let _ = decode_topk(&bytes);
         let _ = decode_f16_dense(&bytes);
