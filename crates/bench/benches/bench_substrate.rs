@@ -1,10 +1,11 @@
-//! Substrate micro-benchmarks: matmul, one conv layer and full-model
+//! Substrate micro-benchmarks: matmul, the conv GEMMs and element-wise
+//! layers one training step is made of, one conv layer and full-model
 //! forward/backward — the kernels every experiment's wall-clock reduces to.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spatl::nn::Conv2d;
+use spatl::nn::{BatchNorm2d, Conv2d, MaxPool2d, Relu};
 use spatl::prelude::*;
-use spatl::tensor::{matmul, Workspace};
+use spatl::tensor::{matmul, matmul_into, matmul_nt_into, matmul_tn_into, Tensor, Workspace};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -47,6 +48,100 @@ fn bench_conv(c: &mut Criterion) {
     group.finish();
 }
 
+/// The three GEMMs of ResNet-20 × 0.25's stage-1 conv (4→4 channels,
+/// 3×3, 16×16, batch 16) and VGG-11 × 0.25's 1×1 tail conv, each at the
+/// shape and layout `Conv2d` calls it with: forward `W·cols` (`nn`),
+/// input gradient `Wᵀ·gy` (`tn`), weight gradient `gy·colsᵀ` (`nt`).
+fn bench_gemm_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemm_shapes");
+    group.sample_size(10);
+    type Gemm = fn(&Tensor, &Tensor, &mut Tensor);
+    type Shape = (&'static str, [usize; 2], [usize; 2], [usize; 2], Gemm);
+    // (name, A dims, B dims, C dims, product)
+    let shapes: [Shape; 4] = [
+        (
+            "resnet20_stage1_fwd",
+            [4, 36],
+            [36, 4096],
+            [4, 4096],
+            matmul_into,
+        ),
+        (
+            "resnet20_stage1_xgrad",
+            [4, 36],
+            [4, 4096],
+            [36, 4096],
+            matmul_tn_into,
+        ),
+        (
+            "resnet20_stage1_wgrad",
+            [4, 4096],
+            [36, 4096],
+            [4, 36],
+            matmul_nt_into,
+        ),
+        (
+            "vgg11_tail_fwd",
+            [128, 1152],
+            [1152, 16],
+            [128, 16],
+            matmul_into,
+        ),
+    ];
+    for (name, ad, bd, cd, gemm) in shapes {
+        let mut rng = TensorRng::seed_from(4);
+        let a = rng.normal_tensor(ad, 0.0, 1.0);
+        let b = rng.normal_tensor(bd, 0.0, 1.0);
+        let mut out = Tensor::zeros(cd);
+        group.bench_function(name, |bench| bench.iter(|| gemm(&a, &b, &mut out)));
+    }
+    group.finish();
+}
+
+/// One training forward + backward of each element-wise layer at
+/// ResNet-20 × 0.25's stage-1 activation (`[16, 4, 16, 16]`) and VGG-11 ×
+/// 0.25's first (`[16, 16, 16, 16]`).
+fn bench_layer_forward_backward(c: &mut Criterion) {
+    let mut group = c.benchmark_group("layer_fwd_bwd");
+    group.sample_size(10);
+    for (shape, dims) in [
+        ("resnet20_stage1", [16, 4, 16, 16]),
+        ("vgg11_stage1", [16, 16, 16, 16]),
+    ] {
+        let mut rng = TensorRng::seed_from(5);
+        let x = rng.normal_tensor(dims, 0.0, 1.0);
+        let mut ws = Workspace::new();
+        let mut relu = Relu::new();
+        group.bench_function(BenchmarkId::new("relu", shape), |b| {
+            b.iter(|| {
+                let y = relu.forward_ws(&x, true, &mut ws);
+                let gx = relu.backward_ws(&y, &mut ws);
+                ws.recycle(y);
+                ws.recycle(gx);
+            })
+        });
+        let mut bn = BatchNorm2d::new(dims[1]);
+        group.bench_function(BenchmarkId::new("batchnorm", shape), |b| {
+            b.iter(|| {
+                let y = bn.forward_ws(&x, true, &mut ws);
+                let gx = bn.backward_ws(&y, &mut ws);
+                ws.recycle(y);
+                ws.recycle(gx);
+            })
+        });
+        let mut pool = MaxPool2d::new(2, 2);
+        group.bench_function(BenchmarkId::new("maxpool", shape), |b| {
+            b.iter(|| {
+                let y = pool.forward_ws(&x, true, &mut ws);
+                let gx = pool.backward_ws(&y, &mut ws);
+                ws.recycle(y);
+                ws.recycle(gx);
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_model_forward_backward(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_fwd_bwd");
     group.sample_size(10);
@@ -68,6 +163,8 @@ fn bench_model_forward_backward(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
+    bench_gemm_shapes,
+    bench_layer_forward_backward,
     bench_conv,
     bench_model_forward_backward
 );

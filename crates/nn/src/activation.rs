@@ -24,13 +24,13 @@ impl Relu {
             let mut mask = self.mask.take().unwrap_or_default();
             mask.clear();
             mask.resize(input.numel(), false);
-            for (i, (d, &s)) in out.data_mut().iter_mut().zip(input.data()).enumerate() {
-                if s > 0.0 {
-                    mask[i] = true;
-                    *d = s;
-                } else {
-                    *d = 0.0;
-                }
+            // One compare per element feeds both stores as a select, so
+            // the loop vectorises instead of taking a data-dependent
+            // branch per element.
+            for ((d, m), &s) in out.data_mut().iter_mut().zip(&mut mask).zip(input.data()) {
+                let keep = s > 0.0;
+                *m = keep;
+                *d = if keep { s } else { 0.0 };
             }
             self.mask = Some(mask);
         } else {

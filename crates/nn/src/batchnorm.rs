@@ -93,46 +93,49 @@ impl BatchNorm2d {
         if train {
             let mut x_hat = ws.take_tensor(dims.to_vec());
             let mut inv_std = ws.take(c);
+            // Batch statistics, each channel's sum one chain in
+            // ascending `(img, i)` order (`channel_sums`).
+            let dims3 = (n, c, spatial);
+            let mut mean = ws.take(c);
+            mean.fill(0.0);
+            channel_sums(src, src, dims3, gamma, [&mut mean], |x, _, _| [x]);
+            for m in mean.iter_mut() {
+                *m /= count;
+            }
+            let mut var = ws.take(c);
+            var.fill(0.0);
+            channel_sums(src, src, dims3, &mean, [&mut var], |x, _, m| {
+                let d = x - m;
+                [d * d]
+            });
+            for v in var.iter_mut() {
+                *v /= count;
+            }
+            let (rm, rv) = (self.running_mean.data_mut(), self.running_var.data_mut());
             for ch in 0..c {
-                // Batch statistics for this channel.
-                let mut mean = 0.0f32;
-                for img in 0..n {
-                    let base = (img * c + ch) * spatial;
-                    for i in 0..spatial {
-                        mean += src[base + i];
-                    }
-                }
-                mean /= count;
-                let mut var = 0.0f32;
-                for img in 0..n {
-                    let base = (img * c + ch) * spatial;
-                    for i in 0..spatial {
-                        let d = src[base + i] - mean;
-                        var += d * d;
-                    }
-                }
-                var /= count;
-                let istd = 1.0 / (var + self.eps).sqrt();
+                let istd = 1.0 / (var[ch] + self.eps).sqrt();
                 inv_std[ch] = istd;
 
                 // Update running stats with the *biased* variance, matching
                 // the convention used by the paper's PyTorch reference.
-                let rm = &mut self.running_mean.data_mut()[ch];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean;
-                let rv = &mut self.running_var.data_mut()[ch];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var;
-
-                let xh = x_hat.data_mut();
-                let dst = out.data_mut();
-                for img in 0..n {
-                    let base = (img * c + ch) * spatial;
-                    for i in 0..spatial {
-                        let v = (src[base + i] - mean) * istd;
-                        xh[base + i] = v;
-                        dst[base + i] = gamma[ch] * v + beta[ch];
-                    }
+                rm[ch] = (1.0 - self.momentum) * rm[ch] + self.momentum * mean[ch];
+                rv[ch] = (1.0 - self.momentum) * rv[ch] + self.momentum * var[ch];
+            }
+            let rows = src
+                .chunks_exact(spatial)
+                .zip(x_hat.data_mut().chunks_exact_mut(spatial))
+                .zip(out.data_mut().chunks_exact_mut(spatial));
+            for (row, ((x, xh), dst)) in rows.enumerate() {
+                let ch = row % c;
+                let (m, istd, g, b) = (mean[ch], inv_std[ch], gamma[ch], beta[ch]);
+                for ((&x, xh), d) in x.iter().zip(xh).zip(dst) {
+                    let v = (x - m) * istd;
+                    *xh = v;
+                    *d = g * v + b;
                 }
             }
+            ws.give(mean);
+            ws.give(var);
             self.cache = Some(BnCache {
                 x_hat,
                 inv_std,
@@ -140,17 +143,21 @@ impl BatchNorm2d {
             });
         } else {
             let rm = self.running_mean.data();
-            let rv = self.running_var.data();
-            let dst = out.data_mut();
-            for ch in 0..c {
-                let istd = 1.0 / (rv[ch] + self.eps).sqrt();
-                for img in 0..n {
-                    let base = (img * c + ch) * spatial;
-                    for i in 0..spatial {
-                        dst[base + i] = gamma[ch] * (src[base + i] - rm[ch]) * istd + beta[ch];
-                    }
+            let mut inv_std = ws.take(c);
+            for (istd, &rv) in inv_std.iter_mut().zip(self.running_var.data()) {
+                *istd = 1.0 / (rv + self.eps).sqrt();
+            }
+            let rows = src
+                .chunks_exact(spatial)
+                .zip(out.data_mut().chunks_exact_mut(spatial));
+            for (row, (x, dst)) in rows.enumerate() {
+                let ch = row % c;
+                let (g, m, istd, b) = (gamma[ch], rm[ch], inv_std[ch], beta[ch]);
+                for (&x, d) in x.iter().zip(dst) {
+                    *d = g * (x - m) * istd + b;
                 }
             }
+            ws.give(inv_std);
         }
         if self.channel_mask.iter().any(|&m| m != 1.0) {
             let dst = out.data_mut();
@@ -209,30 +216,37 @@ impl BatchNorm2d {
         let gamma = self.gamma.value.data();
 
         let mut gx = ws.take_tensor(dims.to_vec());
-        #[allow(clippy::needless_range_loop)] // ch co-indexes gamma, inv_std and strided buffers
-        for ch in 0..c {
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            for img in 0..n {
-                let base = (img * c + ch) * spatial;
-                for i in 0..spatial {
-                    sum_dy += gy[base + i];
-                    sum_dy_xhat += gy[base + i] * xh[base + i];
-                }
-            }
-            self.beta.grad.data_mut()[ch] += sum_dy;
-            self.gamma.grad.data_mut()[ch] += sum_dy_xhat;
-
-            let coef = gamma[ch] * cache.inv_std[ch] / count;
-            let dst = gx.data_mut();
-            for img in 0..n {
-                let base = (img * c + ch) * spatial;
-                for i in 0..spatial {
-                    dst[base + i] =
-                        coef * (count * gy[base + i] - sum_dy - xh[base + i] * sum_dy_xhat);
-                }
+        // Σdy and Σdy·x̂ per channel, each one chain in ascending
+        // `(img, i)` order (`channel_sums`).
+        let mut sums = ws.take(3 * c);
+        sums.fill(0.0);
+        let (sum_dy, rest) = sums.split_at_mut(c);
+        let (sum_dy_xhat, coefs) = rest.split_at_mut(c);
+        let dims3 = (n, c, spatial);
+        channel_sums(gy, xh, dims3, gamma, [sum_dy, sum_dy_xhat], |dy, xh, _| {
+            [dy, dy * xh]
+        });
+        for (g, &s) in self.beta.grad.data_mut().iter_mut().zip(&*sum_dy) {
+            *g += s;
+        }
+        for (g, &s) in self.gamma.grad.data_mut().iter_mut().zip(&*sum_dy_xhat) {
+            *g += s;
+        }
+        for ((coef, &g), &istd) in coefs.iter_mut().zip(gamma).zip(&cache.inv_std) {
+            *coef = g * istd / count;
+        }
+        let rows = gy
+            .chunks_exact(spatial)
+            .zip(xh.chunks_exact(spatial))
+            .zip(gx.data_mut().chunks_exact_mut(spatial));
+        for (row, ((dy, xh), dst)) in rows.enumerate() {
+            let ch = row % c;
+            let (coef, s_dy, s_dy_xhat) = (coefs[ch], sum_dy[ch], sum_dy_xhat[ch]);
+            for ((&dy, &xh), d) in dy.iter().zip(xh).zip(dst) {
+                *d = coef * (count * dy - s_dy - xh * s_dy_xhat);
             }
         }
+        ws.give(sums);
         if let Some(t) = gated {
             ws.recycle(t);
         }
@@ -242,6 +256,71 @@ impl BatchNorm2d {
     /// Drop cached activations.
     pub fn clear_cache(&mut self) {
         self.cache = None;
+    }
+}
+
+/// Per-channel sums over an NCHW buffer, `dims = (n, c, spatial)`: for
+/// each `t < S`, adds `term(a[e], b[e], k[ch])[t]` over the elements `e` of
+/// channel `ch` to `acc[t][ch]` (`k` is a per-channel constant; a `term`
+/// that needs none ignores it). Each sum is one add chain over its
+/// channel's elements in ascending `(img, i)` order, starting from
+/// `acc[t][ch]` — the chain a one-channel loop forms — but the `S` sums of
+/// 8 (then 4, then 1) channels advance together over each image's row
+/// slices, so their adds overlap instead of waiting on one another.
+pub(crate) fn channel_sums<const S: usize>(
+    a: &[f32],
+    b: &[f32],
+    dims: (usize, usize, usize),
+    k: &[f32],
+    mut acc: [&mut [f32]; S],
+    term: impl Fn(f32, f32, f32) -> [f32; S] + Copy,
+) {
+    let c = dims.1;
+    let mut ch = 0;
+    while ch < c {
+        let lanes = match c - ch {
+            r if r >= 8 => 8,
+            r if r >= 4 => 4,
+            _ => 1,
+        };
+        let acc = acc.each_mut().map(|acc| &mut acc[ch..ch + lanes]);
+        match lanes {
+            8 => chains::<8, S>(a, b, dims, ch, k, acc, term),
+            4 => chains::<4, S>(a, b, dims, ch, k, acc, term),
+            _ => chains::<1, S>(a, b, dims, ch, k, acc, term),
+        }
+        ch += lanes;
+    }
+}
+
+/// The `L` channels of [`channel_sums`] starting at channel `ch0`.
+#[inline(always)]
+fn chains<const L: usize, const S: usize>(
+    a: &[f32],
+    b: &[f32],
+    (n, c, spatial): (usize, usize, usize),
+    ch0: usize,
+    k: &[f32],
+    acc: [&mut [f32]; S],
+    term: impl Fn(f32, f32, f32) -> [f32; S],
+) {
+    let k: [f32; L] = std::array::from_fn(|j| k[ch0 + j]);
+    let mut sums: [[f32; L]; S] = std::array::from_fn(|t| std::array::from_fn(|j| acc[t][j]));
+    for img in 0..n {
+        let base = (img * c + ch0) * spatial;
+        let a: [&[f32]; L] = std::array::from_fn(|j| &a[base + j * spatial..][..spatial]);
+        let b: [&[f32]; L] = std::array::from_fn(|j| &b[base + j * spatial..][..spatial]);
+        for i in 0..spatial {
+            for j in 0..L {
+                let terms = term(a[j][i], b[j][i], k[j]);
+                for t in 0..S {
+                    sums[t][j] += terms[t];
+                }
+            }
+        }
+    }
+    for (acc, sums) in acc.into_iter().zip(sums) {
+        acc.copy_from_slice(&sums);
     }
 }
 

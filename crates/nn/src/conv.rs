@@ -1,6 +1,7 @@
 //! 2-D convolution via channel-major `im2col` + matmul, with structured
 //! channel masking.
 
+use crate::batchnorm::channel_sums;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{
@@ -179,14 +180,16 @@ impl Conv2d {
         self.weight.grad.add_assign(&gw).expect("weight grad shape");
         ws.recycle(gw);
 
-        // grad_b = row sums of gy, each in ascending position order; the
-        // channels advance together so their add chains overlap.
-        let gb = self.bias.grad.data_mut();
-        for pos in 0..n * spatial {
-            for (oc, g) in gb.iter_mut().enumerate() {
-                *g += gy.data()[oc * n * spatial + pos];
-            }
-        }
+        // grad_b += each channel's masked gradient, one add at a time in
+        // ascending position order; the channels' chains advance together.
+        channel_sums(
+            grad_out.data(),
+            grad_out.data(),
+            (n, co, spatial),
+            &self.channel_mask,
+            [self.bias.grad.data_mut()],
+            |g, _, m| [g * m],
+        );
 
         // grad_cols = Wᵀ · gy -> [patch, n·oh·ow]; grad_x = col2im.
         let mut grad_cols = ws.take_tensor([g.patch_len(), n * spatial]);

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{Tensor, Workspace};
+use std::hint::select_unpredictable;
 
 /// Max pooling with a square window over NCHW inputs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -54,33 +55,52 @@ impl MaxPool2d {
             }
             None => vec![0usize; n * c * oh * ow],
         };
+        let (k, s) = (self.kernel, self.stride);
         let src = input.data();
-        let dst = out.data_mut();
-        for img in 0..n {
-            for ch in 0..c {
-                let in_base = (img * c + ch) * h * w;
-                let out_base = (img * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        // Seeded with the window's first element: the first
-                        // maximum wins, and a NaN beats every number (the
-                        // first NaN wins), as in PyTorch.
-                        let first = in_base + oy * self.stride * w + ox * self.stride;
-                        let (mut best, mut best_idx) = (src[first], first);
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let idx = first + ky * w + kx;
-                                let v = src[idx];
-                                if v > best || (v.is_nan() && !best.is_nan()) {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        dst[out_base + oy * ow + ox] = best;
-                        argmax[out_base + oy * ow + ox] = best_idx;
-                    }
+        // Every window meets its elements one tap `(ky, kx)` at a time:
+        // the tap's element of every window is gathered into one
+        // contiguous buffer, so the compare-and-select loop runs over the
+        // whole output and vectorises. `at` holds the offset, from its
+        // window's first element, of each window's maximum so far.
+        let gather = |dst: &mut [f32], off: usize| {
+            for (row, dst) in dst.chunks_exact_mut(ow).enumerate() {
+                let (plane, oy) = (row / oh, row % oh);
+                let line = src[plane * h * w + oy * s * w + off..].iter().step_by(s);
+                for (d, &v) in dst.iter_mut().zip(line) {
+                    *d = v;
                 }
+            }
+        };
+        let best = out.data_mut();
+        let mut tap = ws.take(best.len());
+        let mut at = vec![0u32; best.len()];
+        // Seeded with each window's first element; then ascending
+        // `(ky, kx)`. The first maximum wins, and a NaN beats every number
+        // (the first NaN wins), as in PyTorch — as one select per element,
+        // not a branch.
+        gather(best, 0);
+        for ky in 0..k {
+            for kx in 0..k {
+                let off = ky * w + kx;
+                gather(&mut tap, off);
+                let off = u32::try_from(off).expect("pooling window offset fits u32");
+                for ((b, a), &v) in best.iter_mut().zip(&mut at).zip(&tap) {
+                    // `v > b`, or `v` NaN while `b` is not: that is
+                    // `!(v <= b)` (true when either is NaN) while `b` is a
+                    // number.
+                    #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN is the point
+                    let wins = !(v <= *b) & !b.is_nan();
+                    *b = select_unpredictable(wins, v, *b);
+                    *a = select_unpredictable(wins, off, *a);
+                }
+            }
+        }
+        ws.give(tap);
+        let rows = argmax.chunks_exact_mut(ow).zip(at.chunks_exact(ow));
+        for (row, (idx, at)) in rows.enumerate() {
+            let first = (row / oh) * h * w + (row % oh) * s * w;
+            for (ox, (i, &a)) in idx.iter_mut().zip(at).enumerate() {
+                *i = first + ox * s + a as usize;
             }
         }
         if train {

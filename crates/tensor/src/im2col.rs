@@ -4,9 +4,11 @@
 //! multiplication; `col2im` is the adjoint scatter used in the backward
 //! pass. The patch matrix is **channel-major**, `[c·k·k, n·out_h·out_w]`:
 //! row `(ch, ky, kx)` is one kernel tap and holds the input value that tap
-//! reads at every output position of every image. A tap shifts whole image
-//! rows, so each patch row is built from contiguous copies of input rows
-//! (every `stride`-th element when strided) between zero borders. The output
+//! reads at every output position of every image. A tap shifts the image:
+//! in a stride-1 "same" geometry (output planes as wide as the input's) the
+//! shift is one block per plane, moved through a keep mask ([`SameSize`]);
+//! otherwise each patch row is built from copies of input rows (every
+//! `stride`-th element when strided) between zero borders. The output
 //! positions a tap reads inside the image are one range per axis, computed
 //! once per tap ([`tap_range`]), so the copy loops carry no bounds branch,
 //! and a tap that never touches the image is one `fill`.
@@ -25,13 +27,6 @@
 use crate::Tensor;
 use rayon::prelude::*;
 use std::ops::Range;
-
-/// Shortest stride-1 run copied with `copy_from_slice` (resp. added with a
-/// vectorisable loop). The one- and two-float runs of the 1×1 and 2×2 tail
-/// planes go element by element: there the `memcpy` call or vector set-up
-/// costs more than the floats it moves, while from three floats up the
-/// bulk copy wins (measured per layer in `crates/tensor/README.md`).
-const LONG_RUN: usize = 3;
 
 /// Geometry of a 2-D convolution: input/output spatial extents and the
 /// kernel/stride/padding that relate them.
@@ -101,6 +96,63 @@ fn tap_range(
     (range, first)
 }
 
+/// Stride-1 "same" geometry (`out_w == in_w`, so `out_h == in_h`): output
+/// and input planes share one row stride, and a tap `(ky, kx)` reads the
+/// input plane shifted by `(ky − p)·w + (kx − p)`. Its in-image positions
+/// then lie in one contiguous block of the plane, from its first to its
+/// last, and inside the block the positions whose column falls outside
+/// the tap's column range read a neighbouring row's pixel instead of the
+/// padding. `im2col` copies the block through a keep mask (those positions
+/// become `+0.0`); `col2im` adds it through the same mask, so they add
+/// `+0.0`, which leaves any sum that started at `+0.0` unchanged: such a
+/// sum is never `−0.0`, the one value `+ (+0.0)` would change (DESIGN.md
+/// §7).
+struct SameSize {
+    w: usize,
+    spatial: usize,
+    /// Per kernel column `kx`, `spatial` masks for a block starting at
+    /// the tap's first in-image column: all ones where the column is in
+    /// the tap's range, zero where it is not.
+    keep: Vec<u32>,
+}
+
+impl SameSize {
+    fn of(g: &Conv2dGeometry) -> Option<SameSize> {
+        let (k, p, w) = (g.kernel, g.padding, g.in_w);
+        if g.stride != 1 || g.out_w() != w {
+            return None;
+        }
+        let spatial = g.in_h * w;
+        let mut keep = Vec::with_capacity(k * spatial);
+        for kx in 0..k {
+            let (xs, _) = tap_range(kx, 1, p, w, w);
+            let mut x = xs.start;
+            for _ in 0..spatial {
+                keep.push(if xs.contains(&x) { u32::MAX } else { 0 });
+                x = if x + 1 == w { 0 } else { x + 1 };
+            }
+        }
+        Some(SameSize { w, spatial, keep })
+    }
+
+    /// The block of tap `(·, kx)` with in-image ranges `ys` / `xs`
+    /// starting at input `(iy0, ix0)`: its start in the output plane, its
+    /// length, its start in the input plane, and its keep mask.
+    fn block(
+        &self,
+        kx: usize,
+        ys: &Range<usize>,
+        iy0: usize,
+        xs: &Range<usize>,
+        ix0: usize,
+    ) -> (usize, usize, usize, &[u32]) {
+        let w = self.w;
+        let len = (ys.len() - 1) * w + xs.len();
+        let keep = &self.keep[kx * self.spatial..kx * self.spatial + len];
+        (ys.start * w + xs.start, len, iy0 * w + ix0, keep)
+    }
+}
+
 /// Unfold a batch of images `[n, c, h, w]` into the channel-major patch
 /// matrix `[c * k * k, n * out_h * out_w]`, so that convolution with a
 /// weight matrix `[out_c, c * k * k]` is the single matmul `W · cols`.
@@ -133,6 +185,7 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
         return;
     }
     let src = input.data();
+    let same_size = SameSize::of(g);
 
     // One patch row per tap: rows are disjoint, so this is an
     // embarrassingly parallel gather.
@@ -143,23 +196,35 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
             let (ch, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
             let (ys, iy0) = tap_range(ky, s, p, h, oh);
             let (xs, ix0) = tap_range(kx, s, p, w, ow);
+            if ys.is_empty() || xs.is_empty() {
+                dst.fill(0.0);
+                return;
+            }
+            if let Some(keep) = &same_size {
+                // One shifted block per plane (see `SameSize`).
+                let (start, len, from, keep) = keep.block(kx, &ys, iy0, &xs, ix0);
+                for (img, plane) in dst.chunks_exact_mut(spatial).enumerate() {
+                    let chan = &src[(img * c + ch) * h * w..(img * c + ch + 1) * h * w];
+                    let (head, rest) = plane.split_at_mut(start);
+                    let (block, tail) = rest.split_at_mut(len);
+                    head.fill(0.0);
+                    for ((d, &v), &m) in block.iter_mut().zip(&chan[from..from + len]).zip(keep) {
+                        *d = f32::from_bits(v.to_bits() & m);
+                    }
+                    tail.fill(0.0);
+                }
+                return;
+            }
             // Zero the row once, then copy the in-image runs over it: one
             // `fill` per tap, not one per border.
             dst.fill(0.0);
-            if ys.is_empty() || xs.is_empty() {
-                return;
-            }
             for (img, plane) in dst.chunks_exact_mut(spatial).enumerate() {
                 let chan = &src[(img * c + ch) * h * w..(img * c + ch + 1) * h * w];
                 for (oy, iy) in ys.clone().zip((iy0..).step_by(s)) {
                     let row = &mut plane[oy * ow + xs.start..oy * ow + xs.end];
                     let line = &chan[iy * w + ix0..(iy + 1) * w];
-                    if s == 1 && row.len() >= LONG_RUN {
-                        row.copy_from_slice(&line[..row.len()]);
-                    } else {
-                        for (d, &v) in row.iter_mut().zip(line.iter().step_by(s)) {
-                            *d = v;
-                        }
+                    for (d, &v) in row.iter_mut().zip(line.iter().step_by(s)) {
+                        *d = v;
                     }
                 }
             }
@@ -189,6 +254,7 @@ pub fn col2im_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
     let r = n * spatial;
     assert_eq!(cols.dims(), &[g.patch_len(), r], "col2im shape mismatch");
     let src = cols.data();
+    let same_size = SameSize::of(g);
 
     // Images scatter into disjoint `c·h·w` chunks of the output, so the
     // accumulation is race-free under per-image parallelism.
@@ -207,19 +273,26 @@ pub fn col2im_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
                     }
                     let tap = (ky * k + kx) * r + img * spatial;
                     let chans = src.chunks_exact(k * k * r);
+                    if let Some(keep) = &same_size {
+                        // One shifted block per plane; the positions
+                        // where the tap reads padding add `+0.0`.
+                        let (start, len, from, keep) = keep.block(kx, &ys, iy0, &xs, ix0);
+                        for (plane, taps) in dst.chunks_exact_mut(h * w).zip(chans) {
+                            let terms = &taps[tap + start..tap + start + len];
+                            let block = &mut plane[from..from + len];
+                            for ((d, &v), &m) in block.iter_mut().zip(terms).zip(keep) {
+                                *d += f32::from_bits(v.to_bits() & m);
+                            }
+                        }
+                        continue;
+                    }
                     for (plane, taps) in dst.chunks_exact_mut(h * w).zip(chans) {
                         let tap = &taps[tap..tap + spatial];
                         for (oy, iy) in ys.clone().zip((iy0..).step_by(s)) {
                             let row = &tap[oy * ow + xs.start..oy * ow + xs.end];
                             let line = &mut plane[iy * w + ix0..(iy + 1) * w];
-                            if s == 1 && row.len() >= LONG_RUN {
-                                for (d, &v) in line.iter_mut().zip(row) {
-                                    *d += v;
-                                }
-                            } else {
-                                for (d, &v) in line.iter_mut().step_by(s).zip(row) {
-                                    *d += v;
-                                }
+                            for (d, &v) in line.iter_mut().step_by(s).zip(row) {
+                                *d += v;
                             }
                         }
                     }
