@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use spatl_data::Dataset;
 use spatl_graph::{extract, CompGraph};
 use spatl_models::SplitModel;
-use spatl_pruning::{apply_sparsities, Criterion};
+use spatl_pruning::{apply_sparsities, kept_counts, Criterion};
 
 /// Outcome of applying an action in the pruning environment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -84,22 +84,20 @@ impl PruningEnv {
 
 /// Scale sparsities up (towards `s=0.95`) until the masked model meets the
 /// FLOPs budget. If the raw action already satisfies it, it is returned
-/// unchanged. Uses bisection on a blend factor, at most 9 model profiles.
+/// unchanged. Uses bisection on a blend factor, at most 9 probes.
+///
+/// A probe's FLOPs depend only on how many channels each prune point keeps
+/// ([`kept_counts`]), not on which, so every probe is arithmetic on those
+/// counts ([`SplitModel::flops_with_kept`]): nothing is cloned or masked,
+/// and `criterion`, which picks the channels, does not enter.
 pub fn project_to_budget(
     model: &SplitModel,
     sparsities: &[f32],
     target_flops_ratio: f32,
-    criterion: Criterion,
+    _criterion: Criterion,
 ) -> Vec<f32> {
-    // One scratch copy, re-masked per probe: `apply_sparsities` overwrites
-    // every prune point's mask, so no probe sees an earlier one's masks.
-    let mut scratch = model.clone();
-    scratch.clear_masks();
-    let dense = scratch.flops() as f32;
-    let mut ratio_of = |s: &[f32]| -> f32 {
-        apply_sparsities(&mut scratch, s, criterion);
-        scratch.flops() as f32 / dense
-    };
+    let dense = model.flops_dense() as f32;
+    let ratio_of = |s: &[f32]| model.flops_with_kept(&kept_counts(model, s)) as f32 / dense;
     if ratio_of(sparsities) <= target_flops_ratio {
         return sparsities.to_vec();
     }
@@ -215,6 +213,123 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Actions with every edge the count rule has: 0, 0.95, 1, NaN, and
+    /// seeded draws from [-0.1, 1.1].
+    fn actions(k: usize, seed: u64) -> Vec<Vec<f32>> {
+        let mut rng = spatl_tensor::TensorRng::seed_from(seed);
+        let ramp: Vec<f32> = (0..k).map(|i| i as f32 / k as f32).collect();
+        let zigzag: Vec<f32> = (0..k).map(|i| [0.1, 0.8, 0.0][i % 3]).collect();
+        let edges: Vec<f32> = (0..k).map(|i| [0.0, 0.95, 1.0, f32::NAN][i % 4]).collect();
+        let mut out = vec![vec![0.0; k], vec![0.5; k], vec![0.95; k], vec![1.0; k]];
+        out.extend([vec![f32::NAN; k], ramp, zigzag, edges]);
+        out.extend((0..3).map(|_| (0..k).map(|_| rng.uniform(-0.1, 1.1)).collect()));
+        out
+    }
+
+    fn assert_same_bits(got: &[f32], want: &[f32], what: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}");
+    }
+
+    #[test]
+    fn projection_matches_masking_oracle() {
+        let kinds = [
+            ModelConfig::cifar(ModelKind::ResNet20),
+            ModelConfig::cifar(ModelKind::ResNet32),
+            ModelConfig::cifar(ModelKind::ResNet56),
+            ModelConfig::cifar(ModelKind::Vgg11),
+            ModelConfig::femnist(),
+        ];
+        for (i, cfg) in kinds.iter().enumerate() {
+            let mut model = cfg.build();
+            let k = model.prune_points.len();
+            // Start from a masked model, as a SPATL client's is.
+            apply_sparsities(&mut model, &vec![0.3; k], Criterion::L2);
+            for action in actions(k, i as u64) {
+                for target in [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0] {
+                    let what = format!("{:?} {action:?} target {target}", cfg.kind);
+                    assert_same_bits(
+                        &project_to_budget(&model, &action, target, Criterion::L2),
+                        &project_by_cloning(&model, &action, target, Criterion::L2),
+                        &what,
+                    );
+                }
+            }
+        }
+        // The criterion picks channels, never their number.
+        let model = ModelConfig::cifar(ModelKind::Vgg11).build();
+        let k = model.prune_points.len();
+        for criterion in [Criterion::L1, Criterion::Fpgm, Criterion::Random(3)] {
+            for action in actions(k, 9) {
+                assert_same_bits(
+                    &project_to_budget(&model, &action, 0.6, criterion),
+                    &project_by_cloning(&model, &action, 0.6, criterion),
+                    &format!("{criterion:?} {action:?}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn count_driven_flops_match_masked_flops() {
+        let kinds = [
+            ModelConfig::cifar(ModelKind::ResNet20),
+            ModelConfig::cifar(ModelKind::ResNet32),
+            ModelConfig::cifar(ModelKind::ResNet56),
+            ModelConfig::cifar(ModelKind::Vgg11),
+            ModelConfig::femnist(),
+        ];
+        for (i, cfg) in kinds.iter().enumerate() {
+            let mut model = cfg.build();
+            for action in actions(model.prune_points.len(), 100 + i as u64) {
+                let kept = kept_counts(&model, &action);
+                apply_sparsities(&mut model, &action, Criterion::L2);
+                let active: Vec<usize> = (model.prune_points.iter())
+                    .map(|p| model.conv_at(p.layer).active_channels())
+                    .collect();
+                assert_eq!(kept, active, "{:?} {action:?}", cfg.kind);
+                assert_eq!(
+                    model.flops_with_kept(&kept),
+                    model.flops(),
+                    "{:?} {action:?}",
+                    cfg.kind
+                );
+            }
+            model.clear_masks();
+            assert_eq!(model.flops_dense(), model.flops(), "{:?}", cfg.kind);
+        }
+    }
+
+    #[test]
+    fn selection_graph_matches_env_graph_of_a_clone() {
+        // A client extracts its graph from its own model — masked, with
+        // training caches — where an environment would hold a cache-free
+        // clone.
+        let mut model = ModelConfig::cifar(ModelKind::Vgg11).build();
+        let k = model.prune_points.len();
+        apply_sparsities(&mut model, &vec![0.4; k], Criterion::L2);
+        let cfg = model.config;
+        let x = spatl_tensor::TensorRng::seed_from(5).normal_tensor(
+            [2, cfg.in_channels, cfg.input_hw, cfg.input_hw],
+            0.0,
+            1.0,
+        );
+        let y = model.forward(&x, true);
+        model.recycle(y);
+        let mut env_model = model.clone();
+        env_model.clear_caches();
+        let val = synth_cifar10(&SynthConfig::cifar10_like(), 4, 1);
+        let want = PruningEnv::new(env_model, val, 0.7).graph();
+        let got = extract(&model);
+        assert_eq!(got.features, want.features);
+        assert_eq!(got.adj.indptr, want.adj.indptr);
+        assert_eq!(got.adj.indices, want.adj.indices);
+        assert_same_bits(&got.adj.weights, &want.adj.weights, "adjacency weights");
+        assert_eq!(got.adj.n, want.adj.n);
+        assert_eq!(got.prune_nodes, want.prune_nodes);
+        assert_eq!(got.ops, want.ops);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::{Algorithm, CommModel, FlConfig, GlobalState, RoundBytes, UploadLane};
 use spatl_agent::{finetune_agent, ActorCritic, PruningEnv};
 use spatl_data::Dataset;
+use spatl_graph::extract;
 use spatl_models::SplitModel;
 use spatl_nn::{CrossEntropyLoss, Optimizer, Sgd};
 use spatl_pruning::{apply_sparsities, salient_param_indices, Criterion};
@@ -354,9 +355,8 @@ impl ClientState {
                 loss.forward(&logits, &batch.labels);
                 self.model.predictor.recycle(logits);
                 let g = loss.backward();
-                let gemb = self.model.predictor.backward(&g);
+                self.model.predictor.backward_params(&g);
                 self.model.predictor.recycle(g);
-                self.model.predictor.recycle(gemb);
                 opt_pred.step(&mut self.model.predictor);
             }
             self.model.encoder.clear_caches();
@@ -369,9 +369,8 @@ impl ClientState {
                 loss.forward(&logits, &batch.labels);
                 self.model.recycle(logits);
                 let g = loss.backward();
-                let gx = self.model.backward(&g);
+                self.model.backward_params(&g);
                 self.model.recycle(g);
-                self.model.recycle(gx);
 
                 // FedProx: + μ(w − w_global) on the shared part.
                 if let Algorithm::FedProx { mu } = cfg.algorithm {
@@ -545,13 +544,15 @@ impl ClientState {
         let budget = self.flops_budget.unwrap_or(opts.target_flops_ratio);
         let mut rng =
             TensorRng::seed_from(cfg.seed ^ 0xA6E47 ^ (self.id as u64) << 17 ^ round as u64);
-        let mut env_model = self.model.clone();
-        env_model.clear_caches();
-        let env = PruningEnv::new(env_model, self.val.clone(), budget);
 
         let action = match &mut self.agent {
             Some(agent) => {
+                // Only fine-tuning steps an environment; the graph it
+                // would show is the model's own.
                 if self.participations < opts.finetune_rounds {
+                    let mut env_model = self.model.clone();
+                    env_model.clear_caches();
+                    let env = PruningEnv::new(env_model, self.val.clone(), budget);
                     finetune_agent(
                         agent,
                         &env,
@@ -561,8 +562,7 @@ impl ClientState {
                         &mut rng,
                     );
                 }
-                let graph = env.graph();
-                agent.evaluate(&graph).mu
+                agent.evaluate(&extract(&self.model)).mu
             }
             None => {
                 // No agent (degenerate config): keep everything.
@@ -592,12 +592,7 @@ impl ClientState {
     pub fn select_for_deployment(&mut self, target_flops_ratio: f32) {
         self.model.clear_masks();
         let action = match &self.agent {
-            Some(agent) => {
-                let mut env_model = self.model.clone();
-                env_model.clear_caches();
-                let env = PruningEnv::new(env_model, self.val.clone(), target_flops_ratio);
-                agent.evaluate(&env.graph()).mu
-            }
+            Some(agent) => agent.evaluate(&extract(&self.model)).mu,
             None => vec![0.0; self.model.prune_points.len()],
         };
         let applied =

@@ -56,9 +56,8 @@ pub fn adapt_predictor(
             last = loss_fn.forward(&logits, &batch.labels);
             model.predictor.recycle(logits);
             let g = loss_fn.backward();
-            let gemb = model.predictor.backward(&g);
+            model.predictor.backward_params(&g);
             model.predictor.recycle(g);
-            model.predictor.recycle(gemb);
             opt.step(&mut model.predictor);
         }
     }

@@ -7,7 +7,7 @@
 //! reports per-layer FLOPs as if masked channels were physically removed —
 //! which is what structured pruning achieves at deployment time.
 
-use crate::SplitModel;
+use crate::{LayerRef, SplitModel};
 use serde::{Deserialize, Serialize};
 use spatl_nn::{Conv2d, Node};
 
@@ -33,13 +33,35 @@ enum Sig {
     Vector(usize),
 }
 
-fn conv_profile(
+/// One layer's costs as the walk meets it: `part` of node `node`.
+struct Row {
+    node: usize,
+    part: &'static str,
+    flops: u64,
+    params_total: u64,
+    params_active: u64,
+}
+
+fn row(node: usize, part: &'static str, flops: usize, total: usize, active: usize) -> Row {
+    Row {
+        node,
+        part,
+        flops: flops as u64,
+        params_total: total as u64,
+        params_active: active as u64,
+    }
+}
+
+/// The costs of `c` with `in_active` input and `active_out` output
+/// channels on an `h`×`w` input, and the signature it leaves.
+fn conv_row(
     c: &Conv2d,
-    name: String,
-    in_active: usize,
+    node: usize,
+    part: &'static str,
+    (in_active, active_out): (usize, usize),
     h: usize,
     w: usize,
-) -> (LayerProfile, Sig) {
+) -> (Row, Sig) {
     let g = spatl_tensor::Conv2dGeometry {
         in_channels: c.in_channels,
         in_h: h,
@@ -49,44 +71,38 @@ fn conv_profile(
         padding: c.padding,
     };
     let (oh, ow) = (g.out_h(), g.out_w());
-    let active_out = c.active_channels();
-    let k2 = (c.kernel * c.kernel) as u64;
-    let flops = 2 * k2 * in_active as u64 * active_out as u64 * (oh * ow) as u64;
-    let params_total = (c.in_channels as u64 * k2 + 1) * c.out_channels as u64;
-    let params_active = (in_active as u64 * k2 + 1) * active_out as u64;
+    let k2 = c.kernel * c.kernel;
+    let flops = 2 * k2 * in_active * active_out * oh * ow;
+    let params_total = (c.in_channels * k2 + 1) * c.out_channels;
+    let params_active = (in_active * k2 + 1) * active_out;
     (
-        LayerProfile {
-            name,
-            flops,
-            params_total,
-            params_active,
-        },
+        row(node, part, flops, params_total, params_active),
         Sig::Spatial(c.out_channels, active_out, oh, ow),
     )
 }
 
-fn walk(nodes: &[Node], mut sig: Sig, prefix: &str, out: &mut Vec<LayerProfile>) -> Sig {
+/// Walk `nodes` from input signature `sig`, emitting one [`Row`] per
+/// costed layer. `kept[i]`, where given, overrides the active output
+/// channels of node `i`'s prunable conv (a plain conv, or a residual
+/// block's `conv1`); every other conv counts its mask.
+fn walk(nodes: &[Node], mut sig: Sig, kept: &[Option<usize>], emit: &mut impl FnMut(Row)) -> Sig {
     for (i, node) in nodes.iter().enumerate() {
-        let name = format!("{prefix}{i}");
+        let kept = kept.get(i).copied().flatten();
         match node {
             Node::Conv(c) => {
                 let (ca, h, w) = match sig {
                     Sig::Spatial(_, ca, h, w) => (ca, h, w),
                     Sig::Vector(_) => panic!("conv after flatten"),
                 };
-                let (p, next) = conv_profile(c, format!("{name}.conv"), ca, h, w);
-                out.push(p);
+                let active = kept.unwrap_or_else(|| c.active_channels());
+                let (r, next) = conv_row(c, i, "conv", (ca, active), h, w);
+                emit(r);
                 sig = next;
             }
             Node::BatchNorm(b) => {
                 if let Sig::Spatial(ct, ca, h, w) = sig {
                     debug_assert_eq!(ct, b.channels);
-                    out.push(LayerProfile {
-                        name: format!("{name}.bn"),
-                        flops: 2 * (ca * h * w) as u64,
-                        params_total: 2 * b.channels as u64,
-                        params_active: 2 * ca as u64,
-                    });
+                    emit(row(i, "bn", 2 * ca * h * w, 2 * b.channels, 2 * ca));
                 }
             }
             Node::Relu(_) => {
@@ -94,23 +110,13 @@ fn walk(nodes: &[Node], mut sig: Sig, prefix: &str, out: &mut Vec<LayerProfile>)
                     Sig::Spatial(_, ca, h, w) => ca * h * w,
                     Sig::Vector(n) => n,
                 };
-                out.push(LayerProfile {
-                    name: format!("{name}.relu"),
-                    flops: n as u64,
-                    params_total: 0,
-                    params_active: 0,
-                });
+                emit(row(i, "relu", n, 0, 0));
             }
             Node::MaxPool(p) => {
                 if let Sig::Spatial(ct, ca, h, w) = sig {
                     let oh = (h - p.kernel) / p.stride + 1;
                     let ow = (w - p.kernel) / p.stride + 1;
-                    out.push(LayerProfile {
-                        name: format!("{name}.maxpool"),
-                        flops: (ca * oh * ow * p.kernel * p.kernel) as u64,
-                        params_total: 0,
-                        params_active: 0,
-                    });
+                    emit(row(i, "maxpool", ca * oh * ow * p.kernel * p.kernel, 0, 0));
                     sig = Sig::Spatial(ct, ca, oh, ow);
                 }
             }
@@ -118,24 +124,13 @@ fn walk(nodes: &[Node], mut sig: Sig, prefix: &str, out: &mut Vec<LayerProfile>)
                 if let Sig::Spatial(ct, ca, h, w) = sig {
                     let oh = (h - p.kernel) / p.stride + 1;
                     let ow = (w - p.kernel) / p.stride + 1;
-                    out.push(LayerProfile {
-                        name: format!("{name}.avgpool"),
-                        flops: (ca * oh * ow * p.kernel * p.kernel) as u64,
-                        params_total: 0,
-                        params_active: 0,
-                    });
+                    emit(row(i, "avgpool", ca * oh * ow * p.kernel * p.kernel, 0, 0));
                     sig = Sig::Spatial(ct, ca, oh, ow);
                 }
             }
             Node::GlobalAvgPool(_) => {
                 if let Sig::Spatial(ct, ca, h, w) = sig {
-                    out.push(LayerProfile {
-                        name: format!("{name}.gap"),
-                        flops: (ca * h * w) as u64,
-                        params_total: 0,
-                        params_active: 0,
-                    });
-                    let _ = ca;
+                    emit(row(i, "gap", ca * h * w, 0, 0));
                     sig = Sig::Vector(ct);
                 }
             }
@@ -151,68 +146,66 @@ fn walk(nodes: &[Node], mut sig: Sig, prefix: &str, out: &mut Vec<LayerProfile>)
                     Sig::Spatial(..) => panic!("linear on spatial input"),
                 };
                 debug_assert_eq!(n_in, l.in_features);
-                out.push(LayerProfile {
-                    name: format!("{name}.linear"),
-                    flops: 2 * (l.in_features * l.out_features) as u64,
-                    params_total: ((l.in_features + 1) * l.out_features) as u64,
-                    params_active: ((l.in_features + 1) * l.out_features) as u64,
-                });
+                let params = (l.in_features + 1) * l.out_features;
+                emit(row(
+                    i,
+                    "linear",
+                    2 * l.in_features * l.out_features,
+                    params,
+                    params,
+                ));
                 sig = Sig::Vector(l.out_features);
             }
             Node::Residual(b) => {
-                let (entry_total, entry_active, h, w) = match sig {
-                    Sig::Spatial(ct, ca, h, w) => (ct, ca, h, w),
+                let (entry_active, h, w) = match sig {
+                    Sig::Spatial(_, ca, h, w) => (ca, h, w),
                     Sig::Vector(_) => panic!("residual after flatten"),
                 };
-                let _ = entry_total;
                 // conv1 (prunable) -> bn1 -> relu -> conv2 (dense out).
-                let (p1, s1) = conv_profile(&b.conv1, format!("{name}.conv1"), entry_active, h, w);
-                out.push(p1);
+                let active = kept.unwrap_or_else(|| b.conv1.active_channels());
+                let (r1, s1) = conv_row(&b.conv1, i, "conv1", (entry_active, active), h, w);
+                emit(r1);
                 let (c1_active, oh, ow) = match s1 {
                     Sig::Spatial(_, ca, oh, ow) => (ca, oh, ow),
                     _ => unreachable!(),
                 };
-                out.push(LayerProfile {
-                    name: format!("{name}.bn1"),
-                    flops: 2 * (c1_active * oh * ow) as u64,
-                    params_total: 2 * b.bn1.channels as u64,
-                    params_active: 2 * c1_active as u64,
-                });
-                out.push(LayerProfile {
-                    name: format!("{name}.relu1"),
-                    flops: (c1_active * oh * ow) as u64,
-                    params_total: 0,
-                    params_active: 0,
-                });
-                let (p2, s2) = conv_profile(&b.conv2, format!("{name}.conv2"), c1_active, oh, ow);
-                out.push(p2);
+                let plane = oh * ow;
+                emit(row(
+                    i,
+                    "bn1",
+                    2 * c1_active * plane,
+                    2 * b.bn1.channels,
+                    2 * c1_active,
+                ));
+                emit(row(i, "relu1", c1_active * plane, 0, 0));
+                let active = b.conv2.active_channels();
+                let (r2, s2) = conv_row(&b.conv2, i, "conv2", (c1_active, active), oh, ow);
+                emit(r2);
                 let (out_total, out_active) = match s2 {
                     Sig::Spatial(ct, ca, ..) => (ct, ca),
                     _ => unreachable!(),
                 };
-                out.push(LayerProfile {
-                    name: format!("{name}.bn2"),
-                    flops: 2 * (out_active * oh * ow) as u64,
-                    params_total: 2 * b.bn2.channels as u64,
-                    params_active: 2 * out_active as u64,
-                });
+                emit(row(
+                    i,
+                    "bn2",
+                    2 * out_active * plane,
+                    2 * b.bn2.channels,
+                    2 * out_active,
+                ));
                 if let (Some(dc), Some(db)) = (&b.down_conv, &b.down_bn) {
-                    let (pd, _) = conv_profile(dc, format!("{name}.down_conv"), entry_active, h, w);
-                    out.push(pd);
-                    out.push(LayerProfile {
-                        name: format!("{name}.down_bn"),
-                        flops: 2 * (dc.active_channels() * oh * ow) as u64,
-                        params_total: 2 * db.channels as u64,
-                        params_active: 2 * dc.active_channels() as u64,
-                    });
+                    let active = dc.active_channels();
+                    let (rd, _) = conv_row(dc, i, "down_conv", (entry_active, active), h, w);
+                    emit(rd);
+                    emit(row(
+                        i,
+                        "down_bn",
+                        2 * active * plane,
+                        2 * db.channels,
+                        2 * active,
+                    ));
                 }
                 // Residual add + output ReLU.
-                out.push(LayerProfile {
-                    name: format!("{name}.add_relu"),
-                    flops: 2 * (out_total * oh * ow) as u64,
-                    params_total: 0,
-                    params_active: 0,
-                });
+                emit(row(i, "add_relu", 2 * out_total * plane, 0, 0));
                 // The shortcut re-injects all channels, so the block output
                 // is fully active regardless of internal masks.
                 sig = Sig::Spatial(out_total, out_total, oh, ow);
@@ -222,14 +215,46 @@ fn walk(nodes: &[Node], mut sig: Sig, prefix: &str, out: &mut Vec<LayerProfile>)
     sig
 }
 
+/// Walk encoder then predictor at the configured input size.
+fn walk_model(model: &SplitModel, kept: &[Option<usize>], emit: &mut impl FnMut(&str, Row)) {
+    let cfg = &model.config;
+    let sig = Sig::Spatial(cfg.in_channels, cfg.in_channels, cfg.input_hw, cfg.input_hw);
+    let sig = walk(&model.encoder.nodes, sig, kept, &mut |r| emit("enc", r));
+    walk(&model.predictor.nodes, sig, &[], &mut |r| emit("pred", r));
+}
+
 /// Profile every layer of a split model at its configured input size.
 pub fn profile(model: &SplitModel) -> Vec<LayerProfile> {
-    let cfg = &model.config;
     let mut out = Vec::new();
-    let sig = Sig::Spatial(cfg.in_channels, cfg.in_channels, cfg.input_hw, cfg.input_hw);
-    let sig = walk(&model.encoder.nodes, sig, "enc", &mut out);
-    walk(&model.predictor.nodes, sig, "pred", &mut out);
+    walk_model(model, &[], &mut |prefix, r| {
+        out.push(LayerProfile {
+            name: format!("{prefix}{}.{}", r.node, r.part),
+            flops: r.flops,
+            params_total: r.params_total,
+            params_active: r.params_active,
+        })
+    });
     out
+}
+
+/// FLOPs of one forward pass with `kept[i]` output channels active at
+/// prune point `i` and every other conv as masked: what
+/// [`SplitModel::flops`] reports after masks with those counts are set,
+/// read off the counts alone, without masking anything.
+pub(crate) fn flops_with_kept(model: &SplitModel, kept: &[usize]) -> u64 {
+    assert_eq!(
+        kept.len(),
+        model.prune_points.len(),
+        "one count per prune point"
+    );
+    let mut at_node = vec![None; model.encoder.nodes.len()];
+    for (p, &k) in model.prune_points.iter().zip(kept) {
+        let (LayerRef::Seq(i) | LayerRef::ResConv1(i)) = p.layer;
+        at_node[i] = Some(k);
+    }
+    let mut flops = 0;
+    walk_model(model, &at_node, &mut |_, r| flops += r.flops);
+    flops
 }
 
 #[cfg(test)]

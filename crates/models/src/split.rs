@@ -80,6 +80,15 @@ impl SplitModel {
         gx
     }
 
+    /// [`SplitModel::backward`] for a training step, which reads no input
+    /// gradient: the encoder's first layer computes its parameter
+    /// gradients only ([`Network::backward_params`]).
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let g = self.predictor.backward(grad_out);
+        self.encoder.backward_params(&g);
+        self.predictor.recycle(g);
+    }
+
     /// Return a tensor produced by [`SplitModel::forward`] /
     /// [`SplitModel::backward`] to the scratch pools once consumed, keeping
     /// steady-state local training allocation-free.
@@ -188,12 +197,19 @@ impl SplitModel {
         self.predictor.clear_caches();
     }
 
-    /// Dense (unmasked) FLOPs of one forward pass at the configured input
-    /// size.
+    /// Dense FLOPs of one forward pass at the configured input size: every
+    /// prune point unmasked ([`SplitModel::clear_masks`]).
     pub fn flops_dense(&self) -> u64 {
-        let mut clone = self.clone();
-        clone.clear_masks();
-        crate::flops::profile(&clone).iter().map(|l| l.flops).sum()
+        let full: Vec<usize> = self.prune_points.iter().map(|p| p.out_channels).collect();
+        self.flops_with_kept(&full)
+    }
+
+    /// FLOPs of one forward pass with `kept[i]` output channels active at
+    /// prune point `i` (one count per prune point): what
+    /// [`SplitModel::flops`] reports once masks keeping that many channels
+    /// are set, computed from the counts without masking anything.
+    pub fn flops_with_kept(&self, kept: &[usize]) -> u64 {
+        crate::flops::flops_with_kept(self, kept)
     }
 
     /// Mask-aware FLOPs of one forward pass.

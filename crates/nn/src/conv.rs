@@ -5,8 +5,8 @@ use crate::batchnorm::channel_sums;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{
-    col2im_into, im2col_into, matmul_into, matmul_nt_into, matmul_tn_into, Conv2dGeometry, Tensor,
-    TensorRng, Workspace,
+    col2im_into, col2im_live_into, im2col_into, im2col_live_into, matmul_blocks_into, matmul_into,
+    matmul_nt_into, matmul_tn_into, Conv2dGeometry, Tensor, TensorRng, Workspace, KC,
 };
 
 /// A 2-D convolution layer over NCHW inputs.
@@ -19,6 +19,12 @@ use spatl_tensor::{
 /// `channel_mask` implements the structured pruning used by SPATL's salient
 /// parameter selection: masked output channels produce zeros in the forward
 /// pass and are excluded from the FLOPs accounting in `spatl-models`.
+///
+/// On a map so small that some kernel taps read only padding (8 of 9 on a
+/// 1×1 map), the conv lowers over its live taps only
+/// ([`Conv2dGeometry::tap_live`]): a dead tap's patch rows are `+0.0`, and
+/// the terms they add change no bit (DESIGN.md §7). Where every tap is
+/// live, or a dead tap's weight is not finite, it lowers over all of them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Conv2d {
     /// Weight `[out_channels, in_channels·k·k]`.
@@ -43,9 +49,29 @@ pub struct Conv2d {
 
 #[derive(Debug, Clone)]
 struct ConvCache {
+    /// The full patch matrix, or the live one when `live` is set.
     cols: Tensor,
+    live: Option<LiveTaps>,
     geometry: Conv2dGeometry,
     batch: usize,
+}
+
+/// A lowering over the live taps only.
+#[derive(Debug, Clone)]
+struct LiveTaps {
+    /// W's live columns, `[out_c, in_c · taps.len()]`.
+    weight: Tensor,
+    /// The live taps `ky·k + kx`, ascending.
+    taps: Vec<usize>,
+}
+
+/// Does `v` hold a NaN or an infinity? One branch-free pass: the sum's sign
+/// bit is set exactly when some exponent field is all ones.
+fn any_non_finite(v: &[f32]) -> bool {
+    let top = v.iter().fold(0u32, |acc, x| {
+        acc | (x.to_bits() & 0x7f80_0000).wrapping_add(0x0080_0000)
+    });
+    top & 0x8000_0000 != 0
 }
 
 impl Conv2d {
@@ -90,6 +116,27 @@ impl Conv2d {
         self.channel_mask = vec![1.0; self.out_channels];
     }
 
+    /// The live-tap lowering of `g`: `None` where every tap is live (the
+    /// full lowering is the live one) or none is (a degenerate geometry),
+    /// and where any weight is not finite (a dead tap's term
+    /// `fma(w, +0.0, acc)` is then no longer `acc`).
+    fn live_taps(&self, g: &Conv2dGeometry, ws: &mut Workspace) -> Option<LiveTaps> {
+        let k2 = self.kernel * self.kernel;
+        let live = g.live_taps();
+        if live == k2 || live == 0 || any_non_finite(self.weight.value.data()) {
+            return None;
+        }
+        let taps: Vec<usize> = (0..k2).filter(|&t| g.tap_live(t)).collect();
+        let mut weight = ws.take_tensor([self.out_channels, self.in_channels * taps.len()]);
+        let filters = self.weight.value.data().chunks_exact(k2);
+        for (dst, src) in weight.data_mut().chunks_exact_mut(taps.len()).zip(filters) {
+            for (d, &t) in dst.iter_mut().zip(&taps) {
+                *d = src[t];
+            }
+        }
+        Some(LiveTaps { weight, taps })
+    }
+
     fn geometry(&self, h: usize, w: usize) -> Conv2dGeometry {
         Conv2dGeometry {
             in_channels: self.in_channels,
@@ -102,7 +149,8 @@ impl Conv2d {
     }
 
     /// Forward pass over `[n, c, h, w]`, drawing all temporaries from `ws`
-    /// (steady-state allocation-free once the workspace is warm).
+    /// (steady-state allocation-free once the workspace is warm, but for
+    /// the two short index lists of a live-tap lowering).
     ///
     /// The patch matrix is channel-major (`[c·k·k, n·oh·ow]`), so the
     /// product `W · cols` is `[out_c, n·oh·ow]`: one contiguous `oh·ow` run
@@ -115,14 +163,34 @@ impl Conv2d {
         let spatial = g.cols();
         let co = self.out_channels;
 
-        // The previous step's cached patch matrix feeds this step's buffers.
+        // The previous step's cached buffers feed this step's.
         if let Some(old) = self.cache.take() {
             ws.recycle(old.cols);
+            if let Some(live) = old.live {
+                ws.recycle(live.weight);
+            }
         }
-        let mut cols = ws.take_tensor([g.patch_len(), n * spatial]);
-        im2col_into(input, &g, &mut cols);
+        let live = self.live_taps(&g, ws);
+        let rows = live.as_ref().map_or(g.patch_len(), |l| l.weight.dims()[1]);
+        let mut cols = ws.take_tensor([rows, n * spatial]);
         let mut y = ws.take_tensor([co, n * spatial]);
-        matmul_into(&self.weight.value, &cols, &mut y);
+        match &live {
+            None => {
+                im2col_into(input, &g, &mut cols);
+                matmul_into(&self.weight.value, &cols, &mut y);
+            }
+            Some(live) => {
+                // The full product's k-chains restart every KC rows of the
+                // full patch matrix; the live product's restart at the
+                // live rows where those fall.
+                im2col_live_into(input, &g, &mut cols);
+                let patch = g.patch_len();
+                let ends: Vec<usize> = (1..=patch.div_ceil(KC))
+                    .map(|b| g.live_rows_before((b * KC).min(patch)))
+                    .collect();
+                matmul_blocks_into(&live.weight, &cols, &mut y, &ends);
+            }
+        }
         // Every output element is written (masked channels as explicit
         // zeros), so the recycled buffer needs no pre-clearing.
         let mut out = ws.take_tensor([n, co, g.out_h(), g.out_w()]);
@@ -139,11 +207,15 @@ impl Conv2d {
         if train {
             self.cache = Some(ConvCache {
                 cols,
+                live,
                 geometry: g,
                 batch: n,
             });
         } else {
             ws.recycle(cols);
+            if let Some(live) = live {
+                ws.recycle(live.weight);
+            }
         }
         out
     }
@@ -152,6 +224,23 @@ impl Conv2d {
     /// and bias gradients and return the gradient with respect to the
     /// input.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_inner(grad_out, ws, true)
+            .expect("input gradient requested")
+    }
+
+    /// [`Conv2d::backward_ws`] without the input gradient: accumulate the
+    /// weight and bias gradients only (they are computed first either
+    /// way, so they are the same bits).
+    pub fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        self.backward_inner(grad_out, ws, false);
+    }
+
+    fn backward_inner(
+        &mut self,
+        grad_out: &Tensor,
+        ws: &mut Workspace,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let cache = self.cache.as_ref().expect("conv backward without forward");
         let g = cache.geometry;
         let n = cache.batch;
@@ -175,10 +264,52 @@ impl Conv2d {
         }
 
         // grad_w = gy · colsᵀ -> [out_c, patch]
-        let mut gw = ws.take_tensor([co, g.patch_len()]);
-        matmul_nt_into(&gy, &cache.cols, &mut gw);
-        self.weight.grad.add_assign(&gw).expect("weight grad shape");
-        ws.recycle(gw);
+        match &cache.live {
+            // A dead column is a chain of `gy · (+0.0)` terms from `+0.0`:
+            // `+0.0` while `gy` is finite, and the grad still adds it. So
+            // every column adds `+0.0`, and a live one then adds its
+            // product term, which is never `−0.0` (a chain from `+0.0`):
+            // `(w + 0.0) + v` is `w + v` for every such `v`.
+            Some(live) if !any_non_finite(gy.data()) => {
+                let k2 = g.kernel * g.kernel;
+                let mut gw = ws.take_tensor([co, cache.cols.dims()[0]]);
+                matmul_nt_into(&gy, &cache.cols, &mut gw);
+                let grad = self.weight.grad.data_mut();
+                for d in grad.iter_mut() {
+                    *d += 0.0;
+                }
+                let terms = gw.data().chunks_exact(live.taps.len());
+                for (dst, src) in grad.chunks_exact_mut(k2).zip(terms) {
+                    for (&t, &v) in live.taps.iter().zip(src) {
+                        dst[t] += v;
+                    }
+                }
+                ws.recycle(gw);
+            }
+            live => {
+                // The full patch matrix, re-expanded from the live one
+                // (dead rows `+0.0`) if need be.
+                let expanded = live.as_ref().map(|_| {
+                    let mut full = ws.take_tensor([g.patch_len(), n * spatial]);
+                    let mut rows = cache.cols.data().chunks_exact(n * spatial);
+                    for (r, dst) in full.data_mut().chunks_exact_mut(n * spatial).enumerate() {
+                        if g.tap_live(r % (g.kernel * g.kernel)) {
+                            dst.copy_from_slice(rows.next().expect("live row"));
+                        } else {
+                            dst.fill(0.0);
+                        }
+                    }
+                    full
+                });
+                let mut gw = ws.take_tensor([co, g.patch_len()]);
+                matmul_nt_into(&gy, expanded.as_ref().unwrap_or(&cache.cols), &mut gw);
+                self.weight.grad.add_assign(&gw).expect("weight grad shape");
+                ws.recycle(gw);
+                if let Some(full) = expanded {
+                    ws.recycle(full);
+                }
+            }
+        }
 
         // grad_b += each channel's masked gradient, one add at a time in
         // ascending position order; the channels' chains advance together.
@@ -191,14 +322,26 @@ impl Conv2d {
             |g, _, m| [g * m],
         );
 
-        // grad_cols = Wᵀ · gy -> [patch, n·oh·ow]; grad_x = col2im.
-        let mut grad_cols = ws.take_tensor([g.patch_len(), n * spatial]);
-        matmul_tn_into(&self.weight.value, &gy, &mut grad_cols);
+        if !input_grad {
+            ws.recycle(gy);
+            return None;
+        }
+        // grad_cols = Wᵀ · gy -> [patch, n·oh·ow]; grad_x = col2im, which
+        // reads no dead tap's row.
+        let mut grad_cols = ws.take_tensor(cache.cols.dims().to_vec());
+        let weight = cache
+            .live
+            .as_ref()
+            .map_or(&self.weight.value, |l| &l.weight);
+        matmul_tn_into(weight, &gy, &mut grad_cols);
         ws.recycle(gy);
         let mut gx = ws.take_tensor([n, g.in_channels, g.in_h, g.in_w]);
-        col2im_into(&grad_cols, &g, &mut gx);
+        match &cache.live {
+            None => col2im_into(&grad_cols, &g, &mut gx),
+            Some(_) => col2im_live_into(&grad_cols, &g, &mut gx),
+        }
         ws.recycle(grad_cols);
-        gx
+        Some(gx)
     }
 
     /// Drop any cached activations (e.g. before serialising).

@@ -63,6 +63,16 @@ impl Linear {
     /// Backward pass drawing all temporaries from `ws`: accumulate
     /// gradients, return the input gradient.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
+        self.backward_params_ws(grad_out, ws);
+        // grad_x = grad_out · W -> [batch, in]
+        let mut gx = ws.take_tensor([grad_out.dims()[0], self.in_features]);
+        matmul_into(grad_out, &self.weight.value, &mut gx);
+        gx
+    }
+
+    /// [`Linear::backward_ws`] without the input gradient: accumulate the
+    /// weight and bias gradients only.
+    pub fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
         let x = self
             .cache
             .as_ref()
@@ -81,10 +91,6 @@ impl Linear {
                 }
             }
         }
-        // grad_x = grad_out · W -> [batch, in]
-        let mut gx = ws.take_tensor([grad_out.dims()[0], self.in_features]);
-        matmul_into(grad_out, &self.weight.value, &mut gx);
-        gx
     }
 
     /// Drop cached activations.

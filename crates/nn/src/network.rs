@@ -35,6 +35,19 @@ pub struct Network {
     workspace: Workspace,
 }
 
+/// Backward through `nodes` in reverse: the gradient with respect to the
+/// first one's input, or `None` when there are no nodes.
+fn backward_through(nodes: &mut [Node], grad_out: &Tensor, ws: &mut Workspace) -> Option<Tensor> {
+    let mut g: Option<Tensor> = None;
+    for node in nodes.iter_mut().rev() {
+        let y = node.backward_ws(g.as_ref().unwrap_or(grad_out), ws);
+        if let Some(prev) = g.replace(y) {
+            ws.recycle(prev);
+        }
+    }
+    g
+}
+
 impl Network {
     /// Create a network from layers.
     pub fn new(nodes: Vec<Node>) -> Self {
@@ -76,17 +89,23 @@ impl Network {
     /// (recyclable via [`Network::recycle`]).
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let Network { nodes, workspace } = self;
-        let mut g: Option<Tensor> = None;
-        for node in nodes.iter_mut().rev() {
-            let y = match &g {
-                Some(t) => node.backward_ws(t, workspace),
-                None => node.backward_ws(grad_out, workspace),
-            };
-            if let Some(prev) = g.replace(y) {
-                workspace.recycle(prev);
-            }
+        backward_through(nodes, grad_out, workspace).unwrap_or_else(|| grad_out.clone())
+    }
+
+    /// [`Network::backward`] for a caller that does not read the input
+    /// gradient (a training step): the first layer accumulates its
+    /// parameter gradients only ([`Node::backward_params_ws`]). Every
+    /// parameter gradient is the same bits as under `backward`.
+    pub fn backward_params(&mut self, grad_out: &Tensor) {
+        let Network { nodes, workspace } = self;
+        let Some((first, rest)) = nodes.split_first_mut() else {
+            return;
+        };
+        let g = backward_through(rest, grad_out, workspace);
+        first.backward_params_ws(g.as_ref().unwrap_or(grad_out), workspace);
+        if let Some(g) = g {
+            workspace.recycle(g);
         }
-        g.unwrap_or_else(|| grad_out.clone())
     }
 
     /// Return a tensor produced by [`Network::forward`] /

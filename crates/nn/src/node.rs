@@ -70,6 +70,21 @@ impl Node {
         }
     }
 
+    /// [`Node::backward_ws`] for a network's first layer, whose input
+    /// gradient nobody reads: convolutions and dense layers accumulate
+    /// their parameter gradients only; any other layer runs its full
+    /// backward and drops the result.
+    pub fn backward_params_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) {
+        match self {
+            Node::Conv(l) => l.backward_params_ws(grad_out, ws),
+            Node::Linear(l) => l.backward_params_ws(grad_out, ws),
+            other => {
+                let gx = other.backward_ws(grad_out, ws);
+                ws.recycle(gx);
+            }
+        }
+    }
+
     /// Visit trainable parameters in a stable order, with dotted name paths.
     pub fn visit_params<'a>(&'a self, prefix: &str, f: &mut impl FnMut(String, &'a Param)) {
         match self {

@@ -39,13 +39,38 @@ impl MaxPool2d {
     }
 
     /// Forward pass drawing temporaries from `ws`; the argmax index buffer
-    /// is recycled from the previous step's cache.
+    /// is recycled from the previous step's cache. A 2×2, stride-2 pool
+    /// tracks no argmax in evaluation mode.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
         let d = input.dims();
         let dims = [d[0], d[1], d[2], d[3]];
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w);
         let mut out = ws.take_tensor([n, c, oh, ow]);
+        if !train && (self.kernel, self.stride) == (2, 2) {
+            self.cache = None;
+            // Evaluation needs no argmax, and non-overlapping 2×2 windows
+            // need no gather: one pass over each pair of input rows meets
+            // every window's four elements in turn.
+            let src = input.data();
+            for (row, dst) in out.data_mut().chunks_exact_mut(ow).enumerate() {
+                let first = (row / oh) * h * w + (row % oh) * 2 * w;
+                let (top, bottom) = (&src[first..][..2 * ow], &src[first + w..][..2 * ow]);
+                for (b, (t, u)) in dst
+                    .iter_mut()
+                    .zip(top.chunks_exact(2).zip(bottom.chunks_exact(2)))
+                {
+                    // The training path's select sequence, below.
+                    *b = t[0];
+                    for v in [t[0], t[1], u[0], u[1]] {
+                        #[allow(clippy::neg_cmp_op_on_partial_ord)] // NaN is the point
+                        let wins = !(v <= *b) & !b.is_nan();
+                        *b = select_unpredictable(wins, v, *b);
+                    }
+                }
+            }
+            return out;
+        }
         let mut argmax = match self.cache.take() {
             Some(cache) => {
                 let mut v = cache.argmax;

@@ -16,6 +16,8 @@ mod select;
 mod sfp;
 
 pub use allocate::{dsa_allocate, uniform_sparsities};
-pub use saliency::{apply_sparsities, channel_saliency, mask_from_sparsity, Criterion};
+pub use saliency::{
+    apply_sparsities, channel_saliency, kept_counts, mask_from_sparsity, Criterion,
+};
 pub use select::{prune_point_param_names, salient_param_indices};
 pub use sfp::SoftFilterPruner;

@@ -66,13 +66,35 @@ pub fn channel_saliency(conv: &Conv2d, criterion: Criterion) -> Vec<f32> {
     }
 }
 
+/// How many of `n > 0` channels survive `sparsity`: `⌊n·s⌋` are pruned,
+/// with `s` clamped to `[0, 1]` and at most `n − 1` pruned, so at least one
+/// channel always survives; a NaN sparsity prunes nothing. The count
+/// [`mask_from_sparsity`] keeps, whatever the saliencies.
+fn kept_channels(n: usize, sparsity: f32) -> usize {
+    let n_prune = ((n as f32 * sparsity.clamp(0.0, 1.0)).floor() as usize).min(n - 1);
+    n - n_prune
+}
+
+/// The channels each prune point keeps once [`apply_sparsities`] applies
+/// `sparsities` (one per prune point), whichever criterion picks them.
+pub fn kept_counts(model: &SplitModel, sparsities: &[f32]) -> Vec<usize> {
+    assert_eq!(
+        sparsities.len(),
+        model.prune_points.len(),
+        "one sparsity per prune point required"
+    );
+    let points = model.prune_points.iter().zip(sparsities);
+    points
+        .map(|(p, &s)| kept_channels(p.out_channels, s))
+        .collect()
+}
+
 /// Build a keep-mask that prunes the `sparsity` fraction of channels with
 /// the lowest saliency. At least one channel always survives.
 pub fn mask_from_sparsity(saliency: &[f32], sparsity: f32) -> Vec<f32> {
     let n = saliency.len();
     assert!(n > 0, "empty saliency");
-    let sparsity = sparsity.clamp(0.0, 1.0);
-    let n_prune = ((n as f32 * sparsity).floor() as usize).min(n - 1);
+    let n_prune = n - kept_channels(n, sparsity);
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| saliency[a].total_cmp(&saliency[b]));
     let mut mask = vec![1.0; n];

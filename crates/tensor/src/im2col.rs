@@ -66,6 +66,32 @@ impl Conv2dGeometry {
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kernel * self.kernel
     }
+
+    /// Does kernel tap `tap = ky·k + kx` read inside the image at some
+    /// output position? A tap that does not — *dead*, as 8 of a 3×3
+    /// kernel's 9 are on a 1×1 map — reads padding everywhere, so its
+    /// patch rows are all `+0.0`.
+    pub fn tap_live(&self, tap: usize) -> bool {
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let (ys, _) = tap_range(tap / k, s, p, self.in_h, self.out_h());
+        let (xs, _) = tap_range(tap % k, s, p, self.in_w, self.out_w());
+        !ys.is_empty() && !xs.is_empty()
+    }
+
+    /// Live taps per input channel ([`Conv2dGeometry::tap_live`]).
+    pub fn live_taps(&self) -> usize {
+        (0..self.kernel * self.kernel)
+            .filter(|&t| self.tap_live(t))
+            .count()
+    }
+
+    /// How many rows of the live patch matrix ([`im2col_live_into`]) come
+    /// from the rows before `row` of the full one ([`im2col_into`]).
+    pub fn live_rows_before(&self, row: usize) -> usize {
+        let k2 = self.kernel * self.kernel;
+        let before = (0..row % k2).filter(|&t| self.tap_live(t)).count();
+        row / k2 * self.live_taps() + before
+    }
 }
 
 /// Along one axis, the output positions `o` at which kernel index `kk`
@@ -153,6 +179,15 @@ impl SameSize {
     }
 }
 
+/// The tap of a channel's `j`-th row, in a patch matrix of every tap or of
+/// the live ones.
+fn tap_of_row(g: &Conv2dGeometry, live: bool, j: usize) -> usize {
+    (0..g.kernel * g.kernel)
+        .filter(|&t| !live || g.tap_live(t))
+        .nth(j)
+        .expect("row within the channel")
+}
+
 /// Unfold a batch of images `[n, c, h, w]` into the channel-major patch
 /// matrix `[c * k * k, n * out_h * out_w]`, so that convolution with a
 /// weight matrix `[out_c, c * k * k]` is the single matmul `W · cols`.
@@ -167,6 +202,18 @@ pub fn im2col(input: &Tensor, g: &Conv2dGeometry) -> Tensor {
 /// Every element is written (padding as explicit `0.0`), so the previous
 /// contents of `out` are irrelevant.
 pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
+    lower_into(input, g, false, out);
+}
+
+/// [`im2col_into`] without the rows of dead taps: the live patch matrix
+/// `[c * live_taps, n * out_h * out_w]` ([`Conv2dGeometry::live_taps`]),
+/// channel-major with each channel's live taps in ascending order. Where
+/// every tap is live this is [`im2col_into`].
+pub fn im2col_live_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
+    lower_into(input, g, true, out);
+}
+
+fn lower_into(input: &Tensor, g: &Conv2dGeometry, live: bool, out: &mut Tensor) {
     let dims = input.dims();
     assert_eq!(dims.len(), 4, "im2col expects [n,c,h,w]");
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -176,9 +223,10 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
 
     let (oh, ow, k, s, p) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.padding);
     let spatial = oh * ow;
+    let per = if live { g.live_taps() } else { k * k };
     assert_eq!(
         out.dims(),
-        &[g.patch_len(), n * spatial],
+        &[c * per, n * spatial],
         "im2col output shape mismatch"
     );
     if n == 0 {
@@ -192,8 +240,9 @@ pub fn im2col_into(input: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
     out.data_mut()
         .par_chunks_mut(n * spatial)
         .enumerate()
-        .for_each(|(tap, dst)| {
-            let (ch, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+        .for_each(|(row, dst)| {
+            let (ch, tap) = (row / per, tap_of_row(g, live, row % per));
+            let (ky, kx) = (tap / k, tap % k);
             let (ys, iy0) = tap_range(ky, s, p, h, oh);
             let (xs, ix0) = tap_range(kx, s, p, w, ow);
             if ys.is_empty() || xs.is_empty() {
@@ -244,6 +293,16 @@ pub fn col2im(cols: &Tensor, g: &Conv2dGeometry, n: usize) -> Tensor {
 /// zeroed before the scatter, so the previous contents of `out` are
 /// irrelevant.
 pub fn col2im_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
+    scatter_into(cols, g, false, out);
+}
+
+/// [`col2im_into`] from the live patch matrix of [`im2col_live_into`]: the
+/// same sums, since a dead tap's rows are never read.
+pub fn col2im_live_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
+    scatter_into(cols, g, true, out);
+}
+
+fn scatter_into(cols: &Tensor, g: &Conv2dGeometry, live_only: bool, out: &mut Tensor) {
     let (oh, ow, k, s, p) = (g.out_h(), g.out_w(), g.kernel, g.stride, g.padding);
     let (c, h, w) = (g.in_channels, g.in_h, g.in_w);
     let dims = out.dims();
@@ -252,7 +311,8 @@ pub fn col2im_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
     assert_eq!(&dims[1..], &[c, h, w], "col2im output geometry mismatch");
     let spatial = oh * ow;
     let r = n * spatial;
-    assert_eq!(cols.dims(), &[g.patch_len(), r], "col2im shape mismatch");
+    let per = if live_only { g.live_taps() } else { k * k };
+    assert_eq!(cols.dims(), &[c * per, r], "col2im shape mismatch");
     let src = cols.data();
     let same_size = SameSize::of(g);
 
@@ -263,16 +323,22 @@ pub fn col2im_into(cols: &Tensor, g: &Conv2dGeometry, out: &mut Tensor) {
         .enumerate()
         .for_each(|(img, dst)| {
             dst.fill(0.0);
-            // Descending taps = ascending output positions per pixel.
+            // Descending taps = ascending output positions per pixel;
+            // `j` is the tap's row within its channel.
+            let mut j = per;
             for ky in (0..k).rev() {
                 let (ys, iy0) = tap_range(ky, s, p, h, oh);
                 for kx in (0..k).rev() {
                     let (xs, ix0) = tap_range(kx, s, p, w, ow);
-                    if ys.is_empty() || xs.is_empty() {
+                    let live = !ys.is_empty() && !xs.is_empty();
+                    if live || !live_only {
+                        j -= 1;
+                    }
+                    if !live {
                         continue;
                     }
-                    let tap = (ky * k + kx) * r + img * spatial;
-                    let chans = src.chunks_exact(k * k * r);
+                    let tap = j * r + img * spatial;
+                    let chans = src.chunks_exact(per * r);
                     if let Some(keep) = &same_size {
                         // One shifted block per plane; the positions
                         // where the tap reads padding add `+0.0`.

@@ -28,11 +28,14 @@ mod shape;
 mod tensor;
 mod workspace;
 
-pub use im2col::{col2im, col2im_into, im2col, im2col_into, Conv2dGeometry};
+pub use im2col::{
+    col2im, col2im_into, col2im_live_into, im2col, im2col_into, im2col_live_into, Conv2dGeometry,
+};
 pub use init::TensorRng;
 pub use kernel::{active_kernel, force_scalar};
 pub use matmul::{
-    matmul, matmul_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into, KC, MC, MR, NC, NR,
+    matmul, matmul_blocks_into, matmul_into, matmul_nt, matmul_nt_into, matmul_tn, matmul_tn_into,
+    KC, MC, MR, NC, NR,
 };
 pub use shape::Shape;
 pub use tensor::Tensor;

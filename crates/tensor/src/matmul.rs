@@ -95,6 +95,27 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// `C = A · B` writing into a preallocated output tensor. Every element of
 /// `c` is overwritten, so the buffer's previous contents are irrelevant.
 pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
+    gemm_nn(a, b, c, None);
+}
+
+/// [`matmul_into`] with the k-blocks given: each element of C is the
+/// in-order sum of one chain per block `ends[i−1]..ends[i]` (from `0`),
+/// each starting at `+0.0`; an empty block adds nothing. `ends` must be
+/// non-decreasing, end at `k` and span at most [`KC`] per block;
+/// `matmul_into` is `ends = KC, 2·KC, …, k`. A conv that drops the
+/// all-zero rows of dead kernel taps passes where the full product's
+/// `KC` grid falls among the rows it keeps.
+pub fn matmul_blocks_into(a: &Tensor, b: &Tensor, c: &mut Tensor, ends: &[usize]) {
+    let mut pc = 0;
+    for &end in ends {
+        assert!(pc <= end && end - pc <= KC, "k-block {pc}..{end}");
+        pc = end;
+    }
+    assert_eq!(Some(&pc), b.dims().first(), "k-block ends stop short of k");
+    gemm_nn(a, b, c, Some(ends));
+}
+
+fn gemm_nn(a: &Tensor, b: &Tensor, c: &mut Tensor, ends: Option<&[usize]>) {
     assert_eq!(a.dims().len(), 2, "matmul lhs must be rank 2");
     assert_eq!(b.dims().len(), 2, "matmul rhs must be rank 2");
     let (m, k) = (a.dims()[0], a.dims()[1]);
@@ -106,9 +127,8 @@ pub fn matmul_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         AKind::RowMajor,
         b.data(),
         BKind::RowMajor,
-        m,
-        n,
-        k,
+        (m, n, k),
+        ends,
         c.data_mut(),
     );
 }
@@ -134,9 +154,8 @@ pub fn matmul_tn_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         AKind::Transposed,
         b.data(),
         BKind::RowMajor,
-        m,
-        n,
-        k,
+        (m, n, k),
+        None,
         c.data_mut(),
     );
 }
@@ -163,9 +182,8 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
         AKind::RowMajor,
         b.data(),
         BKind::Transposed,
-        m,
-        n,
-        k,
+        (m, n, k),
+        None,
         c.data_mut(),
     );
 }
@@ -173,16 +191,15 @@ pub fn matmul_nt_into(a: &Tensor, b: &Tensor, c: &mut Tensor) {
 /// Blocked driver shared by all three layout variants: dispatches once
 /// per call to the FMA tile that pads C less (if the CPU, and any
 /// override, allows FMA) or the portable tile, then runs the
-/// kernel-generic blocked loop.
-#[allow(clippy::too_many_arguments)]
+/// kernel-generic blocked loop. The k-chains restart at `kends`, or every
+/// `KC` rows when `None`.
 fn gemm(
     a: &[f32],
     akind: AKind,
     b: &[f32],
     bkind: BKind,
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
+    kends: Option<&[usize]>,
     c: &mut [f32],
 ) {
     debug_assert_eq!(c.len(), m * n);
@@ -203,13 +220,13 @@ fn gemm(
     #[cfg(target_arch = "x86_64")]
     if crate::kernel::use_fma() {
         if crate::kernel::fma_4x24_pads_less(m, n) {
-            gemm_with::<crate::kernel::Fma4x24>(a, akind, b, bkind, m, n, k, c, threads);
+            gemm_with::<crate::kernel::Fma4x24>(a, akind, b, bkind, (m, n, k), kends, c, threads);
         } else {
-            gemm_with::<crate::kernel::Fma6x16>(a, akind, b, bkind, m, n, k, c, threads);
+            gemm_with::<crate::kernel::Fma6x16>(a, akind, b, bkind, (m, n, k), kends, c, threads);
         }
         return;
     }
-    gemm_with::<Scalar4x8>(a, akind, b, bkind, m, n, k, c, threads);
+    gemm_with::<Scalar4x8>(a, akind, b, bkind, (m, n, k), kends, c, threads);
 }
 
 thread_local! {
@@ -258,18 +275,17 @@ impl CPtr {
 /// rows. Interior tiles take the kernel's direct-to-C vector store path
 /// ([`MicroKernel::tile_into`]); edge tiles (zero-padded in the packed
 /// panels) use the accumulator-buffer path with a scalar partial write.
-/// The first k-block *stores* (so `c` need not be zeroed beforehand);
-/// later k-blocks accumulate. How C is cut never changes a result: each
-/// element is one task's in-order k-block chain.
+/// The first non-empty k-block *stores* (so `c` need not be zeroed
+/// beforehand); later k-blocks accumulate. How C is cut never changes a
+/// result: each element is one task's in-order k-block chain.
 #[allow(clippy::too_many_arguments)]
 fn gemm_with<K: MicroKernel>(
     a: &[f32],
     akind: AKind,
     b: &[f32],
     bkind: BKind,
-    m: usize,
-    n: usize,
-    k: usize,
+    (m, n, k): (usize, usize, usize),
+    kends: Option<&[usize]>,
     c: &mut [f32],
     threads: usize,
 ) {
@@ -316,9 +332,14 @@ fn gemm_with<K: MicroKernel>(
         // allowing one partially-out-of-range panel (`MC` need not divide
         // `K::MR`).
         let mut apack = [0.0f32; (MC + MAX_MR) * KC];
-        let mut pc = 0;
+        let (mut pc, mut block) = (0, 0);
         while pc < k {
-            let kc = KC.min(k - pc);
+            let end = kends.map_or((pc + KC).min(k), |e| e[block]);
+            block += 1;
+            if end == pc {
+                continue;
+            }
+            let kc = end - pc;
             let strip = &mut strip[..panels.len() * kc * K::NR];
             for (slot, bp) in strip.chunks_exact_mut(kc * K::NR).zip(panels.clone()) {
                 let j0 = bp * K::NR;
@@ -364,7 +385,7 @@ fn gemm_with<K: MicroKernel>(
                     }
                 }
             }
-            pc += KC;
+            pc = end;
         }
         BSTRIP.set(strip);
     };
@@ -790,9 +811,8 @@ mod tests {
             AKind::RowMajor,
             b.data(),
             BKind::RowMajor,
-            m,
-            n,
-            k,
+            (m, n, k),
+            None,
             c.data_mut(),
             threads,
         );
@@ -877,7 +897,16 @@ mod tests {
         threads: usize,
     ) -> Tensor {
         let mut c = Tensor::full([m, n], f32::NAN);
-        gemm_with::<K>(a.data(), ak, b.data(), bk, m, n, k, c.data_mut(), threads);
+        gemm_with::<K>(
+            a.data(),
+            ak,
+            b.data(),
+            bk,
+            (m, n, k),
+            None,
+            c.data_mut(),
+            threads,
+        );
         c
     }
 
