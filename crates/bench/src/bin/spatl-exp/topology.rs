@@ -4,11 +4,14 @@
 //! Three claims are exercised in process (the networked analogue lives in
 //! `crates/net/tests/tier.rs`):
 //!
-//! 1. **Exact composition** — under the default weighted mean, folding
-//!    each edge's slice and merging at the root is *bit-identical* to the
-//!    flat fold, for all five algorithms, dropouts included (survivor
-//!    renormalisation composes). Rounds-to-target is therefore identical
-//!    by construction, and the table shows it.
+//! 1. **Exact composition** — under the default weighted mean, a tiered
+//!    root's fold is *bit-identical* to a flat root's, for all five
+//!    algorithms, dropouts included (survivor renormalisation composes).
+//!    The flat arm folds each client's decoded upload frames; the 2-tier
+//!    arm ships each edge's survivors through an encoded and decoded
+//!    `EdgeCombined` payload and folds their frames into an accumulator
+//!    opened over edges, as the tiered root does. Rounds-to-target is
+//!    therefore identical, and the table shows it.
 //! 2. **Bounded-ε composition** — the robust aggregators pre-reduce at
 //!    the edges and compose stat-of-stats at the root. Each composed
 //!    round stays within the `server_lr · (max − min)` per-coordinate
@@ -21,10 +24,11 @@
 
 use serde_json::json;
 use spatl::fl::{
-    aggregate_reduced, edge_partition, exact_composition, fault_counters, fold_fault_counters,
-    reduce_cohort, GlobalState, LocalOutcome,
+    aggregate_reduced, edge_partition, entry_outcome, exact_composition, fault_counters,
+    fold_fault_counters, outcome_entry, reduce_cohort, GlobalState, LocalOutcome,
 };
 use spatl::prelude::*;
+use spatl::wire::{decode_edge_combined, encode_edge_combined, EdgeCombined};
 use spatl_bench::{cli, col, Fmt, Scale, Section};
 
 const EDGES: usize = 2;
@@ -42,9 +46,11 @@ fn builder(algorithm: Algorithm, clients: usize, rounds: usize, samples: usize) 
 }
 
 /// One in-process federated run where aggregation is composed over
-/// `n_edges` contiguous slices, exactly the way the tiered runtime does:
-/// per-edge fold (exact forwarding for the weighted mean, pre-reduction
-/// for robust kinds), root merge, evaluate-all. `drop_client` removes one
+/// `n_edges` contiguous slices, the way the runtime does: a flat root
+/// (`n_edges == 1`) folds every decoded upload; a tiered root folds the
+/// frames each edge forwards in its combined payload (exact kinds), or
+/// composes the edges' pre-reductions (robust kinds); then evaluate-all.
+/// `drop_client` removes one
 /// client's upload in round 0 — the edge-side dropout whose survivor
 /// renormalisation must compose. Returns the final global, the per-round
 /// mean accuracies and the total dropout count the composed ledger saw.
@@ -88,15 +94,42 @@ fn run_composed(
         }
         dropouts_total += root_ledger.dropouts;
 
-        if exact {
-            // Claim 1: the weighted-mean fold over the merged survivors
-            // (the batch door the tiered root's accumulator closes
-            // through; the fold is order-independent) is the flat fold.
-            outcomes.sort_by_key(|o| o.client_id);
-            session
-                .driver
-                .global
-                .aggregate(&cfg, &outcomes, cfg.n_clients);
+        if exact && n_edges == 1 {
+            // Claim 1, flat arm: a flat root folds each decoded upload
+            // into the round's accumulator.
+            let mut acc = session.driver.begin_accumulation();
+            for o in &outcomes {
+                let decoded = session.driver.decode_client_upload(o, &o.frames);
+                acc.fold(decoded.expect("client upload decodes"));
+            }
+            session.driver.finish_accumulation(acc, &mut root_ledger);
+        } else if exact {
+            // Claim 1, 2-tier arm: each edge forwards its survivors'
+            // sealed frames in one combined payload; the root decodes the
+            // payload, then each entry's frames, into an accumulator
+            // opened over edges (the edges already screened).
+            let mut acc = session.driver.begin_accumulation_over_edges();
+            for (edge, (range, ledger)) in ranges.iter().zip(&edge_ledgers).enumerate() {
+                let entries = outcomes
+                    .iter()
+                    .filter(|o| range.contains(&o.client_id))
+                    .map(|o| outcome_entry(o, 0.0, o.frames.clone()))
+                    .collect();
+                let payload = encode_edge_combined(&EdgeCombined {
+                    edge_id: edge as u32,
+                    round: round as u32,
+                    faults: fault_counters(ledger),
+                    entries,
+                    reduced: None,
+                });
+                let combined = decode_edge_combined(&payload).expect("combined upload decodes");
+                for entry in &combined.entries {
+                    let meta = entry_outcome(entry);
+                    let decoded = session.driver.decode_client_upload(&meta, &entry.frames);
+                    acc.fold(decoded.expect("forwarded upload decodes"));
+                }
+            }
+            session.driver.finish_accumulation(acc, &mut root_ledger);
         } else {
             // Claim 2: robust kinds pre-reduce per edge and compose.
             let reduced: Vec<_> = ranges

@@ -259,8 +259,7 @@ fn parse_privacy(args: &Args) -> Result<Option<PrivacyConfig>, String> {
 /// The runtime-deadline flag set shared by `spatl-server` and
 /// `spatl-edge`: how long to wait for the cohort to register
 /// (`--join-timeout`), for a round to complete (`--round-timeout`) and
-/// for a single blocking read/write (`--io-timeout`), all in seconds —
-/// plus the root's quorum commit fraction (`--quorum`).
+/// for a single blocking read/write (`--io-timeout`), all in seconds.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeOpts {
     /// Registration wait before the first round starts short-handed.
@@ -269,50 +268,48 @@ pub struct RuntimeOpts {
     pub round_timeout: Duration,
     /// Per-operation socket deadline (handshakes, writes).
     pub io_timeout: Duration,
-    /// Fraction of the round's participants whose folded uploads commit
-    /// the round (`(0, 1]`; 1.0 waits for everyone).
-    pub quorum: f64,
 }
 
 impl RuntimeOpts {
     /// Flags [`RuntimeOpts::from_args`] consumes.
-    pub const FLAGS: [&'static str; 4] = ["join-timeout", "round-timeout", "io-timeout", "quorum"];
+    pub const FLAGS: [&'static str; 3] = ["join-timeout", "round-timeout", "io-timeout"];
 
     /// Read the runtime flags out of parsed [`Args`] (defaults: 30 s
-    /// join, 300 s round, 30 s io, quorum 1.0).
+    /// join, 300 s round, 30 s io).
     pub fn from_args(args: &Args) -> RuntimeOpts {
         RuntimeOpts {
             join_timeout: Duration::from_secs(args.get_or("join-timeout", 30)),
             round_timeout: Duration::from_secs(args.get_or("round-timeout", 300)),
             io_timeout: Duration::from_secs(args.get_or("io-timeout", 30)),
-            quorum: args.get_or("quorum", 1.0),
         }
     }
 }
 
-/// The topology flag set shared by `spatl-server` and `spatl-edge`:
-/// how many edge aggregators the session runs (`--edges`, 0 = flat), which edge a `spatl-edge` process is (`--edge-id`), where
-/// the root listens (`--root-addr`) and where the durable round log lives
-/// (`--wal`). Plain data — the binaries translate it into their runtime's
-/// own configuration types.
+/// The topology flags of `spatl-server` and `spatl-edge`: how many edge
+/// aggregators the session runs (`--edges`, 0 = flat, both binaries),
+/// where the root keeps its durable round log (`--wal`, root only), and
+/// which edge a `spatl-edge` process is (`--edge-id`) and where its root
+/// listens (`--root-addr`, edge only). Plain data — the binaries
+/// translate it into their runtime's own configuration types.
 #[derive(Debug, Clone)]
 pub struct TierOpts {
     /// Number of edge aggregators between clients and root; 0 keeps the
     /// flat star topology.
     pub edges: usize,
-    /// Which edge this process is (`spatl-edge` only; 0-based).
+    /// Which edge this process is (0-based).
     pub edge_id: usize,
     /// Root coordinator address an edge connects upstream to.
     pub root_addr: String,
-    /// Durable write-ahead round log path (root only); `None` disables
-    /// mid-round crash recovery.
+    /// Durable write-ahead round log path; `None` keeps the session in
+    /// memory only.
     pub wal: Option<String>,
 }
 
 impl TierOpts {
-    /// Flags [`TierOpts::from_args`] consumes; binaries append them to
-    /// [`NetOpts::FLAGS`] before calling [`Args::parse`].
-    pub const FLAGS: [&'static str; 4] = ["edges", "edge-id", "root-addr", "wal"];
+    /// The flags `spatl-server` appends to [`NetOpts::FLAGS`].
+    pub const ROOT_FLAGS: [&'static str; 2] = ["edges", "wal"];
+    /// The flags `spatl-edge` appends to [`NetOpts::FLAGS`].
+    pub const EDGE_FLAGS: [&'static str; 3] = ["edges", "edge-id", "root-addr"];
 
     /// Read the topology flags out of parsed [`Args`], defaulting to the
     /// flat topology with no round log.
@@ -348,15 +345,19 @@ mod tests {
         assert_eq!(flat.edges, 0);
         assert!(flat.wal.is_none());
 
-        let accepted: Vec<&str> = TierOpts::FLAGS.to_vec();
-        let args = parse_args(
-            ["--edges", "2", "--edge-id=1", "--wal", "log.jsonl"],
-            &accepted,
-        )
-        .unwrap();
-        let tiered = TierOpts::from_args(&args);
-        assert_eq!((tiered.edges, tiered.edge_id), (2, 1));
-        assert_eq!(tiered.wal.as_deref(), Some("log.jsonl"));
+        let root = parse_args(
+            ["--edges", "2", "--wal", "log.jsonl"],
+            &TierOpts::ROOT_FLAGS,
+        );
+        let root = TierOpts::from_args(&root.unwrap());
+        assert_eq!(root.edges, 2);
+        assert_eq!(root.wal.as_deref(), Some("log.jsonl"));
+        assert!(parse_args(["--edge-id", "1"], &TierOpts::ROOT_FLAGS).is_err());
+
+        let edge = parse_args(["--edges", "2", "--edge-id=1"], &TierOpts::EDGE_FLAGS);
+        let edge = TierOpts::from_args(&edge.unwrap());
+        assert_eq!((edge.edges, edge.edge_id), (2, 1));
+        assert!(parse_args(["--wal", "log.jsonl"], &TierOpts::EDGE_FLAGS).is_err());
     }
 
     #[test]
@@ -374,7 +375,6 @@ mod tests {
         assert!(opts.chaos.is_none() && opts.churn.is_none());
         let runtime = RuntimeOpts::from_args(&none);
         assert_eq!(runtime.round_timeout, Duration::from_secs(300));
-        assert_eq!(runtime.quorum, 1.0);
 
         let args = parse_args(
             [
@@ -386,8 +386,6 @@ mod tests {
                 "cross-device",
                 "--churn-duty",
                 "0.6",
-                "--quorum",
-                "0.75",
                 "--io-timeout",
                 "5",
             ],
@@ -403,7 +401,6 @@ mod tests {
         assert_eq!(churn.duty, 0.6);
         assert_eq!(churn.arrival_span, ChurnPlan::cross_device().arrival_span);
         let runtime = RuntimeOpts::from_args(&args);
-        assert_eq!(runtime.quorum, 0.75);
         assert_eq!(runtime.io_timeout, Duration::from_secs(5));
     }
 

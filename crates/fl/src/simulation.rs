@@ -64,22 +64,9 @@ impl RunResult {
         self.history.last().map(|r| r.cumulative_bytes).unwrap_or(0)
     }
 
-    /// Bytes accumulated up to (and including) the round that reaches
-    /// `target` accuracy.
-    pub fn bytes_to_target(&self, target: f32) -> Option<u64> {
-        self.rounds_to_target(target)
-            .map(|r| self.history[r - 1].cumulative_bytes)
-    }
-
     /// Total simulated transfer wall-clock over the run, in seconds.
     pub fn total_transfer_s(&self) -> f64 {
         self.history.iter().map(|r| r.transfer_wall_s).sum()
-    }
-
-    /// Total *measured* transfer wall-clock over the run, in seconds
-    /// (zero unless the run crossed real sockets).
-    pub fn total_measured_s(&self) -> f64 {
-        self.history.iter().map(|r| r.measured_wall_s).sum()
     }
 
     /// Total measured bytes on the wire over the run, framing included.

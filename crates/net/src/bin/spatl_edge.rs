@@ -24,7 +24,7 @@ use spatl_net::{EdgeAggregator, EdgeConfig, NetError, Topology};
 fn main() -> Result<(), NetError> {
     let mut flags: Vec<&str> = NetOpts::FLAGS.to_vec();
     flags.extend(RuntimeOpts::FLAGS);
-    flags.extend(TierOpts::FLAGS);
+    flags.extend(TierOpts::EDGE_FLAGS);
     let args = Args::parse(&flags);
     let runtime = RuntimeOpts::from_args(&args);
     let tier = TierOpts::from_args(&args);
@@ -36,7 +36,8 @@ fn main() -> Result<(), NetError> {
     let session = opts
         .build_session(Topology::Tiered { edges: tier.edges })
         .unwrap_or_else(|e| usage_error(e));
-    let mut edge_opts = EdgeConfig::new(tier.edge_id, tier.edges, tier.root_addr, opts.addr);
+    let root_addr = &tier.root_addr;
+    let mut edge_opts = EdgeConfig::new(tier.edge_id, tier.edges, root_addr, opts.addr);
     edge_opts.join_timeout = runtime.join_timeout;
     edge_opts.round_timeout = runtime.round_timeout;
     edge_opts.io_timeout = runtime.io_timeout;
@@ -48,7 +49,7 @@ fn main() -> Result<(), NetError> {
         edge.local_addr()?,
         range.start,
         range.end,
-        args.get("root-addr").unwrap_or("127.0.0.1:7878"),
+        root_addr,
         opts.algorithm.name(),
     );
     let report = edge.run()?;

@@ -24,7 +24,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use spatl::{save_global, CheckpointError, RoundLog};
+use spatl::{CheckpointError, RoundLog};
 use spatl_fl::{
     decode_upload, edge_partition, entry_outcome, exact_composition, fold_fault_counters,
     ledger_departures, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome, RoundDriver,
@@ -63,18 +63,14 @@ pub struct CoordinatorConfig {
     /// Per-connection write deadline (broadcasts) and handshake read
     /// deadline.
     pub io_timeout: Duration,
-    /// Upper bound on a single frame's payload accepted from a client.
-    pub max_frame: usize,
-    /// Where to persist the global state when the run ends or a client
-    /// requests shutdown; `None` disables checkpointing.
-    pub checkpoint: Option<PathBuf>,
     /// What the listener terminates: client nodes or edge aggregators.
     pub topology: Topology,
-    /// Durable write-ahead round log ([`RoundLog`]). When the file
-    /// already exists [`Coordinator::bind`] recovers it — restoring the
-    /// last durable global state and resuming *mid-round* if a `begin`
-    /// was never committed; otherwise a fresh log is created. `None`
-    /// disables mid-round durability.
+    /// Durable write-ahead round log ([`RoundLog`]), the one way a
+    /// coordinator persists and resumes. When the file already exists
+    /// [`Coordinator::bind`] recovers it — restoring the last durable
+    /// global state and sampling position, and resuming *mid-round* if a
+    /// `begin` was never committed; otherwise a fresh log is created.
+    /// `None` keeps the session in memory only.
     pub wal: Option<PathBuf>,
     /// Quorum fraction for the flat round commit, in `(0, 1]`. Once at
     /// least `ceil(quorum · participants)` uploads of a round have
@@ -101,8 +97,6 @@ impl Default for CoordinatorConfig {
             join_timeout: Duration::from_secs(30),
             round_timeout: Duration::from_secs(300),
             io_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME_PAYLOAD,
-            checkpoint: None,
             topology: Topology::Flat,
             wal: None,
             quorum: 1.0,
@@ -116,7 +110,7 @@ impl Default for CoordinatorConfig {
 pub struct Coordinator {
     /// The transport-independent round engine (identical to the one the
     /// simulator embeds). Public so callers can inspect the global state
-    /// and history, and so resume flows can restore a checkpoint into it.
+    /// and history.
     pub driver: RoundDriver,
     opts: CoordinatorConfig,
     /// Downstream connections: the clients when flat; when tiered the
@@ -157,7 +151,6 @@ impl Coordinator {
             0..n,
             fingerprint,
             (opts.io_timeout, opts.round_timeout),
-            opts.max_frame,
         )?;
 
         let mut wal = None;
@@ -453,7 +446,7 @@ impl Coordinator {
                 };
                 let shares = write_frame(stream, &request)
                     .ok()
-                    .and_then(|()| read_frame(stream, self.opts.max_frame).ok().flatten())
+                    .and_then(|()| read_frame(stream, MAX_FRAME_PAYLOAD).ok().flatten())
                     .and_then(|frame| match open(&frame) {
                         Ok((MsgType::UnmaskShare, payload)) => decode_unmask_shares(payload).ok(),
                         _ => None,
@@ -687,22 +680,20 @@ impl Coordinator {
         acc
     }
 
-    /// End the session: checkpoint the global state (when configured) and
-    /// broadcast [`MsgType::Shutdown`] so every node exits cleanly.
+    /// End the session: broadcast [`MsgType::Shutdown`] so every node
+    /// exits cleanly. With a round log configured, every completed round
+    /// is already committed to it.
     pub fn finish(&mut self) -> Result<(), NetError> {
-        if let Some(path) = self.opts.checkpoint.clone() {
-            save_global(&self.driver.global, &path)?;
-        }
         self.peers.shutdown_all();
         Ok(())
     }
 
     /// Run the full session: wait for the cohort, drive every configured
     /// round (stopping early if a client requests shutdown), then
-    /// checkpoint and broadcast [`MsgType::Shutdown`]. Returns `true` when
-    /// all rounds ran, `false` on an early client-requested shutdown — the
-    /// checkpoint then holds the state to resume from (see
-    /// [`RoundDriver::advance_sampling`]).
+    /// broadcast [`MsgType::Shutdown`]. Returns `true` when all rounds
+    /// ran, `false` on an early client-requested shutdown — a coordinator
+    /// bound on the same round log then resumes after the last committed
+    /// round.
     pub fn run(&mut self) -> Result<bool, NetError> {
         self.wait_for_clients();
         while self.driver.round_index() < self.driver.cfg.rounds && !self.shutdown_requested {

@@ -35,13 +35,10 @@ use spatl_fl::{
     outcome_entry, reduce_cohort, screen_updates, ChaosPlan, FaultKind, FaultRecord, LocalOutcome,
     RoundDriver, Topology,
 };
-use spatl_wire::{
-    seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters,
-    MAX_FRAME_PAYLOAD,
-};
+use spatl_wire::{seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters};
 
 use crate::gather::{gather, ledger, meta_outcome, sync_sink, Phase};
-use crate::node::{backoff, read_upstream, register, Upstream};
+use crate::node::{backoff, read_upstream, register, Upstream, BACKOFF_BASE, MAX_RECONNECTS};
 use crate::peers::PeerTable;
 use crate::proto::{session_fingerprint, Hello, HelloRole, RoundDone, RoundMode};
 use crate::NetError;
@@ -74,21 +71,12 @@ pub struct EdgeConfig {
     pub round_timeout: Duration,
     /// Per-client write deadline and handshake read deadline.
     pub io_timeout: Duration,
-    /// Upper bound on a single frame's payload, both directions.
-    pub max_frame: usize,
-    /// First upstream reconnect delay; doubles per consecutive failure.
-    pub backoff_base: Duration,
-    /// Upper bound on the upstream reconnect delay.
-    pub backoff_cap: Duration,
-    /// Consecutive upstream connection failures tolerated before giving
-    /// up; resets whenever a session is established.
-    pub max_reconnects: u32,
 }
 
 impl EdgeConfig {
     /// Defaults for edge `edge_id` of `n_edges`, rooted at `root_addr`,
-    /// listening on `listen_addr`: 300 s round deadline, 30 s io
-    /// deadline, 50 ms base backoff capped at 2 s, 40 reconnects.
+    /// listening on `listen_addr`: 20 s join wait, 300 s round deadline,
+    /// 30 s io deadline.
     pub fn new(
         edge_id: usize,
         n_edges: usize,
@@ -103,10 +91,6 @@ impl EdgeConfig {
             join_timeout: Duration::from_secs(20),
             round_timeout: Duration::from_secs(300),
             io_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME_PAYLOAD,
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            max_reconnects: 40,
         }
     }
 }
@@ -184,7 +168,6 @@ impl EdgeAggregator {
                 range.clone(),
                 fingerprint,
                 (opts.io_timeout, opts.round_timeout),
-                opts.max_frame,
             )?,
             driver,
             range,
@@ -236,11 +219,10 @@ impl EdgeAggregator {
                 },
                 Err(_) => failures += 1,
             }
-            if failures > self.opts.max_reconnects {
+            if failures > MAX_RECONNECTS {
                 return Err(NetError::Disconnected);
             }
-            let (base, cap) = (self.opts.backoff_base, self.opts.backoff_cap);
-            std::thread::sleep(backoff(base, cap, failures));
+            std::thread::sleep(backoff(BACKOFF_BASE, failures));
         }
     }
 
@@ -254,15 +236,14 @@ impl EdgeAggregator {
             fingerprint: self.fingerprint,
             role: HelloRole::Edge,
         };
-        let max_frame = self.opts.max_frame;
-        register(&mut stream, hello, self.opts.io_timeout, max_frame)?;
+        register(&mut stream, hello, self.opts.io_timeout)?;
         if self.registered {
             self.report.reconnects += 1;
         }
         self.registered = true;
 
         loop {
-            let (assign, down) = match read_upstream(&mut stream, max_frame)? {
+            let (assign, down) = match read_upstream(&mut stream)? {
                 Upstream::Shutdown => return Ok(SessionEnd::Shutdown),
                 Upstream::Lost => return Ok(SessionEnd::Lost),
                 Upstream::Assign(assign, down) => (assign, down),

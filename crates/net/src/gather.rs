@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use spatl_fl::{ChaosPlan, FaultKind, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
-use spatl_wire::{open, FramePoll, FrameReader, MsgType};
+use spatl_wire::{open, FramePoll, FrameReader, MsgType, MAX_FRAME_PAYLOAD};
 
 use crate::peers::PeerTable;
 use crate::proto::{HelloRole, RoundDone, RoundMode};
@@ -157,9 +157,9 @@ struct ConnGather {
 }
 
 impl ConnGather {
-    fn new(max_frame: usize) -> Self {
+    fn new() -> Self {
         ConnGather {
-            reader: FrameReader::new(max_frame),
+            reader: FrameReader::new(MAX_FRAME_PAYLOAD),
             head: None,
             frames: Vec::new(),
             admitted: false,
@@ -340,7 +340,6 @@ pub(crate) fn gather(
         role, round, mode, ..
     } = *phase;
     let ids = &phase.ids;
-    let max_frame = peers.max_frame;
     let copies = |id| {
         let dup = phase
             .chaos
@@ -352,7 +351,7 @@ pub(crate) fn gather(
         .iter()
         .map(|&id| Slot {
             id,
-            conn: ConnGather::new(max_frame),
+            conn: ConnGather::new(),
             open: true,
             copies: copies(id),
             submitted: false,
@@ -395,7 +394,7 @@ pub(crate) fn gather(
                 }
                 // The peer re-runs its chaos schedule on the retry, so
                 // the expected copy count resets with the assembly.
-                slot.conn = ConnGather::new(max_frame);
+                slot.conn = ConnGather::new();
                 slot.copies = copies(id);
                 if peers.send_assignment(role, id, round, mode, phase.frames) {
                     nonblocking(peers, id, true);
@@ -481,7 +480,7 @@ pub(crate) fn gather(
                     if slot.conn.admitted {
                         in_flight -= 1;
                     }
-                    slot.conn = ConnGather::new(max_frame);
+                    slot.conn = ConnGather::new();
                     failure
                 }
             };

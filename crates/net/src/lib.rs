@@ -72,7 +72,8 @@ pub enum NetError {
     Stream(StreamError),
     /// A frame arrived but its envelope or payload did not decode.
     Wire(WireError),
-    /// Checkpoint persistence failed during shutdown or resume.
+    /// The round log could not be created or recovered
+    /// ([`Coordinator::bind`]).
     Checkpoint(CheckpointError),
     /// The session cannot run on the endpoint's topology
     /// ([`FlConfig::check`](spatl_fl::FlConfig::check)); refused before

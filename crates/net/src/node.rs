@@ -31,11 +31,25 @@ use crate::proto::{
 };
 use crate::NetError;
 
+/// First reconnect delay of an edge, and a node's default.
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Upper bound on the reconnect delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Consecutive connection failures an upstream dialer tolerates before
+/// giving up; the count resets whenever a session is established.
+pub(crate) const MAX_RECONNECTS: u32 = 40;
+
+/// A node's write deadline towards its coordinator, and the read
+/// deadline of the handshake's Join answer.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Capped exponential reconnect delay after `failures` consecutive
-/// failed dials: `base` doubling per failure, at most `cap`.
-pub(crate) fn backoff(base: Duration, cap: Duration, failures: u32) -> Duration {
+/// failed dials: `base` doubling per failure, at most `BACKOFF_CAP`.
+pub(crate) fn backoff(base: Duration, failures: u32) -> Duration {
     let exp = failures.saturating_sub(1).min(16);
-    base.saturating_mul(1u32 << exp).min(cap)
+    base.saturating_mul(1u32 << exp).min(BACKOFF_CAP)
 }
 
 /// Register with the upstream endpoint on a fresh connection: send
@@ -49,13 +63,12 @@ pub(crate) fn register(
     stream: &mut TcpStream,
     hello: Hello,
     io_timeout: Duration,
-    max_frame: usize,
 ) -> Result<(), NetError> {
     stream.set_nodelay(true)?;
     stream.set_write_timeout(Some(io_timeout))?;
     stream.set_read_timeout(Some(io_timeout))?;
     write_frame(stream, &seal(MsgType::Hello, &hello.encode()))?;
-    let frame = read_frame(stream, max_frame)?
+    let frame = read_frame(stream, MAX_FRAME_PAYLOAD)?
         .ok_or_else(|| NetError::Protocol("connection closed before Join".into()))?;
     let (msg, payload) = open(&frame)?;
     if msg != MsgType::Join {
@@ -82,11 +95,8 @@ pub(crate) enum Upstream {
 
 /// Block for the upstream's next control message; an assignment is read
 /// whole, broadcast frames included.
-pub(crate) fn read_upstream(
-    stream: &mut TcpStream,
-    max_frame: usize,
-) -> Result<Upstream, NetError> {
-    let frame = match read_frame(stream, max_frame) {
+pub(crate) fn read_upstream(stream: &mut TcpStream) -> Result<Upstream, NetError> {
+    let frame = match read_frame(stream, MAX_FRAME_PAYLOAD) {
         Ok(Some(f)) => f,
         Ok(None) => return Ok(Upstream::Lost),
         Err(e) if e.is_transport_corruption() => return Ok(Upstream::Lost),
@@ -99,7 +109,7 @@ pub(crate) fn read_upstream(
             let assign = RoundAssign::decode(payload)?;
             let mut frames = Vec::new();
             for _ in 0..assign.n_frames {
-                match read_frame(stream, max_frame)? {
+                match read_frame(stream, MAX_FRAME_PAYLOAD)? {
                     Some(f) => frames.push(f),
                     None => return Ok(Upstream::Lost),
                 }
@@ -115,23 +125,8 @@ pub(crate) fn read_upstream(
 pub struct NodeConfig {
     /// Coordinator address to connect to.
     pub addr: String,
-    /// First reconnect delay; doubles per consecutive failure.
+    /// First reconnect delay; doubles per consecutive failure, up to 2 s.
     pub backoff_base: Duration,
-    /// Upper bound on the reconnect delay.
-    pub backoff_cap: Duration,
-    /// Consecutive connection failures tolerated before giving up. Resets
-    /// whenever a session is established.
-    pub max_reconnects: u32,
-    /// Upper bound on a single frame's payload accepted from the server.
-    pub max_frame: usize,
-    /// Write deadline towards the coordinator, and the read deadline for
-    /// the handshake's Join answer. Mid-session reads block indefinitely —
-    /// the gap until the next assignment is bounded by the slowest peer's
-    /// training, and a dead coordinator surfaces as EOF, not a hang. The
-    /// handshake is different: a listener that accepted the dial but never
-    /// answers (a backlogged or finished coordinator) must not park the
-    /// node forever, so the Join read is bounded.
-    pub write_timeout: Duration,
     /// Secondary coordinator address to fail over to (DESIGN.md §14):
     /// in a tiered deployment this is the *root*, dialed when the home
     /// edge stops answering. `None` disables failover.
@@ -143,16 +138,12 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Defaults for a coordinator at `addr`: 50 ms base backoff capped at
-    /// 2 s, 40 reconnect attempts, 30 s write deadline, no failover.
+    /// Defaults for a coordinator at `addr`: 50 ms base backoff, no
+    /// failover.
     pub fn new(addr: impl Into<String>) -> Self {
         NodeConfig {
             addr: addr.into(),
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(2),
-            max_reconnects: 40,
-            max_frame: MAX_FRAME_PAYLOAD,
-            write_timeout: Duration::from_secs(30),
+            backoff_base: BACKOFF_BASE,
             fallback_addr: None,
             fallback_after: 3,
         }
@@ -240,7 +231,7 @@ impl ClientNode {
 
     /// Serve until the coordinator shuts the session down. Reconnects
     /// with capped exponential backoff on connection loss; gives up after
-    /// `max_reconnects` consecutive failures. With a `fallback_addr`
+    /// 40 consecutive failures. With a `fallback_addr`
     /// configured, `fallback_after` consecutive primary failures switch
     /// the dial target to the fallback (a dead edge's clients re-register
     /// directly at the root); a fallback rejection — the home edge is
@@ -268,7 +259,7 @@ impl ClientNode {
                     }
                     Err(NetError::Rejected) if use_fallback => {
                         fallback_rejects += 1;
-                        if fallback_rejects > self.opts.max_reconnects {
+                        if fallback_rejects > MAX_RECONNECTS {
                             return Err(NetError::Rejected);
                         }
                         // Back to the primary: the home edge answered for
@@ -280,7 +271,7 @@ impl ClientNode {
                 },
                 Err(_) => failures += 1,
             }
-            if failures > self.opts.max_reconnects {
+            if failures > MAX_RECONNECTS {
                 return Err(NetError::Disconnected);
             }
             // An established-then-lost session redials immediately: the
@@ -288,8 +279,7 @@ impl ClientNode {
             // cost a dead edge's clients the rest of the round they are
             // failing over into. Backoff applies only after failed dials.
             if failures > 0 {
-                let (base, cap) = (self.opts.backoff_base, self.opts.backoff_cap);
-                std::thread::sleep(backoff(base, cap, failures));
+                std::thread::sleep(backoff(self.opts.backoff_base, failures));
             }
         }
     }
@@ -302,15 +292,14 @@ impl ClientNode {
             fingerprint,
             role: HelloRole::Client,
         };
-        let (io_timeout, max_frame) = (self.opts.write_timeout, self.opts.max_frame);
-        register(&mut stream, hello, io_timeout, max_frame)?;
+        register(&mut stream, hello, WRITE_TIMEOUT)?;
         if self.registered {
             self.report.reconnects += 1;
         }
         self.registered = true;
 
         loop {
-            let (assign, frames) = match read_upstream(&mut stream, max_frame)? {
+            let (assign, frames) = match read_upstream(&mut stream)? {
                 Upstream::Shutdown => return Ok(SessionEnd::Shutdown),
                 Upstream::Lost => return Ok(SessionEnd::Lost),
                 Upstream::Assign(assign, frames) => (assign, frames),

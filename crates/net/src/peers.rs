@@ -13,7 +13,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-use spatl_wire::{open, read_frame, seal, write_frame, MsgType};
+use spatl_wire::{open, read_frame, seal, write_frame, MsgType, MAX_FRAME_PAYLOAD};
 
 use crate::proto::{Hello, HelloRole, Join, RoundAssign, RoundMode};
 use crate::NetError;
@@ -32,8 +32,6 @@ pub(crate) struct PeerTable {
     io_timeout: Duration,
     /// How long one reply phase may take, from its broadcast.
     pub(crate) round_timeout: Duration,
-    /// Upper bound on a single frame's payload accepted from a peer.
-    pub(crate) max_frame: usize,
 }
 
 impl PeerTable {
@@ -45,7 +43,6 @@ impl PeerTable {
         clients: Range<usize>,
         fingerprint: u64,
         (io_timeout, round_timeout): (Duration, Duration),
-        max_frame: usize,
     ) -> Result<Self, NetError> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -57,7 +54,6 @@ impl PeerTable {
             fingerprint,
             io_timeout,
             round_timeout,
-            max_frame,
         })
     }
 
@@ -151,7 +147,7 @@ impl PeerTable {
         stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(self.io_timeout))?;
         stream.set_write_timeout(Some(self.io_timeout))?;
-        let frame = read_frame(&mut stream, self.max_frame)?
+        let frame = read_frame(&mut stream, MAX_FRAME_PAYLOAD)?
             .ok_or_else(|| NetError::Protocol("connection closed before Hello".into()))?;
         let (msg, payload) = open(&frame)?;
         if msg != MsgType::Hello {

@@ -5,15 +5,15 @@
 //! node threads, exchanging sealed frames over real TCP, must finish
 //! with exactly the global state the simulator produces from the same
 //! seeds — for all five algorithms. The fault tests then kill and
-//! restart parts of the session and check the ledger and the checkpoint
-//! path keep their promises.
+//! restart parts of the session and check the ledger and the round log
+//! keep their promises.
 
 use std::net::TcpStream;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use spatl::prelude::*;
-use spatl::{load_global, ExperimentBuilder};
+use spatl::{ExperimentBuilder, RoundLog};
 use spatl_fl::{ClientState, GlobalState};
 use spatl_net::{
     ClientNode, Coordinator, CoordinatorConfig, Hello, Join, NetError, NodeConfig, NodeReport,
@@ -258,18 +258,20 @@ fn client_killed_mid_upload_is_a_ledgered_dropout() {
     );
 }
 
+/// A fresh round-log path in the temp directory.
+fn wal_path(name: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("spatl_net_{name}_{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path
+}
+
 /// A `Shutdown` frame from a client ends the session early: the round it
-/// interrupted still completes, the global state is checkpointed via the
-/// existing save/load path, and the saved state round-trips bit
-/// identically.
+/// interrupted still completes and commits to the round log, whose last
+/// commit recovers the final global state bit identically.
 #[test]
-fn shutdown_frame_checkpoints_global_state() {
+fn shutdown_frame_commits_global_state_to_round_log() {
     let algorithm = Algorithm::FedAvg;
-    let checkpoint = std::env::temp_dir().join(format!(
-        "spatl_net_shutdown_ckpt_{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&checkpoint);
+    let wal = wal_path("shutdown");
 
     let session = builder(algorithm, 4).build();
     let cfg = session.driver.cfg;
@@ -278,7 +280,7 @@ fn shutdown_frame_checkpoints_global_state() {
     assert_eq!(controller.id, 2);
 
     let mut opts = coordinator_config();
-    opts.checkpoint = Some(checkpoint.clone());
+    opts.wal = Some(wal.clone());
     let mut coordinator = Coordinator::bind(session.driver, opts).expect("bind loopback");
     let addr = coordinator.local_addr().expect("local addr").to_string();
     let handles = spawn_nodes(cfg, clients, &addr);
@@ -307,33 +309,38 @@ fn shutdown_frame_checkpoints_global_state() {
     assert!(record.faults.dropouts >= 1, "the requester left the round");
     assert_eq!(record.faults.survivors, 2);
 
-    let restored = load_global(&checkpoint).expect("checkpoint loads");
+    let (recovery, _) = RoundLog::recover(&wal).expect("round log recovers");
+    assert_eq!(recovery.completed, 1);
+    assert!(
+        recovery.pending.is_none(),
+        "the interrupted round committed"
+    );
+    let restored = recovery.global.expect("a committed global");
     assert_global_bit_identical(&coordinator.driver.global, &restored);
-    let _ = std::fs::remove_file(&checkpoint);
+    let _ = std::fs::remove_file(&wal);
 }
 
-/// Kill the coordinator after two rounds, checkpoint, bring up a new one
-/// and let the *same* client nodes reconnect: the resumed session must
-/// finish bit-identical to an uninterrupted simulator run. SCAFFOLD makes
-/// this the strictest variant — client-side control variates survive only
-/// because the nodes outlive the coordinator.
+/// Stop the coordinator after two rounds, bring up a new one on the same
+/// round log and let the *same* client nodes reconnect: the resumed
+/// session must finish bit-identical to an uninterrupted simulator run.
+/// SCAFFOLD makes this the strictest variant — client-side control
+/// variates survive only because the nodes outlive the coordinator.
 #[test]
 fn coordinator_restart_resumes_bit_identically() {
     let algorithm = Algorithm::Scaffold;
     let rounds = 4;
-    let checkpoint =
-        std::env::temp_dir().join(format!("spatl_net_resume_ckpt_{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&checkpoint);
+    let wal = wal_path("resume");
 
     let mut sim = builder(algorithm, rounds).build();
     sim.run();
 
-    // Phase A: run the first two rounds, then shut down (checkpointing).
+    // Phase A: run the first two rounds, then shut down; both committed
+    // to the round log.
     let session = builder(algorithm, rounds).build();
     let cfg = session.driver.cfg;
     let mut opts = coordinator_config();
-    opts.checkpoint = Some(checkpoint.clone());
-    let mut coordinator = Coordinator::bind(session.driver, opts).expect("bind A");
+    opts.wal = Some(wal.clone());
+    let mut coordinator = Coordinator::bind(session.driver, opts.clone()).expect("bind A");
     let addr = coordinator.local_addr().expect("local addr").to_string();
     let handles = spawn_nodes(cfg, session.clients, &addr);
     coordinator.wait_for_clients();
@@ -343,15 +350,13 @@ fn coordinator_restart_resumes_bit_identically() {
     let survivors: Vec<ClientState> = join_nodes(handles).into_iter().map(|(c, _)| c).collect();
     drop(coordinator);
 
-    // Phase B: a fresh coordinator restores the checkpoint, fast-forwards
-    // the sampling stream past the completed rounds, and the surviving
-    // nodes reconnect with their state intact.
+    // Phase B: a fresh coordinator bound on the same log recovers the
+    // committed global and sampling position by itself, and the
+    // surviving nodes reconnect with their state intact.
     let session_b = builder(algorithm, rounds).build();
-    let mut driver = session_b.driver;
-    driver.global = load_global(&checkpoint).expect("checkpoint loads");
-    driver.advance_sampling(2);
-    assert_eq!(driver.round_index(), 2);
-    let mut coordinator = Coordinator::bind(driver, coordinator_config()).expect("bind B");
+    let mut coordinator = Coordinator::bind(session_b.driver, opts).expect("bind B");
+    assert_eq!(coordinator.driver.round_index(), 2);
+    assert_eq!(coordinator.resumed_mid_round(), None);
     let addr = coordinator.local_addr().expect("local addr").to_string();
     let handles = spawn_nodes(cfg, survivors, &addr);
     let completed = coordinator.run().expect("networked resume");
@@ -375,7 +380,7 @@ fn coordinator_restart_resumes_bit_identically() {
     for (_, report) in &reports {
         assert_eq!(report.rounds_trained, 2);
     }
-    let _ = std::fs::remove_file(&checkpoint);
+    let _ = std::fs::remove_file(&wal);
 }
 
 /// Two processes started with different configurations must fail fast at

@@ -7,7 +7,7 @@
 
 use serde::{de::DeserializeOwned, Serialize};
 use spatl_agent::ActorCritic;
-use spatl_fl::{GlobalState, RunResult};
+use spatl_fl::RunResult;
 use spatl_models::SplitModel;
 use std::io;
 use std::path::Path;
@@ -84,20 +84,6 @@ pub fn load_model(path: impl AsRef<Path>) -> Result<SplitModel, CheckpointError>
     load(path.as_ref())
 }
 
-/// Persist the server's [`GlobalState`] — shared parameters, SCAFFOLD /
-/// SPATL control variates, FedNova momentum and batch-norm buffers — so a
-/// campaign can stop after any round and resume from the exact aggregation
-/// state (bit-identical; regression-tested in this module).
-pub fn save_global(global: &GlobalState, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    save(global, path.as_ref())
-}
-
-/// Restore server state saved with [`save_global`]; assign it to
-/// [`Simulation::global`](spatl_fl::Simulation) before resuming rounds.
-pub fn load_global(path: impl AsRef<Path>) -> Result<GlobalState, CheckpointError> {
-    load(path.as_ref())
-}
-
 /// Persist a federated run's results.
 pub fn save_result(result: &RunResult, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
     save(result, path.as_ref())
@@ -159,53 +145,6 @@ mod tests {
         for (a, b) in y1.data().iter().zip(y2.data()) {
             assert!((a - b).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn global_state_round_trips_bitwise_and_resumes() {
-        use crate::experiment::ExperimentBuilder;
-        use spatl_fl::Algorithm;
-
-        // SCAFFOLD populates the control variate; the model's batch-norm
-        // layers populate `buffers` — the two pieces of server state beyond
-        // the shared vector that a resume must not lose.
-        let build = || {
-            ExperimentBuilder::new(Algorithm::Scaffold)
-                .clients(2)
-                .samples_per_client(10)
-                .rounds(2)
-                .local_epochs(1)
-                .seed(11)
-                .build()
-        };
-        let mut sim = build();
-        sim.run_round();
-        assert!(
-            sim.global.control.iter().any(|&c| c != 0.0),
-            "round must move the control variate"
-        );
-
-        let path = tmp("global.json");
-        save_global(&sim.global, &path).unwrap();
-        let loaded = load_global(&path).unwrap();
-        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&loaded.shared), bits(&sim.global.shared));
-        assert_eq!(bits(&loaded.control), bits(&sim.global.control));
-        assert_eq!(bits(&loaded.momentum), bits(&sim.global.momentum));
-        assert_eq!(bits(&loaded.buffers), bits(&sim.global.buffers));
-
-        // A fresh simulation that adopts the checkpoint replays the next
-        // round bit-identically to the original continuing in-process.
-        // (Client-side state is re-derived: SCAFFOLD client controls are
-        // maintained against the broadcast state, and round randomness is
-        // seeded by (seed, round).)
-        let mut resumed = build();
-        resumed.run_round(); // advance client state + round RNG in lockstep
-        resumed.global = loaded;
-        let a = sim.run_round();
-        let b = resumed.run_round();
-        assert_eq!(bits(&sim.global.shared), bits(&resumed.global.shared));
-        assert_eq!(a.mean_acc.to_bits(), b.mean_acc.to_bits());
     }
 
     #[test]

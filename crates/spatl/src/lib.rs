@@ -40,8 +40,7 @@ mod experiment;
 mod roundlog;
 
 pub use checkpoint::{
-    load_agent, load_global, load_model, load_result, save_agent, save_global, save_model,
-    save_result, CheckpointError,
+    load_agent, load_model, load_result, save_agent, save_model, save_result, CheckpointError,
 };
 pub use experiment::{DatasetKind, ExperimentBuilder};
 pub use roundlog::{PendingRound, RoundLog, WalRecovery};

@@ -48,11 +48,6 @@ impl TensorRng {
         self.rng.gen_range(0..n)
     }
 
-    /// Uniform f64 in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
-        self.rng.gen::<f64>()
-    }
-
     /// Bernoulli draw with probability `p`.
     pub fn flip(&mut self, p: f64) -> bool {
         self.rng.gen_bool(p.clamp(0.0, 1.0))

@@ -127,19 +127,6 @@ impl Tensor {
         })
     }
 
-    /// In-place reshape (no data copy).
-    pub fn reshape_in_place(&mut self, shape: impl Into<Shape>) -> Result<()> {
-        let shape = shape.into();
-        if shape.numel() != self.data.len() {
-            return Err(TensorError::BadReshape {
-                from: self.data.len(),
-                to: shape.dims().to_vec(),
-            });
-        }
-        self.shape = shape;
-        Ok(())
-    }
-
     /// Copy of row `i` of a rank-2 tensor (or the `i`-th slab of the leading
     /// dimension for higher ranks).
     pub fn slab(&self, i: usize) -> Result<Tensor> {

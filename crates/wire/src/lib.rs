@@ -58,7 +58,7 @@ pub use privacy::{
     encode_fixed_dense, encode_masked_upload, encode_unmask_request, encode_unmask_shares,
     MASKED_METADATA,
 };
-pub use sim::{LinkSpec, RoundTransfer, SimNet};
+pub use sim::{LinkSpec, SimNet};
 pub use stream::{read_frame, write_frame, FramePoll, FrameReader, StreamError, MAX_FRAME_PAYLOAD};
 pub use tier::{
     decode_edge_combined, encode_edge_combined, seal_edge_combined, EdgeCombined, EdgeEntry,

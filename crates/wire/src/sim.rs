@@ -10,7 +10,8 @@
 //! A federated round downloads to every participant, waits for local
 //! training, then uploads; participants work in parallel, so the round's
 //! transfer wall-clock is the *maximum* over participants, while the
-//! total traffic is the *sum*. [`SimNet::round`] reports both.
+//! total traffic is the *sum*. The round engine (`spatl-fl`'s
+//! `TransportStats::charge`) folds both from [`SimNet::client_time`].
 
 /// One direction of a network link.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,19 +68,6 @@ pub struct SimNet {
     pub uplink: LinkSpec,
 }
 
-/// Timing and traffic of one simulated round.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct RoundTransfer {
-    /// Wall-clock seconds the round spends in transfers (slowest client).
-    pub wall_clock_s: f64,
-    /// Total bytes moved server→clients.
-    pub download_bytes: usize,
-    /// Total bytes moved clients→server.
-    pub upload_bytes: usize,
-    /// Sum of every client's transfer seconds (device-time cost).
-    pub device_seconds: f64,
-}
-
 impl SimNet {
     /// Symmetric model from one link spec.
     pub fn symmetric(link: LinkSpec) -> Self {
@@ -92,20 +80,6 @@ impl SimNet {
     /// Expected seconds for one client's download+upload.
     pub fn client_time(&self, download_bytes: usize, upload_bytes: usize) -> f64 {
         self.downlink.transfer_time(download_bytes) + self.uplink.transfer_time(upload_bytes)
-    }
-
-    /// Aggregate one round given each participant's `(download, upload)`
-    /// frame sizes in bytes.
-    pub fn round(&self, per_client_bytes: &[(usize, usize)]) -> RoundTransfer {
-        let mut out = RoundTransfer::default();
-        for &(down, up) in per_client_bytes {
-            let t = self.client_time(down, up);
-            out.wall_clock_s = out.wall_clock_s.max(t);
-            out.device_seconds += t;
-            out.download_bytes += down;
-            out.upload_bytes += up;
-        }
-        out
     }
 }
 
@@ -144,31 +118,10 @@ mod tests {
     }
 
     #[test]
-    fn round_takes_max_wall_clock_and_sums_traffic() {
-        let net = SimNet::symmetric(LinkSpec {
-            bandwidth_bps: 8e6,
-            latency_s: 0.0,
-            loss: 0.0,
-        });
-        let r = net.round(&[(1_000_000, 1_000_000), (2_000_000, 500_000)]);
-        // Client 1: 1 + 1 = 2 s; client 2: 2 + 0.5 = 2.5 s.
-        assert!((r.wall_clock_s - 2.5).abs() < 1e-9, "{}", r.wall_clock_s);
-        assert!((r.device_seconds - 4.5).abs() < 1e-9);
-        assert_eq!(r.download_bytes, 3_000_000);
-        assert_eq!(r.upload_bytes, 1_500_000);
-    }
-
-    #[test]
     fn smaller_upload_is_strictly_faster() {
         let net = SimNet::symmetric(LinkSpec::mobile());
         let dense = net.client_time(100_000, 100_000);
         let sparse = net.client_time(100_000, 10_000);
         assert!(sparse < dense);
-    }
-
-    #[test]
-    fn empty_round_is_zero() {
-        let net = SimNet::symmetric(LinkSpec::broadband());
-        assert_eq!(net.round(&[]), RoundTransfer::default());
     }
 }
