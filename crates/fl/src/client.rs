@@ -356,7 +356,6 @@ impl ClientState {
                 self.model.predictor.recycle(logits);
                 let g = loss.backward();
                 self.model.predictor.backward_params(&g);
-                self.model.predictor.recycle(g);
                 opt_pred.step(&mut self.model.predictor);
             }
             self.model.encoder.clear_caches();
@@ -370,7 +369,6 @@ impl ClientState {
                 self.model.recycle(logits);
                 let g = loss.backward();
                 self.model.backward_params(&g);
-                self.model.recycle(g);
 
                 // FedProx: + μ(w − w_global) on the shared part.
                 if let Algorithm::FedProx { mu } = cfg.algorithm {
@@ -677,6 +675,26 @@ mod tests {
         assert!(!out.diverged);
         assert_eq!(out.tau, 2); // 40 samples / 20 batch × 1 epoch
         assert_eq!(out.bytes, CommModel::dense(global.shared.len()));
+    }
+
+    #[test]
+    fn repeated_local_updates_keep_the_scratch_pools_steady() {
+        // Each training step gives its logits back and drops the loss
+        // gradient, which no pool made: a second update with the same
+        // batch shapes leaves both pools holding as many buffers as the
+        // first. SPATL covers the head-only re-alignment epoch too.
+        for algorithm in [Algorithm::FedAvg, Algorithm::Spatl(SpatlOptions::default())] {
+            let mut cl = client(6);
+            let cfg = fl_cfg(algorithm);
+            let global = GlobalState::from_model(&cl.model, &cfg.algorithm);
+            let pooled = |cl: &ClientState| {
+                [&cl.model.encoder, &cl.model.predictor].map(|n| n.workspace_pooled())
+            };
+            cl.local_update(&cfg, &global, 0);
+            let warm = pooled(&cl);
+            cl.local_update(&cfg, &global, 0);
+            assert_eq!(pooled(&cl), warm, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub fn adapt_predictor(
             model.predictor.recycle(logits);
             let g = loss_fn.backward();
             model.predictor.backward_params(&g);
-            model.predictor.recycle(g);
             opt.step(&mut model.predictor);
         }
     }
