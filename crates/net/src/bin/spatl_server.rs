@@ -21,7 +21,10 @@
 //! `--wal PATH` keeps a durable round log. Restarting the server with
 //! the same flags and the same `--wal` resumes the session where the
 //! log ends — after the last committed round, or inside the round it
-//! was killed in.
+//! was killed in. The artefact's `rounds` then counts the whole session,
+//! `resumed_at` names the round this process started at (0 when it did
+//! not resume), and the summed fields (`framed_bytes`, `sampled`,
+//! `survivors`, …) cover rounds `resumed_at..rounds`.
 
 use spatl_bench::cli::{Args, NetOpts, RuntimeOpts, TierOpts};
 use spatl_net::{Coordinator, CoordinatorConfig, NetError};
@@ -75,6 +78,9 @@ fn main() -> Result<(), NetError> {
             String::new()
         },
     );
+    // A coordinator resumed from its round log starts past round 0; the
+    // history (and so the artefact's sums) covers only the rounds run here.
+    let resumed_at = coordinator.driver.round_index();
     if let Some(round) = coordinator.resumed_mid_round() {
         eprintln!("[server] round log recovery: replaying interrupted round {round}");
     }
@@ -110,7 +116,8 @@ fn main() -> Result<(), NetError> {
         "clients": coordinator.driver.cfg.n_clients,
         "seed": coordinator.driver.cfg.seed,
         "completed": completed,
-        "rounds": history.len(),
+        "rounds": coordinator.driver.round_index(),
+        "resumed_at": resumed_at,
         "final_acc": history.last().map(|r| f64::from(r.mean_acc)).unwrap_or(0.0),
         "measured_wall_s": history.iter().map(|r| r.measured_wall_s).sum::<f64>(),
         "predicted_wall_s": history.iter().map(|r| r.transfer_wall_s).sum::<f64>(),
@@ -123,7 +130,7 @@ fn main() -> Result<(), NetError> {
     eprintln!(
         "[server] {} after {} rounds",
         if completed { "completed" } else { "shut down" },
-        history.len()
+        coordinator.driver.round_index()
     );
     Ok(())
 }

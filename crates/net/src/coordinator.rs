@@ -1,17 +1,20 @@
 //! The server side of the networked runtime: a TCP listener around the
 //! shared [`RoundDriver`] round engine.
 //!
-//! Thread model (DESIGN.md §10): the coordinator is single-threaded.
+//! Thread model (DESIGN.md §10): one thread does all socket work.
 //! Handshakes and broadcasts are blocking writes under the io deadline;
 //! every reply phase — a flat cohort's uploads, the edges' combined
 //! uploads, the failover lane, every evaluation pass — is one
 //! non-blocking `gather` over its peers under one phase deadline
 //! (`round_timeout` from the phase's broadcast), so a round never hangs
-//! on one peer. Client uploads are decoded on a small worker pool and
-//! stream straight into the round's order-independent
+//! on one peer. Every assignment — a `RoundAssign` and the broadcast
+//! frames — is sealed once per phase and leaves in one write per peer.
+//! Client uploads are decoded by the sweep thread itself, plus optional
+//! helper threads ([`CoordinatorConfig::decode_workers`]), and stream
+//! straight into the round's order-independent
 //! [`RoundAccumulator`](spatl_fl::RoundAccumulator), so the coordinator
 //! never holds the cohort in memory: the gather's admission window
-//! bounds buffered uploads at O(workers), independent of cohort size.
+//! bounds buffered uploads at O(helpers), independent of cohort size.
 //! Completion order is non-deterministic, but everything order-sensitive
 //! (fault ledger events, outcome bookkeeping, transfer-time folds) is
 //! re-sorted by client id before it is recorded, and the accumulator's
@@ -20,7 +23,7 @@
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -82,11 +85,15 @@ pub struct CoordinatorConfig {
     /// falls. With `quorum < 1.0` the folded subset depends on arrival
     /// order, so two runs may commit different (valid) cohorts.
     pub quorum: f64,
-    /// Size of the flat round's upload-decode worker pool. `None` (the
-    /// default) sizes it from the machine (`rayon::current_num_threads`);
-    /// `Some(n)` pins it — useful to bound coordinator CPU on shared
-    /// hosts, or to force single-threaded decode when bisecting. Clamped
-    /// to at least one worker.
+    /// Threads that decode a train phase's uploads, *counting the sweep
+    /// thread*: `Some(n)` is the sweep plus `n − 1` helper threads, which
+    /// the sweep offers each upload to and decodes it itself when none
+    /// is free. `Some(1)` spawns nothing and decodes every upload inline
+    /// the moment it completes — the cheapest on one core, where a
+    /// hand-off costs two context switches per upload. `None` (the
+    /// default) uses `rayon::current_num_threads` in total. Clamped to
+    /// at least one. The fold is order-independent, so the count never
+    /// changes the bits.
     pub decode_workers: Option<usize>,
 }
 
@@ -291,12 +298,14 @@ impl Coordinator {
 
     /// Gather the uploads of one train phase over client peers — a flat
     /// cohort, or a tiered round's failover lane. Each completed upload
-    /// is decoded on a worker pool and handed to `absorb` the moment it
-    /// finishes, so the cohort is never resident: at most
-    /// `4·workers + 16` uploads are buffered outside the kernel at once.
-    /// Fault events are ledgered ascending by client id. Returns the
-    /// bookkeeping of every upload that framed, ascending by id, and the
-    /// ids `absorb` received.
+    /// is decoded and handed to `absorb` the moment it finishes, so the
+    /// cohort is never resident: at most `4·helpers + 16` uploads are
+    /// buffered outside the kernel at once. The sweep offers each upload
+    /// to the `decode_workers − 1` helper threads and decodes it itself
+    /// when none can take it — with no helpers, every upload is decoded
+    /// in the sink, no thread hand-off at all. Fault events are ledgered
+    /// ascending by client id. Returns the bookkeeping of every upload
+    /// that framed, ascending by id, and the ids `absorb` received.
     fn collect_uploads(
         &mut self,
         phase: Phase,
@@ -305,13 +314,13 @@ impl Coordinator {
         mut absorb: impl FnMut(LocalOutcome),
     ) -> (Vec<LocalOutcome>, Vec<usize>) {
         let chaos = self.driver.cfg.chaos;
-        let workers = self
+        let helpers = self
             .opts
             .decode_workers
             .unwrap_or_else(rayon::current_num_threads)
-            .max(1);
+            .saturating_sub(1);
         let phase = Phase {
-            window: window(workers),
+            window: window(helpers),
             chaos: chaos.as_ref(),
             ..phase
         };
@@ -320,36 +329,36 @@ impl Coordinator {
         let mut metas: Vec<LocalOutcome> = Vec::new();
         let mut absorbed: Vec<usize> = Vec::new();
         // Field-level borrow split: the gather mutates `peers` while the
-        // decode workers share the driver's read-only session data.
-        let cfg = self.driver.cfg;
-        let layout = self.driver.layout.as_ref();
+        // decoders share the driver's read-only session data.
+        let (cfg, layout) = (self.driver.cfg, self.driver.layout.as_ref());
         let p = self.driver.global.shared.len();
         let buf_len = self.driver.global.buffers.len();
+        let decode = move |(meta, frames): (LocalOutcome, Vec<Vec<u8>>)| {
+            let decoded = decode_upload(&cfg, &meta, &frames, layout, p, buf_len);
+            (meta, decoded.map_err(|e| e.to_string()))
+        };
         let peers = &mut self.peers;
 
-        type DecodeJob = (LocalOutcome, Vec<Vec<u8>>);
         let failures = std::thread::scope(|scope| {
-            // Bounded job queue: a full queue blocks the sweep, which is
-            // exactly the backpressure that keeps memory flat.
-            let (job_tx, job_rx) = mpsc::sync_channel::<DecodeJob>(workers);
+            // One queue slot per helper. A job the queue cannot take —
+            // full, or no helper at all — is decoded by the sweep itself,
+            // which therefore never blocks on the queue.
+            let (job_tx, job_rx) = mpsc::sync_channel(helpers);
             let job_rx = Arc::new(Mutex::new(job_rx));
             let (done_tx, done_rx) = mpsc::channel();
-            for _ in 0..workers {
+            for _ in 0..helpers {
                 let (job_rx, done_tx) = (Arc::clone(&job_rx), done_tx.clone());
                 scope.spawn(move || loop {
                     // The lock guards `recv` alone, which cannot panic.
                     let job = job_rx.lock().expect("decode queue lock poisoned").recv();
-                    let Ok((meta, frames)) = job else { break };
-                    let decoded = decode_upload(&cfg, &meta, &frames, layout, p, buf_len)
-                        .map_err(|e| e.to_string());
-                    if done_tx.send((meta, decoded)).is_err() {
+                    let Ok(job) = job else { break };
+                    if done_tx.send(decode(job)).is_err() {
                         break;
                     }
                 });
             }
-            drop(done_tx);
             // `job_tx` drops with this closure, ahead of the scope's join:
-            // the workers' `recv` then fails and they exit.
+            // the helpers' `recv` then fails and they exit.
             gather(peers, &phase, |reply: Option<Reply>| {
                 if let Some(Reply { id, done, frames }) = reply {
                     let mut meta = meta_outcome(&done);
@@ -358,11 +367,13 @@ impl Coordinator {
                     if meta.diverged {
                         events.push((id, FaultKind::LocalDivergence));
                     }
-                    // The workers only exit once `job_tx` drops, after
-                    // the gather returns.
-                    job_tx
-                        .send((meta, frames))
-                        .expect("decode workers outlive the gather");
+                    if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
+                        job_tx.try_send((meta, frames))
+                    {
+                        done_tx
+                            .send(decode(job))
+                            .expect("the sweep holds the receiver");
+                    }
                 }
                 let mut settled = 0;
                 while let Ok((meta, decoded)) = done_rx.try_recv() {

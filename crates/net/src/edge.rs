@@ -38,7 +38,9 @@ use spatl_fl::{
 use spatl_wire::{seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters};
 
 use crate::gather::{gather, ledger, meta_outcome, sync_sink, Phase};
-use crate::node::{backoff, read_upstream, register, Upstream, BACKOFF_BASE, MAX_RECONNECTS};
+use crate::node::{
+    backoff, message, read_upstream, register, Upstream, BACKOFF_BASE, MAX_RECONNECTS,
+};
 use crate::peers::PeerTable;
 use crate::proto::{session_fingerprint, Hello, HelloRole, RoundDone, RoundMode};
 use crate::NetError;
@@ -273,8 +275,8 @@ impl EdgeAggregator {
             };
             let frame = seal_edge_combined(&combined);
             let done = RoundDone::combined(assign.round, assign.mode, edge_id as u32, frame.len());
-            write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode()))?;
-            write_frame(&mut stream, &frame)?;
+            let head = seal(MsgType::RoundDone, &done.encode());
+            write_frame(&mut stream, &message(head, &[frame]))?;
         }
     }
 

@@ -16,10 +16,11 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use spatl_fl::{ChaosPlan, FaultKind, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
-use spatl_wire::{open, FramePoll, FrameReader, MsgType, MAX_FRAME_PAYLOAD};
+use spatl_wire::{open, seal, FramePoll, FrameReader, MsgType, MAX_FRAME_PAYLOAD};
 
+use crate::node::message;
 use crate::peers::PeerTable;
-use crate::proto::{HelloRole, RoundDone, RoundMode};
+use crate::proto::{HelloRole, RoundAssign, RoundDone, RoundMode};
 
 /// Why a peer's reply did not reach the sink.
 #[derive(Debug)]
@@ -229,9 +230,10 @@ pub(crate) struct Phase<'a> {
     pub(crate) round: u32,
     /// The mode being answered.
     pub(crate) mode: RoundMode,
-    /// The assignment's broadcast frames, resent to a client peer that
-    /// reconnects mid-phase.
-    pub(crate) frames: &'a [Vec<u8>],
+    /// The assignment every peer was sent — `RoundAssign ‖ broadcast
+    /// frames`, one message — resent to a client peer that reconnects
+    /// mid-phase.
+    pub(crate) assignment: Vec<u8>,
     /// The one deadline of the phase: whoever has not completed framing
     /// by then missed it.
     pub(crate) deadline: Instant,
@@ -250,31 +252,33 @@ pub(crate) struct Phase<'a> {
 }
 
 impl<'a> Phase<'a> {
-    /// Start a phase: write the assignment (`frames` behind a
-    /// `RoundAssign`) to every peer of `ids`, ascending, before any
-    /// reply is awaited. The phase waits for every peer reached, under
-    /// the table's `round_timeout` from now; callers adjust `quorum`,
-    /// `window` and `chaos`. Also returns the peers *not* reached (now
-    /// dropped from the table).
+    /// Start a phase: seal one `RoundAssign` for `frames` and write the
+    /// assignment to every peer of `ids` as one message, ascending,
+    /// before any reply is awaited. The phase waits for every peer
+    /// reached, under the table's `round_timeout` from now; callers
+    /// adjust `quorum`, `window` and `chaos`. Also returns the peers
+    /// *not* reached (now dropped from the table).
     pub(crate) fn begin(
         peers: &mut PeerTable,
         role: HelloRole,
         ids: &[usize],
         round: u32,
         mode: RoundMode,
-        frames: &'a [Vec<u8>],
+        frames: &[Vec<u8>],
     ) -> (Self, Vec<usize>) {
         let deadline = Instant::now() + peers.round_timeout;
+        let assign = RoundAssign::new(round, mode, frames.len()).encode();
+        let assignment = message(seal(MsgType::RoundAssign, &assign), frames);
         let (ids, unreached): (Vec<usize>, Vec<usize>) = ids
             .iter()
-            .partition(|&&id| peers.send_assignment(role, id, round, mode, frames));
+            .partition(|&&id| peers.send_assignment(role, id, &assignment));
         let phase = Phase {
             quorum: ids.len(),
             ids,
             role,
             round,
             mode,
-            frames,
+            assignment,
             deadline,
             window: window(0),
             chaos: None,
@@ -283,10 +287,10 @@ impl<'a> Phase<'a> {
     }
 }
 
-/// The admission window for a sink that keeps `workers` replies in
-/// flight (zero for a sink that settles each reply before returning).
-pub(crate) fn window(workers: usize) -> usize {
-    4 * workers + 16
+/// The admission window for a sink that hands replies to `helpers`
+/// threads (zero for a sink that settles each reply before returning).
+pub(crate) fn window(helpers: usize) -> usize {
+    4 * helpers + 16
 }
 
 /// Adapt a sink that settles each reply before it returns.
@@ -396,7 +400,7 @@ pub(crate) fn gather(
                 // the expected copy count resets with the assembly.
                 slot.conn = ConnGather::new();
                 slot.copies = copies(id);
-                if peers.send_assignment(role, id, round, mode, phase.frames) {
+                if peers.send_assignment(role, id, &phase.assignment) {
                     nonblocking(peers, id, true);
                 }
             }

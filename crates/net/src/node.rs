@@ -120,6 +120,15 @@ pub(crate) fn read_upstream(stream: &mut TcpStream) -> Result<Upstream, NetError
     }
 }
 
+/// `head ‖ frames` in one buffer, so a message leaves in one write: one
+/// wake-up of the reader blocked on the other end instead of one per
+/// frame.
+pub(crate) fn message(mut head: Vec<u8>, frames: &[Vec<u8>]) -> Vec<u8> {
+    head.reserve(frames.iter().map(Vec::len).sum());
+    frames.iter().for_each(|f| head.extend_from_slice(f));
+    head
+}
+
 /// Tunables of a [`ClientNode`].
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -397,11 +406,9 @@ impl ClientNode {
                 .cfg
                 .chaos
                 .map_or(0, |c| usize::from(c.duplicates_upload(round, id)));
+            let msg = message(header, &reply.frames);
             for _ in 0..copies {
-                write_frame(&mut stream, &header)?;
-                for f in &reply.frames {
-                    write_frame(&mut stream, f)?;
-                }
+                write_frame(&mut stream, &msg)?;
             }
             if replayed {
                 self.report.replays += 1;

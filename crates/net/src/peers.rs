@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use spatl_wire::{open, read_frame, seal, write_frame, MsgType, MAX_FRAME_PAYLOAD};
 
-use crate::proto::{Hello, HelloRole, Join, RoundAssign, RoundMode};
+use crate::proto::{Hello, HelloRole, Join};
 use crate::NetError;
 
 /// Listener plus id-indexed connection slots of one endpoint.
@@ -172,26 +172,14 @@ impl PeerTable {
         Ok((hello.role, id))
     }
 
-    /// Write one round assignment plus its broadcast frames to peer `id`.
-    /// Returns whether the peer was reached; one that cannot be written
-    /// to is dropped.
-    pub(crate) fn send_assignment(
-        &mut self,
-        role: HelloRole,
-        id: usize,
-        round: u32,
-        mode: RoundMode,
-        frames: &[Vec<u8>],
-    ) -> bool {
-        let assign = seal(
-            MsgType::RoundAssign,
-            &RoundAssign::new(round, mode, frames.len()).encode(),
-        );
-        let sent = self.stream(role, id).is_some_and(|stream| {
-            std::iter::once(&assign)
-                .chain(frames)
-                .all(|f| write_frame(stream, f).is_ok())
-        });
+    /// Write one round assignment — a sealed `RoundAssign` and its
+    /// broadcast frames, built once per phase — to peer `id` in one
+    /// write. Returns whether the peer was reached; one that cannot be
+    /// written to is dropped.
+    pub(crate) fn send_assignment(&mut self, role: HelloRole, id: usize, msg: &[u8]) -> bool {
+        let sent = self
+            .stream(role, id)
+            .is_some_and(|stream| write_frame(stream, msg).is_ok());
         if !sent {
             self.drop_peer(role, id);
         }

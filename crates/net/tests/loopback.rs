@@ -8,18 +8,21 @@
 //! restart parts of the session and check the ledger and the round log
 //! keep their promises.
 
+use std::io::Read;
 use std::net::TcpStream;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use spatl::prelude::*;
 use spatl::{ExperimentBuilder, RoundLog};
-use spatl_fl::{ClientState, GlobalState};
+use spatl_fl::{ClientState, GlobalState, RoundRecord};
 use spatl_net::{
     ClientNode, Coordinator, CoordinatorConfig, Hello, Join, NetError, NodeConfig, NodeReport,
     RoundAssign, RoundDone, RoundMode,
 };
-use spatl_wire::{open, read_frame, seal, write_frame, MsgType, MAX_FRAME_PAYLOAD};
+use spatl_wire::{
+    flip_bit, open, read_frame, seal, write_frame, MsgType, HEADER_LEN, MAX_FRAME_PAYLOAD,
+};
 
 fn builder(algorithm: Algorithm, rounds: usize) -> ExperimentBuilder {
     ExperimentBuilder::new(algorithm)
@@ -85,6 +88,10 @@ fn assert_global_bit_identical(a: &GlobalState, b: &GlobalState) {
 /// assert the resulting global models (and per-round records) are bit
 /// identical.
 fn assert_networked_matches_simulator(algorithm: Algorithm) {
+    assert_networked_matches_simulator_with(algorithm, coordinator_config());
+}
+
+fn assert_networked_matches_simulator_with(algorithm: Algorithm, config: CoordinatorConfig) {
     let rounds = 2;
 
     let mut sim = builder(algorithm, rounds).build();
@@ -92,8 +99,7 @@ fn assert_networked_matches_simulator(algorithm: Algorithm) {
 
     let session = builder(algorithm, rounds).build();
     let cfg = session.driver.cfg;
-    let mut coordinator =
-        Coordinator::bind(session.driver, coordinator_config()).expect("bind loopback");
+    let mut coordinator = Coordinator::bind(session.driver, config).expect("bind loopback");
     let addr = coordinator.local_addr().expect("local addr").to_string();
     let handles = spawn_nodes(cfg, session.clients, &addr);
     let completed = coordinator.run().expect("networked run");
@@ -409,4 +415,126 @@ fn mismatched_configuration_is_rejected() {
         Err(NetError::Rejected) => {}
         other => panic!("expected a rejection, got {other:?}"),
     }
+}
+
+/// The assignment a coordinator owes a peer: the sealed `RoundAssign`,
+/// then the broadcast frames.
+fn expected_assignment(round: u32, mode: RoundMode, frames: &[Vec<u8>]) -> Vec<u8> {
+    let assign = RoundAssign::new(round, mode, frames.len()).encode();
+    let mut bytes = seal(MsgType::RoundAssign, &assign);
+    frames.iter().for_each(|f| bytes.extend_from_slice(f));
+    bytes
+}
+
+/// One FedAvg round over loopback with the given decode thread count;
+/// returns its record and the global after it. Clients 1 and 2 are
+/// nodes; client 0 is played by hand: it reads its train and its eval
+/// assignment with `read_exact` of the expected length — each must equal
+/// `seal(RoundAssign) ‖ broadcast frames` byte for byte — uploads its
+/// honest update (one payload bit flipped when `corrupt`) as separate
+/// writes, and answers the eval pass.
+fn round_with_raw_client_0(
+    decode_workers: Option<usize>,
+    corrupt: bool,
+) -> (RoundRecord, GlobalState) {
+    let session = builder(Algorithm::FedAvg, 1).build();
+    let cfg = session.driver.cfg;
+    let train_frames = session.driver.broadcast().frames;
+    let mut clients = session.clients;
+    let mut outcome = clients
+        .remove(0)
+        .local_update(&cfg, &session.driver.global, 0);
+    if corrupt {
+        flip_bit(&mut outcome.frames[0], (HEADER_LEN + 1) * 8);
+    }
+    let train = expected_assignment(0, RoundMode::Train, &train_frames);
+    let config = CoordinatorConfig {
+        decode_workers,
+        ..coordinator_config()
+    };
+    let mut coordinator = Coordinator::bind(session.driver, config).expect("bind loopback");
+    let addr = coordinator.local_addr().expect("local addr").to_string();
+    let handles = spawn_nodes(cfg, clients, &addr);
+
+    // FedAvg's dense broadcast has one size in every phase.
+    let len = train.len();
+    let raw = thread::spawn(move || {
+        let mut stream = raw_handshake(&addr, &cfg, 0);
+        let mut read = [vec![0u8; len], vec![0u8; len]];
+        stream.read_exact(&mut read[0]).expect("train assignment");
+        let done = RoundDone::train(0, &outcome);
+        write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode())).expect("send done");
+        for f in &outcome.frames {
+            write_frame(&mut stream, f).expect("send upload frame");
+        }
+        stream.read_exact(&mut read[1]).expect("eval assignment");
+        let done = RoundDone::eval(0, 0, 0.5);
+        write_frame(&mut stream, &seal(MsgType::RoundDone, &done.encode())).expect("send eval");
+        // Nothing follows the eval assignment but the goodbye.
+        let bye = read_frame(&mut stream, MAX_FRAME_PAYLOAD)
+            .expect("read shutdown")
+            .expect("shutdown frame");
+        assert_eq!(open(&bye).expect("open shutdown").0, MsgType::Shutdown);
+        read
+    });
+
+    assert_eq!(coordinator.wait_for_clients(), 3);
+    let record = coordinator.run_round();
+    let eval = expected_assignment(0, RoundMode::Eval, &coordinator.driver.broadcast().frames);
+    coordinator.finish().expect("finish");
+    // Compared before the nodes are joined: a node the coordinator cut
+    // would keep redialing, and the test would hang instead of failing.
+    let [read_train, read_eval] = raw.join().expect("raw client 0");
+    assert!(
+        read_train == train,
+        "train assignment at {decode_workers:?}"
+    );
+    assert!(read_eval == eval, "eval assignment at {decode_workers:?}");
+    assert!(train != eval, "the round moved the global");
+    join_nodes(handles);
+    (record, coordinator.driver.global.clone())
+}
+
+/// Every assignment leaves the coordinator as one message, and the bytes
+/// are exactly what they always were: `seal(RoundAssign) ‖ broadcast
+/// frames`, for the train and the eval pass alike.
+#[test]
+fn assignments_are_sealed_assign_then_broadcast_byte_for_byte() {
+    for decode_workers in [Some(1), Some(3)] {
+        let (record, _) = round_with_raw_client_0(decode_workers, false);
+        assert_eq!(record.faults.total(), 0, "{decode_workers:?}");
+        assert_eq!(record.faults.survivors, 3, "{decode_workers:?}");
+    }
+}
+
+/// The decode thread count is a cost knob only: with no helper (every
+/// upload decoded by the sweep) and with two helpers, the session is bit
+/// identical to the simulator, and a corrupt upload is ledgered as
+/// `CorruptUpload` over the same global bits.
+#[test]
+fn decode_thread_count_does_not_change_bits() {
+    let counts = [Some(1), Some(3)];
+    for decode_workers in counts {
+        let config = CoordinatorConfig {
+            decode_workers,
+            ..coordinator_config()
+        };
+        assert_networked_matches_simulator_with(Algorithm::Scaffold, config);
+    }
+    let runs: Vec<(RoundRecord, GlobalState)> = counts
+        .iter()
+        .map(|&w| round_with_raw_client_0(w, true))
+        .collect();
+    for ((record, _), workers) in runs.iter().zip(counts) {
+        let faults = &record.faults;
+        assert_eq!(faults.events.len(), 1, "{workers:?}: {:?}", faults.events);
+        assert_eq!(faults.events[0].client_id, 0);
+        assert!(
+            matches!(faults.events[0].kind, FaultKind::CorruptUpload { .. }),
+            "{workers:?}: {:?}",
+            faults.events
+        );
+        assert_eq!(faults.survivors, 2, "{workers:?}");
+    }
+    assert_global_bit_identical(&runs[0].1, &runs[1].1);
 }
