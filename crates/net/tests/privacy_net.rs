@@ -88,9 +88,17 @@ fn assert_global_bit_identical(a: &GlobalState, b: &GlobalState) {
 /// simulator: the pairwise masks cancel inside the carry-save
 /// accumulator, so the server learns exactly the aggregate — and nothing
 /// about any individual upload that crossed the wire.
-fn assert_masked_networked_matches_clear_simulator(algorithm: Algorithm) {
-    let rounds = 2;
+///
+/// At a `sample_ratio` below 1 the clients derive the masking cohort on
+/// their own: a cohort that differed from the one the coordinator
+/// sampled would leave unmatched masks, and the round would not unmask.
+fn assert_masked_networked_matches_clear_simulator(
+    algorithm: Algorithm,
+    sample_ratio: f32,
+    rounds: usize,
+) {
     let privacy = PrivacyConfig::masked(0xC0FFEE);
+    let builder = |algorithm, rounds| builder(algorithm, rounds).sample_ratio(sample_ratio);
 
     let mut clear = builder(algorithm, rounds).build();
     clear.run();
@@ -126,17 +134,26 @@ fn assert_masked_networked_matches_clear_simulator(algorithm: Algorithm) {
 
 #[test]
 fn masked_networked_matches_clear_simulator_fedavg() {
-    assert_masked_networked_matches_clear_simulator(Algorithm::FedAvg);
+    assert_masked_networked_matches_clear_simulator(Algorithm::FedAvg, 1.0, 2);
 }
 
 #[test]
 fn masked_networked_matches_clear_simulator_scaffold() {
-    assert_masked_networked_matches_clear_simulator(Algorithm::Scaffold);
+    assert_masked_networked_matches_clear_simulator(Algorithm::Scaffold, 1.0, 2);
 }
 
 #[test]
 fn masked_networked_matches_clear_simulator_spatl() {
-    assert_masked_networked_matches_clear_simulator(Algorithm::Spatl(SpatlOptions::default()));
+    assert_masked_networked_matches_clear_simulator(
+        Algorithm::Spatl(SpatlOptions::default()),
+        1.0,
+        2,
+    );
+}
+
+#[test]
+fn masked_networked_matches_clear_simulator_at_partial_participation() {
+    assert_masked_networked_matches_clear_simulator(Algorithm::FedAvg, 0.5, 3);
 }
 
 /// A fixed-point networked session is lossy by construction, but still

@@ -201,6 +201,40 @@ fn tiered_matches_simulator_spatl() {
     assert_tiered_matches_simulator(Algorithm::Spatl(SpatlOptions::default()));
 }
 
+/// Partial participation behind two edges: two of four clients per
+/// round, so each edge trains only its slice of a cohort it derives
+/// itself. The tree must still finish bit-identical to the flat
+/// simulator, and every client must train exactly the rounds the
+/// simulator sampled it in.
+#[test]
+fn tiered_partial_participation_matches_simulator() {
+    let rounds = 3;
+    let build = || builder(Algorithm::FedAvg, rounds).sample_ratio(0.5).build();
+    let mut sim = build();
+    sim.run();
+
+    let run = run_tiered(build);
+
+    assert_global_bit_identical(&sim.driver.global, &run.coordinator.driver.global);
+    let history = &run.coordinator.driver.history;
+    assert_eq!(sim.driver.history.len(), history.len());
+    for (s, t) in sim.driver.history.iter().zip(history) {
+        assert_eq!(t.faults.sampled, 2, "round {}", t.round);
+        assert_eq!(s.faults.survivors, t.faults.survivors, "round {}", t.round);
+        assert_eq!(s.bytes, t.bytes, "Eq. 13 accounting, round {}", t.round);
+        assert_eq!(
+            s.mean_acc.to_bits(),
+            t.mean_acc.to_bits(),
+            "round {}",
+            t.round
+        );
+    }
+    for (state, report) in &run.node_reports {
+        let sampled_in = sim.clients[state.id].participations;
+        assert_eq!(report.rounds_trained, sampled_in, "client {}", state.id);
+    }
+}
+
 /// Drive one session in process, composing per-edge reductions exactly
 /// the way the tiered runtime does (sample → local updates → per-edge
 /// [`reduce_cohort`] → [`aggregate_reduced`] → evaluate-all), and return
