@@ -23,9 +23,8 @@
 //! DESIGN.md §14 spells out which layer may observe what.
 
 use serde::{Deserialize, Serialize};
-use spatl_tensor::TensorRng;
 
-use crate::faults::splitmix;
+use crate::faults::seeded_rng;
 
 const SALT_RESET: u64 = 0xE5;
 const SALT_CUT: u64 = 0xC7;
@@ -86,36 +85,24 @@ impl Default for ChaosPlan {
 /// of evaluation order and a given `(plan, round, actor)` always
 /// misbehaves the same way.
 impl ChaosPlan {
-    /// Whether any chaos can actually fire under this plan.
-    pub fn is_active(&self) -> bool {
-        self.reset > 0.0 || self.stall > 0.0 || self.duplicate > 0.0 || self.kill_edge.is_some()
-    }
-
-    fn rng(&self, round: usize, actor: usize, salt: u64) -> TensorRng {
-        let s = splitmix(
-            self.seed ^ splitmix((round as u64) ^ splitmix((actor as u64) ^ splitmix(salt))),
-        );
-        TensorRng::seed_from(s)
-    }
-
     /// Is `client`'s first upload transmission of `round` torn mid-frame
     /// (prefix written, connection reset)? Only the first attempt is ever
     /// torn: the retry after reconnecting goes through clean, so chaos
     /// delays rounds without deadlocking them.
     pub fn resets_upload(&self, round: usize, client: usize) -> bool {
-        self.reset > 0.0 && self.rng(round, client, SALT_RESET).flip(self.reset)
+        self.reset > 0.0 && seeded_rng(self.seed, round, client, SALT_RESET).flip(self.reset)
     }
 
     /// Where to cut a torn transmission: a byte offset in `[1, len)`, so
     /// the receiver always sees a strict, non-empty prefix of the frame.
     pub fn torn_cut(&self, round: usize, client: usize, len: usize) -> usize {
         assert!(len > 1, "cannot tear a frame of {len} bytes");
-        1 + self.rng(round, client, SALT_CUT).below(len - 1)
+        1 + seeded_rng(self.seed, round, client, SALT_CUT).below(len - 1)
     }
 
     /// How long `client` stalls before uploading in `round`, if at all.
     pub fn stalls(&self, round: usize, client: usize) -> Option<std::time::Duration> {
-        if self.stall > 0.0 && self.rng(round, client, SALT_STALL).flip(self.stall) {
+        if self.stall > 0.0 && seeded_rng(self.seed, round, client, SALT_STALL).flip(self.stall) {
             Some(std::time::Duration::from_millis(self.stall_ms))
         } else {
             None
@@ -124,7 +111,7 @@ impl ChaosPlan {
 
     /// Does `client` transmit its complete upload reply twice in `round`?
     pub fn duplicates_upload(&self, round: usize, client: usize) -> bool {
-        self.duplicate > 0.0 && self.rng(round, client, SALT_DUP).flip(self.duplicate)
+        self.duplicate > 0.0 && seeded_rng(self.seed, round, client, SALT_DUP).flip(self.duplicate)
     }
 
     /// Does edge `edge` die when assigned `round`? A killed edge stays
@@ -199,7 +186,6 @@ mod tests {
     #[test]
     fn default_plan_is_inert() {
         let inj = ChaosPlan::default();
-        assert!(!ChaosPlan::default().is_active());
         for c in 0..32 {
             assert!(!inj.resets_upload(0, c));
             assert!(inj.stalls(0, c).is_none());

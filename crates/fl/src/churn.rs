@@ -25,21 +25,20 @@
 //! available population — O(cohort) memory regardless of population
 //! size, and a pure function of `(plan seed, round)` so the simulator,
 //! the flat coordinator and every edge aggregator derive the identical
-//! cohort independently (the same property the seeded `choose_k` stream
-//! gives churn-free sessions).
+//! cohort independently (the same property the churn-free `choose_k`
+//! draw of [`sampled_cohort`](crate::sampled_cohort) has).
 
 use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
-use spatl_tensor::TensorRng;
 
-use crate::faults::splitmix;
+use crate::faults::seeded_rng;
 
 const SALT_ARRIVE: u64 = 0xA1;
 const SALT_PHASE: u64 = 0xF4;
 const SALT_FLAKE: u64 = 0xFE;
 const SALT_EXIT: u64 = 0xE1;
-const SALT_COHORT: u64 = 0xC1;
+pub(crate) const SALT_COHORT: u64 = 0xC1;
 
 /// A seeded description of client churn. Part of
 /// [`FlConfig`](crate::FlConfig); `None` there keeps the fixed-roster
@@ -116,17 +115,9 @@ impl ChurnPlan {
 /// seed, so any participant can evaluate any client at any round in O(1)
 /// without materialising the population.
 impl ChurnPlan {
-    fn rng(&self, round: usize, client: usize, salt: u64) -> TensorRng {
-        let s = splitmix(
-            self.seed ^ splitmix((round as u64) ^ splitmix((client as u64) ^ splitmix(salt))),
-        );
-        TensorRng::seed_from(s)
-    }
-
     /// The round `client` first becomes part of the population.
     pub fn arrival(&self, client: usize) -> usize {
-        self.rng(0, client, SALT_ARRIVE)
-            .below(self.arrival_span as usize + 1)
+        seeded_rng(self.seed, 0, client, SALT_ARRIVE).below(self.arrival_span as usize + 1)
     }
 
     /// Rounds of each cycle this client is up (≥ 1).
@@ -141,14 +132,15 @@ impl ChurnPlan {
             return false;
         }
         let period = self.period as usize;
-        let phase = self.rng(0, client, SALT_PHASE).below(period);
+        let phase = seeded_rng(self.seed, 0, client, SALT_PHASE).below(period);
         (round + phase) % period < self.window()
     }
 
     /// Is `client` available (samplable) in `round`?
     pub fn available(&self, round: usize, client: usize) -> bool {
         self.scheduled_up(round, client)
-            && !(self.flake > 0.0 && self.rng(round, client, SALT_FLAKE).flip(self.flake))
+            && !(self.flake > 0.0
+                && seeded_rng(self.seed, round, client, SALT_FLAKE).flip(self.flake))
     }
 
     /// Does `client`, sampled in `round`, abandon the round in progress?
@@ -157,7 +149,7 @@ impl ChurnPlan {
         self.abrupt > 0.0
             && self.scheduled_up(round, client)
             && !self.scheduled_up(round + 1, client)
-            && self.rng(round, client, SALT_EXIT).flip(self.abrupt)
+            && seeded_rng(self.seed, round, client, SALT_EXIT).flip(self.abrupt)
     }
 
     /// Draw round `round`'s cohort: up to `k` distinct available clients
@@ -167,7 +159,7 @@ impl ChurnPlan {
     /// scarce. A pure function of `(plan.seed, round)`.
     pub fn sample_cohort(&self, round: usize, k: usize, population: usize) -> Vec<usize> {
         assert!(population > 0, "cannot sample an empty population");
-        let mut rng = self.rng(round, 0, SALT_COHORT);
+        let mut rng = seeded_rng(self.seed, round, 0, SALT_COHORT);
         let mut chosen: BTreeSet<usize> = BTreeSet::new();
         // Rejection sampling needs a draw budget: with sparse
         // availability (or k close to the available count) the tail
@@ -185,8 +177,8 @@ impl ChurnPlan {
         chosen.into_iter().collect()
     }
 
-    /// Fraction of `population` available in `round` (exact scan; used
-    /// by tests and `spatl-exp churn`, not by the hot path).
+    /// Fraction of `population` available in `round`: an exact O(population)
+    /// scan that checks the sampler's availability in tests.
     pub fn availability_rate(&self, round: usize, population: usize) -> f64 {
         let up = (0..population)
             .filter(|&c| self.available(round, c))

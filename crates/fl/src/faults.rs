@@ -240,14 +240,25 @@ const SALT_STRAGGLER: u64 = 0x57;
 const SALT_CORRUPT: u64 = 0xC0;
 
 /// splitmix64 finaliser — decorrelates the structured `(seed, round,
-/// client, salt)` tuples before they become ChaCha seeds. Shared with the
-/// [`Adversary`](crate::Adversary) streams so both fault families derive
-/// decisions the same way.
+/// actor, salt)` tuples before they become ChaCha seeds. The
+/// [`Adversary`](crate::Adversary) mixes its membership and NaN streams
+/// with it by formulas of its own, kept so that a plan's Byzantine
+/// clients stay the ones its seed always chose.
 pub(crate) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The generator of one per-round decision: a fresh ChaCha stream seeded
+/// by `(seed, round, actor, salt)` through [`splitmix`]. Every fault,
+/// chaos and churn coin and every round's cohort is drawn from one of
+/// these, so a decision never depends on which decisions were drawn
+/// before it.
+pub(crate) fn seeded_rng(seed: u64, round: usize, actor: usize, salt: u64) -> TensorRng {
+    let s = splitmix(seed ^ splitmix((round as u64) ^ splitmix((actor as u64) ^ splitmix(salt))));
+    TensorRng::seed_from(s)
 }
 
 /// Every fault decision of a run, drawn from per-decision RNG streams.
@@ -257,25 +268,16 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
 /// evaluation order (in particular of rayon's scheduling) and a given
 /// `(plan, round, client)` always faults the same way.
 impl FaultPlan {
-    fn rng(&self, round: usize, client: usize, salt: u64) -> TensorRng {
-        let s = splitmix(
-            self.seed ^ splitmix((round as u64) ^ splitmix((client as u64) ^ splitmix(salt))),
-        );
-        TensorRng::seed_from(s)
-    }
-
     /// Does `client` drop out of `round` before training?
     pub fn drops_out(&self, round: usize, client: usize) -> bool {
-        self.dropout > 0.0 && self.rng(round, client, SALT_DROPOUT).flip(self.dropout)
+        self.dropout > 0.0 && seeded_rng(self.seed, round, client, SALT_DROPOUT).flip(self.dropout)
     }
 
     /// Transfer-time multiplier for `client` in `round`: the plan's
     /// slowdown when the straggler coin lands, `1.0` otherwise.
     pub fn straggler_factor(&self, round: usize, client: usize) -> f64 {
         if self.straggler_ratio > 0.0
-            && self
-                .rng(round, client, SALT_STRAGGLER)
-                .flip(self.straggler_ratio)
+            && seeded_rng(self.seed, round, client, SALT_STRAGGLER).flip(self.straggler_ratio)
         {
             self.straggler_slowdown
         } else {
@@ -288,9 +290,13 @@ impl FaultPlan {
     /// retransmission can be damaged again.
     pub fn corrupts_attempt(&self, round: usize, client: usize, attempt: u32) -> bool {
         self.corruption > 0.0
-            && self
-                .rng(round, client, SALT_CORRUPT ^ ((attempt as u64) << 8))
-                .flip(self.corruption)
+            && seeded_rng(
+                self.seed,
+                round,
+                client,
+                SALT_CORRUPT ^ ((attempt as u64) << 8),
+            )
+            .flip(self.corruption)
     }
 
     /// Damage one transmission: flip a single deterministic-random bit in
@@ -304,7 +310,12 @@ impl FaultPlan {
         attempt: u32,
     ) {
         assert!(!frames.is_empty(), "cannot corrupt an empty transmission");
-        let mut rng = self.rng(round, client, SALT_CORRUPT ^ ((attempt as u64) << 8));
+        let mut rng = seeded_rng(
+            self.seed,
+            round,
+            client,
+            SALT_CORRUPT ^ ((attempt as u64) << 8),
+        );
         rng.flip(1.0); // discard the corruption coin so the bit draw is fresh
         let f = rng.below(frames.len());
         let bit = rng.below(frames[f].len() * 8);

@@ -7,11 +7,11 @@
 //! computes:
 //!
 //! * [`sampled_cohort`] / [`masking_cohort`] — the pure cohort functions
-//!   both endpoints evaluate independently. Masking needs every cohort
+//!   every endpoint evaluates independently. Masking needs every cohort
 //!   member to agree on exactly who it is masking against, so the cohort
-//!   must be derivable without a round trip: the sampling stream, the
-//!   fault plan's pre-round dropouts and the churn model are all pure
-//!   functions of seeds already shared in the session config.
+//!   must be derivable without a round trip: the round's draw, the fault
+//!   plan's pre-round dropouts and the churn model are all pure functions
+//!   of `(seed, round)` already shared in the session config.
 //! * [`build_masked_upload`] — re-expresses one [`LocalOutcome`] as
 //!   exact grid-integer lanes, then applies the cohort's pairwise masks.
 //!   The lanes are written by the very term walk the server's clear fold
@@ -29,31 +29,29 @@ use spatl_privacy::{
     discrete_laplace, pair_base, quantize, MaskedCounts, MaskedUpload, MaskedVector, PrivacyConfig,
     UnmaskShare,
 };
-use spatl_tensor::TensorRng;
 
 use crate::accumulate::{fold_terms, Lanes};
+use crate::churn::SALT_COHORT;
+use crate::faults::seeded_rng;
 use crate::{FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
 
-/// The cohort round `round` samples, re-derived from the session seeds
-/// alone — the same draw [`RoundDriver::sample_round`] produces, computed
-/// without a driver by replaying the sampling stream from round 0.
-/// Clients need this because masking is pairwise: every member must know
-/// the whole cohort before sealing its upload.
+/// The cohort round `round` samples: a pure function of the session
+/// config and the round, and the one cohort function of a session —
+/// [`RoundDriver::sample_round`], every edge aggregator and every masking
+/// client call it, so they agree by construction. Ascending client ids.
+///
+/// With [`FlConfig::churn`] configured the churn model's
+/// availability-aware sampler draws it (it may then be smaller than
+/// `clients_per_round`, or empty); otherwise `clients_per_round` distinct
+/// clients are drawn from the round's own generator.
 ///
 /// [`RoundDriver::sample_round`]: crate::RoundDriver::sample_round
 pub fn sampled_cohort(cfg: &FlConfig, round: usize) -> Vec<usize> {
-    if let Some(plan) = cfg.churn {
-        return plan.sample_cohort(round, cfg.clients_per_round(), cfg.n_clients);
+    let k = cfg.clients_per_round();
+    match cfg.churn {
+        Some(plan) => plan.sample_cohort(round, k, cfg.n_clients),
+        None => seeded_rng(cfg.seed, round, 0, SALT_COHORT).choose_k(cfg.n_clients, k),
     }
-    // The driver draws one cohort per round from a single stream; replay
-    // it up to `round`. Quadratic over a run, but rounds are short and
-    // this runs once per upload.
-    let mut rng = TensorRng::seed_from(cfg.seed ^ 0x51A1);
-    let mut cohort = Vec::new();
-    for _ in 0..=round {
-        cohort = rng.choose_k(cfg.n_clients, cfg.clients_per_round());
-    }
-    cohort
 }
 
 /// The *masking* cohort of a round: the sampled clients that actually
@@ -186,15 +184,29 @@ mod tests {
     use crate::Algorithm;
 
     #[test]
-    fn sampled_cohort_matches_driver_stream() {
+    fn sampled_cohort_is_a_pure_function_of_seed_and_round() {
         let mut cfg = FlConfig::new(Algorithm::FedAvg);
         cfg.n_clients = 12;
         cfg.sample_ratio = 0.5;
-        let mut rng = TensorRng::seed_from(cfg.seed ^ 0x51A1);
-        for round in 0..6 {
-            let expect = rng.choose_k(cfg.n_clients, cfg.clients_per_round());
-            assert_eq!(sampled_cohort(&cfg, round), expect, "round {round}");
+        let forward: Vec<Vec<usize>> = (0..6).map(|r| sampled_cohort(&cfg, r)).collect();
+        for round in (0..6).rev() {
+            let cohort = sampled_cohort(&cfg, round);
+            assert_eq!(cohort, forward[round], "round {round}, drawn out of order");
+            assert_eq!(cohort.len(), 6);
+            assert!(
+                cohort.windows(2).all(|w| w[0] < w[1]),
+                "ascending, distinct"
+            );
+            assert!(cohort.iter().all(|&c| c < cfg.n_clients));
         }
+        assert!(forward.windows(2).any(|w| w[0] != w[1]), "rounds draw anew");
+        cfg.seed += 1;
+        assert!(
+            (0..6).any(|r| sampled_cohort(&cfg, r) != forward[r]),
+            "seeded"
+        );
+        cfg.sample_ratio = 1.0;
+        assert_eq!(sampled_cohort(&cfg, 3), (0..12).collect::<Vec<_>>());
     }
 
     #[test]

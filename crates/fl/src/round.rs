@@ -1,8 +1,8 @@
 //! The round-orchestration core shared by the in-process simulator and
 //! the networked coordinator.
 //!
-//! Both runtimes drive the same round skeleton: draw the round's cohort
-//! from the seeded sampling stream, broadcast the sealed global state,
+//! Both runtimes drive the same round skeleton: derive the round's cohort
+//! ([`sampled_cohort`]), broadcast the sealed global state,
 //! decode whatever uploads come back, screen and aggregate the surviving
 //! cohort, then record the round. What differs is *transport* — the
 //! simulator moves frames between structs (with injected faults), the
@@ -11,23 +11,26 @@
 //! networked round that feeds the driver the same uploads in the same
 //! order produces a bit-identical global model.
 //!
-//! Determinism contract: one [`RoundDriver::sample_round`] draw per round
-//! (no-op rounds included). Uploads may be folded into the round's
-//! [`RoundAccumulator`] in **any arrival order** — the streaming fold is
-//! order-independent by construction (exact integer accumulation) and
-//! the spill path deterministically slots by client id before the batch
-//! fold (DESIGN.md §12) — so a concurrent networked collection and the
-//! simulator's ascending-id sweep produce bit-identical global models.
+//! Determinism contract: a round's cohort is a pure function of the
+//! session config and the round index, so a resumed coordinator, an edge
+//! and a masking client derive it without replaying earlier rounds; one
+//! [`RoundDriver::sample_round`] call per round (no-op rounds included)
+//! keeps the driver's position in step. Uploads may be folded into the
+//! round's [`RoundAccumulator`] in **any arrival order** — the streaming
+//! fold is order-independent by construction (exact integer
+//! accumulation) and the spill path deterministically slots by client id
+//! before the batch fold (DESIGN.md §12) — so a concurrent networked
+//! collection and the simulator's ascending-id sweep produce
+//! bit-identical global models.
 
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use spatl_tensor::TensorRng;
 use spatl_wire::{EdgeReduced, SelectionLayout, SimNet, WireError};
 
 use crate::{
-    aggregate_reduced, wire, Encoded, FaultRecord, FlConfig, GlobalState, LocalOutcome,
-    RoundAccumulator, RoundBytes, ScreenPolicy, StreamState, Topology, WireBytes,
+    aggregate_reduced, sampled_cohort, wire, Encoded, FaultRecord, FlConfig, GlobalState,
+    LocalOutcome, RoundAccumulator, RoundBytes, ScreenPolicy, StreamState, Topology, WireBytes,
 };
 
 /// Metrics recorded after each communication round.
@@ -120,7 +123,7 @@ impl TransportStats {
 }
 
 /// Transport-independent round engine: configuration, server state,
-/// sampling stream, aggregation pipeline and history.
+/// sampling position, aggregation pipeline and history.
 ///
 /// The simulator ([`Simulation`](crate::Simulation)) embeds one and adds
 /// in-process clients; the networked coordinator (`spatl-net`) embeds one
@@ -139,17 +142,15 @@ pub struct RoundDriver {
     /// Transport model frames travel over (predicts Eq. 13 times; the
     /// networked runtime records measured times next to the prediction).
     pub net: SimNet,
-    rng: TensorRng,
     cumulative_bytes: u64,
     round_offset: usize,
     /// Aggregation front-end the most recent accumulator ran through,
     /// stamped onto the next recorded round.
     last_agg_mode: &'static str,
-    /// Cohorts drawn so far (the sampling-stream position): equals the
-    /// absolute round index of the *next* [`RoundDriver::sample_round`]
-    /// call. Distinct from `round_offset + history.len()` because some
-    /// participants (edge aggregators) replay the sampling stream without
-    /// recording rounds.
+    /// The absolute round index of the *next* [`RoundDriver::sample_round`]
+    /// call. Distinct from `round_offset + history.len()` because callers
+    /// may sample rounds they never record (the in-process composition
+    /// twin of `spatl-exp topology`).
     sampled_rounds: usize,
     /// The last finished stream accumulator, kept so the next round
     /// folds into its already-mapped lanes (DESIGN.md §12). Behind a
@@ -170,7 +171,6 @@ impl RoundDriver {
             panic!("RoundDriver::new on an unchecked configuration: {e}");
         }
         RoundDriver {
-            rng: TensorRng::seed_from(cfg.seed ^ 0x51A1),
             net: cfg.net.simnet(),
             cfg,
             global,
@@ -195,37 +195,22 @@ impl RoundDriver {
         self.cumulative_bytes
     }
 
-    /// Draw this round's cohort from the seeded sampling stream — exactly
-    /// one draw per round, no-op rounds included, so simulator and
-    /// coordinator stay on the same stream position round for round.
-    ///
-    /// With [`FlConfig::churn`] configured the cohort comes from the
-    /// churn model's availability-aware sampler instead (a pure function
-    /// of the churn seed and the stream position, so every participant
-    /// still derives the identical cohort independently); it may be
-    /// smaller than `clients_per_round`, or empty, when availability is
-    /// scarce.
+    /// The next round's cohort, [`sampled_cohort`] at the driver's
+    /// position, which then advances by one. Call it once per round,
+    /// no-op rounds included, so simulator and coordinator sample round r
+    /// on their r-th call.
     pub fn sample_round(&mut self) -> Vec<usize> {
-        let round = self.sampled_rounds;
+        let cohort = sampled_cohort(&self.cfg, self.sampled_rounds);
         self.sampled_rounds += 1;
-        match self.cfg.churn {
-            Some(plan) => {
-                plan.sample_cohort(round, self.cfg.clients_per_round(), self.cfg.n_clients)
-            }
-            None => self
-                .rng
-                .choose_k(self.cfg.n_clients, self.cfg.clients_per_round()),
-        }
+        cohort
     }
 
-    /// Resume support: burn the sampling draws of `rounds` already-
-    /// completed rounds (recovered from a coordinator's round log) and
-    /// offset the round index accordingly, so round `rounds` here samples
-    /// the same cohort it would have in the original run.
+    /// Resume support: skip `rounds` already-completed rounds (recovered
+    /// from a coordinator's round log). The round index and the sampling
+    /// position both move on by `rounds`; nothing is drawn, since round
+    /// `rounds`'s cohort does not depend on the rounds before it.
     pub fn advance_sampling(&mut self, rounds: usize) {
-        for _ in 0..rounds {
-            self.sample_round();
-        }
+        self.sampled_rounds += rounds;
         self.round_offset += rounds;
         self.history.clear();
     }

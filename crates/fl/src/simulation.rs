@@ -81,7 +81,7 @@ impl RunResult {
 /// the engine was factored out.
 pub struct Simulation {
     /// The transport-independent orchestration core (configuration, server
-    /// state, sampling stream, aggregation pipeline, history).
+    /// state, sampling position, aggregation pipeline, history).
     pub driver: RoundDriver,
     /// All clients.
     pub clients: Vec<ClientState>,

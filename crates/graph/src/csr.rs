@@ -52,11 +52,6 @@ impl Csr {
         }
     }
 
-    /// Number of stored entries.
-    pub fn nnz(&self) -> usize {
-        self.indices.len()
-    }
-
     /// `Y = A · X` for dense `X: [n, f]`.
     pub fn spmm(&self, x: &Tensor) -> Tensor {
         assert_eq!(x.dims()[0], self.n, "spmm row mismatch");
@@ -118,7 +113,7 @@ mod tests {
     #[test]
     fn self_loops_always_present() {
         let a = Csr::from_edges(2, &[]);
-        assert_eq!(a.nnz(), 2);
+        assert_eq!(a.indices.len(), 2);
         let x = Tensor::from_vec([2, 1], vec![3.0, 5.0]).unwrap();
         let y = a.spmm(&x);
         assert_eq!(y.data(), &[3.0, 5.0]);
@@ -147,6 +142,6 @@ mod tests {
     #[test]
     fn duplicate_edges_merged() {
         let a = Csr::from_edges(2, &[(0, 1), (0, 1), (1, 0)]);
-        assert_eq!(a.nnz(), 4); // each node: self + other
+        assert_eq!(a.indices.len(), 4); // each node: self + other
     }
 }

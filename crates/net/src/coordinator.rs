@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use spatl::{CheckpointError, RoundLog};
 use spatl_fl::{
     decode_upload, edge_partition, entry_outcome, exact_composition, fold_fault_counters,
-    ledger_departures, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome, RoundDriver,
-    RoundRecord, Topology, TransportStats, WireBytes,
+    ledger_departures, sampled_cohort, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome,
+    RoundDriver, RoundRecord, Topology, TransportStats, WireBytes,
 };
 use spatl_wire::{
     decode_edge_combined, decode_unmask_shares, encode_unmask_request, open, read_frame, seal,
@@ -134,10 +134,12 @@ impl Coordinator {
     /// until [`Coordinator::wait_for_clients`] (or a round) runs.
     ///
     /// When `opts.wal` names an existing file, the round log is recovered
-    /// first: the driver's global state and sampling stream are advanced
-    /// to the last durable round boundary, and an uncommitted `begin`
-    /// makes the next [`Coordinator::run_round`] replay exactly the
-    /// interrupted round (see [`Coordinator::resumed_mid_round`]).
+    /// first: the driver's global state and round index are advanced to
+    /// the last durable round boundary, and an uncommitted `begin` makes
+    /// the next [`Coordinator::run_round`] replay exactly the interrupted
+    /// round (see [`Coordinator::resumed_mid_round`]). A `begin` whose
+    /// cohort is not the one this session derives for its round is
+    /// refused, like a foreign fingerprint.
     pub fn bind(mut driver: RoundDriver, opts: CoordinatorConfig) -> Result<Self, NetError> {
         if !(opts.quorum > 0.0 && opts.quorum <= 1.0) {
             return Err(NetError::Protocol(format!(
@@ -177,9 +179,20 @@ impl Coordinator {
                 match recovery.pending {
                     Some(pending) => {
                         // Killed mid-round: restore the state the cohort
-                        // trained against and burn the sampling draws of
-                        // the completed rounds — the next sample_round()
-                        // redraws the interrupted round's cohort.
+                        // trained against and move to the interrupted
+                        // round, whose cohort the next sample_round()
+                        // derives again — provided the log agrees.
+                        let derived = sampled_cohort(&driver.cfg, pending.round as usize);
+                        if derived != pending.sampled {
+                            return Err(NetError::Protocol(format!(
+                                "round log {} sampled {:?} in round {}, this session \
+                                 derives {:?}",
+                                path.display(),
+                                pending.sampled,
+                                pending.round,
+                                derived
+                            )));
+                        }
                         driver.global = pending.global;
                         driver.advance_sampling(pending.round as usize);
                         resumed_mid_round = Some(pending.round as usize);
@@ -270,7 +283,7 @@ impl Coordinator {
 
     /// Run one communication round over the network; returns its record.
     ///
-    /// Mirrors the simulator's round skeleton exactly — one sampling draw,
+    /// Mirrors the simulator's round skeleton exactly — the round's cohort,
     /// broadcast, collect, screen + aggregate, evaluate, record — with
     /// real transport faults taking the place of injected ones: a
     /// connection that dies mid-round is a ledgered
@@ -692,8 +705,9 @@ impl Coordinator {
     }
 
     /// End the session: broadcast [`MsgType::Shutdown`] so every node
-    /// exits cleanly. With a round log configured, every completed round
-    /// is already committed to it.
+    /// exits cleanly, and close the listener, so a node that redials is
+    /// refused at once. With a round log configured, every completed
+    /// round is already committed to it.
     pub fn finish(&mut self) -> Result<(), NetError> {
         self.peers.shutdown_all();
         Ok(())

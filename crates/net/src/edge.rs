@@ -20,11 +20,11 @@
 //! survivors' original sealed frames verbatim, robust kinds pre-reduce
 //! the slice with [`reduce_cohort`] and ship one summary vector.
 //!
-//! Determinism: the edge replays the session's seeded sampling stream
-//! (same seed, same `choose_k` draws) to derive each round's cohort
-//! itself, so the root never has to serialise cohort membership — and a
+//! Determinism: the edge derives each round's cohort itself with the
+//! session's one cohort function, [`sampled_cohort`] of the assignment's
+//! round, so the root never has to serialise cohort membership — and a
 //! root that replays a round after a write-ahead-log recovery gets the
-//! same cohort again from the edge's cache.
+//! same cohort again.
 
 use std::net::{SocketAddr, TcpStream};
 use std::ops::Range;
@@ -32,8 +32,8 @@ use std::time::Duration;
 
 use spatl_fl::{
     decode_download, edge_partition, exact_composition, fault_counters, ledger_departures,
-    outcome_entry, reduce_cohort, screen_updates, ChaosPlan, FaultKind, FaultRecord, LocalOutcome,
-    RoundDriver, Topology,
+    outcome_entry, reduce_cohort, sampled_cohort, screen_updates, ChaosPlan, FaultKind,
+    FaultRecord, LocalOutcome, RoundDriver, Topology,
 };
 use spatl_wire::{seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters};
 
@@ -123,8 +123,8 @@ enum SessionEnd {
 
 /// One edge aggregator: a client-facing peer table plus the upstream
 /// connect/serve loop, around the shared [`RoundDriver`] (used here for
-/// its configuration, selection layout, parameter count and sampling
-/// stream — the edge holds no model of its own).
+/// its configuration, selection layout and parameter count — the edge
+/// holds no model of its own).
 pub struct EdgeAggregator {
     driver: RoundDriver,
     opts: EdgeConfig,
@@ -133,9 +133,6 @@ pub struct EdgeAggregator {
     /// The slice's client connections.
     peers: PeerTable,
     fingerprint: u64,
-    /// Cohort cache, indexed by absolute round: derived lazily from the
-    /// sampling stream, so a replayed round reuses its original draw.
-    cohorts: Vec<Vec<usize>>,
     /// Whether the one-time client join wait already ran (first train
     /// round of the process).
     waited: bool,
@@ -174,7 +171,6 @@ impl EdgeAggregator {
             driver,
             range,
             fingerprint,
-            cohorts: Vec::new(),
             waited: false,
             registered: false,
             report: EdgeReport::default(),
@@ -280,36 +276,26 @@ impl EdgeAggregator {
         }
     }
 
-    /// This edge's slice of round `round`'s cohort, replaying the
-    /// session's seeded sampling stream (cached per absolute round so a
-    /// replayed assignment reuses the original draw).
-    fn cohort_slice(&mut self, round: u32) -> Vec<usize> {
-        let round = round as usize;
-        while self.cohorts.len() <= round {
-            let drawn = self.driver.sample_round();
-            self.cohorts.push(drawn);
-        }
-        self.cohorts[round]
-            .iter()
-            .copied()
-            .filter(|c| self.range.contains(c))
-            .collect()
+    /// This edge's slice of round `round`'s cohort.
+    fn cohort_slice(&self, round: u32) -> Vec<usize> {
+        let mut cohort = sampled_cohort(&self.driver.cfg, round as usize);
+        cohort.retain(|c| self.range.contains(c));
+        cohort
     }
 
     /// One train round over this edge's slice: broadcast the root's
     /// frames verbatim, collect and decode the slice's uploads, screen
     /// locally, and build the combined upload for the root.
     fn train_round(&mut self, round: u32, down: &[Vec<u8>]) -> EdgeCombined {
-        let next_round = self.cohorts.len() as u32;
         // The edge registered upstream before its clients registered
         // here; block once, like the root's `wait_for_clients`, so the
         // session's first round does not race the clients' joins.
         if !self.waited {
             self.peers
-                .wait_for(HelloRole::Client, self.opts.join_timeout, next_round);
+                .wait_for(HelloRole::Client, self.opts.join_timeout, round);
             self.waited = true;
         }
-        self.peers.accept_pending(next_round);
+        self.peers.accept_pending(round);
         let slice = self.cohort_slice(round);
         let mut faults = FaultRecord::for_sample(slice.len());
         // Clients the churn model schedules to leave mid-round never see
@@ -420,7 +406,7 @@ impl EdgeAggregator {
     /// connected client in the slice and collect their accuracies into
     /// bookkeeping-only entries.
     fn eval_round(&mut self, round: u32, down: &[Vec<u8>]) -> EdgeCombined {
-        self.peers.accept_pending(self.cohorts.len() as u32);
+        self.peers.accept_pending(round);
         let live = self.peers.live(HelloRole::Client);
         let (phase, _) = Phase::begin(
             &mut self.peers,

@@ -20,7 +20,10 @@ use crate::NetError;
 
 /// Listener plus id-indexed connection slots of one endpoint.
 pub(crate) struct PeerTable {
-    listener: TcpListener,
+    /// `None` once [`PeerTable::shutdown_all`] ended the session: a dial
+    /// is then refused instead of waiting on a `Join` nobody sends.
+    listener: Option<TcpListener>,
+    addr: SocketAddr,
     /// One slot per edge peer, then one per client id of `clients`.
     slots: Vec<Option<TcpStream>>,
     /// Client-id slice homed behind each edge peer (tiered root only).
@@ -47,7 +50,8 @@ impl PeerTable {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         Ok(PeerTable {
-            listener,
+            addr: listener.local_addr()?,
+            listener: Some(listener),
             slots: (0..homes.len() + clients.len()).map(|_| None).collect(),
             homes,
             clients,
@@ -59,7 +63,7 @@ impl PeerTable {
 
     /// The address the listener actually bound (resolves port 0).
     pub(crate) fn local_addr(&self) -> Result<SocketAddr, NetError> {
-        Ok(self.listener.local_addr()?)
+        Ok(self.addr)
     }
 
     /// Client-id slice homed behind each edge peer.
@@ -126,7 +130,7 @@ impl PeerTable {
     pub(crate) fn accept_pending(&mut self, round: u32) -> Vec<(HelloRole, usize)> {
         let mut joined = Vec::new();
         // Any accept error, `WouldBlock` included, ends the sweep.
-        while let Ok((stream, _)) = self.listener.accept() {
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
             joined.extend(self.handshake(stream, round).ok());
         }
         joined
@@ -186,8 +190,10 @@ impl PeerTable {
         sent
     }
 
-    /// Say [`MsgType::Shutdown`] to every registered peer and forget it.
+    /// Say [`MsgType::Shutdown`] to every registered peer, forget it,
+    /// and stop listening.
     pub(crate) fn shutdown_all(&mut self) {
+        self.listener = None;
         let bye = seal(MsgType::Shutdown, &[]);
         for slot in &mut self.slots {
             if let Some(mut stream) = slot.take() {

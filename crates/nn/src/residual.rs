@@ -45,11 +45,6 @@ impl BasicBlock {
         }
     }
 
-    /// Whether the shortcut is a projection.
-    pub fn has_projection(&self) -> bool {
-        self.down_conv.is_some()
-    }
-
     /// Forward pass drawing all temporaries from `ws`: intermediate
     /// activations are recycled as soon as the next layer has consumed them,
     /// and the identity shortcut adds `input` directly instead of cloning it.
@@ -134,7 +129,7 @@ mod tests {
     fn identity_block_preserves_shape() {
         let mut rng = TensorRng::seed_from(1);
         let mut blk = BasicBlock::new(4, 4, 1, &mut rng);
-        assert!(!blk.has_projection());
+        assert!(blk.down_conv.is_none());
         let x = rng.normal_tensor([2, 4, 8, 8], 0.0, 1.0);
         let mut ws = Workspace::new();
         let y = blk.forward_ws(&x, true, &mut ws);
@@ -147,7 +142,7 @@ mod tests {
     fn strided_block_halves_spatial_dims() {
         let mut rng = TensorRng::seed_from(2);
         let mut blk = BasicBlock::new(4, 8, 2, &mut rng);
-        assert!(blk.has_projection());
+        assert!(blk.down_conv.is_some());
         let x = rng.normal_tensor([1, 4, 8, 8], 0.0, 1.0);
         let mut ws = Workspace::new();
         let y = blk.forward_ws(&x, true, &mut ws);

@@ -8,7 +8,11 @@
 //! finds the round committed — and carries on from the next one — or
 //! finds the pending `begin` and replays exactly the round it was killed
 //! in, from exactly the state it broadcast. The header's session
-//! fingerprint keeps a root from resuming another session's log.
+//! fingerprint keeps a root from resuming another session's log, and the
+//! pending `begin`'s cohort keeps it from replaying the round onto other
+//! clients: a round's cohort is a pure function of the session and the
+//! round, so the resuming root derives it again and refuses a log that
+//! recorded another one.
 //! DESIGN.md §11 documents the format and the crash matrix.
 //!
 //! The log is line-delimited JSON (one record per line). Recovery
@@ -59,7 +63,8 @@ enum WalRecord {
 pub struct PendingRound {
     /// Absolute round index to replay.
     pub round: u32,
-    /// The cohort the interrupted round had sampled.
+    /// The cohort the interrupted round had sampled; a resuming
+    /// coordinator checks it against the cohort it derives for `round`.
     pub sampled: Vec<usize>,
     /// The pre-round global state the cohort trained against.
     pub global: GlobalState,

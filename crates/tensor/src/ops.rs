@@ -42,25 +42,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Element-wise `self -= other`.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<()> {
-        self.check_same_shape(other, "sub_assign")?;
-        for (a, b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a -= b;
-        }
-        Ok(())
-    }
-
-    /// Element-wise (Hadamard) product producing a new tensor.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.check_same_shape(other, "mul")?;
-        let mut out = self.clone();
-        for (a, b) in out.data_mut().iter_mut().zip(other.data()) {
-            *a *= b;
-        }
-        Ok(out)
-    }
-
     /// `self += alpha * other` — the BLAS `axpy` primitive that every FL
     /// aggregation rule in this project reduces to.
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) -> Result<()> {
@@ -155,18 +136,6 @@ impl Tensor {
         self.norm_sq().sqrt()
     }
 
-    /// L1 norm of the flattened buffer.
-    pub fn norm_l1(&self) -> f32 {
-        self.data().iter().map(|v| v.abs()).sum()
-    }
-
-    /// Clamp every element into `[lo, hi]`, in place.
-    pub fn clamp_in_place(&mut self, lo: f32, hi: f32) {
-        for a in self.data_mut() {
-            *a = a.clamp(lo, hi);
-        }
-    }
-
     /// Zero the buffer, keeping the allocation.
     pub fn fill(&mut self, value: f32) {
         for a in self.data_mut() {
@@ -211,7 +180,6 @@ mod tests {
         let b = t(&[4., 5., 6.]);
         assert_eq!(a.add(&b).unwrap().data(), &[5., 7., 9.]);
         assert_eq!(b.sub(&a).unwrap().data(), &[3., 3., 3.]);
-        assert_eq!(a.mul(&b).unwrap().data(), &[4., 10., 18.]);
     }
 
     #[test]
@@ -236,7 +204,6 @@ mod tests {
         assert_eq!(a.mean(), 2.0 / 3.0);
         assert_eq!(a.max(), 3.0);
         assert_eq!(a.argmax(), 2);
-        assert_eq!(a.norm_l1(), 6.0);
         assert!((a.norm() - 14f32.sqrt()).abs() < 1e-6);
     }
 
@@ -266,8 +233,6 @@ mod tests {
     #[test]
     fn clamp_and_fill() {
         let mut a = t(&[-5., 0.5, 5.]);
-        a.clamp_in_place(-1.0, 1.0);
-        assert_eq!(a.data(), &[-1., 0.5, 1.]);
         a.fill(0.0);
         assert_eq!(a.data(), &[0., 0., 0.]);
     }

@@ -182,11 +182,6 @@ impl FrameReader {
         }
     }
 
-    /// Whether a partial frame is buffered (EOF now would be truncation).
-    pub fn mid_frame(&self) -> bool {
-        self.filled > 0
-    }
-
     /// Bytes buffered towards the current frame.
     pub fn buffered(&self) -> usize {
         self.filled
@@ -404,7 +399,7 @@ mod tests {
             let (frames, pendings) = poll_all(&mut src, &mut reader);
             assert_eq!(frames, vec![a.clone(), b.clone()], "chunk {chunk}");
             assert!(pendings > 0, "the source interleaves WouldBlock");
-            assert!(!reader.mid_frame(), "boundary after a clean drain");
+            assert_eq!(reader.buffered(), 0, "boundary after a clean drain");
         }
     }
 
