@@ -62,8 +62,8 @@ use spatl_privacy::{
 };
 
 use crate::{
-    AggregatorKind, Algorithm, CompressedDelta, FaultKind, FaultRecord, FlConfig, GlobalState,
-    LocalOutcome, ScreenPolicy, Weight,
+    AggregatorKind, Algorithm, FaultKind, FaultRecord, FlConfig, GlobalState, LocalOutcome,
+    ScreenPolicy, Weight,
 };
 
 /// `2^-149` — the grid LSB — as an exactly-represented f64.
@@ -460,31 +460,7 @@ pub(crate) fn fold_terms<S: CohortSums>(
     match cfg.algorithm {
         Algorithm::FedAvg | Algorithm::FedProx { .. } => {
             let w = o.n_samples as u64;
-            match &o.compressed {
-                // Top-k sparse upload: scatter-add the k survivors.
-                // Bit-identical to folding the zero-filled dense
-                // vector — zero terms are inert in the exact sums,
-                // so the dropped coordinates contribute nothing
-                // either way (asserted in tests/quantized_fold.rs).
-                Some(CompressedDelta::TopK {
-                    indices, values, ..
-                }) => {
-                    for (&i, &v) in indices.iter().zip(values) {
-                        delta.add(i as usize, v, w);
-                    }
-                }
-                // f16 upload: decode coordinate-at-a-time straight
-                // off the 2·p-byte wire payload — f16 → f32 is
-                // exact, so this is bit-identical to densifying
-                // first, without the 4·p intermediate.
-                Some(CompressedDelta::F16(bytes)) => {
-                    let halves = bytes.chunks_exact(2).map(|c| {
-                        spatl_wire::f16::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]]))
-                    });
-                    delta.add_dense(halves, w);
-                }
-                None => delta.add_dense(o.delta[..p].iter().copied(), w),
-            }
+            delta.add_dense(o.delta[..p].iter().copied(), w);
         }
         Algorithm::FedNova => {
             let w = o.n_samples as u64;
@@ -1072,19 +1048,12 @@ impl RoundAccumulator {
     /// [`RoundDriver::finish_accumulation`].
     ///
     /// [`RoundDriver::finish_accumulation`]: crate::RoundDriver::finish_accumulation
-    pub fn fold(&mut self, mut outcome: LocalOutcome) {
+    pub fn fold(&mut self, outcome: LocalOutcome) {
         self.folded += 1;
         match &mut self.mode {
             Mode::Stream(state) => state.fold(&outcome),
             Mode::Masked(mr) => mr.fold(&outcome),
-            Mode::Spill { outcomes, .. } => {
-                // The batch rules and the screen read dense deltas; a
-                // compressed upload is expanded here — the documented
-                // point where spilling trades the O(model) fold for
-                // cohort statistics (DESIGN.md §13).
-                outcome.densify();
-                outcomes.push(outcome)
-            }
+            Mode::Spill { outcomes, .. } => outcomes.push(outcome),
         }
     }
 

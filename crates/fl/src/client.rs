@@ -26,53 +26,6 @@ pub struct SelectedUpdate {
     pub channel_ids: Vec<u32>,
 }
 
-/// A FedAvg / FedProx upload that arrived compressed
-/// ([`UploadCodec`](crate::UploadCodec)) and has not been densified:
-/// the streaming fold consumes this form directly, so the server never
-/// materialises the `4·p`-byte dense delta for it (DESIGN.md §13).
-#[derive(Debug, Clone)]
-pub enum CompressedDelta {
-    /// Top-k sparse: strictly increasing flat indices and their values
-    /// over a dense vector of `dense_len` coordinates; every index not
-    /// listed aggregates as exactly zero.
-    TopK {
-        /// Length of the dense delta this sparsifies.
-        dense_len: usize,
-        /// Flat indices of the kept coordinates, strictly increasing.
-        indices: Vec<u32>,
-        /// Delta values at those indices.
-        values: Vec<f32>,
-    },
-    /// Raw little-endian IEEE half-precision payload, 2 bytes per
-    /// coordinate; decoded coordinate-at-a-time during the fold
-    /// (f16 → f32 is exact, so the fold is bit-identical to folding the
-    /// decoded dense vector).
-    F16(Vec<u8>),
-}
-
-impl CompressedDelta {
-    /// Expand to the dense f32 delta this upload represents.
-    pub fn to_dense(&self) -> Vec<f32> {
-        match self {
-            CompressedDelta::TopK {
-                dense_len,
-                indices,
-                values,
-            } => {
-                let mut out = vec![0.0f32; *dense_len];
-                for (&i, &v) in indices.iter().zip(values) {
-                    out[i as usize] = v;
-                }
-                out
-            }
-            CompressedDelta::F16(bytes) => bytes
-                .chunks_exact(2)
-                .map(|c| spatl_wire::f16::f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])))
-                .collect(),
-        }
-    }
-}
-
 /// Everything a client sends back (plus bookkeeping the simulator keeps).
 #[derive(Debug, Clone)]
 pub struct LocalOutcome {
@@ -88,15 +41,10 @@ pub struct LocalOutcome {
     /// SPATL-only: the sparse upload. When present the server must ignore
     /// `delta` outside `selected.indices`.
     pub selected: Option<SelectedUpdate>,
-    /// FedAvg / FedProx only: set by [`decode_upload`] when the upload
-    /// travelled under a non-dense [`UploadCodec`] — `delta` is then
-    /// empty and the fold consumes this form directly. Consumers that
-    /// need the dense vector (cohort statistics) call
-    /// [`LocalOutcome::densify`] explicitly.
-    ///
-    /// [`decode_upload`]: crate::wire::decode_upload
-    /// [`UploadCodec`]: crate::UploadCodec
-    pub compressed: Option<CompressedDelta>,
+    /// Always `None`. Kept only because the `benchmark/` harness builds a
+    /// `LocalOutcome` field by field; it goes with the next change that
+    /// edits `benchmark/` (ROADMAP item 1).
+    pub compressed: Option<std::convert::Infallible>,
     /// SCAFFOLD: the client's control-variate step `Δcᵢ = cᵢ⁺ − cᵢ`,
     /// uploaded next to the delta.
     pub control_delta: Option<Vec<f32>>,
@@ -176,19 +124,6 @@ impl LocalOutcome {
         }
     }
 
-    /// Expand a compressed upload into the dense `delta`, in place.
-    ///
-    /// The streaming fold never needs this; spill-mode aggregation,
-    /// screening and edge-side reduction do (their cohort statistics
-    /// read dense vectors), and each calls it at the point where the
-    /// O(model) densification cost is actually incurred. No-op for
-    /// dense uploads.
-    pub fn densify(&mut self) {
-        if let Some(c) = self.compressed.take() {
-            self.delta = c.to_dense();
-        }
-    }
-
     /// The vector a two-lane dense upload carries next to `delta`.
     pub(crate) fn lane(&self, lane: UploadLane) -> Option<&[f32]> {
         match lane {
@@ -227,7 +162,6 @@ impl LocalOutcome {
     pub(crate) fn release_payload(&mut self) {
         self.delta = Vec::new();
         self.selected = None;
-        self.compressed = None;
         self.control_delta = None;
         self.velocity = None;
         self.buffers = Vec::new();
@@ -335,8 +269,9 @@ impl ClientState {
         let mut rng = TensorRng::seed_from(
             cfg.seed ^ (round as u64).wrapping_mul(0x9E37_79B9) ^ (self.id as u64) << 32,
         );
-        let mut opt_enc = Sgd::with_momentum(cfg.lr, cfg.momentum, cfg.weight_decay);
-        let mut opt_pred = Sgd::with_momentum(cfg.lr, cfg.momentum, cfg.weight_decay);
+        const WEIGHT_DECAY: f32 = 1e-4;
+        let mut opt_enc = Sgd::with_momentum(cfg.lr, cfg.momentum, WEIGHT_DECAY);
+        let mut opt_pred = Sgd::with_momentum(cfg.lr, cfg.momentum, WEIGHT_DECAY);
         let mut loss = CrossEntropyLoss::new();
         let mut tau = 0usize;
         let enc_len = self.model.encoder.num_params();
@@ -439,8 +374,7 @@ impl ClientState {
         });
 
         // 5. Eq. 13: 4 bytes per shared parameter per lane, unless SPATL's
-        //    salient selection or a FedAvg / FedProx codec shrinks the
-        //    upload.
+        //    salient selection shrinks the upload.
         let p = global.shared.len();
         let lanes = |second: bool| 4 * p as u64 * (1 + u64::from(second));
         let mut bytes = RoundBytes {
@@ -471,15 +405,6 @@ impl ClientState {
                     channel_ids,
                 });
             }
-            _ if spec.plain_delta => match cfg.upload_codec {
-                crate::UploadCodec::Dense => {}
-                crate::UploadCodec::TopK { .. } => {
-                    let k = cfg.upload_codec.kept(p);
-                    keep_ratio = k as f32 / p.max(1) as f32;
-                    bytes.upload = CommModel::dense_topk(p, k).upload;
-                }
-                crate::UploadCodec::F16 => bytes.upload = CommModel::dense_f16(p).upload,
-            },
             _ => {}
         }
 

@@ -53,15 +53,13 @@ pub use accumulate::{RoundAccumulator, SpillReason, StreamState};
 pub use adversary::{Adversary, AdversaryPlan, AttackKind};
 pub use chaos::ChaosPlan;
 pub use churn::{churn_departures, ledger_departures, ChurnPlan};
-pub use client::{ClientState, CompressedDelta, LocalOutcome, SelectedUpdate};
+pub use client::{ClientState, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
 pub use compose::{
     aggregate_reduced, edge_partition, entry_outcome, exact_composition, fault_counters,
     fold_fault_counters, outcome_entry, reduce_cohort, Topology,
 };
-pub use config::{
-    AggregatorKind, Algorithm, ConfigError, FlConfig, NetProfile, SpatlOptions, UploadCodec,
-};
+pub use config::{AggregatorKind, Algorithm, ConfigError, FlConfig, SpatlOptions};
 pub(crate) use config::{DownloadLane, UploadLane, Weight};
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use privacy::{

@@ -5,7 +5,7 @@
 //! panic, never a NaN.
 
 use spatl_data::{dirichlet_partition, synth_cifar10, Dataset, SynthConfig};
-use spatl_fl::{Algorithm, FaultPlan, FlConfig, NetProfile, Simulation, SpatlOptions};
+use spatl_fl::{Algorithm, FaultPlan, FlConfig, Simulation, SpatlOptions};
 use spatl_models::{ModelConfig, ModelKind};
 use spatl_tensor::TensorRng;
 
@@ -229,7 +229,6 @@ fn deadline_excludes_slow_stragglers_and_caps_wall_clock() {
     };
     let mut cfg = mini_cfg(Algorithm::FedAvg, 1, 24);
     cfg.local_epochs = 1;
-    cfg.net = NetProfile::Mobile;
     cfg.faults = Some(plan);
     let model_cfg = ModelConfig::cifar(ModelKind::ResNet20);
     let mut sim = Simulation::new(cfg, model_cfg, shards(cfg.n_clients, 30, 24));

@@ -6,8 +6,8 @@
 use spatl_data::{synth_cifar10, Dataset, SynthConfig};
 use spatl_fl::{
     build_selection_layout, decode_download, decode_upload, encode_download, encode_upload,
-    Algorithm, CommModel, FlConfig, GlobalState, LocalOutcome, NetProfile, SelectedUpdate,
-    Simulation, SpatlOptions, WireBytes,
+    Algorithm, CommModel, FlConfig, GlobalState, LocalOutcome, SelectedUpdate, Simulation,
+    SpatlOptions, WireBytes,
 };
 use spatl_models::{ModelConfig, ModelKind};
 use spatl_pruning::{apply_sparsities, salient_param_indices, Criterion};
@@ -303,7 +303,6 @@ fn simulated_round_records_wire_traffic_and_transfer_time() {
     cfg.n_clients = 2;
     cfg.rounds = 1;
     cfg.local_epochs = 1;
-    cfg.net = NetProfile::Mobile;
     let mut sim = Simulation::new(
         cfg,
         ModelConfig::cifar(ModelKind::ResNet20),
@@ -319,7 +318,7 @@ fn simulated_round_records_wire_traffic_and_transfer_time() {
     let overhead = record.wire.overhead();
     assert!(overhead > 0);
     assert!(overhead as f64 / (record.wire.total_framed() as f64) < 0.05);
-    // The mobile profile moves megabytes: transfer time must be visible.
+    // The round moves megabytes: transfer time must be visible.
     assert!(record.transfer_wall_s > 0.0);
     assert!(record.transfer_device_s >= record.transfer_wall_s);
 }

@@ -302,11 +302,6 @@ impl EdgeAggregator {
         // the broadcast — same filter the simulator and flat root apply.
         let staying = ledger_departures(&self.driver.cfg, round as usize, &slice, &mut faults);
 
-        // Screening and edge-side reduction read the dense delta; the
-        // stream fold at the root does not. Densify compressed uploads
-        // only when a cohort statistic will need them.
-        let exact = exact_composition(&self.driver.cfg.aggregator);
-        let densify = self.driver.cfg.screen.is_some() || !exact;
         let mut events: Vec<(usize, FaultKind)> = Vec::new();
         let mut decoded: Vec<LocalOutcome> = Vec::new();
         let mut collected: Vec<(LocalOutcome, Vec<Vec<u8>>)> = Vec::new();
@@ -332,12 +327,7 @@ impl EdgeAggregator {
                     events.push((reply.id, FaultKind::LocalDivergence));
                 }
                 match driver.decode_client_upload(&meta, &reply.frames) {
-                    Ok(mut d) => {
-                        if densify {
-                            d.densify();
-                        }
-                        decoded.push(d)
-                    }
+                    Ok(d) => decoded.push(d),
                     Err(e) => events.push((
                         reply.id,
                         FaultKind::CorruptUpload {
@@ -372,6 +362,7 @@ impl EdgeAggregator {
 
         // Exact composition forwards the survivors' original frames
         // verbatim; reduced composition collapses them into one summary.
+        let exact = exact_composition(&self.driver.cfg.aggregator);
         let survivor_ids: Vec<usize> = survivors.iter().map(|o| o.client_id).collect();
         let entries = collected
             .into_iter()

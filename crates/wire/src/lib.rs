@@ -12,8 +12,7 @@
 //!   cursor and the `put_*` writers every codec below is written over.
 //! * [`envelope`] — frame header, [`seal`]/[`open`], [`MsgType`] tags.
 //! * [`codec`] — payload layouts: dense f32, paired vectors (SCAFFOLD /
-//!   FedNova, and SPATL's download), SPATL's channel-indexed upload,
-//!   top-k sparse, f16 quantized.
+//!   FedNova, and SPATL's download), SPATL's channel-indexed upload.
 //! * [`layout`] — [`SelectionLayout`], the channel-id ↔ flat-index map
 //!   shared by both ends of a SPATL session.
 //! * [`stream`] — [`read_frame`]/[`write_frame`] over byte streams, with
@@ -23,8 +22,7 @@
 //! * [`privacy`] — masked / fixed-point upload payloads and the
 //!   unmask-share dropout-recovery frames (secure aggregation).
 //! * [`sim`] — [`SimNet`] analytic transport model.
-//! * [`crc32`] / [`f16`](mod@f16) — checksum and half-precision
-//!   primitives.
+//! * [`crc32`] — the frame checksum.
 //!
 //! Design rules: explicit little-endian everywhere, no `unsafe`, no
 //! self-describing serialization on the hot path, and decoders return
@@ -38,7 +36,6 @@ pub mod codec;
 pub mod crc32;
 pub mod envelope;
 pub mod error;
-pub mod f16;
 pub mod layout;
 pub mod privacy;
 pub mod sim;
@@ -46,9 +43,8 @@ pub mod stream;
 pub mod tier;
 
 pub use codec::{
-    decode_dense, decode_f16_dense, decode_pair, decode_spatl_update, decode_topk, encode_dense,
-    encode_f16_dense, encode_pair, encode_spatl_update, encode_topk, Pair, SparseTopK, SpatlUpdate,
-    SPARSE_METADATA, SPATL_UPDATE_METADATA,
+    decode_dense, decode_pair, decode_spatl_update, encode_dense, encode_pair, encode_spatl_update,
+    Pair, SpatlUpdate, SPATL_UPDATE_METADATA,
 };
 pub use envelope::{flip_bit, open, seal, MsgType, HEADER_LEN, MAGIC, WIRE_VERSION};
 pub use error::WireError;

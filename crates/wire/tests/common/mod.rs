@@ -4,9 +4,8 @@
 #![allow(dead_code)]
 
 use spatl_wire::{
-    decode_dense, decode_edge_combined, decode_f16_dense, decode_fixed_dense, decode_masked_upload,
-    decode_pair, decode_spatl_update, decode_topk, decode_unmask_request, decode_unmask_shares,
-    open, WireError,
+    decode_dense, decode_edge_combined, decode_fixed_dense, decode_masked_upload, decode_pair,
+    decode_spatl_update, decode_unmask_request, decode_unmask_shares, open, WireError,
 };
 
 /// `(name, bytes)` per line of `golden.hex`, in file order.
@@ -37,8 +36,6 @@ pub fn decode_as(name: &str, bytes: &[u8]) -> Result<(), WireError> {
         "dense" | "dense_empty" | "spatl_encoder" => decode_dense(bytes).map(drop),
         "pair" | "spatl_encoder_control" => decode_pair(bytes).map(drop),
         "spatl_update" => decode_spatl_update(bytes).map(drop),
-        "topk" => decode_topk(bytes).map(drop),
-        "f16" => decode_f16_dense(bytes).map(drop),
         "masked_delta_only" | "masked_all_lanes" => decode_masked_upload(bytes).map(drop),
         "fixed" => decode_fixed_dense(bytes).map(drop),
         "unmask_request" => decode_unmask_request(bytes).map(drop),

@@ -16,12 +16,12 @@ use std::fmt::Debug;
 
 use spatl_privacy::{MaskedCounts, MaskedUpload, MaskedVector, UnmaskShare};
 use spatl_wire::{
-    decode_dense, decode_edge_combined, decode_f16_dense, decode_fixed_dense, decode_masked_upload,
-    decode_pair, decode_spatl_update, decode_topk, decode_unmask_request, decode_unmask_shares,
-    encode_dense, encode_edge_combined, encode_f16_dense, encode_fixed_dense, encode_masked_upload,
-    encode_pair, encode_spatl_update, encode_topk, encode_unmask_request, encode_unmask_shares,
-    open, seal, EdgeCombined, EdgeEntry, EdgeReduced, EdgeSelection, MsgType, Pair, SparseTopK,
-    SpatlUpdate, TierFaultCounters, WireError,
+    decode_dense, decode_edge_combined, decode_fixed_dense, decode_masked_upload, decode_pair,
+    decode_spatl_update, decode_unmask_request, decode_unmask_shares, encode_dense,
+    encode_edge_combined, encode_fixed_dense, encode_masked_upload, encode_pair,
+    encode_spatl_update, encode_unmask_request, encode_unmask_shares, open, seal, EdgeCombined,
+    EdgeEntry, EdgeReduced, EdgeSelection, MsgType, Pair, SpatlUpdate, TierFaultCounters,
+    WireError,
 };
 
 /// One case: what today's encoder emits for a fixed value, and whether
@@ -179,24 +179,6 @@ fn cases() -> Golden {
         },
         |u| encode_spatl_update(&u.channels, &u.values),
         decode_spatl_update,
-    );
-    g.case(
-        "topk",
-        SparseTopK {
-            dense_len: 1000,
-            indices: vec![1, 30, 999],
-            values: vec![-5.0, 2.0, 4.0],
-        },
-        encode_topk,
-        decode_topk,
-    );
-    // Values exactly representable at half precision, so the decoded
-    // fixture compares equal rather than within tolerance.
-    g.case(
-        "f16",
-        vec![0.5f32, -1.25, 1024.0, 0.0, -65504.0],
-        |v| encode_f16_dense(v),
-        decode_f16_dense,
     );
     g.case(
         "masked_delta_only",
