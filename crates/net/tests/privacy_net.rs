@@ -185,6 +185,62 @@ fn fixed_point_networked_matches_fixed_point_simulator() {
     }
 }
 
+/// A masked session under a dropout plan: the clients the plan drops
+/// derive no masks, so the coordinator must not assign them either —
+/// otherwise it folds uploads masked against a cohort nobody else used.
+/// The networked run must equal the masked simulator bit for bit, ledger
+/// included.
+#[test]
+fn masked_session_under_dropout_plan_matches_masked_simulator() {
+    let rounds = 3;
+    let plan = FaultPlan {
+        dropout: 0.4,
+        seed: 3,
+        ..FaultPlan::default()
+    };
+    let session = || {
+        builder(Algorithm::FedAvg, rounds)
+            .clients(4)
+            .privacy(PrivacyConfig::masked(0xC0FFEE))
+            .faults(plan)
+            .build()
+    };
+
+    let mut sim = session();
+    sim.run();
+
+    let session = session();
+    let cfg = session.driver.cfg;
+    let mut coordinator =
+        Coordinator::bind(session.driver, coordinator_config()).expect("bind loopback");
+    let addr = coordinator.local_addr().expect("local addr").to_string();
+    let handles = spawn_nodes(cfg, session.clients, &addr);
+    let completed = coordinator.run().expect("masked networked run");
+    assert!(completed, "no shutdown was requested");
+    join_nodes(handles);
+
+    assert!(
+        sim.driver.history.iter().any(|r| r.faults.dropouts > 0),
+        "the plan never dropped anyone — vacuous"
+    );
+    assert!(coordinator
+        .driver
+        .global
+        .shared
+        .iter()
+        .all(|v| v.is_finite()));
+    assert_global_bit_identical(&sim.driver.global, &coordinator.driver.global);
+    for (s, n) in sim.driver.history.iter().zip(&coordinator.driver.history) {
+        assert_eq!(s.faults, n.faults, "round {}", s.round);
+        assert_eq!(
+            s.mean_acc.to_bits(),
+            n.mean_acc.to_bits(),
+            "round {}",
+            s.round
+        );
+    }
+}
+
 /// Raw control-plane handshake for the hand-rolled dying client.
 fn raw_handshake(addr: &str, cfg: &FlConfig, client_id: u32) -> TcpStream {
     let mut stream = TcpStream::connect(addr).expect("connect");
