@@ -1,4 +1,4 @@
-//! EXP-CHURN — trace-driven client availability (DESIGN.md §14).
+//! EXP-CHURN — trace-driven client availability (DESIGN.md §8).
 //!
 //! Three claims are exercised in process:
 //!

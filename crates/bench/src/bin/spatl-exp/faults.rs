@@ -2,8 +2,8 @@
 //!
 //! Sweep the per-round dropout probability over {0, 0.1, 0.3} for FedAvg
 //! and SPATL on the CIFAR-like task, and report best/final accuracy plus
-//! the per-run fault ledger (dropouts, survivors, corrupted uploads,
-//! retries). The fault plan is seeded, so every row reproduces exactly.
+//! the per-run fault ledger (dropouts, survivors). The fault plan is
+//! seeded, so every row reproduces exactly.
 
 use serde_json::json;
 use spatl::prelude::*;

@@ -1,5 +1,5 @@
 //! PRIVACY — server-blind aggregation: exactness, cost and attack
-//! survival (DESIGN.md §15, EXPERIMENTS.md).
+//! survival (DESIGN.md §14, EXPERIMENTS.md).
 //!
 //! Three legs over the CIFAR-like task:
 //!

@@ -14,7 +14,7 @@
 //!    therefore identical, and the table shows it.
 //! 2. **Bounded-ε composition** — the robust aggregators pre-reduce at
 //!    the edges and compose stat-of-stats at the root. Each composed
-//!    round stays within the `server_lr · (max − min)` per-coordinate
+//!    round stays within the `max − min` per-coordinate
 //!    envelope (asserted round-by-round in `crates/net/tests/tier.rs`);
 //!    here the end-of-run divergence from the flat robust fold is
 //!    measured and reported — trajectories legitimately drift apart

@@ -9,7 +9,7 @@ use std::time::Duration;
 use spatl::cli::parse_algorithm;
 pub use spatl::cli::Args;
 use spatl::prelude::{
-    Algorithm, ChaosPlan, ChurnPlan, ConfigError, ExperimentBuilder, PrivacyConfig, Simulation,
+    Algorithm, ChurnPlan, ConfigError, ExperimentBuilder, FaultPlan, PrivacyConfig, Simulation,
     Topology,
 };
 
@@ -55,9 +55,10 @@ pub struct NetOpts {
     pub local_epochs: usize,
     /// Local batch size.
     pub batch: usize,
-    /// Seeded transport chaos plan, part of the session fingerprint —
-    /// every endpoint of a run must be given the same chaos flags.
-    pub chaos: Option<ChaosPlan>,
+    /// Seeded fault plan the `--chaos-*` flags fill, part of the session
+    /// fingerprint — every endpoint of a run must be given the same
+    /// chaos flags.
+    pub faults: Option<FaultPlan>,
     /// Client churn plan, also fingerprinted across the endpoints.
     pub churn: Option<ChurnPlan>,
     /// Server-blind aggregation config (pairwise masking or fixed-point
@@ -114,7 +115,7 @@ impl NetOpts {
             samples: args.get_or("samples", 24),
             local_epochs: args.get_or("local-epochs", 1),
             batch: args.get_or("batch", 8),
-            chaos: parse_chaos(args)?,
+            faults: parse_chaos(args)?,
             churn: parse_churn(args)?,
             privacy: parse_privacy(args)?,
         })
@@ -133,8 +134,8 @@ impl NetOpts {
             .local_epochs(self.local_epochs)
             .batch_size(self.batch)
             .seed(self.seed);
-        if let Some(plan) = self.chaos {
-            b = b.chaos(plan);
+        if let Some(plan) = self.faults {
+            b = b.faults(plan);
         }
         if let Some(plan) = self.churn {
             b = b.churn(plan);
@@ -147,7 +148,7 @@ impl NetOpts {
     }
 }
 
-/// The flags that switch transport chaos on; the other `--chaos-*` flags
+/// The flags that switch the fault plan on; the other `--chaos-*` flags
 /// only tune a plan one of these creates.
 const CHAOS_MODES: [&str; 4] = [
     "chaos-reset",
@@ -178,15 +179,16 @@ fn check_sub_flags(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Build the chaos plan out of the `--chaos-*` flags; `None` when no
-/// chaos flag was given at all (the common, chaos-free case).
+/// Build the fault plan out of the `--chaos-*` flags; `None` when no
+/// chaos flag was given at all (the common, fault-free case). No flag
+/// sets the plan's dropout coin.
 /// `--chaos-kill-edge` takes `round:edge` (e.g. `1:0` kills edge 0 from
 /// round 1 onward).
-fn parse_chaos(args: &Args) -> Result<Option<ChaosPlan>, String> {
+fn parse_chaos(args: &Args) -> Result<Option<FaultPlan>, String> {
     if CHAOS_MODES.iter().all(|f| args.get(f).is_none()) {
         return Ok(None);
     }
-    let defaults = ChaosPlan::default();
+    let defaults = FaultPlan::default();
     let kill_edge = match args.get("chaos-kill-edge") {
         None => None,
         Some(v) => Some(
@@ -195,13 +197,14 @@ fn parse_chaos(args: &Args) -> Result<Option<ChaosPlan>, String> {
                 .ok_or_else(|| format!("flag --chaos-kill-edge wants 'round:edge', got '{v}'"))?,
         ),
     };
-    Ok(Some(ChaosPlan {
+    Ok(Some(FaultPlan {
         reset: args.get_or("chaos-reset", defaults.reset),
         stall: args.get_or("chaos-stall", defaults.stall),
         stall_ms: args.get_or("chaos-stall-ms", defaults.stall_ms),
         duplicate: args.get_or("chaos-duplicate", defaults.duplicate),
         kill_edge,
         seed: args.get_or("chaos-seed", defaults.seed),
+        ..defaults
     }))
 }
 
@@ -372,7 +375,7 @@ mod tests {
         // plain session.
         let none = parse_args::<[&str; 0], &str>([], &accepted).unwrap();
         let opts = NetOpts::from_args(&none).unwrap();
-        assert!(opts.chaos.is_none() && opts.churn.is_none());
+        assert!(opts.faults.is_none() && opts.churn.is_none());
         let runtime = RuntimeOpts::from_args(&none);
         assert_eq!(runtime.round_timeout, Duration::from_secs(300));
 
@@ -393,7 +396,7 @@ mod tests {
         )
         .unwrap();
         let opts = NetOpts::from_args(&args).unwrap();
-        let chaos = opts.chaos.expect("chaos flags given");
+        let chaos = opts.faults.expect("chaos flags given");
         assert_eq!(chaos.reset, 0.5);
         assert_eq!(chaos.kill_edge, Some((2, 1)));
         assert_eq!(chaos.duplicate, 0.0);
@@ -455,7 +458,7 @@ mod tests {
             assert!(err.contains(argv[0]) && err.contains(missing), "{err}");
         }
         let with_mode = parse_args(["--chaos-stall", "0.5", "--chaos-stall-ms", "5"], &accepted);
-        let chaos = NetOpts::from_args(&with_mode.unwrap()).unwrap().chaos;
+        let chaos = NetOpts::from_args(&with_mode.unwrap()).unwrap().faults;
         assert_eq!(chaos.map(|c| c.stall_ms), Some(5));
     }
 

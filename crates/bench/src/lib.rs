@@ -260,7 +260,6 @@ pub fn run_record(result: &RunResult) -> Value {
         "dropped": ledger(|f| f.dropouts),
         "survived": ledger(|f| f.survivors),
         "no_op_rounds": rounds(|r| r.faults.no_op),
-        "retries": ledger(|f| f.retries),
         "quarantined": ledger(|f| f.quarantined),
     })
 }

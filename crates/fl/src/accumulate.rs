@@ -573,7 +573,6 @@ impl RoundTotals {
             return false;
         }
         let p = self.p;
-        let slr = self.cfg.server_lr as f64;
         let inv_n = 1.0 / self.n_clients_total as f64;
         let shared = &mut global.shared[..p];
         match self.cfg.algorithm {
@@ -585,7 +584,7 @@ impl RoundTotals {
                 }
                 let inv_total = 1.0 / self.total_samples as f64;
                 for (j, x) in shared.iter_mut().enumerate() {
-                    *x += (slr * sums.delta.value(j) * inv_total) as f32;
+                    *x += (sums.delta.value(j) * inv_total) as f32;
                 }
             }
             Algorithm::FedNova => {
@@ -595,7 +594,7 @@ impl RoundTotals {
                 let total = self.total_samples as f64;
                 let tau_eff = self.tau_weighted as f64 / total;
                 for (j, x) in shared.iter_mut().enumerate() {
-                    *x += (slr * tau_eff * sums.delta.value(j) / total) as f32;
+                    *x += (tau_eff * sums.delta.value(j) / total) as f32;
                 }
                 if let (true, Some(vel)) = (self.any_velocity, sums.secondary) {
                     global.momentum = (0..p).map(|j| (vel.value(j) / total) as f32).collect();
@@ -604,7 +603,7 @@ impl RoundTotals {
             Algorithm::Scaffold => {
                 let inv_s = 1.0 / self.valid as f64;
                 for (j, x) in shared.iter_mut().enumerate() {
-                    *x += (slr * sums.delta.value(j) * inv_s) as f32;
+                    *x += (sums.delta.value(j) * inv_s) as f32;
                 }
                 if let Some(cd) = sums.secondary {
                     for (j, c) in global.control[..p].iter_mut().enumerate() {
@@ -620,7 +619,7 @@ impl RoundTotals {
                     if votes == 0 {
                         continue;
                     }
-                    shared[j] += (slr * sums.delta.value(j) / votes as f64) as f32;
+                    shared[j] += (sums.delta.value(j) / votes as f64) as f32;
                     if let Some(cd) = cd {
                         global.control[j] += (inv_n * cd.value(j)) as f32;
                     }

@@ -1,9 +1,9 @@
 //! Byzantine adversaries: semantically poisoned but CRC-valid uploads.
 //!
-//! The transport fault layer ([`FaultPlan`](crate::FaultPlan)) damages
-//! *frames*; the envelope CRC catches every injected bit flip and the
-//! server retransmits. This module models the complementary threat the CRC
-//! cannot see: a client that participates in the protocol flawlessly —
+//! The fault layer ([`FaultPlan`](crate::FaultPlan)) models accidents —
+//! a client that leaves, a reply torn or sent twice — which the protocol
+//! absorbs. This module models the complementary threat no checksum can
+//! see: a client that participates in the protocol flawlessly —
 //! trains, seals frames, passes every checksum — but uploads a *wrong*
 //! update. Three classic behaviours from the Byzantine-FL literature are
 //! implemented:

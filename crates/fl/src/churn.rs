@@ -110,8 +110,8 @@ impl ChurnPlan {
 }
 
 /// Availability and cohort queries, answered the way
-/// [`FaultPlan`](crate::FaultPlan) answers payload-fault queries:
-/// stateless apart from the plan, every answer a pure function of the
+/// [`FaultPlan`](crate::FaultPlan) answers its coins: stateless apart
+/// from the plan, every answer a pure function of the
 /// seed, so any participant can evaluate any client at any round in O(1)
 /// without materialising the population.
 impl ChurnPlan {
@@ -185,43 +185,6 @@ impl ChurnPlan {
             .count();
         up as f64 / population as f64
     }
-}
-
-/// The subset of `cohort` that abandons round `round` in progress under
-/// the session's churn plan (empty when no plan is configured). Every
-/// aggregation tier — simulator, flat coordinator, edge — filters its
-/// cohort through this before training/broadcast and ledgers each
-/// departure as a [`Dropout`](crate::FaultKind::Dropout), so all
-/// transports see the identical effective cohort.
-pub fn churn_departures(cfg: &crate::FlConfig, round: usize, cohort: &[usize]) -> Vec<usize> {
-    match cfg.churn {
-        Some(plan) => cohort
-            .iter()
-            .copied()
-            .filter(|&c| plan.departs_mid_round(round, c))
-            .collect(),
-        None => Vec::new(),
-    }
-}
-
-/// Filter `cohort` through [`churn_departures`], ledgering every
-/// departure as a [`Dropout`](crate::FaultKind::Dropout); returns the
-/// clients that stay for the round, in cohort order. The one filter the
-/// simulator, the flat root, every edge and the root's dead-edge ledger
-/// share.
-pub fn ledger_departures(
-    cfg: &crate::FlConfig,
-    round: usize,
-    cohort: &[usize],
-    faults: &mut crate::FaultRecord,
-) -> Vec<usize> {
-    let departures = churn_departures(cfg, round, cohort);
-    let (leaving, staying): (Vec<usize>, Vec<usize>) =
-        cohort.iter().partition(|c| departures.contains(c));
-    for c in leaving {
-        faults.push(c, crate::FaultKind::Dropout);
-    }
-    staying
 }
 
 #[cfg(test)]

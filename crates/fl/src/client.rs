@@ -74,10 +74,7 @@ pub struct LocalOutcome {
     /// side filled by the simulator, which knows the broadcast frames).
     pub wire: crate::WireBytes,
     /// The sealed upload frames this outcome travels as; the server decodes
-    /// these, never the fields above, when aggregating a wire round. Under
-    /// an injected [`FaultPlan`](crate::FaultPlan) a transmission attempt
-    /// is a *bit-flipped copy* of these frames — this pristine sealed form
-    /// is what every retransmission restarts from.
+    /// these, never the fields above, when aggregating a wire round.
     pub frames: Vec<Vec<u8>>,
     /// Fraction of shared parameters uploaded (1.0 = dense).
     pub keep_ratio: f32,

@@ -17,14 +17,9 @@
 //! "negligible burden" of §IV-C1.
 //!
 //! This accounting is *logical*: it charges each upload once, matching
-//! Eq. 13's idealised cost. Under an injected [`FaultPlan`] a corrupted
-//! upload is retransmitted, and those extra copies are real traffic — they
-//! appear in the measured [`WireBytes::upload_framed`] (multiplied by the
-//! transmission count), never here. The two views are cross-checked every
-//! round before the multiplication is applied.
-//!
-//! [`FaultPlan`]: crate::FaultPlan
-//! [`WireBytes::upload_framed`]: crate::WireBytes
+//! Eq. 13's idealised cost; the measured frames are in
+//! [`WireBytes`](crate::WireBytes). The simulator cross-checks the two
+//! views' payload bytes every round.
 
 use serde::{Deserialize, Serialize};
 

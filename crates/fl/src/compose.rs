@@ -32,7 +32,7 @@
 //!   bounded: both statistics satisfy `stat(S) ∈ [min S, max S]`, so
 //!   the composed statistic and the flat statistic both lie inside the
 //!   per-coordinate envelope of the clients' contributions, giving
-//!   `|composed_j − flat_j| ≤ server_lr · (max_j − min_j)` per round and
+//!   `|composed_j − flat_j| ≤ max_j − min_j` per round and
 //!   coordinate (for FedNova the envelope is widened by evaluating each
 //!   client's normalised direction under both the global τ_eff and its
 //!   edge's local τ_eff_e). The property tests in `tests/compose.rs`
@@ -350,7 +350,7 @@ pub fn aggregate_reduced(
         for j in 0..p {
             sample.clear();
             sample.extend(active.iter().map(|e| e.delta[j]));
-            global.shared[j] += cfg.server_lr * robust_stat(&cfg.aggregator, &mut sample);
+            global.shared[j] += robust_stat(&cfg.aggregator, &mut sample);
         }
         if spec.upload_lane == Some(UploadLane::ControlDelta) {
             let total_survivors: u32 = active.iter().map(|e| e.survivors).sum();
@@ -411,7 +411,7 @@ pub fn aggregate_reduced(
             if votes[j].is_empty() {
                 continue;
             }
-            global.shared[j] += cfg.server_lr * robust_stat(&cfg.aggregator, &mut votes[j]);
+            global.shared[j] += robust_stat(&cfg.aggregator, &mut votes[j]);
             if spec.secondary_lane && !cd_votes[j].is_empty() {
                 global.control[j] +=
                     counts[j] as f32 * inv_n * robust_stat(&cfg.aggregator, &mut cd_votes[j]);
@@ -440,38 +440,31 @@ pub fn aggregate_reduced(
 
 /// Snapshot the numeric counters of a fault ledger for the wire — the
 /// edge→root half of tree-wide ledger composition. Events stay local.
-///
-/// The `retry_*` counters travel for completeness but only the
-/// *simulator's* retry loop ever increments them: networked paths (flat
-/// coordinator, edges) have no retry protocol and record a failed
-/// decode as `CorruptUpload` alone.
+/// The retired slots (`stragglers`, `retries`, `retry_exhausted`) are
+/// written as 0.
 pub fn fault_counters(record: &FaultRecord) -> TierFaultCounters {
     TierFaultCounters {
         sampled: record.sampled as u32,
         dropouts: record.dropouts as u32,
-        stragglers: record.stragglers as u32,
         deadline_dropped: record.deadline_dropped as u32,
         corrupted_uploads: record.corrupted_uploads as u32,
-        retries: record.retries as u32,
-        retry_exhausted: record.retry_exhausted as u32,
         local_divergence: record.local_divergence as u32,
         byzantine: record.byzantine as u32,
         quarantined: record.quarantined as u32,
         duplicates: record.duplicates as u32,
+        ..TierFaultCounters::default()
     }
 }
 
 /// Fold one edge's counters into the root's round ledger (the root→tree
 /// half of ledger composition): with every edge live, the root's
-/// counters equal what a flat coordinator would have recorded.
+/// counters equal what a flat coordinator would have recorded. The
+/// retired slots are ignored.
 pub fn fold_fault_counters(into: &mut FaultRecord, counters: &TierFaultCounters) {
     into.sampled += counters.sampled as usize;
     into.dropouts += counters.dropouts as usize;
-    into.stragglers += counters.stragglers as usize;
     into.deadline_dropped += counters.deadline_dropped as usize;
     into.corrupted_uploads += counters.corrupted_uploads as usize;
-    into.retries += counters.retries as usize;
-    into.retry_exhausted += counters.retry_exhausted as usize;
     into.local_divergence += counters.local_divergence as usize;
     into.byzantine += counters.byzantine as usize;
     into.quarantined += counters.quarantined as usize;
@@ -607,7 +600,7 @@ mod tests {
         a.quarantined = 2;
         let mut b = FaultRecord::for_sample(2);
         b.corrupted_uploads = 1;
-        b.retry_exhausted = 1;
+        b.deadline_dropped = 1;
         b.duplicates = 1;
         let mut root = FaultRecord::default();
         fold_fault_counters(&mut root, &fault_counters(&a));
@@ -616,7 +609,28 @@ mod tests {
         assert_eq!(root.dropouts, 1);
         assert_eq!(root.quarantined, 2);
         assert_eq!(root.corrupted_uploads, 1);
-        assert_eq!(root.retry_exhausted, 1);
+        assert_eq!(root.deadline_dropped, 1);
         assert_eq!(root.duplicates, 1);
+    }
+
+    #[test]
+    fn retired_counter_slots_are_written_as_zero_and_ignored() {
+        let mut live = FaultRecord::for_sample(4);
+        live.dropouts = 2;
+        let counters = fault_counters(&live);
+        let retired = (counters.stragglers, counters.retries);
+        assert_eq!((retired, counters.retry_exhausted), ((0, 0), 0));
+        // A combined upload from an older edge may still fill them.
+        let old_edge = TierFaultCounters {
+            stragglers: 3,
+            retries: 6,
+            retry_exhausted: 7,
+            ..counters
+        };
+        let (mut a, mut b) = (FaultRecord::default(), FaultRecord::default());
+        fold_fault_counters(&mut a, &counters);
+        fold_fault_counters(&mut b, &old_edge);
+        assert_eq!(a, b);
+        assert_eq!((a.sampled, a.dropouts), (4, 2));
     }
 }

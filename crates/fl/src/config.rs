@@ -280,14 +280,13 @@ pub struct FlConfig {
     pub lr: f32,
     /// Local SGD momentum.
     pub momentum: f32,
-    /// Server-side aggregation step size (1.0 = plain averaging).
-    pub server_lr: f32,
     /// Master seed for sampling, batching and initialisation.
     pub seed: u64,
     /// The algorithm under test.
     pub algorithm: Algorithm,
-    /// Faults injected into every round ([`FaultPlan`]); `None` runs
-    /// pristine rounds.
+    /// Faults injected into every round ([`FaultPlan`]) — by the
+    /// simulator and the networked runtime alike; `None` runs pristine
+    /// rounds.
     ///
     /// [`FaultPlan`]: crate::FaultPlan
     pub faults: Option<crate::FaultPlan>,
@@ -305,12 +304,6 @@ pub struct FlConfig {
     /// ([`AggregatorKind::WeightedMean`] reproduces each algorithm's
     /// published behaviour exactly).
     pub aggregator: AggregatorKind,
-    /// Transport chaos injected into the networked runtime
-    /// ([`ChaosPlan`]); `None` runs a pristine transport. The in-process
-    /// simulator has no transport and ignores a configured plan.
-    ///
-    /// [`ChaosPlan`]: crate::ChaosPlan
-    pub chaos: Option<crate::ChaosPlan>,
     /// Client churn ([`ChurnPlan`]): availability-driven cohort sampling
     /// plus mid-round departures; `None` keeps the fixed-roster seeded
     /// `choose_k` sampling.
@@ -338,14 +331,12 @@ impl FlConfig {
             batch_size: 16,
             lr: 0.05,
             momentum: 0.9,
-            server_lr: 1.0,
             seed: 0,
             algorithm,
             faults: None,
             adversary: None,
             screen: None,
             aggregator: AggregatorKind::WeightedMean,
-            chaos: None,
             churn: None,
             privacy: None,
         }
@@ -379,16 +370,8 @@ impl FlConfig {
             bounds.push(frac("target_flops_ratio", o.target_flops_ratio.into()));
         }
         if let Some(f) = &self.faults {
-            let (slowdown, backoff) = (f.straggler_slowdown, f.retry_backoff_s);
-            let deadline = f.deadline_s.unwrap_or(f64::INFINITY);
-            bounds.extend([
-                p("dropout", f.dropout),
-                p("straggler_ratio", f.straggler_ratio),
-                p("corruption", f.corruption),
-                ("straggler_slowdown", slowdown, slowdown >= 1.0, "≥ 1"),
-                ("retry_backoff_s", backoff, backoff >= 0.0, "non-negative"),
-                ("deadline_s", deadline, deadline > 0.0, "positive"),
-            ]);
+            bounds.extend([p("dropout", f.dropout), p("reset", f.reset)]);
+            bounds.extend([p("stall", f.stall), p("duplicate", f.duplicate)]);
         }
         if let Some(a) = &self.adversary {
             let usable = a.lambda.is_finite() && a.lambda != 0.0;
@@ -403,10 +386,6 @@ impl FlConfig {
         if let AggregatorKind::CoordinateTrimmedMean { trim_ratio: r } = self.aggregator {
             let ok = (0.0..0.5).contains(&r);
             bounds.push(("trim_ratio", r.into(), ok, "in [0, 0.5)"));
-        }
-        if let Some(c) = &self.chaos {
-            bounds.extend([p("reset", c.reset), p("stall", c.stall)]);
-            bounds.push(p("duplicate", c.duplicate));
         }
         if let Some(c) = &self.churn {
             bounds.extend([count("period", c.period as usize), frac("duty", c.duty)]);
@@ -508,7 +487,7 @@ impl fmt::Display for ConfigError {
             ConfigError::PrivacyForbidsScreen => {
                 "screening inspects clear per-client tensors, which privacy modes withhold \
                  from the server; disable the screen policy (masked sessions trade screening \
-                 away — DESIGN.md §15)"
+                 away — DESIGN.md §14)"
             }
             ConfigError::MaskedNeedsWeightedMean => {
                 "pairwise masking only cancels inside a plain weighted sum; robust \
@@ -560,7 +539,7 @@ mod tests {
     /// session breaks exactly the rule its row names.
     #[test]
     fn check_names_the_broken_rule() {
-        use crate::{AdversaryPlan, ChaosPlan, ChurnPlan, FaultPlan, ScreenPolicy};
+        use crate::{AdversaryPlan, ChurnPlan, FaultPlan, ScreenPolicy};
         use spatl_privacy::PrivacyConfig;
         const FLAT: Topology = Topology::Flat;
         const TWO_EDGES: Topology = Topology::Tiered { edges: 2 };
@@ -569,11 +548,6 @@ mod tests {
         let fixed = Some(PrivacyConfig::fixed(1, 1.0));
         let faults = |edit: fn(&mut FaultPlan)| {
             let mut plan = FaultPlan::default();
-            edit(&mut plan);
-            Some(plan)
-        };
-        let chaos = |edit: fn(&mut ChaosPlan)| {
-            let mut plan = ChaosPlan::default();
             edit(&mut plan);
             Some(plan)
         };
@@ -688,46 +662,6 @@ mod tests {
                 },
             ),
             (
-                "straggler_ratio",
-                FLAT,
-                FlConfig {
-                    faults: faults(|f| f.straggler_ratio = f64::NAN),
-                    ..base
-                },
-            ),
-            (
-                "corruption",
-                FLAT,
-                FlConfig {
-                    faults: faults(|f| f.corruption = f64::NAN),
-                    ..base
-                },
-            ),
-            (
-                "straggler_slowdown",
-                FLAT,
-                FlConfig {
-                    faults: faults(|f| f.straggler_slowdown = 0.5),
-                    ..base
-                },
-            ),
-            (
-                "retry_backoff_s",
-                FLAT,
-                FlConfig {
-                    faults: faults(|f| f.retry_backoff_s = -1.0),
-                    ..base
-                },
-            ),
-            (
-                "deadline_s",
-                FLAT,
-                FlConfig {
-                    faults: faults(|f| f.deadline_s = Some(0.0)),
-                    ..base
-                },
-            ),
-            (
                 "adversary fraction",
                 FLAT,
                 FlConfig {
@@ -765,7 +699,7 @@ mod tests {
                 "reset",
                 FLAT,
                 FlConfig {
-                    chaos: chaos(|c| c.reset = f64::NAN),
+                    faults: faults(|c| c.reset = f64::NAN),
                     ..base
                 },
             ),
@@ -773,7 +707,7 @@ mod tests {
                 "stall",
                 FLAT,
                 FlConfig {
-                    chaos: chaos(|c| c.stall = f64::NAN),
+                    faults: faults(|c| c.stall = f64::NAN),
                     ..base
                 },
             ),
@@ -781,7 +715,7 @@ mod tests {
                 "duplicate",
                 FLAT,
                 FlConfig {
-                    chaos: chaos(|c| c.duplicate = f64::NAN),
+                    faults: faults(|c| c.duplicate = f64::NAN),
                     ..base
                 },
             ),
@@ -864,7 +798,7 @@ mod tests {
                 "reset",
                 FLAT,
                 FlConfig {
-                    chaos: chaos(|c| c.reset = 1.5),
+                    faults: faults(|c| c.reset = 1.5),
                     ..base
                 },
             ),

@@ -16,11 +16,11 @@
 //! between client and server is accounted in [`CommModel`].
 //!
 //! Rounds are not assumed pristine: a seeded [`FaultPlan`] on [`FlConfig`]
-//! injects client dropout, straggler slowdown against a server deadline,
-//! and wire corruption (caught by the `spatl-wire` CRC envelope and
-//! retried with bounded backoff); every algorithm aggregates over
-//! whatever cohort survives, and each round's [`FaultRecord`] documents
-//! what happened. DESIGN.md §8 is the full failure model.
+//! injects client dropout, duplicated replies, torn connections, stalls
+//! and edge deaths, and the simulator and the TCP runtime enact it alike;
+//! every algorithm aggregates over whatever cohort survives, and each
+//! round's [`FaultRecord`] documents what happened. DESIGN.md §8 is the
+//! full failure model.
 //!
 //! Nor are clients assumed honest: a seeded [`AdversaryPlan`] turns a
 //! fixed fraction of them Byzantine — emitting CRC-valid frames whose
@@ -34,7 +34,6 @@
 
 mod accumulate;
 mod adversary;
-mod chaos;
 mod churn;
 mod client;
 mod comm;
@@ -51,8 +50,7 @@ pub mod wire;
 
 pub use accumulate::{RoundAccumulator, SpillReason, StreamState};
 pub use adversary::{Adversary, AdversaryPlan, AttackKind};
-pub use chaos::ChaosPlan;
-pub use churn::{churn_departures, ledger_departures, ChurnPlan};
+pub use churn::ChurnPlan;
 pub use client::{ClientState, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
 pub use compose::{
@@ -61,7 +59,7 @@ pub use compose::{
 };
 pub use config::{AggregatorKind, Algorithm, ConfigError, FlConfig, SpatlOptions};
 pub(crate) use config::{DownloadLane, UploadLane, Weight};
-pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultRecord};
+pub use faults::{ledger_departures, FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use privacy::{
     build_masked_upload, fixed_quantized_upload, masking_cohort, sampled_cohort, unmask_share,
 };

@@ -1,5 +1,5 @@
 //! Client-side secure aggregation: cohort derivation, masked-lane
-//! construction and fixed-point encoding (DESIGN.md §15).
+//! construction and fixed-point encoding (DESIGN.md §14).
 //!
 //! The server-side half — the blind fold and the unmask protocol — lives
 //! in [`RoundAccumulator`](crate::RoundAccumulator). This module holds
@@ -19,7 +19,7 @@
 //!   the full-participation masked round bit-identical to the clear one.
 //! * [`unmask_share`] — the share a survivor reveals when a cohort
 //!   member that *did* derive masks never delivered its upload
-//!   (deadline, exhausted retries, a mid-collection crash).
+//!   (deadline, a mid-collection crash).
 //! * [`fixed_quantized_upload`] — the bounded-L2 fixed-point lane with
 //!   per-client discrete noise.
 
@@ -32,7 +32,7 @@ use spatl_privacy::{
 
 use crate::accumulate::{fold_terms, Lanes};
 use crate::churn::SALT_COHORT;
-use crate::faults::seeded_rng;
+use crate::faults::{leaves_before_broadcast, seeded_rng};
 use crate::{FlConfig, GlobalState, LocalOutcome, SelectedUpdate};
 
 /// The cohort round `round` samples: a pure function of the session
@@ -55,19 +55,16 @@ pub fn sampled_cohort(cfg: &FlConfig, round: usize) -> Vec<usize> {
 }
 
 /// The *masking* cohort of a round: the sampled clients that actually
-/// derive pairwise masks. Pre-round dropouts (the fault plan's coin) and
-/// mid-round churn departures are pure seed functions, so they are
-/// excluded up front — a client everyone already knows is absent must
-/// not leave orphaned masks behind. Clients that fail *after* this point
-/// (deadline, retries, corruption) are the dropouts the unmask protocol
-/// repairs.
+/// derive pairwise masks. Who leaves before the broadcast (the fault
+/// plan's dropout coin, a churn departure) is a pure seed function —
+/// the one every runtime's `ledger_departures` asks — so those clients
+/// are excluded up front: a client everyone already knows is absent
+/// must not leave orphaned masks behind. Clients that fail *after* this
+/// point (deadline, a mid-collection crash, an undecodable reply) are
+/// the dropouts the unmask protocol repairs.
 pub fn masking_cohort(cfg: &FlConfig, round: usize) -> Vec<usize> {
     let mut cohort = sampled_cohort(cfg, round);
-    if let Some(plan) = cfg.faults {
-        cohort.retain(|&c| !plan.drops_out(round, c));
-    }
-    let departures = crate::churn_departures(cfg, round, &cohort);
-    cohort.retain(|c| !departures.contains(c));
+    cohort.retain(|&c| !leaves_before_broadcast(cfg, round, c));
     cohort
 }
 

@@ -67,8 +67,9 @@ pub struct RoundRecord {
     pub mean_keep_ratio: f32,
     /// Mean FLOPs ratio of participants' (masked) models.
     pub mean_flops_ratio: f32,
-    /// What the configured [`FaultPlan`] did to this round (all-zero when
-    /// no faults are configured).
+    /// What happened to this round's cohort: the configured
+    /// [`FaultPlan`]'s outcomes and every real fault the runtime saw
+    /// (all-zero for a pristine round).
     ///
     /// [`FaultPlan`]: crate::FaultPlan
     pub faults: FaultRecord,
@@ -100,23 +101,12 @@ impl TransportStats {
     /// Charge one participant (a client, or an edge's root link) to the
     /// round: fold its measured `wire` bytes in and add its Eq. 13
     /// transfer time over `net` to the device-time sum and the
-    /// slowest-participant wall-clock. `slowdown` multiplies the link
-    /// time and `dead_air_s` is added on top — the simulator's straggler
-    /// factor and retry backoff; real transports pass `1.0` and `0.0`.
-    /// Returns the participant's seconds.
-    pub fn charge(
-        &mut self,
-        net: &SimNet,
-        wire: &WireBytes,
-        slowdown: f64,
-        dead_air_s: f64,
-    ) -> f64 {
+    /// slowest-participant wall-clock.
+    pub fn charge(&mut self, net: &SimNet, wire: &WireBytes) {
         self.wire.accumulate(wire);
-        let link = net.client_time(wire.download_framed as usize, wire.upload_framed as usize);
-        let t = link * slowdown + dead_air_s;
+        let t = net.client_time(wire.download_framed as usize, wire.upload_framed as usize);
         self.transfer_device_s += t;
         self.transfer_wall_s = self.transfer_wall_s.max(t);
-        t
     }
 }
 
@@ -408,12 +398,9 @@ mod tests {
         };
         let mut stats = TransportStats::default();
         // Client 1: 1 + 1 = 2 s; client 2: 2 + 0.5 = 2.5 s.
-        let t1 = stats.charge(&net, &bytes(1_000_000, 1_000_000), 1.0, 0.0);
-        let t2 = stats.charge(&net, &bytes(2_000_000, 500_000), 1.0, 0.0);
-        assert!(
-            (t1 - 2.0).abs() < 1e-9 && (t2 - 2.5).abs() < 1e-9,
-            "{t1} {t2}"
-        );
+        stats.charge(&net, &bytes(1_000_000, 1_000_000));
+        assert!((stats.transfer_wall_s - 2.0).abs() < 1e-9);
+        stats.charge(&net, &bytes(2_000_000, 500_000));
         assert!((stats.transfer_wall_s - 2.5).abs() < 1e-9);
         assert!((stats.transfer_device_s - 4.5).abs() < 1e-9);
         assert_eq!(stats.wire.download_framed, 3_000_000);

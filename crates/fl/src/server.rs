@@ -71,7 +71,7 @@ impl GlobalState {
     /// rejected. `n_clients_total` is N in the control-variate update.
     ///
     /// `outcomes` is whatever cohort *survived* the round — under partial
-    /// participation (dropouts, missed deadlines, exhausted retries) every
+    /// participation (dropouts, missed deadlines, undecodable replies) every
     /// rule renormalises over the survivors: FedAvg/FedProx reweight by
     /// surviving sample counts, FedNova recomputes τ_eff over survivors,
     /// SCAFFOLD averages deltas over the survivor count while its control
@@ -334,7 +334,7 @@ mod tests {
         );
         // The poisoned upload is excluded outright: the result is the
         // weighted mean of the two honest uploads alone.
-        assert!((g.shared[0] - cfg.server_lr).abs() < 1e-6);
+        assert!((g.shared[0] - 1.0).abs() < 1e-6);
         assert!(g.shared[1].abs() < 1e-6);
     }
 

@@ -175,41 +175,23 @@ impl Simulation {
 
     /// Run one communication round; returns its record.
     ///
-    /// With a [`FaultPlan`](crate::FaultPlan) configured, the round runs
-    /// the full degradation pipeline (DESIGN.md §8): sampled clients may
-    /// drop out before training, uploads may arrive corrupted and are
-    /// retransmitted with exponential backoff up to the plan's retry
-    /// budget, stragglers are slowed, and anyone finishing after the
-    /// collection deadline is excluded. Aggregation renormalises over the
+    /// With a [`FaultPlan`](crate::FaultPlan) configured, the round enacts
+    /// it the way the networked runtime does (DESIGN.md §8): sampled
+    /// clients may leave before the broadcast, and a duplicated reply is
+    /// ledgered, never folded twice. Aggregation renormalises over the
     /// survivors; a round that loses everyone is a recorded no-op, never a
     /// panic or a NaN.
     pub fn run_round(&mut self) -> RoundRecord {
         let round = self.driver.round_index();
         let sampled = self.driver.sample_round();
-        let fault_plan = self.driver.cfg.faults;
         let mut faults = FaultRecord::for_sample(sampled.len());
 
-        // Fault stage 1: dropout. A dropped client never trains, never
-        // transmits, and costs the round nothing but its absence.
-        let selected: Vec<usize> = sampled
-            .into_iter()
-            .filter(|&i| {
-                let drops = fault_plan
-                    .as_ref()
-                    .is_some_and(|inj| inj.drops_out(round, i));
-                if drops {
-                    faults.push(i, FaultKind::Dropout);
-                }
-                !drops
-            })
-            .collect();
-
-        // Churn: a sampled client whose availability window ends this
-        // round abandons the round in progress. Every transport filters
-        // the cohort through the same pure function and ledgers the
-        // departure as a dropout, so the effective cohort is identical
-        // in the simulator, the flat coordinator and every edge.
-        let selected = crate::ledger_departures(&self.driver.cfg, round, &selected, &mut faults);
+        // Whoever leaves before the broadcast — the plan's dropout coin
+        // or a churn departure — never trains and costs the round nothing
+        // but its absence. Every runtime filters the cohort through this
+        // one function, so the effective cohort is identical in the
+        // simulator, the flat coordinator and every edge.
+        let selected = crate::ledger_departures(&self.driver.cfg, round, &sampled, &mut faults);
 
         if selected.is_empty() {
             // Every sampled client dropped: a recorded no-op round. The
@@ -251,10 +233,19 @@ impl Simulation {
         // A client whose local training diverged (non-finite delta)
         // self-reports; its upload is excluded from aggregation and the
         // ledger records why. Distinct from `Quarantined`: this is the
-        // client's own verdict, not the server's.
+        // client's own verdict, not the server's. A reply the plan
+        // duplicates is folded once and its copy ledgered — in the place
+        // the networked gather's ledger puts it: ascending id, after the
+        // client's own events.
         for o in &outcomes {
             if o.diverged {
                 faults.push(o.client_id, FaultKind::LocalDivergence);
+            }
+            if cfg
+                .faults
+                .is_some_and(|plan| plan.duplicates_upload(round, o.client_id))
+            {
+                faults.push(o.client_id, FaultKind::DuplicateUpload);
             }
         }
 
@@ -290,14 +281,7 @@ impl Simulation {
         }
 
         // Uplink: the server aggregates what it decodes from each client's
-        // frames, never the in-memory tensors. Fault stage 2 corrupts
-        // transmission attempts (caught by the envelope CRC and rejected
-        // with a typed `WireError`, then retransmitted with exponential
-        // backoff up to `max_retries`); fault stage 3 slows stragglers and
-        // enforces the server's collection deadline. Wire accounting
-        // charges every retransmission.
-        let max_retries = fault_plan.as_ref().map(|inj| inj.max_retries).unwrap_or(0);
-        let deadline = fault_plan.as_ref().and_then(|inj| inj.deadline_s);
+        // frames, never the in-memory tensors.
         let mut stats = TransportStats::default();
         // The coordinator's own sequence: every upload folds the moment
         // it decodes (any order gives the same bits) and its tensors are
@@ -313,72 +297,12 @@ impl Simulation {
                 "download payload"
             );
             debug_assert_eq!(o.wire.upload_payload, o.bytes.upload, "upload payload");
-
-            // Bounded retransmit loop: `transmissions` counts attempts
-            // actually sent (so at most `1 + max_retries`).
-            let mut transmissions = 1u32;
-            let decoded = loop {
-                let corrupt = fault_plan
-                    .as_ref()
-                    .filter(|inj| inj.corrupts_attempt(round, o.client_id, transmissions));
-                let result = match corrupt {
-                    Some(inj) => {
-                        let mut damaged = o.frames.clone();
-                        inj.corrupt_frames(&mut damaged, round, o.client_id, transmissions);
-                        self.driver.decode_client_upload(o, &damaged)
-                    }
-                    None => self.driver.decode_client_upload(o, &o.frames),
-                };
-                match result {
-                    Ok(d) => break Some(d),
-                    Err(e) => {
-                        // Without injected faults a decode failure is a
-                        // protocol bug, not a simulated condition.
-                        assert!(cfg.faults.is_some(), "client upload must decode: {e}");
-                        let retryable = e.is_transport_corruption();
-                        faults.push(
-                            o.client_id,
-                            FaultKind::CorruptUpload {
-                                error: e.to_string(),
-                            },
-                        );
-                        if retryable && transmissions <= max_retries {
-                            faults.retries += 1;
-                            transmissions += 1;
-                        } else {
-                            faults.push(o.client_id, FaultKind::RetriesExhausted);
-                            break None;
-                        }
-                    }
-                }
-            };
-
-            // Retransmissions are real bytes on the wire (the payload
-            // accounting stays logical — Eq. 13 charges one upload).
-            o.wire.upload_framed *= u64::from(transmissions);
-
-            // Per-client transfer time: straggler slowdown multiplies the
-            // link time; retry backoff adds dead air on top.
-            let factor = fault_plan
-                .as_ref()
-                .map(|inj| inj.straggler_factor(round, o.client_id))
-                .unwrap_or(1.0);
-            if factor > 1.0 {
-                faults.push(o.client_id, FaultKind::Straggler);
-            }
-            let backoff = fault_plan
-                .as_ref()
-                .map(|inj| inj.backoff_s(transmissions - 1))
-                .unwrap_or(0.0);
-            let t = stats.charge(&self.driver.net, &o.wire, factor, backoff);
-
-            if let Some(d) = decoded {
-                if deadline.is_some_and(|dl| t > dl) {
-                    faults.push(o.client_id, FaultKind::DeadlineMissed);
-                } else {
-                    acc.fold(d);
-                }
-            }
+            let decoded = self
+                .driver
+                .decode_client_upload(o, &o.frames)
+                .expect("client upload must decode");
+            stats.charge(&self.driver.net, &o.wire);
+            acc.fold(decoded);
             // Transmission is over: of this outcome only the scalar
             // accounting is read again (`finish_round`).
             o.release_payload();
@@ -388,11 +312,6 @@ impl Simulation {
         // survived (shared with the networked coordinator); a
         // survivor-less round leaves the global state untouched.
         self.driver.finish_accumulation(acc, &mut faults);
-        // The server stops listening at the deadline, so the round never
-        // waits longer than `deadline` for any one client.
-        if let Some(d) = deadline {
-            stats.transfer_wall_s = stats.transfer_wall_s.min(d);
-        }
 
         // Evaluate all clients against the *new* global model.
         let per_client_acc = self.evaluate_all();

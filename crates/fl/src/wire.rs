@@ -306,10 +306,9 @@ pub fn encode_upload(
 /// in the result comes from `frames`, and nothing else of `meta` is read.
 ///
 /// `frames` is passed separately from `meta` (rather than read from
-/// `meta.frames`) because under fault injection the bytes that *arrive*
-/// are not necessarily the bytes the client sealed — the simulator hands
-/// in whatever this transmission attempt delivered, possibly corrupted,
-/// and a typed [`WireError`] here is what triggers the retransmit path.
+/// `meta.frames`) because over the network the bytes arrive apart from
+/// the reply header `meta` is rebuilt from; a typed [`WireError`] here is
+/// ledgered as an undecodable reply.
 ///
 /// `layout` is required to expand SPATL channel ids; `expected_params` is
 /// the shared-vector length dense uploads must match, `expected_buffers`

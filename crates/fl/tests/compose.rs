@@ -16,7 +16,7 @@
 //! 3. **Two-edge reduced composition is range-bounded**: the composed
 //!    per-coordinate step and the flat robust step both lie inside the
 //!    envelope of the surviving clients' normalised contributions, so
-//!    `|composed − flat| ≤ server_lr · (max − min)` per coordinate (the
+//!    `|composed − flat| ≤ max − min` per coordinate (the
 //!    FedNova envelope is widened to cover both the global and the
 //!    edge-local τ_eff normalisations).
 
@@ -242,7 +242,7 @@ proptest! {
 
     /// Guarantee 3: two-edge reduced composition stays inside the
     /// envelope of the surviving clients' normalised contributions, per
-    /// coordinate — and therefore within `server_lr · (max − min)` of the
+    /// coordinate — and therefore within `max − min` of the
     /// flat robust step.
     #[test]
     fn two_edge_reduced_composition_is_range_bounded(
@@ -342,7 +342,6 @@ proptest! {
                 .copied()
                 .fold(f32::NEG_INFINITY, f32::max);
             let tol = 1e-4 * (1.0 + (hi - lo).abs());
-            let slr = case.cfg.server_lr;
             for (name, state) in [("composed", &composed), ("flat", &flat)] {
                 let step = state.shared[j] - case.global.shared[j];
                 // SPATL leaves unselected coordinates untouched; a zero
@@ -351,16 +350,16 @@ proptest! {
                     continue;
                 }
                 prop_assert!(
-                    step >= slr * lo - tol && step <= slr * hi + tol,
+                    step >= lo - tol && step <= hi + tol,
                     "{} step {} outside envelope [{}, {}] at j={}",
-                    name, step, slr * lo, slr * hi, j
+                    name, step, lo, hi, j
                 );
             }
             let gap = (composed.shared[j] - flat.shared[j]).abs();
             prop_assert!(
-                gap <= slr * (hi - lo) + 2.0 * tol,
-                "|composed - flat| = {} exceeds server_lr * range = {} at j={}",
-                gap, slr * (hi - lo), j
+                gap <= (hi - lo) + 2.0 * tol,
+                "|composed - flat| = {} exceeds range = {} at j={}",
+                gap, hi - lo, j
             );
         }
         for state in [&composed, &flat] {

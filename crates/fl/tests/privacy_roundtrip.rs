@@ -1,4 +1,4 @@
-//! Acceptance tests for server-blind aggregation (DESIGN.md §15).
+//! Acceptance tests for server-blind aggregation (DESIGN.md §14).
 //!
 //! The load-bearing claim: a **full-participation masked round is
 //! bit-identical to the clear streaming fold** — for every algorithm,

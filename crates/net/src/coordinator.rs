@@ -121,7 +121,7 @@ pub struct Coordinator {
     pub driver: RoundDriver,
     opts: CoordinatorConfig,
     /// Downstream connections: the clients when flat; when tiered the
-    /// edges plus — the failover lane of DESIGN.md §14 — clients of a
+    /// edges plus — the failover lane of DESIGN.md §8 — clients of a
     /// dead edge that re-registered directly at the root.
     peers: PeerTable,
     shutdown_requested: bool,
@@ -326,7 +326,7 @@ impl Coordinator {
         faults: &mut FaultRecord,
         mut absorb: impl FnMut(LocalOutcome),
     ) -> (Vec<LocalOutcome>, Vec<usize>) {
-        let chaos = self.driver.cfg.chaos;
+        let plan = self.driver.cfg.faults;
         let helpers = self
             .opts
             .decode_workers
@@ -334,7 +334,7 @@ impl Coordinator {
             .saturating_sub(1);
         let phase = Phase {
             window: window(helpers),
-            chaos: chaos.as_ref(),
+            faults: plan.as_ref(),
             ..phase
         };
         let down_framed = down.framed();
@@ -414,8 +414,8 @@ impl Coordinator {
     /// upload folds into the round's accumulator the moment it arrives.
     fn flat_round(&mut self, round: usize, sampled: Vec<usize>) -> RoundRecord {
         let mut faults = FaultRecord::for_sample(sampled.len());
-        // Clients the churn model schedules to leave mid-round never see
-        // the broadcast, exactly like the simulator's filter.
+        // Clients the fault plan drops or the churn model takes away
+        // never see the broadcast — the simulator's own filter.
         let staying = ledger_departures(&self.driver.cfg, round, &sampled, &mut faults);
 
         let down = self.driver.broadcast();
@@ -449,7 +449,7 @@ impl Coordinator {
                 acc.fold(update)
             });
 
-        // Masked dropout repair (DESIGN.md §15): cohort members derived
+        // Masked dropout repair (DESIGN.md §14): cohort members derived
         // pairwise masks but never delivered — ask each folded survivor
         // over the wire for the orphaned pair seeds before the round
         // closes. A survivor that dies mid-query is skipped:
@@ -487,7 +487,7 @@ impl Coordinator {
             ..TransportStats::default()
         };
         for o in &metas {
-            stats.charge(&self.driver.net, &o.wire, 1.0, 0.0);
+            stats.charge(&self.driver.net, &o.wire);
         }
         // Close the accumulator — the same screen/aggregate stage the
         // simulator runs, minus any cohort buffering for the streaming
@@ -572,7 +572,7 @@ impl Coordinator {
                 upload_payload: upload_framed.saturating_sub(HEADER_LEN as u64),
                 upload_framed,
             };
-            stats.charge(&self.driver.net, &link, 1.0, 0.0);
+            stats.charge(&self.driver.net, &link);
             for entry in &upload.entries {
                 let meta = entry_outcome(entry);
                 if !entry.frames.is_empty() {
@@ -626,7 +626,7 @@ impl Coordinator {
         // root link this round, through the flat round's own collection.
         // Only exactly-composable aggregators take the lane — a robust
         // kind has no edge to pre-reduce under, so its orphaned clients
-        // were ledgered above (DESIGN.md §14).
+        // were ledgered above (DESIGN.md §8).
         failover.sort_unstable();
         let (lane, unreached) = Phase::begin(
             &mut self.peers,
@@ -641,7 +641,7 @@ impl Coordinator {
         }
         let (metas, _) = self.collect_uploads(lane, &down, &mut faults, |update| acc.fold(update));
         for o in &metas {
-            stats.charge(&self.driver.net, &o.wire, 1.0, 0.0);
+            stats.charge(&self.driver.net, &o.wire);
         }
         outcomes.extend(metas);
         stats.measured_wall_s = started.elapsed().as_secs_f64();

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use spatl_fl::{
     decode_download, edge_partition, exact_composition, fault_counters, ledger_departures,
-    outcome_entry, reduce_cohort, sampled_cohort, screen_updates, ChaosPlan, FaultKind,
+    outcome_entry, reduce_cohort, sampled_cohort, screen_updates, FaultKind, FaultPlan,
     FaultRecord, LocalOutcome, RoundDriver, Topology,
 };
 use spatl_wire::{seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters};
@@ -114,7 +114,7 @@ enum SessionEnd {
     Shutdown,
     /// The root link broke; the edge should reconnect.
     Lost,
-    /// The chaos plan killed this edge process mid-round: every socket
+    /// The fault plan killed this edge process mid-round: every socket
     /// (root link and client connections alike) is dropped without a
     /// goodbye and the edge does **not** reconnect — the root must
     /// discover the dead partition from the broken stream alone.
@@ -251,8 +251,8 @@ impl EdgeAggregator {
                     )))
                 }
             };
-            let kill = |c: &ChaosPlan| c.kills_edge(assign.round as usize, edge_id);
-            if self.driver.cfg.chaos.as_ref().is_some_and(kill) {
+            let kill = |p: FaultPlan| p.kills_edge(assign.round as usize, edge_id);
+            if self.driver.cfg.faults.is_some_and(kill) {
                 // Scheduled edge kill: die exactly like a crashed process
                 // would — every socket dropped mid-round, nothing
                 // flushed, no goodbye downstream.
@@ -298,8 +298,9 @@ impl EdgeAggregator {
         self.peers.accept_pending(round);
         let slice = self.cohort_slice(round);
         let mut faults = FaultRecord::for_sample(slice.len());
-        // Clients the churn model schedules to leave mid-round never see
-        // the broadcast — same filter the simulator and flat root apply.
+        // Clients the fault plan drops or the churn model takes away never
+        // see the broadcast — same filter the simulator and flat root
+        // apply.
         let staying = ledger_departures(&self.driver.cfg, round as usize, &slice, &mut faults);
 
         let mut events: Vec<(usize, FaultKind)> = Vec::new();
@@ -314,7 +315,7 @@ impl EdgeAggregator {
             down,
         );
         let phase = Phase {
-            chaos: self.driver.cfg.chaos.as_ref(),
+            faults: self.driver.cfg.faults.as_ref(),
             ..phase
         };
         let driver = &self.driver;

@@ -15,7 +15,7 @@
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use spatl_fl::{ChaosPlan, FaultKind, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
+use spatl_fl::{FaultKind, FaultPlan, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
 use spatl_wire::{open, seal, FramePoll, FrameReader, MsgType, MAX_FRAME_PAYLOAD};
 
 use crate::node::message;
@@ -48,8 +48,7 @@ impl From<CollectFailure> for FaultKind {
             CollectFailure::Timeout => FaultKind::DeadlineMissed,
             CollectFailure::Disconnect | CollectFailure::Shutdown => FaultKind::Dropout,
             // TCP retransmits damaged segments itself, so there is no
-            // retry protocol here: corrupt is corrupt, full stop
-            // (`RetriesExhausted` belongs to the simulator's retry loop).
+            // retry protocol here: corrupt is corrupt, full stop.
             CollectFailure::Corrupt(error) => FaultKind::CorruptUpload { error },
             CollectFailure::Duplicate => FaultKind::DuplicateUpload,
         }
@@ -244,11 +243,12 @@ pub(crate) struct Phase<'a> {
     /// plus replies the sink has not settled — the phase's memory
     /// ceiling.
     pub(crate) window: usize,
-    /// The chaos schedule the peers inject into this phase's replies
-    /// (client train phases of a chaos session): duplicated copies are
-    /// awaited so their ledger entries are deterministic, and a reset
-    /// connection keeps its slot open for the in-phase retry.
-    pub(crate) chaos: Option<&'a ChaosPlan>,
+    /// The fault plan the peers enact in this phase's replies (client
+    /// train phases): duplicated copies are awaited so their ledger
+    /// entries are deterministic, and — when the plan resets
+    /// connections — a reset connection keeps its slot open for the
+    /// in-phase retry.
+    pub(crate) faults: Option<&'a FaultPlan>,
 }
 
 impl<'a> Phase<'a> {
@@ -256,7 +256,7 @@ impl<'a> Phase<'a> {
     /// assignment to every peer of `ids` as one message, ascending,
     /// before any reply is awaited. The phase waits for every peer
     /// reached, under the table's `round_timeout` from now; callers
-    /// adjust `quorum`, `window` and `chaos`. Also returns the peers
+    /// adjust `quorum`, `window` and `faults`. Also returns the peers
     /// *not* reached (now dropped from the table).
     pub(crate) fn begin(
         peers: &mut PeerTable,
@@ -281,7 +281,7 @@ impl<'a> Phase<'a> {
             assignment,
             deadline,
             window: window(0),
-            chaos: None,
+            faults: None,
         };
         (phase, unreached)
     }
@@ -310,8 +310,8 @@ struct Slot {
     conn: ConnGather,
     /// Still being gathered.
     open: bool,
-    /// Reply copies still expected: one, plus one more when the chaos
-    /// plan schedules a duplicated retransmit.
+    /// Reply copies still expected: one, plus one more when the fault
+    /// plan schedules a duplicated reply.
     copies: usize,
     /// A reply was handed to the sink; any further complete copy is a
     /// retransmit, discarded by this per-(round, peer) idempotence guard.
@@ -346,10 +346,13 @@ pub(crate) fn gather(
     let ids = &phase.ids;
     let copies = |id| {
         let dup = phase
-            .chaos
-            .is_some_and(|c| c.duplicates_upload(round as usize, id));
+            .faults
+            .is_some_and(|p| p.duplicates_upload(round as usize, id));
         1 + usize::from(dup)
     };
+    // Only a plan that resets connections makes a disconnect worth
+    // waiting for; any other disconnect is a dropout at once.
+    let resets = phase.faults.is_some_and(|p| p.reset > 0.0);
     let mut failures: Vec<(usize, CollectFailure)> = Vec::new();
     let mut slots: Vec<Slot> = ids
         .iter()
@@ -396,7 +399,7 @@ pub(crate) fn gather(
                     slot.open = true;
                     gathering += 1;
                 }
-                // The peer re-runs its chaos schedule on the retry, so
+                // The peer re-runs its fault schedule on the retry, so
                 // the expected copy count resets with the assembly.
                 slot.conn = ConnGather::new();
                 slot.copies = copies(id);
@@ -450,9 +453,9 @@ pub(crate) fn gather(
                     slot.conn
                         .poll(stream, (round, id, mode), &mut in_flight, phase.window)
                 }
-                // A chaos session expects resets: the slot waits for the
+                // A plan that resets connections: the slot waits for the
                 // reconnect, bounded by the deadline and the quorum cut.
-                None if phase.chaos.is_some() => continue,
+                None if resets => continue,
                 None => GatherPoll::Failed(CollectFailure::Disconnect),
             };
             let failure = match polled {
@@ -489,7 +492,7 @@ pub(crate) fn gather(
                 }
             };
             progressed = true;
-            if phase.chaos.is_some() && matches!(failure, CollectFailure::Disconnect) {
+            if resets && matches!(failure, CollectFailure::Disconnect) {
                 // A scheduled reset: drop the stream, keep the slot.
                 peers.drop_peer(role, id);
                 continue;

@@ -136,7 +136,7 @@ pub struct NodeConfig {
     pub addr: String,
     /// First reconnect delay; doubles per consecutive failure, up to 2 s.
     pub backoff_base: Duration,
-    /// Secondary coordinator address to fail over to (DESIGN.md §14):
+    /// Secondary coordinator address to fail over to (DESIGN.md §8):
     /// in a tiered deployment this is the *root*, dialed when the home
     /// edge stops answering. `None` disables failover.
     pub fallback_addr: Option<String>,
@@ -204,9 +204,9 @@ pub struct ClientNode {
     /// Whether a session was ever established (so the next successful
     /// registration counts as a reconnect).
     registered: bool,
-    /// The round whose upload this node already tore once — a chaos
+    /// The round whose upload this node already tore once — a planned
     /// reset fires on the first transmission attempt only, so the
-    /// post-reconnect retry always goes through clean (chaos delays
+    /// post-reconnect retry always goes through clean (a reset delays
     /// rounds, it never deadlocks them).
     torn_round: Option<u32>,
 }
@@ -313,7 +313,7 @@ impl ClientNode {
                 Upstream::Lost => return Ok(SessionEnd::Lost),
                 Upstream::Assign(assign, frames) => (assign, frames),
                 Upstream::Other(MsgType::UnmaskRequest, payload) => {
-                    // Masked dropout repair (DESIGN.md §15): the
+                    // Masked dropout repair (DESIGN.md §14): the
                     // coordinator lost cohort members after they derived
                     // pairwise masks, and asks this survivor to reveal
                     // the pair seeds it shared with each of them. Only a
@@ -374,25 +374,25 @@ impl ClientNode {
             let reply = self.cache.insert(reply);
             let header = seal(MsgType::RoundDone, &reply.done.encode());
             let (round, id) = (assign.round as usize, self.state.id);
-            if let Some(chaos) = self.cfg.chaos {
-                // Transport chaos, sender-side — so the coordinator
+            if let Some(plan) = self.cfg.faults {
+                // The fault plan, sender-side — so the coordinator
                 // observes real torn frames and real duplicate
                 // transmissions, not simulated ledger entries. A stall delays the
                 // reply; a scheduled reset tears the first transmission
                 // attempt mid-frame and drops the connection (the
                 // reconnect retry goes through clean); a duplicate sends
                 // the whole reply twice.
-                if let Some(d) = chaos.stalls(round, id) {
+                if let Some(d) = plan.stalls(round, id) {
                     std::thread::sleep(d);
                 }
-                if chaos.resets_upload(round, id) && self.torn_round != Some(assign.round) {
+                if plan.resets_upload(round, id) && self.torn_round != Some(assign.round) {
                     self.torn_round = Some(assign.round);
                     write_frame(&mut stream, &header)?;
                     if let Some(f0) = reply.frames.first() {
                         // Sealed frames are self-delimiting, so a strict
                         // prefix of the frame's bytes is exactly a torn
                         // frame.
-                        let cut = chaos.torn_cut(round, id, f0.len());
+                        let cut = plan.torn_cut(round, id, f0.len());
                         stream.write_all(&f0[..cut])?;
                         stream.flush()?;
                     }
@@ -404,8 +404,8 @@ impl ClientNode {
             }
             let copies = 1 + self
                 .cfg
-                .chaos
-                .map_or(0, |c| usize::from(c.duplicates_upload(round, id)));
+                .faults
+                .map_or(0, |p| usize::from(p.duplicates_upload(round, id)));
             let msg = message(header, &reply.frames);
             for _ in 0..copies {
                 write_frame(&mut stream, &msg)?;

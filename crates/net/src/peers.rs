@@ -4,7 +4,7 @@
 //!
 //! A peer is addressed by its [`HelloRole`] and wire id. A flat root and
 //! an edge hold client peers only; a tiered root holds its edges *and* —
-//! the failover lane of DESIGN.md §14 — the clients of dead edges, on
+//! the failover lane of DESIGN.md §8 — the clients of dead edges, on
 //! one listener. Sockets are blocking with the io deadline while the
 //! table writes to them; the gather flips the peers of a phase to
 //! non-blocking for as long as it collects their replies.
@@ -202,7 +202,7 @@ impl PeerTable {
         }
     }
 
-    /// Forget every peer without a goodbye (a chaos-killed edge).
+    /// Forget every peer without a goodbye (an edge the fault plan killed).
     pub(crate) fn drop_all(&mut self) {
         self.slots.iter_mut().for_each(|slot| *slot = None);
     }

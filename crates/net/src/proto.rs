@@ -16,7 +16,7 @@ use spatl_wire::{WireError, HEADER_LEN};
 
 /// What kind of endpoint a [`Hello`] registers. The tiered root
 /// terminates both edge aggregators and — after an edge dies — that
-/// edge's surviving clients re-registering directly (DESIGN.md §14
+/// edge's surviving clients re-registering directly (DESIGN.md §8
 /// failover), and must tell the two apart because their wire client ids
 /// index different tables (edge slot vs global client id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,7 +349,6 @@ pub fn session_fingerprint(cfg: &FlConfig) -> u64 {
     h = mix(h, u64::from(cfg.sample_ratio.to_bits()));
     h = mix(h, u64::from(cfg.lr.to_bits()));
     h = mix(h, u64::from(cfg.momentum.to_bits()));
-    h = mix(h, u64::from(cfg.server_lr.to_bits()));
     use spatl_fl::Algorithm;
     h = match cfg.algorithm {
         Algorithm::FedAvg => mix(h, 1),
@@ -364,12 +363,13 @@ pub fn session_fingerprint(cfg: &FlConfig) -> u64 {
             mix(v, o.finetune_rounds as u64)
         }
     };
-    // Chaos and churn plans are mixed in only when present, so sessions
-    // without them keep their historical fingerprints. Every endpoint
-    // must share the schedule: the coordinator's dedup expectations and
-    // the nodes' injected faults are two halves of one seeded plan.
-    if let Some(c) = &cfg.chaos {
+    // Fault and churn plans are mixed in only when present. Every
+    // endpoint must share the schedule: who leaves before the broadcast,
+    // the coordinator's dedup expectations and the nodes' injected faults
+    // are parts of one seeded plan.
+    if let Some(c) = &cfg.faults {
         let mut v = mix(h, 6);
+        v = mix(v, c.dropout.to_bits());
         v = mix(v, c.reset.to_bits());
         v = mix(v, c.stall.to_bits());
         v = mix(v, c.stall_ms);
@@ -547,15 +547,15 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_chaos_and_churn_plans() {
-        use spatl_fl::{ChaosPlan, ChurnPlan};
+        use spatl_fl::{ChurnPlan, FaultPlan};
         let base = FlConfig::new(Algorithm::FedAvg);
         let mut chaotic = base;
-        chaotic.chaos = Some(ChaosPlan {
+        chaotic.faults = Some(FaultPlan {
             reset: 0.2,
-            ..ChaosPlan::default()
+            ..FaultPlan::default()
         });
         let mut chaotic_other_seed = chaotic;
-        chaotic_other_seed.chaos.as_mut().unwrap().seed ^= 1;
+        chaotic_other_seed.faults.as_mut().unwrap().seed ^= 1;
         let mut churning = base;
         churning.churn = Some(ChurnPlan::cross_device());
         let fps = [
@@ -569,5 +569,20 @@ mod tests {
                 assert_ne!(fps[i], fps[j], "{i} vs {j}");
             }
         }
+    }
+
+    #[test]
+    fn fingerprint_covers_the_dropout_coin() {
+        use spatl_fl::FaultPlan;
+        let base = FlConfig::new(Algorithm::FedAvg);
+        let fps: Vec<u64> = [None, Some(0.1), Some(0.2)]
+            .into_iter()
+            .map(|p| {
+                let mut cfg = base;
+                cfg.faults = p.map(FaultPlan::dropout_only);
+                session_fingerprint(&cfg)
+            })
+            .collect();
+        assert!(fps[0] != fps[1] && fps[1] != fps[2] && fps[0] != fps[2]);
     }
 }

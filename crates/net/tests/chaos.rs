@@ -1,5 +1,5 @@
 //! Chaos loopback integration tests: the networked runtime under a
-//! seeded [`ChaosPlan`] (DESIGN.md §14), on 127.0.0.1.
+//! seeded [`FaultPlan`] (DESIGN.md §8), on 127.0.0.1.
 //!
 //! The headline assertions: scheduled transport faults — torn frames and
 //! connection resets, duplicated upload replies, replayed uploads after a
@@ -88,9 +88,9 @@ fn assert_global_bit_identical(a: &GlobalState, b: &GlobalState) {
 fn run_chaos_session(
     algorithm: Algorithm,
     rounds: usize,
-    plan: ChaosPlan,
+    plan: FaultPlan,
 ) -> (Coordinator, Vec<(ClientState, NodeReport)>) {
-    let session = builder(algorithm, rounds).chaos(plan).build();
+    let session = builder(algorithm, rounds).faults(plan).build();
     let cfg = session.driver.cfg;
     let mut coordinator =
         Coordinator::bind(session.driver, coordinator_config()).expect("bind loopback");
@@ -196,9 +196,9 @@ fn duplicated_uploads_are_deduped_bit_identically() {
     let mut sim = builder(algorithm, rounds).build();
     sim.run();
 
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         duplicate: 1.0,
-        ..ChaosPlan::default()
+        ..FaultPlan::default()
     };
     let (coordinator, reports) = run_chaos_session(algorithm, rounds, plan);
 
@@ -236,9 +236,9 @@ fn torn_frames_and_resets_recover_bit_identically() {
     let mut sim = builder(algorithm, rounds).build();
     sim.run();
 
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         reset: 1.0,
-        ..ChaosPlan::default()
+        ..FaultPlan::default()
     };
     let (coordinator, reports) = run_chaos_session(algorithm, rounds, plan);
 
@@ -273,13 +273,13 @@ fn mixed_chaos_is_seed_deterministic() {
     let mut sim = builder(algorithm, rounds).build();
     sim.run();
 
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         reset: 0.4,
         duplicate: 0.4,
         stall: 0.3,
         stall_ms: 20,
         seed: 0xD1CE,
-        ..ChaosPlan::default()
+        ..FaultPlan::default()
     };
     let (run_a, _) = run_chaos_session(algorithm, rounds, plan);
     let (run_b, _) = run_chaos_session(algorithm, rounds, plan);
@@ -441,9 +441,9 @@ fn killed_edge_is_ledgered_and_clients_fail_over() {
     let algorithm = Algorithm::FedAvg;
     let rounds = 5;
     let kill_round = 1u32;
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         kill_edge: Some((kill_round, 0)),
-        ..ChaosPlan::default()
+        ..FaultPlan::default()
     };
     let make = || {
         ExperimentBuilder::new(algorithm)
@@ -454,7 +454,7 @@ fn killed_edge_is_ledgered_and_clients_fail_over() {
             .local_epochs(1)
             .batch_size(8)
             .seed(7)
-            .chaos(plan)
+            .faults(plan)
             .build()
     };
 

@@ -435,13 +435,13 @@ fn chaos_behind_an_edge_is_deduped_bit_identically() {
     let mut sim = builder(clients, rounds).build();
     sim.run();
 
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         duplicate: 1.0,
         reset: 0.3,
         seed: 51717,
-        ..ChaosPlan::default()
+        ..FaultPlan::default()
     };
-    let run = run_tiered(|| builder(clients, rounds).chaos(plan).build());
+    let run = run_tiered(|| builder(clients, rounds).faults(plan).build());
 
     assert_global_bit_identical(&sim.driver.global, &run.coordinator.driver.global);
     let history = &run.coordinator.driver.history;
@@ -466,12 +466,12 @@ fn chaos_behind_an_edge_is_deduped_bit_identically() {
 #[test]
 fn tiered_measured_wall_covers_the_collection_phase() {
     let stall = Duration::from_millis(300);
-    let plan = ChaosPlan {
+    let plan = FaultPlan {
         stall: 1.0,
         stall_ms: stall.as_millis() as u64,
-        ..ChaosPlan::default()
+        ..FaultPlan::default()
     };
-    let run = run_tiered(|| builder(4, 1).chaos(plan).build());
+    let run = run_tiered(|| builder(4, 1).faults(plan).build());
     let record = &run.coordinator.driver.history[0];
     assert_eq!(record.faults.survivors, 4);
     assert!(

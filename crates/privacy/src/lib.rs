@@ -1,5 +1,5 @@
 //! Secure-aggregation primitives for the SPATL reproduction
-//! (DESIGN.md §15).
+//! (DESIGN.md §14).
 //!
 //! Two server-blind upload modes, selectable per session like an
 //! aggregation rule:

@@ -3,8 +3,8 @@
 use serde::{Deserialize, Serialize};
 use spatl_data::{dirichlet_partition, synth_cifar10, synth_femnist, Dataset, SynthConfig};
 use spatl_fl::{
-    AdversaryPlan, AggregatorKind, Algorithm, ChaosPlan, ChurnPlan, ConfigError, FaultPlan,
-    FlConfig, PrivacyConfig, RunResult, ScreenPolicy, Simulation, Topology,
+    AdversaryPlan, AggregatorKind, Algorithm, ChurnPlan, ConfigError, FaultPlan, FlConfig,
+    PrivacyConfig, RunResult, ScreenPolicy, Simulation, Topology,
 };
 use spatl_models::{ModelConfig, ModelKind};
 use spatl_tensor::TensorRng;
@@ -130,8 +130,10 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Inject faults into every round of the run (default: none). See
-    /// [`FaultPlan`] and DESIGN.md §8 for the failure model.
+    /// Inject faults into every round of the run (default: none) — the
+    /// simulator and the networked runtime enact the same plan. Part of
+    /// the session fingerprint: every endpoint of a run must be built
+    /// with the same plan. See [`FaultPlan`] and DESIGN.md §8.
     pub fn faults(mut self, plan: FaultPlan) -> Self {
         self.fl.faults = Some(plan);
         self
@@ -158,17 +160,9 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Seeded transport chaos for the networked runtime (default: none).
-    /// Part of the session fingerprint — every endpoint of a run must be
-    /// built with the same plan. See [`ChaosPlan`] and DESIGN.md §14.
-    pub fn chaos(mut self, plan: ChaosPlan) -> Self {
-        self.fl.chaos = Some(plan);
-        self
-    }
-
     /// Trace-driven client churn: cohorts are sampled from the clients
     /// the availability model has online each round (default: everyone
-    /// always available). See [`ChurnPlan`] and DESIGN.md §14.
+    /// always available). See [`ChurnPlan`] and DESIGN.md §8.
     pub fn churn(mut self, plan: ChurnPlan) -> Self {
         self.fl.churn = Some(plan);
         self
@@ -177,7 +171,7 @@ impl ExperimentBuilder {
     /// Server-blind aggregation: pairwise seed-derived masking or
     /// fixed-point bounded-L2 sums (default: clear uploads). Part of the
     /// session fingerprint — every endpoint of a networked run must be
-    /// built with the same config. See [`PrivacyConfig`] and DESIGN.md §15.
+    /// built with the same config. See [`PrivacyConfig`] and DESIGN.md §14.
     pub fn privacy(mut self, privacy: PrivacyConfig) -> Self {
         self.fl.privacy = Some(privacy);
         self

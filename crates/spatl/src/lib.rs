@@ -55,8 +55,8 @@ pub mod prelude {
     };
     pub use spatl_fl::{
         adapt_predictor, transfer_evaluate, AdversaryPlan, AggregatorKind, Algorithm, AttackKind,
-        ChaosPlan, ChurnPlan, ConfigError, FaultKind, FaultPlan, FaultRecord, FlConfig,
-        PrivacyConfig, PrivacyMode, RunResult, ScreenPolicy, Simulation, SpatlOptions, Topology,
+        ChurnPlan, ConfigError, FaultKind, FaultPlan, FaultRecord, FlConfig, PrivacyConfig,
+        PrivacyMode, RunResult, ScreenPolicy, Simulation, SpatlOptions, Topology,
     };
     pub use spatl_graph::extract;
     pub use spatl_models::{profile, ModelConfig, ModelKind, SplitModel};

@@ -1,5 +1,5 @@
 //! Privacy-mode payload codecs: masked uploads, fixed-point uploads and
-//! the unmask-share control frames (DESIGN.md §15).
+//! the unmask-share control frames (DESIGN.md §14).
 //!
 //! * **masked upload** ([`MsgType::MaskedUpload`](crate::MsgType)): a
 //!   5-or-9-byte header (`u32` coordinate count, `u8` lane flags, `u32`

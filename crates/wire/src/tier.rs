@@ -47,26 +47,33 @@ use crate::bytes::{
 use crate::envelope::MsgType;
 use crate::error::WireError;
 
-/// The numeric half of one edge's per-round fault ledger — every counter
-/// of `spatl_fl::FaultRecord` except the unbounded event list, which
+/// The numeric half of one edge's per-round fault ledger — the counters
+/// of `spatl_fl::FaultRecord` without the unbounded event list, which
 /// stays on the edge. The root adds these into its own round ledger so
 /// the tree-wide counters equal what a flat coordinator would have
 /// recorded.
+///
+/// Three slots are retired: `stragglers`, `retries` and
+/// `retry_exhausted` counted outcomes of a simulator-only fault model
+/// that no runtime has any more. They keep their place in the layout, so
+/// the `EdgeCombined` bytes do not change: writers put 0 there and
+/// readers ignore what they find. Never reuse them for another counter —
+/// an older edge may still send its own values in them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierFaultCounters {
     /// Clients of this edge's slice the round sampled.
     pub sampled: u32,
     /// Sampled clients that dropped out before training.
     pub dropouts: u32,
-    /// Participants slowed by the straggler factor.
+    /// Retired: written as 0, ignored on read.
     pub stragglers: u32,
-    /// Participants excluded for finishing after the deadline.
+    /// Participants excluded for missing the collection deadline.
     pub deadline_dropped: u32,
-    /// Transmission attempts that arrived corrupted.
+    /// Replies that arrived but did not decode.
     pub corrupted_uploads: u32,
-    /// Retransmissions the edge requested.
+    /// Retired: written as 0, ignored on read.
     pub retries: u32,
-    /// Participants dropped after exhausting the retry budget.
+    /// Retired: written as 0, ignored on read.
     pub retry_exhausted: u32,
     /// Clients that self-reported a non-finite local delta.
     pub local_divergence: u32,
