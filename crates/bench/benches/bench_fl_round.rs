@@ -46,7 +46,7 @@ fn bench_transfer_adaptation(c: &mut Criterion) {
     group.bench_function("resnet20_one_epoch", |b| {
         b.iter_batched(
             || model.clone(),
-            |mut m| adapt_predictor(&mut m, &train, 1, 0.05, 3),
+            |mut m| adapt_predictor(&mut m, &train, 1, 3),
             criterion::BatchSize::LargeInput,
         );
     });

@@ -59,7 +59,6 @@ pub fn run(scale: Scale) -> Vec<Section> {
             &transfer_train,
             &transfer_val,
             scale.pick(6, 10),
-            0.05,
             13,
         );
         section.push(extend(
@@ -79,7 +78,6 @@ pub fn run(scale: Scale) -> Vec<Section> {
         &transfer_train,
         &transfer_val,
         scale.pick(4, 8),
-        0.05,
         13,
     );
     section.push(json!({ "algorithm": "random encoder", "transfer_acc": rand_acc }));

@@ -61,6 +61,7 @@ use spatl_privacy::{
     UnmaskShare, GRID_DIGITS,
 };
 
+use crate::client::ETA_EFF;
 use crate::{
     AggregatorKind, Algorithm, FaultKind, FaultRecord, FlConfig, GlobalState, LocalOutcome,
     ScreenPolicy, Weight,
@@ -452,8 +453,7 @@ pub(crate) fn fold_terms<S: CohortSums>(
         buffers,
     } = lanes;
     let p = delta.n_coords();
-    let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
-    let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
+    let scale = 1.0 / (o.tau.max(1) as f32 * ETA_EFF);
     // SCAFFOLD's option-II control step, derived from the delta and the
     // control the client trained against.
     let control_step = |c: f32, d: f32| -c - d * scale;

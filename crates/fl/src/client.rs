@@ -194,6 +194,24 @@ pub struct ClientState {
     pub flops_budget: Option<f32>,
 }
 
+/// Local SGD learning rate η. One setting for every algorithm's client
+/// step and for Eq. 4's predictor adaptation.
+pub(crate) const LR: f32 = 0.05;
+/// Local SGD momentum m.
+pub(crate) const MOMENTUM: f32 = 0.9;
+/// Local SGD L2 weight decay.
+const WEIGHT_DECAY: f32 = 1e-4;
+/// Effective step of momentum-m SGD per unit gradient, η/(1−m): the
+/// learning rate in SCAFFOLD's option-II control step (Eq. 10), on the
+/// client and wherever the server re-derives it.
+pub(crate) const ETA_EFF: f32 = LR / (1.0 - MOMENTUM);
+
+/// The local optimiser: momentum SGD at [`LR`], [`MOMENTUM`] and the
+/// weight decay.
+pub(crate) fn local_sgd() -> Sgd {
+    Sgd::with_momentum(LR, MOMENTUM, WEIGHT_DECAY)
+}
+
 /// Read the shared vector out of a model.
 pub(crate) fn read_shared(model: &SplitModel, include_predictor: bool) -> Vec<f32> {
     let mut v = model.encoder.to_flat();
@@ -266,9 +284,8 @@ impl ClientState {
         let mut rng = TensorRng::seed_from(
             cfg.seed ^ (round as u64).wrapping_mul(0x9E37_79B9) ^ (self.id as u64) << 32,
         );
-        const WEIGHT_DECAY: f32 = 1e-4;
-        let mut opt_enc = Sgd::with_momentum(cfg.lr, cfg.momentum, WEIGHT_DECAY);
-        let mut opt_pred = Sgd::with_momentum(cfg.lr, cfg.momentum, WEIGHT_DECAY);
+        let mut opt_enc = local_sgd();
+        let mut opt_pred = local_sgd();
         let mut loss = CrossEntropyLoss::new();
         let mut tau = 0usize;
         let enc_len = self.model.encoder.num_params();
@@ -350,8 +367,7 @@ impl ClientState {
         //    gradient estimate (x − y)/(K·η).
         let mut control_delta = None;
         if uses_control && !diverged && tau > 0 {
-            let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
-            let scale = 1.0 / (tau as f32 * eta_eff);
+            let scale = 1.0 / (tau as f32 * ETA_EFF);
             let mut step = Vec::with_capacity(self.control.len());
             for ((ci, &c), &d) in self.control.iter_mut().zip(&global.control).zip(&delta) {
                 let d_ci = -c - d * scale;
@@ -628,8 +644,7 @@ mod tests {
         let out = cl.local_update(&cfg, &global, 0);
         assert_eq!(cl.control.len(), global.shared.len());
         // cᵢ⁺ = −δ/(τ·η_eff) when c = cᵢ = 0 initially.
-        let eta_eff = cfg.lr / (1.0 - cfg.momentum);
-        let scale = 1.0 / (out.tau as f32 * eta_eff);
+        let scale = 1.0 / (out.tau as f32 * (LR / (1.0 - MOMENTUM)));
         for j in (0..cl.control.len()).step_by(997) {
             let expect = -out.delta[j] * scale;
             assert!((cl.control[j] - expect).abs() < 1e-4, "j={j}");

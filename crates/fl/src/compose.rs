@@ -51,6 +51,7 @@ use std::ops::Range;
 
 use spatl_wire::{EdgeEntry, EdgeReduced, EdgeSelection, TierFaultCounters};
 
+use crate::client::ETA_EFF;
 use crate::screen::median_in_place;
 use crate::{
     AggregatorKind, Algorithm, FaultRecord, FlConfig, GlobalState, LocalOutcome, RoundBytes,
@@ -181,7 +182,6 @@ pub fn reduce_cohort(
         return None;
     }
     let p = broadcast.shared.len();
-    let eta_eff = cfg.lr / (1.0 - cfg.momentum).max(1e-3);
     let mut red = EdgeReduced {
         survivors: valid.len() as u32,
         n_samples: valid.iter().map(|o| o.n_samples as u64).sum(),
@@ -248,7 +248,7 @@ pub fn reduce_cohort(
                 cd_sample.clear();
                 for o in &valid {
                     sample.push(o.delta[j]);
-                    let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
+                    let scale = 1.0 / (o.tau.max(1) as f32 * ETA_EFF);
                     cd_sample.push(match &o.control_delta {
                         Some(cd) => cd[j],
                         None => -broadcast.control[j] - o.delta[j] * scale,
@@ -263,7 +263,7 @@ pub fn reduce_cohort(
         Algorithm::Spatl(opts) => {
             let mut votes: Vec<Vec<(f32, f32)>> = vec![Vec::new(); p];
             for o in &valid {
-                let scale = 1.0 / (o.tau.max(1) as f32 * eta_eff);
+                let scale = 1.0 / (o.tau.max(1) as f32 * ETA_EFF);
                 match &o.selected {
                     Some(sel) => {
                         for (k, &i) in sel.indices.iter().enumerate() {

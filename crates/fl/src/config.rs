@@ -276,10 +276,6 @@ pub struct FlConfig {
     pub local_epochs: usize,
     /// Local mini-batch size.
     pub batch_size: usize,
-    /// Local SGD learning rate.
-    pub lr: f32,
-    /// Local SGD momentum.
-    pub momentum: f32,
     /// Master seed for sampling, batching and initialisation.
     pub seed: u64,
     /// The algorithm under test.
@@ -329,8 +325,6 @@ impl FlConfig {
             rounds: 10,
             local_epochs: 2,
             batch_size: 16,
-            lr: 0.05,
-            momentum: 0.9,
             seed: 0,
             algorithm,
             faults: None,
@@ -374,14 +368,7 @@ impl FlConfig {
             bounds.extend([p("stall", f.stall), p("duplicate", f.duplicate)]);
         }
         if let Some(a) = &self.adversary {
-            let usable = a.lambda.is_finite() && a.lambda != 0.0;
-            let lambda = ("lambda", a.lambda.into(), usable, "finite and non-zero");
-            bounds.extend([p("adversary fraction", a.fraction), lambda]);
-        }
-        if let Some(s) = &self.screen {
-            let tol = s.norm_tolerance;
-            let ok = tol > 1.0 && tol.is_finite();
-            bounds.push(("norm_tolerance", tol.into(), ok, "a finite value > 1"));
+            bounds.push(p("adversary fraction", a.fraction));
         }
         if let AggregatorKind::CoordinateTrimmedMean { trim_ratio: r } = self.aggregator {
             let ok = (0.0..0.5).contains(&r);
@@ -556,17 +543,10 @@ mod tests {
             edit(&mut plan);
             Some(plan)
         };
-        let adversary = |fraction: f64, lambda: f32| {
+        let adversary = |fraction: f64| {
             Some(AdversaryPlan {
                 fraction,
-                lambda,
                 ..AdversaryPlan::default()
-            })
-        };
-        let screen = |norm_tolerance: f32| {
-            Some(ScreenPolicy {
-                norm_tolerance,
-                ..ScreenPolicy::default()
             })
         };
         let spatl = |target_flops_ratio: f32| {
@@ -607,7 +587,7 @@ mod tests {
                 FLAT,
                 FlConfig {
                     privacy: fixed,
-                    screen: screen(4.0),
+                    screen: Some(ScreenPolicy::default()),
                     ..base
                 },
             ),
@@ -665,23 +645,7 @@ mod tests {
                 "adversary fraction",
                 FLAT,
                 FlConfig {
-                    adversary: adversary(nan, 1.0),
-                    ..base
-                },
-            ),
-            (
-                "lambda",
-                FLAT,
-                FlConfig {
-                    adversary: adversary(0.1, f32::INFINITY),
-                    ..base
-                },
-            ),
-            (
-                "norm_tolerance",
-                FLAT,
-                FlConfig {
-                    screen: screen(f32::NAN),
+                    adversary: adversary(nan),
                     ..base
                 },
             ),
@@ -782,15 +746,7 @@ mod tests {
                 "adversary fraction",
                 FLAT,
                 FlConfig {
-                    adversary: adversary(1.5, 1.0),
-                    ..base
-                },
-            ),
-            (
-                "norm_tolerance",
-                FLAT,
-                FlConfig {
-                    screen: screen(1.0),
+                    adversary: adversary(1.5),
                     ..base
                 },
             ),
@@ -904,18 +860,39 @@ mod tests {
     #[test]
     fn a_configuration_carrying_the_removed_fields_still_loads() {
         // Run configurations written while FlConfig still had
-        // `weight_decay`, `net` and `upload_codec` name them; those keys
-        // are ignored and every field that remains loads as written.
+        // `weight_decay`, `net`, `upload_codec`, `lr`, `momentum` and
+        // `server_lr`, a screen with `norm_tolerance`/`min_cohort` and an
+        // adversary with `lambda`/`seed` name them; those keys are
+        // ignored and every field that remains loads as written.
+        use crate::{AdversaryPlan, AttackKind, ScreenPolicy};
         let mut cfg = FlConfig::new(Algorithm::FedProx { mu: 0.25 });
         cfg.seed = 41;
         cfg.sample_ratio = 0.5;
+        cfg.screen = Some(ScreenPolicy::default());
+        cfg.adversary = Some(AdversaryPlan::with_attack(0.3, AttackKind::SignFlip));
         let json = serde_json::to_string(&cfg).unwrap();
-        let old = json.replacen(
-            '{',
-            r#"{"weight_decay":0.0001,"net":"Broadband","upload_codec":"Dense","#,
-            1,
-        );
+        let old = json
+            .replacen(
+                '{',
+                r#"{"weight_decay":0.0001,"net":"Broadband","upload_codec":"Dense","lr":0.05,"momentum":0.9,"server_lr":1.0,"#,
+                1,
+            )
+            .replacen(
+                r#""screen":{"#,
+                r#""screen":{"norm_tolerance":4.0,"min_cohort":3"#,
+                1,
+            )
+            .replacen(
+                r#""adversary":{"#,
+                r#""adversary":{"lambda":100.0,"seed":195911405,"#,
+                1,
+            );
+        for key in [r#""min_cohort":3}"#, r#""seed":195911405,"#] {
+            assert!(old.contains(key), "{key} is spliced in: {old}");
+        }
         let back: FlConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.screen, cfg.screen);
+        assert_eq!(back.adversary, cfg.adversary);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

@@ -185,8 +185,10 @@ pub struct FaultRecord {
     /// the matching [`FaultKind::Quarantined`] events say why.
     pub quarantined: usize,
     /// Masked cohort members lost mid-round whose orphaned masks were
-    /// removed by unmask shares ([`FaultKind::MaskRecovered`]). Defaulted
-    /// on deserialization so pre-privacy records still load.
+    /// removed by unmask shares ([`FaultKind::MaskRecovered`]). Required
+    /// on deserialization: the serde derive defaults only `Option` fields,
+    /// so a record stored before privacy existed fails to load with
+    /// "missing field `mask_recovered`".
     pub mask_recovered: usize,
     /// Byzantine uploads that reached aggregation unscreened because the
     /// round was masked ([`FaultKind::ScreenBypassed`]).
@@ -316,7 +318,7 @@ pub(crate) fn leaves_before_broadcast(cfg: &FlConfig, round: usize, client: usiz
             .is_some_and(|p| p.departs_mid_round(round, client))
 }
 
-/// Filter `cohort` through [`leaves_before_broadcast`], ledgering every
+/// Filter `cohort` through `leaves_before_broadcast`, ledgering every
 /// departure as a [`Dropout`](FaultKind::Dropout); returns the clients
 /// that stay for the round, in cohort order. The one filter the
 /// simulator, the flat root, every edge and the root's dead-edge ledger

@@ -49,7 +49,7 @@ mod transfer;
 pub mod wire;
 
 pub use accumulate::{RoundAccumulator, SpillReason, StreamState};
-pub use adversary::{Adversary, AdversaryPlan, AttackKind};
+pub use adversary::{Adversary, AdversaryPlan, AttackKind, ADVERSARY_SEED, SCALE_LAMBDA};
 pub use churn::ChurnPlan;
 pub use client::{ClientState, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
@@ -64,7 +64,7 @@ pub use privacy::{
     build_masked_upload, fixed_quantized_upload, masking_cohort, sampled_cohort, unmask_share,
 };
 pub use round::{RoundDriver, RoundRecord, TransportStats};
-pub use screen::{screen_updates, ScreenPolicy, ScreenReason};
+pub use screen::{screen_updates, ScreenPolicy, ScreenReason, MIN_COHORT, NORM_TOLERANCE};
 pub use server::GlobalState;
 pub use simulation::{RunResult, Simulation};
 pub use spatl_privacy::{PrivacyConfig, PrivacyMode};

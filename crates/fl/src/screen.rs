@@ -15,7 +15,7 @@
 //!    aggregates (the main update, the SCAFFOLD control step, the FedNova
 //!    momentum, the batch-norm statistics) has its RMS compared against
 //!    that family's cohort median; anything above
-//!    `norm_tolerance × median` in *any* family is quarantined as an
+//!    [`NORM_TOLERANCE`] `× median` in *any* family is quarantined as an
 //!    outlier, so an attacker cannot hide magnitude in auxiliary state
 //!    while keeping its delta inside the band. RMS (not L2) so SPATL's
 //!    variable-length salient uploads are comparable with dense ones. The
@@ -51,28 +51,24 @@
 use crate::{FaultKind, FaultRecord, LocalOutcome};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the server's update screen. Part of
+/// The server's update screen, switched on by its presence in
 /// [`FlConfig`](crate::FlConfig); `None` there trusts every decoded
-/// upload (the pre-defense behaviour).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ScreenPolicy {
-    /// An update is quarantined when its RMS exceeds
-    /// `norm_tolerance × median RMS` of the round's cohort. Must be > 1.
-    pub norm_tolerance: f32,
-    /// Minimum cohort size for the norm screen to run: with fewer decoded
-    /// uploads the median is dominated by the attackers it is supposed to
-    /// expose, so only the non-finite check applies.
-    pub min_cohort: usize,
-}
+/// upload (the pre-defense behaviour). It carries no values: its band is
+/// [`NORM_TOLERANCE`] and [`MIN_COHORT`]. A struct rather than a `bool`
+/// so stored configurations, which carry `"screen": null` or an object,
+/// still load.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct ScreenPolicy {}
 
-impl Default for ScreenPolicy {
-    fn default() -> Self {
-        ScreenPolicy {
-            norm_tolerance: 4.0,
-            min_cohort: 3,
-        }
-    }
-}
+/// An update is quarantined when its RMS exceeds
+/// `NORM_TOLERANCE × median RMS` of its vector family over the round's
+/// cohort.
+pub const NORM_TOLERANCE: f32 = 4.0;
+
+/// Minimum cohort size for the norm screen to run: with fewer decoded
+/// uploads the median is dominated by the attackers it is supposed to
+/// expose, so only the non-finite check applies.
+pub const MIN_COHORT: usize = 3;
 
 /// Why the screen rejected an upload; carried by
 /// [`FaultKind::Quarantined`](crate::FaultKind::Quarantined).
@@ -173,6 +169,8 @@ pub fn screen_updates(
     cohort: Vec<LocalOutcome>,
     record: &mut FaultRecord,
 ) -> Vec<LocalOutcome> {
+    // The band is the module's constants; the policy carries no values.
+    let ScreenPolicy {} = *policy;
     // Self-reported divergence (`o.diverged`) bypasses both stages: the
     // upload is already excluded by aggregation and recorded on the
     // ledger as `LocalDivergence`, so quarantining it again would
@@ -199,7 +197,7 @@ pub fn screen_updates(
 
     // Stage 2: median-based norm screening over the finite cohort, one
     // pass per vector family so magnitude cannot hide in auxiliary state.
-    let mut survivors = if kept.len() < policy.min_cohort.max(2) {
+    let mut survivors = if kept.len() < MIN_COHORT {
         kept
     } else {
         // The worst offence per upload as `(rms, family median)` of the
@@ -212,7 +210,7 @@ pub fn screen_updates(
                 .enumerate()
                 .filter_map(|(i, o)| norm_families(o)[family].map(|xs| (i, rms(xs))))
                 .collect();
-            if entries.len() < policy.min_cohort.max(2) {
+            if entries.len() < MIN_COHORT {
                 // Too few uploads carry this family for its median to be
                 // trustworthy — the same stand-down rule as the screen's.
                 continue;
@@ -225,7 +223,7 @@ pub fn screen_updates(
                 // against.
                 continue;
             }
-            let limit = policy.norm_tolerance * median;
+            let limit = NORM_TOLERANCE * median;
             for &(i, n) in &entries {
                 if n > limit && worst[i].is_none_or(|(wr, wm)| n / median > wr / wm) {
                     worst[i] = Some((n, median));
@@ -345,7 +343,7 @@ mod tests {
 
     #[test]
     fn small_cohorts_skip_the_norm_screen() {
-        let policy = ScreenPolicy::default(); // min_cohort = 3
+        let policy = ScreenPolicy::default(); // MIN_COHORT = 3
         let mut rec = FaultRecord::for_sample(2);
         let cohort = vec![outcome(0, vec![1.0]), outcome(1, vec![1e6])];
         let kept = screen_updates(&policy, cohort, &mut rec);

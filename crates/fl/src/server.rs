@@ -253,13 +253,14 @@ mod tests {
             momentum: Vec::new(),
             buffers: Vec::new(),
         };
-        let mut cfg = base_cfg(Algorithm::Scaffold);
-        cfg.lr = 0.1;
-        cfg.momentum = 0.0;
+        let cfg = base_cfg(Algorithm::Scaffold);
         let o = outcome(0, vec![-0.5], 10, 5);
         g.aggregate(&cfg, &[o], 10);
-        // Δc = −c − δ/(τ·η_eff) = 0.5/(0.5) = 1.0; c += 1/N = 0.1.
-        assert!((g.control[0] - 0.1).abs() < 1e-5, "{}", g.control[0]);
+        // Δc = −c − δ/(τ·η_eff) = 0.5/(5·0.05/(1−0.9)) = 0.2; c += Δc/N = 0.02.
+        let eta_eff = crate::client::LR / (1.0 - crate::client::MOMENTUM);
+        let want = 0.5 / (5.0 * eta_eff) / 10.0;
+        assert!((want - 0.02).abs() < 1e-6, "{want}");
+        assert!((g.control[0] - want).abs() < 1e-5, "{}", g.control[0]);
         assert!((g.shared[0] + 0.5).abs() < 1e-5);
     }
 

@@ -345,7 +345,6 @@ impl Simulation {
     pub fn finalize(&mut self, adapt_epochs: usize) -> Vec<f32> {
         if self.driver.cfg.algorithm.uses_transfer() {
             let global = &self.driver.global;
-            let lr = self.driver.cfg.lr;
             let seed = self.driver.cfg.seed;
             self.clients.par_iter_mut().for_each(|c| {
                 if c.participations == 0 {
@@ -357,7 +356,6 @@ impl Simulation {
                         &mut c.model,
                         &c.train,
                         adapt_epochs,
-                        lr,
                         seed ^ 0xF1A1 ^ c.id as u64,
                     );
                 }

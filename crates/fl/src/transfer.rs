@@ -2,22 +2,17 @@
 
 use spatl_data::Dataset;
 use spatl_models::SplitModel;
-use spatl_nn::{CrossEntropyLoss, Optimizer, Sgd};
+use spatl_nn::{CrossEntropyLoss, Optimizer};
 use spatl_tensor::TensorRng;
 
 /// Adapt a model to a new client by training **only the predictor head**
-/// on the client's local data, with the downloaded encoder frozen (Eq. 4).
+/// on the client's local data, with the downloaded encoder frozen (Eq. 4),
+/// by the clients' own local optimiser.
 ///
 /// This is how a client that never participated in federated training
 /// deploys the shared encoder. Returns the final training loss.
-pub fn adapt_predictor(
-    model: &mut SplitModel,
-    train: &Dataset,
-    epochs: usize,
-    lr: f32,
-    seed: u64,
-) -> f32 {
-    let mut opt = Sgd::with_momentum(lr, 0.9, 1e-4);
+pub fn adapt_predictor(model: &mut SplitModel, train: &Dataset, epochs: usize, seed: u64) -> f32 {
+    let mut opt = crate::client::local_sgd();
     let mut loss_fn = CrossEntropyLoss::new();
     let mut rng = TensorRng::seed_from(seed);
     let mut last = 0.0f32;
@@ -71,12 +66,11 @@ pub fn transfer_evaluate(
     train: &Dataset,
     val: &Dataset,
     epochs: usize,
-    lr: f32,
     seed: u64,
 ) -> f32 {
     model.encoder.from_flat(encoder_flat);
     model.clear_masks();
-    adapt_predictor(&mut model, train, epochs, lr, seed);
+    adapt_predictor(&mut model, train, epochs, seed);
     let batch = val.as_batch();
     model.evaluate(&batch.images, &batch.labels)
 }
@@ -94,7 +88,7 @@ mod tests {
         let train = synth_cifar10(&cfg, 40, 1);
         let enc_before = model.encoder.to_flat();
         let pred_before = model.predictor.to_flat();
-        adapt_predictor(&mut model, &train, 2, 0.05, 7);
+        adapt_predictor(&mut model, &train, 2, 7);
         assert_eq!(
             model.encoder.to_flat(),
             enc_before,
@@ -118,7 +112,7 @@ mod tests {
         let mut model = ModelConfig::cifar(ModelKind::ResNet20).build();
         let batch = val.as_batch();
         let before = model.evaluate(&batch.images, &batch.labels);
-        adapt_predictor(&mut model, &train, 10, 0.05, 8);
+        adapt_predictor(&mut model, &train, 10, 8);
         let after = model.evaluate(&batch.images, &batch.labels);
         assert!(
             after > before + 0.04,
@@ -133,7 +127,7 @@ mod tests {
         let cfg = SynthConfig::cifar10_like();
         let train = synth_cifar10(&cfg, 40, 4);
         let val = synth_cifar10(&cfg, 20, 5);
-        let acc = transfer_evaluate(model, &flat, &train, &val, 1, 0.05, 9);
+        let acc = transfer_evaluate(model, &flat, &train, &val, 1, 9);
         assert!((0.0..=1.0).contains(&acc));
     }
 }

@@ -38,7 +38,6 @@ fn mini_cfg(algorithm: Algorithm, n_clients: usize, rounds: usize, seed: u64) ->
     cfg.rounds = rounds;
     cfg.local_epochs = 2;
     cfg.batch_size = 16;
-    cfg.lr = 0.05;
     cfg.seed = seed;
     cfg
 }

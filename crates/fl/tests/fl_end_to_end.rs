@@ -31,7 +31,6 @@ fn mini_cfg(algorithm: Algorithm, rounds: usize, seed: u64) -> FlConfig {
     cfg.rounds = rounds;
     cfg.local_epochs = 2;
     cfg.batch_size = 16;
-    cfg.lr = 0.05;
     cfg.seed = seed;
     cfg
 }

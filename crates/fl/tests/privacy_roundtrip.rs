@@ -389,12 +389,7 @@ fn masked_tamper_is_ledgered_as_screen_bypassed() {
     cfg.rounds = 1;
     cfg.local_epochs = 1;
     cfg.privacy = Some(PrivacyConfig::masked(5));
-    cfg.adversary = Some(AdversaryPlan {
-        fraction: 0.5,
-        attack: AttackKind::ScaleAttack,
-        lambda: 10.0,
-        seed: 3,
-    });
+    cfg.adversary = Some(AdversaryPlan::with_attack(0.5, AttackKind::ScaleAttack));
     let mut sim = Simulation::new(
         cfg,
         ModelConfig::cifar(ModelKind::ResNet20),

@@ -347,8 +347,6 @@ pub fn session_fingerprint(cfg: &FlConfig) -> u64 {
     h = mix(h, cfg.local_epochs as u64);
     h = mix(h, cfg.batch_size as u64);
     h = mix(h, u64::from(cfg.sample_ratio.to_bits()));
-    h = mix(h, u64::from(cfg.lr.to_bits()));
-    h = mix(h, u64::from(cfg.momentum.to_bits()));
     use spatl_fl::Algorithm;
     h = match cfg.algorithm {
         Algorithm::FedAvg => mix(h, 1),

@@ -582,12 +582,7 @@ fn run_with_byzantine_nodes(build: impl Fn() -> Simulation, topology: Topology) 
 /// topologies, and the two sessions end on the same bits.
 #[test]
 fn tiered_fixed_point_session_enforces_the_range_bound() {
-    let plan = AdversaryPlan {
-        fraction: 0.25,
-        attack: AttackKind::ScaleAttack,
-        lambda: 100.0,
-        seed: 5,
-    };
+    let plan = AdversaryPlan::with_attack(0.25, AttackKind::ScaleAttack);
     let make = || {
         builder(Algorithm::FedAvg, 2)
             .privacy(PrivacyConfig::fixed(11, 100.0))

@@ -172,7 +172,7 @@ fn cmd_transfer(args: &Args) -> Result<(), String> {
         let b = val.as_batch();
         model.evaluate(&b.images, &b.labels)
     };
-    adapt_predictor(&mut model, &train, epochs, 0.05, seed);
+    adapt_predictor(&mut model, &train, epochs, seed);
     let after = {
         let b = val.as_batch();
         model.evaluate(&b.images, &b.labels)

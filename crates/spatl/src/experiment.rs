@@ -90,12 +90,6 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Local learning rate (default 0.05).
-    pub fn lr(mut self, lr: f32) -> Self {
-        self.fl.lr = lr;
-        self
-    }
-
     /// Dirichlet concentration β for the label-skew partition (default 0.5,
     /// as in the paper; ignored for FEMNIST-like data).
     pub fn beta(mut self, beta: f64) -> Self {

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use spatl_fl::{
         adapt_predictor, transfer_evaluate, AdversaryPlan, AggregatorKind, Algorithm, AttackKind,
         ChurnPlan, ConfigError, FaultKind, FaultPlan, FaultRecord, FlConfig, PrivacyConfig,
-        PrivacyMode, RunResult, ScreenPolicy, Simulation, SpatlOptions, Topology,
+        PrivacyMode, RunResult, ScreenPolicy, Simulation, SpatlOptions, Topology, SCALE_LAMBDA,
     };
     pub use spatl_graph::extract;
     pub use spatl_models::{profile, ModelConfig, ModelKind, SplitModel};

@@ -49,7 +49,7 @@ fn main() {
     // Download the federated encoder, keep the head local (Eq. 4).
     fresh.encoder.from_flat(&sim.global.shared);
     let mut adapted = fresh.clone();
-    adapt_predictor(&mut adapted, &local_train, 6, 0.05, 5);
+    adapt_predictor(&mut adapted, &local_train, 6, 5);
     let adapted_acc = adapted.evaluate(&val_batch.images, &val_batch.labels);
     println!(
         "  federated encoder + local head: {:.1}%",

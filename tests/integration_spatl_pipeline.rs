@@ -88,7 +88,6 @@ fn transfer_to_held_out_data_works() {
         &transfer_train,
         &transfer_val,
         5,
-        0.05,
         7,
     );
     let random_encoder_flat = model.encoder.to_flat();
@@ -98,7 +97,6 @@ fn transfer_to_held_out_data_works() {
         &transfer_train,
         &transfer_val,
         5,
-        0.05,
         7,
     );
     assert!(
