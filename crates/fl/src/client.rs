@@ -260,6 +260,13 @@ impl ClientState {
         let include_pred = !spec.private_predictor;
         let uses_control = cfg.algorithm.uses_control();
 
+        // Scratch belongs to the thread (`spatl_nn::with_arena`): every
+        // step below returns its caches, so between rounds the model holds
+        // parameters and statistics, not activations, and the update gives
+        // the arena back every element it takes.
+        self.model.clear_caches();
+        let outstanding = spatl_nn::arena_stats().outstanding_elements;
+
         // 1. Download: sync shared weights (and BN buffers) from server.
         write_shared(&mut self.model, &global.shared, include_pred);
         if !global.buffers.is_empty() {
@@ -305,9 +312,10 @@ impl ClientState {
                 self.model.predictor.recycle(logits);
                 let g = loss.backward();
                 self.model.predictor.backward_params(&g);
+                self.model.recycle(g);
+                self.model.clear_caches();
                 opt_pred.step(&mut self.model.predictor);
             }
-            self.model.encoder.clear_caches();
         }
 
         for _epoch in 0..cfg.local_epochs {
@@ -318,6 +326,8 @@ impl ClientState {
                 self.model.recycle(logits);
                 let g = loss.backward();
                 self.model.backward_params(&g);
+                self.model.recycle(g);
+                self.model.clear_caches();
 
                 // FedProx: + μ(w − w_global) on the shared part.
                 if let Algorithm::FedProx { mu } = cfg.algorithm {
@@ -462,6 +472,11 @@ impl ClientState {
         outcome.wire.upload_payload = encoded.payload;
         outcome.wire.upload_framed = encoded.framed();
         outcome.frames = encoded.frames;
+        debug_assert_eq!(
+            spatl_nn::arena_stats().outstanding_elements,
+            outstanding,
+            "a local update kept arena buffers"
+        );
         outcome
     }
 
@@ -486,9 +501,7 @@ impl ClientState {
                 // Only fine-tuning steps an environment; the graph it
                 // would show is the model's own.
                 if self.participations < opts.finetune_rounds {
-                    let mut env_model = self.model.clone();
-                    env_model.clear_caches();
-                    let env = PruningEnv::new(env_model, self.val.clone(), budget);
+                    let env = PruningEnv::new(self.model.clone(), self.val.clone(), budget);
                     finetune_agent(
                         agent,
                         &env,
@@ -617,21 +630,22 @@ mod tests {
 
     #[test]
     fn repeated_local_updates_keep_the_scratch_pools_steady() {
-        // Each training step gives its logits back and drops the loss
-        // gradient, which no pool made: a second update with the same
-        // batch shapes leaves both pools holding as many buffers as the
-        // first. SPATL covers the head-only re-alignment epoch too.
-        for algorithm in [Algorithm::FedAvg, Algorithm::Spatl(SpatlOptions::default())] {
+        // Each training step gives its logits, its loss gradient and the
+        // layers' caches back to the thread's arena: a warmed client's
+        // second update with the same batch shapes allocates nothing.
+        // SPATL covers the head-only re-alignment epoch too.
+        for algorithm in Algorithm::roster() {
             let mut cl = client(6);
             let cfg = fl_cfg(algorithm);
             let global = GlobalState::from_model(&cl.model, &cfg.algorithm);
-            let pooled = |cl: &ClientState| {
-                [&cl.model.encoder, &cl.model.predictor].map(|n| n.workspace_pooled())
+            let allocs = || {
+                let s = spatl_nn::arena_stats();
+                (s.fresh_allocs, s.grows)
             };
             cl.local_update(&cfg, &global, 0);
-            let warm = pooled(&cl);
+            let warm = allocs();
             cl.local_update(&cfg, &global, 0);
-            assert_eq!(pooled(&cl), warm, "{algorithm:?}");
+            assert_eq!(allocs(), warm, "{algorithm:?}");
         }
     }
 

@@ -261,25 +261,27 @@ pub fn reduce_cohort(
             red.control_delta = control_delta;
         }
         Algorithm::Spatl(opts) => {
-            let mut votes: Vec<Vec<(f32, f32)>> = vec![Vec::new(); p];
-            for o in &valid {
-                let scale = 1.0 / (o.tau.max(1) as f32 * ETA_EFF);
-                match &o.selected {
-                    Some(sel) => {
-                        for (k, &i) in sel.indices.iter().enumerate() {
-                            votes[i as usize].push((sel.values[k], scale));
+            let votes = VoteTable::build(p, |vote| {
+                for o in &valid {
+                    let scale = 1.0 / (o.tau.max(1) as f32 * ETA_EFF);
+                    match &o.selected {
+                        Some(sel) => {
+                            for (k, &i) in sel.indices.iter().enumerate() {
+                                vote(i as usize, (sel.values[k], scale));
+                            }
                         }
-                    }
-                    None => {
-                        for (j, v) in votes.iter_mut().enumerate() {
-                            v.push((o.delta[j], scale));
+                        None => {
+                            for j in 0..p {
+                                vote(j, (o.delta[j], scale));
+                            }
                         }
                     }
                 }
-            }
+            });
             let mut sel = EdgeSelection::default();
             let mut cd_sample: Vec<f32> = Vec::with_capacity(valid.len());
-            for (j, v) in votes.iter().enumerate() {
+            for j in 0..p {
+                let v = votes.row(j);
                 if v.is_empty() {
                     continue;
                 }
@@ -385,36 +387,39 @@ pub fn aggregate_reduced(
         // Merge the edges' per-index summaries: for each index any
         // edge selected, the statistic runs over the edge values and
         // the participation count is the sum of the edge counts.
-        let mut votes: Vec<Vec<f32>> = vec![Vec::new(); p];
-        let mut cd_votes: Vec<Vec<f32>> = vec![Vec::new(); p];
-        let mut counts = vec![0u64; p];
-        let mut any = false;
-        for e in edges.iter().filter(|e| e.survivors > 0) {
-            let Some(sel) = &e.selection else { continue };
-            for (k, &i) in sel.indices.iter().enumerate() {
-                let j = i as usize;
-                if j >= p {
-                    continue;
-                }
-                any = true;
-                votes[j].push(sel.values[k]);
-                counts[j] += sel.counts[k] as u64;
-                if let Some(&cv) = sel.control_values.get(k) {
-                    cd_votes[j].push(cv);
+        let each_entry = |f: &mut dyn FnMut(&EdgeSelection, usize)| {
+            for e in edges.iter().filter(|e| e.survivors > 0) {
+                let Some(sel) = &e.selection else { continue };
+                for (k, &i) in sel.indices.iter().enumerate() {
+                    if (i as usize) < p {
+                        f(sel, k);
+                    }
                 }
             }
-        }
-        if !any {
+        };
+        let mut votes = VoteTable::build(p, |vote| {
+            each_entry(&mut |sel, k| vote(sel.indices[k] as usize, sel.values[k]));
+        });
+        let mut cd_votes = VoteTable::build(p, |vote| {
+            each_entry(&mut |sel, k| {
+                if let Some(&cv) = sel.control_values.get(k) {
+                    vote(sel.indices[k] as usize, cv);
+                }
+            });
+        });
+        if votes.is_empty() {
             return false;
         }
-        for j in 0..p {
-            if votes[j].is_empty() {
+        let mut counts = vec![0u64; p];
+        each_entry(&mut |sel, k| counts[sel.indices[k] as usize] += sel.counts[k] as u64);
+        for (j, &count) in counts.iter().enumerate() {
+            if votes.row(j).is_empty() {
                 continue;
             }
-            global.shared[j] += robust_stat(&cfg.aggregator, &mut votes[j]);
-            if spec.secondary_lane && !cd_votes[j].is_empty() {
+            global.shared[j] += robust_stat(&cfg.aggregator, votes.row_mut(j));
+            if spec.secondary_lane && !cd_votes.row(j).is_empty() {
                 global.control[j] +=
-                    counts[j] as f32 * inv_n * robust_stat(&cfg.aggregator, &mut cd_votes[j]);
+                    count as f32 * inv_n * robust_stat(&cfg.aggregator, cd_votes.row_mut(j));
             }
         }
     }
@@ -436,6 +441,46 @@ pub fn aggregate_reduced(
         }
     }
     true
+}
+
+/// Per-coordinate vote lists in one flat buffer (compressed sparse rows):
+/// coordinate `j`'s votes are `items[offsets[j]..offsets[j + 1]]`, in the
+/// order the walk cast them — what `vec![Vec::new(); p]` held, without
+/// one allocation per coordinate.
+struct VoteTable<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> VoteTable<T> {
+    /// Run `walk` twice, handing it a `vote(coordinate, value)` sink:
+    /// once to count each coordinate's votes, once to place them.
+    fn build(p: usize, walk: impl Fn(&mut dyn FnMut(usize, T))) -> Self {
+        let mut offsets = vec![0usize; p + 1];
+        walk(&mut |j, _| offsets[j + 1] += 1);
+        for j in 0..p {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut items = vec![T::default(); offsets[p]];
+        let mut next = offsets[..p].to_vec();
+        walk(&mut |j, v| {
+            items[next[j]] = v;
+            next[j] += 1;
+        });
+        VoteTable { offsets, items }
+    }
+
+    fn row(&self, j: usize) -> &[T] {
+        &self.items[self.offsets[j]..self.offsets[j + 1]]
+    }
+
+    fn row_mut(&mut self, j: usize) -> &mut [T] {
+        &mut self.items[self.offsets[j]..self.offsets[j + 1]]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
 }
 
 /// Snapshot the numeric counters of a fault ledger for the wire — the
@@ -517,6 +562,190 @@ pub fn entry_outcome(entry: &EdgeEntry) -> LocalOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+    use spatl_tensor::TensorRng;
+
+    /// `reduce_cohort`'s SPATL arm with one `Vec` per coordinate, as it
+    /// was written before the vote tables went flat (gradient control on).
+    fn reduce_per_coordinate(
+        cfg: &FlConfig,
+        cohort: &[LocalOutcome],
+        broadcast: &GlobalState,
+    ) -> EdgeSelection {
+        let p = broadcast.shared.len();
+        let mut votes: Vec<Vec<(f32, f32)>> = vec![Vec::new(); p];
+        for o in cohort.iter().filter(|o| !o.diverged) {
+            let scale = 1.0 / (o.tau.max(1) as f32 * ETA_EFF);
+            match &o.selected {
+                Some(sel) => {
+                    for (k, &i) in sel.indices.iter().enumerate() {
+                        votes[i as usize].push((sel.values[k], scale));
+                    }
+                }
+                None => {
+                    for (j, v) in votes.iter_mut().enumerate() {
+                        v.push((o.delta[j], scale));
+                    }
+                }
+            }
+        }
+        let mut sel = EdgeSelection::default();
+        for (j, v) in votes.iter().enumerate().filter(|(_, v)| !v.is_empty()) {
+            let mut sample: Vec<f32> = v.iter().map(|&(val, _)| val).collect();
+            let mut cd: Vec<f32> = v
+                .iter()
+                .map(|&(val, sc)| -broadcast.control[j] - val * sc)
+                .collect();
+            sel.indices.push(j as u32);
+            sel.values.push(robust_stat(&cfg.aggregator, &mut sample));
+            sel.counts.push(v.len() as u32);
+            sel.control_values
+                .push(robust_stat(&cfg.aggregator, &mut cd));
+        }
+        sel
+    }
+
+    /// `aggregate_reduced`'s selection merge with one `Vec` per
+    /// coordinate, as it was written before the vote tables went flat.
+    fn merge_per_coordinate(
+        global: &mut GlobalState,
+        cfg: &FlConfig,
+        edges: &[EdgeReduced],
+        n_clients_total: usize,
+    ) -> bool {
+        let p = global.shared.len();
+        let inv_n = 1.0 / n_clients_total as f32;
+        let mut votes: Vec<Vec<f32>> = vec![Vec::new(); p];
+        let mut cd_votes: Vec<Vec<f32>> = vec![Vec::new(); p];
+        let mut counts = vec![0u64; p];
+        let mut any = false;
+        for e in edges.iter().filter(|e| e.survivors > 0) {
+            let Some(sel) = &e.selection else { continue };
+            for (k, &i) in sel.indices.iter().enumerate() {
+                let j = i as usize;
+                if j >= p {
+                    continue;
+                }
+                any = true;
+                votes[j].push(sel.values[k]);
+                counts[j] += sel.counts[k] as u64;
+                if let Some(&cv) = sel.control_values.get(k) {
+                    cd_votes[j].push(cv);
+                }
+            }
+        }
+        for j in 0..p {
+            if votes[j].is_empty() {
+                continue;
+            }
+            global.shared[j] += robust_stat(&cfg.aggregator, &mut votes[j]);
+            if !cd_votes[j].is_empty() {
+                global.control[j] +=
+                    counts[j] as f32 * inv_n * robust_stat(&cfg.aggregator, &mut cd_votes[j]);
+            }
+        }
+        any
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A random ascending subset of `0..n`.
+    fn subset(rng: &mut TensorRng, n: usize) -> Vec<u32> {
+        (0..n as u32).filter(|_| rng.flip(0.4)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The flat vote tables give the per-coordinate tables' bits, on
+        /// both sides of the reduced composition: random SPATL cohorts
+        /// (dense and selected uploads, diverged clients) reduced at an
+        /// edge, and random edge summaries merged at the root (indices
+        /// past the session vector, missing control values, empty edges).
+        fn flat_vote_tables_match_per_coordinate_tables(seed in 0u64..u64::MAX) {
+            let mut rng = TensorRng::seed_from(seed);
+            let p = 1 + rng.below(40);
+            let mut cfg = FlConfig::new(Algorithm::Spatl(crate::SpatlOptions::default()));
+            cfg.aggregator = if rng.flip(0.5) {
+                AggregatorKind::CoordinateMedian
+            } else {
+                AggregatorKind::CoordinateTrimmedMean { trim_ratio: 0.2 }
+            };
+            let vector = |rng: &mut TensorRng, n: usize| -> Vec<f32> {
+                (0..n).map(|_| rng.normal(0.0, 1.0)).collect()
+            };
+            let broadcast = GlobalState {
+                shared: vector(&mut rng, p),
+                control: vector(&mut rng, p),
+                momentum: Vec::new(),
+                buffers: Vec::new(),
+            };
+
+            let cohort: Vec<LocalOutcome> = (0..1 + rng.below(6))
+                .map(|id| {
+                    let mut o = LocalOutcome::meta(
+                        id,
+                        10,
+                        1 + rng.below(5),
+                        rng.flip(0.15),
+                        1.0,
+                        1.0,
+                        RoundBytes::default(),
+                        WireBytes::default(),
+                    );
+                    o.delta = vector(&mut rng, p);
+                    if rng.flip(0.7) {
+                        let indices = subset(&mut rng, p);
+                        o.selected = Some(crate::SelectedUpdate {
+                            values: vector(&mut rng, indices.len()),
+                            channels: 0,
+                            channel_ids: Vec::new(),
+                            indices,
+                        });
+                    }
+                    o
+                })
+                .collect();
+            let flat = reduce_cohort(&cfg, &cohort, &broadcast).and_then(|r| r.selection);
+            if cohort.iter().all(|o| o.diverged) {
+                prop_assert!(flat.is_none());
+            } else {
+                let flat = flat.expect("a SPATL reduction carries a selection");
+                let old = reduce_per_coordinate(&cfg, &cohort, &broadcast);
+                prop_assert_eq!(&flat.indices, &old.indices);
+                prop_assert_eq!(&flat.counts, &old.counts);
+                prop_assert_eq!(bits(&flat.values), bits(&old.values));
+                prop_assert_eq!(bits(&flat.control_values), bits(&old.control_values));
+            }
+
+            let edges: Vec<EdgeReduced> = (0..1 + rng.below(4))
+                .map(|_| {
+                    let indices = subset(&mut rng, p + 3);
+                    let k = indices.len();
+                    let controls = if rng.flip(0.8) { k } else { rng.below(k + 1) };
+                    EdgeReduced {
+                        survivors: rng.below(4) as u32,
+                        selection: rng.flip(0.9).then(|| EdgeSelection {
+                            values: vector(&mut rng, k),
+                            counts: (0..k).map(|_| 1 + rng.below(5) as u32).collect(),
+                            control_values: vector(&mut rng, controls),
+                            indices,
+                        }),
+                        ..Default::default()
+                    }
+                })
+                .collect();
+            let n_total = 1 + rng.below(20);
+            let (mut flat, mut old) = (broadcast.clone(), broadcast.clone());
+            let applied = aggregate_reduced(&mut flat, &cfg, &edges, n_total);
+            prop_assert_eq!(applied, merge_per_coordinate(&mut old, &cfg, &edges, n_total));
+            prop_assert_eq!(bits(&flat.shared), bits(&old.shared));
+            prop_assert_eq!(bits(&flat.control), bits(&old.control));
+        }
+    }
 
     #[test]
     fn partition_covers_contiguously_and_near_equally() {

@@ -38,7 +38,9 @@ use crate::FlConfig;
 /// without the plan is rejected at the handshake.
 ///
 /// Every probability is evaluated independently per round and per client
-/// from streams derived only from [`FaultPlan::seed`].
+/// from streams derived only from [`FaultPlan::seed`]. The transport
+/// faults (`reset`, `stall`, `stall_ms`, `duplicate`) load as 0 from a
+/// plan stored before they existed.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Probability that a sampled client leaves before the broadcast
@@ -50,15 +52,19 @@ pub struct FaultPlan {
     /// the connection is reset. The node reconnects and retries, so a
     /// torn upload is a delay, not a loss — unless the retry misses the
     /// round deadline. In `[0, 1]`.
+    #[serde(default)]
     pub reset: f64,
     /// Probability that a client stalls (sleeps) before sending its
     /// upload, emulating a slow socket. In `[0, 1]`.
+    #[serde(default)]
     pub stall: f64,
     /// How long a stalled client sleeps, in milliseconds.
+    #[serde(default)]
     pub stall_ms: u64,
     /// Probability that a client transmits its complete upload reply
     /// twice. One copy is folded and the other ledgered as
     /// [`FaultKind::DuplicateUpload`]. In `[0, 1]`.
+    #[serde(default)]
     pub duplicate: f64,
     /// Scheduled edge-process kill: `(round, edge_id)`. From that round
     /// on the edge drops every connection without a goodbye — its clients
@@ -185,10 +191,10 @@ pub struct FaultRecord {
     /// the matching [`FaultKind::Quarantined`] events say why.
     pub quarantined: usize,
     /// Masked cohort members lost mid-round whose orphaned masks were
-    /// removed by unmask shares ([`FaultKind::MaskRecovered`]). Required
-    /// on deserialization: the serde derive defaults only `Option` fields,
-    /// so a record stored before privacy existed fails to load with
-    /// "missing field `mask_recovered`".
+    /// removed by unmask shares ([`FaultKind::MaskRecovered`]). Defaulted
+    /// on deserialization, so a record stored before privacy existed
+    /// loads with 0.
+    #[serde(default)]
     pub mask_recovered: usize,
     /// Byzantine uploads that reached aggregation unscreened because the
     /// round was masked ([`FaultKind::ScreenBypassed`]).
@@ -354,6 +360,34 @@ mod tests {
             kill_edge: Some((2, 1)),
             seed: 42,
         }
+    }
+
+    #[test]
+    fn records_stored_before_a_field_was_added_still_load() {
+        // A ledger written before privacy existed has no `mask_recovered`.
+        let stored = r#"{"sampled":4,"survivors":3,"dropouts":1,"deadline_dropped":0,"duplicates":0,"corrupted_uploads":0,"local_divergence":0,"byzantine":0,"quarantined":0,"screen_bypassed":0,"no_op":false,"events":[]}"#;
+        let rec: FaultRecord = serde_json::from_str(stored).unwrap();
+        assert_eq!(rec.mask_recovered, 0);
+        assert_eq!((rec.sampled, rec.survivors, rec.dropouts), (4, 3, 1));
+        // Only the marked field is optional.
+        let err = serde_json::from_str::<FaultRecord>(&stored.replacen(r#""sampled":4,"#, "", 1))
+            .unwrap_err();
+        assert!(err.to_string().contains("sampled"), "{err}");
+
+        // A plan written before the transport faults joined it (its
+        // `straggler_ratio` has since been retired and is ignored).
+        let plan: FaultPlan =
+            serde_json::from_str(r#"{"dropout":0.25,"straggler_ratio":0.1,"seed":9}"#).unwrap();
+        let want = FaultPlan {
+            dropout: 0.25,
+            reset: 0.0,
+            stall: 0.0,
+            stall_ms: 0,
+            duplicate: 0.0,
+            kill_edge: None,
+            seed: 9,
+        };
+        assert_eq!(plan, want);
     }
 
     #[test]

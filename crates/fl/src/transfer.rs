@@ -52,6 +52,8 @@ pub fn adapt_predictor(model: &mut SplitModel, train: &Dataset, epochs: usize, s
             model.predictor.recycle(logits);
             let g = loss_fn.backward();
             model.predictor.backward_params(&g);
+            model.recycle(g);
+            model.clear_caches();
             opt.step(&mut model.predictor);
         }
     }

@@ -89,10 +89,9 @@ impl SplitModel {
         self.predictor.recycle(g);
     }
 
-    /// Return the logits of [`SplitModel::forward`] to the predictor's
-    /// scratch pool once consumed, where the next forward checks its
-    /// logits out again. A loss gradient is not pool-made and is dropped
-    /// instead: recycling it would add one buffer per step.
+    /// Return the logits of [`SplitModel::forward`], or the loss gradient
+    /// made from them, to the thread's arena once consumed, where the
+    /// next step checks them out again.
     pub fn recycle(&mut self, t: Tensor) {
         self.predictor.recycle(t);
     }
@@ -111,7 +110,9 @@ impl SplitModel {
     /// Top-1 accuracy on a batch, in evaluation mode.
     pub fn evaluate(&mut self, input: &Tensor, labels: &[usize]) -> f32 {
         let logits = self.forward(input, false);
-        accuracy(&logits, labels)
+        let acc = accuracy(&logits, labels);
+        self.recycle(logits);
+        acc
     }
 
     /// Borrow the convolution a [`LayerRef`] points at.
@@ -192,7 +193,7 @@ impl SplitModel {
             .collect()
     }
 
-    /// Drop cached activations in both parts.
+    /// Return both parts' cached activations to the thread's arena.
     pub fn clear_caches(&mut self) {
         self.encoder.clear_caches();
         self.predictor.clear_caches();

@@ -73,13 +73,13 @@ fn steady_state_steps_do_not_grow_the_workspaces() {
             step(&mut m, &x, &gy, false);
         }
         let stats = |m: &SplitModel| {
-            [&m.encoder, &m.predictor].map(|n| {
-                let s = n.workspace_stats();
+            [&m.encoder, &m.predictor].map(|_| {
+                let s = spatl_nn::arena_stats();
                 (
                     s.fresh_allocs,
                     s.grows,
                     s.high_water_elements,
-                    n.workspace_pooled(),
+                    spatl_nn::arena_pooled(),
                 )
             })
         };

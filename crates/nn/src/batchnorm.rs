@@ -1,5 +1,6 @@
 //! 2-D batch normalisation over NCHW activations.
 
+use crate::arena::Scratch;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{Tensor, Workspace};
@@ -33,7 +34,7 @@ pub struct BatchNorm2d {
     /// channel (and its BN entry) were physically removed.
     pub channel_mask: Vec<f32>,
     #[serde(skip)]
-    cache: Option<BnCache>,
+    cache: Scratch<BnCache>,
 }
 
 #[derive(Debug, Clone)]
@@ -55,7 +56,7 @@ impl BatchNorm2d {
             eps: 1e-5,
             channels,
             channel_mask: vec![1.0; channels],
-            cache: None,
+            cache: Scratch::default(),
         }
     }
 
@@ -81,10 +82,7 @@ impl BatchNorm2d {
         let count = (n * spatial) as f32;
 
         // The previous step's normalised-activation cache feeds this step.
-        if let Some(old) = self.cache.take() {
-            ws.recycle(old.x_hat);
-            ws.give(old.inv_std);
-        }
+        self.clear_cache(ws);
         let mut out = ws.take_tensor(dims.to_vec());
         let src = input.data();
         let gamma = self.gamma.value.data();
@@ -136,7 +134,7 @@ impl BatchNorm2d {
             }
             ws.give(mean);
             ws.give(var);
-            self.cache = Some(BnCache {
+            *self.cache = Some(BnCache {
                 x_hat,
                 inv_std,
                 dims,
@@ -253,9 +251,12 @@ impl BatchNorm2d {
         gx
     }
 
-    /// Drop cached activations.
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
+    /// Return the cached normalised activations to `ws`.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
+        if let Some(old) = self.cache.take() {
+            ws.recycle(old.x_hat);
+            ws.give(old.inv_std);
+        }
     }
 }
 

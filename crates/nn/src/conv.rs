@@ -1,6 +1,7 @@
 //! 2-D convolution via channel-major `im2col` + matmul, with structured
 //! channel masking.
 
+use crate::arena::Scratch;
 use crate::batchnorm::channel_sums;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
@@ -44,7 +45,7 @@ pub struct Conv2d {
     /// Per-output-channel multiplier (1.0 = keep, 0.0 = pruned).
     pub channel_mask: Vec<f32>,
     #[serde(skip)]
-    cache: Option<ConvCache>,
+    cache: Scratch<ConvCache>,
 }
 
 #[derive(Debug, Clone)]
@@ -95,7 +96,7 @@ impl Conv2d {
             stride,
             padding,
             channel_mask: vec![1.0; out_channels],
-            cache: None,
+            cache: Scratch::default(),
         }
     }
 
@@ -164,12 +165,7 @@ impl Conv2d {
         let co = self.out_channels;
 
         // The previous step's cached buffers feed this step's.
-        if let Some(old) = self.cache.take() {
-            ws.recycle(old.cols);
-            if let Some(live) = old.live {
-                ws.recycle(live.weight);
-            }
-        }
+        self.clear_cache(ws);
         let live = self.live_taps(&g, ws);
         let rows = live.as_ref().map_or(g.patch_len(), |l| l.weight.dims()[1]);
         let mut cols = ws.take_tensor([rows, n * spatial]);
@@ -205,7 +201,7 @@ impl Conv2d {
         }
         ws.recycle(y);
         if train {
-            self.cache = Some(ConvCache {
+            *self.cache = Some(ConvCache {
                 cols,
                 live,
                 geometry: g,
@@ -344,9 +340,14 @@ impl Conv2d {
         Some(gx)
     }
 
-    /// Drop any cached activations (e.g. before serialising).
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
+    /// Return the cached patch matrix (and live weight) to `ws`.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
+        if let Some(old) = self.cache.take() {
+            ws.recycle(old.cols);
+            if let Some(live) = old.live {
+                ws.recycle(live.weight);
+            }
+        }
     }
 }
 

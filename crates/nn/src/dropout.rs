@@ -1,5 +1,6 @@
 //! Inverted dropout.
 
+use crate::arena::Scratch;
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{Tensor, TensorRng, Workspace};
 
@@ -15,7 +16,7 @@ pub struct Dropout {
     seed: u64,
     step: u64,
     #[serde(skip)]
-    mask: Option<Vec<f32>>,
+    mask: Scratch<Vec<f32>>,
 }
 
 impl Dropout {
@@ -26,15 +27,13 @@ impl Dropout {
             p,
             seed,
             step: 0,
-            mask: None,
+            mask: Scratch::default(),
         }
     }
 
     /// Forward pass drawing the output and mask buffers from `ws`.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
-        if let Some(old) = self.mask.take() {
-            ws.give(old);
-        }
+        self.clear_cache(ws);
         let mut out = ws.take_tensor(input.dims().to_vec());
         if !train || self.p == 0.0 {
             out.data_mut().copy_from_slice(input.data());
@@ -54,14 +53,14 @@ impl Dropout {
                 *d = 0.0;
             }
         }
-        self.mask = Some(mask);
+        *self.mask = Some(mask);
         out
     }
 
     /// Backward pass drawing the gradient buffer from `ws`.
     pub fn backward_ws(&mut self, grad_out: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut g = ws.take_tensor(grad_out.dims().to_vec());
-        match &self.mask {
+        match &*self.mask {
             None => g.data_mut().copy_from_slice(grad_out.data()),
             Some(mask) => {
                 for ((d, &s), &m) in g.data_mut().iter_mut().zip(grad_out.data()).zip(mask) {
@@ -72,9 +71,11 @@ impl Dropout {
         g
     }
 
-    /// Drop cached state.
-    pub fn clear_cache(&mut self) {
-        self.mask = None;
+    /// Return the mask to `ws`.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
+        if let Some(old) = self.mask.take() {
+            ws.give(old);
+        }
     }
 }
 

@@ -21,6 +21,7 @@
 #![deny(missing_docs)]
 
 mod activation;
+mod arena;
 mod batchnorm;
 mod conv;
 mod dropout;
@@ -35,6 +36,7 @@ mod pool;
 mod residual;
 
 pub use activation::Relu;
+pub use arena::{arena_pooled, arena_stats, with_arena};
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;
 pub use dropout::Dropout;

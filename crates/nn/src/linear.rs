@@ -1,5 +1,6 @@
 //! Fully-connected layer.
 
+use crate::arena::Scratch;
 use crate::param::Param;
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{matmul_into, matmul_nt_into, matmul_tn_into, Tensor, TensorRng, Workspace};
@@ -16,7 +17,7 @@ pub struct Linear {
     /// Output feature count.
     pub out_features: usize,
     #[serde(skip)]
-    cache: Option<Tensor>,
+    cache: Scratch<Tensor>,
 }
 
 impl Linear {
@@ -27,7 +28,7 @@ impl Linear {
             bias: Param::new(Tensor::zeros([out_features])),
             in_features,
             out_features,
-            cache: None,
+            cache: Scratch::default(),
         }
     }
 
@@ -49,13 +50,11 @@ impl Linear {
                 *v += bv;
             }
         }
-        if let Some(old) = self.cache.take() {
-            ws.recycle(old);
-        }
+        self.clear_cache(ws);
         if train {
             let mut cached = ws.take_tensor([batch, self.in_features]);
             cached.data_mut().copy_from_slice(input.data());
-            self.cache = Some(cached);
+            *self.cache = Some(cached);
         }
         out
     }
@@ -93,9 +92,11 @@ impl Linear {
         }
     }
 
-    /// Drop cached activations.
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
+    /// Return the cached input to `ws`.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
+        if let Some(old) = self.cache.take() {
+            ws.recycle(old);
+        }
     }
 }
 

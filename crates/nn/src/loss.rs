@@ -1,15 +1,19 @@
 //! Loss functions and classification metrics.
 
+use crate::with_arena;
 use spatl_tensor::Tensor;
 
 /// Softmax cross-entropy loss over `[batch, classes]` logits.
 ///
 /// `forward` returns the mean negative log-likelihood; `backward` returns
 /// the gradient with respect to the logits, `(softmax − onehot) / batch`.
+/// The probabilities, and the gradient made from them in place, are a
+/// buffer of the thread's arena: a training loop hands the gradient back
+/// with [`Network::recycle`](crate::Network::recycle) once consumed.
 #[derive(Debug, Clone, Default)]
 pub struct CrossEntropyLoss {
     probs: Option<Tensor>,
-    labels: Option<Vec<usize>>,
+    labels: Vec<usize>,
 }
 
 impl CrossEntropyLoss {
@@ -23,32 +27,36 @@ impl CrossEntropyLoss {
     pub fn forward(&mut self, logits: &Tensor, labels: &[usize]) -> f32 {
         let (b, c) = (logits.dims()[0], logits.dims()[1]);
         assert_eq!(b, labels.len(), "batch/label count mismatch");
-        let probs = logits.softmax_rows();
+        let probs = with_arena(|ws| {
+            if let Some(stale) = self.probs.take() {
+                ws.recycle(stale);
+            }
+            let mut probs = ws.take_tensor([b, c]);
+            logits.softmax_rows_into(&mut probs);
+            probs
+        });
         let mut loss = 0.0f32;
         for (i, &y) in labels.iter().enumerate() {
             assert!(y < c, "label {y} out of range for {c} classes");
             loss -= probs.data()[i * c + y].max(1e-12).ln();
         }
         self.probs = Some(probs);
-        self.labels = Some(labels.to_vec());
+        self.labels.clear();
+        self.labels.extend_from_slice(labels);
         loss / b as f32
     }
 
     /// Gradient of the mean loss with respect to the logits.
     pub fn backward(&mut self) -> Tensor {
-        let probs = self.probs.take().expect("loss backward without forward");
-        let labels = self.labels.take().expect("loss backward without forward");
-        let (b, c) = (probs.dims()[0], probs.dims()[1]);
-        let mut grad = probs;
+        let mut grad = self.probs.take().expect("loss backward without forward");
+        let (b, c) = (grad.dims()[0], grad.dims()[1]);
         let inv_b = 1.0 / b as f32;
-        {
-            let g = grad.data_mut();
-            for (i, &y) in labels.iter().enumerate() {
-                g[i * c + y] -= 1.0;
-            }
-            for v in g.iter_mut() {
-                *v *= inv_b;
-            }
+        let g = grad.data_mut();
+        for (i, &y) in self.labels.iter().enumerate() {
+            g[i * c + y] -= 1.0;
+        }
+        for v in g.iter_mut() {
+            *v *= inv_b;
         }
         grad
     }

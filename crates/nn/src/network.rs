@@ -1,8 +1,8 @@
 //! Sequential network container with flat-parameter export/import.
 
-use crate::{Node, Param};
+use crate::{with_arena, Node, Param};
 use serde::{Deserialize, Serialize};
-use spatl_tensor::{Tensor, Workspace, WorkspaceStats};
+use spatl_tensor::{Tensor, Workspace};
 
 /// Description of one parameter tensor inside a network's flat layout.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,16 +23,12 @@ pub struct ParamSpec {
 /// its trainable parameters as a single flat `Vec<f32>` (layout described by
 /// [`Network::param_specs`]) and re-import them, which is what every
 /// aggregation rule, control variate and salient-parameter index operates
-/// on.
+/// on. It owns no scratch: every call draws its temporaries from the
+/// thread's arena ([`with_arena`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Network {
     /// Layers in execution order.
     pub nodes: Vec<Node>,
-    /// Scratch-buffer arena shared by every layer's forward/backward. Not
-    /// serialised; cloning a network yields an empty workspace (see
-    /// `Workspace`'s `Clone`), so model snapshots stay cheap.
-    #[serde(skip)]
-    workspace: Workspace,
 }
 
 /// Backward through `nodes` in reverse: the gradient with respect to the
@@ -48,13 +44,18 @@ fn backward_through(nodes: &mut [Node], grad_out: &Tensor, ws: &mut Workspace) -
     g
 }
 
+/// An arena-made copy of `t` — what an empty network passes through, so
+/// the caller can recycle it like any other output.
+fn arena_copy(t: &Tensor, ws: &mut Workspace) -> Tensor {
+    let mut out = ws.take_tensor(t.dims().to_vec());
+    out.data_mut().copy_from_slice(t.data());
+    out
+}
+
 impl Network {
     /// Create a network from layers.
     pub fn new(nodes: Vec<Node>) -> Self {
-        Network {
-            nodes,
-            workspace: Workspace::new(),
-        }
+        Network { nodes }
     }
 
     /// Empty network (identity function).
@@ -64,32 +65,33 @@ impl Network {
 
     /// Forward pass through all layers.
     ///
-    /// All intermediate activations come from (and return to) the network's
-    /// workspace, so after a warm-up step the forward pass performs no heap
+    /// All intermediate activations come from (and return to) the thread's
+    /// arena, so after a warm-up step the forward pass performs no heap
     /// allocation. The returned output tensor is the caller's; hand it back
     /// via [`Network::recycle`] once consumed to keep the loop allocation
-    /// free.
+    /// free. A training forward leaves caches in the layers until the next
+    /// forward or [`Network::clear_caches`].
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let Network { nodes, workspace } = self;
-        let mut x: Option<Tensor> = None;
-        for node in nodes.iter_mut() {
-            let y = match &x {
-                Some(t) => node.forward_ws(t, train, workspace),
-                None => node.forward_ws(input, train, workspace),
-            };
-            if let Some(prev) = x.replace(y) {
-                workspace.recycle(prev);
+        with_arena(|ws| {
+            let mut x: Option<Tensor> = None;
+            for node in self.nodes.iter_mut() {
+                let y = node.forward_ws(x.as_ref().unwrap_or(input), train, ws);
+                if let Some(prev) = x.replace(y) {
+                    ws.recycle(prev);
+                }
             }
-        }
-        x.unwrap_or_else(|| input.clone())
+            x.unwrap_or_else(|| arena_copy(input, ws))
+        })
     }
 
     /// Backward pass through all layers in reverse, accumulating parameter
     /// gradients; returns the gradient with respect to the network input
     /// (recyclable via [`Network::recycle`]).
     pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let Network { nodes, workspace } = self;
-        backward_through(nodes, grad_out, workspace).unwrap_or_else(|| grad_out.clone())
+        with_arena(|ws| {
+            backward_through(&mut self.nodes, grad_out, ws)
+                .unwrap_or_else(|| arena_copy(grad_out, ws))
+        })
     }
 
     /// [`Network::backward`] for a caller that does not read the input
@@ -97,33 +99,23 @@ impl Network {
     /// parameter gradients only ([`Node::backward_params_ws`]). Every
     /// parameter gradient is the same bits as under `backward`.
     pub fn backward_params(&mut self, grad_out: &Tensor) {
-        let Network { nodes, workspace } = self;
-        let Some((first, rest)) = nodes.split_first_mut() else {
+        let Some((first, rest)) = self.nodes.split_first_mut() else {
             return;
         };
-        let g = backward_through(rest, grad_out, workspace);
-        first.backward_params_ws(g.as_ref().unwrap_or(grad_out), workspace);
-        if let Some(g) = g {
-            workspace.recycle(g);
-        }
+        with_arena(|ws| {
+            let g = backward_through(rest, grad_out, ws);
+            first.backward_params_ws(g.as_ref().unwrap_or(grad_out), ws);
+            if let Some(g) = g {
+                ws.recycle(g);
+            }
+        });
     }
 
     /// Return a tensor produced by [`Network::forward`] /
-    /// [`Network::backward`] to the scratch pool once it has been consumed.
+    /// [`Network::backward`] (or a loss gradient) to the thread's arena
+    /// once it has been consumed.
     pub fn recycle(&mut self, t: Tensor) {
-        self.workspace.recycle(t);
-    }
-
-    /// Allocation counters of the embedded workspace — steady-state training
-    /// must leave `fresh_allocs`/`grows` unchanged between steps.
-    pub fn workspace_stats(&self) -> WorkspaceStats {
-        self.workspace.stats()
-    }
-
-    /// Number of buffers pooled in the embedded workspace — steady-state
-    /// training gives back exactly what it checks out, so this holds still.
-    pub fn workspace_pooled(&self) -> usize {
-        self.workspace.pooled()
+        with_arena(|ws| ws.recycle(t));
     }
 
     /// Visit all trainable parameters in stable (layer, declaration) order.
@@ -308,12 +300,15 @@ impl Network {
         }
     }
 
-    /// Drop all cached activations (before serialising or cloning for
-    /// transfer, to avoid shipping activation memory).
+    /// Return every layer's cached activations to the thread's arena: a
+    /// model between training calls holds parameters, gradients and
+    /// batch-norm statistics, and nothing sized by batch × activations.
     pub fn clear_caches(&mut self) {
-        for node in &mut self.nodes {
-            node.clear_cache();
-        }
+        with_arena(|ws| {
+            for node in &mut self.nodes {
+                node.clear_cache(ws);
+            }
+        });
     }
 
     /// True if any parameter or gradient contains NaN/Inf — used by the FL

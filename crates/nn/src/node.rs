@@ -168,19 +168,20 @@ impl Node {
         }
     }
 
-    /// Drop cached activations.
-    pub fn clear_cache(&mut self) {
+    /// Return cached activations to `ws` and drop the rest of the
+    /// per-batch state.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
         match self {
-            Node::Conv(l) => l.clear_cache(),
-            Node::BatchNorm(l) => l.clear_cache(),
-            Node::Linear(l) => l.clear_cache(),
-            Node::Relu(l) => l.clear_cache(),
-            Node::MaxPool(l) => l.clear_cache(),
+            Node::Conv(l) => l.clear_cache(ws),
+            Node::BatchNorm(l) => l.clear_cache(ws),
+            Node::Linear(l) => l.clear_cache(ws),
+            Node::Relu(l) => l.clear_cache(ws),
+            Node::MaxPool(l) => l.clear_cache(ws),
             Node::AvgPool(l) => l.clear_cache(),
             Node::GlobalAvgPool(l) => l.clear_cache(),
             Node::Flatten(l) => l.clear_cache(),
-            Node::Dropout(l) => l.clear_cache(),
-            Node::Residual(l) => l.clear_cache(),
+            Node::Dropout(l) => l.clear_cache(ws),
+            Node::Residual(l) => l.clear_cache(ws),
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Spatial pooling layers.
 
+use crate::arena::Scratch;
 use serde::{Deserialize, Serialize};
 use spatl_tensor::{Tensor, Workspace};
 use std::hint::select_unpredictable;
@@ -12,12 +13,14 @@ pub struct MaxPool2d {
     /// Stride (normally equal to `kernel`).
     pub stride: usize,
     #[serde(skip)]
-    cache: Option<PoolCache>,
+    cache: Scratch<PoolCache>,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PoolCache {
-    argmax: Vec<usize>,
+    /// Offset of each window's maximum from the window's first element,
+    /// as an exact small integer in an arena buffer.
+    at: Vec<f32>,
     in_dims: [usize; 4],
 }
 
@@ -27,7 +30,7 @@ impl MaxPool2d {
         MaxPool2d {
             kernel,
             stride,
-            cache: None,
+            cache: Scratch::default(),
         }
     }
 
@@ -38,17 +41,17 @@ impl MaxPool2d {
         )
     }
 
-    /// Forward pass drawing temporaries from `ws`; the argmax index buffer
-    /// is recycled from the previous step's cache. A 2×2, stride-2 pool
-    /// tracks no argmax in evaluation mode.
+    /// Forward pass drawing temporaries, and the argmax it caches when
+    /// `train` is set, from `ws`. A 2×2, stride-2 pool tracks no argmax in
+    /// evaluation mode.
     pub fn forward_ws(&mut self, input: &Tensor, train: bool, ws: &mut Workspace) -> Tensor {
+        self.clear_cache(ws);
         let d = input.dims();
         let dims = [d[0], d[1], d[2], d[3]];
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let (oh, ow) = self.out_hw(h, w);
         let mut out = ws.take_tensor([n, c, oh, ow]);
         if !train && (self.kernel, self.stride) == (2, 2) {
-            self.cache = None;
             // Evaluation needs no argmax, and non-overlapping 2×2 windows
             // need no gather: one pass over each pair of input rows meets
             // every window's four elements in turn.
@@ -71,15 +74,6 @@ impl MaxPool2d {
             }
             return out;
         }
-        let mut argmax = match self.cache.take() {
-            Some(cache) => {
-                let mut v = cache.argmax;
-                v.clear();
-                v.resize(n * c * oh * ow, 0);
-                v
-            }
-            None => vec![0usize; n * c * oh * ow],
-        };
         let (k, s) = (self.kernel, self.stride);
         let src = input.data();
         // Every window meets its elements one tap `(ky, kx)` at a time:
@@ -98,7 +92,8 @@ impl MaxPool2d {
         };
         let best = out.data_mut();
         let mut tap = ws.take(best.len());
-        let mut at = vec![0u32; best.len()];
+        let mut at = ws.take(best.len());
+        at.fill(0.0);
         // Seeded with each window's first element; then ascending
         // `(ky, kx)`. The first maximum wins, and a NaN beats every number
         // (the first NaN wins), as in PyTorch — as one select per element,
@@ -108,7 +103,8 @@ impl MaxPool2d {
             for kx in 0..k {
                 let off = ky * w + kx;
                 gather(&mut tap, off);
-                let off = u32::try_from(off).expect("pooling window offset fits u32");
+                // Exact: a window offset is far below 2^24.
+                let off = off as f32;
                 for ((b, a), &v) in best.iter_mut().zip(&mut at).zip(&tap) {
                     // `v > b`, or `v` NaN while `b` is not: that is
                     // `!(v <= b)` (true when either is NaN) while `b` is a
@@ -121,18 +117,10 @@ impl MaxPool2d {
             }
         }
         ws.give(tap);
-        let rows = argmax.chunks_exact_mut(ow).zip(at.chunks_exact(ow));
-        for (row, (idx, at)) in rows.enumerate() {
-            let first = (row / oh) * h * w + (row % oh) * s * w;
-            for (ox, (i, &a)) in idx.iter_mut().zip(at).enumerate() {
-                *i = first + ox * s + a as usize;
-            }
-        }
         if train {
-            self.cache = Some(PoolCache {
-                argmax,
-                in_dims: dims,
-            });
+            *self.cache = Some(PoolCache { at, in_dims: dims });
+        } else {
+            ws.give(at);
         }
         out
     }
@@ -144,17 +132,28 @@ impl MaxPool2d {
             .cache
             .as_ref()
             .expect("maxpool backward without forward");
+        let [_, _, h, w] = cache.in_dims;
+        let (oh, ow, s) = (grad_out.dims()[2], grad_out.dims()[3], self.stride);
         let mut gx = ws.take_zeroed_tensor(cache.in_dims.to_vec());
         let dst = gx.data_mut();
-        for (g, &idx) in grad_out.data().iter().zip(&cache.argmax) {
-            dst[idx] += g;
+        let rows = grad_out
+            .data()
+            .chunks_exact(ow)
+            .zip(cache.at.chunks_exact(ow));
+        for (row, (g, at)) in rows.enumerate() {
+            let first = (row / oh) * h * w + (row % oh) * s * w;
+            for (ox, (&g, &a)) in g.iter().zip(at).enumerate() {
+                dst[first + ox * s + a as usize] += g;
+            }
         }
         gx
     }
 
-    /// Drop cached state.
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
+    /// Return the cached argmax to `ws`.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
+        if let Some(cache) = self.cache.take() {
+            ws.give(cache.at);
+        }
     }
 }
 

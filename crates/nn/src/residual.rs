@@ -104,20 +104,20 @@ impl BasicBlock {
         gx
     }
 
-    /// Drop cached activations in all sub-layers.
-    pub fn clear_cache(&mut self) {
-        self.conv1.clear_cache();
-        self.bn1.clear_cache();
-        self.relu1.clear_cache();
-        self.conv2.clear_cache();
-        self.bn2.clear_cache();
+    /// Return every sub-layer's cached activations to `ws`.
+    pub fn clear_cache(&mut self, ws: &mut Workspace) {
+        self.conv1.clear_cache(ws);
+        self.bn1.clear_cache(ws);
+        self.relu1.clear_cache(ws);
+        self.conv2.clear_cache(ws);
+        self.bn2.clear_cache(ws);
         if let Some(dc) = &mut self.down_conv {
-            dc.clear_cache();
+            dc.clear_cache(ws);
         }
         if let Some(db) = &mut self.down_bn {
-            db.clear_cache();
+            db.clear_cache(ws);
         }
-        self.relu_out.clear_cache();
+        self.relu_out.clear_cache(ws);
     }
 }
 

@@ -102,7 +102,7 @@ fn steady_state_training_step_is_allocation_free() {
         net.recycle(gx);
     }
 
-    let warm = net.workspace_stats();
+    let warm = spatl_nn::arena_stats();
     assert!(warm.checkouts > 0, "workspace was never used");
 
     for _ in 0..5 {
@@ -112,7 +112,7 @@ fn steady_state_training_step_is_allocation_free() {
         net.recycle(gx);
     }
 
-    let steady = net.workspace_stats();
+    let steady = spatl_nn::arena_stats();
     assert_eq!(
         steady.fresh_allocs, warm.fresh_allocs,
         "steady-state pass allocated fresh buffers"
@@ -143,13 +143,13 @@ fn steady_state_inference_is_allocation_free() {
         let y = net.forward(&x, false);
         net.recycle(y);
     }
-    let warm = net.workspace_stats();
+    let warm = spatl_nn::arena_stats();
 
     for _ in 0..5 {
         let y = net.forward(&x, false);
         net.recycle(y);
     }
-    let steady = net.workspace_stats();
+    let steady = spatl_nn::arena_stats();
     assert_eq!(steady.fresh_allocs, warm.fresh_allocs);
     assert_eq!(steady.grows, warm.grows);
 }

@@ -146,11 +146,19 @@ impl Tensor {
     /// Row-wise softmax of a rank-2 tensor `[batch, classes]`, numerically
     /// stabilised by subtracting the row maximum.
     pub fn softmax_rows(&self) -> Tensor {
-        assert_eq!(self.shape().rank(), 2, "softmax_rows requires rank 2");
-        let (b, c) = (self.dims()[0], self.dims()[1]);
         let mut out = self.clone();
-        for i in 0..b {
-            let row = &mut out.data_mut()[i * c..(i + 1) * c];
+        self.softmax_rows_into(&mut out);
+        out
+    }
+
+    /// [`Tensor::softmax_rows`] written into `out`, a tensor of the same
+    /// shape whose contents are overwritten (a workspace buffer).
+    pub fn softmax_rows_into(&self, out: &mut Tensor) {
+        assert_eq!(self.shape().rank(), 2, "softmax_rows requires rank 2");
+        assert_eq!(self.dims(), out.dims(), "softmax_rows_into shape mismatch");
+        let c = self.dims()[1];
+        out.data_mut().copy_from_slice(self.data());
+        for row in out.data_mut().chunks_exact_mut(c.max(1)) {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut denom = 0.0f32;
             for v in row.iter_mut() {
@@ -162,7 +170,6 @@ impl Tensor {
                 *v *= inv;
             }
         }
-        out
     }
 }
 

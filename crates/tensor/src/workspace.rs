@@ -19,9 +19,9 @@
 //! * A buffer may be returned to **any** workspace (or simply dropped); the
 //!   pool is a cache, not an ownership ledger. Dropping instead of recycling
 //!   is never unsound, merely a future allocation.
-//! * The workspace is not thread-safe (`&mut self` everywhere); each
-//!   training context owns one. `spatl-nn`'s `Network` embeds one so
-//!   federated clients reuse it across local epochs.
+//! * The workspace is not thread-safe (`&mut self` everywhere). `spatl-nn`
+//!   keeps one per thread and nesting depth, which every network trained
+//!   on that thread shares.
 
 use crate::{Shape, Tensor};
 
@@ -40,6 +40,9 @@ pub struct WorkspaceStats {
     pub grows: u64,
     /// Maximum number of f32 elements checked out simultaneously.
     pub high_water_elements: usize,
+    /// f32 elements checked out and not yet returned: a call path that
+    /// gives back everything it takes leaves this where it found it.
+    pub outstanding_elements: usize,
 }
 
 /// A pool of reusable `f32` scratch buffers. See the module docs for the
@@ -49,7 +52,6 @@ pub struct Workspace {
     /// Returned buffers, unordered; checkout scans for the best capacity fit.
     free: Vec<Vec<f32>>,
     stats: WorkspaceStats,
-    outstanding_elements: usize,
 }
 
 impl Workspace {
@@ -61,12 +63,10 @@ impl Workspace {
     /// Check out a buffer of exactly `len` elements with **unspecified
     /// contents** — the caller must overwrite every element it reads back.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        self.stats.checkouts += 1;
-        self.outstanding_elements += len;
-        self.stats.high_water_elements = self
-            .stats
-            .high_water_elements
-            .max(self.outstanding_elements);
+        let stats = &mut self.stats;
+        stats.checkouts += 1;
+        stats.outstanding_elements += len;
+        stats.high_water_elements = stats.high_water_elements.max(stats.outstanding_elements);
 
         // Best fit: the smallest pooled buffer whose capacity suffices, so
         // large buffers stay available for large requests.
@@ -113,7 +113,7 @@ impl Workspace {
 
     /// Return a raw buffer to the pool.
     pub fn give(&mut self, buf: Vec<f32>) {
-        self.outstanding_elements = self.outstanding_elements.saturating_sub(buf.len());
+        self.stats.outstanding_elements = self.stats.outstanding_elements.saturating_sub(buf.len());
         if buf.capacity() > 0 {
             self.free.push(buf);
         }
@@ -137,15 +137,6 @@ impl Workspace {
     /// Drop all pooled buffers (stats are retained).
     pub fn clear(&mut self) {
         self.free.clear();
-    }
-}
-
-/// Cloning a workspace yields an **empty** one: pooled scratch memory is
-/// per-context state, and cloning a `Network` (e.g. to seed a federated
-/// client) must not duplicate megabytes of scratch.
-impl Clone for Workspace {
-    fn clone(&self) -> Self {
-        Workspace::new()
     }
 }
 
@@ -231,16 +222,6 @@ mod tests {
         let z = ws.take_zeroed_tensor([3, 2]);
         assert!(z.data().iter().all(|&v| v == 0.0));
         assert_eq!(ws.stats().fresh_allocs, 1);
-    }
-
-    #[test]
-    fn clone_is_empty() {
-        let mut ws = Workspace::new();
-        let a = ws.take(64);
-        ws.give(a);
-        let c = ws.clone();
-        assert_eq!(c.pooled(), 0);
-        assert_eq!(c.stats(), WorkspaceStats::default());
     }
 
     #[test]
