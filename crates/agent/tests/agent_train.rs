@@ -2,8 +2,7 @@
 
 use spatl_agent::{finetune_agent, pretrain_agent, ActorCritic, AgentConfig, PruningEnv};
 use spatl_data::{synth_cifar10, SynthConfig};
-use spatl_models::{ModelConfig, ModelKind};
-use spatl_nn::{CrossEntropyLoss, Optimizer, Sgd};
+use spatl_models::{ModelConfig, ModelKind, Part, Trainer};
 use spatl_tensor::TensorRng;
 
 /// Briefly train a model so pruning decisions actually affect accuracy.
@@ -14,18 +13,11 @@ fn trained_model(kind: ModelKind, seed: u64) -> spatl_models::SplitModel {
     };
     let train = synth_cifar10(&cfg, 160, seed);
     let mut model = ModelConfig::cifar(kind).with_seed(seed).build();
-    let mut opt = Sgd::with_momentum(0.05, 0.9, 1e-4);
-    let mut loss = CrossEntropyLoss::new();
+    let mut trainer = Trainer::new(0.05);
     let mut rng = TensorRng::seed_from(seed);
     for _ in 0..3 {
         for batch in train.batches(32, &mut rng) {
-            model.zero_grad();
-            let logits = model.forward(&batch.images, true);
-            loss.forward(&logits, &batch.labels);
-            let g = loss.backward();
-            model.backward(&g);
-            opt.step(&mut model.encoder);
-            opt.step(&mut model.predictor);
+            trainer.step(&mut model, &batch.images, &batch.labels, Part::Joint);
         }
     }
     model

@@ -11,18 +11,11 @@ use spatl_bench::{col, Fmt, Scale, Section};
 /// Momentum-SGD epochs over `data` (also the agent experiment's model
 /// training).
 pub fn train(model: &mut SplitModel, data: &Dataset, epochs: usize, seed: u64) {
-    let mut opt = Sgd::with_momentum(0.05, 0.9, 1e-4);
-    let mut loss = CrossEntropyLoss::new();
+    let mut trainer = Trainer::new(0.05);
     let mut rng = TensorRng::seed_from(seed);
     for _ in 0..epochs {
         for batch in data.batches(32, &mut rng) {
-            model.zero_grad();
-            let logits = model.forward(&batch.images, true);
-            loss.forward(&logits, &batch.labels);
-            let g = loss.backward();
-            model.backward(&g);
-            opt.step(&mut model.encoder);
-            opt.step(&mut model.predictor);
+            trainer.step(model, &batch.images, &batch.labels, Part::Joint);
         }
     }
 }

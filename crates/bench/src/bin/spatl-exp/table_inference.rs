@@ -13,19 +13,11 @@ use spatl_bench::{col, Fmt, Scale, Section};
 /// standard deployment step after structured pruning (masked channels stay
 /// dead; surviving weights and the private head adapt).
 fn finetune_masked(c: &mut spatl::fl::ClientState, epochs: usize) {
-    let mut opt_enc = Sgd::with_momentum(0.02, 0.9, 1e-4);
-    let mut opt_pred = Sgd::with_momentum(0.02, 0.9, 1e-4);
-    let mut loss = CrossEntropyLoss::new();
+    let mut trainer = Trainer::new(0.02);
     let mut rng = TensorRng::seed_from(0xF17E ^ c.id as u64);
     for _ in 0..epochs {
         for batch in c.train.batches(16, &mut rng) {
-            c.model.zero_grad();
-            let logits = c.model.forward(&batch.images, true);
-            loss.forward(&logits, &batch.labels);
-            let g = loss.backward();
-            c.model.backward(&g);
-            opt_enc.step(&mut c.model.encoder);
-            opt_pred.step(&mut c.model.predictor);
+            trainer.step(&mut c.model, &batch.images, &batch.labels, Part::Joint);
         }
     }
 }

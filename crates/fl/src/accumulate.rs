@@ -1272,7 +1272,6 @@ mod tests {
         /// `value`, whatever the terms and whatever order either sees
         /// them in — including columns that cancel to exactly zero and
         /// coordinates that mix lane and wide-row terms.
-        #[test]
         fn compact_sums_match_the_limb_oracle(seed in 0u64..u64::MAX) {
             let mut g = Gen(seed);
             let p = 1 + g.below(PAGE as u64 + 40) as usize;

@@ -4,8 +4,7 @@ use crate::{Algorithm, CommModel, FlConfig, GlobalState, RoundBytes, UploadLane}
 use spatl_agent::{finetune_agent, ActorCritic, PruningEnv};
 use spatl_data::Dataset;
 use spatl_graph::extract;
-use spatl_models::SplitModel;
-use spatl_nn::{CrossEntropyLoss, Optimizer, Sgd};
+use spatl_models::{Part, SplitModel, Trainer, MOMENTUM};
 use spatl_pruning::{apply_sparsities, salient_param_indices, Criterion};
 use spatl_tensor::TensorRng;
 
@@ -197,20 +196,10 @@ pub struct ClientState {
 /// Local SGD learning rate η. One setting for every algorithm's client
 /// step and for Eq. 4's predictor adaptation.
 pub(crate) const LR: f32 = 0.05;
-/// Local SGD momentum m.
-pub(crate) const MOMENTUM: f32 = 0.9;
-/// Local SGD L2 weight decay.
-const WEIGHT_DECAY: f32 = 1e-4;
 /// Effective step of momentum-m SGD per unit gradient, η/(1−m): the
 /// learning rate in SCAFFOLD's option-II control step (Eq. 10), on the
 /// client and wherever the server re-derives it.
 pub(crate) const ETA_EFF: f32 = LR / (1.0 - MOMENTUM);
-
-/// The local optimiser: momentum SGD at [`LR`], [`MOMENTUM`] and the
-/// weight decay.
-pub(crate) fn local_sgd() -> Sgd {
-    Sgd::with_momentum(LR, MOMENTUM, WEIGHT_DECAY)
-}
 
 /// Read the shared vector out of a model.
 pub(crate) fn read_shared(model: &SplitModel, include_predictor: bool) -> Vec<f32> {
@@ -291,9 +280,7 @@ impl ClientState {
         let mut rng = TensorRng::seed_from(
             cfg.seed ^ (round as u64).wrapping_mul(0x9E37_79B9) ^ (self.id as u64) << 32,
         );
-        let mut opt_enc = local_sgd();
-        let mut opt_pred = local_sgd();
-        let mut loss = CrossEntropyLoss::new();
+        let mut trainer = Trainer::new(LR);
         let mut tau = 0usize;
         let enc_len = self.model.encoder.num_params();
 
@@ -304,54 +291,36 @@ impl ClientState {
         // gradients in the encoder.
         if !include_pred {
             for batch in self.train.batches(cfg.batch_size, &mut rng) {
-                self.model.zero_grad();
-                let emb = self.model.encoder.forward(&batch.images, true);
-                let logits = self.model.predictor.forward(&emb, true);
-                self.model.encoder.recycle(emb);
-                loss.forward(&logits, &batch.labels);
-                self.model.predictor.recycle(logits);
-                let g = loss.backward();
-                self.model.predictor.backward_params(&g);
-                self.model.recycle(g);
-                self.model.clear_caches();
-                opt_pred.step(&mut self.model.predictor);
+                trainer.step(&mut self.model, &batch.images, &batch.labels, Part::Head);
             }
         }
 
+        // Between backward and step: FedProx's + μ(w − w_global) and the
+        // SCAFFOLD / SPATL gradient control + (c − cᵢ), on the shared part.
+        let adjust = |model: &mut SplitModel| {
+            if let Algorithm::FedProx { mu } = cfg.algorithm {
+                let cur = read_shared(model, include_pred);
+                let prox: Vec<f32> = cur
+                    .iter()
+                    .zip(&global.shared)
+                    .map(|(w, wg)| mu * (w - wg))
+                    .collect();
+                model.encoder.add_to_grads(&prox[..enc_len]);
+                if include_pred {
+                    model.predictor.add_to_grads(&prox[enc_len..]);
+                }
+            }
+            if let Some(corr) = &correction {
+                model.encoder.add_to_grads(&corr[..enc_len]);
+                if include_pred && corr.len() > enc_len {
+                    model.predictor.add_to_grads(&corr[enc_len..]);
+                }
+            }
+        };
         for _epoch in 0..cfg.local_epochs {
             for batch in self.train.batches(cfg.batch_size, &mut rng) {
-                self.model.zero_grad();
-                let logits = self.model.forward(&batch.images, true);
-                loss.forward(&logits, &batch.labels);
-                self.model.recycle(logits);
-                let g = loss.backward();
-                self.model.backward_params(&g);
-                self.model.recycle(g);
-                self.model.clear_caches();
-
-                // FedProx: + μ(w − w_global) on the shared part.
-                if let Algorithm::FedProx { mu } = cfg.algorithm {
-                    let cur = read_shared(&self.model, include_pred);
-                    let prox: Vec<f32> = cur
-                        .iter()
-                        .zip(&global.shared)
-                        .map(|(w, wg)| mu * (w - wg))
-                        .collect();
-                    self.model.encoder.add_to_grads(&prox[..enc_len]);
-                    if include_pred {
-                        self.model.predictor.add_to_grads(&prox[enc_len..]);
-                    }
-                }
-                // SCAFFOLD / SPATL gradient control: + (c − cᵢ).
-                if let Some(corr) = &correction {
-                    self.model.encoder.add_to_grads(&corr[..enc_len]);
-                    if include_pred && corr.len() > enc_len {
-                        self.model.predictor.add_to_grads(&corr[enc_len..]);
-                    }
-                }
-
-                opt_enc.step(&mut self.model.encoder);
-                opt_pred.step(&mut self.model.predictor);
+                let (images, labels) = (&batch.images, &batch.labels);
+                trainer.step_with(&mut self.model, images, labels, Part::Joint, adjust);
                 tau += 1;
             }
         }
@@ -388,13 +357,8 @@ impl ClientState {
         }
 
         // FedNova uploads the local momentum buffer next to the delta.
-        let velocity = (spec.upload_lane == Some(UploadLane::Velocity)).then(|| {
-            let mut v = opt_enc.velocity_flat(enc_len);
-            if include_pred {
-                v.extend(opt_pred.velocity_flat(delta.len() - enc_len));
-            }
-            v
-        });
+        let velocity = (spec.upload_lane == Some(UploadLane::Velocity))
+            .then(|| trainer.velocity_flat(&self.model, include_pred));
 
         // 5. Eq. 13: 4 bytes per shared parameter per lane, unless SPATL's
         //    salient selection shrinks the upload.

@@ -257,8 +257,7 @@ mod tests {
         let o = outcome(0, vec![-0.5], 10, 5);
         g.aggregate(&cfg, &[o], 10);
         // Δc = −c − δ/(τ·η_eff) = 0.5/(5·0.05/(1−0.9)) = 0.2; c += Δc/N = 0.02.
-        let eta_eff = crate::client::LR / (1.0 - crate::client::MOMENTUM);
-        let want = 0.5 / (5.0 * eta_eff) / 10.0;
+        let want = 0.5 / (5.0 * crate::client::ETA_EFF) / 10.0;
         assert!((want - 0.02).abs() < 1e-6, "{want}");
         assert!((g.control[0] - want).abs() < 1e-5, "{}", g.control[0]);
         assert!((g.shared[0] + 0.5).abs() < 1e-5);

@@ -1,8 +1,7 @@
 //! Knowledge transfer to new clients and datasets (Eq. 4, Table III).
 
 use spatl_data::Dataset;
-use spatl_models::SplitModel;
-use spatl_nn::{CrossEntropyLoss, Optimizer};
+use spatl_models::{Part, SplitModel, Trainer};
 use spatl_tensor::TensorRng;
 
 /// Adapt a model to a new client by training **only the predictor head**
@@ -12,8 +11,7 @@ use spatl_tensor::TensorRng;
 /// This is how a client that never participated in federated training
 /// deploys the shared encoder. Returns the final training loss.
 pub fn adapt_predictor(model: &mut SplitModel, train: &Dataset, epochs: usize, seed: u64) -> f32 {
-    let mut opt = crate::client::local_sgd();
-    let mut loss_fn = CrossEntropyLoss::new();
+    let mut trainer = Trainer::new(crate::client::LR);
     let mut rng = TensorRng::seed_from(seed);
     let mut last = 0.0f32;
     // Calibrate batch-norm running statistics on the client's data first
@@ -39,22 +37,11 @@ pub fn adapt_predictor(model: &mut SplitModel, train: &Dataset, epochs: usize, s
         .encoder
         .for_each_batchnorm_mut(&mut |bn| bn.momentum = saved_momentum);
     model.encoder.clear_caches();
-    model.encoder.zero_grad();
     for _ in 0..epochs {
         for batch in train.batches(32, &mut rng) {
-            model.zero_grad();
-            // Encoder runs in eval mode: it is frozen, so batch statistics
-            // must not drift either.
-            let emb = model.encoder.forward(&batch.images, false);
-            let logits = model.predictor.forward(&emb, true);
-            model.encoder.recycle(emb);
-            last = loss_fn.forward(&logits, &batch.labels);
-            model.predictor.recycle(logits);
-            let g = loss_fn.backward();
-            model.predictor.backward_params(&g);
-            model.recycle(g);
-            model.clear_caches();
-            opt.step(&mut model.predictor);
+            // The encoder is frozen, so its batch statistics must not
+            // drift either.
+            last = trainer.step(model, &batch.images, &batch.labels, Part::FrozenHead);
         }
     }
     last

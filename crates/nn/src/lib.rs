@@ -11,7 +11,7 @@
 //!   parameter traversal and flat-vector export/import (the representation
 //!   the federated-learning algorithms aggregate).
 //! * [`CrossEntropyLoss`] / [`MseLoss`] — losses with analytic gradients.
-//! * [`Sgd`] / [`Adam`] — optimisers over a network's parameter list.
+//! * [`Sgd`] — momentum SGD over a network's parameter list.
 //!
 //! The design goal is *transparent parameters*: every federated-learning
 //! algorithm in `spatl-fl` manipulates parameters as flat `Vec<f32>`s with a
@@ -45,7 +45,7 @@ pub use linear::Linear;
 pub use loss::{accuracy, CrossEntropyLoss, MseLoss};
 pub use network::{Network, ParamSpec};
 pub use node::Node;
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Optimizer, Sgd};
 pub use param::Param;
 pub use pool::{AvgPool2d, GlobalAvgPool, MaxPool2d};
 pub use residual::BasicBlock;

@@ -7,19 +7,12 @@ use spatl_tensor::Tensor;
 /// A first-order optimiser that steps a [`Network`]'s parameters using the
 /// gradients accumulated by its backward pass.
 ///
-/// Optimiser state (momentum buffers, Adam moments) is keyed by parameter
-/// *position*, so an optimiser must only ever be used with networks of
-/// identical architecture — which is how federated clients use them (one
-/// optimiser per client, re-created or retained per round).
+/// Optimiser state (momentum buffers) is keyed by parameter *position* and
+/// created on the first step, so an optimiser steps one network for its
+/// whole life; a step over a network with another parameter count panics.
 pub trait Optimizer {
     /// Apply one update step using the currently accumulated gradients.
     fn step(&mut self, net: &mut Network);
-
-    /// Current learning rate.
-    fn learning_rate(&self) -> f32;
-
-    /// Update the learning rate (for schedules).
-    fn set_learning_rate(&mut self, lr: f32);
 }
 
 /// Stochastic gradient descent with optional momentum and weight decay.
@@ -72,11 +65,21 @@ impl Sgd {
 impl Optimizer for Sgd {
     fn step(&mut self, net: &mut Network) {
         let mut params = net.params_mut();
-        if self.momentum != 0.0 && self.velocity.len() != params.len() {
-            self.velocity = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.dims().to_vec()))
-                .collect();
+        if self.momentum != 0.0 {
+            if self.velocity.is_empty() {
+                self.velocity = params
+                    .iter()
+                    .map(|p| Tensor::zeros(p.value.dims().to_vec()))
+                    .collect();
+            }
+            assert_eq!(
+                self.velocity.len(),
+                params.len(),
+                "Sgd's velocity holds {} parameter tensors but the network has {}: \
+                 one momentum optimiser steps one network",
+                self.velocity.len(),
+                params.len()
+            );
         }
         for (i, p) in params.iter_mut().enumerate() {
             let n = p.numel();
@@ -102,89 +105,6 @@ impl Optimizer for Sgd {
                 }
             }
         }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
-/// Adam optimiser (Kingma & Ba), used for the PPO agent per the paper's
-/// hyper-parameter settings.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Adam {
-    /// Learning rate.
-    pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical epsilon.
-    pub eps: f32,
-    /// L2 weight decay.
-    pub weight_decay: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Adam with standard betas (0.9, 0.999).
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, net: &mut Network) {
-        let mut params = net.params_mut();
-        if self.m.len() != params.len() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.dims().to_vec()))
-                .collect();
-            self.v = self.m.clone();
-            self.t = 0;
-        }
-        self.t += 1;
-        let b1t = 1.0 - self.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, p) in params.iter_mut().enumerate() {
-            let n = p.numel();
-            let md = self.m[i].data_mut();
-            let vd = self.v[i].data_mut();
-            let gd = p.grad.data().to_vec();
-            let xd = p.value.data_mut();
-            for j in 0..n {
-                let g = gd[j] + self.weight_decay * xd[j];
-                md[j] = self.beta1 * md[j] + (1.0 - self.beta1) * g;
-                vd[j] = self.beta2 * vd[j] + (1.0 - self.beta2) * g * g;
-                let mhat = md[j] / b1t;
-                let vhat = vd[j] / b2t;
-                xd[j] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
     }
 }
 
@@ -248,35 +168,16 @@ mod tests {
     }
 
     #[test]
-    fn adam_first_step_is_lr_sized() {
+    #[should_panic(expected = "velocity holds 2 parameter tensors but the network has 4")]
+    fn momentum_state_belongs_to_one_network() {
         let mut rng = TensorRng::seed_from(4);
-        let mut net = one_param_net(&mut rng);
-        let before = net.to_flat();
-        set_grads(&mut net, 3.0);
-        let mut opt = Adam::new(0.01);
-        opt.step(&mut net);
-        let after = net.to_flat();
-        // Bias-corrected first Adam step ≈ lr regardless of gradient scale.
-        for (a, b) in after.iter().zip(&before) {
-            assert!(((b - a) - 0.01).abs() < 1e-4, "step {}", b - a);
-        }
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        // Minimise (w-2)^2 via analytic gradient 2(w-2).
-        let mut rng = TensorRng::seed_from(5);
-        let mut net = one_param_net(&mut rng);
-        let mut opt = Adam::new(0.05);
-        for _ in 0..500 {
-            let w = net.to_flat();
-            for (p, wi) in net.params_mut().iter_mut().zip(&w) {
-                p.grad.fill(2.0 * (wi - 2.0));
-            }
-            opt.step(&mut net);
-        }
-        for w in net.to_flat() {
-            assert!((w - 2.0).abs() < 0.05, "w={w}");
-        }
+        let mut small = one_param_net(&mut rng);
+        let mut big = Network::new(vec![
+            Node::Linear(Linear::new(1, 1, &mut rng)),
+            Node::Linear(Linear::new(1, 1, &mut rng)),
+        ]);
+        let mut opt = Sgd::with_momentum(0.1, 0.9, 0.0);
+        opt.step(&mut small);
+        opt.step(&mut big);
     }
 }

@@ -1,8 +1,8 @@
 //! End-to-end sanity: the substrate can actually learn.
 
 use spatl_nn::{
-    accuracy, Adam, Conv2d, CrossEntropyLoss, Flatten, GlobalAvgPool, Linear, Network, Node,
-    Optimizer, Relu, Sgd,
+    accuracy, Conv2d, CrossEntropyLoss, Flatten, GlobalAvgPool, Linear, Network, Node, Optimizer,
+    Relu, Sgd,
 };
 use spatl_tensor::{Tensor, TensorRng};
 
@@ -78,7 +78,7 @@ fn convnet_learns_channel_mean_task() {
             }
         }
     }
-    let mut opt = Adam::new(0.01);
+    let mut opt = Sgd::with_momentum(0.05, 0.9, 0.0);
     let mut loss = CrossEntropyLoss::new();
     for _ in 0..80 {
         net.zero_grad();

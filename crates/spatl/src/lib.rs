@@ -59,7 +59,7 @@ pub mod prelude {
         PrivacyMode, RunResult, ScreenPolicy, Simulation, SpatlOptions, Topology, SCALE_LAMBDA,
     };
     pub use spatl_graph::extract;
-    pub use spatl_models::{profile, ModelConfig, ModelKind, SplitModel};
+    pub use spatl_models::{profile, ModelConfig, ModelKind, Part, SplitModel, Trainer};
     pub use spatl_nn::{accuracy, CrossEntropyLoss, Network, Optimizer, Sgd};
     pub use spatl_pruning::{
         apply_sparsities, channel_saliency, dsa_allocate, salient_param_indices,

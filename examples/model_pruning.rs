@@ -12,18 +12,11 @@ use spatl::prelude::*;
 /// Train a model briefly so pruning decisions have accuracy consequences.
 fn train_model(kind: ModelKind, data: &Dataset, epochs: usize, seed: u64) -> SplitModel {
     let mut model = ModelConfig::cifar(kind).with_seed(seed).build();
-    let mut opt = Sgd::with_momentum(0.05, 0.9, 1e-4);
-    let mut loss = CrossEntropyLoss::new();
+    let mut trainer = Trainer::new(0.05);
     let mut rng = TensorRng::seed_from(seed);
     for _ in 0..epochs {
         for batch in data.batches(32, &mut rng) {
-            model.zero_grad();
-            let logits = model.forward(&batch.images, true);
-            loss.forward(&logits, &batch.labels);
-            let g = loss.backward();
-            model.backward(&g);
-            opt.step(&mut model.encoder);
-            opt.step(&mut model.predictor);
+            trainer.step(&mut model, &batch.images, &batch.labels, Part::Joint);
         }
     }
     model
@@ -44,7 +37,7 @@ fn main() {
     let budget = 0.6; // keep ≤ 60% of dense FLOPs
 
     println!("training ResNet-56 (scaled) on the synthetic task…");
-    let model = train_model(ModelKind::ResNet56, &train, 4, 3);
+    let model = train_model(ModelKind::ResNet56, &train, 6, 3);
     let mut dense = model.clone();
     let dense_acc = eval(&mut dense, &val);
     println!(
