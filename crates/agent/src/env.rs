@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 use spatl_data::Dataset;
 use spatl_graph::{extract, CompGraph};
 use spatl_models::SplitModel;
-use spatl_pruning::{apply_sparsities, kept_counts, Criterion};
+use spatl_pruning::{apply_sparsities, Criterion};
 
 /// Outcome of applying an action in the pruning environment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -55,12 +55,8 @@ impl PruningEnv {
     /// Apply an action (per-layer sparsities), projecting it onto the FLOPs
     /// budget first, and return the reward.
     pub fn step(&self, sparsities: &[f32]) -> EnvOutcome {
-        let applied = project_to_budget(
-            &self.model,
-            sparsities,
-            self.target_flops_ratio,
-            self.criterion,
-        );
+        let applied =
+            spatl_pruning::project_to_budget(&self.model, sparsities, self.target_flops_ratio);
         let mut candidate = self.model.clone();
         apply_sparsities(&mut candidate, &applied, self.criterion);
         let flops_ratio = candidate.flops() as f32 / self.model.flops_dense() as f32;
@@ -82,42 +78,16 @@ impl PruningEnv {
     }
 }
 
-/// Scale sparsities up (towards `s=0.95`) until the masked model meets the
-/// FLOPs budget. If the raw action already satisfies it, it is returned
-/// unchanged. Uses bisection on a blend factor, at most 9 probes.
-///
-/// A probe's FLOPs depend only on how many channels each prune point keeps
-/// ([`kept_counts`]), not on which, so every probe is arithmetic on those
-/// counts ([`SplitModel::flops_with_kept`]): nothing is cloned or masked,
-/// and `criterion`, which picks the channels, does not enter.
+/// [`spatl_pruning::project_to_budget`] for callers that name the
+/// criterion that will apply the result: it picks which channels go, never
+/// how many, so it does not enter.
 pub fn project_to_budget(
     model: &SplitModel,
     sparsities: &[f32],
     target_flops_ratio: f32,
     _criterion: Criterion,
 ) -> Vec<f32> {
-    let dense = model.flops_dense() as f32;
-    let ratio_of = |s: &[f32]| model.flops_with_kept(&kept_counts(model, s)) as f32 / dense;
-    if ratio_of(sparsities) <= target_flops_ratio {
-        return sparsities.to_vec();
-    }
-    // Blend towards the max-sparsity action: s(t) = (1−t)·s + t·0.95.
-    let blend = |t: f32| -> Vec<f32> {
-        sparsities
-            .iter()
-            .map(|&s| (1.0 - t) * s + t * 0.95)
-            .collect()
-    };
-    let (mut lo, mut hi) = (0.0f32, 1.0f32);
-    for _ in 0..8 {
-        let mid = 0.5 * (lo + hi);
-        if ratio_of(&blend(mid)) <= target_flops_ratio {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    blend(hi)
+    spatl_pruning::project_to_budget(model, sparsities, target_flops_ratio)
 }
 
 #[cfg(test)]
@@ -125,6 +95,7 @@ mod tests {
     use super::*;
     use spatl_data::{synth_cifar10, SynthConfig};
     use spatl_models::{ModelConfig, ModelKind};
+    use spatl_pruning::kept_counts;
 
     fn env() -> PruningEnv {
         let model = ModelConfig::cifar(ModelKind::ResNet20).build();

@@ -75,16 +75,21 @@ pub fn run(scale: Scale) -> Vec<Section> {
         pretrain_agent(&mut agent, &env, scale.pick(6, 15), 4, 4, &mut rng);
         let action = agent.evaluate(&env.graph()).mu;
         let mut m = model.clone();
-        let applied = spatl::agent::project_to_budget(&m, &action, budget, Criterion::L2);
+        let applied = spatl::pruning::project_to_budget(&m, &action, budget);
         apply_sparsities(&mut m, &applied, Criterion::L2);
         train(&mut m, &train_set, recovery_epochs, 60);
         report("RL agent (ours)", &mut m);
     }
 
+    // Every uniform method prunes at the sparsity that meets the budget:
+    // `SoftFilterPruner` takes a channel sparsity, not a FLOPs ratio.
+    let uniform =
+        spatl::pruning::project_to_budget(&model, &vec![0.0; model.prune_points.len()], budget);
+
     // SFP: soft filter pruning schedule + brief recovery training.
     {
         let mut m = model.clone();
-        let sfp = SoftFilterPruner::new(1.0 - budget);
+        let sfp = SoftFilterPruner::new(uniform[0]);
         for _ in 0..scale.pick(2, 4) {
             sfp.soft_step(&mut m);
             train(&mut m, &train_set, 1, 6);
@@ -97,13 +102,7 @@ pub fn run(scale: Scale) -> Vec<Section> {
     // FPGM at a uniform budget-projected sparsity.
     {
         let mut m = model.clone();
-        let uni = spatl::agent::project_to_budget(
-            &m,
-            &vec![0.0; m.prune_points.len()],
-            budget,
-            Criterion::Fpgm,
-        );
-        apply_sparsities(&mut m, &uni, Criterion::Fpgm);
+        apply_sparsities(&mut m, &uniform, Criterion::Fpgm);
         train(&mut m, &train_set, recovery_epochs, 62);
         report("FPGM", &mut m);
     }
@@ -120,25 +119,13 @@ pub fn run(scale: Scale) -> Vec<Section> {
     // Uniform L1 and random controls.
     {
         let mut m = model.clone();
-        let uni = spatl::agent::project_to_budget(
-            &m,
-            &vec![0.0; m.prune_points.len()],
-            budget,
-            Criterion::L1,
-        );
-        apply_sparsities(&mut m, &uni, Criterion::L1);
+        apply_sparsities(&mut m, &uniform, Criterion::L1);
         train(&mut m, &train_set, recovery_epochs, 64);
         report("uniform L1", &mut m);
     }
     {
         let mut m = model.clone();
-        let uni = spatl::agent::project_to_budget(
-            &m,
-            &vec![0.0; m.prune_points.len()],
-            budget,
-            Criterion::Random(42),
-        );
-        apply_sparsities(&mut m, &uni, Criterion::Random(42));
+        apply_sparsities(&mut m, &uniform, Criterion::Random(42));
         train(&mut m, &train_set, recovery_epochs, 65);
         report("random", &mut m);
     }

@@ -5,7 +5,7 @@ use spatl_agent::{finetune_agent, ActorCritic, PruningEnv};
 use spatl_data::Dataset;
 use spatl_graph::extract;
 use spatl_models::{Part, SplitModel, Trainer, MOMENTUM};
-use spatl_pruning::{apply_sparsities, salient_param_indices, Criterion};
+use spatl_pruning::{apply_sparsities, project_to_budget, salient_param_indices, Criterion};
 use spatl_tensor::TensorRng;
 
 /// A SPATL salient upload: values of the selected encoder entries plus the
@@ -482,7 +482,7 @@ impl ClientState {
                 vec![0.0; self.model.prune_points.len()]
             }
         };
-        let applied = spatl_agent::project_to_budget(&self.model, &action, budget, Criterion::L2);
+        let applied = project_to_budget(&self.model, &action, budget);
         apply_sparsities(&mut self.model, &applied, Criterion::L2);
         let indices = salient_param_indices(&self.model);
         let mut channel_ids = Vec::new();
@@ -508,8 +508,7 @@ impl ClientState {
             Some(agent) => agent.evaluate(&extract(&self.model)).mu,
             None => vec![0.0; self.model.prune_points.len()],
         };
-        let applied =
-            spatl_agent::project_to_budget(&self.model, &action, target_flops_ratio, Criterion::L2);
+        let applied = project_to_budget(&self.model, &action, target_flops_ratio);
         apply_sparsities(&mut self.model, &applied, Criterion::L2);
     }
 

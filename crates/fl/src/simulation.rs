@@ -219,15 +219,21 @@ impl Simulation {
         let wire_global = wire::decode_download(&self.driver.cfg, &down.frames, p)
             .expect("server broadcast must decode");
 
-        // Parallel local updates on the sampled clients.
+        // Parallel local updates on the sampled clients. The parallel call
+        // runs over the cohort alone, so a cohort of one never enters a
+        // pool job and its kernels still split across the threads.
         let cfg = self.driver.cfg;
         let global_ref = &wire_global;
-        let mut outcomes: Vec<crate::LocalOutcome> = self
+        let mut cohort: Vec<&mut ClientState> = self
             .clients
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .filter(|(i, _)| in_round[*i])
-            .map(|(_, c)| c.local_update(&cfg, global_ref, round))
+            .map(|(_, c)| c)
+            .collect();
+        let mut outcomes: Vec<crate::LocalOutcome> = cohort
+            .par_iter_mut()
+            .map(|c| c.local_update(&cfg, global_ref, round))
             .collect();
 
         // A client whose local training diverged (non-finite delta)

@@ -7,23 +7,20 @@
 //! gradients, batch-norm statistics.
 //!
 //! A call takes the arena out of its slot and puts it back when done, so
-//! no borrow spans layer code. That matters because the vendored pool is
-//! help-first: a thread waiting inside one model's GEMM may run another
-//! queued job — another client's whole update — before the wait returns.
-//! The thread therefore keeps one arena per nesting depth, as a stack: a
-//! call pops the top arena and pushes it back on return, so a nested call
-//! pops the one below, which served the same depth before. Each arena
-//! keeps the working set of one call chain at its depth, and repeated
-//! nesting reuses it instead of adding to another arena's pool.
+//! no borrow spans layer code. The vendored pool runs a parallel call made
+//! inside a pool job inline, so no job runs inside another, and a call
+//! finds the slot empty only when a call further up the same thread holds
+//! the arena: a nested [`with_arena`], or a thread that, waiting outside
+//! any job, helps run a job another thread submitted. Such a call runs on
+//! a fresh arena, which the holder's return drops.
 
 use spatl_tensor::{Workspace, WorkspaceStats};
 use std::cell::Cell;
 use std::ops::{Deref, DerefMut};
 
 thread_local! {
-    /// The arenas of the calls not running on this thread, deepest first:
-    /// the top is the one the next call takes.
-    static ARENAS: Cell<Vec<Workspace>> = const { Cell::new(Vec::new()) };
+    /// This thread's arena, unless a call on this thread holds it.
+    static ARENA: Cell<Option<Workspace>> = const { Cell::new(None) };
 }
 
 /// Run `f` on this thread's arena. Layer-level code (`forward_ws`,
@@ -31,30 +28,21 @@ thread_local! {
 ///
 /// [`Network`]: crate::Network
 pub fn with_arena<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
-    let mut stack = ARENAS.take();
-    let mut ws = stack.pop().unwrap_or_default();
-    ARENAS.set(stack);
+    let mut ws = ARENA.take().unwrap_or_default();
     let out = f(&mut ws);
-    let mut stack = ARENAS.take();
-    stack.push(ws);
-    ARENAS.set(stack);
+    ARENA.set(Some(ws));
     out
 }
 
-/// Allocation counters of the arena a call on this thread would use — a
-/// steady-state training step leaves `fresh_allocs` and `grows`
-/// unchanged.
+/// Allocation counters of this thread's arena — a steady-state training
+/// step leaves `fresh_allocs` and `grows` unchanged.
 pub fn arena_stats() -> WorkspaceStats {
     with_arena(|ws| ws.stats())
 }
 
-/// Number of buffers pooled in each of this thread's idle arenas, the
-/// outermost first.
-pub fn arena_pooled() -> Vec<usize> {
-    let stack = ARENAS.take();
-    let pooled = stack.iter().rev().map(Workspace::pooled).collect();
-    ARENAS.set(stack);
-    pooled
+/// Number of buffers pooled in this thread's arena.
+pub fn arena_pooled() -> usize {
+    with_arena(|ws| ws.pooled())
 }
 
 /// A layer's per-batch state (cached activations, masks): dropped by

@@ -1,9 +1,10 @@
-//! The thread's arenas under nesting. The vendored pool is help-first, so
-//! a thread waiting inside one network's GEMM may run another network's
-//! whole step before the wait returns. That inner call finds the arena out
-//! of its slot and runs on the next one down the thread's stack; neither
-//! call may panic or change a bit, and repeating the nesting reuses the
-//! inner arena instead of growing the outer one.
+//! The thread's one arena. The vendored pool runs a parallel call made
+//! inside a pool job inline, so a network stepped by a job keeps its
+//! kernels on that job's thread and its scratch in that thread's arena.
+//! A call that finds the arena held further up its thread runs on a fresh
+//! one, which the holder's return drops. Neither case may panic or change
+//! a bit, and a thread ends holding one arena with one network's working
+//! set.
 
 use rayon::prelude::*;
 use spatl_nn::{BasicBlock, BatchNorm2d, Conv2d, GlobalAvgPool, Linear, Network, Node, Relu};
@@ -47,11 +48,11 @@ fn batch() -> (Tensor, Tensor) {
 }
 
 #[test]
-fn a_forward_inside_another_call_reuses_the_arena_below() {
+fn a_call_inside_another_runs_on_a_fresh_arena_and_leaves_one() {
     let (x, gy) = batch();
     let want = step(&mut build_net(2), &x, &gy);
+    let pooled = spatl_nn::arena_pooled();
     let (mut outer, mut inner) = (build_net(1), build_net(2));
-    let mut pooled = Vec::new();
     for rep in 0..3 {
         let got = spatl_nn::with_arena(|ws| {
             let y = outer.nodes[0].forward_ws(&x, true, ws);
@@ -61,13 +62,46 @@ fn a_forward_inside_another_call_reuses_the_arena_below() {
         });
         assert_eq!(got, want, "rep {rep}");
         outer.clear_caches();
-        assert_eq!(spatl_nn::arena_stats().outstanding_elements, 0);
-        if rep > 0 {
-            assert_eq!(spatl_nn::arena_pooled(), pooled, "rep {rep}");
-        }
-        pooled = spatl_nn::arena_pooled();
+        assert_eq!(spatl_nn::arena_stats().outstanding_elements, 0, "rep {rep}");
+        // The inner call's arena is gone; the thread's one arena pools
+        // what it did before.
+        assert_eq!(spatl_nn::arena_pooled(), pooled, "rep {rep}");
     }
-    assert_eq!(pooled.len(), 2, "one arena per depth: {pooled:?}");
+}
+
+#[test]
+fn a_parallel_section_keeps_every_bit_and_one_working_set_per_thread() {
+    let threads = rayon::current_num_threads();
+    let (x, gy) = batch();
+    let seeds = 0..8u64;
+    let want: Vec<_> = seeds
+        .clone()
+        .map(|s| step(&mut build_net(s), &x, &gy))
+        .collect();
+    // One network's working set: what a step leaves in an arena that
+    // started empty.
+    let working_set = std::thread::scope(|s| {
+        s.spawn(|| {
+            step(&mut build_net(0), &x, &gy);
+            spatl_nn::arena_pooled()
+        })
+        .join()
+        .unwrap()
+    });
+
+    let mut nets: Vec<Network> = seeds.map(build_net).collect();
+    let got: Vec<_> = nets
+        .par_iter_mut()
+        .map(|n| (step(n, &x, &gy), spatl_nn::arena_pooled()))
+        .collect();
+    for (i, ((bits, pooled), want)) in got.into_iter().zip(want).enumerate() {
+        assert_eq!(bits, want, "net {i}, {threads} threads");
+        assert!(
+            pooled <= working_set,
+            "net {i}, {threads} threads: {pooled} > {working_set}"
+        );
+    }
+    assert_eq!(spatl_nn::arena_stats().outstanding_elements, 0);
 }
 
 #[test]
@@ -85,8 +119,8 @@ fn a_nested_parallel_section_keeps_every_bit() {
     let mut nets: Vec<Network> = seeds.map(build_net).collect();
     let got: Vec<_> = spatl_nn::with_arena(|ws| {
         // The arena is out of its slot: every step the pool runs on this
-        // thread below runs on the next one down, and each of them waits
-        // in its own GEMMs, where it may run the others.
+        // thread below runs on a fresh one, while the workers' steps run
+        // on theirs, each with its kernels inline.
         let y = outer.nodes[0].forward_ws(&x, true, ws);
         let got = nets.par_iter_mut().map(|n| step(n, &x, &gy)).collect();
         ws.recycle(y);

@@ -1,12 +1,55 @@
 //! Per-layer sparsity allocation under a global FLOPs budget.
 
-use crate::{apply_sparsities, Criterion};
+use crate::{apply_sparsities, kept_counts, Criterion};
 use spatl_data::Dataset;
 use spatl_models::SplitModel;
 
 /// Uniform allocation: the same sparsity at every prune point.
 pub fn uniform_sparsities(model: &SplitModel, sparsity: f32) -> Vec<f32> {
     vec![sparsity.clamp(0.0, 0.95); model.prune_points.len()]
+}
+
+/// The fraction of `dense`, the model's dense FLOPs, that remains once
+/// [`apply_sparsities`] applies `sparsities`. Callers compute `dense`
+/// once: it costs as much as the ratio.
+fn flops_ratio(model: &SplitModel, sparsities: &[f32], dense: f32) -> f32 {
+    model.flops_with_kept(&kept_counts(model, sparsities)) as f32 / dense
+}
+
+/// Scale sparsities up (towards `s=0.95`) until the masked model meets the
+/// FLOPs budget. If the raw action already satisfies it, it is returned
+/// unchanged. Uses bisection on a blend factor, at most 9 probes.
+///
+/// A probe's FLOPs depend only on how many channels each prune point keeps
+/// ([`kept_counts`]), not on which, so every probe is arithmetic on those
+/// counts ([`SplitModel::flops_with_kept`]): nothing is cloned or masked,
+/// and no criterion enters.
+pub fn project_to_budget(
+    model: &SplitModel,
+    sparsities: &[f32],
+    target_flops_ratio: f32,
+) -> Vec<f32> {
+    let dense = model.flops_dense() as f32;
+    if flops_ratio(model, sparsities, dense) <= target_flops_ratio {
+        return sparsities.to_vec();
+    }
+    // Blend towards the max-sparsity action: s(t) = (1−t)·s + t·0.95.
+    let blend = |t: f32| -> Vec<f32> {
+        sparsities
+            .iter()
+            .map(|&s| (1.0 - t) * s + t * 0.95)
+            .collect()
+    };
+    let (mut lo, mut hi) = (0.0f32, 1.0f32);
+    for _ in 0..8 {
+        let mid = 0.5 * (lo + hi);
+        if flops_ratio(model, &blend(mid), dense) <= target_flops_ratio {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    blend(hi)
 }
 
 /// Simplified DSA-style (differentiable sparsity allocation) budgeted
@@ -28,32 +71,19 @@ pub fn dsa_allocate(
     let dense = model.flops_dense() as f32;
     assert!(n > 0, "model has no prune points");
 
-    let eval = |sparsities: &[f32]| -> (f32, f32) {
+    let accuracy = |sparsities: &[f32]| -> f32 {
         let mut m = model.clone();
         apply_sparsities(&mut m, sparsities, criterion);
         let batch = val.as_batch();
-        let acc = m.evaluate(&batch.images, &batch.labels);
-        let ratio = m.flops() as f32 / dense;
-        (acc, ratio)
+        m.evaluate(&batch.images, &batch.labels)
     };
 
-    // Start uniform at the sparsity that roughly hits the budget.
-    let mut lo = 0.0f32;
-    let mut hi = 0.95f32;
-    for _ in 0..8 {
-        let mid = 0.5 * (lo + hi);
-        let (_, ratio) = eval(&vec![mid; n]);
-        if ratio > target_flops_ratio {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let mut sparsities = vec![0.5 * (lo + hi); n];
-    let (mut best_acc, _) = eval(&sparsities);
+    // Start from the least uniform sparsity that meets the budget.
+    let mut sparsities = project_to_budget(model, &vec![0.0; n], target_flops_ratio);
+    let mut best_acc = accuracy(&sparsities);
 
     // Coordinate descent: try shifting sparsity between layer pairs,
-    // keeping moves that preserve the budget and improve accuracy.
+    // keeping moves that stay within the budget and improve accuracy.
     let step = 0.15f32;
     for it in 0..iterations {
         let i = it % n;
@@ -64,8 +94,11 @@ pub fn dsa_allocate(
         let mut cand = sparsities.clone();
         cand[i] = (cand[i] - step).clamp(0.0, 0.95);
         cand[j] = (cand[j] + step).clamp(0.0, 0.95);
-        let (acc, ratio) = eval(&cand);
-        if ratio <= target_flops_ratio * 1.05 && acc >= best_acc {
+        if flops_ratio(model, &cand, dense) > target_flops_ratio {
+            continue;
+        }
+        let acc = accuracy(&cand);
+        if acc >= best_acc {
             sparsities = cand;
             best_acc = acc;
         }
@@ -102,6 +135,6 @@ mod tests {
         let mut pruned = m.clone();
         apply_sparsities(&mut pruned, &s, Criterion::L2);
         let ratio = pruned.flops() as f32 / m.flops_dense() as f32;
-        assert!(ratio <= 0.7, "ratio {ratio}");
+        assert!(ratio <= 0.6, "ratio {ratio}");
     }
 }

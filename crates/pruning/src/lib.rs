@@ -15,7 +15,7 @@ mod saliency;
 mod select;
 mod sfp;
 
-pub use allocate::{dsa_allocate, uniform_sparsities};
+pub use allocate::{dsa_allocate, project_to_budget, uniform_sparsities};
 pub use saliency::{
     apply_sparsities, channel_saliency, kept_counts, mask_from_sparsity, Criterion,
 };

@@ -130,7 +130,7 @@ fn cmd_prune(args: &Args) -> Result<(), String> {
         }
         None => vec![0.0; model.prune_points.len()],
     };
-    let applied = spatl::agent::project_to_budget(&model, &action, budget, Criterion::L2);
+    let applied = spatl::pruning::project_to_budget(&model, &action, budget);
     apply_sparsities(&mut model, &applied, Criterion::L2);
     let ratio = model.flops() as f64 / model.flops_dense() as f64;
     println!(

@@ -234,10 +234,7 @@ thread_local! {
     /// per k-block and read by every row block of the task. At most
     /// `KC × NC` floats, grown once per thread, so steady-state matmuls
     /// perform no heap allocation. Taken out of the cell for the duration
-    /// of a task (and restored after), so a re-entrant matmul on the same
-    /// thread — possible when the pool's help-first wait runs another
-    /// call's job — simply allocates its own buffer instead of aliasing
-    /// this one.
+    /// of a task and restored after.
     static BSTRIP: std::cell::Cell<Vec<f32>> = const { std::cell::Cell::new(Vec::new()) };
 }
 

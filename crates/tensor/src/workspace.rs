@@ -20,8 +20,8 @@
 //!   pool is a cache, not an ownership ledger. Dropping instead of recycling
 //!   is never unsound, merely a future allocation.
 //! * The workspace is not thread-safe (`&mut self` everywhere). `spatl-nn`
-//!   keeps one per thread and nesting depth, which every network trained
-//!   on that thread shares.
+//!   keeps one per thread, which every network trained on that thread
+//!   shares.
 
 use crate::{Shape, Tensor};
 

@@ -68,29 +68,22 @@ fn main() {
 
     // RL agent selection.
     let mut rl = model.clone();
-    let applied = spatl::agent::project_to_budget(&rl, &action, budget, Criterion::L2);
+    let applied = spatl::pruning::project_to_budget(&rl, &action, budget);
     apply_sparsities(&mut rl, &applied, Criterion::L2);
     report("RL agent (SPATL)", &mut rl);
 
+    // The uniform methods prune every layer at the sparsity that meets
+    // the budget.
+    let uni =
+        spatl::pruning::project_to_budget(&model, &vec![0.0; model.prune_points.len()], budget);
+
     // Uniform L1 at the same budget.
     let mut l1 = model.clone();
-    let uni = spatl::agent::project_to_budget(
-        &l1,
-        &vec![0.0; l1.prune_points.len()],
-        budget,
-        Criterion::L1,
-    );
     apply_sparsities(&mut l1, &uni, Criterion::L1);
     report("uniform L1", &mut l1);
 
     // FPGM at the same budget.
     let mut fpgm = model.clone();
-    let uni = spatl::agent::project_to_budget(
-        &fpgm,
-        &vec![0.0; fpgm.prune_points.len()],
-        budget,
-        Criterion::Fpgm,
-    );
     apply_sparsities(&mut fpgm, &uni, Criterion::Fpgm);
     report("FPGM", &mut fpgm);
 
@@ -102,12 +95,6 @@ fn main() {
 
     // Random control.
     let mut rnd = model.clone();
-    let uni = spatl::agent::project_to_budget(
-        &rnd,
-        &vec![0.0; rnd.prune_points.len()],
-        budget,
-        Criterion::Random(5),
-    );
     apply_sparsities(&mut rnd, &uni, Criterion::Random(5));
     report("random channels", &mut rnd);
 
