@@ -172,12 +172,14 @@ fn bench_cost_of_exactness(c: &mut Criterion) {
     group.finish();
 }
 
-/// The masked upload's client-side cost, under `fl.upload_encode_ms`:
-/// one pair's lane keystream drawn in bulk by `fill_u64s` (the AVX2
-/// eight-block kernel where the CPU has it) next to the one-word
-/// `next_u64` loop that `SPATL_FORCE_SCALAR=1` pins it to (both in MB/s),
-/// and one pair's mask applied to a grid lane (ns/coordinate is
-/// 1000 / Melem/s).
+/// The masked upload's client-side cost, under `fl.local_update`: one
+/// pair's lane keystream drawn in bulk by `fill_u64s` (the AVX-512
+/// sixteen-block or AVX2 eight-block kernel where the CPU has it) next
+/// to the one-word `next_u64` loop that `SPATL_FORCE_SCALAR=1` pins it
+/// to (both in MB/s); then the masking pass over a grid lane with one
+/// pair's stream (a dropout's unmask share) and with fifteen (a client
+/// of the sixteen-member masked workload), over that workload's 17 730
+/// coordinates (ns/coordinate is 1000 / Melem/s).
 fn bench_mask(c: &mut Criterion) {
     const WORDS: usize = 1 << 15;
     let mut group = c.benchmark_group("mask_keystream");
@@ -201,17 +203,23 @@ fn bench_mask(c: &mut Criterion) {
     });
     group.finish();
 
-    let n = 1 << 14;
+    const COORDS: usize = 17_730;
     let mut group = c.benchmark_group("mask_apply");
     group.sample_size(20);
-    group.throughput(Throughput::Elements(n as u64));
-    let mut lane = MaskedVector::zeros(n);
-    group.bench_function("pair_grid_lane", |b| {
-        b.iter(|| {
-            lane.apply_mask(&mut lane_rng(7, MaskLane::Delta), true);
-            lane.words()[0]
-        })
-    });
+    group.throughput(Throughput::Elements(COORDS as u64));
+    let mut lane = MaskedVector::zeros(COORDS);
+    for peers in [1u64, 15] {
+        let name = format!("grid_lane_{peers}_streams");
+        group.bench_function(name.as_str(), |b| {
+            b.iter(|| {
+                let mut streams: Vec<_> = (0..peers)
+                    .map(|p| (lane_rng(p, MaskLane::Delta), p % 2 == 0))
+                    .collect();
+                lane.apply_masks(&mut streams);
+                lane.words()[0]
+            })
+        });
+    }
     group.finish();
 }
 

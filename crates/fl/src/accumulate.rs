@@ -850,8 +850,10 @@ impl MaskedRound {
     /// a corrupted share must not poison the fold) unless its survivor
     /// arrived, its dropped member is really missing, and its pair base
     /// matches the server's own derivation. Duplicates are idempotent.
+    /// The accepted shares' streams come off the fold in one pass.
     fn apply_shares(&mut self, shares: &[UnmaskShare]) {
         let missing = self.missing();
+        let mut pairs = Vec::new();
         for share in shares {
             let (d, s) = (share.dropped, share.survivor);
             if !missing.contains(&d) || !self.arrived.contains(&(s as usize)) {
@@ -861,10 +863,11 @@ impl MaskedRound {
             if share.pair_base != expect || !self.removed.insert((d, s)) {
                 continue;
             }
-            if let Some(agg) = &mut self.agg {
-                // The survivor applied `add = s < d`; removal flips it.
-                agg.mask_for_pair(share.pair_base, (s as u64) > (d as u64));
-            }
+            // The survivor applied `add = s < d`; removal flips it.
+            pairs.push((share.pair_base, s > d));
+        }
+        if let Some(agg) = &mut self.agg {
+            agg.apply_pairs(&pairs);
         }
     }
 

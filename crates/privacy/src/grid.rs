@@ -25,7 +25,8 @@ use rand_chacha::ChaCha8Rng;
 pub const GRID_WORDS: usize = 6;
 
 /// Mask words drawn per bulk fill: 64 grid coordinates, 3 KiB of stack
-/// scratch that stays in L1 while it is added into the lane.
+/// scratch (plus as much again of carry counters) that stays in L1 while
+/// every stream is added into the lane.
 const MASK_CHUNK_WORDS: usize = 64 * GRID_WORDS;
 
 /// Base-`2^32` digits per coordinate the fold's finalize ladder reads
@@ -126,23 +127,39 @@ impl MaskedVector {
         }
     }
 
-    /// Apply one pairwise mask stream over every coordinate: draw
-    /// [`GRID_WORDS`] uniform words per coordinate from `rng` and
-    /// wrapping-add them (`add = true`, the lower pair id) or subtract
-    /// them (`add = false`, the higher id). Two parties drawing from the
-    /// same stream with opposite signs cancel exactly mod `2^384`.
-    pub fn apply_mask(&mut self, rng: &mut ChaCha8Rng, add: bool) {
-        let mut scratch = [0u64; MASK_CHUNK_WORDS];
+    /// Apply every pairwise mask stream in `streams` over every
+    /// coordinate: draw [`GRID_WORDS`] uniform words per coordinate from
+    /// each generator and wrapping-add them (`true`, the lower pair id)
+    /// or subtract them (`false`, the higher id). Two parties drawing
+    /// from the same stream with opposite signs cancel exactly mod
+    /// `2^384`; one stream is how a dropout's orphaned mask is removed.
+    ///
+    /// One pass over the lane, 64 coordinates (3 KiB) at a time.
+    /// Each stream's words go in limb by limb as plain wrapping adds (or
+    /// subtracts), with the carry (or borrow) out of each limb counted in
+    /// a signed counter; once every stream is in, one carry chain per
+    /// coordinate moves the counters into the next limb. The lane holds
+    /// the same integers mod `2^384` whatever the order of the adds, so
+    /// the result is bit-identical to applying the streams one by one.
+    pub fn apply_masks(&mut self, streams: &mut [(ChaCha8Rng, bool)]) {
+        // No stream (every unmask share refused) leaves the lane as it
+        // is; skip the carry walk over it.
+        if streams.is_empty() {
+            return;
+        }
+        let mut mask = [0u64; MASK_CHUNK_WORDS];
+        let mut carries = [0i64; MASK_CHUNK_WORDS];
         for lane in self.words.chunks_mut(MASK_CHUNK_WORDS) {
-            let mask = &mut scratch[..lane.len()];
-            rng.fill_u64s(mask);
+            let mask = &mut mask[..lane.len()];
+            let carries = &mut carries[..lane.len()];
+            carries.fill(0);
+            for (rng, add) in streams.iter_mut() {
+                rng.fill_u64s(mask);
+                add_counting(lane, mask, carries, *add);
+            }
             let coords = lane.as_chunks_mut::<GRID_WORDS>().0;
-            for (w, m) in coords.iter_mut().zip(mask.as_chunks().0) {
-                if add {
-                    add_words(w, m);
-                } else {
-                    sub_words(w, m);
-                }
+            for (w, c) in coords.iter_mut().zip(carries.as_chunks().0) {
+                settle_carries(w, c, streams.len());
             }
         }
     }
@@ -210,19 +227,22 @@ impl MaskedCounts {
         }
     }
 
-    /// Apply one pairwise mask stream: one uniform word per coordinate,
-    /// added or subtracted mod `2^64`.
-    pub fn apply_mask(&mut self, rng: &mut ChaCha8Rng, add: bool) {
-        let mut scratch = [0u64; MASK_CHUNK_WORDS];
+    /// Apply every pairwise mask stream in `streams`: one uniform word
+    /// per coordinate from each, added (`true`) or subtracted (`false`)
+    /// mod `2^64`, in one pass over the lane.
+    pub fn apply_masks(&mut self, streams: &mut [(ChaCha8Rng, bool)]) {
+        let mut mask = [0u64; MASK_CHUNK_WORDS];
         for lane in self.words.chunks_mut(MASK_CHUNK_WORDS) {
-            let mask = &mut scratch[..lane.len()];
-            rng.fill_u64s(mask);
-            for (w, &m) in lane.iter_mut().zip(mask.iter()) {
-                *w = if add {
-                    w.wrapping_add(m)
-                } else {
-                    w.wrapping_sub(m)
-                };
+            let mask = &mut mask[..lane.len()];
+            for (rng, add) in streams.iter_mut() {
+                rng.fill_u64s(mask);
+                for (w, &m) in lane.iter_mut().zip(mask.iter()) {
+                    *w = if *add {
+                        w.wrapping_add(m)
+                    } else {
+                        w.wrapping_sub(m)
+                    };
+                }
             }
         }
     }
@@ -245,14 +265,57 @@ fn add_words(words: &mut [u64], part: &[u64; GRID_WORDS]) {
     }
 }
 
-/// `words -= part` with borrow propagation, mod `2^(64·len)`.
-fn sub_words(words: &mut [u64], part: &[u64; GRID_WORDS]) {
-    let mut borrow = 0u64;
-    for (w, &p) in words.iter_mut().zip(part.iter()) {
-        let (d1, b1) = w.overflowing_sub(p);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        *w = d2;
-        borrow = u64::from(b1) + u64::from(b2);
+/// `lane += mask` (or `-=`) word by word, each word mod `2^64` on its
+/// own, counting the carry (`+1`) or borrow (`-1`) out of every word in
+/// `carries`. The limbs stay independent, so the loop vectorises; AVX2
+/// hosts take a copy compiled for it.
+fn add_counting(lane: &mut [u64], mask: &[u64], carries: &mut [i64], add: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 detected on this CPU.
+        return unsafe { add_counting_avx2(lane, mask, carries, add) };
+    }
+    add_counting_portable(lane, mask, carries, add);
+}
+
+/// [`add_counting_portable`] compiled for AVX2: four words per compare.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn add_counting_avx2(lane: &mut [u64], mask: &[u64], carries: &mut [i64], add: bool) {
+    add_counting_portable(lane, mask, carries, add);
+}
+
+#[inline(always)]
+fn add_counting_portable(lane: &mut [u64], mask: &[u64], carries: &mut [i64], add: bool) {
+    let words = lane.iter_mut().zip(mask).zip(carries.iter_mut());
+    if add {
+        for ((w, &m), c) in words {
+            let s = w.wrapping_add(m);
+            *c += i64::from(s < m);
+            *w = s;
+        }
+    } else {
+        for ((w, &m), c) in words {
+            *c -= i64::from(*w < m);
+            *w = w.wrapping_sub(m);
+        }
+    }
+}
+
+/// Move the counted carries of one coordinate into the limbs above them:
+/// limb `k` holds `w[k] + 2^64·c[k]` (plus whatever reaches it from
+/// below), so one signed carry chain restores six canonical words. The
+/// carry out of the top limb is dropped (arithmetic mod `2^384`).
+fn settle_carries(w: &mut [u64; GRID_WORDS], c: &[i64; GRID_WORDS], streams: usize) {
+    let mut carry = 0i64;
+    for (w, &c) in w.iter_mut().zip(c) {
+        debug_assert!(
+            c.unsigned_abs() <= streams as u64,
+            "a limb carries at most once per stream"
+        );
+        let t = i128::from(*w) + i128::from(carry);
+        *w = t as u64;
+        carry = c + (t >> 64) as i64;
     }
 }
 
@@ -354,8 +417,8 @@ mod tests {
         clear.add_assign(&a);
         clear.add_assign(&b);
 
-        a.apply_mask(&mut ChaCha8Rng::seed_from_u64(0xFEED), true);
-        b.apply_mask(&mut ChaCha8Rng::seed_from_u64(0xFEED), false);
+        a.apply_masks(&mut [(ChaCha8Rng::seed_from_u64(0xFEED), true)]);
+        b.apply_masks(&mut [(ChaCha8Rng::seed_from_u64(0xFEED), false)]);
 
         let mut fold = MaskedVector::zeros(n);
         fold.add_assign(&b); // reversed arrival order
@@ -371,8 +434,8 @@ mod tests {
         a.bump(0);
         a.bump(2);
         b.bump(2);
-        a.apply_mask(&mut ChaCha8Rng::seed_from_u64(1), false);
-        b.apply_mask(&mut ChaCha8Rng::seed_from_u64(1), true);
+        a.apply_masks(&mut [(ChaCha8Rng::seed_from_u64(1), false)]);
+        b.apply_masks(&mut [(ChaCha8Rng::seed_from_u64(1), true)]);
         let mut fold = MaskedCounts::zeros(4);
         fold.add_assign(&a);
         fold.add_assign(&b);
@@ -380,6 +443,139 @@ mod tests {
             (0..4).map(|j| fold.count(j)).collect::<Vec<_>>(),
             vec![1, 0, 2, 0]
         );
+    }
+
+    /// `words -= part` with borrow propagation, mod `2^(64·len)`.
+    fn sub_words(words: &mut [u64], part: &[u64; GRID_WORDS]) {
+        let mut borrow = 0u64;
+        for (w, &p) in words.iter_mut().zip(part.iter()) {
+            let (d1, b1) = w.overflowing_sub(p);
+            let (d2, b2) = d1.overflowing_sub(borrow);
+            *w = d2;
+            borrow = u64::from(b1) + u64::from(b2);
+        }
+    }
+
+    /// The reference the fused pass must match: each stream on its own,
+    /// one coordinate at a time, drawn word by word through `next_u64`
+    /// and carried through all six words at once.
+    fn per_stream_reference(lane: &mut MaskedVector, streams: &mut [(ChaCha8Rng, bool)]) {
+        use rand::RngCore;
+        for (rng, add) in streams.iter_mut() {
+            for w in lane.words.as_chunks_mut::<GRID_WORDS>().0 {
+                let m: [u64; GRID_WORDS] = std::array::from_fn(|_| rng.next_u64());
+                if *add {
+                    add_words(w, &m);
+                } else {
+                    sub_words(w, &m);
+                }
+            }
+        }
+    }
+
+    /// Lane lengths across the 64-coordinate step (empty, one, one short,
+    /// exact, one over) and the masked workload's model width.
+    const LANE_LENGTHS: [usize; 6] = [0, 1, 63, 64, 65, 17_730];
+
+    /// `count` streams, stream `s` seeded from `seed` and adding when bit
+    /// `s` of `dirs` is set (0 streams up to a 17-member cohort's 16 and
+    /// one more).
+    fn streams(seed: u64, dirs: u32, count: usize) -> Vec<(ChaCha8Rng, bool)> {
+        use rand::SeedableRng;
+        (0..count)
+            .map(|s| {
+                let rng = ChaCha8Rng::seed_from_u64(crate::mix(seed ^ s as u64));
+                (rng, dirs >> s & 1 == 1)
+            })
+            .collect()
+    }
+
+    /// A lane preloaded so that carries and borrows cross every word:
+    /// all ones, every word `0x8000…`, or splitmix noise.
+    fn preloaded(n: usize, kind: u64, seed: u64) -> MaskedVector {
+        let words = (0..(n * GRID_WORDS) as u64)
+            .map(|i| match kind {
+                0 => u64::MAX,
+                1 => 1 << 63,
+                _ => crate::mix(seed ^ i),
+            })
+            .collect();
+        MaskedVector::from_words(words).expect("whole coordinates")
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// The fused pass is the per-stream carry chain, word for word,
+        /// for every stream count, lane length, direction mix and preload.
+        fn fused_pass_matches_per_stream_reference(seed in 0u64..u64::MAX, dirs in 0u32..(1 << 17)) {
+            for count in 0..=17 {
+                for n in LANE_LENGTHS {
+                    for kind in 0..3 {
+                        let mut fused = preloaded(n, kind, seed);
+                        let mut want = fused.clone();
+                        fused.apply_masks(&mut streams(seed, dirs, count));
+                        per_stream_reference(&mut want, &mut streams(seed, dirs, count));
+                        proptest::prop_assert!(
+                            fused == want,
+                            "{} streams, {} coords, preload {}", count, n, kind
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The count lane's pass is the per-stream wrapping sum.
+        fn count_pass_matches_per_stream_reference(seed in 0u64..u64::MAX, dirs in 0u32..(1 << 17)) {
+            use rand::RngCore;
+            for count in 0..=17 {
+                for n in LANE_LENGTHS {
+                    let start: Vec<u64> = (0..n as u64).map(|i| crate::mix(seed ^ i)).collect();
+                    let mut fused = MaskedCounts::from_words(start.clone());
+                    fused.apply_masks(&mut streams(seed, dirs, count));
+                    let mut want = start;
+                    for (rng, add) in &mut streams(seed, dirs, count) {
+                        for w in &mut want {
+                            let m = rng.next_u64();
+                            *w = if *add { w.wrapping_add(m) } else { w.wrapping_sub(m) };
+                        }
+                    }
+                    proptest::prop_assert!(
+                        fused.words() == want.as_slice(),
+                        "{} streams, {} coords", count, n
+                    );
+                }
+            }
+        }
+    }
+
+    /// The AVX2 copy of the counting add is the portable one, carries
+    /// and borrows included.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_counting_add_matches_portable() {
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let noise = |k: u64| -> Vec<u64> {
+            (0..MASK_CHUNK_WORDS as u64)
+                .map(|i| crate::mix(k ^ i))
+                .collect()
+        };
+        for add in [true, false] {
+            for len in [0, 1, 3, 4, 5, 17, MASK_CHUNK_WORDS] {
+                let mask = noise(7);
+                let mut lane = noise(3);
+                let mut carries: Vec<i64> = noise(5).iter().map(|&x| (x % 5) as i64 - 2).collect();
+                let (mut lane2, mut carries2) = (lane.clone(), carries.clone());
+                add_counting_portable(&mut lane[..len], &mask[..len], &mut carries[..len], add);
+                // SAFETY: AVX2 detected above.
+                unsafe {
+                    add_counting_avx2(&mut lane2[..len], &mask[..len], &mut carries2[..len], add)
+                };
+                assert_eq!((lane, carries), (lane2, carries2), "add {add} len {len}");
+            }
+        }
     }
 
     #[test]

@@ -69,19 +69,20 @@ pub fn lane_rng(base: u64, lane: MaskLane) -> ChaCha8Rng {
 }
 
 /// The keystream of [`lane_rng`] one word at a time, drawn through a
-/// 64-word buffer that [`ChaCha8Rng::fill_u64s`] refills — the same bulk
-/// path [`MaskedVector::apply_mask`] runs.
+/// 128-word buffer that [`ChaCha8Rng::fill_u64s`] refills — the same bulk
+/// path, and the same widest kernel, [`MaskedVector::apply_masks`] runs.
 pub fn lane_stream(base: u64, lane: MaskLane) -> impl FnMut() -> u64 {
     let mut rng = lane_rng(base, lane);
-    let mut buf = [0u64; 64];
+    let mut buf = [0u64; 128];
     let mut at = buf.len();
     move || {
-        if at == buf.len() {
+        if at >= buf.len() {
             rng.fill_u64s(&mut buf);
             at = 0;
         }
+        let word = buf[at];
         at += 1;
-        buf[at - 1]
+        word
     }
 }
 
@@ -104,32 +105,42 @@ pub struct MaskedUpload {
 }
 
 impl MaskedUpload {
-    /// Apply (or, with `add = false` flipped by pair order, remove) one
-    /// pair's masks across every lane this upload carries.
-    pub fn mask_for_pair(&mut self, base: u64, add: bool) {
-        self.delta
-            .apply_mask(&mut lane_rng(base, MaskLane::Delta), add);
+    /// Apply (`true`) or remove (`false`) the masks of every pair in
+    /// `pairs`, given by its pair base, across every lane this upload
+    /// carries: one pass per lane over all of the pairs' streams. A
+    /// client masks with its whole cohort at once; the coordinator
+    /// removes a dropout's orphaned masks with the survivors' shares.
+    pub fn apply_pairs(&mut self, pairs: &[(u64, bool)]) {
+        let streams = |lane: MaskLane| -> Vec<(ChaCha8Rng, bool)> {
+            pairs
+                .iter()
+                .map(|&(base, add)| (lane_rng(base, lane), add))
+                .collect()
+        };
+        self.delta.apply_masks(&mut streams(MaskLane::Delta));
         if let Some(sec) = &mut self.secondary {
-            sec.apply_mask(&mut lane_rng(base, MaskLane::Secondary), add);
+            sec.apply_masks(&mut streams(MaskLane::Secondary));
         }
         if let Some(counts) = &mut self.counts {
-            counts.apply_mask(&mut lane_rng(base, MaskLane::Count), add);
+            counts.apply_masks(&mut streams(MaskLane::Count));
         }
         if let Some(buf) = &mut self.buffers {
-            buf.apply_mask(&mut lane_rng(base, MaskLane::Buffers), add);
+            buf.apply_masks(&mut streams(MaskLane::Buffers));
         }
     }
 
     /// Mask this upload for `me` against every other cohort member: the
     /// lower id of each pair adds the stream, the higher subtracts it.
     pub fn mask_for_cohort(&mut self, privacy_seed: u64, round: u64, me: usize, cohort: &[usize]) {
-        for &peer in cohort {
-            if peer == me {
-                continue;
-            }
-            let base = pair_base(privacy_seed, round, me as u64, peer as u64);
-            self.mask_for_pair(base, me < peer);
-        }
+        let pairs: Vec<(u64, bool)> = cohort
+            .iter()
+            .filter(|&&peer| peer != me)
+            .map(|&peer| {
+                let base = pair_base(privacy_seed, round, me as u64, peer as u64);
+                (base, me < peer)
+            })
+            .collect();
+        self.apply_pairs(&pairs);
     }
 
     /// Wrapping-fold another masked upload into this one, lane by lane.
@@ -306,20 +317,15 @@ mod tests {
         let mut fold = fold.unwrap();
         assert_ne!(fold.delta, clear, "orphaned masks poison the fold");
         // Unmask: every survivor reveals its pair base with the dropped
-        // member; the coordinator removes the orphaned stream with the
-        // survivor's sign.
-        for &s in cohort.iter().filter(|&&s| s != dropped) {
-            let base = pair_base(5, 0, s as u64, dropped as u64);
-            // Survivor applied `add = s < dropped`; removing flips it.
-            let mut up = MaskedUpload {
-                delta: std::mem::replace(&mut fold.delta, MaskedVector::zeros(0)),
-                secondary: None,
-                counts: None,
-                buffers: None,
-            };
-            up.mask_for_pair(base, s > dropped);
-            fold.delta = up.delta;
-        }
+        // member; the coordinator removes the orphaned streams, each with
+        // the survivor's sign flipped (survivor `s` applied
+        // `add = s < dropped`), in one pass.
+        let shares: Vec<(u64, bool)> = cohort
+            .iter()
+            .filter(|&&s| s != dropped)
+            .map(|&s| (pair_base(5, 0, s as u64, dropped as u64), s > dropped))
+            .collect();
+        fold.apply_pairs(&shares);
         assert_eq!(fold.delta, clear, "unmask shares recover the clear sum");
     }
 }

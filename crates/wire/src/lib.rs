@@ -22,11 +22,13 @@
 //! * [`privacy`] — masked / fixed-point upload payloads and the
 //!   unmask-share dropout-recovery frames (secure aggregation).
 //! * [`sim`] — [`SimNet`] analytic transport model.
-//! * [`crc32`] — the frame checksum.
+//! * [`crc32`] — the frame checksum (carry-less multiply where the CPU
+//!   has it, slicing-by-16 tables everywhere).
 //!
-//! Design rules: explicit little-endian everywhere, no `unsafe`, no
-//! self-describing serialization on the hot path, and decoders return
-//! [`WireError`] instead of panicking on any malformed input.
+//! Design rules: explicit little-endian everywhere, no `unsafe` outside
+//! the checksum's carry-less-multiply kernel, no self-describing
+//! serialization on the hot path, and decoders return [`WireError`]
+//! instead of panicking on any malformed input.
 
 #![deny(missing_docs)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
