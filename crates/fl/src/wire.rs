@@ -697,6 +697,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        #[test]
         fn spatl_download_roundtrip(
             enc in prop::collection::vec(-1.0e3f32..1.0e3, 0..65),
             with_control in 0u8..2,

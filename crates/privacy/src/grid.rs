@@ -508,6 +508,7 @@ mod tests {
 
         /// The fused pass is the per-stream carry chain, word for word,
         /// for every stream count, lane length, direction mix and preload.
+        #[test]
         fn fused_pass_matches_per_stream_reference(seed in 0u64..u64::MAX, dirs in 0u32..(1 << 17)) {
             for count in 0..=17 {
                 for n in LANE_LENGTHS {
@@ -526,6 +527,7 @@ mod tests {
         }
 
         /// The count lane's pass is the per-stream wrapping sum.
+        #[test]
         fn count_pass_matches_per_stream_reference(seed in 0u64..u64::MAX, dirs in 0u32..(1 << 17)) {
             use rand::RngCore;
             for count in 0..=17 {
