@@ -1,31 +1,24 @@
 //! EXP-TOPOLOGY — flat star vs 2-tier hierarchical aggregation
 //! (DESIGN.md §11).
 //!
-//! Three claims are exercised in process (the networked analogue lives in
+//! Two claims are exercised in process (the networked analogue lives in
 //! `crates/net/tests/tier.rs`):
 //!
-//! 1. **Exact composition** — under the default weighted mean, a tiered
-//!    root's fold is *bit-identical* to a flat root's, for all five
-//!    algorithms, dropouts included (survivor renormalisation composes).
-//!    The flat arm folds each client's decoded upload frames; the 2-tier
-//!    arm ships each edge's survivors through an encoded and decoded
-//!    `EdgeCombined` payload and folds their frames into an accumulator
-//!    opened over edges, as the tiered root does. Rounds-to-target is
-//!    therefore identical, and the table shows it.
-//! 2. **Bounded-ε composition** — the robust aggregators pre-reduce at
-//!    the edges and compose stat-of-stats at the root. Each composed
-//!    round stays within the `max − min` per-coordinate
-//!    envelope (asserted round-by-round in `crates/net/tests/tier.rs`);
-//!    here the end-of-run divergence from the flat robust fold is
-//!    measured and reported — trajectories legitimately drift apart
-//!    over rounds, so only finiteness is asserted.
-//! 3. **Fault-ledger composition** — per-edge fault counters folded at
+//! 1. **A tier is the flat round behind relays** — for every aggregator
+//!    and all five algorithms, a tiered root's fold is *bit-identical* to
+//!    a flat root's, a round-0 dropout included. The flat arm folds each
+//!    client's decoded upload frames; the 2-tier arm ships each edge's
+//!    collected uploads through an encoded and decoded `EdgeCombined`
+//!    payload and folds their frames into the accumulator a flat root
+//!    opens, as the tiered root does. Rounds-to-target is therefore
+//!    identical, and the table shows it.
+//! 2. **Fault-ledger composition** — per-edge fault counters folded at
 //!    the root equal the flat round's ledger, counter for counter.
 
 use serde_json::json;
 use spatl::fl::{
-    aggregate_reduced, edge_partition, entry_outcome, exact_composition, fault_counters,
-    fold_fault_counters, outcome_entry, reduce_cohort, GlobalState, LocalOutcome,
+    edge_partition, entry_outcome, fault_counters, fold_fault_counters, outcome_entry, GlobalState,
+    LocalOutcome,
 };
 use spatl::prelude::*;
 use spatl::wire::{decode_edge_combined, encode_edge_combined, EdgeCombined};
@@ -48,12 +41,11 @@ fn builder(algorithm: Algorithm, clients: usize, rounds: usize, samples: usize) 
 /// One in-process federated run where aggregation is composed over
 /// `n_edges` contiguous slices, the way the runtime does: a flat root
 /// (`n_edges == 1`) folds every decoded upload; a tiered root folds the
-/// frames each edge forwards in its combined payload (exact kinds), or
-/// composes the edges' pre-reductions (robust kinds); then evaluate-all.
-/// `drop_client` removes one
-/// client's upload in round 0 — the edge-side dropout whose survivor
-/// renormalisation must compose. Returns the final global, the per-round
-/// mean accuracies and the total dropout count the composed ledger saw.
+/// frames each edge forwards in its combined payload; then evaluate-all.
+/// `drop_client` removes one client's upload in round 0 — the edge-side
+/// dropout whose survivor renormalisation must compose. Returns the final
+/// global, the per-round mean accuracies and the total dropout count the
+/// composed ledger saw.
 fn run_composed(
     mut session: Simulation,
     rounds: usize,
@@ -62,7 +54,6 @@ fn run_composed(
 ) -> (GlobalState, Vec<f32>, usize) {
     let cfg = session.driver.cfg;
     let ranges = edge_partition(cfg.n_clients, n_edges);
-    let exact = exact_composition(&cfg.aggregator);
     let mut accs = Vec::new();
     let mut dropouts_total = 0usize;
     for round in 0..rounds {
@@ -88,27 +79,23 @@ fn run_composed(
             edge_ledgers.push(ledger);
         }
         // The root folds each edge's counters into the round's ledger —
-        // claim 3: events stay local, counters compose additively.
+        // claim 2: events stay local, counters compose additively.
         for ledger in &edge_ledgers {
             fold_fault_counters(&mut root_ledger, &fault_counters(ledger));
         }
         dropouts_total += root_ledger.dropouts;
 
-        if exact && n_edges == 1 {
-            // Claim 1, flat arm: a flat root folds each decoded upload
-            // into the round's accumulator.
-            let mut acc = session.driver.begin_accumulation();
+        let mut acc = session.driver.begin_accumulation();
+        if n_edges == 1 {
+            // Flat arm: a flat root folds each decoded upload.
             for o in &outcomes {
                 let decoded = session.driver.decode_client_upload(o, &o.frames);
                 acc.fold(decoded.expect("client upload decodes"));
             }
-            session.driver.finish_accumulation(acc, &mut root_ledger);
-        } else if exact {
-            // Claim 1, 2-tier arm: each edge forwards its survivors'
-            // sealed frames in one combined payload; the root decodes the
-            // payload, then each entry's frames, into an accumulator
-            // opened over edges (the edges already screened).
-            let mut acc = session.driver.begin_accumulation_over_edges();
+        } else {
+            // 2-tier arm: each edge relays its uploads' sealed frames in
+            // one combined payload; the root decodes the payload, then
+            // each entry's frames, into the same accumulator.
             for (edge, (range, ledger)) in ranges.iter().zip(&edge_ledgers).enumerate() {
                 let entries = outcomes
                     .iter()
@@ -120,7 +107,6 @@ fn run_composed(
                     round: round as u32,
                     faults: fault_counters(ledger),
                     entries,
-                    reduced: None,
                 });
                 let combined = decode_edge_combined(&payload).expect("combined upload decodes");
                 for entry in &combined.entries {
@@ -129,26 +115,8 @@ fn run_composed(
                     acc.fold(decoded.expect("forwarded upload decodes"));
                 }
             }
-            session.driver.finish_accumulation(acc, &mut root_ledger);
-        } else {
-            // Claim 2: robust kinds pre-reduce per edge and compose.
-            let reduced: Vec<_> = ranges
-                .iter()
-                .filter_map(|range| {
-                    let slice: Vec<LocalOutcome> = outcomes
-                        .iter()
-                        .filter(|o| range.contains(&o.client_id))
-                        .cloned()
-                        .collect();
-                    if slice.is_empty() {
-                        None
-                    } else {
-                        reduce_cohort(&cfg, &slice, &broadcast)
-                    }
-                })
-                .collect();
-            aggregate_reduced(&mut session.driver.global, &cfg, &reduced, cfg.n_clients);
         }
+        session.driver.finish_accumulation(acc, &mut root_ledger);
         let global = session.driver.global.clone();
         let mean = session
             .clients
@@ -161,11 +129,8 @@ fn run_composed(
     (session.driver.global, accs, dropouts_total)
 }
 
-fn max_gap(a: &[f32], b: &[f32]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f32::max)
+fn bit_identical(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 fn rounds_to(accs: &[f32], target: f32) -> Option<usize> {
@@ -194,71 +159,48 @@ pub fn run(scale: Scale) -> Vec<Section> {
             col("flat r→tgt", "rounds_to_target_flat", Fmt::Text),
             col("2-tier r→tgt", "rounds_to_target_tiered", Fmt::Text),
             col("bit-identical", "bit_identical", Fmt::YesNo),
-            col("max |Δ|", "epsilon_max", Fmt::Sci),
         ],
     );
 
-    // Claims 1 + 3 for every algorithm under the default weighted mean,
-    // with a round-0 dropout on edge 0 so the survivor renormalisation
-    // has to compose too.
+    // Both claims for every aggregator and algorithm, with a round-0
+    // dropout on edge 0 so the survivor renormalisation has to compose
+    // too.
     let dropped = 1usize;
-    for (alg, name) in cli::algorithms() {
-        let (flat_global, flat_accs, flat_drops) = run_composed(
-            builder(alg, clients, rounds, samples),
-            rounds,
-            1,
-            Some(dropped),
-        );
-        let (tier_global, tier_accs, tier_drops) = run_composed(
-            builder(alg, clients, rounds, samples),
-            rounds,
-            EDGES,
-            Some(dropped),
-        );
-        let identical = flat_global
-            .shared
-            .iter()
-            .zip(&tier_global.shared)
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-            && flat_accs
-                .iter()
-                .zip(&tier_accs)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(identical, "{name}: weighted-mean composition must be exact");
-        assert_eq!(flat_drops, tier_drops, "{name}: ledgers must compose");
-        let flat_r = rounds_to(&flat_accs, target);
-        let tier_r = rounds_to(&tier_accs, target);
-        section.push(json!({
-            "algorithm": name,
-            "aggregator": "weighted-mean",
-            "rounds_to_target_flat": flat_r,
-            "rounds_to_target_tiered": tier_r,
-            "bit_identical": identical,
-            "dropouts_composed": tier_drops,
-        }));
-    }
-
-    // Claim 2: robust aggregators compose within the documented envelope.
     for (agg, agg_name) in [
-        (AggregatorKind::CoordinateMedian, "coordinate-median"),
+        (AggregatorKind::WeightedMean, "weighted-mean"),
+        (AggregatorKind::NormClippedMean, "norm-clipped"),
+        (AggregatorKind::CoordinateMedian, "coord-median"),
         (
             AggregatorKind::CoordinateTrimmedMean { trim_ratio: 0.25 },
             "trimmed-mean(0.25)",
         ),
     ] {
-        let mut flat = builder(Algorithm::FedAvg, clients, rounds, samples);
-        flat.driver.cfg.aggregator = agg;
-        let mut tier = builder(Algorithm::FedAvg, clients, rounds, samples);
-        tier.driver.cfg.aggregator = agg;
-        let (flat_global, _, _) = run_composed(flat, rounds, 1, None);
-        let (tier_global, _, _) = run_composed(tier, rounds, EDGES, None);
-        let eps = max_gap(&flat_global.shared, &tier_global.shared);
-        assert!(eps.is_finite(), "{agg_name}: composed state must be finite");
-        section.push(json!({
-            "algorithm": "FedAvg",
-            "aggregator": agg_name,
-            "epsilon_max": eps,
-        }));
+        for (alg, name) in cli::algorithms() {
+            let session = || {
+                let mut s = builder(alg, clients, rounds, samples);
+                s.driver.cfg.aggregator = agg;
+                s
+            };
+            let (flat_global, flat_accs, flat_drops) =
+                run_composed(session(), rounds, 1, Some(dropped));
+            let (tier_global, tier_accs, tier_drops) =
+                run_composed(session(), rounds, EDGES, Some(dropped));
+            let identical = bit_identical(&flat_global.shared, &tier_global.shared)
+                && bit_identical(&flat_global.control, &tier_global.control)
+                && bit_identical(&flat_global.momentum, &tier_global.momentum)
+                && bit_identical(&flat_global.buffers, &tier_global.buffers)
+                && bit_identical(&flat_accs, &tier_accs);
+            assert!(identical, "{name} / {agg_name}: a tier must fold as flat");
+            assert_eq!(flat_drops, tier_drops, "{name}: ledgers must compose");
+            section.push(json!({
+                "algorithm": name,
+                "aggregator": agg_name,
+                "rounds_to_target_flat": rounds_to(&flat_accs, target),
+                "rounds_to_target_tiered": rounds_to(&tier_accs, target),
+                "bit_identical": identical,
+                "dropouts_composed": tier_drops,
+            }));
+        }
     }
 
     vec![section]

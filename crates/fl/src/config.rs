@@ -158,8 +158,8 @@ impl Algorithm {
 }
 
 /// What one algorithm sends, folds and weighs — every fact about an
-/// algorithm that the wire, the client, the fold and the composition
-/// read, decided once in [`Algorithm::spec`]. The update rules
+/// algorithm that the wire, the client and the folds read, decided once
+/// in [`Algorithm::spec`]. The update rules
 /// themselves stay per-algorithm code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct AlgoSpec {

@@ -54,8 +54,7 @@ pub use churn::ChurnPlan;
 pub use client::{ClientState, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
 pub use compose::{
-    aggregate_reduced, edge_partition, entry_outcome, exact_composition, fault_counters,
-    fold_fault_counters, outcome_entry, reduce_cohort, Topology,
+    edge_partition, entry_outcome, fault_counters, fold_fault_counters, outcome_entry, Topology,
 };
 pub use config::{AggregatorKind, Algorithm, ConfigError, FlConfig, SpatlOptions};
 pub(crate) use config::{DownloadLane, UploadLane, Weight};

@@ -26,11 +26,11 @@
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
-use spatl_wire::{EdgeReduced, LinkSpec, SelectionLayout, SimNet, WireError};
+use spatl_wire::{LinkSpec, SelectionLayout, SimNet, WireError};
 
 use crate::{
-    aggregate_reduced, sampled_cohort, wire, Encoded, FaultRecord, FlConfig, GlobalState,
-    LocalOutcome, RoundAccumulator, RoundBytes, ScreenPolicy, StreamState, Topology, WireBytes,
+    sampled_cohort, wire, Encoded, FaultRecord, FlConfig, GlobalState, LocalOutcome,
+    RoundAccumulator, RoundBytes, StreamState, Topology, WireBytes,
 };
 
 /// Metrics recorded after each communication round.
@@ -75,8 +75,8 @@ pub struct RoundRecord {
     pub faults: FaultRecord,
     /// Which aggregation front-end this round ran through
     /// (`"stream"`, `"masked"`, `"spill-screening"`, `"spill-robust"`,
-    /// `"spill-range"`, `"edge-reduced"` for a tiered robust round, or
-    /// `"noop"` for an empty round) — the [`RoundAccumulator`] mode,
+    /// `"spill-range"`, or `"noop"` for an empty round) — the
+    /// [`RoundAccumulator`] mode, the same at a flat and a tiered root,
     /// surfaced so experiment summaries can report how each round was
     /// actually folded.
     pub agg_mode: String,
@@ -138,8 +138,8 @@ pub struct RoundDriver {
     last_agg_mode: &'static str,
     /// The absolute round index of the *next* [`RoundDriver::sample_round`]
     /// call. Distinct from `round_offset + history.len()` because callers
-    /// may sample rounds they never record (the in-process composition
-    /// twin of `spatl-exp topology`).
+    /// may sample rounds they never record (the in-process rounds of
+    /// `spatl-exp topology`).
     sampled_rounds: usize,
     /// The last finished stream accumulator, kept so the next round
     /// folds into its already-mapped lanes (DESIGN.md §12). Behind a
@@ -234,19 +234,9 @@ impl RoundDriver {
     /// configuration allows (`WeightedMean`, no screen), buffering and
     /// deterministically slotting by client id otherwise. Close it with
     /// [`RoundDriver::finish_accumulation`], which runs the session's
-    /// screen policy: this is the door for a fold fed by clients.
+    /// screen policy. A flat root, a tiered root and the simulator all
+    /// fold through it.
     pub fn begin_accumulation(&self) -> RoundAccumulator {
-        self.open_accumulator(self.cfg.screen)
-    }
-
-    /// [`begin_accumulation`](Self::begin_accumulation) for a root fed
-    /// by edges, which already ran the screen policy: the close does not
-    /// run it again, and is otherwise the flat fold's.
-    pub fn begin_accumulation_over_edges(&self) -> RoundAccumulator {
-        self.open_accumulator(None)
-    }
-
-    fn open_accumulator(&self, screen: Option<ScreenPolicy>) -> RoundAccumulator {
         // A poisoned slot only means no reuse this round.
         let spare = self
             .spare_accumulator
@@ -259,7 +249,6 @@ impl RoundDriver {
             self.cfg.n_clients,
             self.round_index(),
             spare,
-            screen,
         )
     }
 
@@ -310,19 +299,6 @@ impl RoundDriver {
             acc.fold(o);
         }
         self.finish_accumulation(acc, faults)
-    }
-
-    /// A tiered robust round's close (DESIGN.md §11): no upload reaches
-    /// the root, so instead of an accumulator it applies
-    /// [`aggregate_reduced`] across the edges' summaries. Fills the
-    /// ledger's `survivors`/`no_op` and records `agg_mode`
-    /// `"edge-reduced"`.
-    pub fn compose_reduced(&mut self, reduced: &[EdgeReduced], faults: &mut FaultRecord) -> bool {
-        self.last_agg_mode = "edge-reduced";
-        let applied = aggregate_reduced(&mut self.global, &self.cfg, reduced, self.cfg.n_clients);
-        faults.survivors = reduced.iter().map(|r| r.survivors as usize).sum();
-        faults.no_op = !applied;
-        applied
     }
 
     /// Close the round: fold the participants' byte accounting, attach

@@ -5,12 +5,12 @@
 //! tests) and owns no rule of its own: [`AggregatorKind::WeightedMean`]
 //! is the streaming [`StreamState`] fold, [`AggregatorKind::NormClippedMean`]
 //! clips each upload to the cohort's median RMS and runs that same fold,
-//! and the coordinate median / trimmed mean are the robust reduction of
-//! [`compose`](crate::compose) with the whole cohort as its single edge.
+//! and the coordinate median / trimmed mean are the robust fold of
+//! [`compose`](crate::compose).
 //! DESIGN.md §9 discusses the trade-offs.
 
 use crate::accumulate::StreamState;
-use crate::compose::{aggregate_reduced, reduce_cohort};
+use crate::compose::robust_fold;
 use crate::screen::{all_finite, median_in_place, update_rms};
 use crate::{AggregatorKind, Algorithm, DownloadLane, FlConfig, LocalOutcome};
 use serde::{Deserialize, Serialize};
@@ -94,14 +94,8 @@ impl GlobalState {
             AggregatorKind::NormClippedMean => {
                 self.stream_fold(cfg, &clip_to_median_rms(outcomes), n_clients_total)
             }
-            // Flat robust aggregation is single-edge composition: the
-            // cohort's per-coordinate statistic, composed across one
-            // summary (the statistic of one value is that value).
             AggregatorKind::CoordinateMedian | AggregatorKind::CoordinateTrimmedMean { .. } => {
-                match reduce_cohort(cfg, outcomes, self) {
-                    Some(reduced) => aggregate_reduced(self, cfg, &[reduced], n_clients_total),
-                    None => false,
-                }
+                robust_fold(self, cfg, outcomes, n_clients_total)
             }
         }
     }

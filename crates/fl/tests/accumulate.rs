@@ -440,64 +440,3 @@ fn empty_and_all_diverged_rounds_are_no_ops() {
         assert_state_bits_equal(&state, &case.global);
     }
 }
-
-/// A root over edges folds uploads the edges already screened, so the
-/// accumulator it opens must not screen again: (a) under `WeightedMean`
-/// it streams although a policy is configured, and lands on the bits of
-/// the batch fold over the edge-screened cohort; (b) under
-/// `NormClippedMean` it still spills (the clip is a cohort statistic) but
-/// quarantines no one, attacker included.
-#[test]
-fn accumulator_over_edges_leaves_screening_to_the_edges() {
-    for alg in algorithms() {
-        let mut case = build_case(23, alg, AggregatorKind::WeightedMean);
-        case.cfg.screen = Some(ScreenPolicy::default());
-        // A ×100 scale attacker for the screen to catch.
-        case.cohort[0].diverged = false;
-        case.cohort[0].scale(100.0);
-        let n = case.cfg.n_clients;
-
-        // The edge's half, with the whole cohort behind one edge.
-        let policy = case.cfg.screen.as_ref().unwrap();
-        let mut edge_faults = FaultRecord::for_sample(n);
-        let screened = screen_updates(policy, case.cohort.clone(), &mut edge_faults);
-        assert!(edge_faults.quarantined > 0, "{}: vacuous", alg.name());
-        let mut batch = case.global.clone();
-        let applied_batch = batch.aggregate(&case.cfg, &screened, n);
-
-        // (a) The root's half streams, in any order, to the same bits.
-        let mut root = RoundDriver::new(case.cfg, case.global.clone(), None);
-        assert_eq!(
-            root.begin_accumulation().spill_reason(),
-            Some(SpillReason::Screening),
-            "fed by clients, the same session screens"
-        );
-        let mut acc = root.begin_accumulation_over_edges();
-        assert_eq!(acc.mode_name(), "stream");
-        for o in screened.iter().rev() {
-            acc.fold(o.clone());
-        }
-        let mut faults = FaultRecord::default();
-        assert_eq!(root.finish_accumulation(acc, &mut faults), applied_batch);
-        assert_eq!(faults.survivors, screened.len());
-        assert_eq!(faults.total(), 0, "the root ledgers no quarantine");
-        assert_state_bits_equal(&root.global, &batch);
-
-        // (b) The clipped mean spills for its median, and only for it.
-        let mut clipped = case.cfg;
-        clipped.aggregator = AggregatorKind::NormClippedMean;
-        let mut batch = case.global.clone();
-        let applied_batch = batch.aggregate(&clipped, &case.cohort, n);
-        let mut root = RoundDriver::new(clipped, case.global.clone(), None);
-        let mut acc = root.begin_accumulation_over_edges();
-        assert_eq!(acc.spill_reason(), Some(SpillReason::RobustAggregator));
-        for o in case.cohort.iter().rev() {
-            acc.fold(o.clone());
-        }
-        let mut faults = FaultRecord::default();
-        assert_eq!(root.finish_accumulation(acc, &mut faults), applied_batch);
-        assert_eq!(faults.survivors, case.cohort.len(), "nobody screened out");
-        assert_eq!(faults.total(), 0);
-        assert_state_bits_equal(&root.global, &batch);
-    }
-}

@@ -1,10 +1,11 @@
 //! `spatl-edge` — one edge aggregator of a 2-tier federated session.
 //!
-//! Rebuilds the session deterministically from the same flags the root
-//! server and the clients were started with, binds a client-facing
-//! listener on `--addr`, connects upstream to the root at `--root-addr`,
-//! and forwards combined uploads for its [`edge_partition`] slice until
-//! the root shuts the session down (DESIGN.md §11).
+//! Derives the session's configuration from the same flags the root
+//! server and the clients were started with (it builds no data and no
+//! model: an edge only relays), binds a client-facing listener on
+//! `--addr`, connects upstream to the root at `--root-addr`, and relays
+//! its [`edge_partition`] slice's uploads in one combined upload per
+//! round until the root shuts the session down (DESIGN.md §11).
 //!
 //! ```text
 //! spatl-edge --root-addr 127.0.0.1:7878 --addr 127.0.0.1:7900 \
@@ -33,15 +34,15 @@ fn main() -> Result<(), NetError> {
         let (id, edges) = (tier.edge_id, tier.edges);
         usage_error(format!("--edge-id {id} out of range for --edges {edges}"));
     }
-    let session = opts
-        .build_session(Topology::Tiered { edges: tier.edges })
+    let cfg = opts
+        .config(Topology::Tiered { edges: tier.edges })
         .unwrap_or_else(|e| usage_error(e));
     let root_addr = &tier.root_addr;
     let mut edge_opts = EdgeConfig::new(tier.edge_id, tier.edges, root_addr, opts.addr);
     edge_opts.join_timeout = runtime.join_timeout;
     edge_opts.round_timeout = runtime.round_timeout;
     edge_opts.io_timeout = runtime.io_timeout;
-    let edge = EdgeAggregator::bind(session.driver, edge_opts)?;
+    let edge = EdgeAggregator::bind(cfg, edge_opts)?;
     let range = edge.client_range();
     eprintln!(
         "[edge {}] listening on {} for clients {}..{}, root at {} ({})",

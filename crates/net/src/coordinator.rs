@@ -29,13 +29,13 @@ use std::time::{Duration, Instant};
 
 use spatl::{CheckpointError, RoundLog};
 use spatl_fl::{
-    decode_upload, edge_partition, entry_outcome, exact_composition, fold_fault_counters,
-    ledger_departures, sampled_cohort, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome,
-    RoundDriver, RoundRecord, Topology, TransportStats, WireBytes,
+    decode_upload, edge_partition, entry_outcome, fold_fault_counters, ledger_departures,
+    sampled_cohort, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome, RoundDriver,
+    RoundRecord, Topology, TransportStats, WireBytes,
 };
 use spatl_wire::{
     decode_edge_combined, decode_unmask_shares, encode_unmask_request, open, read_frame, seal,
-    write_frame, EdgeCombined, EdgeReduced, MsgType, HEADER_LEN, MAX_FRAME_PAYLOAD,
+    write_frame, EdgeCombined, MsgType, HEADER_LEN, MAX_FRAME_PAYLOAD,
 };
 
 use crate::gather::{
@@ -498,14 +498,11 @@ impl Coordinator {
             .finish_round(&metas, stats, per_client_acc, faults)
     }
 
-    /// The tiered round body: every peer is one edge aggregator which
-    /// screens its slice of the cohort locally and forwards one combined
-    /// upload (DESIGN.md §11). Composition at the root follows the
-    /// aggregator: exactly-composable kinds fold the survivors'
-    /// forwarded frames into the accumulator a flat round uses, opened
-    /// over edges so the close does not screen again; robust kinds
-    /// compose the edges' pre-reduced summaries
-    /// ([`RoundDriver::compose_reduced`]).
+    /// The tiered round body: every peer is one edge, which relays its
+    /// slice's uploads in one combined upload (DESIGN.md §11). The root
+    /// decodes every forwarded upload and folds it into the accumulator
+    /// a flat round opens, so the screen, the aggregator and the range
+    /// bound run once, here, over the whole cohort.
     /// The record's `wire` figures measure the *root link* only — the
     /// client↔edge traffic is accounted on the edges (the per-client
     /// analytic bytes still travel in the combined upload's entries, so
@@ -557,10 +554,8 @@ impl Coordinator {
         combined.sort_by_key(|(e, ..)| *e);
         dead.sort_by_key(|(e, _)| *e);
 
-        let exact = exact_composition(&self.driver.cfg.aggregator);
-        let mut acc = self.driver.begin_accumulation_over_edges();
+        let mut acc = self.driver.begin_accumulation();
         let mut outcomes: Vec<LocalOutcome> = Vec::new();
-        let mut reduced: Vec<EdgeReduced> = Vec::new();
         let mut stats = TransportStats::default();
         for (_, upload, upload_framed) in combined {
             fold_fault_counters(&mut faults, &upload.faults);
@@ -573,31 +568,27 @@ impl Coordinator {
                 upload_framed,
             };
             stats.charge(&self.driver.net, &link);
+            // Each client's sealed frames, through the decode path and
+            // into the fold a flat coordinator uses.
             for entry in &upload.entries {
                 let meta = entry_outcome(entry);
-                if !entry.frames.is_empty() {
-                    // Exact composition: the survivor's original sealed
-                    // frames, through the decode path and into the fold
-                    // a flat coordinator uses.
-                    match self.driver.decode_client_upload(&meta, &entry.frames) {
-                        Ok(d) => acc.fold(d),
-                        Err(err) => faults.push(
-                            meta.client_id,
-                            FaultKind::CorruptUpload {
-                                error: err.to_string(),
-                            },
-                        ),
-                    }
+                match self.driver.decode_client_upload(&meta, &entry.frames) {
+                    Ok(d) => acc.fold(d),
+                    Err(err) => faults.push(
+                        meta.client_id,
+                        FaultKind::CorruptUpload {
+                            error: err.to_string(),
+                        },
+                    ),
                 }
                 outcomes.push(meta);
             }
-            reduced.extend(upload.reduced);
         }
         // A dead edge's sampled slice is ledgered here: every client
         // behind it misses the round — churn departures as such, the rest
         // with the edge's own failure — unless it holds a direct failover
-        // connection (exactly composable aggregators only). The root
-        // degrades gracefully instead of stalling on a dead partition.
+        // connection. The root degrades gracefully instead of stalling on
+        // a dead partition.
         for (e, failure) in dead {
             self.peers.drop_peer(HelloRole::Edge, e);
             let home = &self.peers.homes()[e];
@@ -609,7 +600,7 @@ impl Coordinator {
             faults.sampled += slice.len();
             let kind = FaultKind::from(failure);
             for c in ledger_departures(&self.driver.cfg, round, &slice, &mut faults) {
-                if exact && self.peers.stream(HelloRole::Client, c).is_some() {
+                if self.peers.stream(HelloRole::Client, c).is_some() {
                     failover.push(c);
                 } else {
                     faults.push(c, kind.clone());
@@ -623,10 +614,8 @@ impl Coordinator {
         }
 
         // Failover lane: a dead edge's surviving clients train over the
-        // root link this round, through the flat round's own collection.
-        // Only exactly-composable aggregators take the lane — a robust
-        // kind has no edge to pre-reduce under, so its orphaned clients
-        // were ledgered above (DESIGN.md §8).
+        // root link this round, through the flat round's own collection
+        // and into the same accumulator (DESIGN.md §8).
         failover.sort_unstable();
         let (lane, unreached) = Phase::begin(
             &mut self.peers,
@@ -646,13 +635,7 @@ impl Coordinator {
         outcomes.extend(metas);
         stats.measured_wall_s = started.elapsed().as_secs_f64();
 
-        // Close: the flat round's close (minus the screen the edges
-        // already ran), or the composition of the edges' summaries.
-        if exact {
-            self.driver.finish_accumulation(acc, &mut faults);
-        } else {
-            self.driver.compose_reduced(&reduced, &mut faults);
-        }
+        self.driver.finish_accumulation(acc, &mut faults);
         // Failover outcomes appended after the edges' — restore the
         // ascending-id order the bookkeeping folds rely on.
         outcomes.sort_by_key(|o| o.client_id);

@@ -1,24 +1,24 @@
-//! The middle tier of the hierarchical runtime: an edge aggregator that
-//! terminates one slice of the client population and forwards a single
-//! combined upload to the root coordinator (DESIGN.md §11).
+//! The middle tier of the hierarchical runtime: an edge that terminates
+//! one slice of the client population and relays its uploads to the root
+//! coordinator in a single combined frame (DESIGN.md §11).
 //!
 //! An edge speaks the wire protocol both ways. **Downstream** it is a
 //! coordinator: it binds a listener, registers the clients whose ids fall
 //! in its [`edge_partition`] slice, broadcasts the root's download frames
 //! verbatim and gathers the replies exactly as the root does — the same
 //! peer table, the same concurrent gather under one phase deadline, with
-//! upload dedup and in-round reconnect. **Upstream** it is a node: it connects to the root with
-//! capped exponential backoff, registers with its *edge id* as the wire
-//! client id, and answers round assignments — not with its own training,
-//! but with the [`EdgeCombined`] frame that carries its cohort's round.
+//! upload dedup and in-round reconnect. **Upstream** it is a node: it
+//! connects to the root with capped exponential backoff, registers with
+//! its *edge id* as the wire client id, and answers round assignments —
+//! not with its own training, but with the [`EdgeCombined`] frame that
+//! carries its slice's round.
 //!
-//! The edge runs the session's [`ScreenPolicy`](spatl_fl::ScreenPolicy)
-//! locally over its decoded slice, so screening happens exactly once per
-//! upload (the root never re-screens a tiered round). How the surviving
-//! updates travel upstream depends on the aggregator
-//! ([`exact_composition`]): exactly-composable kinds forward the
-//! survivors' original sealed frames verbatim, robust kinds pre-reduce
-//! the slice with [`reduce_cohort`] and ship one summary vector.
+//! The edge is a relay. It ledgers what the reply headers say —
+//! departures, dropouts, missed deadlines, self-reported divergence —
+//! and forwards every collected upload's sealed frames without decoding
+//! them. The root decodes, screens and folds the whole cohort exactly as
+//! a flat root does, so an edge needs the session's [`FlConfig`] and
+//! nothing else: no model, no data, no global state.
 //!
 //! Determinism: the edge derives each round's cohort itself with the
 //! session's one cohort function, [`sampled_cohort`] of the assignment's
@@ -31,9 +31,8 @@ use std::ops::Range;
 use std::time::Duration;
 
 use spatl_fl::{
-    decode_download, edge_partition, exact_composition, fault_counters, ledger_departures,
-    outcome_entry, reduce_cohort, sampled_cohort, screen_updates, FaultKind, FaultPlan,
-    FaultRecord, LocalOutcome, RoundDriver, Topology,
+    edge_partition, fault_counters, ledger_departures, outcome_entry, sampled_cohort, FaultKind,
+    FaultPlan, FaultRecord, FlConfig, Topology,
 };
 use spatl_wire::{seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters};
 
@@ -122,11 +121,9 @@ enum SessionEnd {
 }
 
 /// One edge aggregator: a client-facing peer table plus the upstream
-/// connect/serve loop, around the shared [`RoundDriver`] (used here for
-/// its configuration, selection layout and parameter count — the edge
-/// holds no model of its own).
+/// connect/serve loop, for one session's configuration.
 pub struct EdgeAggregator {
-    driver: RoundDriver,
+    cfg: FlConfig,
     opts: EdgeConfig,
     /// Global client ids this edge serves.
     range: Range<usize>,
@@ -143,14 +140,14 @@ pub struct EdgeAggregator {
 }
 
 impl EdgeAggregator {
-    /// Bind the client-facing listener and wrap the driver. The driver
-    /// must come from the same session factory (same flags/seed) as the
-    /// root's — the upstream handshake fingerprint enforces this.
-    pub fn bind(driver: RoundDriver, opts: EdgeConfig) -> Result<Self, NetError> {
-        driver.cfg.check(Topology::Tiered {
+    /// Bind the client-facing listener for the session `cfg`, which must
+    /// be the root's (same flags/seed) — the upstream handshake
+    /// fingerprint enforces this.
+    pub fn bind(cfg: FlConfig, opts: EdgeConfig) -> Result<Self, NetError> {
+        cfg.check(Topology::Tiered {
             edges: opts.n_edges,
         })?;
-        let range = edge_partition(driver.cfg.n_clients, opts.n_edges)
+        let range = edge_partition(cfg.n_clients, opts.n_edges)
             .into_iter()
             .nth(opts.edge_id)
             .ok_or_else(|| {
@@ -159,7 +156,7 @@ impl EdgeAggregator {
                     opts.edge_id, opts.n_edges
                 ))
             })?;
-        let fingerprint = session_fingerprint(&driver.cfg);
+        let fingerprint = session_fingerprint(&cfg);
         Ok(EdgeAggregator {
             peers: PeerTable::bind(
                 &opts.listen_addr,
@@ -168,7 +165,7 @@ impl EdgeAggregator {
                 fingerprint,
                 (opts.io_timeout, opts.round_timeout),
             )?,
-            driver,
+            cfg,
             range,
             fingerprint,
             waited: false,
@@ -252,7 +249,7 @@ impl EdgeAggregator {
                 }
             };
             let kill = |p: FaultPlan| p.kills_edge(assign.round as usize, edge_id);
-            if self.driver.cfg.faults.is_some_and(kill) {
+            if self.cfg.faults.is_some_and(kill) {
                 // Scheduled edge kill: die exactly like a crashed process
                 // would — every socket dropped mid-round, nothing
                 // flushed, no goodbye downstream.
@@ -278,14 +275,14 @@ impl EdgeAggregator {
 
     /// This edge's slice of round `round`'s cohort.
     fn cohort_slice(&self, round: u32) -> Vec<usize> {
-        let mut cohort = sampled_cohort(&self.driver.cfg, round as usize);
+        let mut cohort = sampled_cohort(&self.cfg, round as usize);
         cohort.retain(|c| self.range.contains(c));
         cohort
     }
 
     /// One train round over this edge's slice: broadcast the root's
-    /// frames verbatim, collect and decode the slice's uploads, screen
-    /// locally, and build the combined upload for the root.
+    /// frames verbatim, gather the slice's replies, and relay every
+    /// collected upload's frames, undecoded, in the combined upload.
     fn train_round(&mut self, round: u32, down: &[Vec<u8>]) -> EdgeCombined {
         // The edge registered upstream before its clients registered
         // here; block once, like the root's `wait_for_clients`, so the
@@ -301,11 +298,10 @@ impl EdgeAggregator {
         // Clients the fault plan drops or the churn model takes away never
         // see the broadcast — same filter the simulator and flat root
         // apply.
-        let staying = ledger_departures(&self.driver.cfg, round as usize, &slice, &mut faults);
+        let staying = ledger_departures(&self.cfg, round as usize, &slice, &mut faults);
 
         let mut events: Vec<(usize, FaultKind)> = Vec::new();
-        let mut decoded: Vec<LocalOutcome> = Vec::new();
-        let mut collected: Vec<(LocalOutcome, Vec<Vec<u8>>)> = Vec::new();
+        let mut entries = Vec::new();
         let (phase, unreached) = Phase::begin(
             &mut self.peers,
             HelloRole::Client,
@@ -315,10 +311,9 @@ impl EdgeAggregator {
             down,
         );
         let phase = Phase {
-            faults: self.driver.cfg.faults.as_ref(),
+            faults: self.cfg.faults.as_ref(),
             ..phase
         };
-        let driver = &self.driver;
         let failures = gather(
             &mut self.peers,
             &phase,
@@ -327,17 +322,7 @@ impl EdgeAggregator {
                 if meta.diverged {
                     events.push((reply.id, FaultKind::LocalDivergence));
                 }
-                match driver.decode_client_upload(&meta, &reply.frames) {
-                    Ok(d) => decoded.push(d),
-                    Err(e) => events.push((
-                        reply.id,
-                        FaultKind::CorruptUpload {
-                            error: e.to_string(),
-                        },
-                    )),
-                }
-                // The frames are kept for verbatim forwarding.
-                collected.push((meta, reply.frames));
+                entries.push(outcome_entry(&meta, 0.0, reply.frames));
             }),
         );
         for id in unreached {
@@ -346,51 +331,13 @@ impl EdgeAggregator {
         // A client's `Shutdown` is a dropout here; only the root ends a
         // session.
         ledger(&mut faults, events, failures);
-        // Completion order is arbitrary: the screen's medians and the
-        // reduction fold over the slice ascending by client id.
-        decoded.sort_by_key(|o| o.client_id);
-        collected.sort_by_key(|(meta, _)| meta.client_id);
-
-        // The session's screen policy runs here, over this edge's slice —
-        // the root never re-screens, so each upload is judged exactly
-        // once. With a policy active the stage-2 medians are slice-local
-        // rather than cohort-global (documented in DESIGN.md §11).
-        let survivors = match &self.driver.cfg.screen {
-            Some(policy) => screen_updates(policy, decoded, &mut faults),
-            None => decoded,
-        };
-        faults.survivors = survivors.len();
-
-        // Exact composition forwards the survivors' original frames
-        // verbatim; reduced composition collapses them into one summary.
-        let exact = exact_composition(&self.driver.cfg.aggregator);
-        let survivor_ids: Vec<usize> = survivors.iter().map(|o| o.client_id).collect();
-        let entries = collected
-            .into_iter()
-            .map(|(meta, frames)| {
-                let forward = exact && survivor_ids.contains(&meta.client_id);
-                outcome_entry(&meta, 0.0, if forward { frames } else { Vec::new() })
-            })
-            .collect();
-        let reduced = if exact || survivors.is_empty() {
-            None
-        } else {
-            // The broadcast global the cohort trained against supplies
-            // the control variate and buffer shape for the reduction.
-            decode_download(&self.driver.cfg, down, self.driver.global.shared.len())
-                .ok()
-                .and_then(|broadcast| reduce_cohort(&self.driver.cfg, &survivors, &broadcast))
-        };
-        if !exact && reduced.is_none() {
-            faults.survivors = 0;
-        }
-
+        // Completion order is arbitrary; the frame lists ascending ids.
+        entries.sort_by_key(|entry| entry.client_id);
         EdgeCombined {
             edge_id: self.opts.edge_id as u32,
             round,
             faults: fault_counters(&faults),
             entries,
-            reduced,
         }
     }
 
@@ -427,7 +374,6 @@ impl EdgeAggregator {
             round,
             faults: TierFaultCounters::default(),
             entries,
-            reduced: None,
         }
     }
 }

@@ -434,9 +434,19 @@ fn quorum_commits_round_without_straggler() {
 /// the round the edge vanishes (degrading to the surviving edge instead
 /// of stalling), and the killed edge's clients re-register directly at
 /// the root over their `--fallback-addr` and train on the root link for
-/// the remaining rounds.
+/// the remaining rounds — under the weighted mean and under a robust
+/// aggregator alike, since the root folds every upload either way.
 #[test]
 fn killed_edge_is_ledgered_and_clients_fail_over() {
+    for aggregator in [
+        AggregatorKind::WeightedMean,
+        AggregatorKind::CoordinateTrimmedMean { trim_ratio: 0.25 },
+    ] {
+        assert_killed_edge_fails_over(aggregator);
+    }
+}
+
+fn assert_killed_edge_fails_over(aggregator: AggregatorKind) {
     const EDGES: usize = 2;
     let algorithm = Algorithm::FedAvg;
     let rounds = 5;
@@ -455,6 +465,7 @@ fn killed_edge_is_ledgered_and_clients_fail_over() {
             .batch_size(8)
             .seed(7)
             .faults(plan)
+            .aggregator(aggregator)
             .build()
     };
 
@@ -470,9 +481,8 @@ fn killed_edge_is_ledgered_and_clients_fail_over() {
     let mut edge_handles: Vec<JoinHandle<Result<EdgeReport, NetError>>> = Vec::new();
     let mut edge_addrs: Vec<String> = Vec::new();
     for e in 0..EDGES {
-        let driver = make().driver;
         let edge = EdgeAggregator::bind(
-            driver,
+            cfg,
             EdgeConfig::new(e, EDGES, root_addr.clone(), "127.0.0.1:0"),
         )
         .expect("bind edge");
@@ -520,7 +530,11 @@ fn killed_edge_is_ledgered_and_clients_fail_over() {
     assert!(!killed.faults.no_op);
     // By the last round the orphaned clients train over the root link.
     let last = history.last().expect("ran rounds");
-    assert_eq!(last.faults.survivors, 4, "failover restored the cohort");
+    let name = aggregator.name();
+    assert_eq!(
+        last.faults.survivors, 4,
+        "{name}: failover restored the cohort"
+    );
     assert_eq!(last.faults.dropouts, 0);
 
     assert_eq!(

@@ -134,7 +134,7 @@ fn edge_gathers_its_slice_under_one_deadline() {
     let root = TcpListener::bind("127.0.0.1:0").expect("bind raw root");
     let root_addr = root.local_addr().expect("root addr").to_string();
     let edge = EdgeAggregator::bind(
-        session.driver,
+        cfg,
         EdgeConfig {
             round_timeout,
             ..EdgeConfig::new(0, 1, root_addr, "127.0.0.1:0")
@@ -395,7 +395,7 @@ fn run_tiered(build: impl Fn() -> Simulation) -> TieredRun {
     let mut edge_addrs: Vec<String> = Vec::new();
     for e in 0..EDGES {
         let opts = EdgeConfig::new(e, EDGES, root_addr.clone(), "127.0.0.1:0");
-        let edge = EdgeAggregator::bind(build().driver, opts).expect("bind edge");
+        let edge = EdgeAggregator::bind(cfg, opts).expect("bind edge");
         edge_addrs.push(edge.local_addr().expect("edge addr").to_string());
         edge_handles.push(thread::spawn(move || edge.run()));
     }

@@ -176,7 +176,7 @@ fn fedavg_two_edges_at_half_participation() {
     let mut edge_addrs: Vec<String> = Vec::new();
     for e in 0..EDGES {
         let opts = EdgeConfig::new(e, EDGES, root_addr.clone(), "127.0.0.1:0");
-        let edge = EdgeAggregator::bind(build().driver, opts).expect("bind edge");
+        let edge = EdgeAggregator::bind(cfg, opts).expect("bind edge");
         edge_addrs.push(edge.local_addr().expect("edge addr").to_string());
         edge_handles.push(thread::spawn(move || edge.run()));
     }

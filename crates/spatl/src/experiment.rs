@@ -171,6 +171,12 @@ impl ExperimentBuilder {
         self
     }
 
+    /// The run's [`FlConfig`] as built so far — all a process that
+    /// trains nothing (a relaying edge) needs; nothing is synthesised.
+    pub fn config(&self) -> FlConfig {
+        self.fl
+    }
+
     /// Whether the experiment can run on `topology` ([`FlConfig::check`],
     /// plus the partition's positive Dirichlet β) — decided before
     /// [`build`](Self::build) synthesises anything.

@@ -82,11 +82,10 @@ pub enum MsgType {
     /// Either direction control plane: orderly session termination; the
     /// coordinator checkpoints its state before propagating it.
     Shutdown = 0x10,
-    /// Edge→root: one edge aggregator's combined, weight-carrying upload
-    /// for a round — per-client bookkeeping (and, for exactly-composable
-    /// aggregators, the clients' original sealed upload frames verbatim),
-    /// the edge's fault-ledger counters, and an optional pre-reduced
-    /// summary for the robust aggregators. See `spatl_wire::tier`.
+    /// Edge→root: one relaying edge's combined upload for a round —
+    /// per-client bookkeeping, every collected client's sealed upload
+    /// frames verbatim (train rounds), the edge's fault-ledger counters,
+    /// and one reserved zero byte. See `spatl_wire::tier`.
     EdgeCombined = 0x11,
     /// Client→server: a pairwise-masked upload — every lane of the clear
     /// upload re-expressed as 384-bit grid integers under the cohort's

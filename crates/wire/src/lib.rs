@@ -17,8 +17,8 @@
 //!   shared by both ends of a SPATL session.
 //! * [`stream`] — [`read_frame`]/[`write_frame`] over byte streams, with
 //!   a bounded maximum frame size.
-//! * [`tier`] — hierarchical-tier composition: the [`EdgeCombined`]
-//!   weight-carrying upload an edge aggregator forwards to its root.
+//! * [`tier`] — the 2-tier relay: the [`EdgeCombined`] upload an edge
+//!   forwards to its root, its clients' sealed frames inside.
 //! * [`privacy`] — masked / fixed-point upload payloads and the
 //!   unmask-share dropout-recovery frames (secure aggregation).
 //! * [`sim`] — [`SimNet`] analytic transport model.
@@ -60,5 +60,5 @@ pub use sim::{LinkSpec, SimNet};
 pub use stream::{read_frame, write_frame, FramePoll, FrameReader, StreamError, MAX_FRAME_PAYLOAD};
 pub use tier::{
     decode_edge_combined, encode_edge_combined, seal_edge_combined, EdgeCombined, EdgeEntry,
-    EdgeReduced, EdgeSelection, TierFaultCounters,
+    TierFaultCounters,
 };

@@ -95,17 +95,17 @@ fn no_input_makes_the_wire_path_hold_more_than_a_multiple_of_its_length() {
     assert_bounded("EdgeCombined claiming 1M entries", hostile.len(), || {
         assert!(common::decode_as("edge_bare", &hostile).is_err());
     });
-    // Same shape one level down: one real entry whose n_frames (its last
-    // field, 65 bytes in) claims a million frames.
-    let (_, reduced) = fixtures
+    // Same shape one level down: the first real entry's n_frames (its
+    // last field, 65 bytes in) claims a million frames.
+    let (_, framed) = fixtures
         .iter()
-        .find(|(name, _)| *name == "edge_reduced")
-        .expect("edge_reduced fixture");
-    let mut hostile = reduced.clone();
+        .find(|(name, _)| *name == "edge_frames")
+        .expect("edge_frames fixture");
+    let mut hostile = framed.clone();
     hostile[56 + 65..56 + 69].copy_from_slice(&1_000_000u32.to_le_bytes());
     hostile.resize(1 << 20, 0);
     assert_bounded("EdgeEntry claiming 1M frames", hostile.len(), || {
-        assert!(common::decode_as("edge_reduced", &hostile).is_err());
+        assert!(common::decode_as("edge_frames", &hostile).is_err());
     });
 
     // Mutated-valid: every fixture, every mutation kind, every offset,

@@ -40,9 +40,7 @@ pub fn decode_as(name: &str, bytes: &[u8]) -> Result<(), WireError> {
         "fixed" => decode_fixed_dense(bytes).map(drop),
         "unmask_request" => decode_unmask_request(bytes).map(drop),
         "unmask_shares" => decode_unmask_shares(bytes).map(drop),
-        "edge_bare" | "edge_frames" | "edge_reduced" | "edge_selection" => {
-            decode_edge_combined(bytes).map(drop)
-        }
+        "edge_bare" | "edge_frames" => decode_edge_combined(bytes).map(drop),
         "sealed" => open(bytes).map(drop),
         other => panic!("fixture {other} has no decoder listed"),
     }

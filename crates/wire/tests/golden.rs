@@ -20,8 +20,7 @@ use spatl_wire::{
     decode_spatl_update, decode_unmask_request, decode_unmask_shares, encode_dense,
     encode_edge_combined, encode_fixed_dense, encode_masked_upload, encode_pair,
     encode_spatl_update, encode_unmask_request, encode_unmask_shares, open, seal, EdgeCombined,
-    EdgeEntry, EdgeReduced, EdgeSelection, MsgType, Pair, SpatlUpdate, TierFaultCounters,
-    WireError,
+    EdgeEntry, MsgType, Pair, SpatlUpdate, TierFaultCounters, WireError,
 };
 
 /// One case: what today's encoder emits for a fixed value, and whether
@@ -101,7 +100,7 @@ fn entry(client_id: u32, frames: Vec<Vec<u8>>) -> EdgeEntry {
     }
 }
 
-fn edge(entries: Vec<EdgeEntry>, reduced: Option<EdgeReduced>) -> EdgeCombined {
+fn edge(entries: Vec<EdgeEntry>) -> EdgeCombined {
     EdgeCombined {
         edge_id: 1,
         round: 7,
@@ -119,20 +118,6 @@ fn edge(entries: Vec<EdgeEntry>, reduced: Option<EdgeReduced>) -> EdgeCombined {
             duplicates: 11,
         },
         entries,
-        reduced,
-    }
-}
-
-fn reduced(selection: Option<EdgeSelection>) -> EdgeReduced {
-    EdgeReduced {
-        survivors: 2,
-        n_samples: 36,
-        tau_eff: 3.5,
-        delta: vec![0.25, -1.0],
-        control_delta: vec![0.125],
-        velocity: Vec::new(),
-        buffers: vec![1.0, 2.0, 3.0],
-        selection,
     }
 }
 
@@ -226,39 +211,16 @@ fn cases() -> Golden {
     );
     g.case(
         "edge_bare",
-        edge(Vec::new(), None),
+        edge(Vec::new()),
         encode_edge_combined,
         decode_edge_combined,
     );
     g.case(
         "edge_frames",
-        edge(
-            vec![
-                entry(2, vec![dense_frame.clone(), Vec::new()]),
-                entry(3, Vec::new()),
-            ],
-            None,
-        ),
-        encode_edge_combined,
-        decode_edge_combined,
-    );
-    g.case(
-        "edge_reduced",
-        edge(vec![entry(5, Vec::new())], Some(reduced(None))),
-        encode_edge_combined,
-        decode_edge_combined,
-    );
-    g.case(
-        "edge_selection",
-        edge(
-            vec![entry(5, Vec::new())],
-            Some(reduced(Some(EdgeSelection {
-                indices: vec![0, 5, 9],
-                values: vec![0.5, -0.5, 2.0],
-                counts: vec![2, 1, 2],
-                control_values: vec![0.0, 1.0, -1.0],
-            }))),
-        ),
+        edge(vec![
+            entry(2, vec![dense_frame.clone(), Vec::new()]),
+            entry(3, Vec::new()),
+        ]),
         encode_edge_combined,
         decode_edge_combined,
     );
@@ -300,4 +262,25 @@ fn regenerate() {
     for c in cases().cases {
         println!("{} {}", c.name, common::hex(&c.encoded));
     }
+}
+
+/// The `edge_reduced` fixture's bytes: an `EdgeCombined` whose reserved
+/// byte flags a pre-reduced robust summary, as edges once sent. Today's
+/// decoder must refuse it rather than read past the flag.
+const PRE_REDUCED_EDGE: &str = concat!(
+    "0100000007000000010000000200000003000000040000000500000006000000",
+    "0700000008000000090000000a0000000b000000010000000500000017000000",
+    "000000000300000000000000010000003f0000403f0000803e06050403020100",
+    "0032000000000000003000000000000000400000000000000000000000010200",
+    "0000240000000000000000006040020000000000803e000080bf010000000000",
+    "003e00000000030000000000803f000000400000404000",
+);
+
+#[test]
+fn a_pre_reduced_edge_frame_is_refused_as_malformed() {
+    let bytes = common::unhex(PRE_REDUCED_EDGE);
+    assert!(matches!(
+        decode_edge_combined(&bytes),
+        Err(WireError::Malformed(_))
+    ));
 }
