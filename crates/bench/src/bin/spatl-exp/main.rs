@@ -34,7 +34,6 @@ mod table2;
 mod table3_transfer;
 mod table4_pruning;
 mod table_inference;
-mod topology;
 
 /// One reproducible experiment.
 struct Experiment {
@@ -49,7 +48,7 @@ struct Experiment {
 }
 
 #[rustfmt::skip]
-static REGISTRY: [Experiment; 18] = [
+static REGISTRY: [Experiment; 17] = [
     Experiment { name: "table1", artefact: "table1_comm_cost", about: "Table I — communication cost to a target accuracy", run: table1::run },
     Experiment { name: "table2", artefact: "table2_convergence", about: "Table II — convergence at larger client scales", run: table2::run },
     Experiment { name: "table3_transfer", artefact: "table3_transfer", about: "Table III — transferability of the learned encoder", run: table3_transfer::run },
@@ -66,7 +65,6 @@ static REGISTRY: [Experiment; 18] = [
     Experiment { name: "faults", artefact: "faults_dropout_sweep", about: "accuracy under client dropout", run: faults::run },
     Experiment { name: "adversary", artefact: "adversary_sweep", about: "accuracy under Byzantine clients", run: adversary::run },
     Experiment { name: "privacy", artefact: "privacy_sweep", about: "server-blind aggregation: exactness, cost, attack survival", run: privacy::run },
-    Experiment { name: "topology", artefact: "topology", about: "flat star vs 2-tier hierarchical aggregation", run: topology::run },
     Experiment { name: "churn", artefact: "churn", about: "trace-driven client availability", run: churn::run },
 ];
 
@@ -178,7 +176,6 @@ mod tests {
             "faults",
             "adversary",
             "privacy",
-            "topology",
             "churn",
         ];
         let listed: Vec<String> = list()

@@ -3,13 +3,15 @@
 //! A tiered session splits the client population into contiguous edge
 //! slices ([`edge_partition`]). An edge is a relay: it gathers its slice
 //! of the round's cohort, ledgers what the reply headers tell it, and
-//! forwards every collected upload's sealed frames upstream in one
-//! `spatl_wire::tier::EdgeCombined` ([`outcome_entry`],
-//! [`fault_counters`]). The root decodes those frames and folds them
-//! through the same [`RoundAccumulator`](crate::RoundAccumulator) a flat
-//! root opens ([`entry_outcome`], [`fold_fault_counters`]), so the
-//! screen, every aggregator, the range bound and the failover lane run
-//! once, at the root, over the whole surviving cohort: a tiered round is
+//! forwards every collected reply — its header as an entry, its sealed
+//! frames verbatim — upstream in one `spatl_wire::tier::EdgeCombined`,
+//! with its ledger's counters ([`fault_counters`]). The root unpacks
+//! that frame back into its clients' replies and runs them through the
+//! round body a flat root runs, into the same
+//! [`RoundAccumulator`](crate::RoundAccumulator), adding the counters
+//! to its ledger ([`fold_fault_counters`]). So the screen, every
+//! aggregator, the range bound and the failover lane run once, at the
+//! root, over the whole surviving cohort: a tiered round is
 //! bit-identical to a flat one by construction (DESIGN.md §11).
 //!
 //! The coordinate median and trimmed mean need the whole cohort per
@@ -19,14 +21,11 @@
 
 use std::ops::Range;
 
-use spatl_wire::{EdgeEntry, TierFaultCounters};
+use spatl_wire::TierFaultCounters;
 
 use crate::client::ETA_EFF;
 use crate::screen::median_in_place;
-use crate::{
-    AggregatorKind, Algorithm, FaultRecord, FlConfig, GlobalState, LocalOutcome, RoundBytes,
-    WireBytes,
-};
+use crate::{AggregatorKind, Algorithm, FaultRecord, FlConfig, GlobalState, LocalOutcome};
 
 /// Who a root terminates: clients directly (the flat star) or edge
 /// aggregators speaking the combined-upload frame (DESIGN.md §11).
@@ -321,52 +320,10 @@ pub fn fold_fault_counters(into: &mut FaultRecord, counters: &TierFaultCounters)
     into.duplicates += counters.duplicates as usize;
 }
 
-/// Build the wire bookkeeping entry for one collected client, from the
-/// metadata half of its outcome. `frames` carries the client's sealed
-/// upload frames in a train round, and is empty in an eval round.
-pub fn outcome_entry(meta: &LocalOutcome, accuracy: f32, frames: Vec<Vec<u8>>) -> EdgeEntry {
-    EdgeEntry {
-        client_id: meta.client_id as u32,
-        n_samples: meta.n_samples as u64,
-        tau: meta.tau as u64,
-        diverged: meta.diverged,
-        keep_ratio: meta.keep_ratio,
-        flops_ratio: meta.flops_ratio,
-        accuracy,
-        bytes_download: meta.bytes.download,
-        bytes_upload: meta.bytes.upload,
-        upload_payload: meta.wire.upload_payload,
-        upload_framed: meta.wire.upload_framed,
-        frames,
-    }
-}
-
-/// Rebuild the bookkeeping half of a [`LocalOutcome`] from a forwarded
-/// entry — the tier analogue of reading a client's `RoundDone` header;
-/// tensor fields stay empty until the entry's frames are decoded.
-pub fn entry_outcome(entry: &EdgeEntry) -> LocalOutcome {
-    LocalOutcome::meta(
-        entry.client_id as usize,
-        entry.n_samples as usize,
-        entry.tau as usize,
-        entry.diverged,
-        entry.keep_ratio,
-        entry.flops_ratio,
-        RoundBytes {
-            download: entry.bytes_download,
-            upload: entry.bytes_upload,
-        },
-        WireBytes {
-            upload_payload: entry.upload_payload,
-            upload_framed: entry.upload_framed,
-            ..WireBytes::default()
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{RoundBytes, WireBytes};
 
     use proptest::prelude::*;
     use spatl_tensor::TensorRng;
@@ -724,63 +681,6 @@ mod tests {
     #[should_panic(expected = "cannot spread")]
     fn partition_rejects_more_edges_than_clients() {
         edge_partition(2, 3);
-    }
-
-    #[test]
-    fn entry_round_trips_outcome_bookkeeping() {
-        let mut o = LocalOutcome {
-            client_id: 3,
-            n_samples: 18,
-            tau: 4,
-            delta: vec![1.0],
-            selected: None,
-            compressed: None,
-            control_delta: None,
-            velocity: None,
-            buffers: Vec::new(),
-            diverged: true,
-            masked: None,
-            fixed: None,
-            bytes: RoundBytes {
-                download: 11,
-                upload: 7,
-            },
-            wire: WireBytes {
-                download_payload: 0,
-                download_framed: 0,
-                upload_payload: 5,
-                upload_framed: 9,
-            },
-            frames: Vec::new(),
-            keep_ratio: 0.5,
-            flops_ratio: 0.25,
-        };
-        let entry = outcome_entry(&o, 0.0, Vec::new());
-        let back = entry_outcome(&entry);
-        o.delta.clear(); // tensors do not travel in the entry
-        assert_eq!(back.client_id, o.client_id);
-        assert_eq!(back.n_samples, o.n_samples);
-        assert_eq!(back.tau, o.tau);
-        assert_eq!(back.diverged, o.diverged);
-        assert_eq!(back.bytes, o.bytes);
-        assert_eq!(back.wire, o.wire);
-        assert_eq!(back.keep_ratio, o.keep_ratio);
-        assert_eq!(back.flops_ratio, o.flops_ratio);
-    }
-
-    #[test]
-    fn entry_carries_accuracy_and_frames_verbatim() {
-        let (bytes, wire) = (RoundBytes::default(), WireBytes::default());
-        let meta = LocalOutcome::meta(5, 18, 2, false, 1.0, 1.0, bytes, wire);
-        let frames = vec![vec![9, 8, 7], Vec::new()];
-        let entry = outcome_entry(&meta, 0.625, frames.clone());
-        assert_eq!(entry.client_id, 5);
-        assert_eq!(entry.accuracy, 0.625);
-        assert_eq!(entry.frames, frames);
-        assert!(
-            entry_outcome(&entry).frames.is_empty(),
-            "the root decodes them"
-        );
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub use adversary::{Adversary, AdversaryPlan, AttackKind, ADVERSARY_SEED, SCALE_
 pub use churn::ChurnPlan;
 pub use client::{ClientState, LocalOutcome, SelectedUpdate};
 pub use comm::{CommModel, RoundBytes};
-pub use compose::{
-    edge_partition, entry_outcome, fault_counters, fold_fault_counters, outcome_entry, Topology,
-};
+pub use compose::{edge_partition, fault_counters, fold_fault_counters, Topology};
 pub use config::{AggregatorKind, Algorithm, ConfigError, FlConfig, SpatlOptions};
 pub(crate) use config::{DownloadLane, UploadLane, Weight};
 pub use faults::{ledger_departures, FaultEvent, FaultKind, FaultPlan, FaultRecord};

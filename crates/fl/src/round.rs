@@ -138,8 +138,7 @@ pub struct RoundDriver {
     last_agg_mode: &'static str,
     /// The absolute round index of the *next* [`RoundDriver::sample_round`]
     /// call. Distinct from `round_offset + history.len()` because callers
-    /// may sample rounds they never record (the in-process rounds of
-    /// `spatl-exp topology`).
+    /// may sample rounds they never record (a hand-driven round loop).
     sampled_rounds: usize,
     /// The last finished stream accumulator, kept so the next round
     /// folds into its already-mapped lanes (DESIGN.md §12). Behind a

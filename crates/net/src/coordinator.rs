@@ -1,10 +1,19 @@
 //! The server side of the networked runtime: a TCP listener around the
 //! shared [`RoundDriver`] round engine.
 //!
+//! One round body serves both topologies (DESIGN.md §10, §11). A phase
+//! addresses the downstream peers — the clients when flat, the edges
+//! when tiered — and its sink unpacks each reply into client replies: a
+//! client's is its own, an edge's are its `EdgeCombined` entries, each
+//! turned back into the `RoundDone` and frames its client sent. From
+//! there every client upload takes one path, into one fold. A failed
+//! peer is ledgered for the clients it stands for: a client for itself,
+//! an edge for its sampled slice, whose clients with a direct connection
+//! train over the root link in a failover lane.
+//!
 //! Thread model (DESIGN.md §10): one thread does all socket work.
 //! Handshakes and broadcasts are blocking writes under the io deadline;
-//! every reply phase — a flat cohort's uploads, the edges' combined
-//! uploads, the failover lane, every evaluation pass — is one
+//! every reply phase — a train lane, every evaluation pass — is one
 //! non-blocking `gather` over its peers under one phase deadline
 //! (`round_timeout` from the phase's broadcast), so a round never hangs
 //! on one peer. Every assignment — a `RoundAssign` and the broadcast
@@ -12,12 +21,12 @@
 //! Client uploads are decoded by the sweep thread itself, plus optional
 //! helper threads ([`CoordinatorConfig::decode_workers`]), and stream
 //! straight into the round's order-independent
-//! [`RoundAccumulator`](spatl_fl::RoundAccumulator), so the coordinator
-//! never holds the cohort in memory: the gather's admission window
-//! bounds buffered uploads at O(helpers), independent of cohort size.
+//! [`RoundAccumulator`], so the coordinator never holds the cohort in
+//! memory: the gather's admission window bounds buffered replies at
+//! O(helpers), independent of cohort size.
 //! Completion order is non-deterministic, but everything order-sensitive
 //! (fault ledger events, outcome bookkeeping, transfer-time folds) is
-//! re-sorted by client id before it is recorded, and the accumulator's
+//! re-sorted by id before it is recorded, and the accumulator's
 //! fold is order-independent by construction — so records and global
 //! state stay bit-identical to the simulator's ascending-id sweep.
 
@@ -29,21 +38,21 @@ use std::time::{Duration, Instant};
 
 use spatl::{CheckpointError, RoundLog};
 use spatl_fl::{
-    decode_upload, edge_partition, entry_outcome, fold_fault_counters, ledger_departures,
-    sampled_cohort, Encoded, FaultKind, FaultRecord, GlobalState, LocalOutcome, RoundDriver,
-    RoundRecord, Topology, TransportStats, WireBytes,
+    decode_upload, edge_partition, fold_fault_counters, ledger_departures, sampled_cohort, Encoded,
+    FaultKind, FaultRecord, GlobalState, LocalOutcome, RoundAccumulator, RoundDriver, RoundRecord,
+    Topology, TransportStats, WireBytes,
 };
 use spatl_wire::{
-    decode_edge_combined, decode_unmask_shares, encode_unmask_request, open, read_frame, seal,
-    write_frame, EdgeCombined, MsgType, HEADER_LEN, MAX_FRAME_PAYLOAD,
+    decode_unmask_shares, encode_unmask_request, open, read_frame, seal, write_frame, MsgType,
+    MAX_FRAME_PAYLOAD,
 };
 
 use crate::gather::{
-    gather, ledger, meta_outcome, shutdown_requested, sync_sink, window, CollectFailure, Phase,
-    Reply,
+    gather, ledger, meta_outcome, shutdown_requested, sync_sink, unpack, window, CollectFailure,
+    Phase, Reply,
 };
 use crate::peers::PeerTable;
-use crate::proto::{session_fingerprint, HelloRole, RoundMode};
+use crate::proto::{session_fingerprint, HelloRole, RoundDone, RoundMode};
 use crate::NetError;
 
 /// Tunables of a [`Coordinator`].
@@ -75,7 +84,8 @@ pub struct CoordinatorConfig {
     /// `begin` was never committed; otherwise a fresh log is created.
     /// `None` keeps the session in memory only.
     pub wal: Option<PathBuf>,
-    /// Quorum fraction for the flat round commit, in `(0, 1]`. Once at
+    /// Quorum fraction of a flat round's commit, in `(0, 1]`; a tiered
+    /// root awaits every edge and refuses anything below 1. Once at
     /// least `ceil(quorum · participants)` uploads of a round have
     /// folded, collection ends immediately and the shortfall is ledgered
     /// as [`FaultKind::Dropout`] — a handful of stragglers can no longer
@@ -144,6 +154,12 @@ impl Coordinator {
         if !(opts.quorum > 0.0 && opts.quorum <= 1.0) {
             return Err(NetError::Protocol(format!(
                 "quorum fraction must be in (0, 1], got {}",
+                opts.quorum
+            )));
+        }
+        if opts.quorum < 1.0 && opts.topology != Topology::Flat {
+            return Err(NetError::Protocol(format!(
+                "a tiered root awaits every edge: quorum must be 1, got {}",
                 opts.quorum
             )));
         }
@@ -301,46 +317,145 @@ impl Coordinator {
         let sampled = self.driver.sample_round();
         self.wal_append(|log, global| log.begin(round, &sampled, global));
         self.resumed_mid_round = None;
-        let record = match self.opts.topology {
-            Topology::Flat => self.flat_round(round, sampled),
-            Topology::Tiered { .. } => self.tiered_round(round, sampled),
-        };
+        let record = self.train_round(round, &sampled);
         self.wal_append(|log, global| log.commit(round, global));
         record
     }
 
-    /// Gather the uploads of one train phase over client peers — a flat
-    /// cohort, or a tiered round's failover lane. Each completed upload
-    /// is decoded and handed to `absorb` the moment it finishes, so the
-    /// cohort is never resident: at most `4·helpers + 16` uploads are
-    /// buffered outside the kernel at once. The sweep offers each upload
-    /// to the `decode_workers − 1` helper threads and decodes it itself
-    /// when none can take it — with no helpers, every upload is decoded
-    /// in the sink, no thread hand-off at all. Fault events are ledgered
-    /// ascending by client id. Returns the bookkeeping of every upload
-    /// that framed, ascending by id, and the ids `absorb` received.
+    /// The one round body, flat or tiered (DESIGN.md §10, §11). Its first
+    /// lane addresses the downstream peers: the cohort's clients when
+    /// flat, less the departures the root ledgers itself; every edge when
+    /// tiered — even one whose slice is empty, which derives the cohort
+    /// itself and answers with an empty combined upload — each ledgering
+    /// its own slice. Every client reply, direct or relayed, folds into
+    /// one accumulator, so the screen, the aggregator and the range bound
+    /// run once, here, over the whole cohort. A tiered record's `wire`
+    /// figures measure the root link; the per-client Eq. 13 bytes travel
+    /// in the relayed replies, so they stay client-based.
+    fn train_round(&mut self, round: usize, sampled: &[usize]) -> RoundRecord {
+        let role = self.downstream();
+        let mut faults = FaultRecord::default();
+        let peers = match role {
+            HelloRole::Client => {
+                faults.sampled = sampled.len();
+                ledger_departures(&self.driver.cfg, round, sampled, &mut faults)
+            }
+            HelloRole::Edge => (0..self.peers.homes().len()).collect(),
+        };
+        let mut lanes = Lanes {
+            round,
+            sampled,
+            down: self.driver.broadcast(),
+            faults,
+            stats: TransportStats::default(),
+            metas: Vec::new(),
+            folded: Vec::new(),
+        };
+        let started = Instant::now();
+        let (mut lane, mut failover) = self.begin_lane(role, &peers, &mut lanes);
+        if lane.ids.is_empty() {
+            lanes.faults.no_op = true;
+            let per_client_acc = self.evaluate_round(round as u32);
+            return self.driver.noop_round(per_client_acc, lanes.faults);
+        }
+
+        // The clients of a failed edge that hold a direct connection train
+        // over the root link in a failover lane, through the same sink
+        // (DESIGN.md §8). A client lane fails over nobody.
+        let mut acc = self.driver.begin_accumulation();
+        loop {
+            failover.extend(self.collect_uploads(lane, &mut lanes, &mut acc));
+            if failover.is_empty() {
+                break;
+            }
+            failover.sort_unstable();
+            (lane, failover) = self.begin_lane(HelloRole::Client, &failover, &mut lanes);
+        }
+        self.repair_masks(round, &mut acc, lanes.folded);
+
+        lanes.stats.measured_wall_s = started.elapsed().as_secs_f64();
+        // Close the accumulator — the same screen/aggregate stage the
+        // simulator runs, minus any cohort buffering for the streaming
+        // configurations.
+        self.driver.finish_accumulation(acc, &mut lanes.faults);
+        lanes.metas.sort_by_key(|o| o.client_id);
+        let per_client_acc = self.evaluate_round(round as u32);
+        self.driver
+            .finish_round(&lanes.metas, lanes.stats, per_client_acc, lanes.faults)
+    }
+
+    /// Send a train lane's assignment to the `role` peers `ids`, and
+    /// ledger the peers it cannot reach as dropouts for the clients they
+    /// stand for. Returns the lane and the clients that fail over.
+    fn begin_lane(
+        &mut self,
+        role: HelloRole,
+        ids: &[usize],
+        lanes: &mut Lanes,
+    ) -> (Phase<'static>, Vec<usize>) {
+        let (lane, unreached) = Phase::begin(
+            &mut self.peers,
+            role,
+            ids,
+            lanes.round as u32,
+            RoundMode::Train,
+            &lanes.down.frames,
+        );
+        let unreached = unreached
+            .into_iter()
+            .map(|id| (id, CollectFailure::Disconnect));
+        let failover = self.ledger_lost(role, unreached.collect(), Vec::new(), lanes);
+        (lane, failover)
+    }
+
+    /// Gather one train lane. The sink unpacks each reply into client
+    /// replies — a client's own, or an edge's combined upload's entries —
+    /// and decodes every client's upload on the decode pool: the sweep
+    /// offers it to the `decode_workers − 1` helper threads and decodes
+    /// it itself when none can take it (with no helpers, in the sink, no
+    /// thread hand-off at all). Each decoded upload folds into `acc` the
+    /// moment it settles, so the cohort is never resident: at most
+    /// `4·helpers + 16` replies are buffered outside the kernel at once.
+    /// Returns the clients of this lane's failed edges that fail over.
     fn collect_uploads(
         &mut self,
-        phase: Phase,
-        down: &Encoded,
-        faults: &mut FaultRecord,
-        mut absorb: impl FnMut(LocalOutcome),
-    ) -> (Vec<LocalOutcome>, Vec<usize>) {
-        let plan = self.driver.cfg.faults;
+        lane: Phase,
+        lanes: &mut Lanes,
+        acc: &mut RoundAccumulator,
+    ) -> Vec<usize> {
         let helpers = self
             .opts
             .decode_workers
             .unwrap_or_else(rayon::current_num_threads)
             .saturating_sub(1);
-        let phase = Phase {
+        // A client's reply settles when its upload folds; an edge's once
+        // its entries are handed over, and the edge ledgered their
+        // self-reported divergence in the counters it forwarded.
+        let direct = lane.role == HelloRole::Client;
+        let plan = self.driver.cfg.faults;
+        let lane = Phase {
+            quorum: (self.opts.quorum * lane.ids.len() as f64).ceil() as usize,
             window: window(helpers),
-            faults: plan.as_ref(),
-            ..phase
+            // Only clients enact the plan's reply faults.
+            faults: plan.as_ref().filter(|_| direct),
+            ..lane
         };
-        let down_framed = down.framed();
+        let (role, sampled) = (lane.role, lanes.sampled);
+        let (down_payload, down_framed) = (lanes.down.payload, lanes.down.framed());
+        // What a reply's link carried, by its header: a client's upload,
+        // or an edge's combined frame on the root link.
+        let link = |done: &RoundDone| WireBytes {
+            download_payload: down_payload,
+            download_framed: down_framed,
+            upload_payload: done.upload_payload,
+            upload_framed: done.upload_framed,
+        };
+        let homes = self.peers.homes().to_vec();
+        let stands_for = |e: usize, c| homes[e].contains(&c) && sampled.binary_search(&c).is_ok();
         let mut events: Vec<(usize, FaultKind)> = Vec::new();
-        let mut metas: Vec<LocalOutcome> = Vec::new();
-        let mut absorbed: Vec<usize> = Vec::new();
+        let mut lost: Vec<(usize, CollectFailure)> = Vec::new();
+        let mut edge_links: Vec<(usize, WireBytes)> = Vec::new();
+        let first = lanes.metas.len();
         // Field-level borrow split: the gather mutates `peers` while the
         // decoders share the driver's read-only session data.
         let (cfg, layout) = (self.driver.cfg, self.driver.layout.as_ref());
@@ -351,6 +466,7 @@ impl Coordinator {
             (meta, decoded.map_err(|e| e.to_string()))
         };
         let peers = &mut self.peers;
+        let (faults, metas, folded) = (&mut lanes.faults, &mut lanes.metas, &mut lanes.folded);
 
         let failures = std::thread::scope(|scope| {
             // One queue slot per helper. A job the queue cannot take —
@@ -370,320 +486,190 @@ impl Coordinator {
                     }
                 });
             }
-            // `job_tx` drops with this closure, ahead of the scope's join:
-            // the helpers' `recv` then fails and they exit.
-            gather(peers, &phase, |reply: Option<Reply>| {
-                if let Some(Reply { id, done, frames }) = reply {
-                    let mut meta = meta_outcome(&done);
-                    meta.wire.download_payload = down.payload;
-                    meta.wire.download_framed = down_framed;
-                    if meta.diverged {
-                        events.push((id, FaultKind::LocalDivergence));
-                    }
-                    if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
-                        job_tx.try_send((meta, frames))
-                    {
-                        done_tx
-                            .send(decode(job))
-                            .expect("the sweep holds the receiver");
-                    }
+            // Fold a decoded upload or ledger it corrupt.
+            let mut settle = |(meta, decoded): (LocalOutcome, Result<_, String>)| {
+                if direct && meta.diverged {
+                    events.push((meta.client_id, FaultKind::LocalDivergence));
                 }
-                let mut settled = 0;
-                while let Ok((meta, decoded)) = done_rx.try_recv() {
-                    settled += 1;
-                    match decoded {
-                        Ok(update) => {
-                            absorbed.push(meta.client_id);
-                            absorb(update);
-                        }
-                        Err(error) => {
-                            events.push((meta.client_id, FaultKind::CorruptUpload { error }))
-                        }
+                match decoded {
+                    Ok(update) => {
+                        folded.push(meta.client_id);
+                        acc.fold(update);
                     }
-                    metas.push(meta);
+                    Err(error) => events.push((meta.client_id, FaultKind::CorruptUpload { error })),
+                }
+                metas.push(meta);
+            };
+            let failures = gather(peers, &lane, |reply: Option<Reply>| {
+                let mut settled = 0;
+                if let Some(reply) = reply {
+                    let (id, wire) = (reply.id, link(&reply.done));
+                    match unpack(reply, role, stands_for) {
+                        Ok((counters, replies)) => {
+                            fold_fault_counters(faults, &counters);
+                            if !direct {
+                                edge_links.push((id, wire));
+                            }
+                            for (done, frames) in replies {
+                                let mut meta = meta_outcome(&done);
+                                meta.wire = link(&done);
+                                if let Err(
+                                    TrySendError::Full(job) | TrySendError::Disconnected(job),
+                                ) = job_tx.try_send((meta, frames))
+                                {
+                                    done_tx
+                                        .send(decode(job))
+                                        .expect("the sweep holds the receiver");
+                                }
+                            }
+                        }
+                        Err(error) => lost.push((id, CollectFailure::Corrupt(error))),
+                    }
+                    settled += usize::from(!direct);
+                }
+                while let Ok(decoded) = done_rx.try_recv() {
+                    settle(decoded);
+                    settled += usize::from(direct);
                 }
                 settled
-            })
-        });
-        self.shutdown_requested |= ledger(faults, events, failures);
-        metas.sort_by_key(|o| o.client_id);
-        (metas, absorbed)
-    }
-
-    /// The flat round body: every peer is one client, and its decoded
-    /// upload folds into the round's accumulator the moment it arrives.
-    fn flat_round(&mut self, round: usize, sampled: Vec<usize>) -> RoundRecord {
-        let mut faults = FaultRecord::for_sample(sampled.len());
-        // Clients the fault plan drops or the churn model takes away
-        // never see the broadcast — the simulator's own filter.
-        let staying = ledger_departures(&self.driver.cfg, round, &sampled, &mut faults);
-
-        let down = self.driver.broadcast();
-        let started = Instant::now();
-        let (phase, unreached) = Phase::begin(
-            &mut self.peers,
-            HelloRole::Client,
-            &staying,
-            round as u32,
-            RoundMode::Train,
-            &down.frames,
-        );
-        for id in unreached {
-            faults.push(id, FaultKind::Dropout);
-        }
-        if phase.ids.is_empty() {
-            faults.no_op = true;
-            let per_client_acc = self.evaluate_round(round as u32);
-            return self.driver.noop_round(per_client_acc, faults);
-        }
-
-        // Quorum commit target: once this many uploads have folded the
-        // round ends, whoever is missing ledgered as a dropout. At the
-        // default quorum of 1.0 the target is the full participant
-        // count, so behaviour (and bit-level determinism) is identical
-        // to waiting for everyone.
-        let quorum = (self.opts.quorum * phase.ids.len() as f64).ceil() as usize;
-        let mut acc = self.driver.begin_accumulation();
-        let (metas, mut folded) =
-            self.collect_uploads(Phase { quorum, ..phase }, &down, &mut faults, |update| {
-                acc.fold(update)
             });
-
-        // Masked dropout repair (DESIGN.md §14): cohort members derived
-        // pairwise masks but never delivered — ask each folded survivor
-        // over the wire for the orphaned pair seeds before the round
-        // closes. A survivor that dies mid-query is skipped:
-        // `finish_accumulation` fills any remaining gap from the session
-        // seed, and shares are deduplicated, so the wire answers and the
-        // local fallback compose instead of conflicting. A different
-        // reply type from a handful of peers: a short blocking loop.
-        let missing = acc.missing_maskers();
-        if !missing.is_empty() {
-            folded.sort_unstable();
-            let request = seal(
-                MsgType::UnmaskRequest,
-                &encode_unmask_request(round as u64, &missing),
-            );
-            for id in folded {
-                let Some(stream) = self.peers.stream(HelloRole::Client, id) else {
-                    continue;
-                };
-                let shares = write_frame(stream, &request)
-                    .ok()
-                    .and_then(|()| read_frame(stream, MAX_FRAME_PAYLOAD).ok().flatten())
-                    .and_then(|frame| match open(&frame) {
-                        Ok((MsgType::UnmaskShare, payload)) => decode_unmask_shares(payload).ok(),
-                        _ => None,
-                    });
-                match shares {
-                    Some((r, shares)) if r == round as u64 => acc.apply_unmask_shares(&shares),
-                    _ => self.peers.drop_peer(HelloRole::Client, id),
-                }
-            }
+            // Close the queue and fold what the helpers still hold: an
+            // edge's reply settled before its entries were decoded.
+            drop((job_tx, done_tx));
+            done_rx.into_iter().for_each(settle);
+            failures
+        });
+        // Charge each link, ascending by peer: an edge's combined frame
+        // on the root link, or a client's own upload.
+        edge_links.sort_by_key(|(id, _)| *id);
+        let lane_metas = &mut lanes.metas[first..];
+        lane_metas.sort_by_key(|o| o.client_id);
+        let uploads = lane_metas.iter().filter(|_| direct).map(|o| o.wire);
+        for wire in edge_links.into_iter().map(|(_, wire)| wire).chain(uploads) {
+            lanes.stats.charge(&self.driver.net, &wire);
         }
-
-        let mut stats = TransportStats {
-            measured_wall_s: started.elapsed().as_secs_f64(),
-            ..TransportStats::default()
-        };
-        for o in &metas {
-            stats.charge(&self.driver.net, &o.wire);
-        }
-        // Close the accumulator — the same screen/aggregate stage the
-        // simulator runs, minus any cohort buffering for the streaming
-        // configurations.
-        self.driver.finish_accumulation(acc, &mut faults);
-        let per_client_acc = self.evaluate_round(round as u32);
-        self.driver
-            .finish_round(&metas, stats, per_client_acc, faults)
+        lost.extend(failures);
+        lost.sort_by_key(|(id, _)| *id);
+        self.ledger_lost(role, lost, events, lanes)
     }
 
-    /// The tiered round body: every peer is one edge, which relays its
-    /// slice's uploads in one combined upload (DESIGN.md §11). The root
-    /// decodes every forwarded upload and folds it into the accumulator
-    /// a flat round opens, so the screen, the aggregator and the range
-    /// bound run once, here, over the whole cohort.
-    /// The record's `wire` figures measure the *root link* only — the
-    /// client↔edge traffic is accounted on the edges (the per-client
-    /// analytic bytes still travel in the combined upload's entries, so
-    /// Eq. 13 totals stay client-based).
-    fn tiered_round(&mut self, round: usize, sampled: Vec<usize>) -> RoundRecord {
-        // Root ledger counters start empty: each live edge reports its
-        // slice's counters (sampled included) in the combined upload and
-        // they are folded in below; dead edges are accounted here.
-        let mut faults = FaultRecord::default();
-        // Surviving clients of a dead edge that re-registered directly at
-        // the root: they train this round over the root link instead.
-        let mut failover: Vec<usize> = Vec::new();
-
-        let down = self.driver.broadcast();
-        let started = Instant::now();
-        // Every live edge gets the assignment even when its slice is
-        // empty — it derives the cohort itself from the shared sampling
-        // stream and replies with an empty combined upload, keeping the
-        // round barrier uniform.
-        let edges: Vec<usize> = (0..self.peers.homes().len()).collect();
-        let (phase, unreached) = Phase::begin(
-            &mut self.peers,
-            HelloRole::Edge,
-            &edges,
-            round as u32,
-            RoundMode::Train,
-            &down.frames,
-        );
-        let mut combined: Vec<(usize, EdgeCombined, u64)> = Vec::new();
-        // Edges that cannot take part: unreachable now, failed while
-        // gathered, or answering with something that is not their
-        // combined upload.
-        let mut dead: Vec<(usize, CollectFailure)> = unreached
-            .into_iter()
-            .map(|e| (e, CollectFailure::Disconnect))
-            .collect();
-        let failures = gather(
-            &mut self.peers,
-            &phase,
-            sync_sink(|reply| match open_combined(&reply) {
-                Ok((upload, framed)) => combined.push((reply.id, upload, framed)),
-                Err(error) => dead.push((reply.id, CollectFailure::Corrupt(error))),
-            }),
-        );
-        self.shutdown_requested |= shutdown_requested(&failures);
-        dead.extend(failures);
-        // Completion order is arbitrary: restore ascending edge order
-        // before anything order-sensitive (the f64 time folds) runs.
-        combined.sort_by_key(|(e, ..)| *e);
-        dead.sort_by_key(|(e, _)| *e);
-
-        let mut acc = self.driver.begin_accumulation();
-        let mut outcomes: Vec<LocalOutcome> = Vec::new();
-        let mut stats = TransportStats::default();
-        for (_, upload, upload_framed) in combined {
-            fold_fault_counters(&mut faults, &upload.faults);
-            // Root-link wire accounting: one broadcast down, one
-            // combined frame up, per edge.
-            let link = WireBytes {
-                download_payload: down.payload,
-                download_framed: down.framed(),
-                upload_payload: upload_framed.saturating_sub(HEADER_LEN as u64),
-                upload_framed,
-            };
-            stats.charge(&self.driver.net, &link);
-            // Each client's sealed frames, through the decode path and
-            // into the fold a flat coordinator uses.
-            for entry in &upload.entries {
-                let meta = entry_outcome(entry);
-                match self.driver.decode_client_upload(&meta, &entry.frames) {
-                    Ok(d) => acc.fold(d),
-                    Err(err) => faults.push(
-                        meta.client_id,
-                        FaultKind::CorruptUpload {
-                            error: err.to_string(),
-                        },
-                    ),
-                }
-                outcomes.push(meta);
+    /// Ledger the failed peers of a `role` lane for the clients they stand
+    /// for, merged with the lane's own client `events` ascending by client
+    /// id. A client stands for itself. An edge stands for its slice of the
+    /// sampled cohort: churn departures are ledgered as such, and every
+    /// other client takes the edge's failure — unless it holds a direct
+    /// connection, and fails over to the root link instead. The root
+    /// degrades gracefully instead of stalling on a dead partition.
+    /// Returns the clients that fail over.
+    fn ledger_lost(
+        &mut self,
+        role: HelloRole,
+        lost: Vec<(usize, CollectFailure)>,
+        mut events: Vec<(usize, FaultKind)>,
+        lanes: &mut Lanes,
+    ) -> Vec<usize> {
+        self.shutdown_requested |= shutdown_requested(&lost);
+        let mut failover = Vec::new();
+        for (id, failure) in lost {
+            let kind = FaultKind::from(failure);
+            if role == HelloRole::Client {
+                events.push((id, kind));
+                continue;
             }
-        }
-        // A dead edge's sampled slice is ledgered here: every client
-        // behind it misses the round — churn departures as such, the rest
-        // with the edge's own failure — unless it holds a direct failover
-        // connection. The root degrades gracefully instead of stalling on
-        // a dead partition.
-        for (e, failure) in dead {
-            self.peers.drop_peer(HelloRole::Edge, e);
-            let home = &self.peers.homes()[e];
-            let slice: Vec<usize> = sampled
-                .iter()
-                .copied()
+            self.peers.drop_peer(HelloRole::Edge, id);
+            let home = &self.peers.homes()[id];
+            let slice: Vec<usize> = (lanes.sampled.iter().copied())
                 .filter(|c| home.contains(c))
                 .collect();
-            faults.sampled += slice.len();
-            let kind = FaultKind::from(failure);
-            for c in ledger_departures(&self.driver.cfg, round, &slice, &mut faults) {
+            lanes.faults.sampled += slice.len();
+            for c in ledger_departures(&self.driver.cfg, lanes.round, &slice, &mut lanes.faults) {
                 if self.peers.stream(HelloRole::Client, c).is_some() {
                     failover.push(c);
                 } else {
-                    faults.push(c, kind.clone());
+                    events.push((c, kind.clone()));
                 }
             }
         }
-        if phase.ids.is_empty() {
-            faults.no_op = true;
-            let per_client_acc = self.evaluate_round(round as u32);
-            return self.driver.noop_round(per_client_acc, faults);
-        }
-
-        // Failover lane: a dead edge's surviving clients train over the
-        // root link this round, through the flat round's own collection
-        // and into the same accumulator (DESIGN.md §8).
-        failover.sort_unstable();
-        let (lane, unreached) = Phase::begin(
-            &mut self.peers,
-            HelloRole::Client,
-            &failover,
-            round as u32,
-            RoundMode::Train,
-            &down.frames,
-        );
-        for c in unreached {
-            faults.push(c, FaultKind::Dropout);
-        }
-        let (metas, _) = self.collect_uploads(lane, &down, &mut faults, |update| acc.fold(update));
-        for o in &metas {
-            stats.charge(&self.driver.net, &o.wire);
-        }
-        outcomes.extend(metas);
-        stats.measured_wall_s = started.elapsed().as_secs_f64();
-
-        self.driver.finish_accumulation(acc, &mut faults);
-        // Failover outcomes appended after the edges' — restore the
-        // ascending-id order the bookkeeping folds rely on.
-        outcomes.sort_by_key(|o| o.client_id);
-        let per_client_acc = self.evaluate_round(round as u32);
-        self.driver
-            .finish_round(&outcomes, stats, per_client_acc, faults)
+        ledger(&mut lanes.faults, events, Vec::new());
+        failover
     }
 
-    /// One evaluation phase: every live `role` peer syncs the broadcast
-    /// and reports back; `sink` receives each reply.
-    fn eval_phase(
-        &mut self,
-        role: HelloRole,
-        round: u32,
-        frames: &[Vec<u8>],
-        sink: impl FnMut(Reply),
-    ) {
-        let live = self.peers.live(role);
-        let (phase, _) = Phase::begin(&mut self.peers, role, &live, round, RoundMode::Eval, frames);
-        let failures = gather(&mut self.peers, &phase, sync_sink(sink));
-        self.shutdown_requested |= shutdown_requested(&failures);
+    /// Masked dropout repair (DESIGN.md §14): cohort members derived
+    /// pairwise masks but never delivered — ask each folded survivor over
+    /// the wire for the orphaned pair seeds before the round closes. A
+    /// survivor that dies mid-query, or has no direct connection, is
+    /// skipped: `finish_accumulation` fills any remaining gap from the
+    /// session seed, and shares are deduplicated, so the wire answers and
+    /// the local fallback compose instead of conflicting. A different
+    /// reply type from a handful of peers: a short blocking loop.
+    fn repair_masks(&mut self, round: usize, acc: &mut RoundAccumulator, mut folded: Vec<usize>) {
+        let missing = acc.missing_maskers();
+        if missing.is_empty() {
+            return;
+        }
+        folded.sort_unstable();
+        let request = seal(
+            MsgType::UnmaskRequest,
+            &encode_unmask_request(round as u64, &missing),
+        );
+        for id in folded {
+            let Some(stream) = self.peers.stream(HelloRole::Client, id) else {
+                continue;
+            };
+            let shares = write_frame(stream, &request)
+                .ok()
+                .and_then(|()| read_frame(stream, MAX_FRAME_PAYLOAD).ok().flatten())
+                .and_then(|frame| match open(&frame) {
+                    Ok((MsgType::UnmaskShare, payload)) => decode_unmask_shares(payload).ok(),
+                    _ => None,
+                });
+            match shares {
+                Some((r, shares)) if r == round as u64 => acc.apply_unmask_shares(&shares),
+                _ => self.peers.drop_peer(HelloRole::Client, id),
+            }
+        }
     }
 
     /// Evaluation pass: every live client syncs the (post-aggregation)
     /// global state and reports validation accuracy. The networked
     /// analogue of the simulator's in-process `evaluate_all`; clients
     /// without a live connection contribute 0.0. Excluded from wire
-    /// accounting, like the simulator's evaluation. When tiered, each
-    /// edge fans the pass out to its clients and the combined reply's
-    /// entries carry one accuracy per client; direct failover clients
-    /// then take the pass on the root link.
+    /// accounting, like the simulator's evaluation. One phase over the
+    /// downstream peers, whose replies unpack into client replies as a
+    /// train lane's do — an edge fans the pass out to its clients and
+    /// relays one accuracy per client — then, when tiered, one over the
+    /// failover clients registered at the root.
     fn evaluate_round(&mut self, round: u32) -> Vec<f32> {
         let down = self.driver.broadcast();
         let mut acc = vec![0.0f32; self.driver.cfg.n_clients];
-        if self.downstream() == HelloRole::Edge {
-            self.eval_phase(HelloRole::Edge, round, &down.frames, |reply| {
-                let entries = open_combined(&reply).map_or(Vec::new(), |(c, _)| c.entries);
-                for entry in entries {
-                    if let Some(slot) = acc.get_mut(entry.client_id as usize) {
-                        *slot = entry.accuracy;
+        let homes = self.peers.homes().to_vec();
+        let roles: &[HelloRole] = match self.downstream() {
+            HelloRole::Client => &[HelloRole::Client],
+            HelloRole::Edge => &[HelloRole::Edge, HelloRole::Client],
+        };
+        for &role in roles {
+            let live = self.peers.live(role);
+            let (phase, _) = Phase::begin(
+                &mut self.peers,
+                role,
+                &live,
+                round,
+                RoundMode::Eval,
+                &down.frames,
+            );
+            let failures = gather(
+                &mut self.peers,
+                &phase,
+                sync_sink(|reply| {
+                    if let Ok((_, replies)) =
+                        unpack(reply, role, |e: usize, c| homes[e].contains(&c))
+                    {
+                        replies.for_each(|(done, _)| acc[done.client_id as usize] = done.accuracy);
                     }
-                }
-            });
+                }),
+            );
+            self.shutdown_requested |= shutdown_requested(&failures);
         }
-        // The table only registers client ids below `n_clients`.
-        self.eval_phase(HelloRole::Client, round, &down.frames, |reply| {
-            acc[reply.id] = reply.done.accuracy
-        });
         acc
     }
 
@@ -713,28 +699,16 @@ impl Coordinator {
     }
 }
 
-/// Decode an edge's reply — its one [`EdgeCombined`] frame — and check
-/// the label against the phase; also returns the frame's size on the
-/// wire (root-link accounting).
-fn open_combined(reply: &Reply) -> Result<(EdgeCombined, u64), String> {
-    let [frame] = reply.frames.as_slice() else {
-        return Err(format!(
-            "expected one combined frame, got {}",
-            reply.frames.len()
-        ));
-    };
-    let combined = match open(frame) {
-        Ok((MsgType::EdgeCombined, payload)) => {
-            decode_edge_combined(payload).map_err(|e| e.to_string())?
-        }
-        Ok((other, _)) => return Err(format!("expected EdgeCombined, got {other:?}")),
-        Err(e) => return Err(e.to_string()),
-    };
-    if combined.edge_id as usize != reply.id || combined.round != reply.done.round {
-        return Err(format!(
-            "combined upload labelled edge {} round {}, expected edge {} round {}",
-            combined.edge_id, combined.round, reply.id, reply.done.round
-        ));
-    }
-    Ok((combined, frame.len() as u64))
+/// What one train round's lanes share and collect.
+struct Lanes<'a> {
+    round: usize,
+    sampled: &'a [usize],
+    /// The broadcast every lane sends.
+    down: Encoded,
+    faults: FaultRecord,
+    stats: TransportStats,
+    /// The bookkeeping of every client upload that arrived.
+    metas: Vec<LocalOutcome>,
+    /// The clients whose upload folded.
+    folded: Vec<usize>,
 }

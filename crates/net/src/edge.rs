@@ -15,10 +15,12 @@
 //!
 //! The edge is a relay. It ledgers what the reply headers say —
 //! departures, dropouts, missed deadlines, self-reported divergence —
-//! and forwards every collected upload's sealed frames without decoding
-//! them. The root decodes, screens and folds the whole cohort exactly as
-//! a flat root does, so an edge needs the session's [`FlConfig`] and
-//! nothing else: no model, no data, no global state.
+//! and forwards every collected reply as one entry: the client's
+//! `RoundDone` without its round, mode and frame count
+//! ([`RoundDone::entry`]), and its sealed frames, undecoded. The root
+//! turns each entry back into that reply and runs it through the one
+//! round body a flat root runs, so an edge needs the session's
+//! [`FlConfig`] and nothing else: no model, no data, no global state.
 //!
 //! Determinism: the edge derives each round's cohort itself with the
 //! session's one cohort function, [`sampled_cohort`] of the assignment's
@@ -31,12 +33,12 @@ use std::ops::Range;
 use std::time::Duration;
 
 use spatl_fl::{
-    edge_partition, fault_counters, ledger_departures, outcome_entry, sampled_cohort, FaultKind,
-    FaultPlan, FaultRecord, FlConfig, Topology,
+    edge_partition, fault_counters, ledger_departures, sampled_cohort, FaultKind, FaultPlan,
+    FaultRecord, FlConfig, Topology,
 };
 use spatl_wire::{seal, seal_edge_combined, write_frame, EdgeCombined, MsgType, TierFaultCounters};
 
-use crate::gather::{gather, ledger, meta_outcome, sync_sink, Phase};
+use crate::gather::{gather, ledger, sync_sink, Phase};
 use crate::node::{
     backoff, message, read_upstream, register, Upstream, BACKOFF_BASE, MAX_RECONNECTS,
 };
@@ -318,11 +320,10 @@ impl EdgeAggregator {
             &mut self.peers,
             &phase,
             sync_sink(|reply| {
-                let meta = meta_outcome(&reply.done);
-                if meta.diverged {
+                if reply.done.diverged {
                     events.push((reply.id, FaultKind::LocalDivergence));
                 }
-                entries.push(outcome_entry(&meta, 0.0, reply.frames));
+                entries.push(reply.done.entry(reply.frames));
             }),
         );
         for id in unreached {
@@ -342,8 +343,8 @@ impl EdgeAggregator {
     }
 
     /// One evaluation pass: forward the post-aggregation global to every
-    /// connected client in the slice and collect their accuracies into
-    /// bookkeeping-only entries.
+    /// connected client in the slice and relay their reports as
+    /// frameless entries.
     fn eval_round(&mut self, round: u32, down: &[Vec<u8>]) -> EdgeCombined {
         self.peers.accept_pending(round);
         let live = self.peers.live(HelloRole::Client);
@@ -359,14 +360,7 @@ impl EdgeAggregator {
         gather(
             &mut self.peers,
             &phase,
-            sync_sink(|reply| {
-                let accuracy = reply.done.accuracy;
-                entries.push(outcome_entry(
-                    &meta_outcome(&reply.done),
-                    accuracy,
-                    Vec::new(),
-                ))
-            }),
+            sync_sink(|reply| entries.push(reply.done.entry(Vec::new()))),
         );
         entries.sort_by_key(|entry| entry.client_id);
         EdgeCombined {

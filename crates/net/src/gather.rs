@@ -10,13 +10,19 @@
 //! sits after the header: a connection whose header arrived leaves its
 //! frames in the kernel socket buffer until a slot is free, so at most
 //! `window` replies are buffered in memory at once — TCP receive-window
-//! backpressure bounds the senders, independent of cohort size.
+//! backpressure bounds the senders, independent of cohort size. The
+//! gather counts peer replies; the root's sinks [`unpack`] each into the
+//! client replies it carries — a client's own, or an edge's relayed
+//! entries — and [`meta_outcome`] reads either kind of `RoundDone`.
 
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use spatl_fl::{FaultKind, FaultPlan, FaultRecord, LocalOutcome, RoundBytes, WireBytes};
-use spatl_wire::{open, seal, FramePoll, FrameReader, MsgType, MAX_FRAME_PAYLOAD};
+use spatl_wire::{
+    decode_edge_combined, open, seal, EdgeEntry, FramePoll, FrameReader, MsgType,
+    TierFaultCounters, MAX_FRAME_PAYLOAD,
+};
 
 use crate::node::message;
 use crate::peers::PeerTable;
@@ -101,9 +107,73 @@ fn parse_reply(
     Ok(done)
 }
 
+/// A client's reply header and the frames that followed it.
+pub(crate) type ClientReply = (RoundDone, Vec<Vec<u8>>);
+
+/// Unpack one complete reply of a `role` peer into the client replies
+/// it carries, and the fault counters an edge forwarded with them (zero
+/// for a client). A client's reply is its own. An edge's must be the
+/// header and the one `EdgeCombined` frame an edge sends for its id and
+/// the phase's round, its entries ascending strictly over the clients
+/// `c` it stands for (`stands_for(edge, c)`); each entry is turned back
+/// into the reply its client sent the edge. Anything else is corrupt: an
+/// entry relayed twice, or for a client the edge was not asked for,
+/// would fold where a flat gather, which admits one reply per peer,
+/// folds nobody.
+pub(crate) fn unpack(
+    reply: Reply,
+    role: HelloRole,
+    stands_for: impl Fn(usize, usize) -> bool,
+) -> Result<(TierFaultCounters, impl Iterator<Item = ClientReply>), String> {
+    let Reply { id, done, frames } = reply;
+    let relayed = move |entry: EdgeEntry| RoundDone::relayed(done.round, done.mode, entry);
+    if role == HelloRole::Client {
+        let own = Some((done, frames)).into_iter();
+        return Ok((
+            TierFaultCounters::default(),
+            own.chain(Vec::new().into_iter().map(relayed)),
+        ));
+    }
+    let [frame] = frames.as_slice() else {
+        return Err(format!("expected one combined frame, got {}", frames.len()));
+    };
+    if done != RoundDone::combined(done.round, done.mode, id as u32, frame.len()) {
+        return Err(format!(
+            "{done:?} does not head a {}-byte combined frame",
+            frame.len()
+        ));
+    }
+    let combined = match open(frame) {
+        Ok((MsgType::EdgeCombined, payload)) => {
+            decode_edge_combined(payload).map_err(|e| e.to_string())?
+        }
+        Ok((other, _)) => return Err(format!("expected EdgeCombined, got {other:?}")),
+        Err(e) => return Err(e.to_string()),
+    };
+    if combined.edge_id as usize != id || combined.round != done.round {
+        return Err(format!(
+            "combined upload labelled edge {} round {}, expected edge {id} round {}",
+            combined.edge_id, combined.round, done.round
+        ));
+    }
+    let ids: Vec<usize> = combined
+        .entries
+        .iter()
+        .map(|e| e.client_id as usize)
+        .collect();
+    if ids.windows(2).any(|w| w[0] >= w[1]) || !ids.iter().all(|&c| stands_for(id, c)) {
+        return Err(format!(
+            "edge {id} relayed {ids:?}: not ascending within its slice"
+        ));
+    }
+    let entries = combined.entries.into_iter().map(relayed);
+    Ok((combined.faults, None.into_iter().chain(entries)))
+}
+
 /// Rebuild the bookkeeping half of a [`LocalOutcome`] from a client's
-/// [`RoundDone`] header; every tensor field stays empty until
-/// `RoundDriver::decode_client_upload` fills it from the frames.
+/// [`RoundDone`] header — one the client sent, or one rebuilt from the
+/// entry an edge relayed; every tensor field stays empty until the
+/// upload's frames are decoded.
 pub(crate) fn meta_outcome(done: &RoundDone) -> LocalOutcome {
     LocalOutcome::meta(
         done.client_id as usize,

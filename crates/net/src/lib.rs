@@ -10,10 +10,10 @@
 //!
 //! Architecture (DESIGN.md §10 is the narrative version):
 //!
-//! * One networked round. The flat root, the tiered root, its failover
-//!   lane and the edge all put a round on sockets the same way: a peer
-//!   table (listener, registered connections, the handshake, the
-//!   assignment writer), a reply parser (frame → [`RoundDone`] or a
+//! * One networked round. The root — flat or tiered, one round body —
+//!   its failover lane and the edge all put a round on sockets the same
+//!   way: a peer table (listener, registered connections, the handshake,
+//!   the assignment writer), a reply parser (frame → [`RoundDone`] or a
 //!   classified failure) and a concurrent gather that collects every
 //!   reply of a phase — uploads, an edge's combined frame, evaluation
 //!   reports — under one phase deadline, with upload dedup and in-round
@@ -26,10 +26,10 @@
 //!   through the shared driver, evaluate, record.
 //! * [`EdgeAggregator`] — the middle tier of a 2-level tree (DESIGN.md
 //!   §11): terminates one [`edge_partition`](spatl_fl::edge_partition)
-//!   slice of the clients, screens and combines their uploads locally,
-//!   and forwards one weight-carrying
+//!   slice of the clients and relays their replies — each header as an
+//!   entry, its upload frames undecoded — in one
 //!   [`EdgeCombined`](spatl_wire::EdgeCombined) frame to the root per
-//!   round.
+//!   round, which folds them in the round body a flat root runs.
 //! * [`ClientNode`] — owns one [`ClientState`](spatl_fl::ClientState),
 //!   connects with capped exponential backoff (and reconnects after a
 //!   coordinator restart, preserving client-side state), trains on

@@ -15,7 +15,8 @@ use spatl_net::{
     HelloRole, Join, NetError, NodeConfig, NodeReport, RoundAssign, RoundDone, RoundMode, Topology,
 };
 use spatl_wire::{
-    decode_edge_combined, open, read_frame, seal, write_frame, MsgType, MAX_FRAME_PAYLOAD,
+    decode_edge_combined, open, read_frame, seal, seal_edge_combined, write_frame, EdgeCombined,
+    EdgeEntry, MsgType, TierFaultCounters, MAX_FRAME_PAYLOAD,
 };
 
 fn builder(clients: usize, rounds: usize) -> ExperimentBuilder {
@@ -94,7 +95,13 @@ fn stay_silent(stream: &mut TcpStream) {
 
 /// Round 0's honest outcome of every client of a fresh 3-client session.
 fn honest_outcomes() -> Vec<LocalOutcome> {
-    let mut session = builder(3, 1).build();
+    round_0_outcomes(3)
+}
+
+/// Round 0's honest outcome of every client of a fresh `clients`-client
+/// session.
+fn round_0_outcomes(clients: usize) -> Vec<LocalOutcome> {
+    let mut session = builder(clients, 1).build();
     let cfg = session.driver.cfg;
     let global = session.driver.global.clone();
     session
@@ -479,4 +486,109 @@ fn tiered_measured_wall_covers_the_collection_phase() {
         "measured {}s, but every client stalled {stall:?} before replying",
         record.measured_wall_s
     );
+}
+
+/// One round of a 2 edges × 2 clients tree whose edge 0 is a raw socket
+/// answering the train assignment with `entries` — honest uploads of
+/// round 0, relayed by client id — while edge 1 and its clients 2 and 3
+/// run the stock endpoints. Returns the root's record.
+fn round_with_forged_edge_0(entries: &[usize]) -> RoundRecord {
+    const EDGES: usize = 2;
+    let outcomes = round_0_outcomes(4);
+    let session = builder(4, 1).build();
+    let cfg = session.driver.cfg;
+    let root_opts = CoordinatorConfig {
+        topology: Topology::Tiered { edges: EDGES },
+        ..coordinator_config(Duration::from_secs(60))
+    };
+    let mut coordinator = Coordinator::bind(session.driver, root_opts).expect("bind root");
+    let root_addr = coordinator.local_addr().expect("root addr").to_string();
+
+    let entries: Vec<EdgeEntry> = entries
+        .iter()
+        .map(|&c| RoundDone::train(0, &outcomes[c]).entry(outcomes[c].frames.clone()))
+        .collect();
+    let forged = EdgeCombined {
+        edge_id: 0,
+        round: 0,
+        faults: TierFaultCounters {
+            sampled: 2,
+            ..TierFaultCounters::default()
+        },
+        entries,
+    };
+    let addr = root_addr.clone();
+    let edge_0 = thread::spawn(move || {
+        let mut up = TcpStream::connect(&addr).expect("connect");
+        let hello = Hello {
+            client_id: 0,
+            fingerprint: spatl_net::session_fingerprint(&cfg),
+            role: HelloRole::Edge,
+        };
+        send(&mut up, MsgType::Hello, &hello.encode());
+        let join = must_read(&mut up);
+        assert_eq!(open(&join).expect("open join").0, MsgType::Join);
+        raw_read_assignment(&mut up, RoundMode::Train);
+        let frame = seal_edge_combined(&forged);
+        let done = RoundDone::combined(0, RoundMode::Train, 0, frame.len());
+        send(&mut up, MsgType::RoundDone, &done.encode());
+        write_frame(&mut up, &frame).expect("send combined frame");
+        stay_silent(&mut up);
+    });
+
+    let edge = EdgeAggregator::bind(cfg, EdgeConfig::new(1, EDGES, root_addr, "127.0.0.1:0"))
+        .expect("bind edge 1");
+    let edge_addr = edge.local_addr().expect("edge addr").to_string();
+    let edge_1 = thread::spawn(move || edge.run());
+    let nodes: Vec<_> = (session.clients.into_iter().skip(2))
+        .map(|c| {
+            let opts = NodeConfig::new(edge_addr.clone());
+            thread::spawn(move || ClientNode::new(cfg, c, opts).run())
+        })
+        .collect();
+
+    assert_eq!(coordinator.wait_for_clients(), EDGES);
+    let record = coordinator.run_round();
+    coordinator.finish().expect("finish");
+    edge_0.join().expect("raw edge 0");
+    edge_1
+        .join()
+        .expect("edge thread")
+        .expect("edge 1 exits cleanly");
+    for n in nodes {
+        n.join().expect("node thread").expect("node exits cleanly");
+    }
+    record
+}
+
+/// What the root makes of a forged edge 0: its whole slice ledgered as
+/// corrupt, while the honest edge's clients fold.
+#[track_caller]
+fn assert_edge_0_ledgered_corrupt(record: &RoundRecord) {
+    assert_eq!(record.faults.sampled, 4);
+    assert_eq!(
+        record.faults.survivors, 2,
+        "clients 2 and 3 fold, once each"
+    );
+    let corrupt: Vec<usize> = (record.faults.events.iter())
+        .filter(|e| matches!(e.kind, FaultKind::CorruptUpload { .. }))
+        .map(|e| e.client_id)
+        .collect();
+    assert_eq!(corrupt, [0, 1], "edge 0's slice");
+    assert_eq!(record.faults.total(), 2, "{:?}", record.faults.events);
+}
+
+/// An edge that relays one client twice would fold it twice, where a
+/// flat root admits one reply per sampled client: the root refuses the
+/// reply as corrupt.
+#[test]
+fn an_edge_relaying_a_client_twice_is_corrupt() {
+    assert_edge_0_ledgered_corrupt(&round_with_forged_edge_0(&[0, 0, 1]));
+}
+
+/// An edge that relays another edge's client would fold that client
+/// twice: the root refuses the reply as corrupt.
+#[test]
+fn an_edge_relaying_a_client_outside_its_slice_is_corrupt() {
+    assert_edge_0_ledgered_corrupt(&round_with_forged_edge_0(&[0, 1, 3]));
 }

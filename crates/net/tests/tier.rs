@@ -80,14 +80,22 @@ struct TieredRun {
 /// aggregator threads, one node thread per client shard — run the whole
 /// session, and tear it down.
 fn run_tiered(build: impl Fn() -> Simulation) -> TieredRun {
-    run_tiered_over(EDGES, build)
+    run_tiered_over(EDGES, None, build)
 }
 
-/// [`run_tiered`] behind `edges` edges.
-fn run_tiered_over(edges: usize, build: impl Fn() -> Simulation) -> TieredRun {
+/// [`run_tiered`] behind `edges` edges, the root decoding uploads on
+/// `decode_workers` threads.
+fn run_tiered_over(
+    edges: usize,
+    decode_workers: Option<usize>,
+    build: impl Fn() -> Simulation,
+) -> TieredRun {
     let session = build();
     let cfg = session.driver.cfg;
-    let root_opts = root_config_over(edges);
+    let root_opts = CoordinatorConfig {
+        decode_workers,
+        ..root_config_over(edges)
+    };
     let mut coordinator = Coordinator::bind(session.driver, root_opts).expect("bind root");
     let root_addr = coordinator.local_addr().expect("root addr").to_string();
 
@@ -135,13 +143,18 @@ fn run_tiered_over(edges: usize, build: impl Fn() -> Simulation) -> TieredRun {
 }
 
 /// Weighted-mean composition is exact: the 2-tier tree must finish bit
-/// identical to the flat in-process simulator, round for round.
+/// identical to the flat in-process simulator, round for round, whatever
+/// number of threads the root decodes uploads on.
 fn assert_tiered_matches_simulator(algorithm: Algorithm) {
+    assert_tiered_matches_simulator_at(algorithm, None);
+}
+
+fn assert_tiered_matches_simulator_at(algorithm: Algorithm, decode_workers: Option<usize>) {
     let rounds = 2;
     let mut sim = builder(algorithm, rounds).build();
     sim.run();
 
-    let run = run_tiered(|| builder(algorithm, rounds).build());
+    let run = run_tiered_over(EDGES, decode_workers, || builder(algorithm, rounds).build());
 
     assert_global_bit_identical(&sim.driver.global, &run.coordinator.driver.global);
     assert_eq!(
@@ -183,9 +196,13 @@ fn assert_tiered_matches_simulator(algorithm: Algorithm) {
     }
 }
 
+/// With no decode helper (every upload decoded by the sweep) and with
+/// two, as `loopback.rs` pins for the flat root.
 #[test]
 fn tiered_matches_simulator_fedavg() {
-    assert_tiered_matches_simulator(Algorithm::FedAvg);
+    for decode_workers in [Some(1), Some(3)] {
+        assert_tiered_matches_simulator_at(Algorithm::FedAvg, decode_workers);
+    }
 }
 
 #[test]
@@ -205,7 +222,12 @@ fn tiered_matches_simulator_fednova() {
 
 #[test]
 fn tiered_matches_simulator_spatl() {
-    assert_tiered_matches_simulator(Algorithm::Spatl(SpatlOptions::default()));
+    for decode_workers in [Some(1), Some(3)] {
+        assert_tiered_matches_simulator_at(
+            Algorithm::Spatl(SpatlOptions::default()),
+            decode_workers,
+        );
+    }
 }
 
 /// Partial participation behind two edges: two of four clients per
@@ -253,7 +275,7 @@ fn assert_tiered_folds_as_flat(make: impl Fn() -> ExperimentBuilder) {
 fn assert_folds_as_flat_over(edges: usize, make: impl Fn() -> ExperimentBuilder) {
     let mut sim = make().build();
     sim.run();
-    let run = run_tiered_over(edges, || make().build());
+    let run = run_tiered_over(edges, None, || make().build());
 
     assert_global_bit_identical(&sim.driver.global, &run.coordinator.driver.global);
     let history = &run.coordinator.driver.history;
@@ -424,6 +446,22 @@ fn an_edge_refuses_a_session_its_tier_cannot_run() {
         .config();
     let opts = EdgeConfig::new(0, EDGES, "127.0.0.1:9", "127.0.0.1:0");
     assert!(EdgeAggregator::bind(masked, opts).is_err());
+}
+
+/// A tiered root awaits every edge, so it refuses a quorum below one at
+/// bind, as it refuses one outside (0, 1].
+#[test]
+fn a_tiered_root_refuses_a_quorum_below_one() {
+    let opts = CoordinatorConfig {
+        quorum: 0.5,
+        ..root_config()
+    };
+    let session = builder(Algorithm::FedAvg, 1).build();
+    let err = Coordinator::bind(session.driver, opts)
+        .err()
+        .expect("no quorum behind edges");
+    assert!(matches!(err, NetError::Protocol(_)), "{err}");
+    assert!(err.to_string().contains("quorum"), "{err}");
 }
 
 /// The dropout plan the tests below run under: its seed drops at least

@@ -6,12 +6,15 @@
 //! ordinary client protocol and forwards **one** combined upload
 //! upstream, decoding nothing. The payload has two parts:
 //!
-//! 1. **Entries** — one [`EdgeEntry`] per collected client with the full
-//!    bookkeeping a flat coordinator would have read from the client's
-//!    `RoundDone` header (sample weight, τ, byte accounting, divergence
-//!    flag, accuracy in eval rounds), and, in train rounds, the client's
-//!    sealed upload frames *verbatim*. The root decodes and folds them
-//!    as a flat root would, so the tiered fold is the flat fold.
+//! 1. **Entries** — one [`EdgeEntry`] per collected client: its
+//!    `RoundDone` header without the round, mode and frame count (sample
+//!    weight, τ, byte accounting, divergence flag, accuracy in eval
+//!    rounds), and, in train rounds, its sealed upload frames
+//!    *verbatim*. Client ids ascend strictly, inside the edge's slice —
+//!    its sampled slice in a train round, its home slice in an eval
+//!    round; a root refuses any other frame as corrupt. The root turns
+//!    each entry back into its client's reply and runs it through the
+//!    round body a flat root runs, so the tiered fold is the flat fold.
 //! 2. **Fault counters** — the numeric half of the edge's per-round fault
 //!    ledger ([`TierFaultCounters`]), added into the root's ledger so the
 //!    tree-wide record composes. Individual fault *events* stay
@@ -87,7 +90,7 @@ pub struct TierFaultCounters {
 /// byte-for-byte as the client produced them.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeEntry {
-    /// Global client id (ascending within the frame).
+    /// Global client id (strictly ascending within the frame).
     pub client_id: u32,
     /// Local training-set size (aggregation weight).
     pub n_samples: u64,
